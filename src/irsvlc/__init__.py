@@ -20,14 +20,14 @@ from .irs import (IrsChannelVector, MetasurfaceArray, MetasurfacePatch,
 from .scene import (BlockerModel, Luminaire, OrientationModel, PhotoDetector,
                     Room, Scene, build_metasurface_arrays, build_mirror_arrays,
                     default_scene, sample_blockers, sample_tilt_deg, sample_ue)
-from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, SnrGrid,
-                        TrialGains, compute_trial, q_function, required_snr,
+from .simulator import (SER_TARGET, Ensemble, RequiredSnr, Scenario, SerCurve,
+                        SnrGrid, TrialGains, compute_trial, q_function, required_snr,
                         run_trials, ser_curve, trial_rng)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockerModel", "ConfigError", "IrsChannelVector", "Luminaire",
+    "BlockerModel", "ConfigError", "Ensemble", "IrsChannelVector", "Luminaire",
     "MetasurfaceArray", "MetasurfacePatch", "MirrorArray", "MirrorAssignment",
     "MirrorElement", "OrientationModel", "OrientedBox", "PatchSet",
     "PhotoDetector", "RequiredSnr", "Room", "RunConfig", "SER_TARGET",

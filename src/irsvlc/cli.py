@@ -18,30 +18,33 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from . import oracles
-from .config import ConfigError, RunConfig, build_scene, effective_sections, load_config
+from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
+                     validate)
 from .geometry import Segment, normalize, segment_intersects_box, vec3
 from .irs import MirrorElement, mirror_element_gain, optimal_mirror_normal
 from .scene import Luminaire, PhotoDetector
-from .simulator import (Scenario, SerCurve, q_function, required_snr, run_trials,
-                        ser_curve)
+from .simulator import (SER_TARGET, Scenario, SerCurve, q_function, required_snr,
+                        run_trials, ser_curve)
 
 _SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
 
 
 def _threads_default() -> int:
     env = os.environ.get("IRSVLC_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError([f"IRSVLC_THREADS: {env!r} is not an integer >= 1"])
+    return n
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -79,20 +82,24 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _density_results(cfg: RunConfig, density: float, threads: int):
-    """All requested SER curves for one blocker density."""
-    scene = build_scene(cfg, density)
-    gains = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
-                       nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order)
-    norm = None
-    if cfg.normalization == "baseline":
-        h = np.array([Scenario.LOS_NLOS.effective_gain(g) for g in gains])
-        norm = float(np.mean(h * h))
-    curves: dict[Scenario, SerCurve] = {}
-    for scn in cfg.scenario_list():
-        curves[scn] = ser_curve(gains, scn, cfg.grid(), seed=cfg.seed,
-                                mean_square_gain=norm)
-    return curves
+def _experiment_curves(cfg: RunConfig, densities: Sequence[float],
+                       threads: int) -> dict[float, dict[Scenario, SerCurve]]:
+    """All requested SER curves for each blocker density, from one ensemble."""
+    # the scene's own density is replaced by each of `densities` in turn
+    scene = build_scene(cfg, densities[0])
+    by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
+                            nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order,
+                            densities=densities)
+    out = {}
+    for density, gains in by_density.items():
+        norm = None
+        if cfg.normalization == "baseline":
+            h = np.array([Scenario.LOS_NLOS.effective_gain(g) for g in gains])
+            norm = float(np.mean(h * h))
+        out[density] = {scn: ser_curve(gains, scn, cfg.grid(), seed=cfg.seed,
+                                       mean_square_gain=norm)
+                        for scn in cfg.scenario_list()}
+    return out
 
 
 def _csv_lines(all_curves: dict[float, dict[Scenario, SerCurve]]) -> list[str]:
@@ -137,7 +144,7 @@ def _summary(cfg: RunConfig, all_curves, wallclock: float) -> dict:
     return {
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "ser_target": 3.8e-3,
+        "ser_target": SER_TARGET,
         "wallclock_seconds": round(wallclock, 3),
         "config": effective_sections(cfg),
         "results": results,
@@ -226,7 +233,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
-    all_curves = {d: _density_results(cfg, d, threads) for d in sorted(set(cfg.densities))}
+    all_curves = _experiment_curves(cfg, sorted(set(cfg.densities)), threads)
     summary = _summary(cfg, all_curves, time.perf_counter() - t0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_text(os.path.join(cfg.out_dir, "curves.csv"),
@@ -252,16 +259,21 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
     if not values:
         raise ConfigError(["--values: needs at least one value"])
 
+    if vary == "density":
+        validate(replace(cfg, densities=tuple(values)))
+        by_density = _experiment_curves(cfg, sorted(set(values)), threads)
+        runs = [(value, {value: by_density[value]}) for value in values]
+    else:
+        runs = []
+        for value in values:
+            sub = replace(cfg, n_per_side=int(value))
+            validate(sub)
+            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)), threads)))
+
     rows = []
     per_key: dict[tuple[float, str], list[float]] = {}
-    for value in values:
-        if vary == "n_per_side":
-            sub = replace(cfg, n_per_side=int(value))
-        else:
-            sub = replace(cfg, densities=(float(value),))
-        _validate_sub(sub)
-        for density in sorted(set(sub.densities)):
-            curves = _density_results(sub, density, threads)
+    for value, all_curves in runs:
+        for density, curves in all_curves.items():
             for scn, curve in curves.items():
                 r = required_snr(curve)
                 rows.append({
@@ -299,15 +311,6 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
     _write_text(os.path.join(cfg.out_dir, "sweep_summary.json"),
                 json.dumps(summary, indent=2) + "\n")
     return summary
-
-
-def _validate_sub(cfg: RunConfig) -> None:
-    """Re-validate a programmatically derived config (sweep values may be bad)."""
-    from .config import _validate
-    errors: list[str] = []
-    _validate(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
 
 
 # -- verify ------------------------------------------------------------------

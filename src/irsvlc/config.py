@@ -13,11 +13,11 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
+from .channel import DEFAULT_WALL_REFLECTIVITY
 from .geometry import vec3
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
-                    DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT,
-                    DEFAULT_WALL_REFLECTIVITY, BlockerModel, Luminaire,
+                    DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
                     OrientationModel, Room, Scene, build_metasurface_arrays,
                     build_mirror_arrays)
 from .simulator import Scenario, SnrGrid
@@ -162,13 +162,14 @@ def load_config(path: str | None = None, **overrides) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     cfg = replace(RunConfig(), **values)
-    _validate(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig, errors: list[str]) -> None:
+def validate(cfg: RunConfig) -> None:
+    """Raise ConfigError listing every out-of-range setting of cfg."""
+    errors: list[str] = []
+
     def check(ok: bool, where: str, msg: str) -> None:
         if not ok:
             errors.append(f"{where}: {msg}")
@@ -220,6 +221,8 @@ def _validate(cfg: RunConfig, errors: list[str]) -> None:
                              cfg.n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
         except ValueError as exc:
             errors.append(f"[irs] n_per_side: {exc}")
+    if errors:
+        raise ConfigError(errors)
 
 
 def _fmt(value) -> str:

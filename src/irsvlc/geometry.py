@@ -10,8 +10,9 @@ normalize               -- unit vector, rejects near-zero input
 cos_between             -- clamped cosine of the angle between two vectors
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
 reflect                 -- specular reflection of a direction at a plane
+OrientedBoxes           -- n equal upright boxes stored as arrays
 segment_intersects_box  -- open-segment vs. oriented-box interior test
-segments_intersect_box  -- vectorized form over many segments
+segments_intersect_box  -- vectorized form over many segments or many boxes
 """
 
 from __future__ import annotations
@@ -115,6 +116,41 @@ class OrientedBox:
 
 
 @dataclass(frozen=True)
+class OrientedBoxes:
+    """n boxes of equal half extents as arrays: (n, 3) centers and (n,) yaws.
+
+    The yaw cosines and sines come from `math`, element by element, so each
+    box tests exactly like the OrientedBox that `boxes()` returns for it.
+    """
+
+    center: np.ndarray
+    half_extents: tuple[float, float, float]
+    yaw: np.ndarray
+    _cos_yaw: np.ndarray = field(init=False, repr=False)
+    _sin_yaw: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.yaw)
+        object.__setattr__(self, "_cos_yaw", np.fromiter(map(math.cos, self.yaw), float, n))
+        object.__setattr__(self, "_sin_yaw", np.fromiter(map(math.sin, self.yaw), float, n))
+
+    def __len__(self) -> int:
+        return len(self.yaw)
+
+    def boxes(self) -> tuple[OrientedBox, ...]:
+        return tuple(OrientedBox(self.center[k], self.half_extents, float(self.yaw[k]))
+                     for k in range(len(self)))
+
+    def contains_interior(self, p: Vec3) -> np.ndarray:
+        """(n,) mask of the boxes whose interior holds the point p."""
+        d = p - self.center
+        c, s = self._cos_yaw, self._sin_yaw
+        hx, hy, hz = self.half_extents
+        return ((np.abs(c * d[:, 0] + s * d[:, 1]) < hx)
+                & (np.abs(-s * d[:, 0] + c * d[:, 1]) < hy) & (np.abs(d[:, 2]) < hz))
+
+
+@dataclass(frozen=True)
 class Segment:
     a: Vec3
     b: Vec3
@@ -158,8 +194,13 @@ def segment_intersects_box(seg: Segment, box: OrientedBox) -> bool:
     return t_lo < t_hi
 
 
-def segments_intersect_box(starts: np.ndarray, ends: np.ndarray, box: OrientedBox) -> np.ndarray:
-    """Vectorized segment_intersects_box over (n, 3) start/end point arrays."""
+def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
+                           box: OrientedBox | OrientedBoxes) -> np.ndarray:
+    """Vectorized segment_intersects_box over (n, 3) start/end point arrays.
+
+    The box parameters broadcast against the segments, so (1, 3) endpoints
+    and an OrientedBoxes of n boxes test one segment against every box.
+    """
     c, s = box._cos_yaw, box._sin_yaw
     hx, hy, hz = box.half_extents
     da = starts - box.center
@@ -171,22 +212,19 @@ def segments_intersect_box(starts: np.ndarray, ends: np.ndarray, box: OrientedBo
     by = -s * db[:, 0] + c * db[:, 1]
     bz = db[:, 2]
 
-    t_lo = np.zeros(len(starts))
-    t_hi = np.ones(len(starts))
-    alive = np.ones(len(starts), dtype=bool)
-    for a_i, b_i, h in ((ax, bx, hx), (ay, by, hy), (az, bz, hz)):
-        d_i = b_i - a_i
-        par = d_i == 0.0
-        # parallel segments survive only while strictly inside the slab
-        alive &= ~(par & (np.abs(a_i) >= h))
-        with np.errstate(divide="ignore", invalid="ignore"):
+    t_lo = np.zeros(ax.shape)
+    t_hi = np.ones(ax.shape)
+    alive = np.ones(ax.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a_i, b_i, h in ((ax, bx, hx), (ay, by, hy), (az, bz, hz)):
+            d_i = b_i - a_i
+            par = d_i == 0.0
+            # parallel segments survive only while strictly inside the slab
+            alive &= ~(par & (np.abs(a_i) >= h))
             t1 = (-h - a_i) / d_i
             t2 = (h - a_i) / d_i
-        swap = t1 > t2
-        t1s = np.where(swap, t2, t1)
-        t2s = np.where(swap, t1, t2)
-        take = alive & ~par
-        t_lo = np.where(take, np.maximum(t_lo, t1s), t_lo)
-        t_hi = np.where(take, np.minimum(t_hi, t2s), t_hi)
-        alive &= t_lo < t_hi
+            take = alive & ~par
+            np.maximum(t_lo, np.minimum(t1, t2), out=t_lo, where=take)
+            np.minimum(t_hi, np.maximum(t1, t2), out=t_hi, where=take)
+            alive &= t_lo < t_hi
     return alive

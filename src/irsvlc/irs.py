@@ -120,7 +120,30 @@ class IrsChannelVector:
     ue_distances: np.ndarray
 
     def total(self) -> float:
-        return math.fsum(self.element_gains.tolist())
+        """Exact sum; the zero entries, which cannot change it, are skipped."""
+        g = self.element_gains
+        return math.fsum(g[g != 0.0].tolist())
+
+
+@dataclass(frozen=True)
+class SourceLeg:
+    """Source-to-cell quantities of one (source, array) pair; fixed for a scene."""
+
+    u: np.ndarray  # (n, 3) source position minus cell centers
+    d1: np.ndarray
+    cos_phi_m: np.ndarray  # max(cos_phi, 0) ** m for the source's Lambertian order m
+    lit: np.ndarray  # cells in the source's forward hemisphere (metasurfaces: and in front)
+
+
+def source_leg(ap: "Luminaire", array: "MirrorArray | MetasurfaceArray") -> SourceLeg:
+    """Everything the cascade needs from the source side, computed once per run."""
+    u = ap.position - array.centers
+    d1 = np.sqrt(np.einsum("ij,ij->i", u, u))
+    cos_phi = (-u @ ap.normal) / d1
+    lit = cos_phi > 0.0
+    if isinstance(array, MetasurfaceArray):
+        lit &= u @ array.base_normal > 0.0
+    return SourceLeg(u, d1, np.power(np.maximum(cos_phi, 0.0), ap.lambertian_order), lit)
 
 
 def optimal_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3) -> Vec3:
@@ -203,25 +226,33 @@ def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector
             * cos_phi ** m * cos_psi)
 
 
-def _cascade_vector(ap: "Luminaire", centers: np.ndarray, ue: "PhotoDetector",
-                    scale: float, extra_mask: np.ndarray | None,
+def _cascade_vector(ap: "Luminaire", array: MirrorArray | MetasurfaceArray,
+                    ue: "PhotoDetector", leg: SourceLeg | None,
                     blockers: Sequence[OrientedBox]) -> IrsChannelVector:
-    """Common two-leg cascade: scale * (m+1) A / (2 pi (d1+d2)^2) cos^m(phi) cos(psi)."""
-    u = ap.position - centers
-    d1 = np.sqrt(np.einsum("ij,ij->i", u, u))
+    """Two-leg cascade: scale * (m+1) A / (2 pi (d1+d2)^2) cos^m(phi) cos(psi).
+
+    A mirror cell is dropped only when its two legs are exactly antipodal; a
+    metasurface cell needs both the source and the detector in front of it.
+    """
+    if leg is None:
+        leg = source_leg(ap, array)
+    centers = array.centers
     v = ue.position - centers
     d2 = np.sqrt(np.einsum("ij,ij->i", v, v))
-    cos_phi = (-u @ ap.normal) / d1
     cos_psi = (-v @ ue.normal) / d2
-    ok = (cos_phi > 0.0) & (cos_psi > 0.0) & (cos_psi >= math.cos(ue.fov))
-    if extra_mask is not None:
-        ok &= extra_mask
+    ok = leg.lit & (cos_psi > 0.0) & (cos_psi >= math.cos(ue.fov))
+    if isinstance(array, MirrorArray):
+        ok &= np.einsum("ij,ij->i", leg.u, v) / (leg.d1 * d2) > -1.0 + 1e-12
+        scale = array.reflectivity
+    else:
+        ok &= v @ array.base_normal > 0.0
+        scale = array.efficiency
     m = ap.lambertian_order
-    total_d = d1 + d2
+    total_d = leg.d1 + d2
     gains = np.where(
         ok,
         scale * (m + 1.0) * ue.area / (2.0 * math.pi * total_d * total_d)
-        * np.power(np.maximum(cos_phi, 0.0), m) * cos_psi,
+        * leg.cos_phi_m * cos_psi,
         0.0,
     )
     idx = np.flatnonzero(gains > 0.0)
@@ -230,46 +261,41 @@ def _cascade_vector(ap: "Luminaire", centers: np.ndarray, ue: "PhotoDetector",
         blocked = shadowed_mask(np.broadcast_to(ap.position, (idx.size, 3)), pts, blockers)
         blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)), blockers)
         gains[idx[blocked]] = 0.0
-    return IrsChannelVector(gains, d1, d2)
+    return IrsChannelVector(gains, leg.d1, d2)
 
 
 def ma_channel_vector(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
-                      blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
+                      blockers: Sequence[OrientedBox] = (), *,
+                      leg: SourceLeg | None = None) -> IrsChannelVector:
     """Per-element gains with every mirror at its optimal orientation.
 
     With the half-vector orientation the image, element center and detector
     are collinear, so the image-detector distance is exactly d1 + d2 and the
     footprint is met at the element center; the front-side condition reduces
-    to the legs not being exactly antipodal.
+    to the legs not being exactly antipodal. `leg` is source_leg(ap, array),
+    computed here when not given.
     """
-    centers = array.centers
-    u = ap.position - centers
-    v = ue.position - centers
-    d1 = np.sqrt(np.einsum("ij,ij->i", u, u))
-    d2 = np.sqrt(np.einsum("ij,ij->i", v, v))
-    cos_legs = np.einsum("ij,ij->i", u, v) / (d1 * d2)
-    not_degenerate = cos_legs > -1.0 + 1e-12
-    return _cascade_vector(ap, centers, ue, array.reflectivity, not_degenerate, blockers)
+    return _cascade_vector(ap, array, ue, leg, blockers)
 
 
 def ma_gain(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
-            blockers: Sequence[OrientedBox] = ()) -> float:
+            blockers: Sequence[OrientedBox] = (), *,
+            leg: SourceLeg | None = None) -> float:
     """Array gain with per-element optimal steering; compensated sum."""
-    return ma_channel_vector(ap, array, ue, blockers).total()
+    return ma_channel_vector(ap, array, ue, blockers, leg=leg).total()
 
 
 def msa_channel_vector(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
-                       blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
+                       blockers: Sequence[OrientedBox] = (), *,
+                       leg: SourceLeg | None = None) -> IrsChannelVector:
     """Per-patch anomalous-steering gains toward this detector."""
-    centers = array.centers
-    w = array.base_normal
-    front = ((ap.position - centers) @ w > 0.0) & ((ue.position - centers) @ w > 0.0)
-    return _cascade_vector(ap, centers, ue, array.efficiency, front, blockers)
+    return _cascade_vector(ap, array, ue, leg, blockers)
 
 
 def msa_gain(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
-             blockers: Sequence[OrientedBox] = ()) -> float:
-    return msa_channel_vector(ap, array, ue, blockers).total()
+             blockers: Sequence[OrientedBox] = (), *,
+             leg: SourceLeg | None = None) -> float:
+    return msa_channel_vector(ap, array, ue, blockers, leg=leg).total()
 
 
 @dataclass(frozen=True)

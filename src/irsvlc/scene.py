@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox, Vec3, is_unit, normalize, unit_normal_from_polar, vec3
+from .channel import DEFAULT_WALL_REFLECTIVITY
+from .geometry import (OrientedBox, OrientedBoxes, Vec3, is_unit, normalize,
+                       unit_normal_from_polar, vec3)
 from .irs import (MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfaceArray, MetasurfacePatch,
                   MirrorArray, MirrorElement)
 
@@ -25,7 +27,6 @@ DEFAULT_UE_HEIGHT = 1.0  # m above the floor
 DEFAULT_THETA_MEAN_DEG = 41.0
 DEFAULT_THETA_STD_DEG = 9.0
 BLOCKER_DIMS = (0.75, 0.2, 1.75)  # m, footprint x footprint x height
-DEFAULT_WALL_REFLECTIVITY = 0.7
 
 
 @dataclass(frozen=True)
@@ -265,22 +266,27 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
                          area=scene.pd_area, fov=scene.pd_fov)
 
 
-def sample_blockers(rng: np.random.Generator, scene: Scene) -> tuple[OrientedBox, ...]:
-    """Poisson-count upright blockers, centers uniform on the floor, yaw in [0, pi)."""
-    model = scene.blocker_model
-    room = scene.room
+def sample_blocker_field(rng: np.random.Generator, room: Room,
+                         model: BlockerModel) -> OrientedBoxes | None:
+    """Poisson-count upright blockers, centers uniform on the floor, yaw in [0, pi).
+
+    Draw order is fixed (count, x, y, yaw); None when no blocker is drawn.
+    """
     lam = model.density * room.length * room.width
     if lam == 0.0:
-        return ()
+        return None
     count = int(rng.poisson(lam))
     if count == 0:
-        return ()
+        return None
     xs = rng.uniform(0.0, room.length, count)
     ys = rng.uniform(0.0, room.width, count)
     yaws = rng.uniform(0.0, math.pi, count)
     dx, dy, dz = model.dims
-    half = (dx / 2.0, dy / 2.0, dz / 2.0)
-    return tuple(
-        OrientedBox(vec3(xs[k], ys[k], dz / 2.0), half, float(yaws[k]))
-        for k in range(count)
-    )
+    centers = np.column_stack((xs, ys, np.full(count, dz / 2.0)))
+    return OrientedBoxes(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws)
+
+
+def sample_blockers(rng: np.random.Generator, scene: Scene) -> tuple[OrientedBox, ...]:
+    """The blockers of sample_blocker_field as one OrientedBox each."""
+    field = sample_blocker_field(rng, scene.room, scene.blocker_model)
+    return () if field is None else field.boxes()

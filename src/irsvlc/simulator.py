@@ -5,7 +5,9 @@ substream keyed by (seed, trial index), so results do not depend on worker
 count or execution order. Blockers occlude the direct source-detector link;
 the diffuse wall field and the steered mirror cascade are treated as
 blockage-insensitive at trial level (per-path occlusion stays available in
-the channel and irs APIs). On-off keying over the sampled gain ensemble gives
+the channel and irs APIs). So one pass over the trials serves every blocker
+density: a trial's pose-only gains are computed once, and its blocker draws
+are replayed for each density. On-off keying over the sampled gain ensemble gives
 SER(snr) = mean_t Q(sqrt(snr * h_t^2 / mean(h^2))), where the mean-square
 gain normalization makes `snr` the average received electrical SNR.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -22,8 +24,9 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import PatchSet, diffuse_capture, los_gain, patch_incident_power, wall_patches
-from .irs import ma_gain, msa_gain
-from .scene import Scene, sample_blockers, sample_ue
+from .geometry import OrientedBoxes, segments_intersect_box
+from .irs import MetasurfaceArray, MirrorArray, SourceLeg, ma_gain, msa_gain, source_leg
+from .scene import BlockerModel, Luminaire, PhotoDetector, Scene, sample_blocker_field, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
@@ -111,25 +114,79 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
                                                         spawn_key=(trial_index,)))
 
 
-def compute_trial(scene: Scene, patches: PatchSet, diffuse_power: np.ndarray,
-                  trial_index: int, seed: int) -> TrialGains:
-    """Sample one receiver pose and blocker population, then all gain components."""
-    rng = trial_rng(seed, trial_index)
-    ue = sample_ue(rng, scene)
+@dataclass(frozen=True)
+class Ensemble:
+    """Everything a trial reads besides its own substream; built once per run."""
+
+    scene: Scene
+    seed: int
+    patches: PatchSet
+    diffuse_power: np.ndarray
+    mirror_legs: tuple[tuple[Luminaire, MirrorArray, SourceLeg], ...]
+    metasurface_legs: tuple[tuple[Luminaire, MetasurfaceArray, SourceLeg], ...]
+    blocker_models: tuple[BlockerModel, ...]  # one per density, in output order
+
+    @classmethod
+    def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
+              nlos_patch_size: float = 0.25, nlos_order: int = 2) -> "Ensemble":
+        """Precompute the diffuse field and the cascade source legs of a scene."""
+        patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
+        return cls(
+            scene, seed, patches, _diffuse_field(scene, patches, nlos_order),
+            tuple((ap, arr, source_leg(ap, arr))
+                  for ap in scene.aps for arr in scene.mirror_arrays),
+            tuple((ap, arr, source_leg(ap, arr))
+                  for ap in scene.aps for arr in scene.metasurface_arrays),
+            tuple(replace(scene.blocker_model, density=d) for d in densities))
+
+
+def _direct_gain(aps: Sequence[Luminaire], unblocked: list[float], ue: PhotoDetector,
+                 field: OrientedBoxes | None) -> float:
+    """Sum of the unblocked direct gains whose sight line no blocker crosses."""
+    if field is None:
+        return math.fsum(unblocked)
     # hard-core thinning: an object cannot occupy the receiver's location, and
     # a box enclosing the receiver would zero every path regardless of steering
-    blockers = tuple(b for b in sample_blockers(rng, scene)
-                     if not b.contains_interior(ue.position))
+    keep = ~field.contains_interior(ue.position)
+    end = ue.position[None, :]
+    gains = []
+    for ap, g in zip(aps, unblocked):
+        if g != 0.0 and (keep & segments_intersect_box(ap.position[None, :], end, field)).any():
+            g = 0.0
+        gains.append(g)
+    return math.fsum(gains)
+
+
+def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
+    """One receiver pose and its gains at every blocker density of the ensemble.
+
+    The pose comes first in the trial's substream and the blockers follow;
+    nothing else reads it. Replaying the stream from the state after the pose
+    therefore gives each density exactly the blockers a run at that density
+    alone would draw. When no source reaches the detector unblocked, no
+    blocker can change the direct gain and the draws are skipped.
+    """
+    scene = ens.scene
+    rng = trial_rng(ens.seed, trial_index)
+    ue = sample_ue(rng, scene)
+    h_nlos = diffuse_capture(ens.patches, ue, ens.diffuse_power)
     # blockers model pedestrians crossing the direct link; the diffuse wall
     # field and the steered cascade are treated as blockage-insensitive at
     # trial level (per-path occlusion stays available in channel/irs)
-    h_los = math.fsum(los_gain(ap, ue, blockers) for ap in scene.aps)
-    h_nlos = diffuse_capture(patches, ue, diffuse_power)
-    parts = [ma_gain(ap, arr, ue)
-             for ap in scene.aps for arr in scene.mirror_arrays]
-    parts += [msa_gain(ap, arr, ue)
-              for ap in scene.aps for arr in scene.metasurface_arrays]
-    return TrialGains(trial_index, h_los, h_nlos, math.fsum(parts))
+    parts = [ma_gain(ap, arr, ue, leg=leg) for ap, arr, leg in ens.mirror_legs]
+    parts += [msa_gain(ap, arr, ue, leg=leg) for ap, arr, leg in ens.metasurface_legs]
+    h_irs = math.fsum(parts)
+    unblocked = [los_gain(ap, ue) for ap in scene.aps]
+    if not any(unblocked):
+        return tuple(TrialGains(trial_index, 0.0, h_nlos, h_irs) for _ in ens.blocker_models)
+    after_pose = rng.bit_generator.state
+    out = []
+    for model in ens.blocker_models:
+        rng.bit_generator.state = after_pose
+        field = sample_blocker_field(rng, scene.room, model)
+        h_los = _direct_gain(scene.aps, unblocked, ue, field)
+        out.append(TrialGains(trial_index, h_los, h_nlos, h_irs))
+    return tuple(out)
 
 
 def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:
@@ -145,50 +202,51 @@ def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(scene: Scene, seed: int, patches: PatchSet,
-                 diffuse_power: np.ndarray) -> None:
-    _WORKER_STATE["scene"] = scene
-    _WORKER_STATE["seed"] = seed
-    _WORKER_STATE["patches"] = patches
-    _WORKER_STATE["diffuse_power"] = diffuse_power
+def _init_worker(ens: Ensemble) -> None:
+    _WORKER_STATE["ensemble"] = ens
 
 
-def _run_chunk(bounds: tuple[int, int]) -> list[TrialGains]:
-    scene = _WORKER_STATE["scene"]
-    seed = _WORKER_STATE["seed"]
-    patches = _WORKER_STATE["patches"]
-    power = _WORKER_STATE["diffuse_power"]
-    return [compute_trial(scene, patches, power, t, seed) for t in range(*bounds)]
+def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
+    ens = _WORKER_STATE["ensemble"]
+    return [compute_trial(ens, t) for t in range(*bounds)]
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               nlos_patch_size: float = 0.25, nlos_order: int = 2) -> list[TrialGains]:
+               nlos_patch_size: float = 0.25, nlos_order: int = 2,
+               densities: Sequence[float] | None = None
+               ) -> list[TrialGains] | dict[float, list[TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
+
+    Returns the list of TrialGains for the scene's blocker density. Given
+    `densities`, one pass over the trials serves all of them instead, and the
+    result maps each density to the list a scene of that density would give.
 
     Trials are keyed by index, computed in contiguous chunks and reassembled
     in index order, so parallel scheduling cannot change the result. The
-    diffuse wall field is precomputed once and shipped to workers, which both
-    removes the dominant per-trial cost and keeps it bit-identical everywhere.
+    diffuse wall field and the source legs of the array cascade are
+    precomputed once and shipped to workers, which both removes per-trial
+    cost and keeps them bit-identical everywhere.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
-    power = _diffuse_field(scene, patches, nlos_order)
+    wanted = (scene.blocker_model.density,) if densities is None else tuple(densities)
+    if not wanted:
+        raise ValueError("densities needs at least one value")
+    unique = tuple(dict.fromkeys(wanted))
+    ens = Ensemble.build(scene, seed, unique, nlos_patch_size=nlos_patch_size,
+                         nlos_order=nlos_order)
     if threads <= 1 or trials == 1:
-        return [compute_trial(scene, patches, power, t, seed)
-                for t in range(trials)]
-    chunk = max(1, math.ceil(trials / (threads * 8)))
-    bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
-    with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker,
-            initargs=(scene, seed, patches, power)) as pool:
-        parts = list(pool.map(_run_chunk, bounds))
-    out: list[TrialGains] = []
-    for part in parts:
-        out.extend(part)
-    return out
+        rows = [compute_trial(ens, t) for t in range(trials)]
+    else:
+        chunk = max(1, math.ceil(trials / (threads * 8)))
+        bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                 initargs=(ens,)) as pool:
+            rows = [row for part in pool.map(_run_chunk, bounds) for row in part]
+    by_density = {d: [row[k] for row in rows] for k, d in enumerate(unique)}
+    return by_density[wanted[0]] if densities is None else by_density
 
 
 # -- SER estimation ----------------------------------------------------------

@@ -93,6 +93,15 @@ def test_bad_threads_exit_2(small_config, tmp_path):
                 "--threads", "0"]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_invalid_threads_env_exits_2(small_config, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("IRSVLC_THREADS", value)
+    assert run(["simulate", "--config", small_config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "IRSVLC_THREADS" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_exits_3(small_config, tmp_path, capsys):
     blocking_file = tmp_path / "not_a_dir"
     blocking_file.write_text("", encoding="utf-8")
@@ -112,6 +121,36 @@ def test_sweep_density(small_config, tmp_path):
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert summary["vary"] == "density" and summary["values"] == [0.0, 0.8]
     assert len(summary["monotonicity"]) == 3
+
+
+def test_sweep_density_matches_simulate(small_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", small_config, "--out", str(out),
+                "--threads", "1", "--vary", "density", "--values", "0,0.8"]) == 0
+    rows = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    swept = {(r["blocker_density"], r["scenario"]): r["required_snr_db"] for r in rows}
+    simulated = {}
+    for density in ("0", "0.8"):
+        cfg = tmp_path / f"d{density}.ini"
+        cfg.write_text(SMALL.replace("densities = 0, 0.4", f"densities = {density}"),
+                       encoding="utf-8")
+        sim = tmp_path / f"sim{density}"
+        assert run(["simulate", "--config", str(cfg), "--out", str(sim),
+                    "--threads", "1"]) == 0
+        results = json.loads((sim / "summary.json").read_text())["results"]
+        simulated.update({(r["blocker_density"], r["scenario"]): r["required_snr_db"]
+                          for r in results})
+    assert swept == simulated
+
+
+def test_sweep_csv_independent_of_threads(small_config, tmp_path):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert run(["sweep", "--config", small_config, "--out", str(out), "--threads",
+                    threads, "--vary", "density", "--values", "0,0.5,2"]) == 0
+        outs[threads] = (out / "sweep.csv").read_bytes()
+    assert outs["1"] == outs["2"]
 
 
 def test_sweep_rejects_unparseable_values(small_config, tmp_path):

@@ -2,8 +2,10 @@
 
 import pytest
 
+from dataclasses import replace
+
 from irsvlc.config import (ConfigError, RunConfig, build_scene,
-                           effective_sections, load_config)
+                           effective_sections, load_config, validate)
 
 
 def write(tmp_path, text):
@@ -70,6 +72,14 @@ def test_validation_rejects_bad_settings(tmp_path, body, needle):
     with pytest.raises(ConfigError) as exc:
         load_config(write(tmp_path, body))
     assert needle in "\n".join(exc.value.errors)
+
+
+def test_validate_lists_every_bad_setting():
+    validate(RunConfig())
+    with pytest.raises(ConfigError) as exc:
+        validate(replace(RunConfig(), densities=(-1.0,), trials=0))
+    assert len(exc.value.errors) == 2
+    assert any("densities" in e for e in exc.value.errors)
 
 
 def test_missing_file_raises():

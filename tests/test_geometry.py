@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc.geometry import (OrientedBox, Segment, cos_between, normalize, reflect,
-                             segment_intersects_box, segments_intersect_box,
+from irsvlc.geometry import (OrientedBox, OrientedBoxes, Segment, cos_between, normalize,
+                             reflect, segment_intersects_box, segments_intersect_box,
                              unit_normal_from_polar, vec3)
 
 from conftest import rng
@@ -212,3 +212,15 @@ def test_segments_intersect_box_handles_axis_parallel():
     ends = np.array([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
     got = segments_intersect_box(starts, ends, box)
     assert got.tolist() == [True, False, False]  # face-touching third case
+
+
+def test_segments_intersect_box_broadcasts_over_boxes():
+    r = rng(44)
+    field = OrientedBoxes(r.uniform(-2, 2, (400, 3)), (0.4, 0.1, 0.9),
+                          r.uniform(0.0, math.pi, 400))
+    boxes = field.boxes()
+    for _ in range(25):
+        p, q = r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)
+        got = segments_intersect_box(p[None, :], q[None, :], field)
+        assert got.tolist() == [segment_intersects_box(Segment(p, q), b) for b in boxes]
+        assert field.contains_interior(p).tolist() == [b.contains_interior(p) for b in boxes]

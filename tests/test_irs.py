@@ -8,7 +8,10 @@ import pytest
 from irsvlc import (Luminaire, MetasurfaceArray, MetasurfacePatch, MirrorArray,
                     MirrorElement, OrientedBox, PhotoDetector,
                     assign_mirrors_multi_ue, ma_channel_vector, ma_gain,
-                    mirror_element_gain, msa_gain, optimal_mirror_normal, vec3)
+                    mirror_element_gain, msa_channel_vector, msa_gain,
+                    optimal_mirror_normal, vec3)
+from irsvlc.geometry import unit_normal_from_polar
+from irsvlc.irs import source_leg
 from irsvlc.scene import default_scene
 
 from conftest import rng
@@ -155,6 +158,23 @@ def test_ma_channel_vector_reports_leg_lengths():
     assert vec.ap_distances[0] == pytest.approx(2.0, rel=1e-12)
     assert vec.ue_distances[0] == pytest.approx(2.0, rel=1e-12)
     assert vec.total() == pytest.approx(vec.element_gains.sum(), rel=1e-12)
+
+
+def test_precomputed_source_leg_gives_identical_vectors():
+    scene = default_scene(n_per_side=8, irs="mirror")
+    msa = default_scene(n_per_side=8, irs="metasurface")
+    ap = scene.aps[0]
+    ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
+    lit = 0
+    for arrays, fn in ((scene.mirror_arrays, ma_channel_vector),
+                       (msa.metasurface_arrays, msa_channel_vector)):
+        for arr in arrays:
+            fresh = fn(ap, arr, ue)
+            cached = fn(ap, arr, ue, leg=source_leg(ap, arr))
+            assert fresh.element_gains.tolist() == cached.element_gains.tolist()
+            assert fresh.total() == math.fsum(fresh.element_gains.tolist())
+            lit += int((fresh.element_gains > 0.0).sum())
+    assert lit > 0
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene,
-                          build_mirror_arrays, default_scene, sample_blockers,
-                          sample_tilt_deg, sample_ue)
+                          build_mirror_arrays, default_scene, sample_blocker_field,
+                          sample_blockers, sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
 from conftest import rng
@@ -160,6 +160,18 @@ def test_sample_blockers_count_mean():
     counts = [len(sample_blockers(r, scene)) for _ in range(2000)]
     # Poisson(25): 3 sigma over 2000 draws
     assert abs(np.mean(counts) - 25.0) < 3 * math.sqrt(25.0 / 2000)
+
+
+def test_sample_blockers_match_the_field_draws():
+    scene = default_scene(n_per_side=1, blocker_density=1.0)
+    field = sample_blocker_field(rng(6), scene.room, scene.blocker_model)
+    boxes = sample_blockers(rng(6), scene)
+    assert len(boxes) == len(field) > 0
+    for k, box in enumerate(boxes):
+        assert box.center.tolist() == field.center[k].tolist()
+        assert box.yaw == field.yaw[k] and box.half_extents == field.half_extents
+    empty = default_scene(n_per_side=1, blocker_density=0.0)
+    assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
 def test_scene_is_immutable():

@@ -9,7 +9,7 @@ from irsvlc import (RequiredSnr, Scenario, SnrGrid, TrialGains, nlos_gain,
                     q_function, required_snr, run_trials, ser_curve, trial_rng,
                     wall_patches)
 from irsvlc.scene import OrientationModel, default_scene, sample_ue
-from irsvlc.simulator import SER_TARGET, compute_trial
+from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
 
 
 def flat_gains(n, h):
@@ -49,6 +49,42 @@ def test_run_trials_threads_match_serial():
     parallel = run_trials(scene, 24, seed=7, threads=2)
     assert [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in serial] == \
            [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in parallel]
+
+
+def _as_tuples(gains):
+    return [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in gains]
+
+
+@pytest.mark.parametrize("irs", ["mirror", "metasurface", "none"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_ensemble_matches_per_density_runs(irs, threads):
+    # one pass over the poses must give every density exactly the gains of a
+    # run on that density's own scene
+    densities = (0.0, 0.5, 2.0)
+    scene = default_scene(n_per_side=4, irs=irs, blocker_density=0.5)
+    shared = run_trials(scene, 24, seed=17, threads=threads, densities=densities)
+    assert list(shared) == list(densities)
+    for d in densities:
+        own = run_trials(default_scene(n_per_side=4, irs=irs, blocker_density=d), 24, seed=17)
+        assert _as_tuples(shared[d]) == _as_tuples(own)
+
+
+def test_shared_ensemble_sees_blockage():
+    scene = default_scene(n_per_side=4, irs="none")
+    out = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
+    assert [t.h_nlos for t in out[0.0]] == [t.h_nlos for t in out[4.0]]
+    assert sum(t.h_los == 0.0 for t in out[4.0]) > sum(t.h_los == 0.0 for t in out[0.0])
+    with pytest.raises(ValueError):
+        run_trials(scene, 10, seed=5, densities=())
+
+
+def test_compute_trial_one_row_per_density():
+    scene = default_scene(n_per_side=4)
+    ens = Ensemble.build(scene, 3, (0.0, 1.0))
+    row = compute_trial(ens, trial_index=2)
+    assert [t.index for t in row] == [2, 2]
+    assert row[0].h_irs == row[1].h_irs and row[0].h_nlos == row[1].h_nlos
+    assert row[0] == run_trials(scene, 3, seed=3)[2]
 
 
 def test_trial_components_nonnegative_and_indexed():
