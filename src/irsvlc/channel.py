@@ -186,31 +186,45 @@ def _patch_to_ue(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
     return math.fsum(contrib.tolist())
 
 
+_SOURCE_BLOCK = 64  # source rows per patch-to-patch block: ~1.5 MB of (64, P, 3) temporaries
+
+
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
                          blockers: Sequence[OrientedBox]) -> np.ndarray:
     """Patch powers after one diffuse patch-to-patch transfer.
 
-    O(P^2) pairs, each occlusion-tested against every blocker; intended for
-    coarse patch grids or one-off evaluations, not the Monte Carlo hot path.
+    O(P^2) pairs, evaluated for _SOURCE_BLOCK sources at a time, each pair
+    occlusion-tested against every blocker; blockers are meant for coarse
+    patch grids or one-off evaluations, not the Monte Carlo hot path. Rows
+    are added to the result one source at a time, in source order, so the
+    sum does not depend on the block size.
     """
     n = len(ps)
     out = np.zeros(n)
     sources = np.flatnonzero(power1 > 0.0)
-    for j in sources:
-        v = ps.centers - ps.centers[j]
-        d_sq = np.einsum("ij,ij->i", v, v)
+    for start in range(0, sources.size, _SOURCE_BLOCK):
+        js = sources[start:start + _SOURCE_BLOCK]
+        v = np.empty((js.size, n, 3))  # v[k, i] = centers[i] - centers[js[k]]
+        for axis in range(3):  # one long subtraction per axis, not n * b short ones
+            np.subtract(ps.centers[None, :, axis], ps.centers[js, axis][:, None],
+                        out=v[:, :, axis])
+        d_sq = np.einsum("kij,kij->ki", v, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cos_out = np.einsum("ij,ij->i", v, np.broadcast_to(ps.normals[j], (n, 3))) / np.sqrt(d_sq)
-            cos_in = -np.einsum("ij,ij->i", v, ps.normals) / np.sqrt(d_sq)
+            d = np.sqrt(d_sq)
+            cos_out = np.einsum("kij,kj->ki", v, ps.normals[js]) / d
+            cos_in = -np.einsum("kij,ij->ki", v, ps.normals) / d
             frac = ps.areas * cos_in * cos_out / (math.pi * d_sq)
         ok = np.isfinite(frac) & (cos_out > 0.0) & (cos_in > 0.0)
         frac = np.where(ok, np.minimum(frac, 1.0), 0.0)
-        idx = np.flatnonzero(frac > 0.0)
-        if blockers and idx.size:
-            starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
-            blocked = shadowed_mask(starts, ps.centers[idx], blockers)
-            frac[idx[blocked]] = 0.0
-        out += ps.reflectivity[j] * power1[j] * frac
+        frac *= (ps.reflectivity[js] * power1[js])[:, None]
+        for k, j in enumerate(js):
+            row = frac[k]
+            if blockers:
+                idx = np.flatnonzero(row > 0.0)
+                if idx.size:
+                    starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
+                    row[idx[shadowed_mask(starts, ps.centers[idx], blockers)]] = 0.0
+            out += row
     return out
 
 

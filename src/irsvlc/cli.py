@@ -82,14 +82,18 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, densities: Sequence[float],
-                       threads: int) -> dict[float, dict[Scenario, SerCurve]]:
-    """All requested SER curves for each blocker density, from one ensemble."""
+def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
+                       ) -> tuple[dict[float, dict[Scenario, SerCurve]], dict[str, float]]:
+    """All requested SER curves for each blocker density, from one ensemble,
+    and the wall-clock seconds of each stage that produced them."""
+    t0 = time.perf_counter()
     # the scene's own density is replaced by each of `densities` in turn
     scene = build_scene(cfg, densities[0])
+    t1 = time.perf_counter()
     by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
                             nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order,
                             densities=densities)
+    t2 = time.perf_counter()
     out = {}
     for density, gains in by_density.items():
         norm = None
@@ -99,7 +103,9 @@ def _experiment_curves(cfg: RunConfig, densities: Sequence[float],
         out[density] = {scn: ser_curve(gains, scn, cfg.grid(), seed=cfg.seed,
                                        mean_square_gain=norm)
                         for scn in cfg.scenario_list()}
-    return out
+    stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
+              "ser_curves": time.perf_counter() - t2}
+    return out, stages
 
 
 def _csv_lines(all_curves: dict[float, dict[Scenario, SerCurve]]) -> list[str]:
@@ -116,7 +122,8 @@ def _csv_lines(all_curves: dict[float, dict[Scenario, SerCurve]]) -> list[str]:
     return lines
 
 
-def _summary(cfg: RunConfig, all_curves, wallclock: float) -> dict:
+def _summary(cfg: RunConfig, all_curves, wallclock: float, stages: dict[str, float],
+             workers: int) -> dict:
     results = []
     req: dict[tuple[float, Scenario], float | None] = {}
     for density in sorted(all_curves):
@@ -128,6 +135,7 @@ def _summary(cfg: RunConfig, all_curves, wallclock: float) -> dict:
                 "scenario": scn.value,
                 "required_snr_db": r.snr_db if r.reachable else "unreachable",
                 "non_monotone": r.non_monotone,
+                "censored": r.censored,
             })
     gaps = []
     for density in sorted(all_curves):
@@ -146,6 +154,9 @@ def _summary(cfg: RunConfig, all_curves, wallclock: float) -> dict:
         "trials": cfg.trials,
         "ser_target": SER_TARGET,
         "wallclock_seconds": round(wallclock, 3),
+        "stage_seconds": {name: round(sec, 6) for name, sec in stages.items()},
+        "trials_per_second": round(cfg.trials / stages["run_trials"], 3),
+        "workers": workers,
         "config": effective_sections(cfg),
         "results": results,
         "gaps_db": gaps,
@@ -233,8 +244,10 @@ def _write_text(path: str, text: str) -> None:
 
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
-    all_curves = _experiment_curves(cfg, sorted(set(cfg.densities)), threads)
-    summary = _summary(cfg, all_curves, time.perf_counter() - t0)
+    all_curves, stages = _experiment_curves(cfg, sorted(set(cfg.densities)), threads)
+    # no more workers than trials can be busy, and a single trial runs in-process
+    summary = _summary(cfg, all_curves, time.perf_counter() - t0, stages,
+                       min(threads, cfg.trials))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_text(os.path.join(cfg.out_dir, "curves.csv"),
                 "\n".join(_csv_lines(all_curves)) + "\n")
@@ -261,14 +274,15 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
 
     if vary == "density":
         validate(replace(cfg, densities=tuple(values)))
-        by_density = _experiment_curves(cfg, sorted(set(values)), threads)
+        by_density, _ = _experiment_curves(cfg, sorted(set(values)), threads)
         runs = [(value, {value: by_density[value]}) for value in values]
     else:
         runs = []
         for value in values:
             sub = replace(cfg, n_per_side=int(value))
             validate(sub)
-            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)), threads)))
+            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)),
+                                                   threads)[0]))
 
     rows = []
     per_key: dict[tuple[float, str], list[float]] = {}
@@ -281,6 +295,7 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
                     "blocker_density": density,
                     "scenario": scn.value,
                     "required_snr_db": r.snr_db if r.reachable else "unreachable",
+                    "censored": r.censored,
                 })
                 key = (density if vary == "n_per_side" else -1.0, scn.value)
                 per_key.setdefault(key, []).append(

@@ -69,31 +69,50 @@ class MetasurfacePatch:
 
 
 class _ArrayBase:
-    """Shared structure: an n x n grid of cells mounted flat on one wall."""
+    """Shared structure: an n x n grid of cells mounted flat on one wall.
 
-    def __init__(self, wall: str, base_normal: Vec3, n_per_side: int, cells: list):
+    The array is its (n, 3) cell centers plus scalar cell parameters. Built
+    from a list of per-cell objects, it derives the centers from the list;
+    built from centers, it makes the per-cell objects only when `cells` is read.
+    """
+
+    def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
+                 cells: list | None, centers: np.ndarray | None):
+        if (cells is None) == (centers is None):
+            raise TypeError("give either the per-cell objects or their centers")
         self.wall = wall
         self.base_normal = normalize(np.asarray(base_normal, dtype=float))
         self.n_per_side = int(n_per_side)
-        self.cells = cells
-        self._centers: np.ndarray | None = None
+        if centers is None:
+            centers = np.array([c.center for c in cells], dtype=float).reshape(len(cells), 3)
+        self.centers = np.asarray(centers, dtype=float)  # row-major grid order
+        self._cells = cells
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.centers)
 
     @property
-    def centers(self) -> np.ndarray:
-        """(n, 3) cell centers in row-major grid order; built lazily."""
-        if self._centers is None:
-            self._centers = np.array([c.center for c in self.cells], dtype=float)
-        return self._centers
+    def cells(self) -> list:
+        """Per-cell objects in grid order; subclasses say how to make one (_cell)."""
+        if self._cells is None:
+            self._cells = [self._cell(c) for c in self.centers]
+        return self._cells
 
 
 class MirrorArray(_ArrayBase):
     def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
-                 elements: list[MirrorElement]):
-        super().__init__(wall, base_normal, n_per_side, elements)
-        self.reflectivity = elements[0].reflectivity if elements else DEFAULT_MIRROR_REFLECTIVITY
+                 elements: list[MirrorElement] | None = None, *,
+                 centers: np.ndarray | None = None,
+                 reflectivity: float = DEFAULT_MIRROR_REFLECTIVITY):
+        super().__init__(wall, base_normal, n_per_side, elements, centers)
+        if elements:
+            reflectivity = elements[0].reflectivity
+        if not 0.0 <= reflectivity <= 1.0:
+            raise ValueError(f"mirror reflectivity {reflectivity} outside [0, 1]")
+        self.reflectivity = reflectivity
+
+    def _cell(self, center: np.ndarray) -> MirrorElement:
+        return MirrorElement(center, self.base_normal, reflectivity=self.reflectivity)
 
     @property
     def elements(self) -> list[MirrorElement]:
@@ -102,9 +121,19 @@ class MirrorArray(_ArrayBase):
 
 class MetasurfaceArray(_ArrayBase):
     def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
-                 patches: list[MetasurfacePatch]):
-        super().__init__(wall, base_normal, n_per_side, patches)
-        self.efficiency = patches[0].efficiency if patches else DEFAULT_MSA_EFFICIENCY
+                 patches: list[MetasurfacePatch] | None = None, *,
+                 centers: np.ndarray | None = None,
+                 efficiency: float = DEFAULT_MSA_EFFICIENCY):
+        super().__init__(wall, base_normal, n_per_side, patches, centers)
+        if patches:
+            efficiency = patches[0].efficiency
+        if not 0.0 <= efficiency <= 1.0:
+            raise ValueError(f"steering efficiency {efficiency} outside [0, 1]")
+        self.efficiency = efficiency
+        self.cell_area = patches[0].area if patches else MIRROR_WIDTH * MIRROR_HEIGHT
+
+    def _cell(self, center: np.ndarray) -> MetasurfacePatch:
+        return MetasurfacePatch(center, self.base_normal, self.cell_area, self.efficiency)
 
     @property
     def patches(self) -> list[MetasurfacePatch]:
@@ -133,6 +162,8 @@ class SourceLeg:
     d1: np.ndarray
     cos_phi_m: np.ndarray  # max(cos_phi, 0) ** m for the source's Lambertian order m
     lit: np.ndarray  # cells in the source's forward hemisphere (metasurfaces: and in front)
+    front: float  # max over cells of center . base_normal
+    src_gap: float  # source . base_normal - front: how far the source stands in front
 
 
 def source_leg(ap: "Luminaire", array: "MirrorArray | MetasurfaceArray") -> SourceLeg:
@@ -143,7 +174,9 @@ def source_leg(ap: "Luminaire", array: "MirrorArray | MetasurfaceArray") -> Sour
     lit = cos_phi > 0.0
     if isinstance(array, MetasurfaceArray):
         lit &= u @ array.base_normal > 0.0
-    return SourceLeg(u, d1, np.power(np.maximum(cos_phi, 0.0), ap.lambertian_order), lit)
+    front = float(np.max(array.centers @ array.base_normal))
+    return SourceLeg(u, d1, np.power(np.maximum(cos_phi, 0.0), ap.lambertian_order), lit,
+                     front, float(ap.position @ array.base_normal) - front)
 
 
 def optimal_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3) -> Vec3:
@@ -226,6 +259,24 @@ def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector
             * cos_phi ** m * cos_psi)
 
 
+_ANTIPODAL_TOL = 1e-12  # a mirror cell is dropped when 1 + cos(leg angle) <= this
+_GAP_MARGIN = 1e-5  # see _antipodes_impossible
+
+
+def _antipodes_impossible(leg: SourceLeg, ue_proj: float, d2: np.ndarray) -> bool:
+    """True when no cell's two legs can come within _ANTIPODAL_TOL of antipodal.
+
+    With unit legs a, b from a cell to the source and the detector and the
+    unit array normal n, 1 + cos = |a + b|^2 / 2 >= ((a + b) . n)^2 / 2. As
+    c . n <= front for every cell, a . n >= 0 when src_gap >= 0, and
+    b . n >= ue_gap / max(d2) with ue_gap = detector . n - front. So
+    ue_gap > _GAP_MARGIN * max(d2) gives every cell 1 + cos > 5e-11, far
+    above the cut-off and its rounding error (README derives it in full).
+    """
+    ue_gap = ue_proj - leg.front
+    return leg.src_gap >= 0.0 and ue_gap > _GAP_MARGIN * float(d2.max())
+
+
 def _cascade_vector(ap: "Luminaire", array: MirrorArray | MetasurfaceArray,
                     ue: "PhotoDetector", leg: SourceLeg | None,
                     blockers: Sequence[OrientedBox]) -> IrsChannelVector:
@@ -242,7 +293,8 @@ def _cascade_vector(ap: "Luminaire", array: MirrorArray | MetasurfaceArray,
     cos_psi = (-v @ ue.normal) / d2
     ok = leg.lit & (cos_psi > 0.0) & (cos_psi >= math.cos(ue.fov))
     if isinstance(array, MirrorArray):
-        ok &= np.einsum("ij,ij->i", leg.u, v) / (leg.d1 * d2) > -1.0 + 1e-12
+        if not _antipodes_impossible(leg, float(ue.position @ array.base_normal), d2):
+            ok &= np.einsum("ij,ij->i", leg.u, v) / (leg.d1 * d2) > -1.0 + _ANTIPODAL_TOL
         scale = array.reflectivity
     else:
         ok &= v @ array.base_normal > 0.0
@@ -255,12 +307,14 @@ def _cascade_vector(ap: "Luminaire", array: MirrorArray | MetasurfaceArray,
         * leg.cos_phi_m * cos_psi,
         0.0,
     )
-    idx = np.flatnonzero(gains > 0.0)
-    if blockers and idx.size:
-        pts = centers[idx]
-        blocked = shadowed_mask(np.broadcast_to(ap.position, (idx.size, 3)), pts, blockers)
-        blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)), blockers)
-        gains[idx[blocked]] = 0.0
+    if blockers:
+        idx = np.flatnonzero(gains > 0.0)
+        if idx.size:
+            pts = centers[idx]
+            blocked = shadowed_mask(np.broadcast_to(ap.position, (idx.size, 3)), pts, blockers)
+            blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
+                                     blockers)
+            gains[idx[blocked]] = 0.0
     return IrsChannelVector(gains, leg.d1, d2)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import OrientedBox, Segment, Vec3, normalize, segment_intersects_box
 
@@ -78,6 +77,10 @@ def grid_search_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3,
 
 def q_numeric(x: float) -> float:
     """Gaussian tail probability by adaptive quadrature of the density."""
+    # imported here: scipy.integrate costs ~0.4 s to load, and only the
+    # verify subcommand and the tests need it
+    from scipy.integrate import quad
+
     if abs(x) > Q_NUMERIC_MAX_ARG:
         raise ValueError(f"|x| = {abs(x)} exceeds the supported range "
                          f"[{-Q_NUMERIC_MAX_ARG}, {Q_NUMERIC_MAX_ARG}]")

@@ -16,8 +16,7 @@ import numpy as np
 from .channel import DEFAULT_WALL_REFLECTIVITY
 from .geometry import (OrientedBox, OrientedBoxes, Vec3, is_unit, normalize,
                        unit_normal_from_polar, vec3)
-from .irs import (MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfaceArray, MetasurfacePatch,
-                  MirrorArray, MirrorElement)
+from .irs import MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfaceArray, MirrorArray
 
 DEFAULT_ROOM_DIMS = (5.0, 5.0, 3.0)
 DEFAULT_LAMBERTIAN_ORDER = 1.0  # 60 degree semi-angle source
@@ -162,42 +161,40 @@ def _check_array_fit(room: Room, n_per_side: int, cell_w: float, cell_h: float) 
 
 
 def _grid_centers(origin: Vec3, u_dir: Vec3, v_dir: Vec3, u_len: float, v_len: float,
-                  n: int, cell_w: float, cell_h: float):
-    """Row-major centers of an n x n grid centered on the wall midpoint."""
-    u_mid, v_mid = u_len / 2.0, v_len / 2.0
+                  n: int, cell_w: float, cell_h: float) -> np.ndarray:
+    """(n * n, 3) row-major centers of an n x n grid centered on the wall midpoint.
+
+    Rows sweep the vertical axis bottom to top. Each center is evaluated as
+    (origin + u_off * u_dir) + v_off * v_dir, one broadcast per term.
+    """
     half = (n - 1) / 2.0
-    for i in range(n):  # rows sweep the vertical axis bottom to top
-        v_off = v_mid + (i - half) * cell_h
-        for j in range(n):
-            u_off = u_mid + (j - half) * cell_w
-            yield origin + u_off * u_dir + v_off * v_dir
+    steps = np.arange(n) - half
+    u_off = u_len / 2.0 + steps * cell_w
+    v_off = v_len / 2.0 + steps * cell_h
+    along_u = origin + u_off[:, None] * u_dir
+    return (along_u[None, :, :] + (v_off[:, None] * v_dir)[:, None, :]).reshape(n * n, 3)
 
 
 def build_mirror_arrays(room: Room, n_per_side: int,
                         reflectivity: float = 0.95) -> tuple[MirrorArray, ...]:
     """One n x n mirror array centered on each of the four walls."""
     _check_array_fit(room, n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
-    arrays = []
-    for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
-        elems = [MirrorElement(c, normal, reflectivity=reflectivity)
-                 for c in _grid_centers(origin, u_dir, v_dir, u_len, v_len,
-                                        n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)]
-        arrays.append(MirrorArray(label, normal, n_per_side, elems))
-    return tuple(arrays)
+    return tuple(
+        MirrorArray(label, normal, n_per_side, reflectivity=reflectivity,
+                    centers=_grid_centers(origin, u_dir, v_dir, u_len, v_len,
+                                          n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT))
+        for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
 
 
 def build_metasurface_arrays(room: Room, n_per_side: int,
                              efficiency: float = 0.8) -> tuple[MetasurfaceArray, ...]:
     """One n x n metasurface array centered on each of the four walls."""
     _check_array_fit(room, n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
-    area = MIRROR_WIDTH * MIRROR_HEIGHT
-    arrays = []
-    for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
-        patches = [MetasurfacePatch(c, normal, area, efficiency)
-                   for c in _grid_centers(origin, u_dir, v_dir, u_len, v_len,
-                                          n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)]
-        arrays.append(MetasurfaceArray(label, normal, n_per_side, patches))
-    return tuple(arrays)
+    return tuple(
+        MetasurfaceArray(label, normal, n_per_side, efficiency=efficiency,
+                         centers=_grid_centers(origin, u_dir, v_dir, u_len, v_len,
+                                               n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT))
+        for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
 
 
 def default_scene(n_per_side: int = 50, *, irs: str = "mirror",

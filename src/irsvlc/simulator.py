@@ -98,10 +98,15 @@ class SerCurve:
 
 @dataclass(frozen=True)
 class RequiredSnr:
-    """Lowest SNR meeting a target SER; None when the curve never gets there."""
+    """Lowest SNR meeting a target SER; None when the curve never gets there.
+
+    censored: the curve already meets the target at the first grid point, so
+    snr_db is the grid start, an upper bound on the true requirement.
+    """
 
     snr_db: float | None
     non_monotone: bool = False
+    censored: bool = False
 
     @property
     def reachable(self) -> bool:
@@ -294,7 +299,8 @@ def required_snr(curve: SerCurve, target: float = SER_TARGET) -> RequiredSnr:
 
     Log-linear interpolation refines the crossing between the bracketing grid
     points. If the curve wiggles around the crossing the first crossing wins
-    and the result is flagged.
+    and the result is flagged; a curve already at or below target at the
+    first grid point is flagged as censored.
     """
     if target <= 0:
         raise ValueError(f"target SER must be positive, got {target}")
@@ -305,7 +311,7 @@ def required_snr(curve: SerCurve, target: float = SER_TARGET) -> RequiredSnr:
     i = int(below[0])
     wiggle = bool(np.any(np.diff(ser[: min(len(ser), i + 2)]) > 0))
     if i == 0:
-        return RequiredSnr(float(curve.snr_db[0]), wiggle)
+        return RequiredSnr(float(curve.snr_db[0]), wiggle, censored=True)
     y0, y1 = float(ser[i - 1]), float(ser[i])
     s0, s1 = float(curve.snr_db[i - 1]), float(curve.snr_db[i])
     y1 = max(y1, 1e-15)  # SER can underflow to exactly zero at high SNR

@@ -8,6 +8,7 @@ import pytest
 from irsvlc import (Luminaire, OrientedBox, PatchSet, PhotoDetector,
                     diffuse_capture, los_gain, nlos_gain, patch_incident_power,
                     shadowed, shadowed_mask, vec3, wall_patches)
+from irsvlc.channel import _first_bounce_power, _second_bounce_power
 from irsvlc.scene import Room
 
 from conftest import rng
@@ -178,6 +179,49 @@ def test_nlos_order2_matches_reference(ceiling_ap, upward_ue):
     want = _reference_capture(ps, upward_ue, power1 + power2, (box,))
     got = nlos_gain(ceiling_ap, upward_ue, ps, (box,), order=2)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _per_source_second_bounce(ps, power1, blockers):
+    """Reference: the patch-to-patch transfer one source row at a time."""
+    n = len(ps)
+    out = np.zeros(n)
+    for j in np.flatnonzero(power1 > 0.0):
+        v = ps.centers - ps.centers[j]
+        d_sq = np.einsum("ij,ij->i", v, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_out = (np.einsum("ij,ij->i", v, np.broadcast_to(ps.normals[j], (n, 3)))
+                       / np.sqrt(d_sq))
+            cos_in = -np.einsum("ij,ij->i", v, ps.normals) / np.sqrt(d_sq)
+            frac = ps.areas * cos_in * cos_out / (math.pi * d_sq)
+        ok = np.isfinite(frac) & (cos_out > 0.0) & (cos_in > 0.0)
+        frac = np.where(ok, np.minimum(frac, 1.0), 0.0)
+        idx = np.flatnonzero(frac > 0.0)
+        if blockers and idx.size:
+            starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
+            frac[idx[shadowed_mask(starts, ps.centers[idx], blockers)]] = 0.0
+        out += ps.reflectivity[j] * power1[j] * frac
+    return out
+
+
+@pytest.mark.parametrize("case", ["stock", "shuffled", "blocked"])
+def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
+    ps = wall_patches(ROOM, 1.0 if case == "blocked" else 0.25)
+    boxes = ()
+    if case == "shuffled":
+        r = rng(11)
+        perm = r.permutation(len(ps))
+        ps = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm],
+                      r.uniform(0.2, 0.9, len(ps)))
+    elif case == "blocked":
+        boxes = (OrientedBox(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3),
+                 OrientedBox(vec3(3.9, 1.1, 0.875), vec3(0.375, 0.1, 0.875), 1.2))
+    power1 = _first_bounce_power(ceiling_ap, ps, boxes)
+    if case == "shuffled":
+        power1[rng(12).random(len(ps)) < 0.3] = 0.0  # leave a partial last block
+    want = _per_source_second_bounce(ps, power1, boxes)
+    got = _second_bounce_power(ps, power1, boxes)
+    assert (want > 0.0).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):

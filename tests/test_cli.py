@@ -1,6 +1,9 @@
 """End-to-end command-line runs against temp directories."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -52,6 +55,48 @@ def test_simulate_writes_curves_and_summary(small_config, tmp_path, capsys):
                for g in summary["gaps_db"])
     printed = capsys.readouterr().out
     assert "required SNR" in printed and "outputs written" in printed
+
+
+def test_summary_reports_stage_timings(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out),
+                "--threads", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["stage_seconds"]) == {"build_scene", "run_trials", "ser_curves"}
+    assert all(v >= 0.0 for v in summary["stage_seconds"].values())
+    assert summary["trials_per_second"] > 0.0
+    assert summary["workers"] == 1
+
+
+def test_censored_readout_is_flagged(tmp_path, capsys):
+    # baseline normalization puts the array curve under target at the first
+    # grid point on the stock scene: the readout is the grid start, flagged
+    cfg = tmp_path / "baseline.ini"
+    cfg.write_text("[blockers]\ndensities = 0\n[sim]\ntrials = 200\n"
+                   "normalization = baseline\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    rows = {r["scenario"]: r for r in json.loads((out / "summary.json").read_text())["results"]}
+    assert rows["los_nlos_irs"]["censored"] is True
+    assert rows["los_nlos_irs"]["required_snr_db"] == 0.0
+    assert rows["los_nlos"]["censored"] is False
+    assert "los_nlos_irs: required SNR 0.0" in capsys.readouterr().out
+    sweep = tmp_path / "sweep"
+    assert run(["sweep", "--config", str(cfg), "--out", str(sweep), "--threads", "1",
+                "--vary", "density", "--values", "0"]) == 0
+    rows = json.loads((sweep / "sweep_summary.json").read_text())["rows"]
+    assert [r["censored"] for r in rows if r["scenario"] == "los_nlos_irs"] == [True]
+    assert "0,0,los_nlos_irs,0.0" in (sweep / "sweep.csv").read_text().splitlines()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, irsvlc.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_config_echo_reproduces_byte_identical_outputs(small_config, tmp_path):

@@ -10,6 +10,7 @@ from irsvlc import (Luminaire, MetasurfaceArray, MetasurfacePatch, MirrorArray,
                     assign_mirrors_multi_ue, ma_channel_vector, ma_gain,
                     mirror_element_gain, msa_channel_vector, msa_gain,
                     optimal_mirror_normal, vec3)
+from irsvlc import irs
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.irs import source_leg
 from irsvlc.scene import default_scene
@@ -175,6 +176,60 @@ def test_precomputed_source_leg_gives_identical_vectors():
             assert fresh.total() == math.fsum(fresh.element_gains.tolist())
             lit += int((fresh.element_gains > 0.0).sum())
     assert lit > 0
+
+
+def _random_poses(r, count, max_wall_gap=None):
+    """count detectors anywhere in the room, or within max_wall_gap of a wall."""
+    poses = []
+    for _ in range(count):
+        pos = r.uniform((0.0, 0.0, 0.1), (5.0, 5.0, 2.9))
+        if max_wall_gap is not None:
+            gap = 10.0 ** r.uniform(math.log10(max_wall_gap) - 6.0, math.log10(max_wall_gap))
+            axis = int(r.integers(0, 2))
+            pos[axis] = gap if r.random() < 0.5 else 5.0 - gap
+        normal = r.normal(size=3)
+        poses.append(PhotoDetector(pos, normal / np.linalg.norm(normal)))
+    return poses
+
+
+def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
+    scene = default_scene(n_per_side=50)
+    ap = scene.aps[0]
+    legs = [(arr, source_leg(ap, arr)) for arr in scene.mirror_arrays]
+    # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
+    r = rng(2_026)
+    poses = _random_poses(r, 60) + _random_poses(r, 60, 1e-6) + _random_poses(r, 60, 1e-3)
+    verdicts = []
+    real = irs._antipodes_impossible
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(irs, "_antipodes_impossible", spy)
+    skipped = [ma_channel_vector(ap, arr, ue, leg=leg).element_gains
+               for ue in poses for arr, leg in legs]
+    monkeypatch.setattr(irs, "_antipodes_impossible", lambda *args: False)
+    forced = [ma_channel_vector(ap, arr, ue, leg=leg).element_gains
+              for ue in poses for arr, leg in legs]
+    assert True in verdicts and False in verdicts
+    assert any((g > 0.0).any() for g in forced)
+    for got, want in zip(skipped, forced, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_exactly_antipodal_mirror_cell_is_dropped():
+    ap = Luminaire(vec3(1.0, 2.5, 3.0), vec3(0, 0, -1), 1.0)
+    ue = PhotoDetector(vec3(1.0, 2.5, 0.5), vec3(0, 0, 1))
+    # the first cell sits on the source-detector line, so its legs are antipodal
+    centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
+    arr = MirrorArray("x0", vec3(1, 0, 0), 1, centers=centers)
+    leg = source_leg(ap, arr)
+    v = ue.position - centers
+    assert not irs._antipodes_impossible(leg, float(ue.position @ arr.base_normal),
+                                         np.sqrt(np.einsum("ij,ij->i", v, v)))
+    gains = ma_channel_vector(ap, arr, ue).element_gains
+    assert gains[0] == 0.0 and gains[1] > 0.0
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene,
-                          build_mirror_arrays, default_scene, sample_blocker_field,
-                          sample_blockers, sample_tilt_deg, sample_ue)
+from irsvlc.irs import MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfacePatch, MirrorElement
+from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene, _grid_centers,
+                          build_metasurface_arrays, build_mirror_arrays, default_scene,
+                          sample_blocker_field, sample_blockers, sample_tilt_deg,
+                          sample_ue)
 from irsvlc.simulator import trial_rng
 
 from conftest import rng
@@ -78,6 +80,63 @@ def test_grid_pitch_equals_element_size():
     c = arr.centers.reshape(10, 10, 3)
     np.testing.assert_allclose(c[0, 1] - c[0, 0], [0.0, 0.1, 0.0], atol=1e-12)
     np.testing.assert_allclose(c[1, 0] - c[0, 0], [0.0, 0.0, 0.06], atol=1e-12)
+
+
+def _loop_grid_centers(origin, u_dir, v_dir, u_len, v_len, n, cell_w, cell_h):
+    """Reference: one center at a time, rows bottom to top."""
+    u_mid, v_mid = u_len / 2.0, v_len / 2.0
+    half = (n - 1) / 2.0
+    out = []
+    for i in range(n):
+        v_off = v_mid + (i - half) * cell_h
+        for j in range(n):
+            u_off = u_mid + (j - half) * cell_w
+            out.append(origin + u_off * u_dir + v_off * v_dir)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims", [(5.0, 5.0, 3.0), (4.3, 6.7, 2.9)])
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_grid_centers_match_per_cell_loop(dims, n):
+    room = Room(*dims)
+    for _label, origin, u_dir, v_dir, u_len, v_len, _normal in room.walls():
+        args = (origin, u_dir, v_dir, u_len, v_len, n, MIRROR_WIDTH, MIRROR_HEIGHT)
+        got = _grid_centers(*args)
+        assert got.shape == (n * n, 3)
+        assert got.tobytes() == _loop_grid_centers(*args).tobytes()
+
+
+def test_lazy_cells_match_eagerly_built_ones():
+    room = Room(5.0, 5.0, 3.0)
+    n = 7
+    mirrors = build_mirror_arrays(room, n, reflectivity=0.9)
+    msas = build_metasurface_arrays(room, n, efficiency=0.7)
+    for wall, mirror, msa in zip(room.walls(), mirrors, msas):
+        _label, origin, u_dir, v_dir, u_len, v_len, normal = wall
+        centers = _loop_grid_centers(origin, u_dir, v_dir, u_len, v_len, n,
+                                     MIRROR_WIDTH, MIRROR_HEIGHT)
+        eager_m = [MirrorElement(c, normal, reflectivity=0.9) for c in centers]
+        eager_p = [MetasurfacePatch(c, normal, MIRROR_WIDTH * MIRROR_HEIGHT, 0.7)
+                   for c in centers]
+        assert len(mirror) == len(msa) == n * n
+        assert mirror._cells is None and msa._cells is None  # nothing built yet
+        for got, want in zip(mirror.elements, eager_m, strict=True):
+            assert got.center.tobytes() == want.center.tobytes()
+            assert got.normal.tobytes() == want.normal.tobytes()
+            assert (got.width, got.height, got.reflectivity) == \
+                (want.width, want.height, want.reflectivity)
+        for got, want in zip(msa.patches, eager_p, strict=True):
+            assert got.center.tobytes() == want.center.tobytes()
+            assert got.normal.tobytes() == want.normal.tobytes()
+            assert (got.area, got.efficiency) == (want.area, want.efficiency)
+        assert mirror.elements is mirror.elements  # built once
+
+
+def test_array_parameters_are_validated_without_cells():
+    with pytest.raises(ValueError):
+        build_mirror_arrays(Room(5.0, 5.0, 3.0), 2, reflectivity=1.2)
+    with pytest.raises(ValueError):
+        build_metasurface_arrays(Room(5.0, 5.0, 3.0), 2, efficiency=-0.1)
 
 
 def test_metasurface_scene_patch_area():
