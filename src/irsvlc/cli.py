@@ -23,13 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from . import oracles
+from .channel import PatchSet
 from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
                      validate)
 from .geometry import Segment, normalize, segment_intersects_box, vec3
-from .irs import MirrorElement, mirror_element_gain, optimal_mirror_normal
-from .scene import Luminaire, PhotoDetector
-from .simulator import (SER_TARGET, Scenario, SerCurve, q_function, required_snr,
-                        run_trials, ser_curve)
+from .irs import MirrorElement, ReflectorBank, mirror_element_gain, optimal_mirror_normal
+from .scene import Luminaire, PhotoDetector, sample_ue
+from .simulator import (SER_TARGET, Scenario, SerCurve, diffuse_field, q_function,
+                        required_snr, run_trials, ser_curve)
 
 _SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
 
@@ -82,17 +83,19 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
+def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int,
+                       diffuse: tuple[PatchSet, np.ndarray] | None = None
                        ) -> tuple[dict[float, dict[Scenario, SerCurve]], dict[str, float]]:
     """All requested SER curves for each blocker density, from one ensemble,
-    and the wall-clock seconds of each stage that produced them."""
+    and the wall-clock seconds of each stage that produced them. `diffuse` is
+    the scene's diffuse_field(), computed by run_trials when not given."""
     t0 = time.perf_counter()
     # the scene's own density is replaced by each of `densities` in turn
     scene = build_scene(cfg, densities[0])
     t1 = time.perf_counter()
     by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
                             nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order,
-                            densities=densities)
+                            densities=densities, diffuse=diffuse)
     t2 = time.perf_counter()
     out = {}
     for density, gains in by_density.items():
@@ -277,12 +280,14 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
         by_density, _ = _experiment_curves(cfg, sorted(set(values)), threads)
         runs = [(value, {value: by_density[value]}) for value in values]
     else:
-        runs = []
-        for value in values:
-            sub = replace(cfg, n_per_side=int(value))
+        subs = [replace(cfg, n_per_side=int(value)) for value in values]
+        for sub in subs:
             validate(sub)
-            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)),
-                                                   threads)[0]))
+        # the diffuse field does not depend on the arrays: one for every value
+        diffuse = diffuse_field(build_scene(subs[0], 0.0), cfg.patch_size, cfg.nlos_order)
+        runs = [(value, _experiment_curves(sub, sorted(set(sub.densities)), threads,
+                                           diffuse)[0])
+                for value, sub in zip(values, subs)]
 
     rows = []
     per_key: dict[tuple[float, str], list[float]] = {}
@@ -374,11 +379,36 @@ def _verify_occlusion(cases: int) -> tuple[bool, str]:
     return disagreements == 0, f"{disagreements} disagreements on {cases} filtered cases"
 
 
+def _verify_reflector_bank(poses: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(52_014)
+    worst, mismatched, cells, edge = 0.0, 0, 0, []
+    for irs_type in ("mirror", "metasurface"):
+        scene = build_scene(RunConfig(irs_type=irs_type), 0.0)
+        bank = ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays)
+        for k in range(poses):
+            ue = sample_ue(rng, scene)
+            got, want = bank.cascade(ue)[0], oracles.reflector_cell_gains(scene, ue)
+            mismatched += int(np.sum((got == 0.0) != (want == 0.0)))
+            lit = want != 0.0
+            worst = max(worst, float(np.max(np.abs(got - want)[lit] / want[lit], initial=0.0)))
+            v = ue.position - bank.centers
+            cos_psi = -(v @ ue.normal) / np.linalg.norm(v, axis=1)
+            edge += [f"{irs_type} pose {k} cell {i}"
+                     for i in np.flatnonzero(np.abs(cos_psi - math.cos(ue.fov)) <= 1e-12)]
+            cells += len(got)
+    ok = worst <= 1e-12 and mismatched == 0
+    return ok, (f"max relative deviation {worst:.1e} on nonzero cells, {mismatched} "
+                f"zero-pattern mismatches over {cells} cells; cells within 1e-12 of the "
+                f"FOV cut-off: {', '.join(edge) or 'none'}")
+
+
 def _run_verify(fast: bool) -> int:
     checks = [
         ("mirror-normal grid search", _verify_mirror_normals, 20 if fast else 100),
         ("q-function quadrature", _verify_q, 17 if fast else 81),
         ("occlusion point sampling", _verify_occlusion, 500 if fast else 10_000),
+        ("reflector bank vs single-cell reference", _verify_reflector_bank,
+         2 if fast else 8),
     ]
     failures = 0
     for name, fn, size in checks:

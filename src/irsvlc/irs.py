@@ -154,31 +154,6 @@ class IrsChannelVector:
         return math.fsum(g[g != 0.0].tolist())
 
 
-@dataclass(frozen=True)
-class SourceLeg:
-    """Source-to-cell quantities of one (source, array) pair; fixed for a scene."""
-
-    u: np.ndarray  # (n, 3) source position minus cell centers
-    d1: np.ndarray
-    cos_phi_m: np.ndarray  # max(cos_phi, 0) ** m for the source's Lambertian order m
-    lit: np.ndarray  # cells in the source's forward hemisphere (metasurfaces: and in front)
-    front: float  # max over cells of center . base_normal
-    src_gap: float  # source . base_normal - front: how far the source stands in front
-
-
-def source_leg(ap: "Luminaire", array: "MirrorArray | MetasurfaceArray") -> SourceLeg:
-    """Everything the cascade needs from the source side, computed once per run."""
-    u = ap.position - array.centers
-    d1 = np.sqrt(np.einsum("ij,ij->i", u, u))
-    cos_phi = (-u @ ap.normal) / d1
-    lit = cos_phi > 0.0
-    if isinstance(array, MetasurfaceArray):
-        lit &= u @ array.base_normal > 0.0
-    front = float(np.max(array.centers @ array.base_normal))
-    return SourceLeg(u, d1, np.power(np.maximum(cos_phi, 0.0), ap.lambertian_order), lit,
-                     front, float(ap.position @ array.base_normal) - front)
-
-
 def optimal_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3) -> Vec3:
     """Orientation that reflects the ray src->element exactly onto dst.
 
@@ -260,96 +235,157 @@ def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector
 
 
 _ANTIPODAL_TOL = 1e-12  # a mirror cell is dropped when 1 + cos(leg angle) <= this
-_GAP_MARGIN = 1e-5  # see _antipodes_impossible
+_GAP_MARGIN = 1e-5  # see ReflectorBank._antipodes_impossible
 
 
-def _antipodes_impossible(leg: SourceLeg, ue_proj: float, d2: np.ndarray) -> bool:
-    """True when no cell's two legs can come within _ANTIPODAL_TOL of antipodal.
+class ReflectorBank:
+    """Every cell of every (source, array) pair, stacked for one pass per pose.
 
-    With unit legs a, b from a cell to the source and the detector and the
-    unit array normal n, 1 + cos = |a + b|^2 / 2 >= ((a + b) . n)^2 / 2. As
-    c . n <= front for every cell, a . n >= 0 when src_gap >= 0, and
-    b . n >= ue_gap / max(d2) with ue_gap = detector . n - front. So
-    ue_gap > _GAP_MARGIN * max(d2) gives every cell 1 + cos > 5e-11, far
-    above the cut-off and its rounding error (README derives it in full).
+    Cells run source by source over the mirror arrays (the first `n_mirror`
+    cells), then over the metasurface arrays, each array in grid order. Per
+    cell the bank holds the center and the source leg u = source - center as
+    axis vectors, d1 = |u|, and a weight folding the reflectivity or efficiency,
+    (m + 1) and cos^m(phi): zero where the source does not light the cell.
     """
-    ue_gap = ue_proj - leg.front
-    return leg.src_gap >= 0.0 and ue_gap > _GAP_MARGIN * float(d2.max())
+
+    def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[MirrorArray] = (),
+                 metasurface_arrays: Sequence[MetasurfaceArray] = ()):
+        pairs = [(ap, arr) for arrays in (mirror_arrays, metasurface_arrays)
+                 for ap in aps for arr in arrays]
+        k = len(aps) * len(mirror_arrays)  # the pairs holding mirrors come first
+        self.sizes = np.array([len(arr) for _, arr in pairs], dtype=np.intp)
+        self.n_mirror = int(self.sizes[:k].sum())
+        self.sources = np.array([ap.position for ap, _ in pairs]).reshape(-1, 3)
+        normals = np.array([arr.base_normal for _, arr in pairs]).reshape(-1, 3)
+        self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
+        self._msa_sizes = self.sizes[k:]
+        self.centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for _, arr in pairs])
+        u = np.repeat(self.sources, self.sizes, axis=0) - self.centers
+        self.cx, self.cy, self.cz = (self.centers[:, i].copy() for i in range(3))
+        self.ux, self.uy, self.uz = (u[:, i].copy() for i in range(3))
+        self.d1 = np.sqrt(self.ux * self.ux + self.uy * self.uy + self.uz * self.uz)
+        self.weight, cn, fronts, start = np.zeros(len(u)), np.zeros(len(u)), [], 0
+        for i, (ap, arr) in enumerate(pairs):
+            cells = slice(start, start + len(arr))
+            start = cells.stop
+            leg = (self.ux[cells], self.uy[cells], self.uz[cells])
+            cos_phi = -_dot(*leg, ap.normal) / self.d1[cells]
+            lit = cos_phi > 0.0
+            if i >= k:  # a metasurface also needs the source in front
+                lit &= _dot(*leg, arr.base_normal) > 0.0
+            scale = arr.reflectivity if i < k else arr.efficiency
+            m = ap.lambertian_order
+            self.weight[cells] = np.where(lit, scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m,
+                                          0.0)
+            cn[cells] = _dot(self.cx[cells], self.cy[cells], self.cz[cells], arr.base_normal)
+            fronts.append(cn[cells].max())
+        self._mirror_front = np.array(fronts[:k])  # per mirror pair: max over cells of c.n
+        self._sources_in_front = all(float(ap.position @ arr.base_normal) >= front
+                                     for (ap, arr), front in zip(pairs, fronts[:k]))
+        self._msa_cn = cn[self.n_mirror:]
+
+    def __len__(self) -> int:
+        return len(self.d1)
+
+    def _antipodes_impossible(self, ue_position: np.ndarray, d2_max: float) -> bool:
+        """True when no mirror cell's two legs can come within _ANTIPODAL_TOL of antipodal.
+
+        Holds when every mirror array has its source in front (source . n >=
+        front = max c . n) and detector . n - front > _GAP_MARGIN * d2_max, where
+        d2_max bounds every detector distance: then each cell has 1 + cos >
+        5e-11 (README, "Fixed cost of a run", derives it).
+        """
+        ue_gap = self._mirror_normals @ ue_position - self._mirror_front
+        return self._sources_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
+
+    def cascade(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell gains weight * A cos(psi) / (2 pi (d1 + d2)^2), and the distances d2.
+
+        Zero outside the detector's field of view, for a mirror cell whose legs
+        are exactly antipodal, for a metasurface cell with the detector behind
+        it, and for a cell whose source or detector leg crosses a blocker.
+        """
+        x, y, z = ue.position.tolist()
+        nx, ny, nz = (-ue.normal).tolist()
+        vx, vy, vz = x - self.cx, y - self.cy, z - self.cz
+        d2 = vx * vx
+        d2 += vy * vy
+        d2 += vz * vz
+        np.sqrt(d2, out=d2)
+        cos_psi = vx * nx
+        cos_psi += vy * ny
+        cos_psi += vz * nz
+        cos_psi /= d2
+        # a detector's fov is at most pi/2, so its cosine is > 0 and this test
+        # also drops the cells behind the detector (cos_psi <= 0)
+        ok = cos_psi >= math.cos(ue.fov)
+        k = self.n_mirror
+        if k and not self._antipodes_impossible(ue.position, float(d2.max())):
+            dot = self.ux[:k] * vx[:k] + self.uy[:k] * vy[:k] + self.uz[:k] * vz[:k]
+            ok[:k] &= dot / (self.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
+        if k < len(ok):  # detector in front: ue . n - c . n > 0
+            ok[k:] &= np.repeat(self._msa_normals @ ue.position, self._msa_sizes) > self._msa_cn
+        total_d = self.d1 + d2
+        total_d *= total_d
+        gains = self.weight * cos_psi
+        gains /= total_d
+        gains *= ue.area / (2.0 * math.pi)
+        gains = np.where(ok, gains, 0.0)
+        if blockers:
+            idx = np.flatnonzero(gains > 0.0)
+            if idx.size:
+                pts = self.centers[idx]
+                src = np.repeat(self.sources, self.sizes, axis=0)[idx]
+                blocked = shadowed_mask(src, pts, blockers)
+                blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
+                                         blockers)
+                gains[idx[blocked]] = 0.0
+        return gains, d2
+
+    def gain(self, ue: "PhotoDetector") -> float:
+        """Total gain of the bank: one fixed-order np.sum (README, Determinism)."""
+        return float(np.sum(self.cascade(ue)[0])) if len(self) else 0.0
+
+    def vector(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
+               ) -> IrsChannelVector:
+        """The cascade as per-cell gains with both leg lengths."""
+        gains, d2 = self.cascade(ue, blockers)
+        return IrsChannelVector(gains, self.d1, d2)
 
 
-def _cascade_vector(ap: "Luminaire", array: MirrorArray | MetasurfaceArray,
-                    ue: "PhotoDetector", leg: SourceLeg | None,
-                    blockers: Sequence[OrientedBox]) -> IrsChannelVector:
-    """Two-leg cascade: scale * (m+1) A / (2 pi (d1+d2)^2) cos^m(phi) cos(psi).
-
-    A mirror cell is dropped only when its two legs are exactly antipodal; a
-    metasurface cell needs both the source and the detector in front of it.
-    """
-    if leg is None:
-        leg = source_leg(ap, array)
-    centers = array.centers
-    v = ue.position - centers
-    d2 = np.sqrt(np.einsum("ij,ij->i", v, v))
-    cos_psi = (-v @ ue.normal) / d2
-    ok = leg.lit & (cos_psi > 0.0) & (cos_psi >= math.cos(ue.fov))
-    if isinstance(array, MirrorArray):
-        if not _antipodes_impossible(leg, float(ue.position @ array.base_normal), d2):
-            ok &= np.einsum("ij,ij->i", leg.u, v) / (leg.d1 * d2) > -1.0 + _ANTIPODAL_TOL
-        scale = array.reflectivity
-    else:
-        ok &= v @ array.base_normal > 0.0
-        scale = array.efficiency
-    m = ap.lambertian_order
-    total_d = leg.d1 + d2
-    gains = np.where(
-        ok,
-        scale * (m + 1.0) * ue.area / (2.0 * math.pi * total_d * total_d)
-        * leg.cos_phi_m * cos_psi,
-        0.0,
-    )
-    if blockers:
-        idx = np.flatnonzero(gains > 0.0)
-        if idx.size:
-            pts = centers[idx]
-            blocked = shadowed_mask(np.broadcast_to(ap.position, (idx.size, 3)), pts, blockers)
-            blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
-                                     blockers)
-            gains[idx[blocked]] = 0.0
-    return IrsChannelVector(gains, leg.d1, d2)
+def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per-axis dot products of the vectors (x, y, z) with the rows of n."""
+    return x * n[..., 0] + y * n[..., 1] + z * n[..., 2]
 
 
 def ma_channel_vector(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
-                      blockers: Sequence[OrientedBox] = (), *,
-                      leg: SourceLeg | None = None) -> IrsChannelVector:
+                      blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
     """Per-element gains with every mirror at its optimal orientation.
 
     With the half-vector orientation the image, element center and detector
     are collinear, so the image-detector distance is exactly d1 + d2 and the
     footprint is met at the element center; the front-side condition reduces
-    to the legs not being exactly antipodal. `leg` is source_leg(ap, array),
-    computed here when not given.
+    to the legs not being exactly antipodal.
     """
-    return _cascade_vector(ap, array, ue, leg, blockers)
+    return ReflectorBank((ap,), (array,)).vector(ue, blockers)
 
 
 def ma_gain(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
-            blockers: Sequence[OrientedBox] = (), *,
-            leg: SourceLeg | None = None) -> float:
+            blockers: Sequence[OrientedBox] = ()) -> float:
     """Array gain with per-element optimal steering; compensated sum."""
-    return ma_channel_vector(ap, array, ue, blockers, leg=leg).total()
+    return ma_channel_vector(ap, array, ue, blockers).total()
 
 
 def msa_channel_vector(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
-                       blockers: Sequence[OrientedBox] = (), *,
-                       leg: SourceLeg | None = None) -> IrsChannelVector:
+                       blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
     """Per-patch anomalous-steering gains toward this detector."""
-    return _cascade_vector(ap, array, ue, leg, blockers)
+    return ReflectorBank((ap,), (), (array,)).vector(ue, blockers)
 
 
 def msa_gain(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
-             blockers: Sequence[OrientedBox] = (), *,
-             leg: SourceLeg | None = None) -> float:
-    return msa_channel_vector(ap, array, ue, blockers, leg=leg).total()
+             blockers: Sequence[OrientedBox] = ()) -> float:
+    return msa_channel_vector(ap, array, ue, blockers).total()
 
 
 @dataclass(frozen=True)
@@ -376,11 +412,8 @@ def assign_mirrors_multi_ue(ap: "Luminaire", arrays: Sequence[MirrorArray],
         raise ValueError("at least one detector is required")
     if objective not in ("max_sum", "max_min"):
         raise ValueError(f"unknown objective {objective!r}")
-    gain_cols = []
-    for ue in ues:
-        per_array = [ma_channel_vector(ap, arr, ue, blockers).element_gains for arr in arrays]
-        gain_cols.append(np.concatenate(per_array) if per_array else np.zeros(0))
-    gains = np.stack(gain_cols, axis=1)  # (n_elements, n_ues)
+    bank = ReflectorBank((ap,), arrays)
+    gains = np.stack([bank.cascade(ue, blockers)[0] for ue in ues], axis=1)  # (elements, ues)
     n_elem, n_ues = gains.shape
 
     if objective == "max_sum":

@@ -2,16 +2,22 @@
 
 Each oracle re-derives a result by brute force instead of the closed form it
 checks: mirror orientation by exhaustive angular search, the Gaussian tail by
-adaptive quadrature, and box occlusion by dense point sampling.
+adaptive quadrature, box occlusion by dense point sampling, and the reflector
+bank's per-cell gains by one single-cell model call per cell.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import OrientedBox, Segment, Vec3, normalize, segment_intersects_box
+from .irs import MetasurfacePatch, MirrorElement, mirror_element_gain, optimal_mirror_normal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .scene import Luminaire, PhotoDetector, Scene
 
 Q_NUMERIC_MAX_ARG = 40.0
 
@@ -174,3 +180,44 @@ def occlusion_corpus(rng: np.random.Generator, cases: int,
             continue
         out.append((p, q, box))
     return out
+
+
+def _patch_gain(ap: "Luminaire", patch: MetasurfacePatch, ue: "PhotoDetector") -> float:
+    """Closed form of one steered metasurface patch.
+
+    efficiency (m+1) A cos^m(phi) cos(psi) / (2 pi (d1+d2)^2), zero unless the
+    source and the detector stand in front of the patch and the patch lies in
+    the source's forward hemisphere and in the detector's field of view.
+    """
+    s, v = ap.position - patch.center, ue.position - patch.center
+    d1, d2 = math.sqrt(float(s @ s)), math.sqrt(float(v @ v))
+    cos_phi, cos_psi = -float(s @ ap.normal) / d1, -float(v @ ue.normal) / d2
+    if float(s @ patch.normal) <= 0.0 or float(v @ patch.normal) <= 0.0:
+        return 0.0
+    if cos_phi <= 0.0 or cos_psi <= 0.0 or cos_psi < math.cos(ue.fov):
+        return 0.0
+    m = ap.lambertian_order
+    return (patch.efficiency * (m + 1.0) * ue.area / (2.0 * math.pi * (d1 + d2) ** 2)
+            * cos_phi ** m * cos_psi)
+
+
+def _steered_mirror_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector") -> float:
+    try:
+        normal = optimal_mirror_normal(ap.position, elem.center, ue.position)
+    except ValueError:  # no plane reflects the source onto the detector
+        return 0.0
+    return mirror_element_gain(ap, MirrorElement(elem.center, normal,
+                                                 reflectivity=elem.reflectivity), ue)
+
+
+def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
+    """Every array cell's gain from its single-cell model, in ReflectorBank order.
+
+    Mirrors are steered to optimal_mirror_normal and evaluated by
+    mirror_element_gain; metasurface patches use their closed form.
+    """
+    gains = [_steered_mirror_gain(ap, elem, ue)
+             for ap in scene.aps for arr in scene.mirror_arrays for elem in arr.elements]
+    gains += [_patch_gain(ap, patch, ue)
+              for ap in scene.aps for arr in scene.metasurface_arrays for patch in arr.patches]
+    return np.array(gains, dtype=float)

@@ -25,7 +25,7 @@ from scipy.special import erfc
 
 from .channel import PatchSet, diffuse_capture, los_gain, patch_incident_power, wall_patches
 from .geometry import OrientedBoxes, segments_intersect_box
-from .irs import MetasurfaceArray, MirrorArray, SourceLeg, ma_gain, msa_gain, source_leg
+from .irs import ReflectorBank
 from .scene import BlockerModel, Luminaire, PhotoDetector, Scene, sample_blocker_field, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
@@ -127,21 +127,19 @@ class Ensemble:
     seed: int
     patches: PatchSet
     diffuse_power: np.ndarray
-    mirror_legs: tuple[tuple[Luminaire, MirrorArray, SourceLeg], ...]
-    metasurface_legs: tuple[tuple[Luminaire, MetasurfaceArray, SourceLeg], ...]
+    bank: ReflectorBank
     blocker_models: tuple[BlockerModel, ...]  # one per density, in output order
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
-              nlos_patch_size: float = 0.25, nlos_order: int = 2) -> "Ensemble":
-        """Precompute the diffuse field and the cascade source legs of a scene."""
-        patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
+              nlos_patch_size: float = 0.25, nlos_order: int = 2,
+              diffuse: tuple[PatchSet, np.ndarray] | None = None) -> "Ensemble":
+        """Precompute the diffuse field (unless given) and the reflector bank of a scene."""
+        if diffuse is None:
+            diffuse = diffuse_field(scene, nlos_patch_size, nlos_order)
         return cls(
-            scene, seed, patches, _diffuse_field(scene, patches, nlos_order),
-            tuple((ap, arr, source_leg(ap, arr))
-                  for ap in scene.aps for arr in scene.mirror_arrays),
-            tuple((ap, arr, source_leg(ap, arr))
-                  for ap in scene.aps for arr in scene.metasurface_arrays),
+            scene, seed, *diffuse,
+            ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
             tuple(replace(scene.blocker_model, density=d) for d in densities))
 
 
@@ -178,9 +176,7 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     # blockers model pedestrians crossing the direct link; the diffuse wall
     # field and the steered cascade are treated as blockage-insensitive at
     # trial level (per-path occlusion stays available in channel/irs)
-    parts = [ma_gain(ap, arr, ue, leg=leg) for ap, arr, leg in ens.mirror_legs]
-    parts += [msa_gain(ap, arr, ue, leg=leg) for ap, arr, leg in ens.metasurface_legs]
-    h_irs = math.fsum(parts)
+    h_irs = ens.bank.gain(ue)
     unblocked = [los_gain(ap, ue) for ap in scene.aps]
     if not any(unblocked):
         return tuple(TrialGains(trial_index, 0.0, h_nlos, h_irs) for _ in ens.blocker_models)
@@ -194,12 +190,18 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     return tuple(out)
 
 
-def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:
-    """Per-patch incident power from every source, blockage-free by design."""
+def diffuse_field(scene: Scene, patch_size: float = 0.25, order: int = 2
+                  ) -> tuple[PatchSet, np.ndarray]:
+    """Wall patches and their incident power from every source, blockage-free by design.
+
+    Depends on the room, the sources and the wall reflectivity only, not on
+    the arrays or the blockers.
+    """
+    patches = wall_patches(scene.room, patch_size, scene.wall_reflectivity)
     total = np.zeros(len(patches))
     for ap in scene.aps:
         total = total + patch_incident_power(ap, patches, (), order=order)
-    return total
+    return patches, total
 
 
 # -- worker-pool plumbing ----------------------------------------------------
@@ -218,7 +220,8 @@ def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
                nlos_patch_size: float = 0.25, nlos_order: int = 2,
-               densities: Sequence[float] | None = None
+               densities: Sequence[float] | None = None,
+               diffuse: tuple[PatchSet, np.ndarray] | None = None
                ) -> list[TrialGains] | dict[float, list[TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
@@ -228,9 +231,10 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
 
     Trials are keyed by index, computed in contiguous chunks and reassembled
     in index order, so parallel scheduling cannot change the result. The
-    diffuse wall field and the source legs of the array cascade are
-    precomputed once and shipped to workers, which both removes per-trial
-    cost and keeps them bit-identical everywhere.
+    diffuse wall field and the reflector bank are precomputed once and
+    shipped to workers, which both removes per-trial cost and keeps them
+    bit-identical everywhere. `diffuse` is diffuse_field() of this scene,
+    for callers that run several scenes sharing one room and source set.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -241,7 +245,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         raise ValueError("densities needs at least one value")
     unique = tuple(dict.fromkeys(wanted))
     ens = Ensemble.build(scene, seed, unique, nlos_patch_size=nlos_patch_size,
-                         nlos_order=nlos_order)
+                         nlos_order=nlos_order, diffuse=diffuse)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
     else:

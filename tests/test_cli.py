@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from irsvlc import simulator
 from irsvlc.cli import main
 
 SMALL = """
@@ -188,6 +189,41 @@ def test_sweep_density_matches_simulate(small_config, tmp_path):
     assert swept == simulated
 
 
+def test_sweep_n_per_side_computes_the_diffuse_field_once(small_config, tmp_path,
+                                                          monkeypatch):
+    calls = []
+    real = simulator.patch_incident_power
+
+    def counting(ap, *args, **kwargs):
+        calls.append(ap)
+        return real(ap, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "patch_incident_power", counting)
+    assert run(["sweep", "--config", small_config, "--out", str(tmp_path / "sweep"),
+                "--threads", "1", "--vary", "n_per_side", "--values", "2,3,4"]) == 0
+    assert len(calls) == 1  # one per luminaire, and the stock room has one
+
+
+def test_sweep_n_per_side_matches_simulate(small_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", small_config, "--out", str(out),
+                "--threads", "1", "--vary", "n_per_side", "--values", "2,4"]) == 0
+    rows = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    swept = {(r["value"], r["blocker_density"], r["scenario"]):
+             (r["required_snr_db"], r["censored"]) for r in rows}
+    simulated = {}
+    for n in (2, 4):
+        cfg = tmp_path / f"n{n}.ini"
+        cfg.write_text(SMALL.replace("n_per_side = 6", f"n_per_side = {n}"), encoding="utf-8")
+        sim = tmp_path / f"sim{n}"
+        assert run(["simulate", "--config", str(cfg), "--out", str(sim),
+                    "--threads", "1"]) == 0
+        results = json.loads((sim / "summary.json").read_text())["results"]
+        simulated.update({(n, r["blocker_density"], r["scenario"]):
+                          (r["required_snr_db"], r["censored"]) for r in results})
+    assert swept == simulated
+
+
 def test_sweep_csv_independent_of_threads(small_config, tmp_path):
     outs = {}
     for threads in ("1", "2"):
@@ -215,5 +251,6 @@ def test_svg_chart_is_well_formed(small_config, tmp_path):
     assert len(polylines) == 6  # one curve per scenario and density
 
 
-def test_verify_fast_smoke():
+def test_verify_fast_smoke(capsys):
     assert run(["verify", "--fast"]) == 0
+    assert "verify: reflector bank vs single-cell reference: PASS" in capsys.readouterr().out

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, MetasurfaceArray, MetasurfacePatch, MirrorArray,
-                    MirrorElement, OrientedBox, PhotoDetector,
-                    assign_mirrors_multi_ue, ma_channel_vector, ma_gain,
-                    mirror_element_gain, msa_channel_vector, msa_gain,
-                    optimal_mirror_normal, vec3)
-from irsvlc import irs
+from irsvlc import (BlockerModel, Luminaire, MetasurfaceArray, MetasurfacePatch,
+                    MirrorArray, MirrorElement, OrientationModel, OrientedBox,
+                    PhotoDetector, ReflectorBank, Room, Scene, assign_mirrors_multi_ue,
+                    build_metasurface_arrays, build_mirror_arrays, ma_channel_vector,
+                    ma_gain, mirror_element_gain, msa_channel_vector, msa_gain,
+                    optimal_mirror_normal, shadowed, vec3)
 from irsvlc.geometry import unit_normal_from_polar
-from irsvlc.irs import source_leg
-from irsvlc.scene import default_scene
+from irsvlc.oracles import reflector_cell_gains
 
-from conftest import rng
+from conftest import make_scene, rng
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -162,19 +161,27 @@ def test_ma_channel_vector_reports_leg_lengths():
 
 
 def test_precomputed_source_leg_gives_identical_vectors():
-    scene = default_scene(n_per_side=8, irs="mirror")
-    msa = default_scene(n_per_side=8, irs="metasurface")
+    # a scene's bank holds every array's source legs; each array's slice of it
+    # equals the vector of that array computed on its own
+    scene = make_scene(n_per_side=8, irs_type="mirror")
+    msa = make_scene(n_per_side=8, irs_type="metasurface")
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
     lit = 0
-    for arrays, fn in ((scene.mirror_arrays, ma_channel_vector),
-                       (msa.metasurface_arrays, msa_channel_vector)):
-        for arr in arrays:
+    for sc, fn in ((scene, ma_channel_vector), (msa, msa_channel_vector)):
+        bank = _bank(sc)
+        cached, d2 = bank.cascade(ue)
+        start = 0
+        for arr in sc.mirror_arrays + sc.metasurface_arrays:
+            cells = slice(start, start + len(arr))
+            start = cells.stop
             fresh = fn(ap, arr, ue)
-            cached = fn(ap, arr, ue, leg=source_leg(ap, arr))
-            assert fresh.element_gains.tolist() == cached.element_gains.tolist()
+            assert fresh.element_gains.tolist() == cached[cells].tolist()
+            assert fresh.ue_distances.tolist() == d2[cells].tolist()
+            assert fresh.ap_distances.tolist() == bank.d1[cells].tolist()
             assert fresh.total() == math.fsum(fresh.element_gains.tolist())
             lit += int((fresh.element_gains > 0.0).sum())
+        assert start == len(bank)
     assert lit > 0
 
 
@@ -193,25 +200,22 @@ def _random_poses(r, count, max_wall_gap=None):
 
 
 def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
-    scene = default_scene(n_per_side=50)
-    ap = scene.aps[0]
-    legs = [(arr, source_leg(ap, arr)) for arr in scene.mirror_arrays]
+    scene = make_scene(n_per_side=50)
+    bank = ReflectorBank(scene.aps, scene.mirror_arrays)
     # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
     r = rng(2_026)
     poses = _random_poses(r, 60) + _random_poses(r, 60, 1e-6) + _random_poses(r, 60, 1e-3)
     verdicts = []
-    real = irs._antipodes_impossible
+    real = ReflectorBank._antipodes_impossible
 
     def spy(*args):
         verdicts.append(real(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(irs, "_antipodes_impossible", spy)
-    skipped = [ma_channel_vector(ap, arr, ue, leg=leg).element_gains
-               for ue in poses for arr, leg in legs]
-    monkeypatch.setattr(irs, "_antipodes_impossible", lambda *args: False)
-    forced = [ma_channel_vector(ap, arr, ue, leg=leg).element_gains
-              for ue in poses for arr, leg in legs]
+    monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", spy)
+    skipped = [bank.cascade(ue)[0] for ue in poses]
+    monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", lambda *args: False)
+    forced = [bank.cascade(ue)[0] for ue in poses]
     assert True in verdicts and False in verdicts
     assert any((g > 0.0).any() for g in forced)
     for got, want in zip(skipped, forced, strict=True):
@@ -224,16 +228,83 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
     # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
     arr = MirrorArray("x0", vec3(1, 0, 0), 1, centers=centers)
-    leg = source_leg(ap, arr)
-    v = ue.position - centers
-    assert not irs._antipodes_impossible(leg, float(ue.position @ arr.base_normal),
-                                         np.sqrt(np.einsum("ij,ij->i", v, v)))
-    gains = ma_channel_vector(ap, arr, ue).element_gains
+    bank = ReflectorBank((ap,), (arr,))
+    gains, d2 = bank.cascade(ue)
+    assert not bank._antipodes_impossible(ue.position, float(d2.max()))
     assert gains[0] == 0.0 and gains[1] > 0.0
+    assert ma_channel_vector(ap, arr, ue).element_gains.tolist() == gains.tolist()
+
+
+# -- reflector bank ---------------------------------------------------------------
+
+
+def _mixed_scene(n_per_side):
+    """Mirrors and metasurfaces on every wall, lit by two different sources."""
+    room = Room(5.0, 5.0, 3.0)
+    aps = (Luminaire(vec3(2.5, 2.5, 3.0), vec3(0, 0, -1), 1.0),
+           Luminaire(vec3(1.2, 3.6, 2.9), vec3(0.2, -0.1, -1.0), 2.0))
+    return Scene(room, aps, build_mirror_arrays(room, n_per_side, 0.9),
+                 build_metasurface_arrays(room, n_per_side, 0.7),
+                 BlockerModel(0.0), OrientationModel())
+
+
+def _bank(scene):
+    return ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays)
+
+
+@pytest.mark.parametrize("n_per_side", [1, 2, 3, 4, 5])
+def test_bank_cells_match_the_single_cell_reference(n_per_side):
+    scene = _mixed_scene(n_per_side)
+    bank = _bank(scene)
+    assert len(bank) == 2 * 8 * n_per_side ** 2
+    r = rng(600 + n_per_side)
+    # detectors beyond the walls see the backs of the cells there
+    outside = [PhotoDetector(r.uniform((-1.0, -1.0, 0.1), (6.0, 6.0, 2.9)),
+                             n / np.linalg.norm(n)) for n in r.normal(size=(25, 3))]
+    lit = 0
+    for ue in _random_poses(r, 25) + _random_poses(r, 25, 1e-6) + outside:
+        got = bank.cascade(ue)[0]
+        want = reflector_cell_gains(scene, ue)
+        assert ((got == 0.0) == (want == 0.0)).all()
+        nonzero = want != 0.0
+        if nonzero.any():
+            assert np.max(np.abs(got - want)[nonzero] / want[nonzero]) <= 1e-12
+        lit += int(nonzero[:bank.n_mirror].any()) + int(nonzero[bank.n_mirror:].any())
+    assert lit > 0
+
+
+def test_bank_blockers_drop_exactly_the_shadowed_cells():
+    scene = _mixed_scene(4)
+    bank = _bank(scene)
+    sources = np.repeat(bank.sources, bank.sizes, axis=0)
+    r = rng(77)
+    dropped = kept = 0
+    for ue in _random_poses(r, 10):
+        boxes = [OrientedBox(r.uniform((0.5, 0.5, 0.3), (4.5, 4.5, 1.5)),
+                             tuple(r.uniform(0.1, 0.6, 3)), r.uniform(0.0, math.pi))
+                 for _ in range(4)]
+        clear = bank.cascade(ue)[0]
+        got = bank.cascade(ue, boxes)[0]
+        for i, c in enumerate(bank.centers):
+            blocked = shadowed(sources[i], c, boxes) or shadowed(c, ue.position, boxes)
+            assert got[i] == (0.0 if blocked else clear[i])
+            dropped += bool(blocked and clear[i] > 0.0)
+            kept += bool(got[i] > 0.0)
+    assert dropped > 0 and kept > 0
+
+
+@pytest.mark.parametrize("scene", [make_scene(n_per_side=50), _mixed_scene(5)],
+                         ids=["stock", "mixed"])
+def test_bank_total_within_the_summation_bound(scene):
+    # all terms are >= 0, so a sum in any order is within (N-1) 2^-53 of exact
+    bank = _bank(scene)
+    for ue in _random_poses(rng(31), 30):
+        exact = math.fsum(bank.cascade(ue)[0].tolist())
+        assert abs(bank.gain(ue) - exact) <= (len(bank) - 1) * 2.0 ** -53 * exact
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():
-    scene = default_scene(n_per_side=6)
+    scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
     by_wall = {arr.wall: ma_gain(ap, arr, ue) for arr in scene.mirror_arrays}
@@ -244,7 +315,7 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
 
 
 def test_ma_blockage_monotone():
-    scene = default_scene(n_per_side=6)
+    scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
     arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
@@ -282,8 +353,8 @@ def test_msa_back_side_detector_sees_nothing():
 
 def test_msa_scales_like_ma_with_efficiency_ratio():
     # same cell layout and distances, so totals differ only by the per-cell factor
-    mirror = default_scene(n_per_side=6, irs="mirror")
-    msa = default_scene(n_per_side=6, irs="metasurface")
+    mirror = make_scene(n_per_side=6, irs_type="mirror")
+    msa = make_scene(n_per_side=6, irs_type="metasurface")
     ap = mirror.aps[0]
     ue = PhotoDetector(vec3(3.1, 1.7, 1.0), vec3(0.2, -0.1, 0.95))
     g_ma = math.fsum(ma_gain(ap, a, ue) for a in mirror.mirror_arrays)
@@ -296,7 +367,7 @@ def test_msa_scales_like_ma_with_efficiency_ratio():
 
 
 def _two_ue_setup():
-    scene = default_scene(n_per_side=4)
+    scene = make_scene(n_per_side=4)
     ap = scene.aps[0]
     near = PhotoDetector(vec3(1.0, 2.5, 1.0), vec3(0, 0, 1))
     far = PhotoDetector(vec3(4.0, 2.5, 1.3), vec3(0, 0, 1))
