@@ -6,7 +6,7 @@ blockers, with optional assistance from wall-mounted arrays of steerable
 mirrors or metasurface patches.
 """
 
-from .channel import (PatchSet, diffuse_capture, los_gain, nlos_gain,
+from .channel import (PatchSet, WallPatch, diffuse_capture, los_gain, nlos_gain,
                       patch_incident_power, shadowed, shadowed_mask, wall_patches)
 from .config import ConfigError, RunConfig, build_scene, effective_sections, load_config
 from .geometry import (OrientedBox, Segment, cos_between, normalize, reflect,
@@ -19,7 +19,7 @@ from .irs import (IrsChannelVector, MetasurfaceArray, MetasurfacePatch,
                   optimal_mirror_normal)
 from .scene import (BlockerModel, Luminaire, OrientationModel, PhotoDetector,
                     Room, Scene, build_metasurface_arrays, build_mirror_arrays,
-                    sample_blockers, sample_tilt_deg, sample_ue)
+                    default_scene, sample_blockers, sample_tilt_deg, sample_ue)
 from .simulator import (SER_TARGET, Ensemble, RequiredSnr, Scenario, SerCurve,
                         SnrGrid, TrialGains, compute_trial, q_function, required_snr,
                         run_trials, ser_curve, trial_rng)
@@ -32,9 +32,9 @@ __all__ = [
     "MirrorElement", "OrientationModel", "OrientedBox", "PatchSet", "ReflectorBank",
     "PhotoDetector", "RequiredSnr", "Room", "RunConfig", "SER_TARGET",
     "Scenario", "Scene", "Segment", "SerCurve", "SnrGrid", "TrialGains",
-    "assign_mirrors_multi_ue", "build_metasurface_arrays",
+    "WallPatch", "assign_mirrors_multi_ue", "build_metasurface_arrays",
     "build_mirror_arrays", "build_scene", "compute_trial", "cos_between",
-    "diffuse_capture", "effective_sections", "load_config",
+    "default_scene", "diffuse_capture", "effective_sections", "load_config",
     "los_gain", "ma_channel_vector", "ma_gain", "mirror_element_gain",
     "msa_channel_vector", "msa_gain", "nlos_gain", "normalize",
     "optimal_mirror_normal", "patch_incident_power", "q_function",

@@ -9,7 +9,8 @@ boxes; any sight line crossing a box interior contributes zero.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +23,18 @@ DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
 
 
-class PatchSet:
-    """Flat diffuse wall patches facing into the room, as stacked arrays."""
+@dataclass(frozen=True)
+class WallPatch:
+    """Flat diffuse reflector patch on a wall, facing into the room."""
+
+    center: Vec3
+    normal: Vec3
+    area: float
+    reflectivity: float
+
+
+class PatchSet(Sequence):
+    """Sequence of WallPatch backed by stacked arrays for vectorized sums."""
 
     def __init__(self, centers: np.ndarray, normals: np.ndarray, areas: np.ndarray,
                  reflectivity: np.ndarray):
@@ -34,6 +45,20 @@ class PatchSet:
 
     def __len__(self) -> int:
         return len(self.areas)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return WallPatch(self.centers[i], self.normals[i], float(self.areas[i]),
+                         float(self.reflectivity[i]))
+
+    @classmethod
+    def from_patches(cls, patches: Iterable[WallPatch]) -> "PatchSet":
+        ps = list(patches)
+        return cls(np.array([p.center for p in ps], dtype=float).reshape(len(ps), 3),
+                   np.array([p.normal for p in ps], dtype=float).reshape(len(ps), 3),
+                   np.array([p.area for p in ps], dtype=float),
+                   np.array([p.reflectivity for p in ps], dtype=float))
 
 
 def shadowed(p: Vec3, q: Vec3, blockers: Sequence[OrientedBox]) -> bool:
@@ -107,6 +132,12 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
     n = len(areas)
     return PatchSet(np.array(centers), np.array(normals), np.array(areas),
                     np.full(n, float(reflectivity)))
+
+
+def _as_patchset(patches) -> PatchSet:
+    if isinstance(patches, PatchSet):
+        return patches
+    return PatchSet.from_patches(patches)
 
 
 def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
@@ -197,7 +228,7 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
     return out
 
 
-def patch_incident_power(ap: "Luminaire", patches: PatchSet,
+def patch_incident_power(ap: "Luminaire", patches,
                          blockers: Sequence[OrientedBox] = (),
                          order: int = 1) -> np.ndarray:
     """Optical power landing on each wall patch per unit transmitted power.
@@ -208,28 +239,31 @@ def patch_incident_power(ap: "Luminaire", patches: PatchSet,
     """
     if order not in (1, 2):
         raise ValueError(f"reflection order must be 1 or 2, got {order}")
-    if len(patches) == 0:
+    ps = _as_patchset(patches)
+    if len(ps) == 0:
         return np.zeros(0)
-    power = _first_bounce_power(ap, patches, blockers)
+    power = _first_bounce_power(ap, ps, blockers)
     if order == 2:
-        power = power + _second_bounce_power(patches, power, blockers)
+        power = power + _second_bounce_power(ps, power, blockers)
     return power
 
 
-def diffuse_capture(patches: PatchSet, ue: "PhotoDetector", power: np.ndarray,
+def diffuse_capture(patches, ue: "PhotoDetector", power: np.ndarray,
                     blockers: Sequence[OrientedBox] = ()) -> float:
     """Detector gain from per-patch incident powers after one re-emission."""
-    if len(patches) == 0:
+    ps = _as_patchset(patches)
+    if len(ps) == 0:
         return 0.0
-    return _patch_to_ue(patches, ue, power, blockers)
+    return _patch_to_ue(ps, ue, power, blockers)
 
 
-def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", patches: PatchSet,
+def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", patches,
               blockers: Sequence[OrientedBox] = (), order: int = 1) -> float:
     """Diffuse wall-bounce DC gain summed over all patches.
 
     order=1 models a single wall bounce; order=2 adds one patch-to-patch
     transfer before the detector leg.
     """
-    power = patch_incident_power(ap, patches, blockers, order=order)
-    return diffuse_capture(patches, ue, power, blockers)
+    ps = _as_patchset(patches)
+    power = patch_incident_power(ap, ps, blockers, order=order)
+    return diffuse_capture(ps, ue, power, blockers)

@@ -23,14 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from . import oracles
-from .channel import PatchSet
 from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
                      validate)
 from .geometry import Segment, normalize, segment_intersects_box, vec3
 from .irs import MirrorElement, ReflectorBank, mirror_element_gain, optimal_mirror_normal
 from .scene import Luminaire, PhotoDetector, sample_ue
-from .simulator import (SER_TARGET, Scenario, SerCurve, diffuse_field, q_function,
-                        required_snr, run_trials, ser_curve)
+from .simulator import (SER_TARGET, Scenario, SerCurve, q_function, required_snr,
+                        run_trials, ser_curve)
 
 _SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
 
@@ -83,19 +82,17 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int,
-                       diffuse: tuple[PatchSet, np.ndarray] | None = None
+def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
                        ) -> tuple[dict[float, dict[Scenario, SerCurve]], dict[str, float]]:
     """All requested SER curves for each blocker density, from one ensemble,
-    and the wall-clock seconds of each stage that produced them. `diffuse` is
-    the scene's diffuse_field(), computed by run_trials when not given."""
+    and the wall-clock seconds of each stage that produced them."""
     t0 = time.perf_counter()
     # the scene's own density is replaced by each of `densities` in turn
     scene = build_scene(cfg, densities[0])
     t1 = time.perf_counter()
     by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
                             nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order,
-                            densities=densities, diffuse=diffuse)
+                            densities=densities)
     t2 = time.perf_counter()
     out = {}
     for density, gains in by_density.items():
@@ -280,14 +277,12 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
         by_density, _ = _experiment_curves(cfg, sorted(set(values)), threads)
         runs = [(value, {value: by_density[value]}) for value in values]
     else:
-        subs = [replace(cfg, n_per_side=int(value)) for value in values]
-        for sub in subs:
+        runs = []
+        for value in values:
+            sub = replace(cfg, n_per_side=int(value))
             validate(sub)
-        # the diffuse field does not depend on the arrays: one for every value
-        diffuse = diffuse_field(build_scene(subs[0], 0.0), cfg.patch_size, cfg.nlos_order)
-        runs = [(value, _experiment_curves(sub, sorted(set(sub.densities)), threads,
-                                           diffuse)[0])
-                for value, sub in zip(values, subs)]
+            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)),
+                                                   threads)[0]))
 
     rows = []
     per_key: dict[tuple[float, str], list[float]] = {}

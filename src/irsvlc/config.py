@@ -263,9 +263,6 @@ def build_scene(cfg: RunConfig, blocker_density: float) -> Scene:
         mirror_arrays = build_mirror_arrays(room, cfg.n_per_side, cfg.mirror_reflectivity)
     elif cfg.irs_type == "metasurface":
         msa_arrays = build_metasurface_arrays(room, cfg.n_per_side, cfg.msa_efficiency)
-    elif cfg.irs_type != "none":
-        raise ValueError(f"unknown reflector type {cfg.irs_type!r}; "
-                         "expected mirror, metasurface or none")
     return Scene(
         room=room,
         aps=(ap,),

@@ -243,9 +243,9 @@ class ReflectorBank:
 
     Cells run source by source over the mirror arrays (the first `n_mirror`
     cells), then over the metasurface arrays, each array in grid order. Per
-    cell the bank holds the center and the source leg u = source - center as
-    axis vectors, d1 = |u|, and a weight folding the reflectivity or efficiency,
-    (m + 1) and cos^m(phi): zero where the source does not light the cell.
+    cell the bank holds its source, the center and the source leg u = source -
+    center as axis vectors, d1 = |u|, and a weight folding the reflectivity or
+    efficiency, (m + 1) and cos^m(phi): zero where the source does not light it.
     """
 
     def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[MirrorArray] = (),
@@ -253,31 +253,31 @@ class ReflectorBank:
         pairs = [(ap, arr) for arrays in (mirror_arrays, metasurface_arrays)
                  for ap in aps for arr in arrays]
         k = len(aps) * len(mirror_arrays)  # the pairs holding mirrors come first
-        self.sizes = np.array([len(arr) for _, arr in pairs], dtype=np.intp)
-        self.n_mirror = int(self.sizes[:k].sum())
-        self.sources = np.array([ap.position for ap, _ in pairs]).reshape(-1, 3)
+        sizes = [len(arr) for _, arr in pairs]
+        self.n_mirror = sum(sizes[:k])
         normals = np.array([arr.base_normal for _, arr in pairs]).reshape(-1, 3)
         self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
-        self._msa_sizes = self.sizes[k:]
-        self.centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for _, arr in pairs])
-        u = np.repeat(self.sources, self.sizes, axis=0) - self.centers
-        self.cx, self.cy, self.cz = (self.centers[:, i].copy() for i in range(3))
-        self.ux, self.uy, self.uz = (u[:, i].copy() for i in range(3))
+        self._msa_sizes = sizes[k:]
+        # the kernel reads centers and legs as contiguous axis vectors
+        self.sources = np.repeat(np.array([ap.position for ap, _ in pairs]).reshape(-1, 3),
+                                 sizes, axis=0)
+        centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for _, arr in pairs])
+        self.cx, self.cy, self.cz = self._c = np.ascontiguousarray(centers.T)
+        self.ux, self.uy, self.uz = u = np.ascontiguousarray((self.sources - centers).T)
         self.d1 = np.sqrt(self.ux * self.ux + self.uy * self.uy + self.uz * self.uz)
-        self.weight, cn, fronts, start = np.zeros(len(u)), np.zeros(len(u)), [], 0
+        self.weight, cn, fronts, start = np.zeros(len(centers)), np.zeros(len(centers)), [], 0
         for i, (ap, arr) in enumerate(pairs):
             cells = slice(start, start + len(arr))
             start = cells.stop
-            leg = (self.ux[cells], self.uy[cells], self.uz[cells])
-            cos_phi = -_dot(*leg, ap.normal) / self.d1[cells]
+            cos_phi = -_dot(*u[:, cells], ap.normal) / self.d1[cells]
             lit = cos_phi > 0.0
             if i >= k:  # a metasurface also needs the source in front
-                lit &= _dot(*leg, arr.base_normal) > 0.0
+                lit &= _dot(*u[:, cells], arr.base_normal) > 0.0
             scale = arr.reflectivity if i < k else arr.efficiency
             m = ap.lambertian_order
             self.weight[cells] = np.where(lit, scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m,
                                           0.0)
-            cn[cells] = _dot(self.cx[cells], self.cy[cells], self.cz[cells], arr.base_normal)
+            cn[cells] = _dot(*self._c[:, cells], arr.base_normal)
             fronts.append(cn[cells].max())
         self._mirror_front = np.array(fronts[:k])  # per mirror pair: max over cells of c.n
         self._sources_in_front = all(float(ap.position @ arr.base_normal) >= front
@@ -286,6 +286,11 @@ class ReflectorBank:
 
     def __len__(self) -> int:
         return len(self.d1)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(N, 3) cell centers, a view of the axis vectors."""
+        return self._c.T
 
     def _antipodes_impossible(self, ue_position: np.ndarray, d2_max: float) -> bool:
         """True when no mirror cell's two legs can come within _ANTIPODAL_TOL of antipodal.
@@ -336,8 +341,7 @@ class ReflectorBank:
             idx = np.flatnonzero(gains > 0.0)
             if idx.size:
                 pts = self.centers[idx]
-                src = np.repeat(self.sources, self.sizes, axis=0)[idx]
-                blocked = shadowed_mask(src, pts, blockers)
+                blocked = shadowed_mask(self.sources[idx], pts, blockers)
                 blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
                                          blockers)
                 gains[idx[blocked]] = 0.0

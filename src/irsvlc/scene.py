@@ -197,6 +197,43 @@ def build_metasurface_arrays(room: Room, n_per_side: int,
         for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
 
 
+def default_scene(n_per_side: int = 50, *, irs: str = "mirror",
+                  blocker_density: float = 0.0,
+                  room_dims: tuple[float, float, float] = DEFAULT_ROOM_DIMS,
+                  lambertian_order: float = DEFAULT_LAMBERTIAN_ORDER,
+                  mirror_reflectivity: float = 0.95,
+                  msa_efficiency: float = 0.8,
+                  wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY,
+                  ue_height: float = DEFAULT_UE_HEIGHT,
+                  pd_area: float = DEFAULT_PD_AREA,
+                  fov_deg: float = DEFAULT_FOV_DEG,
+                  orientation: OrientationModel | None = None) -> Scene:
+    """Reference scene: one centered ceiling source, four wall-centered arrays."""
+    room = Room(*room_dims)
+    ap = Luminaire(vec3(room.length / 2, room.width / 2, room.height),
+                   vec3(0, 0, -1), lambertian_order)
+    mirror_arrays: tuple[MirrorArray, ...] = ()
+    msa_arrays: tuple[MetasurfaceArray, ...] = ()
+    if irs == "mirror":
+        mirror_arrays = build_mirror_arrays(room, n_per_side, mirror_reflectivity)
+    elif irs == "metasurface":
+        msa_arrays = build_metasurface_arrays(room, n_per_side, msa_efficiency)
+    elif irs != "none":
+        raise ValueError(f"unknown reflector type {irs!r}; expected mirror, metasurface or none")
+    return Scene(
+        room=room,
+        aps=(ap,),
+        mirror_arrays=mirror_arrays,
+        metasurface_arrays=msa_arrays,
+        blocker_model=BlockerModel(blocker_density),
+        orientation_model=orientation or OrientationModel(),
+        ue_height=ue_height,
+        wall_reflectivity=wall_reflectivity,
+        pd_area=pd_area,
+        pd_fov=math.radians(fov_deg),
+    )
+
+
 _MAX_REJECTION_DRAWS = 10_000
 
 

@@ -132,13 +132,11 @@ class Ensemble:
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
-              nlos_patch_size: float = 0.25, nlos_order: int = 2,
-              diffuse: tuple[PatchSet, np.ndarray] | None = None) -> "Ensemble":
-        """Precompute the diffuse field (unless given) and the reflector bank of a scene."""
-        if diffuse is None:
-            diffuse = diffuse_field(scene, nlos_patch_size, nlos_order)
+              nlos_patch_size: float = 0.25, nlos_order: int = 2) -> "Ensemble":
+        """Precompute the diffuse field and the reflector bank of a scene."""
+        patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
         return cls(
-            scene, seed, *diffuse,
+            scene, seed, patches, _diffuse_field(scene, patches, nlos_order),
             ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
             tuple(replace(scene.blocker_model, density=d) for d in densities))
 
@@ -190,18 +188,12 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     return tuple(out)
 
 
-def diffuse_field(scene: Scene, patch_size: float = 0.25, order: int = 2
-                  ) -> tuple[PatchSet, np.ndarray]:
-    """Wall patches and their incident power from every source, blockage-free by design.
-
-    Depends on the room, the sources and the wall reflectivity only, not on
-    the arrays or the blockers.
-    """
-    patches = wall_patches(scene.room, patch_size, scene.wall_reflectivity)
+def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:
+    """Per-patch incident power from every source, blockage-free by design."""
     total = np.zeros(len(patches))
     for ap in scene.aps:
         total = total + patch_incident_power(ap, patches, (), order=order)
-    return patches, total
+    return total
 
 
 # -- worker-pool plumbing ----------------------------------------------------
@@ -220,8 +212,7 @@ def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
                nlos_patch_size: float = 0.25, nlos_order: int = 2,
-               densities: Sequence[float] | None = None,
-               diffuse: tuple[PatchSet, np.ndarray] | None = None
+               densities: Sequence[float] | None = None
                ) -> list[TrialGains] | dict[float, list[TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
@@ -233,8 +224,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     in index order, so parallel scheduling cannot change the result. The
     diffuse wall field and the reflector bank are precomputed once and
     shipped to workers, which both removes per-trial cost and keeps them
-    bit-identical everywhere. `diffuse` is diffuse_field() of this scene,
-    for callers that run several scenes sharing one room and source set.
+    bit-identical everywhere.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -245,7 +235,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         raise ValueError("densities needs at least one value")
     unique = tuple(dict.fromkeys(wanted))
     ens = Ensemble.build(scene, seed, unique, nlos_patch_size=nlos_patch_size,
-                         nlos_order=nlos_order, diffuse=diffuse)
+                         nlos_order=nlos_order)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
     else:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irsvlc import Luminaire, PhotoDetector, RunConfig, build_scene, vec3
+from irsvlc import Luminaire, PhotoDetector, vec3
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -30,8 +30,3 @@ def upward_ue():
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-def make_scene(blocker_density: float = 0.0, **settings):
-    """The scene of RunConfig(**settings) at one blocker density."""
-    return build_scene(RunConfig(**settings), blocker_density)

@@ -22,10 +22,11 @@ from irsvlc.cli import main
 from irsvlc.geometry import normalize, unit_normal_from_polar
 from irsvlc.oracles import (grid_search_mirror_normal, occlusion_corpus,
                             point_sample_occlusion, q_numeric)
-from irsvlc.scene import OrientationModel, Room, sample_blockers, sample_tilt_deg
+from irsvlc.scene import (OrientationModel, Room, default_scene,
+                          sample_blockers, sample_tilt_deg)
 from irsvlc.simulator import SER_TARGET
 
-from conftest import ACCEPTANCE_LINES, make_scene, rng
+from conftest import ACCEPTANCE_LINES, rng
 
 STOCK_TRIALS = 10_000
 STOCK_SEED = 1
@@ -49,7 +50,7 @@ def stock():
     """The reference experiment at both blocker densities, full size."""
     runs = {}
     for density in (0.0, 1.0):
-        scene = make_scene(blocker_density=density)
+        scene = default_scene(blocker_density=density)
         t0 = time.perf_counter()
         gains = run_trials(scene, STOCK_TRIALS, STOCK_SEED)
         curves = {s: ser_curve(gains, s, seed=STOCK_SEED) for s in Scenario}
@@ -178,7 +179,7 @@ def test_criterion_7_thread_count_invariance(tmp_path):
 
 
 def test_criterion_8_sampler_statistics():
-    scene = make_scene(n_per_side=1, blocker_density=1.0)
+    scene = default_scene(n_per_side=1, blocker_density=1.0)
     lam = scene.blocker_model.density * scene.room.length * scene.room.width
     r = rng(8_080)
     counts = np.array([len(sample_blockers(r, scene)) for _ in range(10_000)])

@@ -8,7 +8,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from irsvlc import simulator
 from irsvlc.cli import main
 
 SMALL = """
@@ -187,21 +186,6 @@ def test_sweep_density_matches_simulate(small_config, tmp_path):
         simulated.update({(r["blocker_density"], r["scenario"]): r["required_snr_db"]
                           for r in results})
     assert swept == simulated
-
-
-def test_sweep_n_per_side_computes_the_diffuse_field_once(small_config, tmp_path,
-                                                          monkeypatch):
-    calls = []
-    real = simulator.patch_incident_power
-
-    def counting(ap, *args, **kwargs):
-        calls.append(ap)
-        return real(ap, *args, **kwargs)
-
-    monkeypatch.setattr(simulator, "patch_incident_power", counting)
-    assert run(["sweep", "--config", small_config, "--out", str(tmp_path / "sweep"),
-                "--threads", "1", "--vary", "n_per_side", "--values", "2,3,4"]) == 0
-    assert len(calls) == 1  # one per luminaire, and the stock room has one
 
 
 def test_sweep_n_per_side_matches_simulate(small_config, tmp_path):

@@ -13,8 +13,9 @@ from irsvlc import (BlockerModel, Luminaire, MetasurfaceArray, MetasurfacePatch,
                     optimal_mirror_normal, shadowed, vec3)
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.oracles import reflector_cell_gains
+from irsvlc.scene import default_scene
 
-from conftest import make_scene, rng
+from conftest import rng
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -163,8 +164,8 @@ def test_ma_channel_vector_reports_leg_lengths():
 def test_precomputed_source_leg_gives_identical_vectors():
     # a scene's bank holds every array's source legs; each array's slice of it
     # equals the vector of that array computed on its own
-    scene = make_scene(n_per_side=8, irs_type="mirror")
-    msa = make_scene(n_per_side=8, irs_type="metasurface")
+    scene = default_scene(n_per_side=8, irs="mirror")
+    msa = default_scene(n_per_side=8, irs="metasurface")
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
     lit = 0
@@ -200,7 +201,7 @@ def _random_poses(r, count, max_wall_gap=None):
 
 
 def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
-    scene = make_scene(n_per_side=50)
+    scene = default_scene(n_per_side=50)
     bank = ReflectorBank(scene.aps, scene.mirror_arrays)
     # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
     r = rng(2_026)
@@ -276,7 +277,6 @@ def test_bank_cells_match_the_single_cell_reference(n_per_side):
 def test_bank_blockers_drop_exactly_the_shadowed_cells():
     scene = _mixed_scene(4)
     bank = _bank(scene)
-    sources = np.repeat(bank.sources, bank.sizes, axis=0)
     r = rng(77)
     dropped = kept = 0
     for ue in _random_poses(r, 10):
@@ -286,14 +286,14 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
         clear = bank.cascade(ue)[0]
         got = bank.cascade(ue, boxes)[0]
         for i, c in enumerate(bank.centers):
-            blocked = shadowed(sources[i], c, boxes) or shadowed(c, ue.position, boxes)
+            blocked = shadowed(bank.sources[i], c, boxes) or shadowed(c, ue.position, boxes)
             assert got[i] == (0.0 if blocked else clear[i])
             dropped += bool(blocked and clear[i] > 0.0)
             kept += bool(got[i] > 0.0)
     assert dropped > 0 and kept > 0
 
 
-@pytest.mark.parametrize("scene", [make_scene(n_per_side=50), _mixed_scene(5)],
+@pytest.mark.parametrize("scene", [default_scene(n_per_side=50), _mixed_scene(5)],
                          ids=["stock", "mixed"])
 def test_bank_total_within_the_summation_bound(scene):
     # all terms are >= 0, so a sum in any order is within (N-1) 2^-53 of exact
@@ -304,7 +304,7 @@ def test_bank_total_within_the_summation_bound(scene):
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():
-    scene = make_scene(n_per_side=6)
+    scene = default_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
     by_wall = {arr.wall: ma_gain(ap, arr, ue) for arr in scene.mirror_arrays}
@@ -315,7 +315,7 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
 
 
 def test_ma_blockage_monotone():
-    scene = make_scene(n_per_side=6)
+    scene = default_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
     arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
@@ -353,8 +353,8 @@ def test_msa_back_side_detector_sees_nothing():
 
 def test_msa_scales_like_ma_with_efficiency_ratio():
     # same cell layout and distances, so totals differ only by the per-cell factor
-    mirror = make_scene(n_per_side=6, irs_type="mirror")
-    msa = make_scene(n_per_side=6, irs_type="metasurface")
+    mirror = default_scene(n_per_side=6, irs="mirror")
+    msa = default_scene(n_per_side=6, irs="metasurface")
     ap = mirror.aps[0]
     ue = PhotoDetector(vec3(3.1, 1.7, 1.0), vec3(0.2, -0.1, 0.95))
     g_ma = math.fsum(ma_gain(ap, a, ue) for a in mirror.mirror_arrays)
@@ -367,7 +367,7 @@ def test_msa_scales_like_ma_with_efficiency_ratio():
 
 
 def _two_ue_setup():
-    scene = make_scene(n_per_side=4)
+    scene = default_scene(n_per_side=4)
     ap = scene.aps[0]
     near = PhotoDetector(vec3(1.0, 2.5, 1.0), vec3(0, 0, 1))
     far = PhotoDetector(vec3(4.0, 2.5, 1.3), vec3(0, 0, 1))

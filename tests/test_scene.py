@@ -7,12 +7,12 @@ import pytest
 
 from irsvlc.irs import MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfacePatch, MirrorElement
 from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene, _grid_centers,
-                          build_metasurface_arrays, build_mirror_arrays,
+                          build_metasurface_arrays, build_mirror_arrays, default_scene,
                           sample_blocker_field, sample_blockers, sample_tilt_deg,
                           sample_ue)
 from irsvlc.simulator import trial_rng
 
-from conftest import make_scene, rng
+from conftest import rng
 
 
 def test_room_validation():
@@ -36,7 +36,7 @@ def test_room_walls_are_four_inward_frames():
 
 
 def test_default_scene_structure():
-    scene = make_scene(n_per_side=50)
+    scene = default_scene(n_per_side=50)
     assert len(scene.mirror_arrays) == 4
     for arr in scene.mirror_arrays:
         assert len(arr) == 2500
@@ -45,7 +45,7 @@ def test_default_scene_structure():
 
 
 def test_default_scene_n50_spans_full_wall():
-    arr = make_scene(n_per_side=50).mirror_arrays[0]
+    arr = default_scene(n_per_side=50).mirror_arrays[0]
     centers = arr.centers
     # horizontal span: 50 cells of 0.1 m on a 5 m wall, flush at both ends
     horiz = centers[:, 1]
@@ -58,7 +58,7 @@ def test_default_scene_n50_spans_full_wall():
 
 
 def test_default_scene_n1_single_mirrors_at_wall_centers():
-    scene = make_scene(n_per_side=1)
+    scene = default_scene(n_per_side=1)
     assert [len(a) for a in scene.mirror_arrays] == [1, 1, 1, 1]
     centers = sorted(tuple(np.round(a.centers[0], 9)) for a in scene.mirror_arrays)
     assert centers == [(0.0, 2.5, 1.5), (2.5, 0.0, 1.5), (2.5, 5.0, 1.5),
@@ -67,12 +67,12 @@ def test_default_scene_n1_single_mirrors_at_wall_centers():
 
 def test_default_scene_n51_does_not_fit():
     with pytest.raises(ValueError):
-        make_scene(n_per_side=51)
+        default_scene(n_per_side=51)
 
 
 def test_default_scene_unknown_irs_type():
     with pytest.raises(ValueError):
-        make_scene(n_per_side=1, irs_type="prisms")
+        default_scene(n_per_side=1, irs="prisms")
 
 
 def test_grid_pitch_equals_element_size():
@@ -140,7 +140,7 @@ def test_array_parameters_are_validated_without_cells():
 
 
 def test_metasurface_scene_patch_area():
-    scene = make_scene(n_per_side=3, irs_type="metasurface")
+    scene = default_scene(n_per_side=3, irs="metasurface")
     assert len(scene.metasurface_arrays) == 4
     for arr in scene.metasurface_arrays:
         for p in arr.patches:
@@ -149,9 +149,9 @@ def test_metasurface_scene_patch_area():
 
 def test_scene_validation():
     with pytest.raises(ValueError):
-        make_scene(n_per_side=1, ue_height=3.5)
+        default_scene(n_per_side=1, ue_height=3.5)
     with pytest.raises(ValueError):
-        make_scene(n_per_side=1, wall_reflectivity=1.2)
+        default_scene(n_per_side=1, wall_reflectivity=1.2)
 
 
 def test_orientation_model_validation():
@@ -162,7 +162,7 @@ def test_orientation_model_validation():
 
 
 def test_sample_ue_support():
-    scene = make_scene(n_per_side=1)
+    scene = default_scene(n_per_side=1)
     r = rng(3)
     for _ in range(500):
         ue = sample_ue(r, scene)
@@ -174,7 +174,7 @@ def test_sample_ue_support():
 
 
 def test_sample_ue_deterministic_per_stream():
-    scene = make_scene(n_per_side=1)
+    scene = default_scene(n_per_side=1)
     a = sample_ue(trial_rng(99, 5), scene)
     b = sample_ue(trial_rng(99, 5), scene)
     assert a.position.tolist() == b.position.tolist()
@@ -190,18 +190,18 @@ def test_tilt_mean_matches_configuration():
 
 
 def test_tilt_degenerate_distribution_faces_up():
-    scene = make_scene(n_per_side=1, theta_mean_deg=0.0, theta_std_deg=1e-9)
+    scene = default_scene(n_per_side=1, orientation=OrientationModel(0.0, 1e-9))
     ue = sample_ue(rng(1), scene)
     np.testing.assert_allclose(ue.normal, [0.0, 0.0, 1.0], atol=1e-6)
 
 
 def test_sample_blockers_empty_at_zero_density():
-    scene = make_scene(n_per_side=1, blocker_density=0.0)
+    scene = default_scene(n_per_side=1, blocker_density=0.0)
     assert sample_blockers(rng(2), scene) == ()
 
 
 def test_sample_blockers_shape_and_support():
-    scene = make_scene(n_per_side=1, blocker_density=1.0)
+    scene = default_scene(n_per_side=1, blocker_density=1.0)
     r = rng(5)
     seen = 0
     while seen < 200:
@@ -214,7 +214,7 @@ def test_sample_blockers_shape_and_support():
 
 
 def test_sample_blockers_count_mean():
-    scene = make_scene(n_per_side=1, blocker_density=1.0)
+    scene = default_scene(n_per_side=1, blocker_density=1.0)
     r = rng(29)
     counts = [len(sample_blockers(r, scene)) for _ in range(2000)]
     # Poisson(25): 3 sigma over 2000 draws
@@ -222,19 +222,19 @@ def test_sample_blockers_count_mean():
 
 
 def test_sample_blockers_match_the_field_draws():
-    scene = make_scene(n_per_side=1, blocker_density=1.0)
+    scene = default_scene(n_per_side=1, blocker_density=1.0)
     field = sample_blocker_field(rng(6), scene.room, scene.blocker_model)
     boxes = sample_blockers(rng(6), scene)
     assert len(boxes) == len(field) > 0
     for k, box in enumerate(boxes):
         assert box.center.tolist() == field.center[k].tolist()
         assert box.yaw == field.yaw[k] and box.half_extents == field.half_extents
-    empty = make_scene(n_per_side=1, blocker_density=0.0)
+    empty = default_scene(n_per_side=1, blocker_density=0.0)
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
 def test_scene_is_immutable():
-    scene = make_scene(n_per_side=1)
+    scene = default_scene(n_per_side=1)
     with pytest.raises(AttributeError):
         scene.ue_height = 2.0
     assert isinstance(scene, Scene)
