@@ -9,12 +9,11 @@ boxes; any sight line crossing a box interior contributes zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import OrientedBox, Segment, Vec3, segment_intersects_box, segments_intersect_box
+from .geometry import OrientedBox, Vec3, segments_intersect_box
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector, Room
@@ -23,18 +22,8 @@ DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
 
 
-@dataclass(frozen=True)
-class WallPatch:
-    """Flat diffuse reflector patch on a wall, facing into the room."""
-
-    center: Vec3
-    normal: Vec3
-    area: float
-    reflectivity: float
-
-
-class PatchSet(Sequence):
-    """Sequence of WallPatch backed by stacked arrays for vectorized sums."""
+class PatchSet:
+    """Diffuse wall patches as stacked arrays for vectorized sums."""
 
     def __init__(self, centers: np.ndarray, normals: np.ndarray, areas: np.ndarray,
                  reflectivity: np.ndarray):
@@ -46,33 +35,19 @@ class PatchSet(Sequence):
     def __len__(self) -> int:
         return len(self.areas)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return WallPatch(self.centers[i], self.normals[i], float(self.areas[i]),
-                         float(self.reflectivity[i]))
-
-    @classmethod
-    def from_patches(cls, patches: Iterable[WallPatch]) -> "PatchSet":
-        ps = list(patches)
-        return cls(np.array([p.center for p in ps], dtype=float).reshape(len(ps), 3),
-                   np.array([p.normal for p in ps], dtype=float).reshape(len(ps), 3),
-                   np.array([p.area for p in ps], dtype=float),
-                   np.array([p.reflectivity for p in ps], dtype=float))
-
 
 def shadowed(p: Vec3, q: Vec3, blockers: Sequence[OrientedBox]) -> bool:
     """True iff the open sight line p->q crosses any blocker's interior."""
-    seg = Segment(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    for box in blockers:
-        if segment_intersects_box(seg, box):
-            return True
-    return False
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.array_equal(p, q):
+        raise ValueError("degenerate segment: endpoints coincide")
+    return bool(shadowed_mask(p[None, :], q[None, :], blockers)[0])
 
 
 def shadowed_mask(starts: np.ndarray, ends: np.ndarray,
                   blockers: Sequence[OrientedBox]) -> np.ndarray:
-    """Vectorized shadowed() over (n, 3) segment endpoint arrays."""
+    """shadowed() over (n, 3) segment endpoint arrays, one slab test per box."""
     n = len(starts)
     blocked = np.zeros(n, dtype=bool)
     for box in blockers:
@@ -132,12 +107,6 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
     n = len(areas)
     return PatchSet(np.array(centers), np.array(normals), np.array(areas),
                     np.full(n, float(reflectivity)))
-
-
-def _as_patchset(patches) -> PatchSet:
-    if isinstance(patches, PatchSet):
-        return patches
-    return PatchSet.from_patches(patches)
 
 
 def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
@@ -228,7 +197,7 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
     return out
 
 
-def patch_incident_power(ap: "Luminaire", patches,
+def patch_incident_power(ap: "Luminaire", ps: PatchSet,
                          blockers: Sequence[OrientedBox] = (),
                          order: int = 1) -> np.ndarray:
     """Optical power landing on each wall patch per unit transmitted power.
@@ -239,7 +208,6 @@ def patch_incident_power(ap: "Luminaire", patches,
     """
     if order not in (1, 2):
         raise ValueError(f"reflection order must be 1 or 2, got {order}")
-    ps = _as_patchset(patches)
     if len(ps) == 0:
         return np.zeros(0)
     power = _first_bounce_power(ap, ps, blockers)
@@ -248,22 +216,20 @@ def patch_incident_power(ap: "Luminaire", patches,
     return power
 
 
-def diffuse_capture(patches, ue: "PhotoDetector", power: np.ndarray,
+def diffuse_capture(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
                     blockers: Sequence[OrientedBox] = ()) -> float:
     """Detector gain from per-patch incident powers after one re-emission."""
-    ps = _as_patchset(patches)
     if len(ps) == 0:
         return 0.0
     return _patch_to_ue(ps, ue, power, blockers)
 
 
-def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", patches,
+def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
               blockers: Sequence[OrientedBox] = (), order: int = 1) -> float:
     """Diffuse wall-bounce DC gain summed over all patches.
 
     order=1 models a single wall bounce; order=2 adds one patch-to-patch
     transfer before the detector leg.
     """
-    ps = _as_patchset(patches)
     power = patch_incident_power(ap, ps, blockers, order=order)
     return diffuse_capture(ps, ue, power, blockers)

@@ -23,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import oracles
+from .channel import shadowed
 from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
                      validate)
-from .geometry import Segment, normalize, segment_intersects_box, vec3
+from .geometry import normalize
 from .irs import MirrorElement, ReflectorBank, mirror_element_gain, optimal_mirror_normal
 from .scene import Luminaire, PhotoDetector, sample_ue
 from .simulator import (SER_TARGET, Scenario, SerCurve, q_function, required_snr,
@@ -368,7 +369,7 @@ def _verify_occlusion(cases: int) -> tuple[bool, str]:
     corpus = oracles.occlusion_corpus(rng, cases)
     disagreements = 0
     for p, q, box in corpus:
-        fast = segment_intersects_box(Segment(p, q), box)
+        fast = shadowed(p, q, (box,))
         slow = oracles.point_sample_occlusion(p, q, box)
         disagreements += fast != slow
     return disagreements == 0, f"{disagreements} disagreements on {cases} filtered cases"

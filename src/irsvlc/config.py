@@ -13,13 +13,13 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import DEFAULT_WALL_REFLECTIVITY
+from .channel import DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY
 from .geometry import vec3
+from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
-                    OrientationModel, Room, Scene, build_metasurface_arrays,
-                    build_mirror_arrays)
+                    OrientationModel, Room, Scene, _check_array_fit, build_arrays)
 from .simulator import Scenario, SnrGrid
 
 
@@ -42,7 +42,6 @@ class RunConfig:
     ap_y: float | None = None
     ap_z: float | None = None  # None: at ceiling height
     lambertian_order: float = DEFAULT_LAMBERTIAN_ORDER
-    optical_power: float = 1.0
     ue_height: float = DEFAULT_UE_HEIGHT
     pd_area: float = DEFAULT_PD_AREA
     fov_deg: float = DEFAULT_FOV_DEG
@@ -54,10 +53,10 @@ class RunConfig:
     blocker_height: float = BLOCKER_DIMS[2]
     irs_type: str = "mirror"
     n_per_side: int = 50
-    mirror_reflectivity: float = 0.95
-    msa_efficiency: float = 0.8
+    mirror_reflectivity: float = DEFAULT_MIRROR_REFLECTIVITY
+    msa_efficiency: float = DEFAULT_MSA_EFFICIENCY
     wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY
-    patch_size: float = 0.25
+    patch_size: float = DEFAULT_PATCH_SIZE
     nlos_order: int = 2
     trials: int = 10_000
     seed: int = 1
@@ -92,7 +91,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
     ("ap", "y"): ("ap_y", _FLOAT),
     ("ap", "z"): ("ap_z", _FLOAT),
     ("ap", "lambertian_order"): ("lambertian_order", _FLOAT),
-    ("ap", "optical_power"): ("optical_power", _FLOAT),
     ("ue", "height"): ("ue_height", _FLOAT),
     ("ue", "area"): ("pd_area", _FLOAT),
     ("ue", "fov_deg"): ("fov_deg", _FLOAT),
@@ -177,7 +175,6 @@ def validate(cfg: RunConfig) -> None:
     check(cfg.room_length > 0 and cfg.room_width > 0 and cfg.room_height > 0,
           "[room]", "dimensions must be positive")
     check(cfg.lambertian_order > 0, "[ap] lambertian_order", "must be positive")
-    check(cfg.optical_power > 0, "[ap] optical_power", "must be positive")
     if cfg.room_height > 0:
         check(0 < cfg.ue_height < cfg.room_height, "[ue] height",
               f"must lie strictly between 0 and the room height {cfg.room_height}")
@@ -215,10 +212,8 @@ def validate(cfg: RunConfig) -> None:
     if cfg.irs_type != "none" and cfg.n_per_side >= 1 and \
             min(cfg.room_length, cfg.room_width, cfg.room_height) > 0:
         try:
-            from .irs import MIRROR_HEIGHT, MIRROR_WIDTH
-            from .scene import _check_array_fit
             _check_array_fit(Room(cfg.room_length, cfg.room_width, cfg.room_height),
-                             cfg.n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
+                             cfg.n_per_side)
         except ValueError as exc:
             errors.append(f"[irs] n_per_side: {exc}")
     if errors:
@@ -255,14 +250,12 @@ def effective_sections(cfg: RunConfig) -> dict[str, dict[str, str]]:
 def build_scene(cfg: RunConfig, blocker_density: float) -> Scene:
     """Construct the immutable scene for one blocker density."""
     room = Room(cfg.room_length, cfg.room_width, cfg.room_height)
-    ap = Luminaire(vec3(*cfg.ap_position()), vec3(0, 0, -1),
-                   cfg.lambertian_order, cfg.optical_power)
-    mirror_arrays = ()
-    msa_arrays = ()
+    ap = Luminaire(vec3(*cfg.ap_position()), vec3(0, 0, -1), cfg.lambertian_order)
+    mirror_arrays = msa_arrays = ()
     if cfg.irs_type == "mirror":
-        mirror_arrays = build_mirror_arrays(room, cfg.n_per_side, cfg.mirror_reflectivity)
+        mirror_arrays = build_arrays(room, cfg.n_per_side, cfg.mirror_reflectivity)
     elif cfg.irs_type == "metasurface":
-        msa_arrays = build_metasurface_arrays(room, cfg.n_per_side, cfg.msa_efficiency)
+        msa_arrays = build_arrays(room, cfg.n_per_side, cfg.msa_efficiency)
     return Scene(
         room=room,
         aps=(ap,),

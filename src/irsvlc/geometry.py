@@ -7,12 +7,10 @@ Functions
 ---------
 vec3                    -- checked constructor for a 3-vector
 normalize               -- unit vector, rejects near-zero input
-cos_between             -- clamped cosine of the angle between two vectors
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
-reflect                 -- specular reflection of a direction at a plane
 OrientedBoxes           -- n equal upright boxes stored as arrays
-segment_intersects_box  -- open-segment vs. oriented-box interior test
-segments_intersect_box  -- vectorized form over many segments or many boxes
+segments_intersect_box  -- open-segment vs. oriented-box interior test, over
+                           many segments or many boxes
 """
 
 from __future__ import annotations
@@ -49,12 +47,6 @@ def is_unit(v: Vec3, tol: float = _UNIT_TOL) -> bool:
     return abs(norm(v) - 1.0) <= tol
 
 
-def cos_between(u: Vec3, v: Vec3) -> float:
-    """Cosine of the angle between u and v, clamped to [-1, 1]."""
-    d = float(np.dot(u, v)) / (norm(u) * norm(v))
-    return min(1.0, max(-1.0, d))
-
-
 def unit_normal_from_polar(theta: float, omega: float) -> Vec3:
     """Unit vector at polar angle theta from +z and azimuth omega from +x.
 
@@ -66,18 +58,6 @@ def unit_normal_from_polar(theta: float, omega: float) -> Vec3:
         raise ValueError(f"azimuth {omega} outside [0, 2*pi)")
     st = math.sin(theta)
     return np.array([st * math.cos(omega), st * math.sin(omega), math.cos(theta)])
-
-
-def reflect(d: Vec3, n: Vec3) -> Vec3:
-    """Specular reflection of incident direction d at a plane with unit normal n.
-
-    d must point into the surface (d . n < 0); reflecting a direction that
-    approaches from behind the plane is a caller bug, not a zero-gain case.
-    """
-    dn = float(np.dot(d, n))
-    if dn >= 0.0:
-        raise ValueError("back-face incidence: incident direction does not hit the front side")
-    return d - 2.0 * dn * n
 
 
 @dataclass(frozen=True)
@@ -150,54 +130,13 @@ class OrientedBoxes:
                 & (np.abs(-s * d[:, 0] + c * d[:, 1]) < hy) & (np.abs(d[:, 2]) < hz))
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Vec3
-    b: Vec3
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if np.array_equal(a, b):
-            raise ValueError("degenerate segment: endpoints coincide")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def segment_intersects_box(seg: Segment, box: OrientedBox) -> bool:
-    """True iff the open segment passes through the interior of the box.
-
-    Slab test in the box-local frame. Tangent contact (touching a face, edge
-    or corner without entering) and endpoints lying exactly on the surface do
-    not count as intersections.
-    """
-    a = box.to_local(seg.a)
-    b = box.to_local(seg.b)
-    d = b - a
-    t_lo, t_hi = 0.0, 1.0  # open parameter interval inside the box
-    for i in range(3):
-        h = box.half_extents[i]
-        if d[i] == 0.0:
-            if abs(a[i]) >= h:  # parallel and never strictly inside this slab
-                return False
-            continue
-        t1 = (-h - a[i]) / d[i]
-        t2 = (h - a[i]) / d[i]
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > t_lo:
-            t_lo = t1
-        if t2 < t_hi:
-            t_hi = t2
-        if t_lo >= t_hi:
-            return False
-    return t_lo < t_hi
-
-
 def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
                            box: OrientedBox | OrientedBoxes) -> np.ndarray:
-    """Vectorized segment_intersects_box over (n, 3) start/end point arrays.
+    """True where the open segment start->end passes through the box interior.
 
+    Slab test in the box-local frame, over (n, 3) start/end point arrays.
+    Tangent contact (touching a face, edge or corner without entering) and
+    endpoints lying exactly on the surface do not count as intersections.
     The box parameters broadcast against the segments, so (1, 3) endpoints
     and an OrientedBoxes of n boxes test one segment against every box.
     """

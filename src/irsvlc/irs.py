@@ -68,76 +68,29 @@ class MetasurfacePatch:
         object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
 
 
-class _ArrayBase:
-    """Shared structure: an n x n grid of cells mounted flat on one wall.
+@dataclass(frozen=True, eq=False)
+class ReflectorArray:
+    """An n x n grid of cells mounted flat on one wall, as its cell centers.
 
-    The array is its (n, 3) cell centers plus scalar cell parameters. Built
-    from a list of per-cell objects, it derives the centers from the list;
-    built from centers, it makes the per-cell objects only when `cells` is read.
+    centers is (n * n, 3) in row-major grid order. scale is the mirror
+    reflectivity or the metasurface steering efficiency: the Scene tuple
+    holding the array says which kind it is.
     """
 
-    def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
-                 cells: list | None, centers: np.ndarray | None):
-        if (cells is None) == (centers is None):
-            raise TypeError("give either the per-cell objects or their centers")
-        self.wall = wall
-        self.base_normal = normalize(np.asarray(base_normal, dtype=float))
-        self.n_per_side = int(n_per_side)
-        if centers is None:
-            centers = np.array([c.center for c in cells], dtype=float).reshape(len(cells), 3)
-        self.centers = np.asarray(centers, dtype=float)  # row-major grid order
-        self._cells = cells
+    wall: str
+    normal: Vec3
+    n_per_side: int
+    centers: np.ndarray
+    scale: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.scale <= 1.0:
+            raise ValueError(f"reflectivity or efficiency {self.scale} outside [0, 1]")
+        object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
+        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
 
     def __len__(self) -> int:
         return len(self.centers)
-
-    @property
-    def cells(self) -> list:
-        """Per-cell objects in grid order; subclasses say how to make one (_cell)."""
-        if self._cells is None:
-            self._cells = [self._cell(c) for c in self.centers]
-        return self._cells
-
-
-class MirrorArray(_ArrayBase):
-    def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
-                 elements: list[MirrorElement] | None = None, *,
-                 centers: np.ndarray | None = None,
-                 reflectivity: float = DEFAULT_MIRROR_REFLECTIVITY):
-        super().__init__(wall, base_normal, n_per_side, elements, centers)
-        if elements:
-            reflectivity = elements[0].reflectivity
-        if not 0.0 <= reflectivity <= 1.0:
-            raise ValueError(f"mirror reflectivity {reflectivity} outside [0, 1]")
-        self.reflectivity = reflectivity
-
-    def _cell(self, center: np.ndarray) -> MirrorElement:
-        return MirrorElement(center, self.base_normal, reflectivity=self.reflectivity)
-
-    @property
-    def elements(self) -> list[MirrorElement]:
-        return self.cells
-
-
-class MetasurfaceArray(_ArrayBase):
-    def __init__(self, wall: str, base_normal: Vec3, n_per_side: int,
-                 patches: list[MetasurfacePatch] | None = None, *,
-                 centers: np.ndarray | None = None,
-                 efficiency: float = DEFAULT_MSA_EFFICIENCY):
-        super().__init__(wall, base_normal, n_per_side, patches, centers)
-        if patches:
-            efficiency = patches[0].efficiency
-        if not 0.0 <= efficiency <= 1.0:
-            raise ValueError(f"steering efficiency {efficiency} outside [0, 1]")
-        self.efficiency = efficiency
-        self.cell_area = patches[0].area if patches else MIRROR_WIDTH * MIRROR_HEIGHT
-
-    def _cell(self, center: np.ndarray) -> MetasurfacePatch:
-        return MetasurfacePatch(center, self.base_normal, self.cell_area, self.efficiency)
-
-    @property
-    def patches(self) -> list[MetasurfacePatch]:
-        return self.cells
 
 
 @dataclass(frozen=True)
@@ -183,8 +136,7 @@ def _plane_basis(n: Vec3) -> tuple[Vec3, Vec3]:
 
 
 def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector",
-                        blockers: Sequence[OrientedBox] = (), *,
-                        check_footprint: bool = True) -> float:
+                        blockers: Sequence[OrientedBox] = ()) -> float:
     """Cascaded gain of one mirror element at its current orientation.
 
     Image-source model: zero unless the source is on the element's front
@@ -216,17 +168,16 @@ def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector
     dist_sq = float(ray @ ray)
     if dist_sq == 0.0:
         return 0.0
-    if check_footprint:
-        denom = float(ray @ n)
-        if denom <= 0.0:  # ray runs along or away from the mirror plane
-            return 0.0
-        t = float((c - image) @ n) / denom
-        if not 0.0 < t < 1.0:
-            return 0.0
-        hit = image + t * ray - c
-        e1, e2 = _plane_basis(n)
-        if abs(float(hit @ e1)) > elem.width / 2 or abs(float(hit @ e2)) > elem.height / 2:
-            return 0.0
+    denom = float(ray @ n)
+    if denom <= 0.0:  # ray runs along or away from the mirror plane
+        return 0.0
+    t = float((c - image) @ n) / denom
+    if not 0.0 < t < 1.0:
+        return 0.0
+    hit = image + t * ray - c
+    e1, e2 = _plane_basis(n)
+    if abs(float(hit @ e1)) > elem.width / 2 or abs(float(hit @ e2)) > elem.height / 2:
+        return 0.0
     if blockers and (shadowed(ap.position, c, blockers) or shadowed(c, ue.position, blockers)):
         return 0.0
     m = ap.lambertian_order
@@ -248,14 +199,14 @@ class ReflectorBank:
     efficiency, (m + 1) and cos^m(phi): zero where the source does not light it.
     """
 
-    def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[MirrorArray] = (),
-                 metasurface_arrays: Sequence[MetasurfaceArray] = ()):
+    def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[ReflectorArray] = (),
+                 metasurface_arrays: Sequence[ReflectorArray] = ()):
         pairs = [(ap, arr) for arrays in (mirror_arrays, metasurface_arrays)
                  for ap in aps for arr in arrays]
         k = len(aps) * len(mirror_arrays)  # the pairs holding mirrors come first
         sizes = [len(arr) for _, arr in pairs]
         self.n_mirror = sum(sizes[:k])
-        normals = np.array([arr.base_normal for _, arr in pairs]).reshape(-1, 3)
+        normals = np.array([arr.normal for _, arr in pairs]).reshape(-1, 3)
         self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
         self._msa_sizes = sizes[k:]
         # the kernel reads centers and legs as contiguous axis vectors
@@ -272,15 +223,14 @@ class ReflectorBank:
             cos_phi = -_dot(*u[:, cells], ap.normal) / self.d1[cells]
             lit = cos_phi > 0.0
             if i >= k:  # a metasurface also needs the source in front
-                lit &= _dot(*u[:, cells], arr.base_normal) > 0.0
-            scale = arr.reflectivity if i < k else arr.efficiency
+                lit &= _dot(*u[:, cells], arr.normal) > 0.0
             m = ap.lambertian_order
-            self.weight[cells] = np.where(lit, scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m,
-                                          0.0)
-            cn[cells] = _dot(*self._c[:, cells], arr.base_normal)
+            self.weight[cells] = np.where(
+                lit, arr.scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m, 0.0)
+            cn[cells] = _dot(*self._c[:, cells], arr.normal)
             fronts.append(cn[cells].max())
         self._mirror_front = np.array(fronts[:k])  # per mirror pair: max over cells of c.n
-        self._sources_in_front = all(float(ap.position @ arr.base_normal) >= front
+        self._sources_in_front = all(float(ap.position @ arr.normal) >= front
                                      for (ap, arr), front in zip(pairs, fronts[:k]))
         self._msa_cn = cn[self.n_mirror:]
 
@@ -363,7 +313,7 @@ def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: np.ndarray) -> np.ndarr
     return x * n[..., 0] + y * n[..., 1] + z * n[..., 2]
 
 
-def ma_channel_vector(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
+def ma_channel_vector(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
                       blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
     """Per-element gains with every mirror at its optimal orientation.
 
@@ -375,66 +325,18 @@ def ma_channel_vector(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
     return ReflectorBank((ap,), (array,)).vector(ue, blockers)
 
 
-def ma_gain(ap: "Luminaire", array: MirrorArray, ue: "PhotoDetector",
+def ma_gain(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
             blockers: Sequence[OrientedBox] = ()) -> float:
     """Array gain with per-element optimal steering; compensated sum."""
     return ma_channel_vector(ap, array, ue, blockers).total()
 
 
-def msa_channel_vector(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
+def msa_channel_vector(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
                        blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
     """Per-patch anomalous-steering gains toward this detector."""
     return ReflectorBank((ap,), (), (array,)).vector(ue, blockers)
 
 
-def msa_gain(ap: "Luminaire", array: MetasurfaceArray, ue: "PhotoDetector",
+def msa_gain(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
              blockers: Sequence[OrientedBox] = ()) -> float:
     return msa_channel_vector(ap, array, ue, blockers).total()
-
-
-@dataclass(frozen=True)
-class MirrorAssignment:
-    """Element-to-user mapping over one or more arrays, in global cell order."""
-
-    element_ue: np.ndarray  # int index into the ue list per element
-    per_ue_gains: tuple[float, ...]
-    objective: str
-
-
-def assign_mirrors_multi_ue(ap: "Luminaire", arrays: Sequence[MirrorArray],
-                            ues: Sequence["PhotoDetector"],
-                            blockers: Sequence[OrientedBox] = (),
-                            objective: str = "max_sum") -> MirrorAssignment:
-    """Partition mirror elements among several detectors.
-
-    max_sum assigns each element to the detector it serves best, which is
-    globally optimal because element contributions are independent. max_min
-    greedily hands the best remaining element to the currently worst-served
-    detector until none remain.
-    """
-    if not ues:
-        raise ValueError("at least one detector is required")
-    if objective not in ("max_sum", "max_min"):
-        raise ValueError(f"unknown objective {objective!r}")
-    bank = ReflectorBank((ap,), arrays)
-    gains = np.stack([bank.cascade(ue, blockers)[0] for ue in ues], axis=1)  # (elements, ues)
-    n_elem, n_ues = gains.shape
-
-    if objective == "max_sum":
-        element_ue = np.argmax(gains, axis=1)
-    else:
-        element_ue = np.full(n_elem, -1, dtype=int)
-        running = np.zeros(n_ues)
-        remaining = np.ones(n_elem, dtype=bool)
-        for _ in range(n_elem):
-            worst = int(np.argmin(running))
-            col = np.where(remaining, gains[:, worst], -1.0)
-            e = int(np.argmax(col))
-            element_ue[e] = worst
-            remaining[e] = False
-            running[worst] += gains[e, worst]
-
-    per_ue = tuple(
-        math.fsum(gains[element_ue == u, u].tolist()) for u in range(n_ues)
-    )
-    return MirrorAssignment(element_ue, per_ue, objective)

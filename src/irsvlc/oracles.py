@@ -13,8 +13,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import OrientedBox, Segment, Vec3, normalize, segment_intersects_box
-from .irs import MetasurfacePatch, MirrorElement, mirror_element_gain, optimal_mirror_normal
+from .channel import shadowed
+from .geometry import OrientedBox, Vec3, normalize
+from .irs import (MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfacePatch, MirrorElement,
+                  mirror_element_gain, optimal_mirror_normal)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector, Scene
@@ -171,12 +173,9 @@ def occlusion_corpus(rng: np.random.Generator, cases: int,
                            rng.uniform(0.0, 3.0)])
         half = tuple(rng.uniform(0.05, 1.2, 3))
         box = OrientedBox(center, half, rng.uniform(0.0, math.pi))
-        seg = Segment(p, q)
-        if segment_intersects_box(seg, _inflated(box, 1e-6)) != \
-                segment_intersects_box(seg, _inflated(box, -1e-6)):
+        if shadowed(p, q, (_inflated(box, 1e-6),)) != shadowed(p, q, (_inflated(box, -1e-6),)):
             continue
-        if segment_intersects_box(seg, box) and \
-                _interior_interval(p, q, box) * (samples + 1) < 6.0:
+        if shadowed(p, q, (box,)) and _interior_interval(p, q, box) * (samples + 1) < 6.0:
             continue
         out.append((p, q, box))
     return out
@@ -201,13 +200,13 @@ def _patch_gain(ap: "Luminaire", patch: MetasurfacePatch, ue: "PhotoDetector") -
             * cos_phi ** m * cos_psi)
 
 
-def _steered_mirror_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector") -> float:
+def _steered_mirror_gain(ap: "Luminaire", center: Vec3, reflectivity: float,
+                         ue: "PhotoDetector") -> float:
     try:
-        normal = optimal_mirror_normal(ap.position, elem.center, ue.position)
+        normal = optimal_mirror_normal(ap.position, center, ue.position)
     except ValueError:  # no plane reflects the source onto the detector
         return 0.0
-    return mirror_element_gain(ap, MirrorElement(elem.center, normal,
-                                                 reflectivity=elem.reflectivity), ue)
+    return mirror_element_gain(ap, MirrorElement(center, normal, reflectivity=reflectivity), ue)
 
 
 def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
@@ -216,8 +215,9 @@ def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
     Mirrors are steered to optimal_mirror_normal and evaluated by
     mirror_element_gain; metasurface patches use their closed form.
     """
-    gains = [_steered_mirror_gain(ap, elem, ue)
-             for ap in scene.aps for arr in scene.mirror_arrays for elem in arr.elements]
-    gains += [_patch_gain(ap, patch, ue)
-              for ap in scene.aps for arr in scene.metasurface_arrays for patch in arr.patches]
+    gains = [_steered_mirror_gain(ap, c, arr.scale, ue)
+             for ap in scene.aps for arr in scene.mirror_arrays for c in arr.centers]
+    gains += [_patch_gain(ap, MetasurfacePatch(c, arr.normal, MIRROR_WIDTH * MIRROR_HEIGHT,
+                                               arr.scale), ue)
+              for ap in scene.aps for arr in scene.metasurface_arrays for c in arr.centers]
     return np.array(gains, dtype=float)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DEFAULT_WALL_REFLECTIVITY
-from .geometry import (OrientedBox, OrientedBoxes, Vec3, is_unit, normalize,
-                       unit_normal_from_polar, vec3)
-from .irs import MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfaceArray, MirrorArray
+from .geometry import OrientedBoxes, Vec3, is_unit, normalize, unit_normal_from_polar, vec3
+from .irs import MIRROR_HEIGHT, MIRROR_WIDTH, ReflectorArray
 
 DEFAULT_ROOM_DIMS = (5.0, 5.0, 3.0)
 DEFAULT_LAMBERTIAN_ORDER = 1.0  # 60 degree semi-angle source
@@ -59,13 +58,10 @@ class Luminaire:
     position: Vec3
     normal: Vec3
     lambertian_order: float = DEFAULT_LAMBERTIAN_ORDER
-    optical_power: float = 1.0  # watts; gains are normalized per transmitted watt
 
     def __post_init__(self) -> None:
         if self.lambertian_order <= 0:
             raise ValueError(f"Lambertian order must be positive, got {self.lambertian_order}")
-        if self.optical_power <= 0:
-            raise ValueError("optical power must be positive")
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
 
@@ -125,8 +121,8 @@ class Scene:
 
     room: Room
     aps: tuple[Luminaire, ...]
-    mirror_arrays: tuple[MirrorArray, ...]
-    metasurface_arrays: tuple[MetasurfaceArray, ...]
+    mirror_arrays: tuple[ReflectorArray, ...]
+    metasurface_arrays: tuple[ReflectorArray, ...]
     blocker_model: BlockerModel
     orientation_model: OrientationModel
     ue_height: float = DEFAULT_UE_HEIGHT
@@ -147,16 +143,16 @@ class Scene:
             raise ValueError(f"field of view {self.pd_fov} outside (0, pi/2]")
 
 
-def _check_array_fit(room: Room, n_per_side: int, cell_w: float, cell_h: float) -> None:
+def _check_array_fit(room: Room, n_per_side: int) -> None:
     if n_per_side < 1:
         raise ValueError(f"array side count must be >= 1, got {n_per_side}")
     # exact fits (e.g. 50 * 0.06 == 3.0) must pass despite float round-off
     tol = 1e-9
-    horiz = n_per_side * cell_w
-    vert = n_per_side * cell_h
+    horiz = n_per_side * MIRROR_WIDTH
+    vert = n_per_side * MIRROR_HEIGHT
     if vert > room.height + tol or horiz > min(room.length, room.width) + tol:
         raise ValueError(
-            f"a {n_per_side}x{n_per_side} array of {cell_w} x {cell_h} m cells "
+            f"a {n_per_side}x{n_per_side} array of {MIRROR_WIDTH} x {MIRROR_HEIGHT} m cells "
             f"({horiz:.3f} x {vert:.3f} m) does not fit on a wall of this room")
 
 
@@ -175,63 +171,14 @@ def _grid_centers(origin: Vec3, u_dir: Vec3, v_dir: Vec3, u_len: float, v_len: f
     return (along_u[None, :, :] + (v_off[:, None] * v_dir)[:, None, :]).reshape(n * n, 3)
 
 
-def build_mirror_arrays(room: Room, n_per_side: int,
-                        reflectivity: float = 0.95) -> tuple[MirrorArray, ...]:
-    """One n x n mirror array centered on each of the four walls."""
-    _check_array_fit(room, n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
+def build_arrays(room: Room, n_per_side: int, scale: float) -> tuple[ReflectorArray, ...]:
+    """One n x n array centered on each of the four walls; scale as in ReflectorArray."""
+    _check_array_fit(room, n_per_side)
     return tuple(
-        MirrorArray(label, normal, n_per_side, reflectivity=reflectivity,
-                    centers=_grid_centers(origin, u_dir, v_dir, u_len, v_len,
-                                          n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT))
+        ReflectorArray(label, normal, n_per_side,
+                       _grid_centers(origin, u_dir, v_dir, u_len, v_len,
+                                     n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT), scale)
         for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
-
-
-def build_metasurface_arrays(room: Room, n_per_side: int,
-                             efficiency: float = 0.8) -> tuple[MetasurfaceArray, ...]:
-    """One n x n metasurface array centered on each of the four walls."""
-    _check_array_fit(room, n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT)
-    return tuple(
-        MetasurfaceArray(label, normal, n_per_side, efficiency=efficiency,
-                         centers=_grid_centers(origin, u_dir, v_dir, u_len, v_len,
-                                               n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT))
-        for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
-
-
-def default_scene(n_per_side: int = 50, *, irs: str = "mirror",
-                  blocker_density: float = 0.0,
-                  room_dims: tuple[float, float, float] = DEFAULT_ROOM_DIMS,
-                  lambertian_order: float = DEFAULT_LAMBERTIAN_ORDER,
-                  mirror_reflectivity: float = 0.95,
-                  msa_efficiency: float = 0.8,
-                  wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY,
-                  ue_height: float = DEFAULT_UE_HEIGHT,
-                  pd_area: float = DEFAULT_PD_AREA,
-                  fov_deg: float = DEFAULT_FOV_DEG,
-                  orientation: OrientationModel | None = None) -> Scene:
-    """Reference scene: one centered ceiling source, four wall-centered arrays."""
-    room = Room(*room_dims)
-    ap = Luminaire(vec3(room.length / 2, room.width / 2, room.height),
-                   vec3(0, 0, -1), lambertian_order)
-    mirror_arrays: tuple[MirrorArray, ...] = ()
-    msa_arrays: tuple[MetasurfaceArray, ...] = ()
-    if irs == "mirror":
-        mirror_arrays = build_mirror_arrays(room, n_per_side, mirror_reflectivity)
-    elif irs == "metasurface":
-        msa_arrays = build_metasurface_arrays(room, n_per_side, msa_efficiency)
-    elif irs != "none":
-        raise ValueError(f"unknown reflector type {irs!r}; expected mirror, metasurface or none")
-    return Scene(
-        room=room,
-        aps=(ap,),
-        mirror_arrays=mirror_arrays,
-        metasurface_arrays=msa_arrays,
-        blocker_model=BlockerModel(blocker_density),
-        orientation_model=orientation or OrientationModel(),
-        ue_height=ue_height,
-        wall_reflectivity=wall_reflectivity,
-        pd_area=pd_area,
-        pd_fov=math.radians(fov_deg),
-    )
 
 
 _MAX_REJECTION_DRAWS = 10_000
@@ -281,9 +228,3 @@ def sample_blocker_field(rng: np.random.Generator, room: Room,
     dx, dy, dz = model.dims
     centers = np.column_stack((xs, ys, np.full(count, dz / 2.0)))
     return OrientedBoxes(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws)
-
-
-def sample_blockers(rng: np.random.Generator, scene: Scene) -> tuple[OrientedBox, ...]:
-    """The blockers of sample_blocker_field as one OrientedBox each."""
-    field = sample_blocker_field(rng, scene.room, scene.blocker_model)
-    return () if field is None else field.boxes()

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .channel import PatchSet, diffuse_capture, los_gain, patch_incident_power, wall_patches
+from .channel import (DEFAULT_PATCH_SIZE, PatchSet, diffuse_capture, los_gain,
+                      patch_incident_power, wall_patches)
 from .geometry import OrientedBoxes, segments_intersect_box
 from .irs import ReflectorBank
 from .scene import BlockerModel, Luminaire, PhotoDetector, Scene, sample_blocker_field, sample_ue
@@ -132,7 +133,7 @@ class Ensemble:
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
-              nlos_patch_size: float = 0.25, nlos_order: int = 2) -> "Ensemble":
+              nlos_patch_size: float = DEFAULT_PATCH_SIZE, nlos_order: int = 2) -> "Ensemble":
         """Precompute the diffuse field and the reflector bank of a scene."""
         patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
         return cls(
@@ -211,7 +212,7 @@ def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               nlos_patch_size: float = 0.25, nlos_order: int = 2,
+               nlos_patch_size: float = DEFAULT_PATCH_SIZE, nlos_order: int = 2,
                densities: Sequence[float] | None = None
                ) -> list[TrialGains] | dict[float, list[TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irsvlc import Luminaire, PhotoDetector, vec3
+from irsvlc import Luminaire, PhotoDetector, RunConfig, Scene, build_scene, vec3
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -30,3 +30,8 @@ def upward_ue():
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def make_scene(density: float = 0.0, **fields) -> Scene:
+    """The stock experiment's scene at one blocker density, with RunConfig fields overridden."""
+    return build_scene(RunConfig(**fields), density)

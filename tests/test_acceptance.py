@@ -12,21 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, MetasurfaceArray, MetasurfacePatch,
-                    MirrorElement, OrientedBox, PhotoDetector, Scenario,
-                    TrialGains, diffuse_capture, los_gain, mirror_element_gain,
-                    msa_gain, nlos_gain, optimal_mirror_normal,
+from irsvlc import (Luminaire, MirrorElement, OrientedBox, PhotoDetector,
+                    ReflectorArray, Scenario, TrialGains, diffuse_capture, los_gain,
+                    mirror_element_gain, msa_gain, nlos_gain, optimal_mirror_normal,
                     patch_incident_power, q_function, required_snr, run_trials,
                     ser_curve, shadowed, vec3, wall_patches)
 from irsvlc.cli import main
 from irsvlc.geometry import normalize, unit_normal_from_polar
+from irsvlc.irs import DEFAULT_MSA_EFFICIENCY
 from irsvlc.oracles import (grid_search_mirror_normal, occlusion_corpus,
                             point_sample_occlusion, q_numeric)
-from irsvlc.scene import (OrientationModel, Room, default_scene,
-                          sample_blockers, sample_tilt_deg)
+from irsvlc.scene import OrientationModel, Room, sample_blocker_field, sample_tilt_deg
 from irsvlc.simulator import SER_TARGET
 
-from conftest import ACCEPTANCE_LINES, rng
+from conftest import ACCEPTANCE_LINES, make_scene, rng
 
 STOCK_TRIALS = 10_000
 STOCK_SEED = 1
@@ -50,7 +49,7 @@ def stock():
     """The reference experiment at both blocker densities, full size."""
     runs = {}
     for density in (0.0, 1.0):
-        scene = default_scene(blocker_density=density)
+        scene = make_scene(density)
         t0 = time.perf_counter()
         gains = run_trials(scene, STOCK_TRIALS, STOCK_SEED)
         curves = {s: ser_curve(gains, s, seed=STOCK_SEED) for s in Scenario}
@@ -179,10 +178,11 @@ def test_criterion_7_thread_count_invariance(tmp_path):
 
 
 def test_criterion_8_sampler_statistics():
-    scene = default_scene(n_per_side=1, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=1)
     lam = scene.blocker_model.density * scene.room.length * scene.room.width
     r = rng(8_080)
-    counts = np.array([len(sample_blockers(r, scene)) for _ in range(10_000)])
+    fields = [sample_blocker_field(r, scene.room, scene.blocker_model) for _ in range(10_000)]
+    counts = np.array([0 if f is None else len(f) for f in fields])
     count_band = 3.0 * math.sqrt(lam / len(counts))
     count_err = abs(float(counts.mean()) - lam)
 
@@ -319,10 +319,10 @@ def test_criterion_9e_cascade_energy_bound():
         g_mirror = mirror_element_gain(ap, elem, ue)
         bound = elem.reflectivity * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_mirror / bound)
-        patch = MetasurfacePatch(c, normalize(r.normal(size=3)), 0.006)
-        arr = MetasurfaceArray("x0", patch.normal, 1, [patch])
+        arr = ReflectorArray("x0", normalize(r.normal(size=3)), 1, c[None, :],
+                             DEFAULT_MSA_EFFICIENCY)
         g_msa = msa_gain(ap, arr, ue)
-        bound = patch.efficiency * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
+        bound = arr.scale * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_msa / bound)
     record("9e", worst <= 1.0 + 1e-12,
            f"cascaded element gains stay below the single-leg ceiling; "

@@ -229,7 +229,8 @@ def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):
 
 
 def test_nlos_empty_patchset(ceiling_ap, upward_ue):
-    assert nlos_gain(ceiling_ap, upward_ue, PatchSet.from_patches([])) == 0.0
+    empty = PatchSet(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    assert nlos_gain(ceiling_ap, upward_ue, empty) == 0.0
 
 
 def test_nlos_four_wall_symmetry(ceiling_ap, upward_ue):

@@ -1,21 +1,19 @@
-"""Steerable mirror and metasurface cascades, element steering, assignment."""
+"""Steerable mirror and metasurface cascades and element steering."""
 
 import math
 
 import numpy as np
 import pytest
 
-from irsvlc import (BlockerModel, Luminaire, MetasurfaceArray, MetasurfacePatch,
-                    MirrorArray, MirrorElement, OrientationModel, OrientedBox,
-                    PhotoDetector, ReflectorBank, Room, Scene, assign_mirrors_multi_ue,
-                    build_metasurface_arrays, build_mirror_arrays, ma_channel_vector,
-                    ma_gain, mirror_element_gain, msa_channel_vector, msa_gain,
+from irsvlc import (BlockerModel, Luminaire, MetasurfacePatch, MirrorElement,
+                    OrientationModel, OrientedBox, PhotoDetector, ReflectorArray,
+                    ReflectorBank, Room, Scene, build_arrays, ma_channel_vector, ma_gain,
+                    mirror_element_gain, msa_channel_vector, msa_gain,
                     optimal_mirror_normal, shadowed, vec3)
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.oracles import reflector_cell_gains
-from irsvlc.scene import default_scene
 
-from conftest import rng
+from conftest import make_scene, rng
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -91,11 +89,13 @@ def test_element_gain_blocked_legs_are_zero():
 def test_element_gain_footprint_gates_misaligned_mirror():
     # normal-incidence source, detector off to the side: the image ray crosses
     # the mirror plane half a meter from the element, far outside the 10 cm face
+    # but inside a 1.2 m one
     ap = Luminaire(vec3(2, 0, 0), vec3(-1, 0, 0), 1.0)
     ue = PhotoDetector(vec3(2, 1, 0), vec3(-1, 0, 0))
     elem = MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0))
+    wide = MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0), width=1.2, height=1.2)
     assert mirror_element_gain(ap, elem, ue) == 0.0
-    assert mirror_element_gain(ap, elem, ue, check_footprint=False) > 0.0
+    assert mirror_element_gain(ap, wide, ue) > 0.0
 
 
 def test_element_gain_fov_cutoff():
@@ -134,7 +134,7 @@ def test_ma_singleton_matches_steered_element():
     ap, ue, want = _symmetric_cascade(0.95)
     c = vec3(0, 0, 0)
     elem = MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
-    arr = MirrorArray("x0", vec3(1, 0, 0), 1, [elem])
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, c[None, :], elem.reflectivity)
     assert ma_gain(ap, arr, ue) == pytest.approx(mirror_element_gain(ap, elem, ue), rel=1e-12)
     assert ma_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
 
@@ -146,7 +146,7 @@ def test_ma_matches_per_element_hand_sum():
                vec3(0, 2.45, 1.53), vec3(0, 2.55, 1.53)]
     elems = [MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
              for c in centers]
-    arr = MirrorArray("x0", vec3(1, 0, 0), 2, elems)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 2, np.array(centers), elems[0].reflectivity)
     want = math.fsum(mirror_element_gain(ap, e, ue) for e in elems)
     assert want > 0.0
     assert ma_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
@@ -154,7 +154,7 @@ def test_ma_matches_per_element_hand_sum():
 
 def test_ma_channel_vector_reports_leg_lengths():
     ap, ue, _ = _symmetric_cascade(0.95)
-    arr = MirrorArray("x0", vec3(1, 0, 0), 1, [MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0))])
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.95)
     vec = ma_channel_vector(ap, arr, ue)
     assert vec.ap_distances[0] == pytest.approx(2.0, rel=1e-12)
     assert vec.ue_distances[0] == pytest.approx(2.0, rel=1e-12)
@@ -164,8 +164,8 @@ def test_ma_channel_vector_reports_leg_lengths():
 def test_precomputed_source_leg_gives_identical_vectors():
     # a scene's bank holds every array's source legs; each array's slice of it
     # equals the vector of that array computed on its own
-    scene = default_scene(n_per_side=8, irs="mirror")
-    msa = default_scene(n_per_side=8, irs="metasurface")
+    scene = make_scene(n_per_side=8, irs_type="mirror")
+    msa = make_scene(n_per_side=8, irs_type="metasurface")
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
     lit = 0
@@ -201,7 +201,7 @@ def _random_poses(r, count, max_wall_gap=None):
 
 
 def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
-    scene = default_scene(n_per_side=50)
+    scene = make_scene(n_per_side=50)
     bank = ReflectorBank(scene.aps, scene.mirror_arrays)
     # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
     r = rng(2_026)
@@ -228,7 +228,7 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
     ue = PhotoDetector(vec3(1.0, 2.5, 0.5), vec3(0, 0, 1))
     # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
-    arr = MirrorArray("x0", vec3(1, 0, 0), 1, centers=centers)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, centers, 0.95)
     bank = ReflectorBank((ap,), (arr,))
     gains, d2 = bank.cascade(ue)
     assert not bank._antipodes_impossible(ue.position, float(d2.max()))
@@ -244,8 +244,8 @@ def _mixed_scene(n_per_side):
     room = Room(5.0, 5.0, 3.0)
     aps = (Luminaire(vec3(2.5, 2.5, 3.0), vec3(0, 0, -1), 1.0),
            Luminaire(vec3(1.2, 3.6, 2.9), vec3(0.2, -0.1, -1.0), 2.0))
-    return Scene(room, aps, build_mirror_arrays(room, n_per_side, 0.9),
-                 build_metasurface_arrays(room, n_per_side, 0.7),
+    return Scene(room, aps, build_arrays(room, n_per_side, 0.9),
+                 build_arrays(room, n_per_side, 0.7),
                  BlockerModel(0.0), OrientationModel())
 
 
@@ -293,7 +293,7 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
     assert dropped > 0 and kept > 0
 
 
-@pytest.mark.parametrize("scene", [default_scene(n_per_side=50), _mixed_scene(5)],
+@pytest.mark.parametrize("scene", [make_scene(n_per_side=50), _mixed_scene(5)],
                          ids=["stock", "mixed"])
 def test_bank_total_within_the_summation_bound(scene):
     # all terms are >= 0, so a sum in any order is within (N-1) 2^-53 of exact
@@ -304,7 +304,7 @@ def test_bank_total_within_the_summation_bound(scene):
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():
-    scene = default_scene(n_per_side=6)
+    scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
     by_wall = {arr.wall: ma_gain(ap, arr, ue) for arr in scene.mirror_arrays}
@@ -315,7 +315,7 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
 
 
 def test_ma_blockage_monotone():
-    scene = default_scene(n_per_side=6)
+    scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
     arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
@@ -331,95 +331,30 @@ def test_ma_blockage_monotone():
 
 def test_msa_singleton_value():
     ap, ue, want = _symmetric_cascade(0.8)
-    patch = MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), 0.006, 0.8)
-    arr = MetasurfaceArray("x0", vec3(1, 0, 0), 1, [patch])
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
     assert msa_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
 
 
 def test_msa_zero_efficiency_kills_gain():
     ap, ue, _ = _symmetric_cascade(0.0)
-    patch = MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), 0.006, 0.0)
-    arr = MetasurfaceArray("x0", vec3(1, 0, 0), 1, [patch])
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.0)
     assert msa_gain(ap, arr, ue) == 0.0
 
 
 def test_msa_back_side_detector_sees_nothing():
     ap, _, _ = _symmetric_cascade(0.8)
-    patch = MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), 0.006, 0.8)
-    arr = MetasurfaceArray("x0", vec3(1, 0, 0), 1, [patch])
+    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
     behind = PhotoDetector(vec3(-1.0, 0.5, 0.0), vec3(1, 0, 0))
     assert msa_gain(ap, arr, behind) == 0.0
 
 
 def test_msa_scales_like_ma_with_efficiency_ratio():
     # same cell layout and distances, so totals differ only by the per-cell factor
-    mirror = default_scene(n_per_side=6, irs="mirror")
-    msa = default_scene(n_per_side=6, irs="metasurface")
+    mirror = make_scene(n_per_side=6, irs_type="mirror")
+    msa = make_scene(n_per_side=6, irs_type="metasurface")
     ap = mirror.aps[0]
     ue = PhotoDetector(vec3(3.1, 1.7, 1.0), vec3(0.2, -0.1, 0.95))
     g_ma = math.fsum(ma_gain(ap, a, ue) for a in mirror.mirror_arrays)
     g_msa = math.fsum(msa_gain(ap, a, ue) for a in msa.metasurface_arrays)
     assert 0.0 < g_msa < g_ma
     assert g_msa == pytest.approx(g_ma * 0.8 / 0.95, rel=1e-12)
-
-
-# -- multi-user element assignment ----------------------------------------------
-
-
-def _two_ue_setup():
-    scene = default_scene(n_per_side=4)
-    ap = scene.aps[0]
-    near = PhotoDetector(vec3(1.0, 2.5, 1.0), vec3(0, 0, 1))
-    far = PhotoDetector(vec3(4.0, 2.5, 1.3), vec3(0, 0, 1))
-    return ap, scene.mirror_arrays, (near, far)
-
-
-def test_assign_single_detector_gets_everything():
-    ap, arrays, (ue, _) = _two_ue_setup()
-    out = assign_mirrors_multi_ue(ap, arrays, [ue])
-    assert np.all(out.element_ue == 0)
-    want = math.fsum(ma_gain(ap, a, ue) for a in arrays)
-    assert out.per_ue_gains[0] == pytest.approx(want, rel=1e-12)
-
-
-def test_assign_max_sum_matches_exhaustive_search():
-    ap, _, ues = _two_ue_setup()
-    centers = [vec3(0, 2.35, 1.44), vec3(0, 2.65, 1.44),
-               vec3(0, 2.35, 1.56), vec3(0, 2.65, 1.56)]
-    arr = MirrorArray("x0", vec3(1, 0, 0), 2,
-                      [MirrorElement(c, vec3(1, 0, 0)) for c in centers])
-    gains = np.stack([ma_channel_vector(ap, arr, ue).element_gains for ue in ues], axis=1)
-    best = max(
-        sum(gains[e, (code >> e) & 1] for e in range(4))
-        for code in range(16))
-    out = assign_mirrors_multi_ue(ap, [arr], ues, objective="max_sum")
-    assert sum(out.per_ue_gains) == pytest.approx(best, rel=1e-12)
-
-
-def test_assign_max_min_serves_the_weak_detector():
-    ap, arrays, ues = _two_ue_setup()
-    greedy = assign_mirrors_multi_ue(ap, arrays, ues, objective="max_sum")
-    fair = assign_mirrors_multi_ue(ap, arrays, ues, objective="max_min")
-    assert min(fair.per_ue_gains) >= min(greedy.per_ue_gains)
-    assert min(fair.per_ue_gains) > 0.0
-    assert np.all(fair.element_ue >= 0)
-
-
-def test_assign_partition_accounts_for_every_element():
-    ap, arrays, ues = _two_ue_setup()
-    out = assign_mirrors_multi_ue(ap, arrays, ues, objective="max_min")
-    gains = np.stack(
-        [np.concatenate([ma_channel_vector(ap, a, ue).element_gains for a in arrays])
-         for ue in ues], axis=1)
-    for u in range(len(ues)):
-        want = math.fsum(gains[out.element_ue == u, u].tolist())
-        assert out.per_ue_gains[u] == pytest.approx(want, rel=1e-12)
-    assert len(out.element_ue) == sum(len(a) for a in arrays)
-
-
-def test_assign_validation():
-    ap, arrays, ues = _two_ue_setup()
-    with pytest.raises(ValueError):
-        assign_mirrors_multi_ue(ap, arrays, [])
-    with pytest.raises(ValueError):
-        assign_mirrors_multi_ue(ap, arrays, ues, objective="fairest")

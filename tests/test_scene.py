@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc.irs import MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfacePatch, MirrorElement
+from irsvlc.config import ConfigError, RunConfig, validate
+from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
 from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene, _grid_centers,
-                          build_metasurface_arrays, build_mirror_arrays, default_scene,
-                          sample_blocker_field, sample_blockers, sample_tilt_deg,
-                          sample_ue)
+                          build_arrays, sample_blocker_field, sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
-from conftest import rng
+from conftest import make_scene, rng
 
 
 def test_room_validation():
@@ -36,7 +35,7 @@ def test_room_walls_are_four_inward_frames():
 
 
 def test_default_scene_structure():
-    scene = default_scene(n_per_side=50)
+    scene = make_scene(n_per_side=50)
     assert len(scene.mirror_arrays) == 4
     for arr in scene.mirror_arrays:
         assert len(arr) == 2500
@@ -45,7 +44,7 @@ def test_default_scene_structure():
 
 
 def test_default_scene_n50_spans_full_wall():
-    arr = default_scene(n_per_side=50).mirror_arrays[0]
+    arr = make_scene(n_per_side=50).mirror_arrays[0]
     centers = arr.centers
     # horizontal span: 50 cells of 0.1 m on a 5 m wall, flush at both ends
     horiz = centers[:, 1]
@@ -58,7 +57,7 @@ def test_default_scene_n50_spans_full_wall():
 
 
 def test_default_scene_n1_single_mirrors_at_wall_centers():
-    scene = default_scene(n_per_side=1)
+    scene = make_scene(n_per_side=1)
     assert [len(a) for a in scene.mirror_arrays] == [1, 1, 1, 1]
     centers = sorted(tuple(np.round(a.centers[0], 9)) for a in scene.mirror_arrays)
     assert centers == [(0.0, 2.5, 1.5), (2.5, 0.0, 1.5), (2.5, 5.0, 1.5),
@@ -67,16 +66,17 @@ def test_default_scene_n1_single_mirrors_at_wall_centers():
 
 def test_default_scene_n51_does_not_fit():
     with pytest.raises(ValueError):
-        default_scene(n_per_side=51)
+        make_scene(n_per_side=51)
 
 
 def test_default_scene_unknown_irs_type():
-    with pytest.raises(ValueError):
-        default_scene(n_per_side=1, irs="prisms")
+    with pytest.raises(ConfigError) as exc:
+        validate(RunConfig(irs_type="prisms"))
+    assert "[irs] type" in "\n".join(exc.value.errors)
 
 
 def test_grid_pitch_equals_element_size():
-    arr = build_mirror_arrays(Room(5.0, 5.0, 3.0), 10)[0]
+    arr = build_arrays(Room(5.0, 5.0, 3.0), 10, DEFAULT_MIRROR_REFLECTIVITY)[0]
     c = arr.centers.reshape(10, 10, 3)
     np.testing.assert_allclose(c[0, 1] - c[0, 0], [0.0, 0.1, 0.0], atol=1e-12)
     np.testing.assert_allclose(c[1, 0] - c[0, 0], [0.0, 0.0, 0.06], atol=1e-12)
@@ -106,52 +106,29 @@ def test_grid_centers_match_per_cell_loop(dims, n):
         assert got.tobytes() == _loop_grid_centers(*args).tobytes()
 
 
-def test_lazy_cells_match_eagerly_built_ones():
-    room = Room(5.0, 5.0, 3.0)
-    n = 7
-    mirrors = build_mirror_arrays(room, n, reflectivity=0.9)
-    msas = build_metasurface_arrays(room, n, efficiency=0.7)
-    for wall, mirror, msa in zip(room.walls(), mirrors, msas):
-        _label, origin, u_dir, v_dir, u_len, v_len, normal = wall
-        centers = _loop_grid_centers(origin, u_dir, v_dir, u_len, v_len, n,
-                                     MIRROR_WIDTH, MIRROR_HEIGHT)
-        eager_m = [MirrorElement(c, normal, reflectivity=0.9) for c in centers]
-        eager_p = [MetasurfacePatch(c, normal, MIRROR_WIDTH * MIRROR_HEIGHT, 0.7)
-                   for c in centers]
-        assert len(mirror) == len(msa) == n * n
-        assert mirror._cells is None and msa._cells is None  # nothing built yet
-        for got, want in zip(mirror.elements, eager_m, strict=True):
-            assert got.center.tobytes() == want.center.tobytes()
-            assert got.normal.tobytes() == want.normal.tobytes()
-            assert (got.width, got.height, got.reflectivity) == \
-                (want.width, want.height, want.reflectivity)
-        for got, want in zip(msa.patches, eager_p, strict=True):
-            assert got.center.tobytes() == want.center.tobytes()
-            assert got.normal.tobytes() == want.normal.tobytes()
-            assert (got.area, got.efficiency) == (want.area, want.efficiency)
-        assert mirror.elements is mirror.elements  # built once
-
-
 def test_array_parameters_are_validated_without_cells():
     with pytest.raises(ValueError):
-        build_mirror_arrays(Room(5.0, 5.0, 3.0), 2, reflectivity=1.2)
+        build_arrays(Room(5.0, 5.0, 3.0), 2, 1.2)
     with pytest.raises(ValueError):
-        build_metasurface_arrays(Room(5.0, 5.0, 3.0), 2, efficiency=-0.1)
+        build_arrays(Room(5.0, 5.0, 3.0), 2, -0.1)
 
 
 def test_metasurface_scene_patch_area():
-    scene = default_scene(n_per_side=3, irs="metasurface")
+    # metasurface cells tile the wall at the mirror pitch: 0.1 m x 0.06 m
+    scene = make_scene(n_per_side=3, irs_type="metasurface")
     assert len(scene.metasurface_arrays) == 4
     for arr in scene.metasurface_arrays:
-        for p in arr.patches:
-            assert p.area == pytest.approx(0.006, rel=1e-12)
+        c = arr.centers.reshape(3, 3, 3)
+        width = float(np.linalg.norm(c[0, 1] - c[0, 0]))
+        height = float(np.linalg.norm(c[1, 0] - c[0, 0]))
+        assert width * height == pytest.approx(0.006, rel=1e-12)
 
 
 def test_scene_validation():
     with pytest.raises(ValueError):
-        default_scene(n_per_side=1, ue_height=3.5)
+        make_scene(n_per_side=1, ue_height=3.5)
     with pytest.raises(ValueError):
-        default_scene(n_per_side=1, wall_reflectivity=1.2)
+        make_scene(n_per_side=1, wall_reflectivity=1.2)
 
 
 def test_orientation_model_validation():
@@ -162,7 +139,7 @@ def test_orientation_model_validation():
 
 
 def test_sample_ue_support():
-    scene = default_scene(n_per_side=1)
+    scene = make_scene(n_per_side=1)
     r = rng(3)
     for _ in range(500):
         ue = sample_ue(r, scene)
@@ -174,7 +151,7 @@ def test_sample_ue_support():
 
 
 def test_sample_ue_deterministic_per_stream():
-    scene = default_scene(n_per_side=1)
+    scene = make_scene(n_per_side=1)
     a = sample_ue(trial_rng(99, 5), scene)
     b = sample_ue(trial_rng(99, 5), scene)
     assert a.position.tolist() == b.position.tolist()
@@ -190,22 +167,28 @@ def test_tilt_mean_matches_configuration():
 
 
 def test_tilt_degenerate_distribution_faces_up():
-    scene = default_scene(n_per_side=1, orientation=OrientationModel(0.0, 1e-9))
+    scene = make_scene(n_per_side=1, theta_mean_deg=0.0, theta_std_deg=1e-9)
     ue = sample_ue(rng(1), scene)
     np.testing.assert_allclose(ue.normal, [0.0, 0.0, 1.0], atol=1e-6)
 
 
+def _blocker_count(r, scene):
+    field = sample_blocker_field(r, scene.room, scene.blocker_model)
+    return 0 if field is None else len(field)
+
+
 def test_sample_blockers_empty_at_zero_density():
-    scene = default_scene(n_per_side=1, blocker_density=0.0)
-    assert sample_blockers(rng(2), scene) == ()
+    scene = make_scene(0.0, n_per_side=1)
+    assert sample_blocker_field(rng(2), scene.room, scene.blocker_model) is None
 
 
 def test_sample_blockers_shape_and_support():
-    scene = default_scene(n_per_side=1, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=1)
     r = rng(5)
     seen = 0
     while seen < 200:
-        for box in sample_blockers(r, scene):
+        field = sample_blocker_field(r, scene.room, scene.blocker_model)
+        for box in () if field is None else field.boxes():
             assert box.half_extents == (BLOCKER_DIMS[0] / 2, BLOCKER_DIMS[1] / 2,
                                         BLOCKER_DIMS[2] / 2)
             assert box.center[2] == BLOCKER_DIMS[2] / 2  # base on the floor
@@ -214,27 +197,28 @@ def test_sample_blockers_shape_and_support():
 
 
 def test_sample_blockers_count_mean():
-    scene = default_scene(n_per_side=1, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=1)
     r = rng(29)
-    counts = [len(sample_blockers(r, scene)) for _ in range(2000)]
+    counts = [_blocker_count(r, scene) for _ in range(2000)]
     # Poisson(25): 3 sigma over 2000 draws
     assert abs(np.mean(counts) - 25.0) < 3 * math.sqrt(25.0 / 2000)
 
 
 def test_sample_blockers_match_the_field_draws():
-    scene = default_scene(n_per_side=1, blocker_density=1.0)
+    # the per-box view of a field holds exactly the field's draws
+    scene = make_scene(1.0, n_per_side=1)
     field = sample_blocker_field(rng(6), scene.room, scene.blocker_model)
-    boxes = sample_blockers(rng(6), scene)
+    boxes = field.boxes()
     assert len(boxes) == len(field) > 0
     for k, box in enumerate(boxes):
         assert box.center.tolist() == field.center[k].tolist()
         assert box.yaw == field.yaw[k] and box.half_extents == field.half_extents
-    empty = default_scene(n_per_side=1, blocker_density=0.0)
+    empty = make_scene(0.0, n_per_side=1)
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
 def test_scene_is_immutable():
-    scene = default_scene(n_per_side=1)
+    scene = make_scene(n_per_side=1)
     with pytest.raises(AttributeError):
         scene.ue_height = 2.0
     assert isinstance(scene, Scene)

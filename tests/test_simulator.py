@@ -8,8 +8,10 @@ import pytest
 from irsvlc import (ReflectorBank, RequiredSnr, Scenario, SnrGrid, TrialGains, nlos_gain,
                     q_function, required_snr, run_trials, ser_curve, trial_rng,
                     wall_patches)
-from irsvlc.scene import OrientationModel, default_scene, sample_ue
+from irsvlc.scene import sample_ue
 from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
+
+from conftest import make_scene
 
 
 def flat_gains(n, h):
@@ -26,7 +28,7 @@ def test_trial_rng_reproducible_and_decorrelated():
 
 
 def test_run_trials_deterministic():
-    scene = default_scene(n_per_side=4, blocker_density=0.5)
+    scene = make_scene(0.5, n_per_side=4)
     a = run_trials(scene, 20, seed=3)
     b = run_trials(scene, 20, seed=3)
     assert [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in a] == \
@@ -36,7 +38,7 @@ def test_run_trials_deterministic():
 
 
 def test_run_trials_validation():
-    scene = default_scene(n_per_side=4)
+    scene = make_scene(n_per_side=4)
     with pytest.raises(ValueError):
         run_trials(scene, 0, seed=1)
     with pytest.raises(ValueError):
@@ -44,7 +46,7 @@ def test_run_trials_validation():
 
 
 def test_run_trials_threads_match_serial():
-    scene = default_scene(n_per_side=4, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=4)
     serial = run_trials(scene, 24, seed=7)
     parallel = run_trials(scene, 24, seed=7, threads=2)
     assert [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in serial] == \
@@ -61,16 +63,16 @@ def test_shared_ensemble_matches_per_density_runs(irs, threads):
     # one pass over the poses must give every density exactly the gains of a
     # run on that density's own scene
     densities = (0.0, 0.5, 2.0)
-    scene = default_scene(n_per_side=4, irs=irs, blocker_density=0.5)
+    scene = make_scene(0.5, n_per_side=4, irs_type=irs)
     shared = run_trials(scene, 24, seed=17, threads=threads, densities=densities)
     assert list(shared) == list(densities)
     for d in densities:
-        own = run_trials(default_scene(n_per_side=4, irs=irs, blocker_density=d), 24, seed=17)
+        own = run_trials(make_scene(d, n_per_side=4, irs_type=irs), 24, seed=17)
         assert _as_tuples(shared[d]) == _as_tuples(own)
 
 
 def test_shared_ensemble_sees_blockage():
-    scene = default_scene(n_per_side=4, irs="none")
+    scene = make_scene(n_per_side=4, irs_type="none")
     out = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
     assert [t.h_nlos for t in out[0.0]] == [t.h_nlos for t in out[4.0]]
     assert sum(t.h_los == 0.0 for t in out[4.0]) > sum(t.h_los == 0.0 for t in out[0.0])
@@ -79,7 +81,7 @@ def test_shared_ensemble_sees_blockage():
 
 
 def test_compute_trial_one_row_per_density():
-    scene = default_scene(n_per_side=4)
+    scene = make_scene(n_per_side=4)
     ens = Ensemble.build(scene, 3, (0.0, 1.0))
     row = compute_trial(ens, trial_index=2)
     assert [t.index for t in row] == [2, 2]
@@ -88,7 +90,7 @@ def test_compute_trial_one_row_per_density():
 
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
-    scene = default_scene(irs="none", blocker_density=0.5)
+    scene = make_scene(0.5, irs_type="none")
     ens = Ensemble.build(scene, 3, (0.0, 0.5))
     assert len(ens.bank) == 0
 
@@ -102,7 +104,7 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
 
 
 def test_trial_components_nonnegative_and_indexed():
-    scene = default_scene(n_per_side=4, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=4)
     out = run_trials(scene, 30, seed=11)
     assert [t.index for t in out] == list(range(30))
     for t in out:
@@ -112,8 +114,8 @@ def test_trial_components_nonnegative_and_indexed():
 def test_upright_receiver_with_wide_fov_always_sees_the_source():
     # tilt pinned near zero and a 90 degree FOV: the ceiling source is visible
     # from every floor position, so no trial loses the direct path
-    scene = default_scene(n_per_side=4, irs="none", fov_deg=90.0,
-                          orientation=OrientationModel(0.0, 0.01))
+    scene = make_scene(n_per_side=4, irs_type="none", fov_deg=90.0,
+                       theta_mean_deg=0.0, theta_std_deg=0.01)
     out = run_trials(scene, 50, seed=2)
     assert all(t.h_los > 0.0 for t in out)
     assert all(t.h_irs == 0.0 for t in out)
@@ -121,7 +123,7 @@ def test_upright_receiver_with_wide_fov_always_sees_the_source():
 
 def test_trial_nlos_matches_direct_evaluation():
     # the precomputed diffuse field must reproduce the reference gain exactly
-    scene = default_scene(n_per_side=4)
+    scene = make_scene(n_per_side=4)
     patches = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
     out = run_trials(scene, 5, seed=9)
     for t in out:
@@ -264,7 +266,7 @@ def test_required_snr_target_validation():
 
 
 def test_per_trial_scenario_ordering_transfers_to_ser():
-    scene = default_scene(n_per_side=4, blocker_density=1.0)
+    scene = make_scene(1.0, n_per_side=4)
     out = run_trials(scene, 40, seed=13)
     ms = float(np.mean([Scenario.LOS_NLOS_IRS.effective_gain(t) ** 2 for t in out]))
     curves = {s: ser_curve(out, s, mean_square_gain=ms) for s in Scenario}
