@@ -135,23 +135,27 @@ def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
 
 def _patch_to_ue(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
                  blockers: Sequence[OrientedBox]) -> float:
-    """Detector power from diffusely re-emitted patch powers; compensated sum."""
+    """Detector power from diffusely re-emitted patch powers; compensated sum.
+
+    Only the patches that face the detector, lie in its field of view and
+    carry power are evaluated and summed: the sum is exact, so the zero
+    terms of the other patches cannot change it.
+    """
     u = ue.position - ps.centers
     d2_sq = np.einsum("ij,ij->i", u, u)
     d2 = np.sqrt(d2_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_out = np.einsum("ij,ij->i", u, ps.normals) / d2
         cos_psi = -(u @ ue.normal) / d2
-        # capture fraction of the re-emitted power; capped at 1 so a detector
-        # almost touching a patch cannot receive more than the patch reflected
-        capture = np.minimum(ue.area * cos_out * cos_psi / (math.pi * d2_sq), 1.0)
-    ok = (cos_out > 0.0) & (cos_psi > 0.0) & (cos_psi >= math.cos(ue.fov)) & (power > 0.0)
-    contrib = np.where(ok & np.isfinite(capture), ps.reflectivity * power * capture, 0.0)
-    idx = np.flatnonzero(contrib > 0.0)
-    if blockers and idx.size:
-        ends = np.broadcast_to(ue.position, (idx.size, 3))
-        blocked = shadowed_mask(ps.centers[idx], ends, blockers)
-        contrib[idx[blocked]] = 0.0
+    # the FOV is at most 90 degrees, so this also requires cos_psi > 0
+    live = np.flatnonzero((cos_out > 0.0) & (cos_psi >= math.cos(ue.fov)) & (power > 0.0))
+    # capture fraction of the re-emitted power; capped at 1 so a detector
+    # almost touching a patch cannot receive more than the patch reflected
+    capture = np.minimum(ue.area * cos_out[live] * cos_psi[live] / (math.pi * d2_sq[live]), 1.0)
+    contrib = ps.reflectivity[live] * power[live] * capture
+    if blockers and live.size:
+        ends = np.broadcast_to(ue.position, (live.size, 3))
+        contrib[shadowed_mask(ps.centers[live], ends, blockers)] = 0.0
     return math.fsum(contrib.tolist())
 
 

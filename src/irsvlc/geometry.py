@@ -73,6 +73,7 @@ class OrientedBox:
     yaw: float
     _cos_yaw: float = field(init=False, repr=False)
     _sin_yaw: float = field(init=False, repr=False)
+    _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(h <= 0 for h in self.half_extents):
@@ -82,6 +83,7 @@ class OrientedBox:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "_cos_yaw", math.cos(self.yaw))
         object.__setattr__(self, "_sin_yaw", math.sin(self.yaw))
+        object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
 
     def to_local(self, p: Vec3) -> Vec3:
         """World point -> box-local coordinates (rotate by -yaw about center)."""
@@ -108,11 +110,14 @@ class OrientedBoxes:
     yaw: np.ndarray
     _cos_yaw: np.ndarray = field(init=False, repr=False)
     _sin_yaw: np.ndarray = field(init=False, repr=False)
+    _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.yaw)
-        object.__setattr__(self, "_cos_yaw", np.fromiter(map(math.cos, self.yaw), float, n))
-        object.__setattr__(self, "_sin_yaw", np.fromiter(map(math.sin, self.yaw), float, n))
+        yaws = np.asarray(self.yaw, dtype=float).tolist()
+        n = len(yaws)
+        object.__setattr__(self, "_cos_yaw", np.fromiter(map(math.cos, yaws), float, n))
+        object.__setattr__(self, "_sin_yaw", np.fromiter(map(math.sin, yaws), float, n))
+        object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
 
     def __len__(self) -> int:
         return len(self.yaw)
@@ -123,47 +128,41 @@ class OrientedBoxes:
 
     def contains_interior(self, p: Vec3) -> np.ndarray:
         """(n,) mask of the boxes whose interior holds the point p."""
-        d = p - self.center
-        c, s = self._cos_yaw, self._sin_yaw
-        hx, hy, hz = self.half_extents
-        return ((np.abs(c * d[:, 0] + s * d[:, 1]) < hx)
-                & (np.abs(-s * d[:, 0] + c * d[:, 1]) < hy) & (np.abs(d[:, 2]) < hz))
+        return (np.abs(_box_frame(self, p)) < self._half).all(axis=0)
+
+
+def _box_frame(box: OrientedBox | OrientedBoxes, points: np.ndarray) -> np.ndarray:
+    """Box-local coordinates of points (..., 3), axis first: shape (3, ...).
+
+    The rotation by -yaw about the center is written out per axis, the same
+    floating-point operations as OrientedBox.to_local.
+    """
+    d = points - box.center
+    dx, dy = d[..., 0], d[..., 1]
+    c, s = box._cos_yaw, box._sin_yaw
+    return np.array((c * dx + s * dy, -s * dx + c * dy, d[..., 2]))
 
 
 def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
                            box: OrientedBox | OrientedBoxes) -> np.ndarray:
     """True where the open segment start->end passes through the box interior.
 
-    Slab test in the box-local frame, over (n, 3) start/end point arrays.
-    Tangent contact (touching a face, edge or corner without entering) and
-    endpoints lying exactly on the surface do not count as intersections.
-    The box parameters broadcast against the segments, so (1, 3) endpoints
-    and an OrientedBoxes of n boxes test one segment against every box.
+    Slab test in the box-local frame, over (n, 3) start/end point arrays of
+    equal shape, all three axes at once. Tangent contact (touching a face,
+    edge or corner without entering) and endpoints lying exactly on the
+    surface do not count as intersections. The box parameters broadcast
+    against the segments, so (1, 3) endpoints and an OrientedBoxes of n boxes
+    test one segment against every box.
     """
-    c, s = box._cos_yaw, box._sin_yaw
-    hx, hy, hz = box.half_extents
-    da = starts - box.center
-    db = ends - box.center
-    ax = c * da[:, 0] + s * da[:, 1]
-    ay = -s * da[:, 0] + c * da[:, 1]
-    az = da[:, 2]
-    bx = c * db[:, 0] + s * db[:, 1]
-    by = -s * db[:, 0] + c * db[:, 1]
-    bz = db[:, 2]
-
-    t_lo = np.zeros(ax.shape)
-    t_hi = np.ones(ax.shape)
-    alive = np.ones(ax.shape, dtype=bool)
+    local = _box_frame(box, np.array((starts, ends)))
+    a, b = local[:, 0], local[:, 1]
+    h = box._half
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a_i, b_i, h in ((ax, bx, hx), (ay, by, hy), (az, bz, hz)):
-            d_i = b_i - a_i
-            par = d_i == 0.0
-            # parallel segments survive only while strictly inside the slab
-            alive &= ~(par & (np.abs(a_i) >= h))
-            t1 = (-h - a_i) / d_i
-            t2 = (h - a_i) / d_i
-            take = alive & ~par
-            np.maximum(t_lo, np.minimum(t1, t2), out=t_lo, where=take)
-            np.minimum(t_hi, np.maximum(t1, t2), out=t_hi, where=take)
-            alive &= t_lo < t_hi
-    return alive
+        step = b - a
+        t1 = (-h - a) / step
+        t2 = (h - a) / step
+    # a segment parallel to a slab gets (-inf, inf) strictly inside it, and
+    # an empty or NaN interval (which compares false) on or outside it
+    enter = np.minimum(t1, t2).max(axis=0)
+    leave = np.maximum(t1, t2).min(axis=0)
+    return np.maximum(enter, 0.0) < np.minimum(leave, 1.0)

@@ -52,16 +52,17 @@ class MirrorElement:
 
 @dataclass(frozen=True)
 class MetasurfacePatch:
-    """One metasurface cell; the mounting normal stays fixed on the wall."""
+    """One metasurface cell; the mounting normal stays fixed on the wall.
+
+    The steered gain scales with the detector area, not the cell's, so the
+    cell carries no size.
+    """
 
     center: Vec3
     normal: Vec3
-    area: float
     efficiency: float = DEFAULT_MSA_EFFICIENCY
 
     def __post_init__(self) -> None:
-        if self.area <= 0:
-            raise ValueError("patch area must be positive")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"steering efficiency {self.efficiency} outside [0, 1]")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))

@@ -15,8 +15,7 @@ import numpy as np
 
 from .channel import shadowed
 from .geometry import OrientedBox, Vec3, normalize
-from .irs import (MIRROR_HEIGHT, MIRROR_WIDTH, MetasurfacePatch, MirrorElement,
-                  mirror_element_gain, optimal_mirror_normal)
+from .irs import MetasurfacePatch, MirrorElement, mirror_element_gain, optimal_mirror_normal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector, Scene
@@ -217,7 +216,6 @@ def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
     """
     gains = [_steered_mirror_gain(ap, c, arr.scale, ue)
              for ap in scene.aps for arr in scene.mirror_arrays for c in arr.centers]
-    gains += [_patch_gain(ap, MetasurfacePatch(c, arr.normal, MIRROR_WIDTH * MIRROR_HEIGHT,
-                                               arr.scale), ue)
+    gains += [_patch_gain(ap, MetasurfacePatch(c, arr.normal, arr.scale), ue)
               for ap in scene.aps for arr in scene.metasurface_arrays for c in arr.centers]
     return np.array(gains, dtype=float)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -210,21 +211,49 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
                          area=scene.pd_area, fov=scene.pd_fov)
 
 
+def _blocker_draws(rng: np.random.Generator, room: Room,
+                   model: BlockerModel) -> tuple[np.ndarray, ...]:
+    """x, y and yaw of one Poisson field, drawn in the fixed order (count, x, y, yaw)."""
+    lam = model.density * room.length * room.width
+    count = 0 if lam == 0.0 else int(rng.poisson(lam))
+    if count == 0:
+        return (np.empty(0),) * 3
+    return (rng.uniform(0.0, room.length, count), rng.uniform(0.0, room.width, count),
+            rng.uniform(0.0, math.pi, count))
+
+
 def sample_blocker_field(rng: np.random.Generator, room: Room,
                          model: BlockerModel) -> OrientedBoxes | None:
     """Poisson-count upright blockers, centers uniform on the floor, yaw in [0, pi).
 
     Draw order is fixed (count, x, y, yaw); None when no blocker is drawn.
     """
-    lam = model.density * room.length * room.width
-    if lam == 0.0:
-        return None
-    count = int(rng.poisson(lam))
-    if count == 0:
-        return None
-    xs = rng.uniform(0.0, room.length, count)
-    ys = rng.uniform(0.0, room.width, count)
-    yaws = rng.uniform(0.0, math.pi, count)
-    dx, dy, dz = model.dims
-    centers = np.column_stack((xs, ys, np.full(count, dz / 2.0)))
-    return OrientedBoxes(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws)
+    return sample_blocker_fields(rng, room, (model,))[0]
+
+
+def sample_blocker_fields(rng: np.random.Generator, room: Room, models: Sequence[BlockerModel]
+                          ) -> tuple[OrientedBoxes | None, list[int]]:
+    """The fields of several models, each drawn from the stream's current state, as one box set.
+
+    Each model gets exactly the boxes sample_blocker_field would draw from
+    that state: the stream is reset to it before every model after the first.
+    Model k's boxes are rows offsets[k]:offsets[k + 1]; the box set is None
+    when no model draws a blocker. The models must share one blocker size.
+    """
+    if any(m.dims != models[0].dims for m in models):
+        raise ValueError("the blocker models must share one set of dimensions")
+    start = rng.bit_generator.state if len(models) > 1 else None
+    draws: list[tuple[np.ndarray, ...]] = []
+    offsets = [0]
+    for model in models:
+        if draws:
+            rng.bit_generator.state = start
+        draws.append(_blocker_draws(rng, room, model))
+        offsets.append(offsets[-1] + len(draws[-1][0]))
+    if offsets[-1] == 0:
+        return None, offsets
+    xs, ys, yaws = (np.concatenate(axis) for axis in zip(*draws))
+    dx, dy, dz = models[0].dims
+    centers = np.empty((offsets[-1], 3))
+    centers[:, 0], centers[:, 1], centers[:, 2] = xs, ys, dz / 2.0
+    return OrientedBoxes(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws), offsets

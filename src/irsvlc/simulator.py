@@ -25,9 +25,9 @@ from scipy.special import erfc
 
 from .channel import (DEFAULT_PATCH_SIZE, PatchSet, diffuse_capture, los_gain,
                       patch_incident_power, wall_patches)
-from .geometry import OrientedBoxes, segments_intersect_box
+from .geometry import segments_intersect_box
 from .irs import ReflectorBank
-from .scene import BlockerModel, Luminaire, PhotoDetector, Scene, sample_blocker_field, sample_ue
+from .scene import BlockerModel, Scene, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
@@ -142,31 +142,16 @@ class Ensemble:
             tuple(replace(scene.blocker_model, density=d) for d in densities))
 
 
-def _direct_gain(aps: Sequence[Luminaire], unblocked: list[float], ue: PhotoDetector,
-                 field: OrientedBoxes | None) -> float:
-    """Sum of the unblocked direct gains whose sight line no blocker crosses."""
-    if field is None:
-        return math.fsum(unblocked)
-    # hard-core thinning: an object cannot occupy the receiver's location, and
-    # a box enclosing the receiver would zero every path regardless of steering
-    keep = ~field.contains_interior(ue.position)
-    end = ue.position[None, :]
-    gains = []
-    for ap, g in zip(aps, unblocked):
-        if g != 0.0 and (keep & segments_intersect_box(ap.position[None, :], end, field)).any():
-            g = 0.0
-        gains.append(g)
-    return math.fsum(gains)
-
-
 def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     """One receiver pose and its gains at every blocker density of the ensemble.
 
     The pose comes first in the trial's substream and the blockers follow;
     nothing else reads it. Replaying the stream from the state after the pose
     therefore gives each density exactly the blockers a run at that density
-    alone would draw. When no source reaches the detector unblocked, no
-    blocker can change the direct gain and the draws are skipped.
+    alone would draw. Every density's boxes go into one box set, so one
+    containment test and one slab test per lit source serve all densities.
+    When no source reaches the detector unblocked, no blocker can change the
+    direct gain and the draws are skipped.
     """
     scene = ens.scene
     rng = trial_rng(ens.seed, trial_index)
@@ -176,17 +161,24 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     # field and the steered cascade are treated as blockage-insensitive at
     # trial level (per-path occlusion stays available in channel/irs)
     h_irs = ens.bank.gain(ue)
-    unblocked = [los_gain(ap, ue) for ap in scene.aps]
-    if not any(unblocked):
+    lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
+    if not lit:
         return tuple(TrialGains(trial_index, 0.0, h_nlos, h_irs) for _ in ens.blocker_models)
-    after_pose = rng.bit_generator.state
-    out = []
-    for model in ens.blocker_models:
-        rng.bit_generator.state = after_pose
-        field = sample_blocker_field(rng, scene.room, model)
-        h_los = _direct_gain(scene.aps, unblocked, ue, field)
-        out.append(TrialGains(trial_index, h_los, h_nlos, h_irs))
-    return tuple(out)
+    boxes, offsets = sample_blocker_fields(rng, scene.room, ens.blocker_models)
+    # crossed[j, i]: boxes among the first i that cut lit source j's sight line
+    crossed = np.zeros((len(lit), offsets[-1] + 1), dtype=np.intp)
+    if boxes is not None:
+        # hard-core thinning: an object cannot occupy the receiver's location, and
+        # a box enclosing the receiver would zero every path regardless of steering
+        keep = ~boxes.contains_interior(ue.position)
+        end = ue.position[None, :]
+        for j, (ap, _) in enumerate(lit):
+            np.cumsum(keep & segments_intersect_box(ap.position[None, :], end, boxes),
+                      out=crossed[j, 1:])
+    at = crossed[:, offsets].tolist()
+    return tuple(TrialGains(trial_index,
+                            math.fsum(g for (_, g), c in zip(lit, at) if c[k] == c[k + 1]),
+                            h_nlos, h_irs) for k in range(len(offsets) - 1))
 
 
 def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from irsvlc.channel import shadowed
 from irsvlc.geometry import (OrientedBox, OrientedBoxes, normalize, segments_intersect_box,
                              unit_normal_from_polar, vec3)
 from irsvlc.oracles import _interior_interval
+from irsvlc.scene import BlockerModel, Room, sample_blocker_field
 
 from conftest import rng
 
@@ -151,17 +152,46 @@ def test_segment_box_yaw_equals_rotated_frame():
         checked += 1
 
 
+def _grazing_segments(box, r, n=200):
+    """Segments near a box: level with its top, ending on a face, parallel to a face.
+
+    The last kind runs at a fixed world x, which is a fixed box-local x only
+    for a box at yaw 0.
+    """
+    c = box.center
+    hx, hy, hz = box.half_extents
+    cos_y, sin_y = math.cos(box.yaw), math.sin(box.yaw)
+    starts, ends = c + r.uniform(-1.5, 1.5, (n, 3)), c + r.uniform(-1.5, 1.5, (n, 3))
+    k = n // 4
+    starts[:k, 2] = ends[:k, 2] = c[2] + hz
+    u, v = r.choice((-hx, hx), k), r.uniform(-hy, hy, k)
+    ends[k:2 * k] = c + np.column_stack((cos_y * u - sin_y * v, sin_y * u + cos_y * v,
+                                         r.uniform(-hz, hz, k)))
+    starts[2 * k:3 * k, 0] = ends[2 * k:3 * k, 0] = c[0] + r.choice((-1, -0.5, 0, 1), k) * hx
+    return starts, ends
+
+
+def _floor_fields(r):
+    """A sampled blocker field and the same boxes turned to yaw 0."""
+    field = sample_blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(1.0))
+    return field, OrientedBoxes(field.center, field.half_extents, np.zeros(len(field)))
+
+
 def test_segments_intersect_box_matches_scalar():
     # the oracles' scalar slab loop gives a positive interior interval exactly
-    # where the vectorized test reports a crossing
+    # where the vectorized test reports a crossing, also for floor-standing
+    # blockers and segments that graze their faces
     r = rng(43)
     box = OrientedBox(vec3(0.5, -0.25, 0.1), (0.8, 0.3, 1.1), 0.7)
     starts = r.uniform(-3, 3, (5000, 3))
     ends = r.uniform(-3, 3, (5000, 3))
-    got = segments_intersect_box(starts, ends, box)
-    assert 0 < got.sum() < len(got)
-    for k in range(len(starts)):
-        assert got[k] == (_interior_interval(starts[k], ends[k], box) > 0.0)
+    assert 0 < segments_intersect_box(starts, ends, box).sum() < len(starts)
+    cases = [(box, starts, ends)]
+    for field in _floor_fields(r):
+        cases += [(b, *_grazing_segments(b, r)) for b in field.boxes()[:6]]
+    for box, starts, ends in cases:
+        got = segments_intersect_box(starts, ends, box)
+        assert got.tolist() == [_interior_interval(p, q, box) > 0.0 for p, q in zip(starts, ends)]
 
 
 def test_segments_intersect_box_handles_axis_parallel():
@@ -176,9 +206,16 @@ def test_segments_intersect_box_broadcasts_over_boxes():
     r = rng(44)
     field = OrientedBoxes(r.uniform(-2, 2, (400, 3)), (0.4, 0.1, 0.9),
                           r.uniform(0.0, math.pi, 400))
-    boxes = field.boxes()
-    for _ in range(25):
-        p, q = r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)
-        got = segments_intersect_box(p[None, :], q[None, :], field)
-        assert got.tolist() == [hits(p, q, b) for b in boxes]
-        assert field.contains_interior(p).tolist() == [b.contains_interior(p) for b in boxes]
+    cases = [(field, [(r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)) for _ in range(25)])]
+    for floor in _floor_fields(r):
+        segments = [_grazing_segments(b, r, n=12) for b in floor.boxes()[:4]]
+        cases.append((floor, [(p, q) for starts, ends in segments for p, q in zip(starts, ends)]))
+    for field, segments in cases:
+        boxes = field.boxes()
+        for p, q in segments:
+            got = segments_intersect_box(p[None, :], q[None, :], field).tolist()
+            assert got == [hits(p, q, b) for b in boxes]
+            assert got == [_interior_interval(p, q, b) > 0.0 for b in boxes]
+            for end in (p, q):
+                assert field.contains_interior(end).tolist() == \
+                    [b.contains_interior(end) for b in boxes]

@@ -124,7 +124,7 @@ def test_element_validation():
     with pytest.raises(ValueError):
         MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0), reflectivity=1.01)
     with pytest.raises(ValueError):
-        MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), area=0.006, efficiency=-0.1)
+        MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), efficiency=-0.1)
 
 
 # -- mirror arrays -------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 
 from irsvlc.config import ConfigError, RunConfig, validate
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
-from irsvlc.scene import (BLOCKER_DIMS, OrientationModel, Room, Scene, _grid_centers,
-                          build_arrays, sample_blocker_field, sample_tilt_deg, sample_ue)
+from irsvlc.scene import (BLOCKER_DIMS, BlockerModel, OrientationModel, Room, Scene,
+                          _grid_centers, build_arrays, sample_blocker_field,
+                          sample_blocker_fields, sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
 from conftest import make_scene, rng
@@ -215,6 +216,12 @@ def test_sample_blockers_match_the_field_draws():
         assert box.yaw == field.yaw[k] and box.half_extents == field.half_extents
     empty = make_scene(0.0, n_per_side=1)
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
+
+
+def test_sample_blocker_fields_need_one_blocker_size():
+    models = (BlockerModel(1.0), BlockerModel(1.0, dims=(1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError):
+        sample_blocker_fields(rng(1), Room(5.0, 5.0, 3.0), models)
 
 
 def test_scene_is_immutable():

@@ -1,14 +1,16 @@
 """Trial ensemble, SER estimation and required-SNR readout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irsvlc import (ReflectorBank, RequiredSnr, Scenario, SnrGrid, TrialGains, nlos_gain,
-                    q_function, required_snr, run_trials, ser_curve, trial_rng,
-                    wall_patches)
-from irsvlc.scene import sample_ue
+from irsvlc import (Luminaire, ReflectorBank, RequiredSnr, Scenario, SnrGrid, TrialGains,
+                    los_gain, nlos_gain, q_function, required_snr, run_trials, ser_curve,
+                    trial_rng, vec3, wall_patches)
+from irsvlc import simulator
+from irsvlc.scene import sample_blocker_field, sample_ue
 from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
 
 from conftest import make_scene
@@ -101,6 +103,71 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
     for t in range(20):
         for row in compute_trial(ens, t):
             assert row.h_irs == 0.0 and math.copysign(1.0, row.h_irs) == 1.0
+
+
+def _three_source_scene(**fields):
+    down = vec3(0.0, 0.0, -1.0)
+    scene = make_scene(irs_type="none", **fields)
+    return replace(scene, aps=tuple(Luminaire(vec3(x, y, 3.0), down)
+                                    for x, y in ((1.25, 1.25), (3.75, 1.25), (2.5, 3.75))))
+
+
+def _replayed_direct_gain(scene, seed, trial_index, density):
+    """h_los at one density from the trial's own draws, one box and one source at a time.
+
+    Also reports whether a drawn box enclosed the receiver and was dropped.
+    """
+    rng = trial_rng(seed, trial_index)
+    ue = sample_ue(rng, scene)
+    field = sample_blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
+    drawn = () if field is None else field.boxes()
+    boxes = [b for b in drawn if not b.contains_interior(ue.position)]
+    return math.fsum(los_gain(ap, ue, boxes) for ap in scene.aps), len(boxes) < len(drawn)
+
+
+def test_fused_occlusion_matches_per_density_replay():
+    # every row of the one-pass trial equals an independent replay of its
+    # density: own draws, receiver-enclosing boxes dropped, per-source los_gain
+    scene = _three_source_scene()
+    densities = (0.0, 0.01, 0.5, 4.0, 0.5)
+    ens = Ensemble.build(scene, 21, densities)
+    enclosed = blocked = 0
+    for t in range(150):
+        row = compute_trial(ens, t)
+        assert len(row) == len(densities)
+        unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
+        for d, gains in zip(densities, row):
+            want, dropped = _replayed_direct_gain(scene, 21, t, d)
+            assert gains.h_los == want, (t, d)
+            enclosed += dropped
+            blocked += want < unblocked
+    assert enclosed > 0 and blocked > 0
+
+
+@pytest.mark.parametrize("densities", [(1.0,), (0.0, 0.5, 1.0, 2.0, 4.0)])
+def test_one_slab_test_per_lit_source(monkeypatch, densities):
+    # one occlusion pass serves every density: at most one slab test per lit
+    # source and trial, and none when no source reaches the receiver
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    real = simulator.segments_intersect_box
+    monkeypatch.setattr(simulator, "segments_intersect_box", counting)
+    scene = _three_source_scene(fov_deg=40.0)
+    ens = Ensemble.build(scene, 4, densities)
+    unlit = tested = 0
+    for t in range(80):
+        ue = sample_ue(trial_rng(4, t), scene)
+        lit = sum(los_gain(ap, ue) > 0.0 for ap in scene.aps)
+        calls.clear()
+        compute_trial(ens, t)
+        assert len(calls) <= lit
+        unlit += lit == 0
+        tested += len(calls)
+    assert unlit > 0 and tested > 0
 
 
 def test_trial_components_nonnegative_and_indexed():
