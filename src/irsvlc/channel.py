@@ -99,14 +99,14 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
         nu = max(1, math.ceil(u_len / patch_target_size))
         nv = max(1, math.ceil(v_len / patch_target_size))
         du, dv = u_len / nu, v_len / nv
-        for i in range(nv):
-            for j in range(nu):
-                centers.append(origin + (j + 0.5) * du * u_dir + (i + 0.5) * dv * v_dir)
-                normals.append(normal)
-                areas.append(du * dv)
-    n = len(areas)
-    return PatchSet(np.array(centers), np.array(normals), np.array(areas),
-                    np.full(n, float(reflectivity)))
+        i, j = np.divmod(np.arange(nu * nv), nu)  # row-major: v index, then u index
+        centers.append(origin + ((j + 0.5) * du)[:, None] * u_dir
+                       + ((i + 0.5) * dv)[:, None] * v_dir)
+        normals.append(np.broadcast_to(normal, (nu * nv, 3)))
+        areas.append(np.full(nu * nv, du * dv))
+    areas = np.concatenate(areas)
+    return PatchSet(np.concatenate(centers), np.concatenate(normals), areas,
+                    np.full(areas.size, float(reflectivity)))
 
 
 def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
@@ -159,45 +159,108 @@ def _patch_to_ue(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
     return math.fsum(contrib.tolist())
 
 
-_SOURCE_BLOCK = 64  # source rows per patch-to-patch block: ~1.5 MB of (64, P, 3) temporaries
+_SOURCE_BLOCK = 32  # source rows per block: six (32, P') float64 work arrays, 1.1 MB at P' = 720
+
+
+def _dot3(x: np.ndarray, y: np.ndarray, z: np.ndarray, a, b, c,
+          out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """x*a + y*b + z*c into out, using tmp; out may alias x.
+
+    Summed as (x*a + z*c) + y*b: the order numpy's einsum uses for a
+    three-term contraction, so the bits match an einsum dot product.
+    """
+    np.multiply(x, a, out=out)
+    out += np.multiply(z, c, out=tmp)
+    out += np.multiply(y, b, out=tmp)
+    return out
+
+
+def _plane_runs(ps: PatchSet, sources: np.ndarray):
+    """Cut the sources into runs of consecutive sources with one normal on one plane.
+
+    Yields (run, columns, normal). A source whose normal is axis-aligned
+    lies on the plane of its own wall coordinate; every patch whose center
+    shares that coordinate bit for bit gives v . n_j == 0, hence
+    cos_out == 0 and a +0.0 term, so columns leaves those patches out. Runs
+    of sources with any other normal keep every column.
+    """
+    normals = ps.normals[sources]
+    nonzero = normals != 0.0
+    axis = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
+    coord = np.where(axis >= 0, ps.centers[sources, axis.clip(0)], 0.0)
+    cuts = np.flatnonzero((normals[1:] != normals[:-1]).any(axis=1)
+                          | (coord[1:] != coord[:-1])) + 1
+    bounds = [0, *cuts.tolist(), sources.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        a = axis[start]
+        cols = (np.arange(len(ps)) if a < 0
+                else np.flatnonzero(ps.centers[:, a] != coord[start]))
+        yield sources[start:stop], cols, normals[start]
 
 
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
                          blockers: Sequence[OrientedBox]) -> np.ndarray:
     """Patch powers after one diffuse patch-to-patch transfer.
 
-    O(P^2) pairs, evaluated for _SOURCE_BLOCK sources at a time, each pair
-    occlusion-tested against every blocker; blockers are meant for coarse
-    patch grids or one-off evaluations, not the Monte Carlo hot path. Rows
-    are added to the result one source at a time, in source order, so the
-    sum does not depend on the block size.
+    O(P^2) pairs, evaluated per plane run of sources (see _plane_runs) and
+    _SOURCE_BLOCK sources at a time within a run; with blockers every pair
+    is occlusion-tested against every box, so blockers are meant for coarse
+    patch grids or one-off evaluations, not the Monte Carlo hot path.
+
+    The result is bit-identical to adding one source row at a time, in
+    source order, each row computed with einsum dot products: the per-axis
+    sums follow einsum's order (_dot3), skipped columns would only add
+    +0.0, and each block's rows join the running total in one reduce along
+    axis 0, which adds rows in order.
     """
-    n = len(ps)
-    out = np.zeros(n)
+    out = np.zeros(len(ps))
     sources = np.flatnonzero(power1 > 0.0)
-    for start in range(0, sources.size, _SOURCE_BLOCK):
-        js = sources[start:start + _SOURCE_BLOCK]
-        v = np.empty((js.size, n, 3))  # v[k, i] = centers[i] - centers[js[k]]
-        for axis in range(3):  # one long subtraction per axis, not n * b short ones
-            np.subtract(ps.centers[None, :, axis], ps.centers[js, axis][:, None],
-                        out=v[:, :, axis])
-        d_sq = np.einsum("kij,kij->ki", v, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.sqrt(d_sq)
-            cos_out = np.einsum("kij,kj->ki", v, ps.normals[js]) / d
-            cos_in = -np.einsum("kij,ij->ki", v, ps.normals) / d
-            frac = ps.areas * cos_in * cos_out / (math.pi * d_sq)
-        ok = np.isfinite(frac) & (cos_out > 0.0) & (cos_in > 0.0)
-        frac = np.where(ok, np.minimum(frac, 1.0), 0.0)
-        frac *= (ps.reflectivity[js] * power1[js])[:, None]
-        for k, j in enumerate(js):
-            row = frac[k]
+    if not sources.size:
+        return out
+    centers, normals = ps.centers.T, ps.normals.T  # (3, P) axis vectors
+    scale = ps.reflectivity * power1
+    runs = list(_plane_runs(ps, sources))
+    rows = min(_SOURCE_BLOCK, sources.size)
+    buf = np.empty(6 * rows * max(cols.size for _, cols, _ in runs))  # shared by every run
+    for run, cols, normal in runs:
+        cx, cy, cz = centers[:, cols]
+        nx, ny, nz = normals[:, cols]
+        areas = ps.areas[cols]
+        total = out[cols]
+        work = buf[:6 * rows * cols.size].reshape(6, rows, cols.size)
+        for b0 in range(0, run.size, _SOURCE_BLOCK):
+            js = run[b0:b0 + _SOURCE_BLOCK]
+            vx, vy, vz, d_sq, cos_out, tmp = work[:, :js.size]
+            sx, sy, sz = centers[:, js, None]
+            np.subtract(cx, sx, out=vx)  # v[k, i] = centers[i] - centers[js[k]]
+            np.subtract(cy, sy, out=vy)
+            np.subtract(cz, sz, out=vz)
+            _dot3(vx, vy, vz, vx, vy, vz, d_sq, tmp)
+            _dot3(vx, vy, vz, *normal, cos_out, tmp)
+            cos_in = _dot3(vx, vy, vz, nx, ny, nz, vx, tmp)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.sqrt(d_sq, out=vy)
+                cos_out /= d
+                np.negative(cos_in, out=cos_in)
+                cos_in /= d
+                frac = np.multiply(areas, cos_in, out=vz)
+                frac *= cos_out
+                frac /= np.multiply(d_sq, math.pi, out=tmp)
+            keep = np.isfinite(frac)
+            keep &= cos_out > 0.0
+            keep &= cos_in > 0.0
+            np.minimum(frac, 1.0, out=frac)
+            frac[~keep] = 0.0
+            frac *= scale[js, None]
             if blockers:
-                idx = np.flatnonzero(row > 0.0)
-                if idx.size:
-                    starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
-                    row[idx[shadowed_mask(starts, ps.centers[idx], blockers)]] = 0.0
-            out += row
+                for row, j in zip(frac, js.tolist()):
+                    idx = np.flatnonzero(row > 0.0)
+                    if idx.size:
+                        starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
+                        row[idx[shadowed_mask(starts, ps.centers[cols[idx]], blockers)]] = 0.0
+            frac[0] += total
+            total = np.add.reduce(frac, axis=0)
+        out[cols] = total
     return out
 
 

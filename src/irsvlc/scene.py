@@ -138,10 +138,6 @@ class Scene:
             raise ValueError(f"receiver height {self.ue_height} outside the room")
         if not 0.0 <= self.wall_reflectivity <= 1.0:
             raise ValueError(f"wall reflectivity {self.wall_reflectivity} outside [0, 1]")
-        if self.pd_area <= 0:
-            raise ValueError(f"detector area must be positive, got {self.pd_area}")
-        if not 0.0 < self.pd_fov <= math.pi / 2:
-            raise ValueError(f"field of view {self.pd_fov} outside (0, pi/2]")
 
 
 def _check_array_fit(room: Room, n_per_side: int) -> None:

@@ -1,6 +1,7 @@
 """LOS and diffuse wall-bounce gains against scalar reference implementations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from irsvlc import (Luminaire, OrientedBox, PatchSet, PhotoDetector,
                     diffuse_capture, los_gain, nlos_gain, patch_incident_power,
                     shadowed, shadowed_mask, vec3, wall_patches)
-from irsvlc.channel import _first_bounce_power, _second_bounce_power
+from irsvlc.channel import DEFAULT_PATCH_SIZE, _first_bounce_power, _second_bounce_power
 from irsvlc.scene import Room
 
 from conftest import rng
@@ -87,6 +88,33 @@ def test_wall_patches_oversized_target_clamps():
     ps = wall_patches(ROOM, 10.0)
     assert len(ps) == 4
     assert np.all(ps.areas == 15.0)
+
+
+def _per_patch_wall_patches(room, patch_target_size, reflectivity):
+    """Reference: wall_patches as a plain loop, one patch at a time."""
+    centers, normals, areas = [], [], []
+    for _label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
+        nu = max(1, math.ceil(u_len / patch_target_size))
+        nv = max(1, math.ceil(v_len / patch_target_size))
+        du, dv = u_len / nu, v_len / nv
+        for i in range(nv):
+            for j in range(nu):
+                centers.append(origin + (j + 0.5) * du * u_dir + (i + 0.5) * dv * v_dir)
+                normals.append(normal)
+                areas.append(du * dv)
+    return PatchSet(np.array(centers), np.array(normals), np.array(areas),
+                    np.full(len(areas), float(reflectivity)))
+
+
+@pytest.mark.parametrize("dims", [(5.0, 5.0, 3.0), (6.3, 4.1, 2.7), (3.0, 7.0, 3.3)])
+@pytest.mark.parametrize("size", [0.25, 0.3, 0.13, 8.0])  # 8.0 exceeds every wall side
+def test_wall_patches_match_per_patch_loop(dims, size):
+    room = Room(*dims)
+    got = wall_patches(room, size, 0.55)
+    want = _per_patch_wall_patches(room, size, 0.55)
+    for field in ("centers", "normals", "areas", "reflectivity"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 def test_wall_patches_validation():
@@ -222,6 +250,53 @@ def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
     got = _second_bounce_power(ps, power1, boxes)
     assert (want > 0.0).any()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims, size, dark, blocked", [
+    # non-square rooms, where a wrong per-axis summation order changes bits;
+    # their 126- and 189-patch walls span several source blocks each, and
+    # each wall's last block is cut short by the change to the next wall
+    ((6.3, 4.1, 2.7), 0.3, None, False),
+    ((3.0, 7.0, 3.3), 0.2, None, False),
+    ((5.0, 5.0, 3.0), 6.0, None, False),  # one patch per wall
+    ((6.3, 4.1, 2.7), 0.3, "wall", False),  # no source on the x0 wall
+    ((6.3, 4.1, 2.7), 0.3, "all", False),  # no source at all
+    ((6.3, 4.1, 2.7), 0.5, None, True),
+], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked"])
+def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
+    length, width, height = dims
+    ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
+    ps = wall_patches(Room(*dims), size)
+    boxes = ()
+    if blocked:
+        boxes = (OrientedBox(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3),
+                 OrientedBox(vec3(4.9, 1.1, 0.875), vec3(0.375, 0.1, 0.875), 1.2))
+    power1 = _first_bounce_power(ap, ps, boxes)
+    if dark == "wall":
+        power1[ps.normals[:, 0] == 1.0] = 0.0
+    elif dark == "all":
+        power1[:] = 0.0
+    want = _per_source_second_bounce(ps, power1, boxes)
+    got = _second_bounce_power(ps, power1, boxes)
+    assert got.tobytes() == want.tobytes()
+    if dark == "all":
+        assert got.tobytes() == np.zeros(len(ps)).tobytes()  # +0.0 everywhere
+    else:
+        assert (want > 0.0).any()
+
+
+def test_order2_field_peak_memory(ceiling_ap):
+    # the stock order-2 field once warm; the (64, P, 3) einsum temporaries of
+    # the earlier kernel peaked at 5.2 MiB here, the plane-run kernel at 1.3
+    ps = wall_patches(ROOM, DEFAULT_PATCH_SIZE)
+    patch_incident_power(ceiling_ap, ps, order=2)
+    tracemalloc.start()
+    try:
+        patch_incident_power(ceiling_ap, ps, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):

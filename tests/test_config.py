@@ -61,6 +61,7 @@ def test_unknown_and_malformed_keys_reported_together(tmp_path):
 
 
 @pytest.mark.parametrize("body, needle", [
+    ("[ue]\narea = 0\n", "[ue] area"),
     ("[ue]\nfov_deg = 100\n", "fov_deg"),
     ("[walls]\nreflection_order = 3\n", "reflection_order"),
     ("[sim]\nnormalization = fancy\n", "normalization"),

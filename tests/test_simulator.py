@@ -47,6 +47,16 @@ def test_run_trials_validation():
         run_trials(scene, 10, seed=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pd_area", 0.0, "detector area"), ("pd_fov", 0.0, "field of view")])
+def test_bad_detector_fails_at_the_first_pose(field, value, message):
+    # the scene leaves the detector checks to PhotoDetector, which the first
+    # sampled pose runs before any gain is computed
+    scene = replace(make_scene(irs_type="none"), **{field: value})
+    with pytest.raises(ValueError, match=message):
+        run_trials(scene, 3, seed=1)
+
+
 def test_run_trials_threads_match_serial():
     scene = make_scene(1.0, n_per_side=4)
     serial = run_trials(scene, 24, seed=7)
