@@ -10,9 +10,8 @@ from .channel import (PatchSet, diffuse_capture, los_gain, nlos_gain, patch_inci
                       shadowed, shadowed_mask, wall_patches)
 from .config import ConfigError, RunConfig, build_scene, effective_sections, load_config
 from .geometry import OrientedBox, normalize, segments_intersect_box, unit_normal_from_polar, vec3
-from .irs import (IrsChannelVector, MetasurfacePatch, MirrorElement, ReflectorArray,
-                  ReflectorBank, ma_channel_vector, ma_gain, mirror_element_gain,
-                  msa_channel_vector, msa_gain, optimal_mirror_normal)
+from .irs import (MirrorElement, ReflectorArray, ReflectorBank, mirror_element_gain,
+                  optimal_mirror_normal)
 from .scene import (BlockerModel, Luminaire, OrientationModel, PhotoDetector, Room, Scene,
                     build_arrays, sample_tilt_deg, sample_ue)
 from .simulator import (SER_TARGET, Ensemble, RequiredSnr, Scenario, SerCurve,
@@ -22,15 +21,13 @@ from .simulator import (SER_TARGET, Ensemble, RequiredSnr, Scenario, SerCurve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockerModel", "ConfigError", "Ensemble", "IrsChannelVector", "Luminaire",
-    "MetasurfacePatch", "MirrorElement", "OrientationModel", "OrientedBox",
-    "PatchSet", "PhotoDetector", "ReflectorArray", "ReflectorBank", "RequiredSnr",
-    "Room", "RunConfig", "SER_TARGET", "Scenario", "Scene", "SerCurve", "SnrGrid",
-    "TrialGains", "build_arrays", "build_scene", "compute_trial", "diffuse_capture",
-    "effective_sections", "load_config", "los_gain", "ma_channel_vector", "ma_gain",
-    "mirror_element_gain", "msa_channel_vector", "msa_gain", "nlos_gain",
-    "normalize", "optimal_mirror_normal", "patch_incident_power", "q_function",
-    "required_snr", "run_trials", "sample_tilt_deg", "sample_ue",
-    "segments_intersect_box", "ser_curve", "shadowed", "shadowed_mask", "trial_rng",
-    "unit_normal_from_polar", "vec3", "wall_patches",
+    "BlockerModel", "ConfigError", "Ensemble", "Luminaire", "MirrorElement",
+    "OrientationModel", "OrientedBox", "PatchSet", "PhotoDetector", "ReflectorArray",
+    "ReflectorBank", "RequiredSnr", "Room", "RunConfig", "SER_TARGET", "Scenario",
+    "Scene", "SerCurve", "SnrGrid", "TrialGains", "build_arrays", "build_scene",
+    "compute_trial", "diffuse_capture", "effective_sections", "load_config", "los_gain",
+    "mirror_element_gain", "nlos_gain", "normalize", "optimal_mirror_normal",
+    "patch_incident_power", "q_function", "required_snr", "run_trials",
+    "sample_tilt_deg", "sample_ue", "segments_intersect_box", "ser_curve", "shadowed",
+    "shadowed_mask", "trial_rng", "unit_normal_from_polar", "vec3", "wall_patches",
 ]

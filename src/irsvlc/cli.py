@@ -383,7 +383,7 @@ def _verify_reflector_bank(poses: int) -> tuple[bool, str]:
         bank = ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays)
         for k in range(poses):
             ue = sample_ue(rng, scene)
-            got, want = bank.cascade(ue)[0], oracles.reflector_cell_gains(scene, ue)
+            got, want = bank.cascade(ue), oracles.reflector_cell_gains(scene, ue)
             mismatched += int(np.sum((got == 0.0) != (want == 0.0)))
             lit = want != 0.0
             worst = max(worst, float(np.max(np.abs(got - want)[lit] / want[lit], initial=0.0)))

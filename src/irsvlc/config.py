@@ -77,7 +77,7 @@ class RunConfig:
         return SnrGrid(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
 
     def scenario_list(self) -> list[Scenario]:
-        return [Scenario.from_name(s) for s in self.scenarios]
+        return [Scenario(s) for s in self.scenarios]
 
 
 # (section, key) -> (attribute, parser); parser tags determine validation
@@ -172,8 +172,18 @@ def validate(cfg: RunConfig) -> None:
         if not ok:
             errors.append(f"{where}: {msg}")
 
-    check(cfg.room_length > 0 and cfg.room_width > 0 and cfg.room_height > 0,
-          "[room]", "dimensions must be positive")
+    for (section, key), (attr, kind) in _SCHEMA.items():
+        if kind in (_FLOAT, _FLOATS):
+            value = getattr(cfg, attr)
+            values = value if kind == _FLOATS else () if value is None else (value,)
+            check(all(map(math.isfinite, values)), f"[{section}] {key}", "must be finite")
+    room = (cfg.room_length, cfg.room_width, cfg.room_height)
+    room_ok = all(0 < d < math.inf for d in room)
+    check(all(d > 0 for d in room), "[room]", "dimensions must be positive")
+    if room_ok:
+        x, y, z = cfg.ap_position()
+        check(all(0 <= p <= d for p, d in zip((x, y, z), room)), "[ap]",
+              f"source position ({x:g}, {y:g}, {z:g}) must lie inside the room")
     check(cfg.lambertian_order > 0, "[ap] lambertian_order", "must be positive")
     if cfg.room_height > 0:
         check(0 < cfg.ue_height < cfg.room_height, "[ue] height",
@@ -209,11 +219,9 @@ def validate(cfg: RunConfig) -> None:
               f"unknown scenario {name!r}")
     check(cfg.normalization in ("per_scenario", "baseline"), "[sim] normalization",
           f"unknown normalization {cfg.normalization!r}")
-    if cfg.irs_type != "none" and cfg.n_per_side >= 1 and \
-            min(cfg.room_length, cfg.room_width, cfg.room_height) > 0:
+    if cfg.irs_type != "none" and cfg.n_per_side >= 1 and room_ok:
         try:
-            _check_array_fit(Room(cfg.room_length, cfg.room_width, cfg.room_height),
-                             cfg.n_per_side)
+            _check_array_fit(Room(*room), cfg.n_per_side)
         except ValueError as exc:
             errors.append(f"[irs] n_per_side: {exc}")
     if errors:

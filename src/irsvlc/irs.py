@@ -50,25 +50,6 @@ class MirrorElement:
         object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
 
 
-@dataclass(frozen=True)
-class MetasurfacePatch:
-    """One metasurface cell; the mounting normal stays fixed on the wall.
-
-    The steered gain scales with the detector area, not the cell's, so the
-    cell carries no size.
-    """
-
-    center: Vec3
-    normal: Vec3
-    efficiency: float = DEFAULT_MSA_EFFICIENCY
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"steering efficiency {self.efficiency} outside [0, 1]")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
-
-
 @dataclass(frozen=True, eq=False)
 class ReflectorArray:
     """An n x n grid of cells mounted flat on one wall, as its cell centers.
@@ -92,20 +73,6 @@ class ReflectorArray:
 
     def __len__(self) -> int:
         return len(self.centers)
-
-
-@dataclass(frozen=True)
-class IrsChannelVector:
-    """Per-cell cascaded gains for one array, plus the two leg lengths."""
-
-    element_gains: np.ndarray  # row-major grid order
-    ap_distances: np.ndarray
-    ue_distances: np.ndarray
-
-    def total(self) -> float:
-        """Exact sum; the zero entries, which cannot change it, are skipped."""
-        g = self.element_gains
-        return math.fsum(g[g != 0.0].tolist())
 
 
 def optimal_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3) -> Vec3:
@@ -198,6 +165,13 @@ class ReflectorBank:
     cell the bank holds its source, the center and the source leg u = source -
     center as axis vectors, d1 = |u|, and a weight folding the reflectivity or
     efficiency, (m + 1) and cos^m(phi): zero where the source does not light it.
+
+    Every mirror cell is steered to the half-vector orientation for the
+    detector. The image, cell center and detector are then collinear, so the
+    image-detector distance is exactly d1 + d2 and the footprint is met at
+    the cell center; the front-side condition reduces to the legs not being
+    exactly antipodal. A metasurface cell keeps its wall normal and needs the
+    source and the detector in front of it.
     """
 
     def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[ReflectorArray] = (),
@@ -255,8 +229,8 @@ class ReflectorBank:
         return self._sources_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
 
     def cascade(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell gains weight * A cos(psi) / (2 pi (d1 + d2)^2), and the distances d2.
+                ) -> np.ndarray:
+        """Per-cell gains weight * A cos(psi) / (2 pi (d1 + d2)^2).
 
         Zero outside the detector's field of view, for a mirror cell whose legs
         are exactly antipodal, for a metasurface cell with the detector behind
@@ -296,48 +270,14 @@ class ReflectorBank:
                 blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
                                          blockers)
                 gains[idx[blocked]] = 0.0
-        return gains, d2
+        return gains
 
     def gain(self, ue: "PhotoDetector") -> float:
         """Total gain of the bank: one fixed-order np.sum (README, Determinism)."""
-        return float(np.sum(self.cascade(ue)[0])) if len(self) else 0.0
-
-    def vector(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
-               ) -> IrsChannelVector:
-        """The cascade as per-cell gains with both leg lengths."""
-        gains, d2 = self.cascade(ue, blockers)
-        return IrsChannelVector(gains, self.d1, d2)
+        return float(np.sum(self.cascade(ue))) if len(self) else 0.0
 
 
 def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Per-axis dot products of the vectors (x, y, z) with the rows of n."""
     return x * n[..., 0] + y * n[..., 1] + z * n[..., 2]
 
-
-def ma_channel_vector(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
-                      blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
-    """Per-element gains with every mirror at its optimal orientation.
-
-    With the half-vector orientation the image, element center and detector
-    are collinear, so the image-detector distance is exactly d1 + d2 and the
-    footprint is met at the element center; the front-side condition reduces
-    to the legs not being exactly antipodal.
-    """
-    return ReflectorBank((ap,), (array,)).vector(ue, blockers)
-
-
-def ma_gain(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
-            blockers: Sequence[OrientedBox] = ()) -> float:
-    """Array gain with per-element optimal steering; compensated sum."""
-    return ma_channel_vector(ap, array, ue, blockers).total()
-
-
-def msa_channel_vector(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
-                       blockers: Sequence[OrientedBox] = ()) -> IrsChannelVector:
-    """Per-patch anomalous-steering gains toward this detector."""
-    return ReflectorBank((ap,), (), (array,)).vector(ue, blockers)
-
-
-def msa_gain(ap: "Luminaire", array: ReflectorArray, ue: "PhotoDetector",
-             blockers: Sequence[OrientedBox] = ()) -> float:
-    return msa_channel_vector(ap, array, ue, blockers).total()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import shadowed
 from .geometry import OrientedBox, Vec3, normalize
-from .irs import MetasurfacePatch, MirrorElement, mirror_element_gain, optimal_mirror_normal
+from .irs import MirrorElement, mirror_element_gain, optimal_mirror_normal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector, Scene
@@ -180,22 +180,23 @@ def occlusion_corpus(rng: np.random.Generator, cases: int,
     return out
 
 
-def _patch_gain(ap: "Luminaire", patch: MetasurfacePatch, ue: "PhotoDetector") -> float:
+def _patch_gain(ap: "Luminaire", center: Vec3, normal: Vec3, efficiency: float,
+                ue: "PhotoDetector") -> float:
     """Closed form of one steered metasurface patch.
 
     efficiency (m+1) A cos^m(phi) cos(psi) / (2 pi (d1+d2)^2), zero unless the
     source and the detector stand in front of the patch and the patch lies in
     the source's forward hemisphere and in the detector's field of view.
     """
-    s, v = ap.position - patch.center, ue.position - patch.center
+    s, v = ap.position - center, ue.position - center
     d1, d2 = math.sqrt(float(s @ s)), math.sqrt(float(v @ v))
     cos_phi, cos_psi = -float(s @ ap.normal) / d1, -float(v @ ue.normal) / d2
-    if float(s @ patch.normal) <= 0.0 or float(v @ patch.normal) <= 0.0:
+    if float(s @ normal) <= 0.0 or float(v @ normal) <= 0.0:
         return 0.0
     if cos_phi <= 0.0 or cos_psi <= 0.0 or cos_psi < math.cos(ue.fov):
         return 0.0
     m = ap.lambertian_order
-    return (patch.efficiency * (m + 1.0) * ue.area / (2.0 * math.pi * (d1 + d2) ** 2)
+    return (efficiency * (m + 1.0) * ue.area / (2.0 * math.pi * (d1 + d2) ** 2)
             * cos_phi ** m * cos_psi)
 
 
@@ -216,6 +217,6 @@ def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
     """
     gains = [_steered_mirror_gain(ap, c, arr.scale, ue)
              for ap in scene.aps for arr in scene.mirror_arrays for c in arr.centers]
-    gains += [_patch_gain(ap, MetasurfacePatch(c, arr.normal, arr.scale), ue)
+    gains += [_patch_gain(ap, c, arr.normal, arr.scale, ue)
               for ap in scene.aps for arr in scene.metasurface_arrays for c in arr.centers]
     return np.array(gains, dtype=float)

@@ -47,14 +47,6 @@ class Scenario(Enum):
             return trial.h_los + trial.h_nlos
         return trial.h_los + trial.h_nlos + trial.h_irs
 
-    @classmethod
-    def from_name(cls, name: str) -> "Scenario":
-        for s in cls:
-            if s.value == name:
-                return s
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
-                         f"{[s.value for s in cls]}")
-
 
 @dataclass(frozen=True)
 class TrialGains:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from irsvlc import (Luminaire, MirrorElement, OrientedBox, PhotoDetector,
-                    ReflectorArray, Scenario, TrialGains, diffuse_capture, los_gain,
-                    mirror_element_gain, msa_gain, nlos_gain, optimal_mirror_normal,
+                    ReflectorArray, ReflectorBank, Scenario, TrialGains, diffuse_capture,
+                    los_gain, mirror_element_gain, nlos_gain, optimal_mirror_normal,
                     patch_incident_power, q_function, required_snr, run_trials,
                     ser_curve, shadowed, vec3, wall_patches)
 from irsvlc.cli import main
@@ -321,7 +321,7 @@ def test_criterion_9e_cascade_energy_bound():
         worst = max(worst, g_mirror / bound)
         arr = ReflectorArray("x0", normalize(r.normal(size=3)), 1, c[None, :],
                              DEFAULT_MSA_EFFICIENCY)
-        g_msa = msa_gain(ap, arr, ue)
+        g_msa = ReflectorBank((ap,), (), (arr,)).gain(ue)
         bound = arr.scale * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_msa / bound)
     record("9e", worst <= 1.0 + 1e-12,

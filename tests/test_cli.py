@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from irsvlc import cli
 from irsvlc.cli import main
 
 SMALL = """
@@ -125,12 +126,17 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
     assert (one / "curves.csv").read_bytes() == (two / "curves.csv").read_bytes()
 
 
-def test_invalid_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("body, needles", [
+    ("[sim]\ntrials = 0\nsnr_step_db = -1\n", ("trials", "snr_step_db")),
+    ("[ap]\nx = nan\n", ("[ap] x: must be finite",)),
+], ids=["out_of_range", "nan"])
+def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[sim]\ntrials = 0\nsnr_step_db = -1\n", encoding="utf-8")
+    bad.write_text(body, encoding="utf-8")
     assert run(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "trials" in err and "snr_step_db" in err
+    assert "config error" in err and all(n in err for n in needles)
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_threads_exit_2(small_config, tmp_path):
@@ -225,6 +231,13 @@ def test_sweep_rejects_unparseable_values(small_config, tmp_path):
                 "--vary", "n_per_side", "--values", "6,80"]) == 2
 
 
+def test_sweep_rejects_non_finite_density(small_config, tmp_path, capsys):
+    assert run(["sweep", "--config", small_config, "--out", str(tmp_path / "o"),
+                "--vary", "density", "--values", "0,inf"]) == 2
+    assert "config error: [blockers] densities: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_svg_chart_is_well_formed(small_config, tmp_path):
     out = tmp_path / "out"
     assert run(["simulate", "--config", small_config, "--out", str(out),
@@ -238,3 +251,11 @@ def test_svg_chart_is_well_formed(small_config, tmp_path):
 def test_verify_fast_smoke(capsys):
     assert run(["verify", "--fast"]) == 0
     assert "verify: reflector bank vs single-cell reference: PASS" in capsys.readouterr().out
+
+
+def test_verify_failure_exits_1_and_runs_every_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_verify_q", lambda points: (False, "forced"))
+    assert run(["verify", "--fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify: q-function quadrature: FAIL (forced)" in lines
+    assert len(lines) == 4 and sum(": PASS (" in line for line in lines) == 3

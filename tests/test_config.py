@@ -68,6 +68,14 @@ def test_unknown_and_malformed_keys_reported_together(tmp_path):
     ("[sim]\nscenarios = los_everything\n", "scenarios"),
     ("[irs]\nn_per_side = 60\n", "n_per_side"),  # 60 * 0.06 m exceeds the wall height
     ("[blockers]\ndensities =\n", "densities"),
+    ("[ap]\nx = nan\n", "[ap] x: must be finite"),
+    ("[room]\nlength = inf\n", "[room] length: must be finite"),
+    ("[sim]\nsnr_stop_db = inf\n", "[sim] snr_stop_db: must be finite"),
+    ("[blockers]\ndensities = 0, inf\n", "[blockers] densities: must be finite"),
+    ("[walls]\npatch_size = inf\n", "[walls] patch_size: must be finite"),
+    ("[ue]\narea = inf\n", "[ue] area: must be finite"),
+    ("[ap]\nz = 4.0\n", "[ap]: source position (2.5, 2.5, 4) must lie inside the room"),
+    ("[ap]\nx = 9\n", "[ap]: source position (9, 2.5, 3) must lie inside the room"),
 ])
 def test_validation_rejects_bad_settings(tmp_path, body, needle):
     with pytest.raises(ConfigError) as exc:

@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc import (BlockerModel, Luminaire, MetasurfacePatch, MirrorElement,
-                    OrientationModel, OrientedBox, PhotoDetector, ReflectorArray,
-                    ReflectorBank, Room, Scene, build_arrays, ma_channel_vector, ma_gain,
-                    mirror_element_gain, msa_channel_vector, msa_gain,
-                    optimal_mirror_normal, shadowed, vec3)
+from irsvlc import (BlockerModel, Luminaire, MirrorElement, OrientationModel, OrientedBox,
+                    PhotoDetector, ReflectorArray, ReflectorBank, Room, Scene, build_arrays,
+                    mirror_element_gain, optimal_mirror_normal, shadowed, vec3)
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.oracles import reflector_cell_gains
 
@@ -24,6 +22,14 @@ def _symmetric_cascade(scale):
     ue = PhotoDetector(vec3(2 * S, -2 * S, 0.0), vec3(-S, S, 0.0))
     # both legs have unit cos, d1 = d2 = 2: scale * 2 * 1e-4 / (2 pi 16)
     return ap, ue, scale * 2.0 * 1e-4 / (32.0 * math.pi)
+
+
+def _mirror_bank(ap, arr):
+    return ReflectorBank((ap,), (arr,))
+
+
+def _msa_bank(ap, arr):
+    return ReflectorBank((ap,), (), (arr,))
 
 
 # -- optimal element orientation -----------------------------------------------
@@ -123,8 +129,6 @@ def test_element_validation():
         MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0), width=0.0)
     with pytest.raises(ValueError):
         MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0), reflectivity=1.01)
-    with pytest.raises(ValueError):
-        MetasurfacePatch(vec3(0, 0, 0), vec3(1, 0, 0), efficiency=-0.1)
 
 
 # -- mirror arrays -------------------------------------------------------------
@@ -135,8 +139,9 @@ def test_ma_singleton_matches_steered_element():
     c = vec3(0, 0, 0)
     elem = MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, c[None, :], elem.reflectivity)
-    assert ma_gain(ap, arr, ue) == pytest.approx(mirror_element_gain(ap, elem, ue), rel=1e-12)
-    assert ma_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
+    got = _mirror_bank(ap, arr).gain(ue)
+    assert got == pytest.approx(mirror_element_gain(ap, elem, ue), rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_ma_matches_per_element_hand_sum():
@@ -149,39 +154,35 @@ def test_ma_matches_per_element_hand_sum():
     arr = ReflectorArray("x0", vec3(1, 0, 0), 2, np.array(centers), elems[0].reflectivity)
     want = math.fsum(mirror_element_gain(ap, e, ue) for e in elems)
     assert want > 0.0
-    assert ma_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
+    assert _mirror_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
 
 
 def test_ma_channel_vector_reports_leg_lengths():
     ap, ue, _ = _symmetric_cascade(0.95)
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.95)
-    vec = ma_channel_vector(ap, arr, ue)
-    assert vec.ap_distances[0] == pytest.approx(2.0, rel=1e-12)
-    assert vec.ue_distances[0] == pytest.approx(2.0, rel=1e-12)
-    assert vec.total() == pytest.approx(vec.element_gains.sum(), rel=1e-12)
+    assert _mirror_bank(ap, arr).d1[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_precomputed_source_leg_gives_identical_vectors():
     # a scene's bank holds every array's source legs; each array's slice of it
-    # equals the vector of that array computed on its own
+    # has the bytes of that array's own one-array bank
     scene = make_scene(n_per_side=8, irs_type="mirror")
     msa = make_scene(n_per_side=8, irs_type="metasurface")
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
     lit = 0
-    for sc, fn in ((scene, ma_channel_vector), (msa, msa_channel_vector)):
+    for sc in (scene, msa):
         bank = _bank(sc)
-        cached, d2 = bank.cascade(ue)
+        cached = bank.cascade(ue)
         start = 0
         for arr in sc.mirror_arrays + sc.metasurface_arrays:
             cells = slice(start, start + len(arr))
             start = cells.stop
-            fresh = fn(ap, arr, ue)
-            assert fresh.element_gains.tolist() == cached[cells].tolist()
-            assert fresh.ue_distances.tolist() == d2[cells].tolist()
-            assert fresh.ap_distances.tolist() == bank.d1[cells].tolist()
-            assert fresh.total() == math.fsum(fresh.element_gains.tolist())
-            lit += int((fresh.element_gains > 0.0).sum())
+            own = _mirror_bank(ap, arr) if sc is scene else _msa_bank(ap, arr)
+            fresh = own.cascade(ue)
+            assert fresh.tobytes() == cached[cells].tobytes()
+            assert own.d1.tolist() == bank.d1[cells].tolist()
+            lit += int((fresh > 0.0).sum())
         assert start == len(bank)
     assert lit > 0
 
@@ -214,9 +215,9 @@ def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", spy)
-    skipped = [bank.cascade(ue)[0] for ue in poses]
+    skipped = [bank.cascade(ue) for ue in poses]
     monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", lambda *args: False)
-    forced = [bank.cascade(ue)[0] for ue in poses]
+    forced = [bank.cascade(ue) for ue in poses]
     assert True in verdicts and False in verdicts
     assert any((g > 0.0).any() for g in forced)
     for got, want in zip(skipped, forced, strict=True):
@@ -229,11 +230,11 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
     # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, centers, 0.95)
-    bank = ReflectorBank((ap,), (arr,))
-    gains, d2 = bank.cascade(ue)
-    assert not bank._antipodes_impossible(ue.position, float(d2.max()))
+    bank = _mirror_bank(ap, arr)
+    gains = bank.cascade(ue)
+    d2_max = float(np.linalg.norm(ue.position - bank.centers, axis=1).max())
+    assert not bank._antipodes_impossible(ue.position, d2_max)
     assert gains[0] == 0.0 and gains[1] > 0.0
-    assert ma_channel_vector(ap, arr, ue).element_gains.tolist() == gains.tolist()
 
 
 # -- reflector bank ---------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_bank_cells_match_the_single_cell_reference(n_per_side):
                              n / np.linalg.norm(n)) for n in r.normal(size=(25, 3))]
     lit = 0
     for ue in _random_poses(r, 25) + _random_poses(r, 25, 1e-6) + outside:
-        got = bank.cascade(ue)[0]
+        got = bank.cascade(ue)
         want = reflector_cell_gains(scene, ue)
         assert ((got == 0.0) == (want == 0.0)).all()
         nonzero = want != 0.0
@@ -283,8 +284,8 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
         boxes = [OrientedBox(r.uniform((0.5, 0.5, 0.3), (4.5, 4.5, 1.5)),
                              tuple(r.uniform(0.1, 0.6, 3)), r.uniform(0.0, math.pi))
                  for _ in range(4)]
-        clear = bank.cascade(ue)[0]
-        got = bank.cascade(ue, boxes)[0]
+        clear = bank.cascade(ue)
+        got = bank.cascade(ue, boxes)
         for i, c in enumerate(bank.centers):
             blocked = shadowed(bank.sources[i], c, boxes) or shadowed(c, ue.position, boxes)
             assert got[i] == (0.0 if blocked else clear[i])
@@ -299,7 +300,7 @@ def test_bank_total_within_the_summation_bound(scene):
     # all terms are >= 0, so a sum in any order is within (N-1) 2^-53 of exact
     bank = _bank(scene)
     for ue in _random_poses(rng(31), 30):
-        exact = math.fsum(bank.cascade(ue)[0].tolist())
+        exact = math.fsum(bank.cascade(ue).tolist())
         assert abs(bank.gain(ue) - exact) <= (len(bank) - 1) * 2.0 ** -53 * exact
 
 
@@ -307,7 +308,7 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
     scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
-    by_wall = {arr.wall: ma_gain(ap, arr, ue) for arr in scene.mirror_arrays}
+    by_wall = {arr.wall: _mirror_bank(ap, arr).gain(ue) for arr in scene.mirror_arrays}
     assert by_wall["x0"] > 0.0
     assert by_wall["x0"] == pytest.approx(by_wall["xmax"], rel=1e-9)
     assert by_wall["y0"] == pytest.approx(by_wall["ymax"], rel=1e-9)
@@ -319,10 +320,10 @@ def test_ma_blockage_monotone():
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
     arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
-    clear = ma_gain(ap, arr, ue)
+    clear = _mirror_bank(ap, arr).gain(ue)
     # pedestrian standing between the detector and the array wall
     box = OrientedBox(vec3(0.7, 2.5, 0.875), (0.375, 0.1, 0.875), 0.0)
-    blocked = ma_gain(ap, arr, ue, (box,))
+    blocked = _mirror_bank(ap, arr).cascade(ue, (box,)).sum()
     assert 0.0 <= blocked < clear
 
 
@@ -332,20 +333,20 @@ def test_ma_blockage_monotone():
 def test_msa_singleton_value():
     ap, ue, want = _symmetric_cascade(0.8)
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
-    assert msa_gain(ap, arr, ue) == pytest.approx(want, rel=1e-12)
+    assert _msa_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
 
 
 def test_msa_zero_efficiency_kills_gain():
     ap, ue, _ = _symmetric_cascade(0.0)
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.0)
-    assert msa_gain(ap, arr, ue) == 0.0
+    assert _msa_bank(ap, arr).gain(ue) == 0.0
 
 
 def test_msa_back_side_detector_sees_nothing():
     ap, _, _ = _symmetric_cascade(0.8)
     arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
     behind = PhotoDetector(vec3(-1.0, 0.5, 0.0), vec3(1, 0, 0))
-    assert msa_gain(ap, arr, behind) == 0.0
+    assert _msa_bank(ap, arr).gain(behind) == 0.0
 
 
 def test_msa_scales_like_ma_with_efficiency_ratio():
@@ -354,7 +355,7 @@ def test_msa_scales_like_ma_with_efficiency_ratio():
     msa = make_scene(n_per_side=6, irs_type="metasurface")
     ap = mirror.aps[0]
     ue = PhotoDetector(vec3(3.1, 1.7, 1.0), vec3(0.2, -0.1, 0.95))
-    g_ma = math.fsum(ma_gain(ap, a, ue) for a in mirror.mirror_arrays)
-    g_msa = math.fsum(msa_gain(ap, a, ue) for a in msa.metasurface_arrays)
+    g_ma = math.fsum(_mirror_bank(ap, a).gain(ue) for a in mirror.mirror_arrays)
+    g_msa = math.fsum(_msa_bank(ap, a).gain(ue) for a in msa.metasurface_arrays)
     assert 0.0 < g_msa < g_ma
     assert g_msa == pytest.approx(g_ma * 0.8 / 0.95, rel=1e-12)

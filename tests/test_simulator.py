@@ -220,9 +220,9 @@ def test_scenario_gain_composition():
 
 def test_scenario_from_name_round_trip():
     for s in Scenario:
-        assert Scenario.from_name(s.value) is s
+        assert Scenario(s.value) is s
     with pytest.raises(ValueError):
-        Scenario.from_name("los")
+        Scenario("los")
 
 
 # -- Q function ----------------------------------------------------------------
