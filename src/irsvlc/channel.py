@@ -77,7 +77,7 @@ def los_gain(ap: "Luminaire", ue: "PhotoDetector",
         return 0.0
     if cos_psi < math.cos(ue.fov):
         return 0.0
-    if shadowed(ap.position, ue.position, blockers):
+    if blockers and shadowed(ap.position, ue.position, blockers):
         return 0.0
     m = ap.lambertian_order
     return (m + 1.0) * ue.area / (2.0 * math.pi * d_sq) * cos_phi ** m * cos_psi
@@ -131,32 +131,6 @@ def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
         blocked = shadowed_mask(starts, ps.centers[idx], blockers)
         power[idx[blocked]] = 0.0
     return power
-
-
-def _patch_to_ue(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
-                 blockers: Sequence[OrientedBox]) -> float:
-    """Detector power from diffusely re-emitted patch powers; compensated sum.
-
-    Only the patches that face the detector, lie in its field of view and
-    carry power are evaluated and summed: the sum is exact, so the zero
-    terms of the other patches cannot change it.
-    """
-    u = ue.position - ps.centers
-    d2_sq = np.einsum("ij,ij->i", u, u)
-    d2 = np.sqrt(d2_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_out = np.einsum("ij,ij->i", u, ps.normals) / d2
-        cos_psi = -(u @ ue.normal) / d2
-    # the FOV is at most 90 degrees, so this also requires cos_psi > 0
-    live = np.flatnonzero((cos_out > 0.0) & (cos_psi >= math.cos(ue.fov)) & (power > 0.0))
-    # capture fraction of the re-emitted power; capped at 1 so a detector
-    # almost touching a patch cannot receive more than the patch reflected
-    capture = np.minimum(ue.area * cos_out[live] * cos_psi[live] / (math.pi * d2_sq[live]), 1.0)
-    contrib = ps.reflectivity[live] * power[live] * capture
-    if blockers and live.size:
-        ends = np.broadcast_to(ue.position, (live.size, 3))
-        contrib[shadowed_mask(ps.centers[live], ends, blockers)] = 0.0
-    return math.fsum(contrib.tolist())
 
 
 _SOURCE_BLOCK = 32  # source rows per block: six (32, P') float64 work arrays, 1.1 MB at P' = 720
@@ -283,12 +257,76 @@ def patch_incident_power(ap: "Luminaire", ps: PatchSet,
     return power
 
 
+class PoweredPatches:
+    """The patches that carry power, ready for one diffuse capture per receiver pose.
+
+    Holds the centers as (P', 3) rows and as axis vectors, the normals as
+    axis vectors and reflectivity * power per patch, for the patches with
+    power > 0 only, plus the work arrays of `capture`. One instance serves one
+    caller at a time.
+    """
+
+    def __init__(self, ps: PatchSet, power: np.ndarray):
+        rows = np.flatnonzero(power > 0.0)
+        self.centers = ps.centers[rows]
+        self._axes = np.ascontiguousarray(self.centers.T)
+        self._normals = np.ascontiguousarray(ps.normals[rows].T)
+        self.scale = ps.reflectivity[rows] * power[rows]
+        self._u = np.empty_like(self.centers)
+        self._work = np.empty((4, rows.size))
+        self._mask = np.empty((2, rows.size), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.scale)
+
+    def capture(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()) -> float:
+        """Detector power from the diffusely re-emitted patch powers; compensated sum.
+
+        Only the patches that face the detector and lie in its field of view
+        enter the exact sum, so the zero terms of the other patches cannot
+        change it. Each term is the arithmetic of the per-patch formula,
+        evaluated in place over all rows before the live ones are kept.
+        d2^2 and cos_out are summed per axis in einsum's order (_dot3); cos_psi
+        stays the `u @ normal` matmul, whose rounding a per-axis sum does not
+        reproduce (README, Determinism).
+        """
+        if not len(self):
+            return 0.0
+        u = self._u
+        for axis, (p, c) in enumerate(zip(ue.position.tolist(), self._axes)):
+            np.subtract(p, c, out=u[:, axis])
+        ux, uy, uz = u.T
+        d2_sq, d2, frac, cos_psi = self._work
+        live, in_fov = self._mask
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _dot3(ux, uy, uz, ux, uy, uz, d2_sq, d2)
+            np.sqrt(d2_sq, out=d2)
+            cos_out = _dot3(ux, uy, uz, *self._normals, frac, cos_psi)
+            cos_out /= d2
+            np.matmul(u, ue.normal, out=cos_psi)
+            np.negative(cos_psi, out=cos_psi)
+            cos_psi /= d2
+            # the FOV is at most 90 degrees, so this also requires cos_psi > 0
+            np.greater(cos_out, 0.0, out=live)
+            live &= np.greater_equal(cos_psi, math.cos(ue.fov), out=in_fov)
+            # capture fraction of the re-emitted power; capped at 1 so a detector
+            # almost touching a patch cannot receive more than the patch reflected
+            frac *= ue.area
+            frac *= cos_psi
+            frac /= np.multiply(d2_sq, math.pi, out=d2)
+            np.minimum(frac, 1.0, out=frac)
+            frac *= self.scale
+        contrib = frac[live]
+        if blockers and contrib.size:
+            ends = np.broadcast_to(ue.position, (contrib.size, 3))
+            contrib[shadowed_mask(self.centers[live], ends, blockers)] = 0.0
+        return math.fsum(memoryview(contrib))  # iterates the floats without a list
+
+
 def diffuse_capture(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
                     blockers: Sequence[OrientedBox] = ()) -> float:
     """Detector gain from per-patch incident powers after one re-emission."""
-    if len(ps) == 0:
-        return 0.0
-    return _patch_to_ue(ps, ue, power, blockers)
+    return PoweredPatches(ps, power).capture(ue, blockers)
 
 
 def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,

@@ -8,7 +8,8 @@ Functions
 vec3                    -- checked constructor for a 3-vector
 normalize               -- unit vector, rejects near-zero input
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
-OrientedBoxes           -- n equal upright boxes stored as arrays
+OrientedBoxes           -- n equal upright boxes stored as arrays, with a
+                           conservative floor-plan cull (`may_cut`)
 segments_intersect_box  -- open-segment vs. oriented-box interior test, over
                            many segments or many boxes
 """
@@ -17,12 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
 
 _UNIT_TOL = 1e-9
+# widens the floor-plan cull (OrientedBoxes.may_cut), per unit of coordinate scale;
+# far above the rounding error of the slab test and of the cull itself
+_CULL_MARGIN = 1e-9
 
 
 def vec3(x: float, y: float, z: float) -> Vec3:
@@ -71,8 +76,7 @@ class OrientedBox:
     center: Vec3
     half_extents: tuple[float, float, float]
     yaw: float
-    _cos_yaw: float = field(init=False, repr=False)
-    _sin_yaw: float = field(init=False, repr=False)
+    _cos_sin: tuple[float, float] = field(init=False, repr=False)
     _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,14 +85,13 @@ class OrientedBox:
         if not 0.0 <= self.yaw < math.pi:
             raise ValueError(f"yaw {self.yaw} outside [0, pi)")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "_cos_yaw", math.cos(self.yaw))
-        object.__setattr__(self, "_sin_yaw", math.sin(self.yaw))
+        object.__setattr__(self, "_cos_sin", (math.cos(self.yaw), math.sin(self.yaw)))
         object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
 
     def to_local(self, p: Vec3) -> Vec3:
         """World point -> box-local coordinates (rotate by -yaw about center)."""
         d = p - self.center
-        c, s = self._cos_yaw, self._sin_yaw
+        c, s = self._cos_sin
         return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], d[2]])
 
     def contains_interior(self, p: Vec3) -> bool:
@@ -103,21 +106,23 @@ class OrientedBoxes:
 
     The yaw cosines and sines come from `math`, element by element, so each
     box tests exactly like the OrientedBox that `boxes()` returns for it.
+    They are computed on first use, so boxes that `may_cut` rules out never
+    pay for them.
     """
 
     center: np.ndarray
     half_extents: tuple[float, float, float]
     yaw: np.ndarray
-    _cos_yaw: np.ndarray = field(init=False, repr=False)
-    _sin_yaw: np.ndarray = field(init=False, repr=False)
     _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        yaws = np.asarray(self.yaw, dtype=float).tolist()
-        n = len(yaws)
-        object.__setattr__(self, "_cos_yaw", np.fromiter(map(math.cos, yaws), float, n))
-        object.__setattr__(self, "_sin_yaw", np.fromiter(map(math.sin, yaws), float, n))
         object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
+
+    @cached_property
+    def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        yaws = np.asarray(self.yaw, dtype=float).tolist()
+        return (np.fromiter(map(math.cos, yaws), float, len(yaws)),
+                np.fromiter(map(math.sin, yaws), float, len(yaws)))
 
     def __len__(self) -> int:
         return len(self.yaw)
@@ -130,6 +135,32 @@ class OrientedBoxes:
         """(n,) mask of the boxes whose interior holds the point p."""
         return (np.abs(_box_frame(self, p)) < self._half).all(axis=0)
 
+    def may_cut(self, p: Vec3, q: Vec3) -> np.ndarray:
+        """(n,) mask, False only for boxes that cannot cut the open segment p->q.
+
+        A box's interior lies below its top and, seen from above, within its
+        half-diagonal of its center. So a box can cut the segment only if its
+        center lies within that radius of the floor trace of the part of the
+        segment below the box top; the highest top of the set serves every
+        box. The test keeps every center within half the trace length plus
+        the radius of the trace midpoint, a superset of that capsule, with the
+        top and the radius widened by _CULL_MARGIN per unit of coordinate scale.
+        """
+        (px, py, pz), (qx, qy, qz) = p.tolist(), q.tolist()
+        hx, hy, hz = self.half_extents
+        margin = _CULL_MARGIN * max(1.0, *map(abs, (px, py, pz, qx, qy, qz)))
+        top = float(self.center[:, 2].max()) + hz + margin
+        if pz >= top and qz >= top:
+            return np.zeros(len(self), dtype=bool)
+        # the part below the top runs over t in [t0, t1] of p + t (q - p)
+        t0 = (top - pz) / (qz - pz) if pz > top else 0.0
+        t1 = (top - pz) / (qz - pz) if qz > top else 1.0
+        ax, ay = px + t0 * (qx - px), py + t0 * (qy - py)
+        bx, by = px + t1 * (qx - px), py + t1 * (qy - py)
+        reach = math.hypot(bx - ax, by - ay) / 2.0 + math.hypot(hx, hy) + margin
+        return np.hypot(self.center[:, 0] - (ax + bx) / 2.0,
+                        self.center[:, 1] - (ay + by) / 2.0) <= reach
+
 
 def _box_frame(box: OrientedBox | OrientedBoxes, points: np.ndarray) -> np.ndarray:
     """Box-local coordinates of points (..., 3), axis first: shape (3, ...).
@@ -139,7 +170,7 @@ def _box_frame(box: OrientedBox | OrientedBoxes, points: np.ndarray) -> np.ndarr
     """
     d = points - box.center
     dx, dy = d[..., 0], d[..., 1]
-    c, s = box._cos_yaw, box._sin_yaw
+    c, s = box._cos_sin
     return np.array((c * dx + s * dy, -s * dx + c * dy, d[..., 2]))
 
 
@@ -152,11 +183,15 @@ def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
     edge or corner without entering) and endpoints lying exactly on the
     surface do not count as intersections. The box parameters broadcast
     against the segments, so (1, 3) endpoints and an OrientedBoxes of n boxes
-    test one segment against every box.
+    test one segment against every box; (m, 1, 3) endpoints test m segments
+    against every box, giving (m, n). A zero-length segment (start == end)
+    reports whether its point lies in the box interior, as contains_interior
+    does: with no step, every slab gives an infinite interval strictly inside
+    it and an empty or NaN one on or outside it.
     """
     local = _box_frame(box, np.array((starts, ends)))
     a, b = local[:, 0], local[:, 1]
-    h = box._half
+    h = box._half.reshape((3,) + (1,) * (a.ndim - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         step = b - a
         t1 = (-h - a) / step

@@ -183,7 +183,6 @@ class ReflectorBank:
         self.n_mirror = sum(sizes[:k])
         normals = np.array([arr.normal for _, arr in pairs]).reshape(-1, 3)
         self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
-        self._msa_sizes = sizes[k:]
         # the kernel reads centers and legs as contiguous axis vectors
         self.sources = np.repeat(np.array([ap.position for ap, _ in pairs]).reshape(-1, 3),
                                  sizes, axis=0)
@@ -192,9 +191,11 @@ class ReflectorBank:
         self.ux, self.uy, self.uz = u = np.ascontiguousarray((self.sources - centers).T)
         self.d1 = np.sqrt(self.ux * self.ux + self.uy * self.uy + self.uz * self.uz)
         self.weight, cn, fronts, start = np.zeros(len(centers)), np.zeros(len(centers)), [], 0
+        slices = []
         for i, (ap, arr) in enumerate(pairs):
             cells = slice(start, start + len(arr))
             start = cells.stop
+            slices.append(cells)
             cos_phi = -_dot(*u[:, cells], ap.normal) / self.d1[cells]
             lit = cos_phi > 0.0
             if i >= k:  # a metasurface also needs the source in front
@@ -207,7 +208,9 @@ class ReflectorBank:
         self._mirror_front = np.array(fronts[:k])  # per mirror pair: max over cells of c.n
         self._sources_in_front = all(float(ap.position @ arr.normal) >= front
                                      for (ap, arr), front in zip(pairs, fronts[:k]))
-        self._msa_cn = cn[self.n_mirror:]
+        # per metasurface pair: its cells and the largest c.n among them
+        self._cn, self._msa_cells, self._msa_front = cn, slices[k:], np.array(fronts[k:])
+        self._work = None  # the kernel's work arrays, made on first use
 
     def __len__(self) -> int:
         return len(self.d1)
@@ -228,40 +231,61 @@ class ReflectorBank:
         ue_gap = self._mirror_normals @ ue_position - self._mirror_front
         return self._sources_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
 
-    def cascade(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
-                ) -> np.ndarray:
-        """Per-cell gains weight * A cos(psi) / (2 pi (d1 + d2)^2).
+    def _kernel(self, ue: "PhotoDetector") -> np.ndarray:
+        """Unblocked per-cell gains, in a work array that the next call overwrites.
 
-        Zero outside the detector's field of view, for a mirror cell whose legs
-        are exactly antipodal, for a metasurface cell with the detector behind
-        it, and for a cell whose source or detector leg crosses a blocker.
+        The gains are weight * A cos(psi) / (2 pi (d1 + d2)^2), zero outside the
+        detector's field of view, for a mirror cell whose legs are exactly
+        antipodal and for a metasurface cell with the detector behind it.
+        Every step writes into the bank's work arrays (about 0.4 MB for 10^4
+        cells), with the arithmetic of one fresh array per step.
         """
+        if self._work is None:
+            self._work = np.empty((5, len(self))), np.empty(len(self), dtype=bool)
+        (vx, vy, vz, d2, g), ok = self._work
         x, y, z = ue.position.tolist()
         nx, ny, nz = (-ue.normal).tolist()
-        vx, vy, vz = x - self.cx, y - self.cy, z - self.cz
-        d2 = vx * vx
-        d2 += vy * vy
-        d2 += vz * vz
+        np.subtract(x, self.cx, out=vx)
+        np.subtract(y, self.cy, out=vy)
+        np.subtract(z, self.cz, out=vz)
+        np.multiply(vx, vx, out=d2)
+        d2 += np.multiply(vy, vy, out=g)
+        d2 += np.multiply(vz, vz, out=g)
         np.sqrt(d2, out=d2)
-        cos_psi = vx * nx
-        cos_psi += vy * ny
-        cos_psi += vz * nz
+        k = self.n_mirror
+        antipodal_ok = None
+        if k and not self._antipodes_impossible(ue.position, float(d2.max())):
+            dot = self.ux[:k] * vx[:k] + self.uy[:k] * vy[:k] + self.uz[:k] * vz[:k]
+            antipodal_ok = dot / (self.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
+        cos_psi = np.multiply(vx, nx, out=g)
+        cos_psi += np.multiply(vy, ny, out=vy)
+        cos_psi += np.multiply(vz, nz, out=vz)
         cos_psi /= d2
         # a detector's fov is at most pi/2, so its cosine is > 0 and this test
         # also drops the cells behind the detector (cos_psi <= 0)
-        ok = cos_psi >= math.cos(ue.fov)
-        k = self.n_mirror
-        if k and not self._antipodes_impossible(ue.position, float(d2.max())):
-            dot = self.ux[:k] * vx[:k] + self.uy[:k] * vy[:k] + self.uz[:k] * vz[:k]
-            ok[:k] &= dot / (self.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
-        if k < len(ok):  # detector in front: ue . n - c . n > 0
-            ok[k:] &= np.repeat(self._msa_normals @ ue.position, self._msa_sizes) > self._msa_cn
-        total_d = self.d1 + d2
+        np.greater_equal(cos_psi, math.cos(ue.fov), out=ok)
+        if antipodal_ok is not None:
+            ok[:k] &= antipodal_ok
+        if k < len(ok):  # detector in front: ue . n > c . n, cell by cell
+            ue_n = (self._msa_normals @ ue.position).tolist()
+            for cells, s, front in zip(self._msa_cells, ue_n, self._msa_front.tolist()):
+                if s <= front:  # else every cell of the pair passes
+                    ok[cells] &= s > self._cn[cells]
+        total_d = np.add(self.d1, d2, out=d2)
         total_d *= total_d
-        gains = self.weight * cos_psi
+        gains = np.multiply(self.weight, cos_psi, out=g)
         gains /= total_d
         gains *= ue.area / (2.0 * math.pi)
-        gains = np.where(ok, gains, 0.0)
+        np.copyto(gains, 0.0, where=np.logical_not(ok, out=ok))
+        return gains
+
+    def cascade(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
+                ) -> np.ndarray:
+        """Per-cell gains, a new array: the kernel's, with blocked cells zeroed.
+
+        A cell whose source or detector leg crosses a blocker gets zero.
+        """
+        gains = self._kernel(ue).copy() if len(self) else np.zeros(0)
         if blockers:
             idx = np.flatnonzero(gains > 0.0)
             if idx.size:
@@ -274,7 +298,7 @@ class ReflectorBank:
 
     def gain(self, ue: "PhotoDetector") -> float:
         """Total gain of the bank: one fixed-order np.sum (README, Determinism)."""
-        return float(np.sum(self.cascade(ue))) if len(self) else 0.0
+        return float(np.sum(self._kernel(ue))) if len(self) else 0.0
 
 
 def _dot(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: np.ndarray) -> np.ndarray:

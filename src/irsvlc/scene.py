@@ -37,9 +37,14 @@ class Room:
     height: float  # extent along z
 
     def __post_init__(self) -> None:
-        if min(self.length, self.width, self.height) <= 0:
-            raise ValueError(f"room dimensions must be positive, got "
-                             f"{(self.length, self.width, self.height)}")
+        dims = (self.length, self.width, self.height)
+        if not all(0.0 < d < math.inf for d in dims):
+            raise ValueError(f"room dimensions must be positive and finite, got {dims}")
+
+    def contains(self, p: Vec3) -> bool:
+        """True when the point p lies in the closed room box."""
+        x, y, z = np.asarray(p, dtype=float).tolist()
+        return 0.0 <= x <= self.length and 0.0 <= y <= self.width and 0.0 <= z <= self.height
 
     def walls(self):
         """The four vertical walls as (label, origin, u_dir, v_dir, u_len, v_len, inward_normal)."""
@@ -67,6 +72,14 @@ class Luminaire:
         object.__setattr__(self, "normal", normalize(np.asarray(self.normal, dtype=float)))
 
 
+def _check_detector(area: float, fov: float) -> None:
+    """PhotoDetector's checks of its area and field of view."""
+    if area <= 0:
+        raise ValueError(f"detector area must be positive, got {area}")
+    if not 0.0 < fov <= math.pi / 2:
+        raise ValueError(f"field of view {fov} outside (0, pi/2]")
+
+
 @dataclass(frozen=True)
 class PhotoDetector:
     """Receiver aperture: position, facing direction, active area and FOV (radians)."""
@@ -77,15 +90,20 @@ class PhotoDetector:
     fov: float = math.radians(DEFAULT_FOV_DEG)
 
     def __post_init__(self) -> None:
-        if self.area <= 0:
-            raise ValueError(f"detector area must be positive, got {self.area}")
-        if not 0.0 < self.fov <= math.pi / 2:
-            raise ValueError(f"field of view {self.fov} outside (0, pi/2]")
+        _check_detector(self.area, self.fov)
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         n = np.asarray(self.normal, dtype=float)
         if not is_unit(n, tol=1e-6):
             n = normalize(n)
         object.__setattr__(self, "normal", n)
+
+    @classmethod
+    def _unchecked(cls, position: Vec3, normal: Vec3, area: float,
+                   fov: float) -> "PhotoDetector":
+        """A detector from a float64 position, a unit normal and checked settings, as given."""
+        ue = object.__new__(cls)
+        ue.__dict__.update(position=position, normal=normal, area=area, fov=fov)
+        return ue
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,9 @@ class Scene:
     def __post_init__(self) -> None:
         if not self.aps:
             raise ValueError("scene needs at least one luminaire")
+        for ap in self.aps:
+            if not self.room.contains(ap.position):
+                raise ValueError(f"luminaire at {tuple(ap.position.tolist())} outside the room")
         if not 0.0 < self.ue_height < self.room.height:
             raise ValueError(f"receiver height {self.ue_height} outside the room")
         if not 0.0 <= self.wall_reflectivity <= 1.0:
@@ -195,22 +216,30 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
     """Random receiver pose: uniform floor position, tilted facing direction.
 
     Draw order is fixed (x, y, tilt, azimuth) so a given substream always
-    produces the same pose.
+    produces the same pose. The pose skips PhotoDetector's per-instance
+    checks: its position is finite and its normal a unit vector by
+    construction, and the scene's detector area and field of view are
+    checked once per run by `simulator.Ensemble`.
     """
     room = scene.room
     x = rng.uniform(0.0, room.length)
     y = rng.uniform(0.0, room.width)
     theta = math.radians(sample_tilt_deg(rng, scene.orientation_model))
     omega = rng.uniform(0.0, 2.0 * math.pi)
-    normal = unit_normal_from_polar(theta, omega)
-    return PhotoDetector(vec3(x, y, scene.ue_height), normal,
-                         area=scene.pd_area, fov=scene.pd_fov)
+    return PhotoDetector._unchecked(np.array((x, y, scene.ue_height)),
+                                    unit_normal_from_polar(theta, omega),
+                                    scene.pd_area, scene.pd_fov)
+
+
+def _mean_count(room: Room, model: BlockerModel) -> float:
+    """Expected blocker count; a field with mean 0 draws nothing from the stream."""
+    return model.density * room.length * room.width
 
 
 def _blocker_draws(rng: np.random.Generator, room: Room,
                    model: BlockerModel) -> tuple[np.ndarray, ...]:
     """x, y and yaw of one Poisson field, drawn in the fixed order (count, x, y, yaw)."""
-    lam = model.density * room.length * room.width
+    lam = _mean_count(room, model)
     count = 0 if lam == 0.0 else int(rng.poisson(lam))
     if count == 0:
         return (np.empty(0),) * 3
@@ -232,18 +261,23 @@ def sample_blocker_fields(rng: np.random.Generator, room: Room, models: Sequence
     """The fields of several models, each drawn from the stream's current state, as one box set.
 
     Each model gets exactly the boxes sample_blocker_field would draw from
-    that state: the stream is reset to it before every model after the first.
+    that state: the stream is reset to it before every model that draws after
+    the first one that does (a density-0 model reads nothing from it).
     Model k's boxes are rows offsets[k]:offsets[k + 1]; the box set is None
     when no model draws a blocker. The models must share one blocker size.
     """
     if any(m.dims != models[0].dims for m in models):
         raise ValueError("the blocker models must share one set of dimensions")
-    start = rng.bit_generator.state if len(models) > 1 else None
+    reads = [_mean_count(room, m) != 0.0 for m in models]
+    start = rng.bit_generator.state if sum(reads) > 1 else None
     draws: list[tuple[np.ndarray, ...]] = []
     offsets = [0]
-    for model in models:
-        if draws:
-            rng.bit_generator.state = start
+    drawn = False
+    for model, read in zip(models, reads):
+        if read:
+            if drawn:
+                rng.bit_generator.state = start
+            drawn = True
         draws.append(_blocker_draws(rng, room, model))
         offsets.append(offsets[-1] + len(draws[-1][0]))
     if offsets[-1] == 0:

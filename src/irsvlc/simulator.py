@@ -15,19 +15,20 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import (DEFAULT_PATCH_SIZE, PatchSet, diffuse_capture, los_gain,
+from .channel import (DEFAULT_PATCH_SIZE, PatchSet, PoweredPatches, los_gain,
                       patch_incident_power, wall_patches)
-from .geometry import segments_intersect_box
+from .geometry import OrientedBoxes, segments_intersect_box
 from .irs import ReflectorBank
-from .scene import BlockerModel, Scene, sample_blocker_fields, sample_ue
+from .scene import BlockerModel, Scene, _check_detector, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
@@ -114,7 +115,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Everything a trial reads besides its own substream; built once per run."""
+    """Everything a trial reads besides its own substream; built once per run.
+
+    Construction also checks the scene's detector settings, which no pose
+    repeats (see sample_ue), and keeps the powered wall patches ready for the
+    per-pose diffuse capture.
+    """
 
     scene: Scene
     seed: int
@@ -122,6 +128,11 @@ class Ensemble:
     diffuse_power: np.ndarray
     bank: ReflectorBank
     blocker_models: tuple[BlockerModel, ...]  # one per density, in output order
+    powered: PoweredPatches = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_detector(self.scene.pd_area, self.scene.pd_fov)
+        object.__setattr__(self, "powered", PoweredPatches(self.patches, self.diffuse_power))
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
@@ -141,36 +152,59 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     nothing else reads it. Replaying the stream from the state after the pose
     therefore gives each density exactly the blockers a run at that density
     alone would draw. Every density's boxes go into one box set, so one
-    containment test and one slab test per lit source serve all densities.
-    When no source reaches the detector unblocked, no blocker can change the
-    direct gain and the draws are skipped.
+    floor-plan cull and one slab call, for every lit source's sight line and
+    the containment test at once, serve all densities. When no source
+    reaches the detector unblocked, no blocker can change the direct gain and
+    the draws are skipped. When no box cuts a sight line, every density
+    shares one TrialGains.
     """
     scene = ens.scene
     rng = trial_rng(ens.seed, trial_index)
     ue = sample_ue(rng, scene)
-    h_nlos = diffuse_capture(ens.patches, ue, ens.diffuse_power)
+    h_nlos = ens.powered.capture(ue)
     # blockers model pedestrians crossing the direct link; the diffuse wall
     # field and the steered cascade are treated as blockage-insensitive at
     # trial level (per-path occlusion stays available in channel/irs)
     h_irs = ens.bank.gain(ue)
     lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
     if not lit:
-        return tuple(TrialGains(trial_index, 0.0, h_nlos, h_irs) for _ in ens.blocker_models)
+        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.blocker_models)
     boxes, offsets = sample_blocker_fields(rng, scene.room, ens.blocker_models)
-    # crossed[j, i]: boxes among the first i that cut lit source j's sight line
-    crossed = np.zeros((len(lit), offsets[-1] + 1), dtype=np.intp)
-    if boxes is not None:
-        # hard-core thinning: an object cannot occupy the receiver's location, and
-        # a box enclosing the receiver would zero every path regardless of steering
-        keep = ~boxes.contains_interior(ue.position)
-        end = ue.position[None, :]
-        for j, (ap, _) in enumerate(lit):
-            np.cumsum(keep & segments_intersect_box(ap.position[None, :], end, boxes),
-                      out=crossed[j, 1:])
-    at = crossed[:, offsets].tolist()
+    cut_rows = [] if boxes is None else _cut_sight_lines(boxes, ue.position,
+                                                          [ap.position for ap, _ in lit])
+    if not cut_rows:  # no box cuts a sight line, so one row serves every density
+        h_los = math.fsum(g for _, g in lit)
+        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.blocker_models)
+    # blocked[j]: the densities whose boxes cut lit source j's sight line
+    blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
     return tuple(TrialGains(trial_index,
-                            math.fsum(g for (_, g), c in zip(lit, at) if c[k] == c[k + 1]),
-                            h_nlos, h_irs) for k in range(len(offsets) - 1))
+                            math.fsum(g for (_, g), b in zip(lit, blocked) if k not in b),
+                            h_nlos, h_irs) for k in range(len(ens.blocker_models)))
+
+
+def _cut_sight_lines(boxes: OrientedBoxes, end: np.ndarray,
+                     starts: list[np.ndarray]) -> list[np.ndarray]:
+    """Per start point, the rows of the boxes that cut its open sight line to end.
+
+    Boxes whose interior holds end are left out: hard-core thinning, as an
+    object cannot occupy the receiver's location, and a box enclosing the
+    receiver would zero every path regardless of steering. Only the boxes
+    that OrientedBoxes.may_cut keeps for some start get the slab test: one
+    call for every sight line plus the zero-length segment at end, which
+    gives the containment test from the same box-local frame of end. The
+    list is empty when no box cuts any sight line.
+    """
+    near = boxes.may_cut(starts[0], end)
+    for p in starts[1:]:
+        near |= boxes.may_cut(p, end)
+    near = near.nonzero()[0]
+    if not near.size:
+        return []
+    ends = np.array([end] * (len(starts) + 1))[:, None, :]
+    kept = OrientedBoxes(boxes.center[near], boxes.half_extents, boxes.yaw[near])
+    cuts = segments_intersect_box(np.array(starts + [end])[:, None, :], ends, kept)
+    hits = cuts[:-1] & ~cuts[-1]
+    return [near[h] for h in hits] if hits.any() else []
 
 
 def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:

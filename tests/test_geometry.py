@@ -219,3 +219,46 @@ def test_segments_intersect_box_broadcasts_over_boxes():
             for end in (p, q):
                 assert field.contains_interior(end).tolist() == \
                     [b.contains_interior(end) for b in boxes]
+
+
+def test_zero_length_segment_is_the_containment_test():
+    # a segment from a point to itself reports whether the point lies in the
+    # box interior, so one slab call can serve the containment test too
+    r = rng(45)
+    for field in _floor_fields(r):
+        faces = field.center[:, None, :] + np.array(field.half_extents) * r.choice(
+            (-1.0, -0.5, 0.0, 0.5, 1.0), (len(field), 8, 3))
+        for p in np.concatenate((r.uniform(0.0, 5.0, (200, 3)), faces.reshape(-1, 3))):
+            got = segments_intersect_box(p[None, :], p[None, :], field)
+            assert got.tolist() == field.contains_interior(p).tolist()
+
+
+def test_stacked_segments_give_the_per_segment_verdicts():
+    # (m, 1, 3) endpoints test m segments against every box at once
+    r = rng(46)
+    field = _floor_fields(r)[0]
+    starts, ends = r.uniform(0.0, 5.0, (6, 3)), r.uniform(0.0, 5.0, (6, 3))
+    got = segments_intersect_box(starts[:, None, :], ends[:, None, :], field)
+    assert got.shape == (6, len(field))
+    for row, p, q in zip(got, starts, ends):
+        assert row.tolist() == segments_intersect_box(p[None, :], q[None, :], field).tolist()
+
+
+def test_may_cut_keeps_every_box_the_slab_test_hits():
+    r = rng(47)
+    for field in _floor_fields(r) + _floor_fields(r):
+        for _ in range(200):
+            p = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
+            q = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
+            hit = segments_intersect_box(p[None, :], q[None, :], field)
+            assert not (hit & ~field.may_cut(p, q)).any()
+            assert not (field.contains_interior(q) & ~field.may_cut(p, q)).any()
+
+
+def test_boxes_compute_their_yaw_cosines_on_first_use():
+    field = _floor_fields(rng(48))[0]
+    assert "_cos_sin" not in vars(field)
+    kept = OrientedBoxes(field.center[[2, 0]], field.half_extents, field.yaw[[2, 0]])
+    kept.contains_interior(np.array([1.0, 1.0, 1.0]))
+    assert [c.tolist() for c in kept._cos_sin] == \
+        [[math.cos(y) for y in kept.yaw.tolist()], [math.sin(y) for y in kept.yaw.tolist()]]

@@ -22,6 +22,36 @@ def test_room_validation():
         Room(-1.0, 5.0, 3.0)
 
 
+@pytest.mark.parametrize("dims", [(math.nan, 5.0, 3.0), (5.0, math.inf, 3.0),
+                                  (5.0, 5.0, -math.inf), (math.nan,) * 3])
+def test_room_rejects_non_finite_dimensions(dims):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Room(*dims)
+
+
+@pytest.mark.parametrize("overrides", [{"ap_x": 9.0}, {"ap_y": -0.5}, {"ap_z": 3.5},
+                                       {"ap_x": 5.0 + 1e-9}])
+def test_scene_rejects_a_luminaire_outside_the_room(overrides):
+    with pytest.raises(ValueError, match="outside the room"):
+        make_scene(**overrides)
+
+
+def test_scene_accepts_a_luminaire_on_the_room_boundary():
+    # the room box is closed: a source on the ceiling or in a corner is inside
+    for overrides in ({"ap_z": 3.0}, {"ap_x": 0.0, "ap_y": 5.0, "ap_z": 0.0}):
+        assert make_scene(**overrides).aps[0].position.tolist() == \
+            [overrides.get("ap_x", 2.5), overrides.get("ap_y", 2.5), overrides["ap_z"]]
+
+
+def test_validate_still_reports_every_bad_key_with_its_wording():
+    # the constructors' checks do not replace the config file's report
+    cfg = RunConfig(room_length=math.nan, ap_x=9.0, pd_area=0.0)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert "[room] length: must be finite" in err.value.errors
+    assert "[ue] area: must be positive" in err.value.errors
+
+
 def test_room_walls_are_four_inward_frames():
     room = Room(5.0, 4.0, 3.0)
     walls = room.walls()

@@ -1,16 +1,20 @@
 """Trial ensemble, SER estimation and required-SNR readout."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, ReflectorBank, RequiredSnr, Scenario, SnrGrid, TrialGains,
-                    los_gain, nlos_gain, q_function, required_snr, run_trials, ser_curve,
-                    trial_rng, vec3, wall_patches)
-from irsvlc import simulator
-from irsvlc.scene import sample_blocker_field, sample_ue
+from irsvlc import (Luminaire, PatchSet, ReflectorBank, RequiredSnr, Scenario, SnrGrid,
+                    TrialGains, los_gain, nlos_gain, patch_incident_power, q_function,
+                    required_snr, run_trials, ser_curve, segments_intersect_box, trial_rng,
+                    vec3, wall_patches)
+from irsvlc import channel, config, geometry, irs, oracles, scene as scene_module, simulator
+from irsvlc.geometry import OrientedBoxes
+from irsvlc.irs import _ANTIPODAL_TOL, _dot
+from irsvlc.scene import BLOCKER_DIMS, sample_blocker_field, sample_ue
 from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
 
 from conftest import make_scene
@@ -137,21 +141,190 @@ def _replayed_direct_gain(scene, seed, trial_index, density):
 
 def test_fused_occlusion_matches_per_density_replay():
     # every row of the one-pass trial equals an independent replay of its
-    # density: own draws, receiver-enclosing boxes dropped, per-source los_gain
-    scene = _three_source_scene()
-    densities = (0.0, 0.01, 0.5, 4.0, 0.5)
-    ens = Ensemble.build(scene, 21, densities)
-    enclosed = blocked = 0
-    for t in range(150):
-        row = compute_trial(ens, t)
-        assert len(row) == len(densities)
-        unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
-        for d, gains in zip(densities, row):
-            want, dropped = _replayed_direct_gain(scene, 21, t, d)
-            assert gains.h_los == want, (t, d)
-            enclosed += dropped
-            blocked += want < unblocked
-    assert enclosed > 0 and blocked > 0
+    # density: own draws, receiver-enclosing boxes dropped, per-source los_gain;
+    # for three sources and for the stock one-source scene
+    for scene, densities in ((_three_source_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
+                             (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
+        ens = Ensemble.build(scene, 21, densities)
+        enclosed = blocked = 0
+        for t in range(150):
+            row = compute_trial(ens, t)
+            assert len(row) == len(densities)
+            unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
+            for d, gains in zip(densities, row):
+                want, dropped = _replayed_direct_gain(scene, 21, t, d)
+                assert gains.h_los == want, (t, d)
+                enclosed += dropped
+                blocked += want < unblocked
+        assert enclosed > 0 and blocked > 0
+
+
+def _grazing_corpus(r, cases=300):
+    """(source, receiver, boxes) sight lines whose boxes sit on the cull's edges.
+
+    Per line: boxes at the half-diagonal from the floor trace of the part
+    below the box top, with a corner pointing at the trace (a grazing
+    corner), or turned a hair off; boxes on the cull disk's rim and one ulp
+    either side of it, beyond each end of the trace and elsewhere; boxes of
+    yaw 0 and of yaw just below pi; a box around the receiver. Sources stand
+    on the ceiling, at the box top or below it.
+    """
+    hx, hy, hz = (d / 2.0 for d in BLOCKER_DIMS)
+    top, diag, corner = 2.0 * hz, math.hypot(hx, hy), math.atan2(hy, hx)
+    below_pi = math.nextafter(math.pi, 0.0)
+    for _ in range(cases):
+        p = np.array([*r.uniform(0.0, 5.0, 2), r.choice([3.0, top, r.uniform(0.2, top)])])
+        q = np.array([*r.uniform(0.0, 5.0, 2), r.choice([1.0, r.uniform(0.1, top), top])])
+        pz, qz = float(p[2]), float(q[2])
+        # the part of p->q below the top, or all of it when none is (then no box can cut)
+        t0 = (top - pz) / (qz - pz) if pz > top > qz else 0.0
+        t1 = (top - pz) / (qz - pz) if qz > top > pz else 1.0
+        a, b = p[:2] + t0 * (q - p)[:2], p[:2] + t1 * (q - p)[:2]
+        centers, yaws = [], []
+        for s in r.uniform(-0.3, 1.3, 12):
+            foot = a + min(max(s, 0.0), 1.0) * (b - a)  # nearest trace point beyond the ends
+            phi = r.uniform(0.0, 2.0 * math.pi)
+            centers.append(foot + diag * np.array([math.cos(phi), math.sin(phi)]))
+            # a corner points back at the foot, exactly or a hair off
+            yaws.append((phi + math.pi - corner + r.choice([0.0, 1e-12, -1e-12])) % math.pi)
+        # on the rim of the cull disk, beyond each end of the trace or anywhere,
+        # with a corner pointing back at the trace's midpoint
+        mid, rim = (a + b) / 2.0, float(np.hypot(*(b - a))) / 2.0 + diag
+        ahead = math.atan2(*(b - a)[::-1])
+        for phi in (ahead, ahead + math.pi, *r.uniform(0.0, 2.0 * math.pi, 2)):
+            for radius in (rim, math.nextafter(rim, 0.0), math.nextafter(rim, math.inf)):
+                centers.append(mid + radius * np.array([math.cos(phi), math.sin(phi)]))
+                yaws.append((phi + math.pi - corner) % math.pi)
+        for yaw in (0.0, below_pi):
+            centers += [a + r.uniform(-0.5, 0.5, 2), b + r.uniform(-0.5, 0.5, 2)]
+            yaws += [yaw, yaw]
+        centers.append(q[:2] + r.uniform(-0.05, 0.05, 2))  # holds the receiver when q is low
+        yaws.append(r.uniform(0.0, math.pi))
+        xy = np.array(centers)
+        boxes = OrientedBoxes(np.column_stack((xy, np.full(len(xy), hz))), (hx, hy, hz),
+                              np.array(yaws))
+        yield p, q, boxes
+
+
+def test_cull_keeps_every_verdict_of_the_slab_test():
+    # on the grazing corpus the culled pass gives, box for box, the verdicts
+    # of the slab test and the containment test over every drawn box
+    r = np.random.default_rng(1_111)
+    hits = culled = enclosed = 0
+    for p, q, boxes in _grazing_corpus(r):
+        slab = segments_intersect_box(p[None, :], q[None, :], boxes)
+        inside = boxes.contains_interior(q)
+        near = boxes.may_cut(p, q)
+        assert not ((slab | inside) & ~near).any()
+        want = np.flatnonzero(slab & ~inside)
+        got = simulator._cut_sight_lines(boxes, q, [p])
+        assert [g.tolist() for g in got] == ([want.tolist()] if want.size else [])
+        hits += want.size
+        culled += int((~near).sum())
+        enclosed += int(inside.sum())
+    assert hits > 0 and culled > 0 and enclosed > 0
+
+
+def _patch_to_ue(ps, ue, power):
+    """The diffuse capture before the powered-patch kernel: einsum rows over every patch."""
+    u = ue.position - ps.centers
+    d2_sq = np.einsum("ij,ij->i", u, u)
+    d2 = np.sqrt(d2_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_out = np.einsum("ij,ij->i", u, ps.normals) / d2
+        cos_psi = -(u @ ue.normal) / d2
+    live = np.flatnonzero((cos_out > 0.0) & (cos_psi >= math.cos(ue.fov)) & (power > 0.0))
+    capture = np.minimum(ue.area * cos_out[live] * cos_psi[live] / (math.pi * d2_sq[live]), 1.0)
+    contrib = ps.reflectivity[live] * power[live] * capture
+    return math.fsum(contrib.tolist())
+
+
+def _cascade_sum(scene, bank, ue):
+    """h_irs as the bank computed it before its in-place kernel: a fresh array per step."""
+    x, y, z = ue.position.tolist()
+    nx, ny, nz = (-ue.normal).tolist()
+    vx, vy, vz = x - bank.cx, y - bank.cy, z - bank.cz
+    d2 = vx * vx
+    d2 += vy * vy
+    d2 += vz * vz
+    np.sqrt(d2, out=d2)
+    cos_psi = vx * nx
+    cos_psi += vy * ny
+    cos_psi += vz * nz
+    cos_psi /= d2
+    ok = cos_psi >= math.cos(ue.fov)
+    k = bank.n_mirror
+    if k and not bank._antipodes_impossible(ue.position, float(d2.max())):
+        dot = bank.ux[:k] * vx[:k] + bank.uy[:k] * vy[:k] + bank.uz[:k] * vz[:k]
+        ok[:k] &= dot / (bank.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
+    pairs = [(ap, arr) for ap in scene.aps for arr in scene.metasurface_arrays]
+    if pairs:
+        cn = np.concatenate([_dot(*arr.centers.T, arr.normal) for _, arr in pairs])
+        ue_n = np.array([arr.normal for _, arr in pairs]) @ ue.position
+        ok[k:] &= np.repeat(ue_n, [len(arr) for _, arr in pairs]) > cn
+    total_d = bank.d1 + d2
+    total_d *= total_d
+    gains = bank.weight * cos_psi
+    gains /= total_d
+    gains *= ue.area / (2.0 * math.pi)
+    return float(np.sum(np.where(ok, gains, 0.0)))
+
+
+def _tilted_source_ensemble(seed):
+    """An order-1 field from a source tilted toward +x: the upper x0 wall stays dark."""
+    scene = replace(make_scene(irs_type="none"),
+                    aps=(Luminaire(vec3(2.5, 2.5, 3.0), vec3(0.6, 0.0, -0.8)),))
+    return Ensemble.build(scene, seed, (0.0,), nlos_order=1)
+
+
+def _dark_wall_ensemble(seed):
+    """The stock order-2 field with the y0 wall at reflectivity 0."""
+    scene = make_scene(irs_type="none")
+    ps = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
+    dark = PatchSet(ps.centers, ps.normals, ps.areas,
+                    np.where(ps.centers[:, 1] == 0.0, 0.0, ps.reflectivity))
+    power = patch_incident_power(scene.aps[0], dark, (), order=2)
+    return Ensemble(scene, seed, dark, power, ReflectorBank(scene.aps), (scene.blocker_model,))
+
+
+@pytest.mark.parametrize("irs_type", ["mirror", "metasurface"])
+@pytest.mark.parametrize("fov_deg", [30.0, 85.0, 90.0])
+def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
+    scene = make_scene(irs_type=irs_type, fov_deg=fov_deg)
+    ens = Ensemble.build(scene, 5, (0.0,))
+    lit = 0
+    for t in range(300):
+        ue = sample_ue(trial_rng(5, t), scene)
+        want = _cascade_sum(scene, ens.bank, ue)
+        assert compute_trial(ens, t)[0].h_irs.hex() == want.hex(), t
+        assert ens.bank.gain(ue).hex() == want.hex()
+        lit += want > 0.0
+    assert lit > 0
+
+
+def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
+    # the detector checks and vec3's finiteness check run a fixed number of
+    # times per run: the poses skip them
+    scene = make_scene(1.0, n_per_side=4)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (geometry, scene_module, channel, irs, simulator, config, oracles):
+        for name, key in (("_check_detector", "detector"), ("vec3", "vec3")):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    per_run = []
+    for trials in (5, 50):
+        counts.clear()
+        run_trials(scene, trials, seed=3)
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert per_run[1]["detector"] == 1 and per_run[1].get("vec3", 0) <= 4
 
 
 @pytest.mark.parametrize("densities", [(1.0,), (0.0, 0.5, 1.0, 2.0, 4.0)])
@@ -206,6 +379,21 @@ def test_trial_nlos_matches_direct_evaluation():
     for t in out:
         ue = sample_ue(trial_rng(9, t.index), scene)
         assert t.h_nlos == nlos_gain(scene.aps[0], ue, patches, (), order=2)
+    # and the powered-patch kernel gives every pose the bits of the einsum
+    # capture over all patches: at narrow, stock and full fields of view, and
+    # where unpowered patches are dropped or a wall reflects nothing
+    ensembles = [Ensemble.build(make_scene(irs_type="none", fov_deg=fov), 9, (0.0,))
+                 for fov in (30.0, 85.0, 90.0)]
+    ensembles += [_tilted_source_ensemble(9), _dark_wall_ensemble(9)]
+    assert 0 < len(ensembles[3].powered) < len(ensembles[3].patches)
+    for ens in ensembles:
+        live = 0
+        for t in range(300):
+            ue = sample_ue(trial_rng(9, t), ens.scene)
+            want = _patch_to_ue(ens.patches, ue, ens.diffuse_power)
+            assert compute_trial(ens, t)[0].h_nlos.hex() == want.hex(), t
+            live += want > 0.0
+        assert live > 0
 
 
 # -- scenarios -----------------------------------------------------------------
