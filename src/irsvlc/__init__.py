@@ -9,7 +9,8 @@ mirrors or metasurface patches.
 from .channel import (PatchSet, diffuse_capture, los_gain, nlos_gain, patch_incident_power,
                       shadowed, shadowed_mask, wall_patches)
 from .config import ConfigError, RunConfig, build_scene, effective_sections, load_config
-from .geometry import OrientedBox, normalize, segments_intersect_box, unit_normal_from_polar, vec3
+from .geometry import (OrientedBoxes, normalize, segments_intersect_box, unit_normal_from_polar,
+                       vec3)
 from .irs import (MirrorElement, ReflectorArray, ReflectorBank, mirror_element_gain,
                   optimal_mirror_normal)
 from .scene import (BlockerModel, Luminaire, OrientationModel, PhotoDetector, Room, Scene,
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockerModel", "ConfigError", "Ensemble", "Luminaire", "MirrorElement",
-    "OrientationModel", "OrientedBox", "PatchSet", "PhotoDetector", "ReflectorArray",
+    "OrientationModel", "OrientedBoxes", "PatchSet", "PhotoDetector", "ReflectorArray",
     "ReflectorBank", "RequiredSnr", "Room", "RunConfig", "SER_TARGET", "Scenario",
     "Scene", "SerCurve", "SnrGrid", "TrialGains", "build_arrays", "build_scene",
     "compute_trial", "diffuse_capture", "effective_sections", "load_config", "los_gain",

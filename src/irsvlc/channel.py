@@ -2,18 +2,18 @@
 
 All gains are dimensionless ratios of received optical power at the detector
 to transmitted optical power, for a generalized-Lambertian source of order m
-and a flat photodetector with a field-of-view cutoff. Blockers are oriented
-boxes; any sight line crossing a box interior contributes zero.
+and a flat photodetector with a field-of-view cutoff. Blockers are one
+OrientedBoxes set or (); a sight line crossing a box interior contributes zero.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import OrientedBox, Vec3, segments_intersect_box
+from .geometry import OrientedBoxes, Vec3, segments_intersect_box
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector, Room
@@ -36,7 +36,7 @@ class PatchSet:
         return len(self.areas)
 
 
-def shadowed(p: Vec3, q: Vec3, blockers: Sequence[OrientedBox]) -> bool:
+def shadowed(p: Vec3, q: Vec3, blockers: OrientedBoxes | tuple[()]) -> bool:
     """True iff the open sight line p->q crosses any blocker's interior."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -46,20 +46,20 @@ def shadowed(p: Vec3, q: Vec3, blockers: Sequence[OrientedBox]) -> bool:
 
 
 def shadowed_mask(starts: np.ndarray, ends: np.ndarray,
-                  blockers: Sequence[OrientedBox]) -> np.ndarray:
+                  blockers: OrientedBoxes | tuple[()]) -> np.ndarray:
     """shadowed() over (n, 3) segment endpoint arrays, one slab test per box."""
     n = len(starts)
     blocked = np.zeros(n, dtype=bool)
-    for box in blockers:
+    for k in range(len(blockers)):
         alive = ~blocked
         if not alive.any():
             break
-        blocked[alive] = segments_intersect_box(starts[alive], ends[alive], box)
+        blocked[alive] = segments_intersect_box(starts[alive], ends[alive], blockers[k:k + 1])
     return blocked
 
 
 def los_gain(ap: "Luminaire", ue: "PhotoDetector",
-             blockers: Sequence[OrientedBox] = ()) -> float:
+             blockers: OrientedBoxes | tuple[()] = ()) -> float:
     """Direct-path DC gain between a Lambertian source and the detector.
 
     Zero when the detector lies outside the source's forward hemisphere,
@@ -110,7 +110,7 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
 
 
 def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
-                        blockers: Sequence[OrientedBox]) -> np.ndarray:
+                        blockers: OrientedBoxes | tuple[()]) -> np.ndarray:
     """Optical power collected by each patch per unit transmitted power."""
     w = ps.centers - ap.position
     d1_sq = np.einsum("ij,ij->i", w, w)
@@ -173,7 +173,7 @@ def _plane_runs(ps: PatchSet, sources: np.ndarray):
 
 
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
-                         blockers: Sequence[OrientedBox]) -> np.ndarray:
+                         blockers: OrientedBoxes | tuple[()]) -> np.ndarray:
     """Patch powers after one diffuse patch-to-patch transfer.
 
     O(P^2) pairs, evaluated per plane run of sources (see _plane_runs) and
@@ -239,7 +239,7 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
 
 
 def patch_incident_power(ap: "Luminaire", ps: PatchSet,
-                         blockers: Sequence[OrientedBox] = (),
+                         blockers: OrientedBoxes | tuple[()] = (),
                          order: int = 1) -> np.ndarray:
     """Optical power landing on each wall patch per unit transmitted power.
 
@@ -279,7 +279,7 @@ class PoweredPatches:
     def __len__(self) -> int:
         return len(self.scale)
 
-    def capture(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()) -> float:
+    def capture(self, ue: "PhotoDetector", blockers: OrientedBoxes | tuple[()] = ()) -> float:
         """Detector power from the diffusely re-emitted patch powers; compensated sum.
 
         Only the patches that face the detector and lie in its field of view
@@ -324,13 +324,13 @@ class PoweredPatches:
 
 
 def diffuse_capture(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
-                    blockers: Sequence[OrientedBox] = ()) -> float:
+                    blockers: OrientedBoxes | tuple[()] = ()) -> float:
     """Detector gain from per-patch incident powers after one re-emission."""
     return PoweredPatches(ps, power).capture(ue, blockers)
 
 
 def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
-              blockers: Sequence[OrientedBox] = (), order: int = 1) -> float:
+              blockers: OrientedBoxes | tuple[()] = (), order: int = 1) -> float:
     """Diffuse wall-bounce DC gain summed over all patches.
 
     order=1 models a single wall bounce; order=2 adds one patch-to-patch

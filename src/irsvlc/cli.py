@@ -23,13 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from . import oracles
-from .channel import shadowed
 from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
                      validate)
-from .geometry import normalize
-from .irs import MirrorElement, ReflectorBank, mirror_element_gain, optimal_mirror_normal
-from .scene import Luminaire, PhotoDetector, sample_ue
-from .simulator import (SER_TARGET, Scenario, SerCurve, q_function, required_snr,
+from .irs import ReflectorBank
+from .scene import sample_ue
+from .simulator import (SER_TARGET, Scenario, SerCurve, required_snr,
                         run_trials, ser_curve)
 
 _SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
@@ -333,45 +331,19 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
 
 
 def _verify_mirror_normals(geometries: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(20_240_814)
-    worst = 0.0
-    for _ in range(geometries):
-        c = rng.uniform(0.5, 4.5, 3)
-        src = rng.uniform(0.0, 5.0, 3)
-        dst = rng.uniform(0.0, 5.0, 3)
-        if min(np.linalg.norm(src - c), np.linalg.norm(dst - c)) < 0.3:
-            continue
-        u = normalize(src - c)
-        v = normalize(dst - c)
-        if float(np.linalg.norm(u + v)) < 1e-3:
-            continue
-        ap = Luminaire(src, normalize(c - src), 1.0)
-        ue = PhotoDetector(dst, normalize(c - dst))
-        closed = optimal_mirror_normal(src, c, dst)
-        searched = oracles.grid_search_mirror_normal(src, c, dst)
-        g_closed = mirror_element_gain(ap, MirrorElement(c, closed), ue)
-        g_search = mirror_element_gain(ap, MirrorElement(c, searched), ue)
-        if g_closed <= 0.0:
-            return False, "closed-form orientation produced zero gain"
-        worst = max(worst, abs(g_search - g_closed) / g_closed)
-    ok = worst <= 1e-6
-    return ok, f"max relative gain deviation {worst:.3e} over {geometries} geometries"
+    worst, checked = oracles.mirror_normal_deviation(geometries)
+    if worst is None:
+        return False, "closed-form orientation produced zero gain"
+    return worst <= 1e-6, f"max relative gain deviation {worst:.3e} over {checked} geometries"
 
 
 def _verify_q(points: int) -> tuple[bool, str]:
-    xs = np.linspace(0.0, 8.0, points)
-    worst = max(abs(q_function(float(x)) - oracles.q_numeric(float(x))) for x in xs)
+    worst = oracles.q_function_error(points)
     return worst <= 1e-10, f"max |Q - quadrature| = {worst:.3e} on [0, 8]"
 
 
 def _verify_occlusion(cases: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(67_415)
-    corpus = oracles.occlusion_corpus(rng, cases)
-    disagreements = 0
-    for p, q, box in corpus:
-        fast = shadowed(p, q, (box,))
-        slow = oracles.point_sample_occlusion(p, q, box)
-        disagreements += fast != slow
+    disagreements = oracles.occlusion_disagreements(cases)
     return disagreements == 0, f"{disagreements} disagreements on {cases} filtered cases"
 
 

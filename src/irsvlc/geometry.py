@@ -8,8 +8,8 @@ Functions
 vec3                    -- checked constructor for a 3-vector
 normalize               -- unit vector, rejects near-zero input
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
-OrientedBoxes           -- n equal upright boxes stored as arrays, with a
-                           conservative floor-plan cull (`may_cut`)
+OrientedBoxes           -- the one box type: n equal upright boxes stored as
+                           arrays, row slices, a conservative floor-plan cull
 segments_intersect_box  -- open-segment vs. oriented-box interior test, over
                            many segments or many boxes
 """
@@ -66,48 +66,15 @@ def unit_normal_from_polar(theta: float, omega: float) -> Vec3:
 
 
 @dataclass(frozen=True)
-class OrientedBox:
-    """Axis-aligned box rotated by a yaw angle about the vertical axis.
-
-    center is the box midpoint, half_extents the half side lengths along the
-    box-local x/y/z axes, yaw the rotation of the local frame about +z.
-    """
-
-    center: Vec3
-    half_extents: tuple[float, float, float]
-    yaw: float
-    _cos_sin: tuple[float, float] = field(init=False, repr=False)
-    _half: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if any(h <= 0 for h in self.half_extents):
-            raise ValueError(f"half extents must be positive, got {self.half_extents}")
-        if not 0.0 <= self.yaw < math.pi:
-            raise ValueError(f"yaw {self.yaw} outside [0, pi)")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "_cos_sin", (math.cos(self.yaw), math.sin(self.yaw)))
-        object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
-
-    def to_local(self, p: Vec3) -> Vec3:
-        """World point -> box-local coordinates (rotate by -yaw about center)."""
-        d = p - self.center
-        c, s = self._cos_sin
-        return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], d[2]])
-
-    def contains_interior(self, p: Vec3) -> bool:
-        q = self.to_local(p)
-        hx, hy, hz = self.half_extents
-        return abs(q[0]) < hx and abs(q[1]) < hy and abs(q[2]) < hz
-
-
-@dataclass(frozen=True)
 class OrientedBoxes:
-    """n boxes of equal half extents as arrays: (n, 3) centers and (n,) yaws.
+    """n upright boxes of equal half extents as arrays: (n, 3) centers and (n,) yaws.
 
-    The yaw cosines and sines come from `math`, element by element, so each
-    box tests exactly like the OrientedBox that `boxes()` returns for it.
-    They are computed on first use, so boxes that `may_cut` rules out never
-    pay for them.
+    Each box is an axis-aligned box rotated by its yaw about the vertical
+    axis through its center; half_extents are the half side lengths along the
+    box-local x/y/z axes. The yaw cosines and sines come from `math`, element
+    by element, so a box tests the same in every set that holds it, a
+    one-row slice included. They are computed on first use, so boxes that
+    `may_cut` rules out never pay for them.
     """
 
     center: np.ndarray
@@ -116,20 +83,35 @@ class OrientedBoxes:
     _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_half", np.array(self.half_extents, dtype=float)[:, None])
+        if any(h <= 0 for h in self.half_extents):
+            raise ValueError(f"half extents must be positive, got {self.half_extents}")
+        center = np.asarray(self.center, dtype=float)
+        yaw = np.asarray(self.yaw, dtype=float)
+        if yaw.ndim != 1 or center.shape != (len(yaw), 3):
+            raise ValueError(f"center has shape {center.shape}, want ({yaw.size}, 3) for the yaws")
+        ok = (yaw >= 0.0) & (yaw < math.pi)  # False for NaN
+        if not ok.all():
+            raise ValueError(f"yaw {yaw[~ok][0]} outside [0, pi)")
+        self.__dict__.update(center=center, yaw=yaw,
+                             _half=np.array(self.half_extents, dtype=float)[:, None])
 
     @cached_property
     def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
-        yaws = np.asarray(self.yaw, dtype=float).tolist()
+        yaws = self.yaw.tolist()
         return (np.fromiter(map(math.cos, yaws), float, len(yaws)),
                 np.fromiter(map(math.sin, yaws), float, len(yaws)))
 
     def __len__(self) -> int:
         return len(self.yaw)
 
-    def boxes(self) -> tuple[OrientedBox, ...]:
-        return tuple(OrientedBox(self.center[k], self.half_extents, float(self.yaw[k]))
-                     for k in range(len(self)))
+    def __getitem__(self, rows) -> OrientedBoxes:
+        """The boxes at rows (a slice or 1-D index array); rows of a checked set skip the checks."""
+        kept = object.__new__(OrientedBoxes)
+        kept.__dict__.update(center=self.center[rows], half_extents=self.half_extents,
+                             yaw=self.yaw[rows], _half=self._half)
+        if kept.yaw.ndim != 1:
+            raise TypeError(f"box rows take a slice or a 1-D index array, not {rows!r}")
+        return kept
 
     def contains_interior(self, p: Vec3) -> np.ndarray:
         """(n,) mask of the boxes whose interior holds the point p."""
@@ -162,11 +144,10 @@ class OrientedBoxes:
                         self.center[:, 1] - (ay + by) / 2.0) <= reach
 
 
-def _box_frame(box: OrientedBox | OrientedBoxes, points: np.ndarray) -> np.ndarray:
+def _box_frame(box: OrientedBoxes, points: np.ndarray) -> np.ndarray:
     """Box-local coordinates of points (..., 3), axis first: shape (3, ...).
 
-    The rotation by -yaw about the center is written out per axis, the same
-    floating-point operations as OrientedBox.to_local.
+    The rotation by -yaw about the center is written out per axis.
     """
     d = points - box.center
     dx, dy = d[..., 0], d[..., 1]
@@ -175,7 +156,7 @@ def _box_frame(box: OrientedBox | OrientedBoxes, points: np.ndarray) -> np.ndarr
 
 
 def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
-                           box: OrientedBox | OrientedBoxes) -> np.ndarray:
+                           box: OrientedBoxes) -> np.ndarray:
     """True where the open segment start->end passes through the box interior.
 
     Slab test in the box-local frame, over (n, 3) start/end point arrays of

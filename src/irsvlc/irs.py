@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import shadowed, shadowed_mask
-from .geometry import OrientedBox, Vec3, normalize
+from .geometry import OrientedBoxes, Vec3, normalize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import Luminaire, PhotoDetector
@@ -104,7 +104,7 @@ def _plane_basis(n: Vec3) -> tuple[Vec3, Vec3]:
 
 
 def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector",
-                        blockers: Sequence[OrientedBox] = ()) -> float:
+                        blockers: OrientedBoxes | tuple[()] = ()) -> float:
     """Cascaded gain of one mirror element at its current orientation.
 
     Image-source model: zero unless the source is on the element's front
@@ -279,7 +279,7 @@ class ReflectorBank:
         np.copyto(gains, 0.0, where=np.logical_not(ok, out=ok))
         return gains
 
-    def cascade(self, ue: "PhotoDetector", blockers: Sequence[OrientedBox] = ()
+    def cascade(self, ue: "PhotoDetector", blockers: OrientedBoxes | tuple[()] = ()
                 ) -> np.ndarray:
         """Per-cell gains, a new array: the kernel's, with blocked cells zeroed.
 

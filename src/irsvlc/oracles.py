@@ -3,7 +3,9 @@
 Each oracle re-derives a result by brute force instead of the closed form it
 checks: mirror orientation by exhaustive angular search, the Gaussian tail by
 adaptive quadrature, box occlusion by dense point sampling, and the reflector
-bank's per-cell gains by one single-cell model call per cell.
+bank's per-cell gains by one single-cell model call per cell. `irsvlc verify`
+and the acceptance tests share the first three checks, which return numbers:
+mirror_normal_deviation, q_function_error and occlusion_disagreements.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import shadowed
-from .geometry import OrientedBox, Vec3, normalize
+from .geometry import OrientedBoxes, Vec3, normalize
 from .irs import MirrorElement, mirror_element_gain, optimal_mirror_normal
+from .scene import Luminaire, PhotoDetector
+from .simulator import q_function
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scene import Luminaire, PhotoDetector, Scene
+    from .scene import Scene
 
 Q_NUMERIC_MAX_ARG = 40.0
 
@@ -105,32 +109,36 @@ def q_numeric(x: float) -> float:
     return value
 
 
-def point_sample_occlusion(p: Vec3, q: Vec3, box: OrientedBox,
+def point_sample_occlusion(p: Vec3, q: Vec3, box: OrientedBoxes,
                            samples: int = 2000) -> bool:
     """Occlusion verdict by testing evenly spaced interior points of the segment.
 
-    Points sit strictly between the endpoints, and only strict box-interior
-    membership counts, mirroring the open-segment/open-box convention.
+    box is a one-row set. Points sit strictly between the endpoints, and only
+    strict box-interior membership counts, mirroring the open-segment/open-box
+    convention.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     ts = np.arange(1, samples + 1) / (samples + 1.0)
-    pts = p + ts[:, None] * (q - p)
-    d = pts - box.center
-    cos_y, sin_y = math.cos(box.yaw), math.sin(box.yaw)
-    lx = cos_y * d[:, 0] + sin_y * d[:, 1]
-    ly = -sin_y * d[:, 0] + cos_y * d[:, 1]
+    lx, ly, lz = _to_local(box, p + ts[:, None] * (q - p))
     hx, hy, hz = box.half_extents
-    inside = (np.abs(lx) < hx) & (np.abs(ly) < hy) & (np.abs(d[:, 2]) < hz)
+    inside = (np.abs(lx) < hx) & (np.abs(ly) < hy) & (np.abs(lz) < hz)
     return bool(inside.any())
 
 
-def _interior_interval(p: Vec3, q: Vec3, box: OrientedBox) -> float:
-    """Length of the segment-parameter interval lying strictly inside the box."""
-    a = box.to_local(p)
-    b = box.to_local(q)
+def _to_local(box: OrientedBoxes, points: np.ndarray) -> np.ndarray:
+    """Local x, y, z, axis first, of points (n, 3) in a one-row box set's frame."""
+    d = points - box.center[0]
+    cos_y, sin_y = math.cos(box.yaw[0]), math.sin(box.yaw[0])
+    return np.array([cos_y * d[:, 0] + sin_y * d[:, 1], -sin_y * d[:, 0] + cos_y * d[:, 1],
+                     d[:, 2]])
+
+
+def _interior_interval(p: Vec3, q: Vec3, box: OrientedBoxes) -> float:
+    """Length of the segment-parameter interval lying strictly inside a one-row box set."""
+    a, b = _to_local(box, np.array((p, q))).T
     d = b - a
     lo, hi = 0.0, 1.0
     for i in range(3):
@@ -149,35 +157,74 @@ def _interior_interval(p: Vec3, q: Vec3, box: OrientedBox) -> float:
     return hi - lo
 
 
-def _inflated(box: OrientedBox, delta: float) -> OrientedBox:
-    hx, hy, hz = box.half_extents
-    return OrientedBox(box.center, (hx + delta, hy + delta, hz + delta), box.yaw)
-
-
 def occlusion_corpus(rng: np.random.Generator, cases: int,
-                     samples: int = 2000) -> list[tuple[Vec3, Vec3, OrientedBox]]:
-    """Random segment/box pairs safe for the sampling oracle.
+                     samples: int = 2000) -> list[tuple[Vec3, Vec3, OrientedBoxes]]:
+    """Random segment/box pairs safe for the sampling oracle, each box a one-row set.
 
     Near-tangent geometry is rejected: the slab verdict must be stable under
     +/- 1e-6 box inflation, and true hits must cross enough of the segment
     for the evenly spaced sampler to resolve them.
     """
-    out: list[tuple[Vec3, Vec3, OrientedBox]] = []
+    out: list[tuple[Vec3, Vec3, OrientedBoxes]] = []
     while len(out) < cases:
         p = rng.uniform(-1.0, 6.0, 3)
         q = rng.uniform(-1.0, 6.0, 3)
         if np.array_equal(p, q):
             continue
-        center = np.array([rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0),
-                           rng.uniform(0.0, 3.0)])
+        center = np.array([[rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0),
+                            rng.uniform(0.0, 3.0)]])
         half = tuple(rng.uniform(0.05, 1.2, 3))
-        box = OrientedBox(center, half, rng.uniform(0.0, math.pi))
-        if shadowed(p, q, (_inflated(box, 1e-6),)) != shadowed(p, q, (_inflated(box, -1e-6),)):
+        box = OrientedBoxes(center, half, [rng.uniform(0.0, math.pi)])
+        grown, shrunk = (OrientedBoxes(box.center, tuple(h + d for h in half), box.yaw)
+                         for d in (1e-6, -1e-6))
+        if shadowed(p, q, grown) != shadowed(p, q, shrunk):
             continue
-        if shadowed(p, q, (box,)) and _interior_interval(p, q, box) * (samples + 1) < 6.0:
+        if shadowed(p, q, box) and _interior_interval(p, q, box) * (samples + 1) < 6.0:
             continue
         out.append((p, q, box))
     return out
+
+
+def mirror_normal_deviation(geometries: int) -> tuple[float | None, int]:
+    """Largest relative steered-element gain deviation, closed-form normal vs grid search.
+
+    Checks `geometries` random ones from seed 20 240 814, skipping those with
+    an endpoint within 0.3 m of the element or nearly antipodal directions,
+    and returns the deviation and the count checked. At the first geometry
+    whose closed-form orientation gives zero gain it returns (None, count).
+    """
+    rng = np.random.default_rng(20_240_814)
+    worst, checked = 0.0, 0
+    while checked < geometries:
+        c = rng.uniform(0.5, 4.5, 3)
+        src, dst = rng.uniform(0.0, 5.0, (2, 3))
+        if min(np.linalg.norm(src - c), np.linalg.norm(dst - c)) < 0.3:
+            continue
+        if float(np.linalg.norm(normalize(src - c) + normalize(dst - c))) < 1e-3:
+            continue
+        ap = Luminaire(src, normalize(c - src), 1.0)
+        ue = PhotoDetector(dst, normalize(c - dst))
+        g_closed, g_search = (mirror_element_gain(ap, MirrorElement(c, n), ue) for n in
+                              (optimal_mirror_normal(src, c, dst),
+                               grid_search_mirror_normal(src, c, dst)))
+        if g_closed <= 0.0:
+            return None, checked
+        worst = max(worst, abs(g_search - g_closed) / g_closed)
+        checked += 1
+    return worst, checked
+
+
+def q_function_error(points: int) -> float:
+    """Largest |Q(x) - quadrature| over `points` evenly spaced x in [0, 8]."""
+    return max(abs(q_function(float(x)) - q_numeric(float(x)))
+               for x in np.linspace(0.0, 8.0, points))
+
+
+def occlusion_disagreements(cases: int) -> int:
+    """Slab-test verdicts that point sampling contradicts, over a corpus from seed 67 415."""
+    corpus = occlusion_corpus(np.random.default_rng(67_415), cases)
+    return sum(shadowed(p, q, box) != point_sample_occlusion(p, q, box)
+               for p, q, box in corpus)
 
 
 def _patch_gain(ap: "Luminaire", center: Vec3, normal: Vec3, efficiency: float,

@@ -73,7 +73,7 @@ class Luminaire:
 
 
 def _check_detector(area: float, fov: float) -> None:
-    """PhotoDetector's checks of its area and field of view."""
+    """The detector area and field-of-view checks of PhotoDetector and Scene."""
     if area <= 0:
         raise ValueError(f"detector area must be positive, got {area}")
     if not 0.0 < fov <= math.pi / 2:
@@ -159,6 +159,7 @@ class Scene:
             raise ValueError(f"receiver height {self.ue_height} outside the room")
         if not 0.0 <= self.wall_reflectivity <= 1.0:
             raise ValueError(f"wall reflectivity {self.wall_reflectivity} outside [0, 1]")
+        _check_detector(self.pd_area, self.pd_fov)
 
 
 def _check_array_fit(room: Room, n_per_side: int) -> None:
@@ -218,8 +219,8 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
     Draw order is fixed (x, y, tilt, azimuth) so a given substream always
     produces the same pose. The pose skips PhotoDetector's per-instance
     checks: its position is finite and its normal a unit vector by
-    construction, and the scene's detector area and field of view are
-    checked once per run by `simulator.Ensemble`.
+    construction, and the Scene checked its detector area and field of view
+    when it was built.
     """
     room = scene.room
     x = rng.uniform(0.0, room.length)

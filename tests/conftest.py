@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from irsvlc import Luminaire, PhotoDetector, RunConfig, Scene, build_scene, vec3
+from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, build_scene,
+                    vec3)
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -35,3 +36,15 @@ def rng(seed: int) -> np.random.Generator:
 def make_scene(density: float = 0.0, **fields) -> Scene:
     """The stock experiment's scene at one blocker density, with RunConfig fields overridden."""
     return build_scene(RunConfig(**fields), density)
+
+
+def box_set(half, rows) -> OrientedBoxes:
+    """OrientedBoxes of (center, yaw) rows, drawn in order, sharing one set of half extents."""
+    rows = list(rows)
+    return OrientedBoxes(np.array([c for c, _ in rows], dtype=float).reshape(-1, 3), tuple(half),
+                         np.array([y for _, y in rows], dtype=float))
+
+
+def one_box(center, half, yaw) -> OrientedBoxes:
+    """A one-row box set."""
+    return box_set(half, [(center, yaw)])

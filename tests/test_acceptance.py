@@ -12,20 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, MirrorElement, OrientedBox, PhotoDetector,
+from irsvlc import (Luminaire, MirrorElement, PhotoDetector,
                     ReflectorArray, ReflectorBank, Scenario, TrialGains, diffuse_capture,
                     los_gain, mirror_element_gain, nlos_gain, optimal_mirror_normal,
                     patch_incident_power, q_function, required_snr, run_trials,
-                    ser_curve, shadowed, vec3, wall_patches)
+                    ser_curve, vec3, wall_patches)
 from irsvlc.cli import main
 from irsvlc.geometry import normalize, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MSA_EFFICIENCY
-from irsvlc.oracles import (grid_search_mirror_normal, occlusion_corpus,
-                            point_sample_occlusion, q_numeric)
+from irsvlc.oracles import mirror_normal_deviation, occlusion_disagreements, q_function_error
 from irsvlc.scene import OrientationModel, Room, sample_blocker_field, sample_tilt_deg
 from irsvlc.simulator import SER_TARGET
 
-from conftest import ACCEPTANCE_LINES, make_scene, rng
+from conftest import ACCEPTANCE_LINES, box_set, make_scene, rng
 
 STOCK_TRIALS = 10_000
 STOCK_SEED = 1
@@ -109,41 +108,25 @@ def test_criterion_4_curve_ordering(stock):
 
 
 def test_criterion_5a_mirror_normal_oracle():
-    r = rng(20_240_814)
-    worst, checked = 0.0, 0
-    while checked < 100:
-        c = r.uniform(0.5, 4.5, 3)
-        src, dst = r.uniform(0.0, 5.0, (2, 3))
-        if min(np.linalg.norm(src - c), np.linalg.norm(dst - c)) < 0.3:
-            continue
-        if float(np.linalg.norm(normalize(src - c) + normalize(dst - c))) < 1e-3:
-            continue
-        ap = Luminaire(src, normalize(c - src), 1.0)
-        ue = PhotoDetector(dst, normalize(c - dst))
-        g_closed = mirror_element_gain(ap, MirrorElement(c, optimal_mirror_normal(src, c, dst)), ue)
-        g_search = mirror_element_gain(ap, MirrorElement(c, grid_search_mirror_normal(src, c, dst)), ue)
-        assert g_closed > 0.0
-        worst = max(worst, abs(g_search - g_closed) / g_closed)
-        checked += 1
+    worst, checked = mirror_normal_deviation(100)
+    assert worst is not None, "a closed-form orientation gave zero gain"
     record("5a", worst <= 1e-6,
            f"steered-element gain, closed form vs angular search: "
            f"max rel deviation {worst:.2e} over {checked} geometries")
 
 
 def test_criterion_5b_q_function_oracle():
-    worst = max(abs(q_function(float(x)) - q_numeric(float(x)))
-                for x in np.linspace(0.0, 8.0, 81))
+    worst = q_function_error(81)
     record("5b", worst <= 1e-10,
            f"Gaussian tail, erfc form vs quadrature: max abs error {worst:.2e} on [0, 8]")
 
 
 def test_criterion_5c_occlusion_oracle():
-    corpus = occlusion_corpus(rng(67_415), 10_000)
-    bad = sum(point_sample_occlusion(p, q, box) != shadowed(p, q, (box,))
-              for p, q, box in corpus)
+    cases = 10_000
+    bad = occlusion_disagreements(cases)
     record("5c", bad == 0,
            f"slab intersection vs point sampling: {bad} disagreements on "
-           f"{len(corpus)} filtered cases")
+           f"{cases} filtered cases")
 
 
 def test_criterion_6_closed_form_ser():
@@ -218,10 +201,9 @@ def _random_ue(r):
 
 
 def _random_boxes(r, count):
-    return tuple(
-        OrientedBox(vec3(*r.uniform((0.3, 0.3), (4.7, 4.7)), 0.875),
-                    (0.375, 0.1, 0.875), float(r.uniform(0.0, math.pi)))
-        for _ in range(count))
+    return box_set((0.375, 0.1, 0.875),
+                   ((vec3(*r.uniform((0.3, 0.3), (4.7, 4.7)), 0.875),
+                     float(r.uniform(0.0, math.pi))) for _ in range(count)))
 
 
 def test_criterion_9a_gain_nonnegativity():

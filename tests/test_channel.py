@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, OrientedBox, PatchSet, PhotoDetector,
+from irsvlc import (Luminaire, PatchSet, PhotoDetector,
                     diffuse_capture, los_gain, nlos_gain, patch_incident_power,
                     shadowed, shadowed_mask, vec3, wall_patches)
 from irsvlc.channel import DEFAULT_PATCH_SIZE, _first_bounce_power, _second_bounce_power
 from irsvlc.scene import Room
 
-from conftest import rng
+from conftest import box_set, one_box, rng
 
 ROOM = Room(5.0, 5.0, 3.0)
 
@@ -58,8 +58,8 @@ def test_los_outside_forward_hemispheres(ceiling_ap):
 
 
 def test_los_blocked(ceiling_ap, upward_ue):
-    box = OrientedBox(vec3(2.5, 2.5, 2.0), vec3(0.3, 0.3, 0.3), 0.0)
-    assert los_gain(ceiling_ap, upward_ue, (box,)) == 0.0
+    box = one_box(vec3(2.5, 2.5, 2.0), vec3(0.3, 0.3, 0.3), 0.0)
+    assert los_gain(ceiling_ap, upward_ue, box) == 0.0
 
 
 def test_los_coincident_positions_raise(ceiling_ap):
@@ -172,10 +172,9 @@ def test_nlos_order1_matches_reference(ceiling_ap):
         normal = r.normal(size=3)
         normal[2] = abs(normal[2])
         ue = detector(pos, normal)
-        boxes = tuple(
-            OrientedBox(vec3(*r.uniform((0.5, 0.5), (4.5, 4.5)), 0.875),
-                        vec3(0.375, 0.1, 0.875), float(r.uniform(0, math.pi)))
-            for _ in range(r.integers(0, 4)))
+        boxes = box_set(vec3(0.375, 0.1, 0.875),
+                        ((vec3(*r.uniform((0.5, 0.5), (4.5, 4.5)), 0.875),
+                          float(r.uniform(0, math.pi))) for _ in range(r.integers(0, 4))))
         want = _reference_capture(ps, ue, _reference_first_bounce(ceiling_ap, ps, boxes), boxes)
         got = nlos_gain(ceiling_ap, ue, ps, boxes, order=1)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-30)
@@ -183,8 +182,8 @@ def test_nlos_order1_matches_reference(ceiling_ap):
 
 def test_nlos_order2_matches_reference(ceiling_ap, upward_ue):
     ps = wall_patches(ROOM, 1.0)
-    box = OrientedBox(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3)
-    power1 = _reference_first_bounce(ceiling_ap, ps, (box,))
+    box = one_box(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3)
+    power1 = _reference_first_bounce(ceiling_ap, ps, box)
     # one diffuse patch-to-patch transfer, plain double loop
     power2 = np.zeros(len(ps))
     for j in range(len(ps)):
@@ -200,12 +199,12 @@ def test_nlos_order2_matches_reference(ceiling_ap, upward_ue):
             cos_in = float(-v @ ps.normals[i]) / d
             if cos_out <= 0.0 or cos_in <= 0.0:
                 continue
-            if shadowed(ps.centers[j], ps.centers[i], (box,)):
+            if shadowed(ps.centers[j], ps.centers[i], box):
                 continue
             frac = min(ps.areas[i] * cos_in * cos_out / (math.pi * d_sq), 1.0)
             power2[i] += ps.reflectivity[j] * power1[j] * frac
-    want = _reference_capture(ps, upward_ue, power1 + power2, (box,))
-    got = nlos_gain(ceiling_ap, upward_ue, ps, (box,), order=2)
+    want = _reference_capture(ps, upward_ue, power1 + power2, box)
+    got = nlos_gain(ceiling_ap, upward_ue, ps, box, order=2)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -241,8 +240,8 @@ def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
         ps = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm],
                       r.uniform(0.2, 0.9, len(ps)))
     elif case == "blocked":
-        boxes = (OrientedBox(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3),
-                 OrientedBox(vec3(3.9, 1.1, 0.875), vec3(0.375, 0.1, 0.875), 1.2))
+        boxes = box_set(vec3(0.375, 0.1, 0.875),
+                        [(vec3(1.5, 2.5, 0.875), 0.3), (vec3(3.9, 1.1, 0.875), 1.2)])
     power1 = _first_bounce_power(ceiling_ap, ps, boxes)
     if case == "shuffled":
         power1[rng(12).random(len(ps)) < 0.3] = 0.0  # leave a partial last block
@@ -269,8 +268,8 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
     ps = wall_patches(Room(*dims), size)
     boxes = ()
     if blocked:
-        boxes = (OrientedBox(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3),
-                 OrientedBox(vec3(4.9, 1.1, 0.875), vec3(0.375, 0.1, 0.875), 1.2))
+        boxes = box_set(vec3(0.375, 0.1, 0.875),
+                        [(vec3(1.5, 2.5, 0.875), 0.3), (vec3(4.9, 1.1, 0.875), 1.2)])
     power1 = _first_bounce_power(ap, ps, boxes)
     if dark == "wall":
         power1[ps.normals[:, 0] == 1.0] = 0.0
@@ -353,10 +352,10 @@ def test_nlos_blockage_monotone(ceiling_ap):
     ue = detector((1.1, 3.9, 1.2), (0.4, -0.2, 0.89))
     ps = wall_patches(ROOM, 0.5)
     r = rng(99)
-    boxes = [OrientedBox(vec3(*r.uniform((0.5, 0.5), (4.5, 4.5)), 0.875),
-                         vec3(0.375, 0.1, 0.875), float(r.uniform(0, math.pi)))
-             for _ in range(6)]
-    gains = [nlos_gain(ceiling_ap, ue, ps, tuple(boxes[:k])) for k in range(7)]
+    boxes = box_set(vec3(0.375, 0.1, 0.875),
+                    ((vec3(*r.uniform((0.5, 0.5), (4.5, 4.5)), 0.875), float(r.uniform(0, math.pi)))
+                     for _ in range(6)))
+    gains = [nlos_gain(ceiling_ap, ue, ps, boxes[:k]) for k in range(7)]
     for a, b in zip(gains, gains[1:]):
         assert b <= a
 
@@ -410,10 +409,10 @@ def test_capture_fraction_is_capped(ceiling_ap):
 def test_shadowed_is_or_fold_over_boxes():
     r = rng(67_415)
     p, q = vec3(0.2, 0.3, 2.4), vec3(4.6, 4.4, 0.2)
-    boxes = [OrientedBox(vec3(*r.uniform(0.0, 5.0, size=2), 0.875),
-                         vec3(0.375, 0.1, 0.875), float(r.uniform(0, math.pi)))
-             for _ in range(100)]
-    assert shadowed(p, q, boxes) == any(shadowed(p, q, [b]) for b in boxes)
+    boxes = box_set(vec3(0.375, 0.1, 0.875),
+                    ((vec3(*r.uniform(0.0, 5.0, size=2), 0.875), float(r.uniform(0, math.pi)))
+                     for _ in range(100)))
+    assert shadowed(p, q, boxes) == any(shadowed(p, q, boxes[k:k + 1]) for k in range(100))
     assert shadowed(p, q, ()) is False
 
 
@@ -421,9 +420,9 @@ def test_shadowed_mask_matches_scalar():
     r = rng(31_337)
     starts = r.uniform((0, 0, 0), (5, 5, 3), size=(200, 3))
     ends = r.uniform((0, 0, 0), (5, 5, 3), size=(200, 3))
-    boxes = [OrientedBox(vec3(*r.uniform(0.5, 4.5, size=2), 0.875),
-                         vec3(0.375, 0.1, 0.875), float(r.uniform(0, math.pi)))
-             for _ in range(5)]
+    boxes = box_set(vec3(0.375, 0.1, 0.875),
+                    ((vec3(*r.uniform(0.5, 4.5, size=2), 0.875), float(r.uniform(0, math.pi)))
+                     for _ in range(5)))
     mask = shadowed_mask(starts, ends, boxes)
     for i in range(len(starts)):
         assert mask[i] == shadowed(starts[i], ends[i], boxes)

@@ -253,6 +253,11 @@ def test_verify_fast_smoke(capsys):
     assert "verify: reflector bank vs single-cell reference: PASS" in capsys.readouterr().out
 
 
+def test_verify_reports_a_zero_closed_form_gain(monkeypatch):
+    monkeypatch.setattr(cli.oracles, "mirror_element_gain", lambda *args: 0.0)
+    assert cli._verify_mirror_normals(3) == (False, "closed-form orientation produced zero gain")
+
+
 def test_verify_failure_exits_1_and_runs_every_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_q", lambda points: (False, "forced"))
     assert run(["verify", "--fast"]) == 1

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc.channel import shadowed
-from irsvlc.geometry import (OrientedBox, OrientedBoxes, normalize, segments_intersect_box,
+from irsvlc.channel import shadowed, shadowed_mask
+from irsvlc.geometry import (OrientedBoxes, normalize, segments_intersect_box,
                              unit_normal_from_polar, vec3)
 from irsvlc.oracles import _interior_interval
 from irsvlc.scene import BlockerModel, Room, sample_blocker_field
 
-from conftest import rng
+from conftest import one_box, rng
 
 
 def hits(p, q, box):
@@ -66,19 +66,28 @@ def test_unit_normal_is_unit_everywhere():
 
 
 def test_oriented_box_validation():
-    with pytest.raises(ValueError):
-        OrientedBox(vec3(0, 0, 0), (1.0, -0.1, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        OrientedBox(vec3(0, 0, 0), (1.0, 1.0, 1.0), math.pi)
+    def build(center, half, yaw):
+        return OrientedBoxes(np.array(center, dtype=float), half, np.array(yaw, dtype=float))
+
+    with pytest.raises(ValueError, match="half extents must be positive"):
+        build([[0, 0, 0]], (1.0, -0.1, 1.0), [0.0])
+    with pytest.raises(ValueError, match=r"yaw 3.14\d* outside \[0, pi\)"):
+        build([[0, 0, 0]], (1.0, 1.0, 1.0), [math.pi])
+    with pytest.raises(ValueError, match=r"yaw nan outside \[0, pi\)"):
+        build([[0, 0, 0], [1, 1, 1]], (1.0, 1.0, 1.0), [0.2, math.nan])
+    with pytest.raises(ValueError, match=r"yaw -1e-12 outside \[0, pi\)"):
+        build([[0, 0, 0]], (1.0, 1.0, 1.0), [-1e-12])
+    with pytest.raises(ValueError, match=r"center has shape \(2, 3\), want \(1, 3\)"):
+        build([[0, 0, 0], [1, 1, 1]], (1.0, 1.0, 1.0), [0.2])
 
 
 def test_oriented_box_contains_interior():
-    box = OrientedBox(vec3(0, 0, 0), (1.0, 0.5, 2.0), math.pi / 4)
-    assert box.contains_interior(vec3(0, 0, 0))
+    box = one_box(vec3(0, 0, 0), (1.0, 0.5, 2.0), math.pi / 4)
+    assert box.contains_interior(vec3(0, 0, 0)).tolist() == [True]
     # the +x face midpoint moved by the yaw; a point past the local x extent is out
-    assert not box.contains_interior(vec3(1.0, 0.0, 0.0))
+    assert box.contains_interior(vec3(1.0, 0.0, 0.0)).tolist() == [False]
     # surface points do not count
-    assert not box.contains_interior(vec3(0, 0, 2.0))
+    assert box.contains_interior(vec3(0, 0, 2.0)).tolist() == [False]
 
 
 def test_segment_rejects_coincident_endpoints():
@@ -87,18 +96,18 @@ def test_segment_rejects_coincident_endpoints():
 
 
 def test_segment_box_disjoint():
-    box = OrientedBox(vec3(0, 0, 0), (1, 1, 1), 0.0)
+    box = one_box(vec3(0, 0, 0), (1, 1, 1), 0.0)
     assert not hits(vec3(10, 10, -5), vec3(10, 10, 5), box)
 
 
 def test_segment_box_through_blocker_center():
     # vertical sight line through an upright blocker standing on the floor
-    box = OrientedBox(vec3(0, 0, 0.875), (0.375, 0.1, 0.875), 0.0)
+    box = one_box(vec3(0, 0, 0.875), (0.375, 0.1, 0.875), 0.0)
     assert hits(vec3(0, 0, 0), vec3(0, 0, 3), box)
 
 
 def test_segment_box_surface_touch_does_not_count():
-    box = OrientedBox(vec3(0, 0, 0), (1, 1, 1), 0.0)
+    box = one_box(vec3(0, 0, 0), (1, 1, 1), 0.0)
     # runs along the x=1 face
     assert not hits(vec3(1, -2, 0), vec3(1, 2, 0), box)
     # ends exactly on a face
@@ -108,15 +117,15 @@ def test_segment_box_surface_touch_does_not_count():
 
 
 def test_segment_box_stops_inside():
-    box = OrientedBox(vec3(0, 0, 0), (1, 1, 1), 0.0)
+    box = one_box(vec3(0, 0, 0), (1, 1, 1), 0.0)
     assert hits(vec3(5, 0, 0), vec3(0.5, 0, 0), box)
 
 
 def test_segment_box_endpoint_symmetry():
     r = rng(23)
     for _ in range(2000):
-        box = OrientedBox(r.uniform(-1, 1, 3), tuple(r.uniform(0.1, 1.5, 3)),
-                          r.uniform(0, math.pi))
+        box = one_box(r.uniform(-1, 1, 3), tuple(r.uniform(0.1, 1.5, 3)),
+                      r.uniform(0, math.pi))
         p, q = r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)
         if np.array_equal(p, q):
             continue
@@ -140,11 +149,11 @@ def test_segment_box_yaw_equals_rotated_frame():
         p, q = r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)
         if np.array_equal(p, q):
             continue
-        yawed = OrientedBox(center, half, yaw)
-        flat = OrientedBox(center, half, 0.0)
+        yawed = one_box(center, half, yaw)
+        flat = one_box(center, half, 0.0)
         # exclude near-tangent cases: verdicts must be stable under tiny inflation
-        grown = OrientedBox(center, tuple(h + 1e-6 for h in half), yaw)
-        shrunk = OrientedBox(center, tuple(h - 1e-6 for h in half), yaw)
+        grown = one_box(center, tuple(h + 1e-6 for h in half), yaw)
+        shrunk = one_box(center, tuple(h - 1e-6 for h in half), yaw)
         if hits(p, q, grown) != hits(p, q, shrunk):
             continue
         assert hits(p, q, yawed) == \
@@ -153,14 +162,14 @@ def test_segment_box_yaw_equals_rotated_frame():
 
 
 def _grazing_segments(box, r, n=200):
-    """Segments near a box: level with its top, ending on a face, parallel to a face.
+    """Segments near a one-row box set: level with its top, ending on a face, parallel to a face.
 
     The last kind runs at a fixed world x, which is a fixed box-local x only
     for a box at yaw 0.
     """
-    c = box.center
+    c = box.center[0]
     hx, hy, hz = box.half_extents
-    cos_y, sin_y = math.cos(box.yaw), math.sin(box.yaw)
+    cos_y, sin_y = math.cos(box.yaw[0]), math.sin(box.yaw[0])
     starts, ends = c + r.uniform(-1.5, 1.5, (n, 3)), c + r.uniform(-1.5, 1.5, (n, 3))
     k = n // 4
     starts[:k, 2] = ends[:k, 2] = c[2] + hz
@@ -177,25 +186,30 @@ def _floor_fields(r):
     return field, OrientedBoxes(field.center, field.half_extents, np.zeros(len(field)))
 
 
+def _rows(field, count=None):
+    """The first count boxes of a set (all by default), each as a one-row set."""
+    return [field[k:k + 1] for k in range(min(len(field), count or len(field)))]
+
+
 def test_segments_intersect_box_matches_scalar():
     # the oracles' scalar slab loop gives a positive interior interval exactly
     # where the vectorized test reports a crossing, also for floor-standing
     # blockers and segments that graze their faces
     r = rng(43)
-    box = OrientedBox(vec3(0.5, -0.25, 0.1), (0.8, 0.3, 1.1), 0.7)
+    box = one_box(vec3(0.5, -0.25, 0.1), (0.8, 0.3, 1.1), 0.7)
     starts = r.uniform(-3, 3, (5000, 3))
     ends = r.uniform(-3, 3, (5000, 3))
     assert 0 < segments_intersect_box(starts, ends, box).sum() < len(starts)
     cases = [(box, starts, ends)]
     for field in _floor_fields(r):
-        cases += [(b, *_grazing_segments(b, r)) for b in field.boxes()[:6]]
+        cases += [(b, *_grazing_segments(b, r)) for b in _rows(field, 6)]
     for box, starts, ends in cases:
         got = segments_intersect_box(starts, ends, box)
         assert got.tolist() == [_interior_interval(p, q, box) > 0.0 for p, q in zip(starts, ends)]
 
 
 def test_segments_intersect_box_handles_axis_parallel():
-    box = OrientedBox(vec3(0, 0, 0), (1, 1, 1), 0.0)
+    box = one_box(vec3(0, 0, 0), (1, 1, 1), 0.0)
     starts = np.array([[0.0, 0.0, -5.0], [2.0, 0.0, -5.0], [1.0, 0.0, -5.0]])
     ends = np.array([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
     got = segments_intersect_box(starts, ends, box)
@@ -208,17 +222,28 @@ def test_segments_intersect_box_broadcasts_over_boxes():
                           r.uniform(0.0, math.pi, 400))
     cases = [(field, [(r.uniform(-3, 3, 3), r.uniform(-3, 3, 3)) for _ in range(25)])]
     for floor in _floor_fields(r):
-        segments = [_grazing_segments(b, r, n=12) for b in floor.boxes()[:4]]
+        segments = [_grazing_segments(b, r, n=12) for b in _rows(floor, 4)]
         cases.append((floor, [(p, q) for starts, ends in segments for p, q in zip(starts, ends)]))
     for field, segments in cases:
-        boxes = field.boxes()
+        boxes = _rows(field)
         for p, q in segments:
             got = segments_intersect_box(p[None, :], q[None, :], field).tolist()
             assert got == [hits(p, q, b) for b in boxes]
             assert got == [_interior_interval(p, q, b) > 0.0 for b in boxes]
             for end in (p, q):
                 assert field.contains_interior(end).tolist() == \
-                    [b.contains_interior(end) for b in boxes]
+                    [bool(b.contains_interior(end)[0]) for b in boxes]
+    # shadowed_mask's per-box loop over one-row slices, with its pruning of
+    # blocked segments, on sampled fields and segments level with the box tops
+    hit = 0
+    for _ in range(20):
+        field = sample_blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(2.0))
+        starts, ends = r.uniform((0, 0, 0), (5, 5, 3), (2, 100, 3))
+        starts[:25, 2] = ends[:25, 2] = field.center[0, 2] + field.half_extents[2]
+        want = segments_intersect_box(starts[:, None, :], ends[:, None, :], field).any(axis=1)
+        assert shadowed_mask(starts, ends, field).tolist() == want.tolist()
+        hit += int(want.sum())
+    assert 0 < hit < 20 * 100
 
 
 def test_zero_length_segment_is_the_containment_test():
@@ -258,7 +283,7 @@ def test_may_cut_keeps_every_box_the_slab_test_hits():
 def test_boxes_compute_their_yaw_cosines_on_first_use():
     field = _floor_fields(rng(48))[0]
     assert "_cos_sin" not in vars(field)
-    kept = OrientedBoxes(field.center[[2, 0]], field.half_extents, field.yaw[[2, 0]])
+    kept = field[[2, 0]]
     kept.contains_interior(np.array([1.0, 1.0, 1.0]))
     assert [c.tolist() for c in kept._cos_sin] == \
         [[math.cos(y) for y in kept.yaw.tolist()], [math.sin(y) for y in kept.yaw.tolist()]]

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc import (BlockerModel, Luminaire, MirrorElement, OrientationModel, OrientedBox,
-                    PhotoDetector, ReflectorArray, ReflectorBank, Room, Scene, build_arrays,
+from irsvlc import (BlockerModel, Luminaire, MirrorElement, OrientationModel, PhotoDetector,
+                    ReflectorArray, ReflectorBank, Room, Scene, build_arrays,
                     mirror_element_gain, optimal_mirror_normal, shadowed, vec3)
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.oracles import reflector_cell_gains
 
-from conftest import make_scene, rng
+from conftest import box_set, make_scene, one_box, rng
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -85,11 +85,11 @@ def test_element_gain_back_face_is_zero():
 def test_element_gain_blocked_legs_are_zero():
     ap, ue, want = _symmetric_cascade(0.95)
     elem = MirrorElement(vec3(0, 0, 0), vec3(1, 0, 0))
-    on_ap_leg = OrientedBox(ap.position / 2.0, (0.05, 0.05, 0.05), 0.0)
-    on_ue_leg = OrientedBox(ue.position / 2.0, (0.05, 0.05, 0.05), 0.0)
+    on_ap_leg = one_box(ap.position / 2.0, (0.05, 0.05, 0.05), 0.0)
+    on_ue_leg = one_box(ue.position / 2.0, (0.05, 0.05, 0.05), 0.0)
     assert mirror_element_gain(ap, elem, ue) == pytest.approx(want, rel=1e-12)
-    assert mirror_element_gain(ap, elem, ue, (on_ap_leg,)) == 0.0
-    assert mirror_element_gain(ap, elem, ue, (on_ue_leg,)) == 0.0
+    assert mirror_element_gain(ap, elem, ue, on_ap_leg) == 0.0
+    assert mirror_element_gain(ap, elem, ue, on_ue_leg) == 0.0
 
 
 def test_element_gain_footprint_gates_misaligned_mirror():
@@ -281,9 +281,10 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
     r = rng(77)
     dropped = kept = 0
     for ue in _random_poses(r, 10):
-        boxes = [OrientedBox(r.uniform((0.5, 0.5, 0.3), (4.5, 4.5, 1.5)),
-                             tuple(r.uniform(0.1, 0.6, 3)), r.uniform(0.0, math.pi))
-                 for _ in range(4)]
+        # one box set shares its half extents, so they are drawn once per pose
+        boxes = box_set(r.uniform(0.1, 0.6, 3),
+                        ((r.uniform((0.5, 0.5, 0.3), (4.5, 4.5, 1.5)), r.uniform(0.0, math.pi))
+                         for _ in range(4)))
         clear = bank.cascade(ue)
         got = bank.cascade(ue, boxes)
         for i, c in enumerate(bank.centers):
@@ -322,8 +323,8 @@ def test_ma_blockage_monotone():
     arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
     clear = _mirror_bank(ap, arr).gain(ue)
     # pedestrian standing between the detector and the array wall
-    box = OrientedBox(vec3(0.7, 2.5, 0.875), (0.375, 0.1, 0.875), 0.0)
-    blocked = _mirror_bank(ap, arr).cascade(ue, (box,)).sum()
+    box = one_box(vec3(0.7, 2.5, 0.875), (0.375, 0.1, 0.875), 0.0)
+    blocked = _mirror_bank(ap, arr).cascade(ue, box).sum()
     assert 0.0 <= blocked < clear
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from irsvlc import optimal_mirror_normal, q_function, shadowed, vec3
-from irsvlc.oracles import (grid_search_mirror_normal, occlusion_corpus,
+from irsvlc import oracles
+from irsvlc.oracles import (grid_search_mirror_normal, mirror_normal_deviation, occlusion_corpus,
                             point_sample_occlusion, q_numeric)
 
-from conftest import rng
+from conftest import one_box, rng
 
 
 def test_grid_search_recovers_closed_form_normal():
@@ -72,8 +73,7 @@ def test_q_numeric_range_guard():
 
 
 def test_point_sampling_clear_cases():
-    from irsvlc import OrientedBox
-    box = OrientedBox(vec3(2.0, 2.0, 1.0), (0.5, 0.5, 0.5), 0.0)
+    box = one_box(vec3(2.0, 2.0, 1.0), (0.5, 0.5, 0.5), 0.0)
     assert point_sample_occlusion(vec3(0, 2, 1), vec3(4, 2, 1), box) is True
     assert point_sample_occlusion(vec3(0, 0, 0), vec3(0, 4, 0), box) is False
     with pytest.raises(ValueError):
@@ -85,8 +85,16 @@ def test_corpus_verdicts_match_slab_test():
     assert len(cases) == 300
     hits = 0
     for p, q, box in cases:
-        want = shadowed(p, q, (box,))
+        want = shadowed(p, q, box)
         assert point_sample_occlusion(p, q, box) == want
         hits += want
     # the rejection rules must not degenerate the corpus to one verdict
     assert 0 < hits < 300
+
+
+def test_mirror_check_counts_checked_geometries(monkeypatch):
+    worst, checked = mirror_normal_deviation(3)
+    assert checked == 3 and 0.0 <= worst <= 1e-6
+    # a zero closed-form gain stops the check before it counts that geometry
+    monkeypatch.setattr(oracles, "mirror_element_gain", lambda *args: 0.0)
+    assert mirror_normal_deviation(3) == (None, 0)

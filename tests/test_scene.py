@@ -1,6 +1,7 @@
 """Scene construction and the stochastic samplers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ def test_sample_ue_deterministic_per_stream():
     assert a.normal.tolist() == b.normal.tolist()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pd_area", 0.0, "detector area"), ("pd_fov", 0.0, "field of view")])
+def test_sample_ue_never_gets_a_bad_detector(field, value, message):
+    # the scene checks its detector settings, so no pose can carry bad ones
+    with pytest.raises(ValueError, match=message):
+        sample_ue(trial_rng(1, 0), replace(make_scene(irs_type="none"), **{field: value}))
+
+
 def test_tilt_mean_matches_configuration():
     model = OrientationModel(41.0, 9.0)
     r = rng(17)
@@ -219,12 +228,13 @@ def test_sample_blockers_shape_and_support():
     seen = 0
     while seen < 200:
         field = sample_blocker_field(r, scene.room, scene.blocker_model)
-        for box in () if field is None else field.boxes():
-            assert box.half_extents == (BLOCKER_DIMS[0] / 2, BLOCKER_DIMS[1] / 2,
-                                        BLOCKER_DIMS[2] / 2)
-            assert box.center[2] == BLOCKER_DIMS[2] / 2  # base on the floor
-            assert 0.0 <= box.yaw < math.pi
-            seen += 1
+        if field is None:
+            continue
+        assert field.half_extents == (BLOCKER_DIMS[0] / 2, BLOCKER_DIMS[1] / 2,
+                                      BLOCKER_DIMS[2] / 2)
+        assert (field.center[:, 2] == BLOCKER_DIMS[2] / 2).all()  # base on the floor
+        assert ((0.0 <= field.yaw) & (field.yaw < math.pi)).all()
+        seen += len(field)
 
 
 def test_sample_blockers_count_mean():
@@ -236,14 +246,20 @@ def test_sample_blockers_count_mean():
 
 
 def test_sample_blockers_match_the_field_draws():
-    # the per-box view of a field holds exactly the field's draws
+    # the one-row slices of a field hold exactly the field's draws
     scene = make_scene(1.0, n_per_side=1)
     field = sample_blocker_field(rng(6), scene.room, scene.blocker_model)
-    boxes = field.boxes()
-    assert len(boxes) == len(field) > 0
-    for k, box in enumerate(boxes):
-        assert box.center.tolist() == field.center[k].tolist()
-        assert box.yaw == field.yaw[k] and box.half_extents == field.half_extents
+    assert len(field) > 0
+    for k in range(len(field)):
+        box = field[k:k + 1]
+        assert box.center.tolist() == [field.center[k].tolist()]
+        assert box.yaw.tolist() == [field.yaw[k]] and box.half_extents == field.half_extents
+    assert field[[2, 0]].center.tolist() == field.center[[2, 0]].tolist()
+    # a single row is not a set, and iterating one fails loudly instead of yielding nothing
+    with pytest.raises(TypeError, match="1-D index array"):
+        field[0]
+    with pytest.raises(TypeError, match="1-D index array"):
+        list(field)
     empty = make_scene(0.0, n_per_side=1)
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 

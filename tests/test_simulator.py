@@ -53,12 +53,9 @@ def test_run_trials_validation():
 
 @pytest.mark.parametrize("field, value, message", [
     ("pd_area", 0.0, "detector area"), ("pd_fov", 0.0, "field of view")])
-def test_bad_detector_fails_at_the_first_pose(field, value, message):
-    # the scene leaves the detector checks to PhotoDetector, which the first
-    # sampled pose runs before any gain is computed
-    scene = replace(make_scene(irs_type="none"), **{field: value})
+def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
     with pytest.raises(ValueError, match=message):
-        run_trials(scene, 3, seed=1)
+        replace(make_scene(irs_type="none"), **{field: value})
 
 
 def test_run_trials_threads_match_serial():
@@ -127,15 +124,16 @@ def _three_source_scene(**fields):
 
 
 def _replayed_direct_gain(scene, seed, trial_index, density):
-    """h_los at one density from the trial's own draws, one box and one source at a time.
+    """h_los at one density from the trial's own draws, one source at a time.
 
     Also reports whether a drawn box enclosed the receiver and was dropped.
     """
     rng = trial_rng(seed, trial_index)
     ue = sample_ue(rng, scene)
-    field = sample_blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
-    drawn = () if field is None else field.boxes()
-    boxes = [b for b in drawn if not b.contains_interior(ue.position)]
+    drawn = sample_blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
+    if drawn is None:
+        return math.fsum(los_gain(ap, ue) for ap in scene.aps), False
+    boxes = drawn[~drawn.contains_interior(ue.position)]
     return math.fsum(los_gain(ap, ue, boxes) for ap in scene.aps), len(boxes) < len(drawn)
 
 
@@ -303,8 +301,9 @@ def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
 
 
 def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
-    # the detector checks and vec3's finiteness check run a fixed number of
-    # times per run: the poses skip them
+    # vec3's finiteness check runs a fixed number of times per run and the
+    # detector checks none: the poses skip them, and the scene ran the
+    # detector checks once when it was built
     scene = make_scene(1.0, n_per_side=4)
     counts = Counter()
 
@@ -324,7 +323,10 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
         run_trials(scene, trials, seed=3)
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
-    assert per_run[1]["detector"] == 1 and per_run[1].get("vec3", 0) <= 4
+    assert "detector" not in per_run[1] and per_run[1].get("vec3", 0) <= 4
+    counts.clear()
+    replace(scene)
+    assert counts["detector"] == 1
 
 
 @pytest.mark.parametrize("densities", [(1.0,), (0.0, 0.5, 1.0, 2.0, 4.0)])
