@@ -17,7 +17,7 @@ segments_intersect_box  -- open-segment vs. oriented-box interior test, over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,11 +80,10 @@ class OrientedBoxes:
     center: np.ndarray
     half_extents: tuple[float, float, float]
     yaw: np.ndarray
-    _half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(h <= 0 for h in self.half_extents):
-            raise ValueError(f"half extents must be positive, got {self.half_extents}")
+        if not all(0.0 < h < math.inf for h in self.half_extents):
+            raise ValueError(f"half extents must be positive and finite, got {self.half_extents}")
         center = np.asarray(self.center, dtype=float)
         yaw = np.asarray(self.yaw, dtype=float)
         if yaw.ndim != 1 or center.shape != (len(yaw), 3):
@@ -92,8 +91,15 @@ class OrientedBoxes:
         ok = (yaw >= 0.0) & (yaw < math.pi)  # False for NaN
         if not ok.all():
             raise ValueError(f"yaw {yaw[~ok][0]} outside [0, pi)")
-        self.__dict__.update(center=center, yaw=yaw,
-                             _half=np.array(self.half_extents, dtype=float)[:, None])
+        self.__dict__.update(center=center, yaw=yaw)
+
+    @classmethod
+    def _unchecked(cls, center: np.ndarray, half_extents: tuple[float, float, float],
+                   yaw: np.ndarray) -> OrientedBoxes:
+        """Boxes from (n, 3) float64 centers, valid half extents and yaws in [0, pi), as given."""
+        boxes = object.__new__(cls)
+        boxes.__dict__.update(center=center, half_extents=half_extents, yaw=yaw)
+        return boxes
 
     @cached_property
     def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
@@ -106,16 +112,14 @@ class OrientedBoxes:
 
     def __getitem__(self, rows) -> OrientedBoxes:
         """The boxes at rows (a slice or 1-D index array); rows of a checked set skip the checks."""
-        kept = object.__new__(OrientedBoxes)
-        kept.__dict__.update(center=self.center[rows], half_extents=self.half_extents,
-                             yaw=self.yaw[rows], _half=self._half)
+        kept = self._unchecked(self.center[rows], self.half_extents, self.yaw[rows])
         if kept.yaw.ndim != 1:
             raise TypeError(f"box rows take a slice or a 1-D index array, not {rows!r}")
         return kept
 
     def contains_interior(self, p: Vec3) -> np.ndarray:
         """(n,) mask of the boxes whose interior holds the point p."""
-        return (np.abs(_box_frame(self, p)) < self._half).all(axis=0)
+        return (np.abs(_box_frame(self, p)) < np.reshape(self.half_extents, (3, 1))).all(axis=0)
 
     def may_cut(self, p: Vec3, q: Vec3) -> np.ndarray:
         """(n,) mask, False only for boxes that cannot cut the open segment p->q.
@@ -172,7 +176,7 @@ def segments_intersect_box(starts: np.ndarray, ends: np.ndarray,
     """
     local = _box_frame(box, np.array((starts, ends)))
     a, b = local[:, 0], local[:, 1]
-    h = box._half.reshape((3,) + (1,) * (a.ndim - 1))
+    h = np.reshape(box.half_extents, (3,) + (1,) * (a.ndim - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         step = b - a
         t1 = (-h - a) / step

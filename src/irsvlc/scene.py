@@ -4,6 +4,9 @@ The receiver moves on a horizontal plane at a fixed height with a uniformly
 random floor position. Its facing direction tilts away from vertical by a
 truncated-Gaussian polar angle with a uniform azimuth. Blockers are a Poisson
 population of upright boxes with uniformly random floor centers and yaw.
+
+A uniform variate on [0, L) is drawn as L * rng.random(), the bits of numpy's
+uniform(0, L), which computes 0 + L * r from the same double r, for less overhead.
 """
 
 from __future__ import annotations
@@ -128,10 +131,10 @@ class BlockerModel:
     dims: tuple[float, float, float] = BLOCKER_DIMS
 
     def __post_init__(self) -> None:
-        if self.density < 0:
-            raise ValueError(f"blocker density must be non-negative, got {self.density}")
-        if min(self.dims) <= 0:
-            raise ValueError(f"blocker dimensions must be positive, got {self.dims}")
+        if not 0.0 <= self.density < math.inf:
+            raise ValueError(f"blocker density must be non-negative and finite, got {self.density}")
+        if not all(0.0 < d / 2.0 < math.inf for d in self.dims):  # as box half extents
+            raise ValueError(f"blocker dimensions must be positive and finite, got {self.dims}")
 
 
 @dataclass(frozen=True)
@@ -222,11 +225,10 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
     construction, and the Scene checked its detector area and field of view
     when it was built.
     """
-    room = scene.room
-    x = rng.uniform(0.0, room.length)
-    y = rng.uniform(0.0, room.width)
+    x = scene.room.length * rng.random()
+    y = scene.room.width * rng.random()
     theta = math.radians(sample_tilt_deg(rng, scene.orientation_model))
-    omega = rng.uniform(0.0, 2.0 * math.pi)
+    omega = math.tau * rng.random()  # tau * r < tau for every r < 1
     return PhotoDetector._unchecked(np.array((x, y, scene.ue_height)),
                                     unit_normal_from_polar(theta, omega),
                                     scene.pd_area, scene.pd_fov)
@@ -237,15 +239,14 @@ def _mean_count(room: Room, model: BlockerModel) -> float:
     return model.density * room.length * room.width
 
 
-def _blocker_draws(rng: np.random.Generator, room: Room,
-                   model: BlockerModel) -> tuple[np.ndarray, ...]:
-    """x, y and yaw of one Poisson field, drawn in the fixed order (count, x, y, yaw)."""
-    lam = _mean_count(room, model)
-    count = 0 if lam == 0.0 else int(rng.poisson(lam))
-    if count == 0:
-        return (np.empty(0),) * 3
-    return (rng.uniform(0.0, room.length, count), rng.uniform(0.0, room.width, count),
-            rng.uniform(0.0, math.pi, count))
+def _blocker_draws(rng: np.random.Generator, room: Room, model: BlockerModel) -> np.ndarray:
+    """Unscaled x, y and yaw rows, (3, count), of one field of nonzero mean.
+
+    Draw order is fixed (count, x, y, yaw): one random(3 * count) call reads,
+    in order, the doubles that uniform(0, L, count) for x, y and yaw would.
+    """
+    count = int(rng.poisson(_mean_count(room, model)))
+    return rng.random(3 * count).reshape(3, count)
 
 
 def sample_blocker_field(rng: np.random.Generator, room: Room,
@@ -266,25 +267,26 @@ def sample_blocker_fields(rng: np.random.Generator, room: Room, models: Sequence
     the first one that does (a density-0 model reads nothing from it).
     Model k's boxes are rows offsets[k]:offsets[k + 1]; the box set is None
     when no model draws a blocker. The models must share one blocker size.
+    One multiply by (L, W, pi) scales all draws. The boxes skip OrientedBoxes'
+    checks: yaws pi * r < pi, a checked model's half extents, centers built here.
     """
     if any(m.dims != models[0].dims for m in models):
         raise ValueError("the blocker models must share one set of dimensions")
     reads = [_mean_count(room, m) != 0.0 for m in models]
     start = rng.bit_generator.state if sum(reads) > 1 else None
-    draws: list[tuple[np.ndarray, ...]] = []
+    draws: list[np.ndarray] = []
     offsets = [0]
-    drawn = False
     for model, read in zip(models, reads):
         if read:
-            if drawn:
+            if draws:
                 rng.bit_generator.state = start
-            drawn = True
-        draws.append(_blocker_draws(rng, room, model))
-        offsets.append(offsets[-1] + len(draws[-1][0]))
+            draws.append(_blocker_draws(rng, room, model))
+        offsets.append(offsets[-1] + (draws[-1].shape[1] if read else 0))
     if offsets[-1] == 0:
         return None, offsets
-    xs, ys, yaws = (np.concatenate(axis) for axis in zip(*draws))
+    unit = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
+    xs, ys, yaws = unit * ((room.length,), (room.width,), (math.pi,))
     dx, dy, dz = models[0].dims
     centers = np.empty((offsets[-1], 3))
     centers[:, 0], centers[:, 1], centers[:, 2] = xs, ys, dz / 2.0
-    return OrientedBoxes(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws), offsets
+    return OrientedBoxes._unchecked(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws), offsets

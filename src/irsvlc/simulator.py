@@ -153,8 +153,8 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     floor-plan cull and one slab call, for every lit source's sight line and
     the containment test at once, serve all densities. When no source
     reaches the detector unblocked, no blocker can change the direct gain and
-    the draws are skipped. When no box cuts a sight line, every density
-    shares one TrialGains.
+    the draws are skipped. Densities whose boxes cut the same lit sources'
+    sight lines share one TrialGains.
     """
     scene = ens.scene
     rng = trial_rng(ens.seed, trial_index)
@@ -175,9 +175,10 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
         return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.blocker_models)
     # blocked[j]: the densities whose boxes cut lit source j's sight line
     blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
-    return tuple(TrialGains(trial_index,
-                            math.fsum(g for (_, g), b in zip(lit, blocked) if k not in b),
-                            h_nlos, h_irs) for k in range(len(ens.blocker_models)))
+    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.blocker_models))]
+    by_cut = {cut: TrialGains(trial_index, math.fsum(g for (_, g), c in zip(lit, cut) if not c),
+                              h_nlos, h_irs) for cut in set(cuts)}
+    return tuple(by_cut[cut] for cut in cuts)
 
 
 def _cut_sight_lines(boxes: OrientedBoxes, end: np.ndarray,

@@ -81,6 +81,13 @@ def test_oriented_box_validation():
         build([[0, 0, 0], [1, 1, 1]], (1.0, 1.0, 1.0), [0.2])
 
 
+@pytest.mark.parametrize("half", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                  (1.0, 1.0, -math.inf), (0.0, 1.0, 1.0)])
+def test_oriented_box_rejects_non_finite_half_extents(half):
+    with pytest.raises(ValueError, match="half extents must be positive and finite"):
+        OrientedBoxes(np.zeros((1, 3)), half, np.zeros(1))
+
+
 def test_oriented_box_contains_interior():
     box = one_box(vec3(0, 0, 0), (1.0, 0.5, 2.0), math.pi / 4)
     assert box.contains_interior(vec3(0, 0, 0)).tolist() == [True]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irsvlc.config import ConfigError, RunConfig, validate
+from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
 from irsvlc.scene import (BLOCKER_DIMS, BlockerModel, OrientationModel, Room, Scene,
                           _grid_centers, build_arrays, sample_blocker_field,
@@ -268,6 +269,103 @@ def test_sample_blocker_fields_need_one_blocker_size():
     models = (BlockerModel(1.0), BlockerModel(1.0, dims=(1.0, 1.0, 1.0)))
     with pytest.raises(ValueError):
         sample_blocker_fields(rng(1), Room(5.0, 5.0, 3.0), models)
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
+def test_blocker_model_rejects_a_bad_density(density):
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        BlockerModel(density)
+
+
+# the smallest subnormal halves to 0, which is no valid box half extent
+@pytest.mark.parametrize("dims", [(math.nan, 0.2, 1.75), (0.75, math.inf, 1.75),
+                                  (0.75, 0.2, 0.0), (5e-324, 0.2, 1.75)])
+def test_blocker_model_rejects_bad_dimensions(dims):
+    with pytest.raises(ValueError, match="positive and finite"):
+        BlockerModel(1.0, dims)
+
+
+def _uniform_pose(r, scene):
+    """Reference: a pose's draws (x, y, tilt, azimuth) with Generator.uniform."""
+    x = r.uniform(0.0, scene.room.length)
+    y = r.uniform(0.0, scene.room.width)
+    theta = math.radians(sample_tilt_deg(r, scene.orientation_model))
+    return x, y, theta, r.uniform(0.0, 2.0 * math.pi)
+
+
+def _uniform_field(r, room, model):
+    """Reference: one field's (n, 3) centers and yaws, drawn (count, x, y, yaw) with uniform."""
+    lam = model.density * room.length * room.width
+    count = 0 if lam == 0.0 else int(r.poisson(lam))
+    xs = r.uniform(0.0, room.length, count)
+    ys = r.uniform(0.0, room.width, count)
+    yaws = r.uniform(0.0, math.pi, count)
+    return np.column_stack((xs, ys, np.full(count, model.dims[2] / 2.0))), yaws
+
+
+# mean counts 2.5, 25 and 100: numpy's multiplication Poisson sampler, then PTRS
+@pytest.mark.parametrize("density", [0.0, 0.1, 1.0, 4.0])
+def test_pose_and_blocker_draws_match_the_uniform_reference(density):
+    scene = make_scene(density, irs_type="none")
+    room, model = scene.room, scene.blocker_model
+    drawn = 0
+    for t in range(300):
+        got, want = trial_rng(5, t), trial_rng(5, t)
+        ue = sample_ue(got, scene)
+        x, y, theta, omega = _uniform_pose(want, scene)
+        assert ue.position.tobytes() == np.array((x, y, scene.ue_height)).tobytes()
+        assert ue.normal.tobytes() == unit_normal_from_polar(theta, omega).tobytes()
+        field = sample_blocker_field(got, room, model)
+        centers, yaws = _uniform_field(want, room, model)
+        assert got.bit_generator.state == want.bit_generator.state
+        if field is None:
+            assert len(yaws) == 0
+            continue
+        assert field.center.tobytes() == centers.tobytes()
+        assert field.yaw.tobytes() == yaws.tobytes()
+        assert field.half_extents == tuple(d / 2.0 for d in model.dims)
+        drawn += len(field)
+    assert (drawn > 0) == (density > 0.0)
+
+
+def test_multi_density_rows_match_the_per_model_reference():
+    # a non-square room, so a swapped length and width would show
+    room = Room(6.0, 4.5, 3.0)
+    models = [BlockerModel(d) for d in (0.1, 0.0, 4.0, 1.0, 0.1)]
+    for t in range(300):
+        r = trial_rng(8, t)
+        r.random(4)  # stands in for the pose
+        boxes, offsets = sample_blocker_fields(r, room, models)
+        for k, model in enumerate(models):
+            want = trial_rng(8, t)
+            want.random(4)
+            centers, yaws = _uniform_field(want, room, model)
+            assert offsets[k + 1] - offsets[k] == len(yaws)
+            if len(yaws):
+                rows = slice(offsets[k], offsets[k + 1])
+                assert boxes.center[rows].tobytes() == centers.tobytes()
+                assert boxes.yaw[rows].tobytes() == yaws.tobytes()
+        assert (boxes is None) == (offsets[-1] == 0)
+
+
+def test_sampled_boxes_pass_the_checks_they_skip():
+    # yaws are pi * r and azimuths tau * r for a double r < 1
+    assert math.pi * math.nextafter(1.0, 0.0) < math.pi
+    assert math.tau * math.nextafter(1.0, 0.0) < math.tau
+    assert math.tau == 2.0 * math.pi
+    room = Room(6.0, 4.5, 3.0)
+    models = [BlockerModel(d, (0.3, 1.1, 2.0)) for d in (0.0, 0.1, 1.0, 4.0)]
+    sets = 0
+    for t in range(300):
+        boxes, _ = sample_blocker_fields(trial_rng(9, t), room, models)
+        if boxes is None:
+            continue
+        # the checked constructor keeps float64 arrays as they are
+        checked = OrientedBoxes(boxes.center, boxes.half_extents, boxes.yaw)
+        assert checked.center is boxes.center and checked.yaw is boxes.yaw
+        assert checked.half_extents == boxes.half_extents == (0.15, 0.55, 1.0)
+        sets += 1
+    assert sets > 0
 
 
 def test_scene_is_immutable():

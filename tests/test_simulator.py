@@ -355,6 +355,46 @@ def test_one_slab_test_per_lit_source(monkeypatch, densities):
     assert unlit > 0 and tested > 0
 
 
+@pytest.mark.parametrize("densities", [(0.0, 1.0), (0.0, 0.5, 1.0, 2.0, 4.0), (4.0, 0.1)])
+def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densities):
+    # the pose costs three random calls and its tilt normal draws; each density
+    # that draws blockers one poisson and one random call, and nothing calls uniform
+    calls = Counter()
+
+    class Counting:
+        """The trial generator, counting the calls of each method."""
+
+        def __init__(self, r):
+            self._rng = r
+
+        def __getattr__(self, name):
+            attr = getattr(self._rng, name)
+            if not callable(attr):
+                return attr
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return attr(*args, **kwargs)
+            return counted
+
+    real = simulator.trial_rng
+    monkeypatch.setattr(simulator, "trial_rng", lambda seed, t: Counting(real(seed, t)))
+    scene = _three_source_scene(fov_deg=40.0)
+    ens = Ensemble.build(scene, 4, densities)
+    drawing = sum(d > 0.0 for d in densities)
+    unlit = 0
+    for t in range(80):
+        ue = sample_ue(real(4, t), scene)
+        lit = any(los_gain(ap, ue) > 0.0 for ap in scene.aps)
+        calls.clear()
+        compute_trial(ens, t)
+        assert set(calls) <= {"random", "normal", "poisson"}
+        assert calls["poisson"] == (drawing if lit else 0)
+        assert calls["random"] == 3 + calls["poisson"] and calls["normal"] >= 1
+        unlit += not lit
+    assert 0 < unlit < 80
+
+
 def test_trial_components_nonnegative_and_indexed():
     scene = make_scene(1.0, n_per_side=4)
     out = run_trials(scene, 30, seed=11)
