@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
+DEFAULT_NLOS_ORDER = 2  # wall bounces: direct illumination plus one patch-to-patch transfer
 
 
 class PatchSet:

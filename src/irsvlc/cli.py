@@ -90,7 +90,6 @@ def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
     scene = build_scene(cfg, densities[0])
     t1 = time.perf_counter()
     by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
-                            nlos_patch_size=cfg.patch_size, nlos_order=cfg.nlos_order,
                             densities=densities)
     t2 = time.perf_counter()
     out = {}

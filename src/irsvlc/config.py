@@ -13,14 +13,15 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY
+from .channel import DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY
 from .geometry import vec3
 from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
-                    OrientationModel, Room, Scene, _check_array_fit, build_arrays)
-from .simulator import Scenario, SnrGrid
+                    OrientationModel, Room, Scene, _check_array_fit, build_arrays,
+                    mean_blocker_count)
+from .simulator import DEFAULT_SNR_GRID_DB, Scenario, SnrGrid
 
 
 class ConfigError(Exception):
@@ -57,13 +58,13 @@ class RunConfig:
     msa_efficiency: float = DEFAULT_MSA_EFFICIENCY
     wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY
     patch_size: float = DEFAULT_PATCH_SIZE
-    nlos_order: int = 2
+    nlos_order: int = DEFAULT_NLOS_ORDER
     trials: int = 10_000
     seed: int = 1
-    snr_start_db: float = 0.0
-    snr_stop_db: float = 40.0
-    snr_step_db: float = 1.0
-    scenarios: tuple[str, ...] = ("los_only", "los_nlos", "los_nlos_irs")
+    snr_start_db: float = DEFAULT_SNR_GRID_DB[0]
+    snr_stop_db: float = DEFAULT_SNR_GRID_DB[1]
+    snr_step_db: float = DEFAULT_SNR_GRID_DB[2]
+    scenarios: tuple[str, ...] = tuple(s.value for s in Scenario)
     normalization: str = "per_scenario"
     out_dir: str = "out"
 
@@ -196,6 +197,12 @@ def validate(cfg: RunConfig) -> None:
     check(len(cfg.densities) > 0, "[blockers] densities", "needs at least one value")
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
+    if room_ok:
+        for d in filter(math.isfinite, cfg.densities):
+            try:
+                mean_blocker_count(Room(*room), d)
+            except ValueError as exc:
+                errors.append(f"[blockers] densities: {exc}")
     check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,
           "[blockers]", "dimensions must be positive")
     check(cfg.irs_type in ("mirror", "metasurface", "none"), "[irs] type",
@@ -275,6 +282,8 @@ def build_scene(cfg: RunConfig, blocker_density: float) -> Scene:
         orientation_model=OrientationModel(cfg.theta_mean_deg, cfg.theta_std_deg),
         ue_height=cfg.ue_height,
         wall_reflectivity=cfg.wall_reflectivity,
+        patch_size=cfg.patch_size,
+        nlos_order=cfg.nlos_order,
         pd_area=cfg.pd_area,
         pd_fov=math.radians(cfg.fov_deg),
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DEFAULT_WALL_REFLECTIVITY
+from .channel import DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY
 from .geometry import OrientedBoxes, Vec3, is_unit, normalize, unit_normal_from_polar, vec3
 from .irs import MIRROR_HEIGHT, MIRROR_WIDTH, ReflectorArray
 
@@ -29,6 +29,8 @@ DEFAULT_UE_HEIGHT = 1.0  # m above the floor
 DEFAULT_THETA_MEAN_DEG = 41.0
 DEFAULT_THETA_STD_DEG = 9.0
 BLOCKER_DIMS = (0.75, 0.2, 1.75)  # m, footprint x footprint x height
+# the largest mean Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
+MAX_MEAN_BLOCKERS = float(2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,10 @@ class BlockerModel:
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable experiment geometry; safe to share across worker processes."""
+    """Immutable experiment geometry and wall model; safe to share across worker processes.
+
+    With a run's blocker densities, it is the whole input of a run.
+    """
 
     room: Room
     aps: tuple[Luminaire, ...]
@@ -149,6 +154,8 @@ class Scene:
     orientation_model: OrientationModel
     ue_height: float = DEFAULT_UE_HEIGHT
     wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY
+    patch_size: float = DEFAULT_PATCH_SIZE  # m; target side length of the wall patches
+    nlos_order: int = DEFAULT_NLOS_ORDER  # 1 or 2 wall bounces
     pd_area: float = DEFAULT_PD_AREA
     pd_fov: float = math.radians(DEFAULT_FOV_DEG)
 
@@ -234,19 +241,17 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
                                     scene.pd_area, scene.pd_fov)
 
 
-def _mean_count(room: Room, model: BlockerModel) -> float:
-    """Expected blocker count; a field with mean 0 draws nothing from the stream."""
-    return model.density * room.length * room.width
+def mean_blocker_count(room: Room, density: float) -> float:
+    """Expected blocker count on the floor; a field with mean 0 draws nothing from the stream.
 
-
-def _blocker_draws(rng: np.random.Generator, room: Room, model: BlockerModel) -> np.ndarray:
-    """Unscaled x, y and yaw rows, (3, count), of one field of nonzero mean.
-
-    Draw order is fixed (count, x, y, yaw): one random(3 * count) call reads,
-    in order, the doubles that uniform(0, L, count) for x, y and yaw would.
+    Raises ValueError when the mean exceeds MAX_MEAN_BLOCKERS, which no
+    Poisson draw accepts.
     """
-    count = int(rng.poisson(_mean_count(room, model)))
-    return rng.random(3 * count).reshape(3, count)
+    mean = density * room.length * room.width
+    if not mean <= MAX_MEAN_BLOCKERS:
+        raise ValueError(f"blocker density {density:g} gives a mean of {mean:g} blockers on "
+                         f"the floor, above the {MAX_MEAN_BLOCKERS:g} a Poisson draw accepts")
+    return mean
 
 
 def sample_blocker_field(rng: np.random.Generator, room: Room,
@@ -255,38 +260,41 @@ def sample_blocker_field(rng: np.random.Generator, room: Room,
 
     Draw order is fixed (count, x, y, yaw); None when no blocker is drawn.
     """
-    return sample_blocker_fields(rng, room, (model,))[0]
+    return sample_blocker_fields(rng, room, model.dims, (model.density,))[0]
 
 
-def sample_blocker_fields(rng: np.random.Generator, room: Room, models: Sequence[BlockerModel]
+def sample_blocker_fields(rng: np.random.Generator, room: Room,
+                          dims: tuple[float, float, float], densities: Sequence[float]
                           ) -> tuple[OrientedBoxes | None, list[int]]:
-    """The fields of several models, each drawn from the stream's current state, as one box set.
+    """The fields of several densities, each drawn from the stream's current state, as one box set.
 
-    Each model gets exactly the boxes sample_blocker_field would draw from
-    that state: the stream is reset to it before every model that draws after
-    the first one that does (a density-0 model reads nothing from it).
-    Model k's boxes are rows offsets[k]:offsets[k + 1]; the box set is None
-    when no model draws a blocker. The models must share one blocker size.
-    One multiply by (L, W, pi) scales all draws. The boxes skip OrientedBoxes'
-    checks: yaws pi * r < pi, a checked model's half extents, centers built here.
+    Each density gets exactly the boxes sample_blocker_field would draw from
+    that state: the stream is reset to it before every density that draws
+    after the first one that does (a density-0 field reads nothing from it).
+    A field's draw order is fixed (count, x, y, yaw): one random(3 * count)
+    call reads, in order, the doubles that uniform(0, L, count) for x, y and
+    yaw would. Density k's boxes are rows offsets[k]:offsets[k + 1]; the box
+    set is None when no density draws a blocker. One multiply by (L, W, pi)
+    scales all draws. The boxes skip OrientedBoxes' checks: yaws pi * r < pi,
+    dims a checked BlockerModel's, centers built here.
     """
-    if any(m.dims != models[0].dims for m in models):
-        raise ValueError("the blocker models must share one set of dimensions")
-    reads = [_mean_count(room, m) != 0.0 for m in models]
-    start = rng.bit_generator.state if sum(reads) > 1 else None
+    means = [mean_blocker_count(room, d) for d in densities]
+    start = rng.bit_generator.state if sum(m != 0.0 for m in means) > 1 else None
     draws: list[np.ndarray] = []
     offsets = [0]
-    for model, read in zip(models, reads):
-        if read:
+    for mean in means:
+        count = 0
+        if mean != 0.0:
             if draws:
                 rng.bit_generator.state = start
-            draws.append(_blocker_draws(rng, room, model))
-        offsets.append(offsets[-1] + (draws[-1].shape[1] if read else 0))
+            count = int(rng.poisson(mean))
+            draws.append(rng.random(3 * count).reshape(3, count))
+        offsets.append(offsets[-1] + count)
     if offsets[-1] == 0:
         return None, offsets
     unit = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
     xs, ys, yaws = unit * ((room.length,), (room.width,), (math.pi,))
-    dx, dy, dz = models[0].dims
+    dx, dy, dz = dims
     centers = np.empty((offsets[-1], 3))
     centers[:, 0], centers[:, 1], centers[:, 2] = xs, ys, dz / 2.0
     return OrientedBoxes._unchecked(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws), offsets

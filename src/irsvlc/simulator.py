@@ -17,18 +17,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import (DEFAULT_PATCH_SIZE, PatchSet, PoweredPatches, los_gain,
-                      patch_incident_power, wall_patches)
+from .channel import PoweredPatches, los_gain, patch_incident_power, wall_patches
 from .geometry import OrientedBoxes, segments_intersect_box
 from .irs import ReflectorBank
-from .scene import BlockerModel, Scene, sample_blocker_fields, sample_ue
+from .scene import Scene, mean_blocker_count, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
@@ -115,32 +114,31 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Everything a trial reads besides its own substream; built once per run.
-
-    Construction also keeps the powered wall patches ready for the per-pose
-    diffuse capture.
-    """
+    """Exactly what a trial reads besides its own substream; built once per run."""
 
     scene: Scene
     seed: int
-    patches: PatchSet
-    diffuse_power: np.ndarray
+    powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
     bank: ReflectorBank
-    blocker_models: tuple[BlockerModel, ...]  # one per density, in output order
-    powered: PoweredPatches = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "powered", PoweredPatches(self.patches, self.diffuse_power))
+    densities: tuple[float, ...]  # in output order; the blockers share the scene's size
 
     @classmethod
-    def build(cls, scene: Scene, seed: int, densities: Sequence[float], *,
-              nlos_patch_size: float = DEFAULT_PATCH_SIZE, nlos_order: int = 2) -> "Ensemble":
-        """Precompute the diffuse field and the reflector bank of a scene."""
-        patches = wall_patches(scene.room, nlos_patch_size, scene.wall_reflectivity)
-        return cls(
-            scene, seed, patches, _diffuse_field(scene, patches, nlos_order),
-            ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
-            tuple(replace(scene.blocker_model, density=d) for d in densities))
+    def build(cls, scene: Scene, seed: int, densities: Sequence[float]) -> "Ensemble":
+        """Check the densities, then precompute the diffuse field and the reflector bank.
+
+        Each density must pass BlockerModel's checks, and its mean blocker
+        count must be one a Poisson draw accepts.
+        """
+        densities = tuple(float(d) for d in densities)
+        for d in densities:
+            mean_blocker_count(scene.room, replace(scene.blocker_model, density=d).density)
+        patches = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
+        # every source's incident power, summed from zero in source order
+        power = sum((patch_incident_power(ap, patches, (), order=scene.nlos_order)
+                     for ap in scene.aps), np.zeros(len(patches)))
+        return cls(scene, seed, PoweredPatches(patches, power),
+                   ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
+                   densities)
 
 
 def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
@@ -166,16 +164,17 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     h_irs = ens.bank.gain(ue)
     lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
     if not lit:
-        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.blocker_models)
-    boxes, offsets = sample_blocker_fields(rng, scene.room, ens.blocker_models)
+        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.densities)
+    boxes, offsets = sample_blocker_fields(rng, scene.room, scene.blocker_model.dims,
+                                           ens.densities)
     cut_rows = [] if boxes is None else _cut_sight_lines(boxes, ue.position,
                                                           [ap.position for ap, _ in lit])
     if not cut_rows:  # no box cuts a sight line, so one row serves every density
         h_los = math.fsum(g for _, g in lit)
-        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.blocker_models)
+        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.densities)
     # blocked[j]: the densities whose boxes cut lit source j's sight line
     blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
-    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.blocker_models))]
+    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.densities))]
     by_cut = {cut: TrialGains(trial_index, math.fsum(g for (_, g), c in zip(lit, cut) if not c),
                               h_nlos, h_irs) for cut in set(cuts)}
     return tuple(by_cut[cut] for cut in cuts)
@@ -205,14 +204,6 @@ def _cut_sight_lines(boxes: OrientedBoxes, end: np.ndarray,
     return [near[h] for h in hits] if hits.any() else []
 
 
-def _diffuse_field(scene: Scene, patches: PatchSet, order: int) -> np.ndarray:
-    """Per-patch incident power from every source, blockage-free by design."""
-    total = np.zeros(len(patches))
-    for ap in scene.aps:
-        total = total + patch_incident_power(ap, patches, (), order=order)
-    return total
-
-
 # -- worker-pool plumbing ----------------------------------------------------
 
 _WORKER_STATE: dict = {}
@@ -228,7 +219,6 @@ def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               nlos_patch_size: float = DEFAULT_PATCH_SIZE, nlos_order: int = 2,
                densities: Sequence[float] | None = None
                ) -> list[TrialGains] | dict[float, list[TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
@@ -251,8 +241,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     if not wanted:
         raise ValueError("densities needs at least one value")
     unique = tuple(dict.fromkeys(wanted))
-    ens = Ensemble.build(scene, seed, unique, nlos_patch_size=nlos_patch_size,
-                         nlos_order=nlos_order)
+    ens = Ensemble.build(scene, seed, unique)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
     else:

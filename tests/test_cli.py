@@ -129,7 +129,9 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
 @pytest.mark.parametrize("body, needles", [
     ("[sim]\ntrials = 0\nsnr_step_db = -1\n", ("trials", "snr_step_db")),
     ("[ap]\nx = nan\n", ("[ap] x: must be finite",)),
-], ids=["out_of_range", "nan"])
+    ("[blockers]\ndensities = 1e18\n", ("[blockers] densities: blocker density 1e+18",)),
+    ("[blockers]\ndensities = 1e308\n", ("[blockers] densities: blocker density 1e+308",)),
+], ids=["out_of_range", "nan", "poisson_bound", "mean_overflows"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
@@ -137,6 +139,21 @@ def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     err = capsys.readouterr().err
     assert "config error" in err and all(n in err for n in needles)
     assert not (tmp_path / "o").exists()
+
+
+def test_wall_settings_change_the_curves(small_config, tmp_path):
+    # each [walls] key reaches the run: the patch size and reflection order
+    # change the curves beyond what the reflectivity alone does
+    curves = []
+    for walls in ("", "reflectivity = 0.5\n",
+                  "reflectivity = 0.5\npatch_size = 0.5\nreflection_order = 1\n"):
+        config = tmp_path / "walls.ini"
+        config.write_text(SMALL + "[walls]\n" + walls, encoding="utf-8")
+        out = tmp_path / f"out{len(curves)}"
+        assert run(["simulate", "--config", str(config), "--out", str(out),
+                    "--threads", "1"]) == 0
+        curves.append((out / "curves.csv").read_bytes())
+    assert len(set(curves)) == 3
 
 
 def test_bad_threads_exit_2(small_config, tmp_path):

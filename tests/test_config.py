@@ -6,6 +6,8 @@ from dataclasses import replace
 
 from irsvlc.config import (ConfigError, RunConfig, build_scene,
                            effective_sections, load_config, validate)
+from irsvlc.scene import Scene
+from irsvlc.simulator import Scenario, SnrGrid
 
 
 def write(tmp_path, text):
@@ -76,6 +78,9 @@ def test_unknown_and_malformed_keys_reported_together(tmp_path):
     ("[ue]\narea = inf\n", "[ue] area: must be finite"),
     ("[ap]\nz = 4.0\n", "[ap]: source position (2.5, 2.5, 4) must lie inside the room"),
     ("[ap]\nx = 9\n", "[ap]: source position (9, 2.5, 3) must lie inside the room"),
+    # mean blocker counts above what a Poisson draw accepts, and one that overflows to inf
+    ("[blockers]\ndensities = 0, 1e18\n", "[blockers] densities: blocker density 1e+18"),
+    ("[blockers]\ndensities = 1e308\n", "[blockers] densities: blocker density 1e+308"),
 ])
 def test_validation_rejects_bad_settings(tmp_path, body, needle):
     with pytest.raises(ConfigError) as exc:
@@ -114,6 +119,23 @@ def test_effective_sections_round_trip(tmp_path):
     # the echo pins the source position, so ap_* switch from None to numbers
     assert effective_sections(again) == effective_sections(base)
     assert again.seed == 5 and again.trials == 123
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.grid() == SnrGrid()
+    assert cfg.scenario_list() == list(Scenario)
+    scene = build_scene(cfg, 0.0)
+    defaults = Scene.__dataclass_fields__
+    for name in ("wall_reflectivity", "patch_size", "nlos_order"):
+        assert getattr(scene, name) == defaults[name].default, name
+    # the summary.json echo of these defaults keeps its bytes
+    echo = effective_sections(cfg)
+    assert echo["sim"]["snr_start_db"] == "0.0" and echo["sim"]["snr_stop_db"] == "40.0"
+    assert echo["sim"]["snr_step_db"] == "1.0"
+    assert echo["sim"]["scenarios"] == "los_only,los_nlos,los_nlos_irs"
+    assert echo["walls"] == {"reflectivity": "0.7", "patch_size": "0.25",
+                             "reflection_order": "2"}
 
 
 def test_build_scene_respects_irs_type():

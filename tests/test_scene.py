@@ -9,9 +9,10 @@ import pytest
 from irsvlc.config import ConfigError, RunConfig, validate
 from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
-from irsvlc.scene import (BLOCKER_DIMS, BlockerModel, OrientationModel, Room, Scene,
-                          _grid_centers, build_arrays, sample_blocker_field,
-                          sample_blocker_fields, sample_tilt_deg, sample_ue)
+from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, BlockerModel, OrientationModel,
+                          Room, Scene, _grid_centers, build_arrays, mean_blocker_count,
+                          sample_blocker_field, sample_blocker_fields, sample_tilt_deg,
+                          sample_ue)
 from irsvlc.simulator import trial_rng
 
 from conftest import make_scene, rng
@@ -265,10 +266,20 @@ def test_sample_blockers_match_the_field_draws():
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
-def test_sample_blocker_fields_need_one_blocker_size():
-    models = (BlockerModel(1.0), BlockerModel(1.0, dims=(1.0, 1.0, 1.0)))
-    with pytest.raises(ValueError):
-        sample_blocker_fields(rng(1), Room(5.0, 5.0, 3.0), models)
+def test_mean_blocker_count_stops_at_the_poisson_bound():
+    # on a 1 m x 1 m floor the mean is the density itself
+    room = Room(1.0, 1.0, 3.0)
+    assert mean_blocker_count(room, MAX_MEAN_BLOCKERS) == MAX_MEAN_BLOCKERS
+    above = math.nextafter(MAX_MEAN_BLOCKERS, math.inf)
+    for density in (above, 1e308):
+        with pytest.raises(ValueError, match="Poisson"):
+            mean_blocker_count(room, density)
+    with pytest.raises(ValueError, match="Poisson"):  # 1e308 * 25 overflows to inf
+        mean_blocker_count(Room(5.0, 5.0, 3.0), 1e308)
+    # the bound is numpy's own: its sampler takes the bound and rejects the next double
+    rng(1).poisson(MAX_MEAN_BLOCKERS)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng(1).poisson(above)
 
 
 @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
@@ -335,7 +346,7 @@ def test_multi_density_rows_match_the_per_model_reference():
     for t in range(300):
         r = trial_rng(8, t)
         r.random(4)  # stands in for the pose
-        boxes, offsets = sample_blocker_fields(r, room, models)
+        boxes, offsets = sample_blocker_fields(r, room, BLOCKER_DIMS, [m.density for m in models])
         for k, model in enumerate(models):
             want = trial_rng(8, t)
             want.random(4)
@@ -354,10 +365,10 @@ def test_sampled_boxes_pass_the_checks_they_skip():
     assert math.tau * math.nextafter(1.0, 0.0) < math.tau
     assert math.tau == 2.0 * math.pi
     room = Room(6.0, 4.5, 3.0)
-    models = [BlockerModel(d, (0.3, 1.1, 2.0)) for d in (0.0, 0.1, 1.0, 4.0)]
     sets = 0
     for t in range(300):
-        boxes, _ = sample_blocker_fields(trial_rng(9, t), room, models)
+        boxes, _ = sample_blocker_fields(trial_rng(9, t), room, (0.3, 1.1, 2.0),
+                                         (0.0, 0.1, 1.0, 4.0))
         if boxes is None:
             continue
         # the checked constructor keeps float64 arrays as they are

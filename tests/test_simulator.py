@@ -12,6 +12,7 @@ from irsvlc import (Luminaire, PatchSet, ReflectorBank, RequiredSnr, Scenario, S
                     required_snr, run_trials, ser_curve, segments_intersect_box, trial_rng,
                     vec3, wall_patches)
 from irsvlc import channel, config, geometry, irs, oracles, scene as scene_module, simulator
+from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
 from irsvlc.irs import _ANTIPODAL_TOL, _dot
 from irsvlc.scene import BLOCKER_DIMS, sample_blocker_field, sample_ue
@@ -100,6 +101,31 @@ def test_compute_trial_one_row_per_density():
     assert [t.index for t in row] == [2, 2]
     assert row[0].h_irs == row[1].h_irs and row[0].h_nlos == row[1].h_nlos
     assert row[0] == run_trials(scene, 3, seed=3)[2]
+
+
+@pytest.mark.parametrize("density", [1e18, 1e308])
+def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator, "compute_trial", no_trials)
+    with pytest.raises(ValueError, match="Poisson"):
+        run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
+    with pytest.raises(ValueError, match="Poisson"):
+        run_trials(make_scene(density, n_per_side=4), 5, seed=1)
+
+
+def test_wall_settings_reach_the_trial(tmp_path):
+    path = tmp_path / "walls.ini"
+    path.write_text("[irs]\ntype = none\n[walls]\nreflectivity = 0.5\npatch_size = 0.5\n"
+                    "reflection_order = 1\n", encoding="utf-8")
+    scene = config.build_scene(config.load_config(str(path)), 0.0)
+    ens = Ensemble.build(scene, 6, (0.0,))
+    patches = wall_patches(scene.room, 0.5, 0.5)
+    for t in range(50):
+        ue = sample_ue(trial_rng(6, t), scene)
+        want = nlos_gain(scene.aps[0], ue, patches, (), order=1)
+        assert compute_trial(ens, t)[0].h_nlos.hex() == want.hex(), t
 
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
@@ -268,21 +294,29 @@ def _cascade_sum(scene, bank, ue):
     return float(np.sum(np.where(ok, gains, 0.0)))
 
 
-def _tilted_source_ensemble(seed):
+def _built_field(scene, seed):
+    """A one-source scene's ensemble, with the patches and incident power it should hold."""
+    ps = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
+    power = patch_incident_power(scene.aps[0], ps, (), order=scene.nlos_order)
+    return Ensemble.build(scene, seed, (0.0,)), ps, power
+
+
+def _tilted_source_field(seed):
     """An order-1 field from a source tilted toward +x: the upper x0 wall stays dark."""
-    scene = replace(make_scene(irs_type="none"),
+    scene = replace(make_scene(irs_type="none", nlos_order=1),
                     aps=(Luminaire(vec3(2.5, 2.5, 3.0), vec3(0.6, 0.0, -0.8)),))
-    return Ensemble.build(scene, seed, (0.0,), nlos_order=1)
+    return _built_field(scene, seed)
 
 
-def _dark_wall_ensemble(seed):
+def _dark_wall_field(seed):
     """The stock order-2 field with the y0 wall at reflectivity 0."""
     scene = make_scene(irs_type="none")
     ps = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
     dark = PatchSet(ps.centers, ps.normals, ps.areas,
                     np.where(ps.centers[:, 1] == 0.0, 0.0, ps.reflectivity))
     power = patch_incident_power(scene.aps[0], dark, (), order=2)
-    return Ensemble(scene, seed, dark, power, ReflectorBank(scene.aps), (scene.blocker_model,))
+    ens = Ensemble(scene, seed, PoweredPatches(dark, power), ReflectorBank(scene.aps), (0.0,))
+    return ens, dark, power
 
 
 @pytest.mark.parametrize("irs_type", ["mirror", "metasurface"])
@@ -424,15 +458,16 @@ def test_trial_nlos_matches_direct_evaluation():
     # and the powered-patch kernel gives every pose the bits of the einsum
     # capture over all patches: at narrow, stock and full fields of view, and
     # where unpowered patches are dropped or a wall reflects nothing
-    ensembles = [Ensemble.build(make_scene(irs_type="none", fov_deg=fov), 9, (0.0,))
-                 for fov in (30.0, 85.0, 90.0)]
-    ensembles += [_tilted_source_ensemble(9), _dark_wall_ensemble(9)]
-    assert 0 < len(ensembles[3].powered) < len(ensembles[3].patches)
-    for ens in ensembles:
+    fields = [_built_field(make_scene(irs_type="none", fov_deg=fov), 9)
+              for fov in (30.0, 85.0, 90.0)]
+    fields += [_tilted_source_field(9), _dark_wall_field(9)]
+    tilted, tilted_patches, _ = fields[3]
+    assert 0 < len(tilted.powered) < len(tilted_patches)
+    for ens, patches, power in fields:
         live = 0
         for t in range(300):
             ue = sample_ue(trial_rng(9, t), ens.scene)
-            want = _patch_to_ue(ens.patches, ue, ens.diffuse_power)
+            want = _patch_to_ue(patches, ue, power)
             assert compute_trial(ens, t)[0].h_nlos.hex() == want.hex(), t
             live += want > 0.0
         assert live > 0
