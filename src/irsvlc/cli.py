@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
@@ -81,11 +80,12 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
+def _experiment_curves(cfg: RunConfig, threads: int
                        ) -> tuple[dict[float, dict[Scenario, SerCurve]], dict[str, float]]:
-    """All requested SER curves for each blocker density, from one ensemble,
-    and the wall-clock seconds of each stage that produced them."""
+    """All requested SER curves for each distinct density of cfg, ascending, from one
+    ensemble, and the wall-clock seconds of each stage that produced them."""
     t0 = time.perf_counter()
+    densities = sorted(set(cfg.densities))
     # the scene's own density is replaced by each of `densities` in turn
     scene = build_scene(cfg, densities[0])
     t1 = time.perf_counter()
@@ -98,8 +98,7 @@ def _experiment_curves(cfg: RunConfig, densities: Sequence[float], threads: int
         if cfg.normalization == "baseline":
             h = np.array([Scenario.LOS_NLOS.effective_gain(g) for g in gains])
             norm = float(np.mean(h * h))
-        out[density] = {scn: ser_curve(gains, scn, cfg.grid(), seed=cfg.seed,
-                                       mean_square_gain=norm)
+        out[density] = {scn: ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
                         for scn in cfg.scenario_list()}
     stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
               "ser_curves": time.perf_counter() - t2}
@@ -242,7 +241,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
-    all_curves, stages = _experiment_curves(cfg, sorted(set(cfg.densities)), threads)
+    all_curves, stages = _experiment_curves(cfg, threads)
     # no more workers than trials can be busy, and a single trial runs in-process
     summary = _summary(cfg, all_curves, time.perf_counter() - t0, stages,
                        min(threads, cfg.trials))
@@ -264,23 +263,23 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
         if vary == "n_per_side":
             values = [int(v) for v in raw_values.split(",") if v.strip() != ""]
         else:
-            values = [float(v) for v in raw_values.split(",") if v.strip() != ""]
+            values = [float(v) + 0.0 for v in raw_values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError([f"--values: {exc}"]) from exc
     if not values:
         raise ConfigError(["--values: needs at least one value"])
 
     if vary == "density":
-        validate(replace(cfg, densities=tuple(values)))
-        by_density, _ = _experiment_curves(cfg, sorted(set(values)), threads)
+        sub = replace(cfg, densities=tuple(values))
+        validate(sub)
+        by_density, _ = _experiment_curves(sub, threads)
         runs = [(value, {value: by_density[value]}) for value in values]
     else:
         runs = []
         for value in values:
             sub = replace(cfg, n_per_side=int(value))
             validate(sub)
-            runs.append((value, _experiment_curves(sub, sorted(set(sub.densities)),
-                                                   threads)[0]))
+            runs.append((value, _experiment_curves(sub, threads)[0]))
 
     rows = []
     per_key: dict[tuple[float, str], list[float]] = {}

@@ -19,8 +19,8 @@ from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
-                    OrientationModel, Room, Scene, _check_array_fit, build_arrays,
-                    mean_blocker_count)
+                    OrientationModel, Room, Scene, _check_array_fit, blocker_means,
+                    build_arrays)
 from .simulator import DEFAULT_SNR_GRID_DB, Scenario, SnrGrid
 
 
@@ -124,8 +124,8 @@ def _parse_value(raw: str, kind: str):
         return float(raw)
     if kind == _INT:
         return int(raw)
-    if kind == _FLOATS:
-        return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+    if kind == _FLOATS:  # + 0.0 reads -0 as 0
+        return tuple(float(v) + 0.0 for v in raw.split(",") if v.strip() != "")
     if kind == _STRS:
         return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
     return raw.strip()
@@ -198,9 +198,9 @@ def validate(cfg: RunConfig) -> None:
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
     if room_ok:
-        for d in filter(math.isfinite, cfg.densities):
+        for d in [d for d in cfg.densities if 0 <= d < math.inf]:
             try:
-                mean_blocker_count(Room(*room), d)
+                blocker_means(Room(*room), (d,))
             except ValueError as exc:
                 errors.append(f"[blockers] densities: {exc}")
     check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,

@@ -52,16 +52,15 @@ class MirrorElement:
 
 @dataclass(frozen=True, eq=False)
 class ReflectorArray:
-    """An n x n grid of cells mounted flat on one wall, as its cell centers.
+    """Cells mounted flat on one wall, as their (cells, 3) centers.
 
-    centers is (n * n, 3) in row-major grid order. scale is the mirror
+    build_arrays lays out n x n cells in row-major grid order. scale is the mirror
     reflectivity or the metasurface steering efficiency: the Scene tuple
     holding the array says which kind it is.
     """
 
     wall: str
     normal: Vec3
-    n_per_side: int
     centers: np.ndarray
     scale: float
 

@@ -29,8 +29,7 @@ DEFAULT_UE_HEIGHT = 1.0  # m above the floor
 DEFAULT_THETA_MEAN_DEG = 41.0
 DEFAULT_THETA_STD_DEG = 9.0
 BLOCKER_DIMS = (0.75, 0.2, 1.75)  # m, footprint x footprint x height
-# the largest mean Generator.poisson accepts: int64 max - 10 sqrt(int64 max)
-MAX_MEAN_BLOCKERS = float(2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
+MAX_MEAN_BLOCKERS = 1e5  # per field; a lit trial peaks at about 90 bytes per blocker
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,11 @@ class OrientationModel:
             raise ValueError(f"tilt spread must be positive, got {self.theta_std_deg}")
 
 
+def _check_density(density: float) -> None:
+    if not 0.0 <= density < math.inf:
+        raise ValueError(f"blocker density must be non-negative and finite, got {density}")
+
+
 @dataclass(frozen=True)
 class BlockerModel:
     """Poisson field of upright box blockers standing on the floor."""
@@ -133,8 +137,7 @@ class BlockerModel:
     dims: tuple[float, float, float] = BLOCKER_DIMS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.density < math.inf:
-            raise ValueError(f"blocker density must be non-negative and finite, got {self.density}")
+        _check_density(self.density)
         if not all(0.0 < d / 2.0 < math.inf for d in self.dims):  # as box half extents
             raise ValueError(f"blocker dimensions must be positive and finite, got {self.dims}")
 
@@ -204,7 +207,7 @@ def build_arrays(room: Room, n_per_side: int, scale: float) -> tuple[ReflectorAr
     """One n x n array centered on each of the four walls; scale as in ReflectorArray."""
     _check_array_fit(room, n_per_side)
     return tuple(
-        ReflectorArray(label, normal, n_per_side,
+        ReflectorArray(label, normal,
                        _grid_centers(origin, u_dir, v_dir, u_len, v_len,
                                      n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT), scale)
         for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
@@ -241,17 +244,18 @@ def sample_ue(rng: np.random.Generator, scene: Scene) -> PhotoDetector:
                                     scene.pd_area, scene.pd_fov)
 
 
-def mean_blocker_count(room: Room, density: float) -> float:
-    """Expected blocker count on the floor; a field with mean 0 draws nothing from the stream.
-
-    Raises ValueError when the mean exceeds MAX_MEAN_BLOCKERS, which no
-    Poisson draw accepts.
-    """
-    mean = density * room.length * room.width
-    if not mean <= MAX_MEAN_BLOCKERS:
-        raise ValueError(f"blocker density {density:g} gives a mean of {mean:g} blockers on "
-                         f"the floor, above the {MAX_MEAN_BLOCKERS:g} a Poisson draw accepts")
-    return mean
+def blocker_means(room: Room, densities: Sequence[float]) -> tuple[float, ...]:
+    """Expected blocker count on the floor per density, in order: the one check of a run's
+    densities (BlockerModel's density check, then a mean of at most MAX_MEAN_BLOCKERS)."""
+    means = []
+    for density in map(float, densities):
+        _check_density(density)
+        mean = density * room.length * room.width
+        if not mean <= MAX_MEAN_BLOCKERS:
+            raise ValueError(f"blocker density {density:g} gives a mean of {mean:g} blockers on "
+                             f"the floor, above the {MAX_MEAN_BLOCKERS:g} one field may hold")
+        means.append(mean)
+    return tuple(means)
 
 
 def sample_blocker_field(rng: np.random.Generator, room: Room,
@@ -260,25 +264,25 @@ def sample_blocker_field(rng: np.random.Generator, room: Room,
 
     Draw order is fixed (count, x, y, yaw); None when no blocker is drawn.
     """
-    return sample_blocker_fields(rng, room, model.dims, (model.density,))[0]
+    means = blocker_means(room, (model.density,))
+    return sample_blocker_fields(rng, room, model.dims, means)[0]
 
 
 def sample_blocker_fields(rng: np.random.Generator, room: Room,
-                          dims: tuple[float, float, float], densities: Sequence[float]
+                          dims: tuple[float, float, float], means: Sequence[float]
                           ) -> tuple[OrientedBoxes | None, list[int]]:
-    """The fields of several densities, each drawn from the stream's current state, as one box set.
+    """Fields of several blocker_means, each drawn from the stream's current state, as one box set.
 
-    Each density gets exactly the boxes sample_blocker_field would draw from
-    that state: the stream is reset to it before every density that draws
-    after the first one that does (a density-0 field reads nothing from it).
+    Each field gets exactly the boxes sample_blocker_field would draw from
+    that state: the stream is reset to it before every field that draws
+    after the first one that does (a mean-0 field reads nothing from it).
     A field's draw order is fixed (count, x, y, yaw): one random(3 * count)
     call reads, in order, the doubles that uniform(0, L, count) for x, y and
-    yaw would. Density k's boxes are rows offsets[k]:offsets[k + 1]; the box
-    set is None when no density draws a blocker. One multiply by (L, W, pi)
+    yaw would. Field k's boxes are rows offsets[k]:offsets[k + 1]; the box
+    set is None when no field draws a blocker. One multiply by (L, W, pi)
     scales all draws. The boxes skip OrientedBoxes' checks: yaws pi * r < pi,
     dims a checked BlockerModel's, centers built here.
     """
-    means = [mean_blocker_count(room, d) for d in densities]
     start = rng.bit_generator.state if sum(m != 0.0 for m in means) > 1 else None
     draws: list[np.ndarray] = []
     offsets = [0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -27,7 +27,7 @@ from scipy.special import erfc
 from .channel import PoweredPatches, los_gain, patch_incident_power, wall_patches
 from .geometry import OrientedBoxes, segments_intersect_box
 from .irs import ReflectorBank
-from .scene import Scene, mean_blocker_count, sample_blocker_fields, sample_ue
+from .scene import Scene, blocker_means, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
@@ -85,8 +85,6 @@ class SerCurve:
     snr_db: np.ndarray
     ser: np.ndarray
     stderr: np.ndarray
-    trials: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -120,25 +118,20 @@ class Ensemble:
     seed: int
     powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
     bank: ReflectorBank
-    densities: tuple[float, ...]  # in output order; the blockers share the scene's size
+    means: tuple[float, ...]  # expected blocker counts, in output order; one size for all
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float]) -> "Ensemble":
-        """Check the densities, then precompute the diffuse field and the reflector bank.
-
-        Each density must pass BlockerModel's checks, and its mean blocker
-        count must be one a Poisson draw accepts.
-        """
-        densities = tuple(float(d) for d in densities)
-        for d in densities:
-            mean_blocker_count(scene.room, replace(scene.blocker_model, density=d).density)
+        """Check the densities and turn them into mean blocker counts (blocker_means),
+        then precompute the diffuse field and the reflector bank."""
+        means = blocker_means(scene.room, densities)
         patches = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
         # every source's incident power, summed from zero in source order
         power = sum((patch_incident_power(ap, patches, (), order=scene.nlos_order)
                      for ap in scene.aps), np.zeros(len(patches)))
         return cls(scene, seed, PoweredPatches(patches, power),
                    ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
-                   densities)
+                   means)
 
 
 def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
@@ -164,17 +157,16 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     h_irs = ens.bank.gain(ue)
     lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
     if not lit:
-        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.densities)
-    boxes, offsets = sample_blocker_fields(rng, scene.room, scene.blocker_model.dims,
-                                           ens.densities)
+        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.means)
+    boxes, offsets = sample_blocker_fields(rng, scene.room, scene.blocker_model.dims, ens.means)
     cut_rows = [] if boxes is None else _cut_sight_lines(boxes, ue.position,
                                                           [ap.position for ap, _ in lit])
     if not cut_rows:  # no box cuts a sight line, so one row serves every density
         h_los = math.fsum(g for _, g in lit)
-        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.densities)
+        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.means)
     # blocked[j]: the densities whose boxes cut lit source j's sight line
     blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
-    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.densities))]
+    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.means))]
     by_cut = {cut: TrialGains(trial_index, math.fsum(g for (_, g), c in zip(lit, cut) if not c),
                               h_nlos, h_irs) for cut in set(cuts)}
     return tuple(by_cut[cut] for cut in cuts)
@@ -264,8 +256,8 @@ def q_function(x):
 
 
 def ser_curve(gains: Sequence[TrialGains], scenario: Scenario,
-              grid: SnrGrid = SnrGrid(), *, seed: int | None = None,
-              mean_square_gain: float | None = None) -> SerCurve:
+              grid: SnrGrid = SnrGrid(), *, mean_square_gain: float | None = None
+              ) -> SerCurve:
     """OOK symbol error rate across the SNR grid for one scenario.
 
     Per-trial received SNR is the grid SNR scaled by h^2 / mean(h^2);
@@ -282,7 +274,7 @@ def ser_curve(gains: Sequence[TrialGains], scenario: Scenario,
     n = len(h)
     if norm == 0.0:
         ser = np.full(len(snr_db), 0.5)
-        return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)), n, seed)
+        return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)))
     snr_lin = 10.0 ** (snr_db / 10.0)
     arg = np.sqrt(np.outer(snr_lin, h_sq / norm))
     q = 0.5 * erfc(arg / math.sqrt(2.0))
@@ -291,7 +283,7 @@ def ser_curve(gains: Sequence[TrialGains], scenario: Scenario,
         stderr = q.std(axis=1, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros(len(snr_db))
-    return SerCurve(scenario, snr_db, ser, stderr, n, seed)
+    return SerCurve(scenario, snr_db, ser, stderr)
 
 
 def required_snr(curve: SerCurve, target: float = SER_TARGET) -> RequiredSnr:

@@ -51,7 +51,7 @@ def stock():
         scene = make_scene(density)
         t0 = time.perf_counter()
         gains = run_trials(scene, STOCK_TRIALS, STOCK_SEED)
-        curves = {s: ser_curve(gains, s, seed=STOCK_SEED) for s in Scenario}
+        curves = {s: ser_curve(gains, s) for s in Scenario}
         wall = time.perf_counter() - t0
         runs[density] = StockRun(curves, {s: required_snr(curves[s]) for s in Scenario},
                                  wall)
@@ -301,7 +301,7 @@ def test_criterion_9e_cascade_energy_bound():
         g_mirror = mirror_element_gain(ap, elem, ue)
         bound = elem.reflectivity * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_mirror / bound)
-        arr = ReflectorArray("x0", normalize(r.normal(size=3)), 1, c[None, :],
+        arr = ReflectorArray("x0", normalize(r.normal(size=3)), c[None, :],
                              DEFAULT_MSA_EFFICIENCY)
         g_msa = ReflectorBank((ap,), (), (arr,)).gain(ue)
         bound = arr.scale * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)

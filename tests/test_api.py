@@ -52,6 +52,16 @@ def test_run_path_signatures():
     inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,))
 
 
+def test_run_records_hold_only_what_is_read():
+    from dataclasses import fields
+    shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "bank", "means"],
+              irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr"],
+              irsvlc.ReflectorArray: ["wall", "normal", "centers", "scale"]}
+    for cls, names in shapes.items():
+        assert [f.name for f in fields(cls)] == names, cls.__name__
+    assert "seed" not in inspect.signature(irsvlc.ser_curve).parameters
+
+
 def test_simulate_passes_threads_to_run_trials_by_keyword(tmp_path, monkeypatch):
     calls = []
     real = cli.run_trials

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temp directories."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -129,9 +130,10 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
 @pytest.mark.parametrize("body, needles", [
     ("[sim]\ntrials = 0\nsnr_step_db = -1\n", ("trials", "snr_step_db")),
     ("[ap]\nx = nan\n", ("[ap] x: must be finite",)),
+    ("[blockers]\ndensities = 1e5\n", ("[blockers] densities: blocker density 100000",)),
     ("[blockers]\ndensities = 1e18\n", ("[blockers] densities: blocker density 1e+18",)),
     ("[blockers]\ndensities = 1e308\n", ("[blockers] densities: blocker density 1e+308",)),
-], ids=["out_of_range", "nan", "poisson_bound", "mean_overflows"])
+], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
@@ -189,6 +191,34 @@ def test_sweep_density(small_config, tmp_path):
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert summary["vary"] == "density" and summary["values"] == [0.0, 0.8]
     assert len(summary["monotonicity"]) == 3
+
+
+def test_negative_zero_density_reads_as_zero(tmp_path, capsys):
+    # a -0 density runs, and is labeled, as 0 in the config file and in --values
+    curves = []
+    for densities in ("0, 0.4", "-0, 0.4"):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(SMALL.replace("densities = 0, 0.4", f"densities = {densities}"),
+                       encoding="utf-8")
+        out = tmp_path / f"sim{len(curves)}"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--threads", "1"]) == 0
+        curves.append((out / "curves.csv").read_bytes())
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["blocker_density"] for r in summary["results"]][:3] == [0.0] * 3
+        assert "-0" not in json.dumps(summary)
+    assert curves[0] == curves[1]
+    assert "density 0 los_only" in capsys.readouterr().out
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", str(cfg), "--out", str(out), "--threads", "1",
+                "--vary", "density", "--values=-0,0,1"]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["0", "0"]] * 6 + [["1", "1"]] * 3
+    assert json.loads((out / "sweep_summary.json").read_text())["values"] == [0.0, 0.0, 1.0]
+
+
+def test_experiment_takes_its_densities_from_the_config():
+    assert list(inspect.signature(cli._experiment_curves).parameters) == ["cfg", "threads"]
 
 
 def test_sweep_density_matches_simulate(small_config, tmp_path):

@@ -78,7 +78,8 @@ def test_unknown_and_malformed_keys_reported_together(tmp_path):
     ("[ue]\narea = inf\n", "[ue] area: must be finite"),
     ("[ap]\nz = 4.0\n", "[ap]: source position (2.5, 2.5, 4) must lie inside the room"),
     ("[ap]\nx = 9\n", "[ap]: source position (9, 2.5, 3) must lie inside the room"),
-    # mean blocker counts above what a Poisson draw accepts, and one that overflows to inf
+    # mean blocker counts above the per-field bound, and one that overflows to inf
+    ("[blockers]\ndensities = 0, 1e7\n", "[blockers] densities: blocker density 1e+07"),
     ("[blockers]\ndensities = 0, 1e18\n", "[blockers] densities: blocker density 1e+18"),
     ("[blockers]\ndensities = 1e308\n", "[blockers] densities: blocker density 1e+308"),
 ])

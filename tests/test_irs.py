@@ -138,7 +138,7 @@ def test_ma_singleton_matches_steered_element():
     ap, ue, want = _symmetric_cascade(0.95)
     c = vec3(0, 0, 0)
     elem = MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, c[None, :], elem.reflectivity)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), c[None, :], elem.reflectivity)
     got = _mirror_bank(ap, arr).gain(ue)
     assert got == pytest.approx(mirror_element_gain(ap, elem, ue), rel=1e-12)
     assert got == pytest.approx(want, rel=1e-12)
@@ -151,7 +151,7 @@ def test_ma_matches_per_element_hand_sum():
                vec3(0, 2.45, 1.53), vec3(0, 2.55, 1.53)]
     elems = [MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
              for c in centers]
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 2, np.array(centers), elems[0].reflectivity)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), np.array(centers), elems[0].reflectivity)
     want = math.fsum(mirror_element_gain(ap, e, ue) for e in elems)
     assert want > 0.0
     assert _mirror_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
@@ -159,7 +159,7 @@ def test_ma_matches_per_element_hand_sum():
 
 def test_ma_channel_vector_reports_leg_lengths():
     ap, ue, _ = _symmetric_cascade(0.95)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.95)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.95)
     assert _mirror_bank(ap, arr).d1[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
     ue = PhotoDetector(vec3(1.0, 2.5, 0.5), vec3(0, 0, 1))
     # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, centers, 0.95)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), centers, 0.95)
     bank = _mirror_bank(ap, arr)
     gains = bank.cascade(ue)
     d2_max = float(np.linalg.norm(ue.position - bank.centers, axis=1).max())
@@ -333,19 +333,19 @@ def test_ma_blockage_monotone():
 
 def test_msa_singleton_value():
     ap, ue, want = _symmetric_cascade(0.8)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
     assert _msa_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
 
 
 def test_msa_zero_efficiency_kills_gain():
     ap, ue, _ = _symmetric_cascade(0.0)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.0)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.0)
     assert _msa_bank(ap, arr).gain(ue) == 0.0
 
 
 def test_msa_back_side_detector_sees_nothing():
     ap, _, _ = _symmetric_cascade(0.8)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), 1, np.zeros((1, 3)), 0.8)
+    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
     behind = PhotoDetector(vec3(-1.0, 0.5, 0.0), vec3(1, 0, 0))
     assert _msa_bank(ap, arr).gain(behind) == 0.0
 

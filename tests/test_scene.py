@@ -10,7 +10,7 @@ from irsvlc.config import ConfigError, RunConfig, validate
 from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
 from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, BlockerModel, OrientationModel,
-                          Room, Scene, _grid_centers, build_arrays, mean_blocker_count,
+                          Room, Scene, _grid_centers, blocker_means, build_arrays,
                           sample_blocker_field, sample_blocker_fields, sample_tilt_deg,
                           sample_ue)
 from irsvlc.simulator import trial_rng
@@ -266,26 +266,31 @@ def test_sample_blockers_match_the_field_draws():
     assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
-def test_mean_blocker_count_stops_at_the_poisson_bound():
+def test_blocker_means_stop_at_the_memory_bound():
     # on a 1 m x 1 m floor the mean is the density itself
     room = Room(1.0, 1.0, 3.0)
-    assert mean_blocker_count(room, MAX_MEAN_BLOCKERS) == MAX_MEAN_BLOCKERS
+    assert MAX_MEAN_BLOCKERS == 1e5
+    assert blocker_means(room, (MAX_MEAN_BLOCKERS,)) == (MAX_MEAN_BLOCKERS,)
     above = math.nextafter(MAX_MEAN_BLOCKERS, math.inf)
     for density in (above, 1e308):
-        with pytest.raises(ValueError, match="Poisson"):
-            mean_blocker_count(room, density)
-    with pytest.raises(ValueError, match="Poisson"):  # 1e308 * 25 overflows to inf
-        mean_blocker_count(Room(5.0, 5.0, 3.0), 1e308)
-    # the bound is numpy's own: its sampler takes the bound and rejects the next double
-    rng(1).poisson(MAX_MEAN_BLOCKERS)
-    with pytest.raises(ValueError, match="lam value too large"):
-        rng(1).poisson(above)
+        with pytest.raises(ValueError, match="one field may hold"):
+            blocker_means(room, (0.0, density))
+    with pytest.raises(ValueError, match="one field may hold"):  # 1e308 * 25 overflows to inf
+        blocker_means(Room(5.0, 5.0, 3.0), (1e308,))
+
+
+def test_blocker_means_keep_order_and_duplicates():
+    room = Room(6.0, 4.5, 3.0)
+    densities = (0.0, 0.01, 0.5, 4.0, 0.5)
+    assert blocker_means(room, densities) == tuple(d * 6.0 * 4.5 for d in densities)
 
 
 @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
 def test_blocker_model_rejects_a_bad_density(density):
     with pytest.raises(ValueError, match="non-negative and finite"):
         BlockerModel(density)
+    with pytest.raises(ValueError, match="non-negative and finite"):  # the same check
+        blocker_means(Room(5.0, 5.0, 3.0), (1.0, density))
 
 
 # the smallest subnormal halves to 0, which is no valid box half extent
@@ -346,7 +351,8 @@ def test_multi_density_rows_match_the_per_model_reference():
     for t in range(300):
         r = trial_rng(8, t)
         r.random(4)  # stands in for the pose
-        boxes, offsets = sample_blocker_fields(r, room, BLOCKER_DIMS, [m.density for m in models])
+        boxes, offsets = sample_blocker_fields(r, room, BLOCKER_DIMS,
+                                               blocker_means(room, [m.density for m in models]))
         for k, model in enumerate(models):
             want = trial_rng(8, t)
             want.random(4)
@@ -368,7 +374,7 @@ def test_sampled_boxes_pass_the_checks_they_skip():
     sets = 0
     for t in range(300):
         boxes, _ = sample_blocker_fields(trial_rng(9, t), room, (0.3, 1.1, 2.0),
-                                         (0.0, 0.1, 1.0, 4.0))
+                                         blocker_means(room, (0.0, 0.1, 1.0, 4.0)))
         if boxes is None:
             continue
         # the checked constructor keeps float64 arrays as they are

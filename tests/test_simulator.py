@@ -103,16 +103,41 @@ def test_compute_trial_one_row_per_density():
     assert row[0] == run_trials(scene, 3, seed=3)[2]
 
 
-@pytest.mark.parametrize("density", [1e18, 1e308])
+# mean counts 2.5e6, 2.5e19 and inf, each above the per-field bound
+@pytest.mark.parametrize("density", [1e5, 1e18, 1e308])
 def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(simulator, "compute_trial", no_trials)
-    with pytest.raises(ValueError, match="Poisson"):
+    with pytest.raises(ValueError, match="one field may hold"):
         run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
-    with pytest.raises(ValueError, match="Poisson"):
+    with pytest.raises(ValueError, match="one field may hold"):
         run_trials(make_scene(density, n_per_side=4), 5, seed=1)
+
+
+def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
+    calls = Counter()
+    real_means, real_init = scene_module.blocker_means, scene_module.BlockerModel.__post_init__
+
+    def counting_means(*args):
+        calls["blocker_means"] += 1
+        return real_means(*args)
+
+    def counting_init(self):
+        calls["BlockerModel"] += 1
+        real_init(self)
+
+    scene = make_scene(irs_type="none")
+    for module in (scene_module, simulator):
+        monkeypatch.setattr(module, "blocker_means", counting_means)
+    monkeypatch.setattr(scene_module.BlockerModel, "__post_init__", counting_init)
+    run_trials(scene, 20, seed=4, densities=(0, 0.5, 4))
+    assert calls == {"blocker_means": 1}
+    ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
+    calls.clear()
+    rows = [compute_trial(ens, t) for t in range(50)]
+    assert calls == {} and any(row[2].h_los != row[0].h_los for row in rows)
 
 
 def test_wall_settings_reach_the_trial(tmp_path):
@@ -596,7 +621,7 @@ def test_required_snr_flags_wiggles():
     base = ser_curve(flat_gains(4, 1.0), Scenario.LOS_ONLY)
     bumpy = np.array(base.ser)
     bumpy[3] = bumpy[2] * 1.5  # non-monotone blip before the crossing
-    curve = type(base)(base.scenario, base.snr_db, bumpy, base.stderr, base.trials)
+    curve = type(base)(base.scenario, base.snr_db, bumpy, base.stderr)
     assert required_snr(curve).non_monotone
 
 
