@@ -173,14 +173,11 @@ def _plane_runs(ps: PatchSet, sources: np.ndarray):
         yield sources[start:stop], cols, normals[start]
 
 
-def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
-                         blockers: OrientedBoxes | tuple[()]) -> np.ndarray:
-    """Patch powers after one diffuse patch-to-patch transfer.
+def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
+    """Patch powers after one unblocked diffuse patch-to-patch transfer.
 
     O(P^2) pairs, evaluated per plane run of sources (see _plane_runs) and
-    _SOURCE_BLOCK sources at a time within a run; with blockers every pair
-    is occlusion-tested against every box, so blockers are meant for coarse
-    patch grids or one-off evaluations, not the Monte Carlo hot path.
+    _SOURCE_BLOCK sources at a time within a run.
 
     The result is bit-identical to adding one source row at a time, in
     source order, each row computed with einsum dot products: the per-axis
@@ -227,12 +224,6 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray,
             np.minimum(frac, 1.0, out=frac)
             frac[~keep] = 0.0
             frac *= scale[js, None]
-            if blockers:
-                for row, j in zip(frac, js.tolist()):
-                    idx = np.flatnonzero(row > 0.0)
-                    if idx.size:
-                        starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
-                        row[idx[shadowed_mask(starts, ps.centers[cols[idx]], blockers)]] = 0.0
             frac[0] += total
             total = np.add.reduce(frac, axis=0)
         out[cols] = total
@@ -244,17 +235,21 @@ def patch_incident_power(ap: "Luminaire", ps: PatchSet,
                          order: int = 1) -> np.ndarray:
     """Optical power landing on each wall patch per unit transmitted power.
 
-    order=1 is direct source-to-patch illumination; order=2 adds one diffuse
-    patch-to-patch transfer. The result depends only on the source and the
-    walls, so it can be computed once and reused across receiver poses.
+    order=1 is direct source-to-patch illumination, whose legs the blockers
+    shadow; order=2 adds one diffuse patch-to-patch transfer and takes no
+    blockers, as the patch-to-patch legs are never occlusion-tested. The
+    result depends only on the source and the walls, so it can be computed
+    once and reused across receiver poses.
     """
     if order not in (1, 2):
         raise ValueError(f"reflection order must be 1 or 2, got {order}")
+    if blockers and order == 2:
+        raise ValueError("blockers shadow order 1 only; order 2 takes none")
     if len(ps) == 0:
         return np.zeros(0)
     power = _first_bounce_power(ap, ps, blockers)
     if order == 2:
-        power = power + _second_bounce_power(ps, power, blockers)
+        power = power + _second_bounce_power(ps, power)
     return power
 
 
@@ -335,7 +330,7 @@ def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
     """Diffuse wall-bounce DC gain summed over all patches.
 
     order=1 models a single wall bounce; order=2 adds one patch-to-patch
-    transfer before the detector leg.
+    transfer before the detector leg and takes no blockers.
     """
     power = patch_incident_power(ap, ps, blockers, order=order)
     return diffuse_capture(ps, ue, power, blockers)

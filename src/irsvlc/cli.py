@@ -96,7 +96,7 @@ def _experiment_curves(cfg: RunConfig, threads: int
     for density, gains in by_density.items():
         norm = None
         if cfg.normalization == "baseline":
-            h = np.array([Scenario.LOS_NLOS.effective_gain(g) for g in gains])
+            h = Scenario.LOS_NLOS.effective_gain(gains)
             norm = float(np.mean(h * h))
         out[density] = {scn: ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
                         for scn in cfg.scenario_list()}

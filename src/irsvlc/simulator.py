@@ -40,22 +40,27 @@ class Scenario(Enum):
     LOS_NLOS = "los_nlos"
     LOS_NLOS_IRS = "los_nlos_irs"
 
-    def effective_gain(self, trial: "TrialGains") -> float:
+    def effective_gain(self, gains: "TrialGains") -> np.ndarray:
+        """Per-trial gain of the mechanisms the scenario adds up, in trial order."""
         if self is Scenario.LOS_ONLY:
-            return trial.h_los
+            return gains.h_los
         if self is Scenario.LOS_NLOS:
-            return trial.h_los + trial.h_nlos
-        return trial.h_los + trial.h_nlos + trial.h_irs
+            return gains.h_los + gains.h_nlos
+        return gains.h_los + gains.h_nlos + gains.h_irs
 
 
 @dataclass(frozen=True)
 class TrialGains:
-    """Channel gain components of one Monte Carlo trial."""
+    """Channel gain components of every trial of a run at one blocker density.
 
-    index: int
-    h_los: float
-    h_nlos: float
-    h_irs: float
+    Each field is a read-only float64 (trials,) array in trial order. h_nlos
+    and h_irs do not depend on the density, so every density of a run shares
+    the same two arrays.
+    """
+
+    h_los: np.ndarray
+    h_nlos: np.ndarray
+    h_irs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,9 @@ class Ensemble:
                    means)
 
 
-def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
-    """One receiver pose and its gains at every blocker density of the ensemble.
+def compute_trial(ens: Ensemble, trial_index: int) -> tuple[tuple[float, ...], float, float]:
+    """One receiver pose's gains: (h_los at every blocker density of the ensemble,
+    h_nlos, h_irs).
 
     The pose comes first in the trial's substream and the blockers follow;
     nothing else reads it. Replaying the stream from the state after the pose
@@ -144,8 +150,7 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     floor-plan cull and one slab call, for every lit source's sight line and
     the containment test at once, serve all densities. When no source
     reaches the detector unblocked, no blocker can change the direct gain and
-    the draws are skipped. Densities whose boxes cut the same lit sources'
-    sight lines share one TrialGains.
+    the draws are skipped.
     """
     scene = ens.scene
     rng = trial_rng(ens.seed, trial_index)
@@ -157,19 +162,16 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[TrialGains, ...]:
     h_irs = ens.bank.gain(ue)
     lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
     if not lit:
-        return (TrialGains(trial_index, 0.0, h_nlos, h_irs),) * len(ens.means)
+        return (0.0,) * len(ens.means), h_nlos, h_irs
     boxes, offsets = sample_blocker_fields(rng, scene.room, scene.blocker_model.dims, ens.means)
     cut_rows = [] if boxes is None else _cut_sight_lines(boxes, ue.position,
                                                           [ap.position for ap, _ in lit])
-    if not cut_rows:  # no box cuts a sight line, so one row serves every density
-        h_los = math.fsum(g for _, g in lit)
-        return (TrialGains(trial_index, h_los, h_nlos, h_irs),) * len(ens.means)
+    if not cut_rows:  # no box cuts a sight line, so one sum serves every density
+        return (math.fsum(g for _, g in lit),) * len(ens.means), h_nlos, h_irs
     # blocked[j]: the densities whose boxes cut lit source j's sight line
     blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
-    cuts = [tuple(k in b for b in blocked) for k in range(len(ens.means))]
-    by_cut = {cut: TrialGains(trial_index, math.fsum(g for (_, g), c in zip(lit, cut) if not c),
-                              h_nlos, h_irs) for cut in set(cuts)}
-    return tuple(by_cut[cut] for cut in cuts)
+    return tuple(math.fsum(g for (_, g), b in zip(lit, blocked) if k not in b)
+                 for k in range(len(ens.means))), h_nlos, h_irs
 
 
 def _cut_sight_lines(boxes: OrientedBoxes, end: np.ndarray,
@@ -205,19 +207,19 @@ def _init_worker(ens: Ensemble) -> None:
     _WORKER_STATE["ensemble"] = ens
 
 
-def _run_chunk(bounds: tuple[int, int]) -> list[tuple[TrialGains, ...]]:
+def _run_chunk(bounds: tuple[int, int]) -> list[tuple[tuple[float, ...], float, float]]:
     ens = _WORKER_STATE["ensemble"]
     return [compute_trial(ens, t) for t in range(*bounds)]
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               densities: Sequence[float] | None = None
-               ) -> list[TrialGains] | dict[float, list[TrialGains]]:
+               densities: Sequence[float] | None = None) -> dict[float, TrialGains]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
-    Returns the list of TrialGains for the scene's blocker density. Given
-    `densities`, one pass over the trials serves all of them instead, and the
-    result maps each density to the list a scene of that density would give.
+    Maps each of `densities` (default: the scene's own blocker density) to the
+    TrialGains a scene of that density would give. One pass over the trials
+    serves every density; h_nlos and h_irs are one array each, shared by all
+    of them, which is why every array is read-only.
 
     Trials are keyed by index, computed in contiguous chunks and reassembled
     in index order, so parallel scheduling cannot change the result. The
@@ -229,10 +231,10 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    wanted = (scene.blocker_model.density,) if densities is None else tuple(densities)
-    if not wanted:
-        raise ValueError("densities needs at least one value")
+    wanted = (scene.blocker_model.density,) if densities is None else densities
     unique = tuple(dict.fromkeys(wanted))
+    if not unique:
+        raise ValueError("densities needs at least one value")
     ens = Ensemble.build(scene, seed, unique)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
@@ -242,8 +244,11 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
                                  initargs=(ens,)) as pool:
             rows = [row for part in pool.map(_run_chunk, bounds) for row in part]
-    by_density = {d: [row[k] for row in rows] for k, d in enumerate(unique)}
-    return by_density[wanted[0]] if densities is None else by_density
+    h_los, h_nlos, h_irs = (np.array(column) for column in zip(*rows))
+    los = np.ascontiguousarray(h_los.T)  # one contiguous (trials,) row per density
+    for a in (los, h_nlos, h_irs):
+        a.setflags(write=False)
+    return {d: TrialGains(los[k], h_nlos, h_irs) for k, d in enumerate(unique)}
 
 
 # -- SER estimation ----------------------------------------------------------
@@ -255,9 +260,8 @@ def q_function(x):
     return float(q) if np.ndim(x) == 0 else q
 
 
-def ser_curve(gains: Sequence[TrialGains], scenario: Scenario,
-              grid: SnrGrid = SnrGrid(), *, mean_square_gain: float | None = None
-              ) -> SerCurve:
+def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), *,
+              mean_square_gain: float | None = None) -> SerCurve:
     """OOK symbol error rate across the SNR grid for one scenario.
 
     Per-trial received SNR is the grid SNR scaled by h^2 / mean(h^2);
@@ -265,19 +269,18 @@ def ser_curve(gains: Sequence[TrialGains], scenario: Scenario,
     Trials with zero gain contribute Q(0) = 1/2, so blockage and orientation
     outage produce an error floor.
     """
-    if not gains:
+    h = scenario.effective_gain(gains)
+    n = len(h)
+    if not n:
         raise ValueError("cannot estimate an SER curve from zero trials")
-    h = np.array([scenario.effective_gain(g) for g in gains])
     h_sq = h * h
     norm = float(np.mean(h_sq)) if mean_square_gain is None else float(mean_square_gain)
     snr_db = grid.values()
-    n = len(h)
     if norm == 0.0:
         ser = np.full(len(snr_db), 0.5)
         return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)))
     snr_lin = 10.0 ** (snr_db / 10.0)
-    arg = np.sqrt(np.outer(snr_lin, h_sq / norm))
-    q = 0.5 * erfc(arg / math.sqrt(2.0))
+    q = q_function(np.sqrt(np.outer(snr_lin, h_sq / norm)))
     ser = q.mean(axis=1)
     if n > 1:
         stderr = q.std(axis=1, ddof=1) / math.sqrt(n)

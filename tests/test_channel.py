@@ -182,8 +182,7 @@ def test_nlos_order1_matches_reference(ceiling_ap):
 
 def test_nlos_order2_matches_reference(ceiling_ap, upward_ue):
     ps = wall_patches(ROOM, 1.0)
-    box = one_box(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3)
-    power1 = _reference_first_bounce(ceiling_ap, ps, box)
+    power1 = _reference_first_bounce(ceiling_ap, ps, ())
     # one diffuse patch-to-patch transfer, plain double loop
     power2 = np.zeros(len(ps))
     for j in range(len(ps)):
@@ -199,16 +198,29 @@ def test_nlos_order2_matches_reference(ceiling_ap, upward_ue):
             cos_in = float(-v @ ps.normals[i]) / d
             if cos_out <= 0.0 or cos_in <= 0.0:
                 continue
-            if shadowed(ps.centers[j], ps.centers[i], box):
-                continue
             frac = min(ps.areas[i] * cos_in * cos_out / (math.pi * d_sq), 1.0)
             power2[i] += ps.reflectivity[j] * power1[j] * frac
-    want = _reference_capture(ps, upward_ue, power1 + power2, box)
-    got = nlos_gain(ceiling_ap, upward_ue, ps, box, order=2)
+    want = _reference_capture(ps, upward_ue, power1 + power2, ())
+    got = nlos_gain(ceiling_ap, upward_ue, ps, order=2)
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def _per_source_second_bounce(ps, power1, blockers):
+def test_order2_rejects_blockers(ceiling_ap, upward_ue):
+    # the patch-to-patch legs are never occlusion-tested, so a blocked order-2
+    # field would shadow only some of its legs; order 1 keeps its blockers
+    ps = wall_patches(ROOM, 1.0)
+    box = one_box(vec3(1.5, 2.5, 0.875), vec3(0.375, 0.1, 0.875), 0.3)
+    for call in (lambda: patch_incident_power(ceiling_ap, ps, box, order=2),
+                 lambda: nlos_gain(ceiling_ap, upward_ue, ps, box, order=2)):
+        with pytest.raises(ValueError, match="order 2 takes none"):
+            call()
+    assert nlos_gain(ceiling_ap, upward_ue, ps, box[:0], order=2) == \
+        nlos_gain(ceiling_ap, upward_ue, ps, order=2)
+    assert nlos_gain(ceiling_ap, upward_ue, ps, box, order=1) < \
+        nlos_gain(ceiling_ap, upward_ue, ps, order=1)
+
+
+def _per_source_second_bounce(ps, power1):
     """Reference: the patch-to-patch transfer one source row at a time."""
     n = len(ps)
     out = np.zeros(n)
@@ -222,10 +234,6 @@ def _per_source_second_bounce(ps, power1, blockers):
             frac = ps.areas * cos_in * cos_out / (math.pi * d_sq)
         ok = np.isfinite(frac) & (cos_out > 0.0) & (cos_in > 0.0)
         frac = np.where(ok, np.minimum(frac, 1.0), 0.0)
-        idx = np.flatnonzero(frac > 0.0)
-        if blockers and idx.size:
-            starts = np.broadcast_to(ps.centers[j], (idx.size, 3))
-            frac[idx[shadowed_mask(starts, ps.centers[idx], blockers)]] = 0.0
         out += ps.reflectivity[j] * power1[j] * frac
     return out
 
@@ -242,13 +250,18 @@ def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
     elif case == "blocked":
         boxes = box_set(vec3(0.375, 0.1, 0.875),
                         [(vec3(1.5, 2.5, 0.875), 0.3), (vec3(3.9, 1.1, 0.875), 1.2)])
+    # blockers shadow the first bounce only; the kernel takes its power as is
     power1 = _first_bounce_power(ceiling_ap, ps, boxes)
     if case == "shuffled":
         power1[rng(12).random(len(ps)) < 0.3] = 0.0  # leave a partial last block
-    want = _per_source_second_bounce(ps, power1, boxes)
-    got = _second_bounce_power(ps, power1, boxes)
+    want = _per_source_second_bounce(ps, power1)
+    got = _second_bounce_power(ps, power1)
     assert (want > 0.0).any()
     assert got.tobytes() == want.tobytes()
+    if boxes:
+        assert (power1 < _first_bounce_power(ceiling_ap, ps, ())).any()
+        with pytest.raises(ValueError, match="order 2 takes none"):
+            patch_incident_power(ceiling_ap, ps, boxes, order=2)
 
 
 @pytest.mark.parametrize("dims, size, dark, blocked", [
@@ -260,7 +273,7 @@ def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
     ((5.0, 5.0, 3.0), 6.0, None, False),  # one patch per wall
     ((6.3, 4.1, 2.7), 0.3, "wall", False),  # no source on the x0 wall
     ((6.3, 4.1, 2.7), 0.3, "all", False),  # no source at all
-    ((6.3, 4.1, 2.7), 0.5, None, True),
+    ((6.3, 4.1, 2.7), 0.5, None, True),  # shadowed first bounce
 ], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked"])
 def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
     length, width, height = dims
@@ -270,13 +283,15 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
     if blocked:
         boxes = box_set(vec3(0.375, 0.1, 0.875),
                         [(vec3(1.5, 2.5, 0.875), 0.3), (vec3(4.9, 1.1, 0.875), 1.2)])
+        with pytest.raises(ValueError, match="order 2 takes none"):
+            patch_incident_power(ap, ps, boxes, order=2)
     power1 = _first_bounce_power(ap, ps, boxes)
     if dark == "wall":
         power1[ps.normals[:, 0] == 1.0] = 0.0
     elif dark == "all":
         power1[:] = 0.0
-    want = _per_source_second_bounce(ps, power1, boxes)
-    got = _second_bounce_power(ps, power1, boxes)
+    want = _per_source_second_bounce(ps, power1)
+    got = _second_bounce_power(ps, power1)
     assert got.tobytes() == want.tobytes()
     if dark == "all":
         assert got.tobytes() == np.zeros(len(ps)).tobytes()  # +0.0 everywhere

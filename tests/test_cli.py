@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temp directories."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -269,6 +270,35 @@ def test_sweep_csv_independent_of_threads(small_config, tmp_path):
                     threads, "--vary", "density", "--values", "0,0.5,2"]) == 0
         outs[threads] = (out / "sweep.csv").read_bytes()
     assert outs["1"] == outs["2"]
+
+
+# sha256 of the bytes the SMALL config writes. The floats come from numpy and
+# scipy, so the pins hold for one toolchain (Python 3.11.7, numpy 2.4.6,
+# scipy 1.17.1); a change that means to move a bit re-pins them and says why
+PINNED = {
+    "curves": "b3ba6166142bf59915d3fa126ad8381bd0f19cf86b5597b85f8df08be5d27222",
+    "baseline": "4aff38c4ceda2a550e7db337e91f5d67eb8af27f7f87e8ec1835b362c25b1e59",
+    "density": "3f4b9c0b26b023b276dc42946e4237e070ea4d6bf579d5ac289dc51c08a96404",
+    "n_per_side": "859fa9de3382a9bd571de08b1290de6bf76ae3df4dd1d5fd1955d676763ba4e0",
+}
+
+
+@pytest.mark.parametrize("pin, threads, args", [
+    ("curves", "1", ["simulate"]),
+    ("curves", "2", ["simulate"]),
+    ("baseline", "1", ["simulate"]),
+    ("density", "1", ["sweep", "--vary", "density", "--values", "0,0.4,1"]),
+    ("n_per_side", "1", ["sweep", "--vary", "n_per_side", "--values", "2,4"]),
+], ids=["simulate-t1", "simulate-t2", "simulate-baseline", "sweep-density",
+        "sweep-n_per_side"])
+def test_outputs_keep_their_pinned_bytes(tmp_path, pin, threads, args):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL + ("normalization = baseline\n" if pin == "baseline" else ""),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert run([*args, "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    name = "curves.csv" if args[0] == "simulate" else "sweep.csv"
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED[pin]
 
 
 def test_sweep_rejects_unparseable_values(small_config, tmp_path):

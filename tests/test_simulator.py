@@ -21,8 +21,24 @@ from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
 from conftest import make_scene
 
 
+def gains_of(h_los):
+    """TrialGains with the given direct gains and no diffuse or array gain."""
+    h_los = np.asarray(h_los, dtype=float)
+    return TrialGains(h_los, np.zeros(h_los.size), np.zeros(h_los.size))
+
+
 def flat_gains(n, h):
-    return [TrialGains(i, h, 0.0, 0.0) for i in range(n)]
+    return gains_of(np.full(n, h))
+
+
+def own_density(scene, trials, seed, **kwargs):
+    """The TrialGains of a run at the scene's own blocker density."""
+    (gains,) = run_trials(scene, trials, seed, **kwargs).values()
+    return gains
+
+
+def _bits(gains):
+    return tuple(a.tobytes() for a in (gains.h_los, gains.h_nlos, gains.h_irs))
 
 
 # -- per-trial randomness ------------------------------------------------------
@@ -36,12 +52,10 @@ def test_trial_rng_reproducible_and_decorrelated():
 
 def test_run_trials_deterministic():
     scene = make_scene(0.5, n_per_side=4)
-    a = run_trials(scene, 20, seed=3)
-    b = run_trials(scene, 20, seed=3)
-    assert [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in a] == \
-           [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in b]
-    c = run_trials(scene, 20, seed=4)
-    assert any(x.h_los != y.h_los for x, y in zip(a, c))
+    a = own_density(scene, 20, seed=3)
+    assert _bits(a) == _bits(own_density(scene, 20, seed=3))
+    c = own_density(scene, 20, seed=4)
+    assert (a.h_los != c.h_los).any()
 
 
 def test_run_trials_validation():
@@ -61,14 +75,9 @@ def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
 
 def test_run_trials_threads_match_serial():
     scene = make_scene(1.0, n_per_side=4)
-    serial = run_trials(scene, 24, seed=7)
-    parallel = run_trials(scene, 24, seed=7, threads=2)
-    assert [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in serial] == \
-           [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in parallel]
-
-
-def _as_tuples(gains):
-    return [(t.index, t.h_los, t.h_nlos, t.h_irs) for t in gains]
+    serial = own_density(scene, 24, seed=7)
+    parallel = own_density(scene, 24, seed=7, threads=2)
+    assert _bits(serial) == _bits(parallel)
 
 
 @pytest.mark.parametrize("irs", ["mirror", "metasurface", "none"])
@@ -81,15 +90,29 @@ def test_shared_ensemble_matches_per_density_runs(irs, threads):
     shared = run_trials(scene, 24, seed=17, threads=threads, densities=densities)
     assert list(shared) == list(densities)
     for d in densities:
-        own = run_trials(make_scene(d, n_per_side=4, irs_type=irs), 24, seed=17)
-        assert _as_tuples(shared[d]) == _as_tuples(own)
+        own = own_density(make_scene(d, n_per_side=4, irs_type=irs), 24, seed=17)
+        assert _bits(shared[d]) == _bits(own)
+
+
+def test_run_trials_returns_read_only_arrays_shared_across_densities():
+    scene = make_scene(0.5, n_per_side=4)
+    out = run_trials(scene, 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0))
+    assert list(out) == [0.0, 1.0, 4.0]
+    for gains in out.values():
+        for a in (gains.h_los, gains.h_nlos, gains.h_irs):
+            assert a.dtype == np.float64 and a.shape == (12,)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert gains.h_nlos is out[0.0].h_nlos and gains.h_irs is out[0.0].h_irs
+    assert list(run_trials(scene, 2, seed=3)) == [0.5]
 
 
 def test_shared_ensemble_sees_blockage():
     scene = make_scene(n_per_side=4, irs_type="none")
     out = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
-    assert [t.h_nlos for t in out[0.0]] == [t.h_nlos for t in out[4.0]]
-    assert sum(t.h_los == 0.0 for t in out[4.0]) > sum(t.h_los == 0.0 for t in out[0.0])
+    assert out[0.0].h_nlos is out[4.0].h_nlos
+    assert (out[4.0].h_los == 0.0).sum() > (out[0.0].h_los == 0.0).sum()
     with pytest.raises(ValueError):
         run_trials(scene, 10, seed=5, densities=())
 
@@ -97,10 +120,11 @@ def test_shared_ensemble_sees_blockage():
 def test_compute_trial_one_row_per_density():
     scene = make_scene(n_per_side=4)
     ens = Ensemble.build(scene, 3, (0.0, 1.0))
-    row = compute_trial(ens, trial_index=2)
-    assert [t.index for t in row] == [2, 2]
-    assert row[0].h_irs == row[1].h_irs and row[0].h_nlos == row[1].h_nlos
-    assert row[0] == run_trials(scene, 3, seed=3)[2]
+    h_los, h_nlos, h_irs = compute_trial(ens, trial_index=2)
+    assert len(h_los) == 2
+    assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
+    gains = own_density(scene, 3, seed=3)
+    assert (h_los[0], h_nlos, h_irs) == (gains.h_los[2], gains.h_nlos[2], gains.h_irs[2])
 
 
 # mean counts 2.5e6, 2.5e19 and inf, each above the per-field bound
@@ -137,7 +161,7 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
     ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
     calls.clear()
     rows = [compute_trial(ens, t) for t in range(50)]
-    assert calls == {} and any(row[2].h_los != row[0].h_los for row in rows)
+    assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
 
 
 def test_wall_settings_reach_the_trial(tmp_path):
@@ -150,7 +174,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
     for t in range(50):
         ue = sample_ue(trial_rng(6, t), scene)
         want = nlos_gain(scene.aps[0], ue, patches, (), order=1)
-        assert compute_trial(ens, t)[0].h_nlos.hex() == want.hex(), t
+        assert compute_trial(ens, t)[1].hex() == want.hex(), t
 
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
@@ -163,8 +187,8 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
 
     monkeypatch.setattr(ReflectorBank, "cascade", no_cells)
     for t in range(20):
-        for row in compute_trial(ens, t):
-            assert row.h_irs == 0.0 and math.copysign(1.0, row.h_irs) == 1.0
+        h_irs = compute_trial(ens, t)[2]
+        assert h_irs == 0.0 and math.copysign(1.0, h_irs) == 1.0
 
 
 def _three_source_scene(**fields):
@@ -197,12 +221,12 @@ def test_fused_occlusion_matches_per_density_replay():
         ens = Ensemble.build(scene, 21, densities)
         enclosed = blocked = 0
         for t in range(150):
-            row = compute_trial(ens, t)
-            assert len(row) == len(densities)
+            h_los = compute_trial(ens, t)[0]
+            assert len(h_los) == len(densities)
             unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
-            for d, gains in zip(densities, row):
+            for d, got in zip(densities, h_los):
                 want, dropped = _replayed_direct_gain(scene, 21, t, d)
-                assert gains.h_los == want, (t, d)
+                assert got == want, (t, d)
                 enclosed += dropped
                 blocked += want < unblocked
         assert enclosed > 0 and blocked > 0
@@ -353,7 +377,7 @@ def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
     for t in range(300):
         ue = sample_ue(trial_rng(5, t), scene)
         want = _cascade_sum(scene, ens.bank, ue)
-        assert compute_trial(ens, t)[0].h_irs.hex() == want.hex(), t
+        assert compute_trial(ens, t)[2].hex() == want.hex(), t
         assert ens.bank.gain(ue).hex() == want.hex()
         lit += want > 0.0
     assert lit > 0
@@ -455,11 +479,14 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
 
 
 def test_trial_components_nonnegative_and_indexed():
+    # entry t of each array is trial t's gain
     scene = make_scene(1.0, n_per_side=4)
-    out = run_trials(scene, 30, seed=11)
-    assert [t.index for t in out] == list(range(30))
-    for t in out:
-        assert t.h_los >= 0.0 and t.h_nlos >= 0.0 and t.h_irs >= 0.0
+    out = own_density(scene, 30, seed=11)
+    ens = Ensemble.build(scene, 11, (1.0,))
+    for t in range(30):
+        assert compute_trial(ens, t) == ((out.h_los[t],), out.h_nlos[t], out.h_irs[t])
+    for a in (out.h_los, out.h_nlos, out.h_irs):
+        assert (a >= 0.0).all()
 
 
 def test_upright_receiver_with_wide_fov_always_sees_the_source():
@@ -467,19 +494,19 @@ def test_upright_receiver_with_wide_fov_always_sees_the_source():
     # from every floor position, so no trial loses the direct path
     scene = make_scene(n_per_side=4, irs_type="none", fov_deg=90.0,
                        theta_mean_deg=0.0, theta_std_deg=0.01)
-    out = run_trials(scene, 50, seed=2)
-    assert all(t.h_los > 0.0 for t in out)
-    assert all(t.h_irs == 0.0 for t in out)
+    out = own_density(scene, 50, seed=2)
+    assert (out.h_los > 0.0).all()
+    assert (out.h_irs == 0.0).all()
 
 
 def test_trial_nlos_matches_direct_evaluation():
     # the precomputed diffuse field must reproduce the reference gain exactly
     scene = make_scene(n_per_side=4)
     patches = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
-    out = run_trials(scene, 5, seed=9)
-    for t in out:
-        ue = sample_ue(trial_rng(9, t.index), scene)
-        assert t.h_nlos == nlos_gain(scene.aps[0], ue, patches, (), order=2)
+    out = own_density(scene, 5, seed=9)
+    for t, h_nlos in enumerate(out.h_nlos):
+        ue = sample_ue(trial_rng(9, t), scene)
+        assert h_nlos == nlos_gain(scene.aps[0], ue, patches, (), order=2)
     # and the powered-patch kernel gives every pose the bits of the einsum
     # capture over all patches: at narrow, stock and full fields of view, and
     # where unpowered patches are dropped or a wall reflects nothing
@@ -493,7 +520,7 @@ def test_trial_nlos_matches_direct_evaluation():
         for t in range(300):
             ue = sample_ue(trial_rng(9, t), ens.scene)
             want = _patch_to_ue(patches, ue, power)
-            assert compute_trial(ens, t)[0].h_nlos.hex() == want.hex(), t
+            assert compute_trial(ens, t)[1].hex() == want.hex(), t
             live += want > 0.0
         assert live > 0
 
@@ -502,10 +529,18 @@ def test_trial_nlos_matches_direct_evaluation():
 
 
 def test_scenario_gain_composition():
-    t = TrialGains(0, 1.0, 0.25, 4.0)
-    assert Scenario.LOS_ONLY.effective_gain(t) == 1.0
-    assert Scenario.LOS_NLOS.effective_gain(t) == 1.25
-    assert Scenario.LOS_NLOS_IRS.effective_gain(t) == 5.25
+    t = TrialGains(np.array([1.0]), np.array([0.25]), np.array([4.0]))
+    assert Scenario.LOS_ONLY.effective_gain(t).tolist() == [1.0]
+    assert Scenario.LOS_NLOS.effective_gain(t).tolist() == [1.25]
+    assert Scenario.LOS_NLOS_IRS.effective_gain(t).tolist() == [5.25]
+    # the array sums round as the per-trial float sums do, bit for bit
+    r = np.random.default_rng(8)
+    los, nlos, irs = r.lognormal(-12.0, 3.0, (3, 500))
+    t = TrialGains(los, nlos, irs)
+    assert Scenario.LOS_NLOS.effective_gain(t).tolist() == \
+        [a + b for a, b in zip(los.tolist(), nlos.tolist())]
+    assert Scenario.LOS_NLOS_IRS.effective_gain(t).tolist() == \
+        [a + b + c for a, b, c in zip(los.tolist(), nlos.tolist(), irs.tolist())]
 
 
 def test_scenario_from_name_round_trip():
@@ -565,7 +600,7 @@ def test_ser_all_zero_gains_flat_half():
 
 
 def test_ser_zero_gain_fraction_sets_error_floor():
-    mix = flat_gains(25, 0.0) + [TrialGains(i, 2.0, 0.0, 0.0) for i in range(25, 100)]
+    mix = gains_of([0.0] * 25 + [2.0] * 75)
     curve = ser_curve(mix, Scenario.LOS_ONLY, SnrGrid(60.0, 60.0, 1.0))
     # blocked quarter contributes Q(0) = 1/2 forever: floor = 0.25 / 2
     assert float(curve.ser[0]) == pytest.approx(0.125, abs=1e-9)
@@ -574,8 +609,7 @@ def test_ser_zero_gain_fraction_sets_error_floor():
 
 def test_ser_monotone_for_mixed_ensemble():
     r = np.random.default_rng(5)
-    gains = [TrialGains(i, float(h), 0.0, 0.0)
-             for i, h in enumerate(r.lognormal(-9.0, 0.8, size=200))]
+    gains = gains_of(r.lognormal(-9.0, 0.8, size=200))
     curve = ser_curve(gains, Scenario.LOS_ONLY)
     assert np.all(np.diff(curve.ser) <= 1e-15)
     assert np.all((0.0 <= curve.ser) & (curve.ser <= 0.5))
@@ -593,7 +627,7 @@ def test_ser_mean_square_override_shifts_curve():
 
 def test_ser_curve_empty_raises():
     with pytest.raises(ValueError):
-        ser_curve([], Scenario.LOS_ONLY)
+        ser_curve(flat_gains(0, 1.0), Scenario.LOS_ONLY)
 
 
 # -- required SNR --------------------------------------------------------------
@@ -634,8 +668,8 @@ def test_required_snr_target_validation():
 
 def test_per_trial_scenario_ordering_transfers_to_ser():
     scene = make_scene(1.0, n_per_side=4)
-    out = run_trials(scene, 40, seed=13)
-    ms = float(np.mean([Scenario.LOS_NLOS_IRS.effective_gain(t) ** 2 for t in out]))
+    out = own_density(scene, 40, seed=13)
+    ms = float(np.mean(Scenario.LOS_NLOS_IRS.effective_gain(out) ** 2))
     curves = {s: ser_curve(out, s, mean_square_gain=ms) for s in Scenario}
     # against a common normalizer, adding propagation paths cannot hurt
     assert np.all(curves[Scenario.LOS_NLOS].ser <= curves[Scenario.LOS_ONLY].ser + 1e-15)
