@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
 DEFAULT_NLOS_ORDER = 2  # wall bounces: direct illumination plus one patch-to-patch transfer
+MAX_PATCHES = 1e5  # per room; the second bounce's work buffer is about 115 MB at the bound
 
 
 class PatchSet:
@@ -84,6 +85,22 @@ def los_gain(ap: "Luminaire", ue: "PhotoDetector",
     return (m + 1.0) * ue.area / (2.0 * math.pi * d_sq) * cos_phi ** m * cos_psi
 
 
+def wall_patch_grid(room: "Room", patch_target_size: float) -> list[tuple[tuple, int, int]]:
+    """Each wall of room.walls() with its patch counts along u and along v: the one check
+    of a patch size, which must be positive and give at most MAX_PATCHES patches."""
+    if patch_target_size <= 0:
+        raise ValueError(f"patch size must be positive, got {patch_target_size}")
+    # a side clamped to MAX_PATCHES is already over the bound, and the clamp keeps
+    # a tiny size from overflowing the ceil
+    grid = [(wall, *(max(1, math.ceil(min(side / patch_target_size, MAX_PATCHES)))
+                     for side in wall[4:6]))  # u_len, v_len
+            for wall in room.walls()]
+    if sum(nu * nv for _, nu, nv in grid) > MAX_PATCHES:
+        raise ValueError(f"patch size {patch_target_size:g} tiles the walls with more than "
+                         f"the {MAX_PATCHES:g} patches one diffuse field may hold")
+    return grid
+
+
 def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
                  reflectivity: float = DEFAULT_WALL_REFLECTIVITY) -> PatchSet:
     """Tile the four walls with near-square patches no larger than the target.
@@ -91,14 +108,11 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
     Patch side counts are rounded up, so patches shrink to fit exactly and
     their areas sum to the total wall area.
     """
-    if patch_target_size <= 0:
-        raise ValueError(f"patch size must be positive, got {patch_target_size}")
+    grid = wall_patch_grid(room, patch_target_size)
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"wall reflectivity {reflectivity} outside [0, 1]")
     centers, normals, areas = [], [], []
-    for _label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
-        nu = max(1, math.ceil(u_len / patch_target_size))
-        nv = max(1, math.ceil(v_len / patch_target_size))
+    for (_label, origin, u_dir, v_dir, u_len, v_len, normal), nu, nv in grid:
         du, dv = u_len / nu, v_len / nv
         i, j = np.divmod(np.arange(nu * nv), nu)  # row-major: v index, then u index
         centers.append(origin + ((j + 0.5) * du)[:, None] * u_dir

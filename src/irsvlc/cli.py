@@ -22,14 +22,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracles
-from .config import (ConfigError, RunConfig, build_scene, effective_sections, load_config,
-                     validate)
+from .config import (_FLOATS, ConfigError, RunConfig, _parse_value, build_scene,
+                     effective_sections, load_config, validate)
 from .irs import ReflectorBank
 from .scene import sample_ue
-from .simulator import (SER_TARGET, Scenario, SerCurve, required_snr,
+from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, required_snr,
                         run_trials, ser_curve)
 
 _SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
+# each SER curve with its required-SNR readout, by density (ascending), then scenario
+Readouts = dict[float, dict[Scenario, tuple[SerCurve, RequiredSnr]]]
 
 
 def _threads_default() -> int:
@@ -80,10 +82,10 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, threads: int
-                       ) -> tuple[dict[float, dict[Scenario, SerCurve]], dict[str, float]]:
-    """All requested SER curves for each distinct density of cfg, ascending, from one
-    ensemble, and the wall-clock seconds of each stage that produced them."""
+def _experiment_curves(cfg: RunConfig, threads: int) -> tuple[Readouts, dict[str, float]]:
+    """All requested SER curves and their readouts for each distinct density of cfg, from
+    one ensemble, and the wall-clock seconds of each stage that produced them. This is the
+    one place a readout is made; every output only formats what it returns."""
     t0 = time.perf_counter()
     densities = sorted(set(cfg.densities))
     # the scene's own density is replaced by each of `densities` in turn
@@ -92,23 +94,25 @@ def _experiment_curves(cfg: RunConfig, threads: int
     by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
                             densities=densities)
     t2 = time.perf_counter()
-    out = {}
+    out: Readouts = {}
     for density, gains in by_density.items():
         norm = None
         if cfg.normalization == "baseline":
             h = Scenario.LOS_NLOS.effective_gain(gains)
             norm = float(np.mean(h * h))
-        out[density] = {scn: ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
-                        for scn in cfg.scenario_list()}
+        out[density] = by_scn = {}
+        for scn in cfg.scenario_list():
+            curve = ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
+            by_scn[scn] = curve, required_snr(curve)
     stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
               "ser_curves": time.perf_counter() - t2}
     return out, stages
 
 
-def _csv_lines(all_curves: dict[float, dict[Scenario, SerCurve]]) -> list[str]:
+def _csv_lines(readouts: Readouts) -> list[str]:
     rows = []
-    for density, curves in all_curves.items():
-        for scn, curve in curves.items():
+    for density, by_scn in readouts.items():
+        for scn, (curve, _) in by_scn.items():
             for snr, ser in zip(curve.snr_db, curve.ser):
                 rows.append((density, _SCENARIO_ORDER[scn], float(snr), scn.value,
                              float(ser)))
@@ -119,27 +123,23 @@ def _csv_lines(all_curves: dict[float, dict[Scenario, SerCurve]]) -> list[str]:
     return lines
 
 
-def _summary(cfg: RunConfig, all_curves, wallclock: float, stages: dict[str, float],
-             workers: int) -> dict:
-    results = []
-    req: dict[tuple[float, Scenario], float | None] = {}
-    for density in sorted(all_curves):
-        for scn, curve in all_curves[density].items():
-            r = required_snr(curve)
-            req[(density, scn)] = r.snr_db
-            results.append({
-                "blocker_density": density,
-                "scenario": scn.value,
-                "required_snr_db": r.snr_db if r.reachable else "unreachable",
-                "non_monotone": r.non_monotone,
-                "censored": r.censored,
-            })
+def _readout_row(density: float, scn: Scenario, r: RequiredSnr) -> dict:
+    """The keys that every row of summary.json and sweep_summary.json starts with."""
+    return {"blocker_density": density, "scenario": scn.value,
+            "required_snr_db": r.snr_db if r.reachable else "unreachable"}
+
+
+def _summary(cfg: RunConfig, readouts: Readouts, wallclock: float,
+             stages: dict[str, float], workers: int) -> dict:
+    results = [{**_readout_row(density, scn, r), "non_monotone": r.non_monotone,
+                "censored": r.censored}
+               for density, by_scn in readouts.items() for scn, (_, r) in by_scn.items()]
     gaps = []
-    for density in sorted(all_curves):
-        scns = [s for s in Scenario if s in all_curves[density]]
+    for density, by_scn in readouts.items():
+        scns = [s for s in Scenario if s in by_scn]
         for i, a in enumerate(scns):
             for b in scns[i + 1:]:
-                ra, rb = req[(density, a)], req[(density, b)]
+                ra, rb = by_scn[a][1].snr_db, by_scn[b][1].snr_db
                 gaps.append({
                     "blocker_density": density,
                     "from": a.value,
@@ -167,14 +167,14 @@ _COLORS = {
 }
 
 
-def _svg_chart(all_curves: dict[float, dict[Scenario, SerCurve]]) -> str:
+def _svg_chart(readouts: Readouts) -> str:
     """Self-contained SVG line chart: SER (log scale) over SNR."""
     width, height = 860, 560
     ml, mr, mt, mb = 70, 230, 30, 55
     pw, ph = width - ml - mr, height - mt - mb
     floor = 1e-7
-    xs = [float(v) for curves in all_curves.values()
-          for c in curves.values() for v in c.snr_db]
+    xs = [float(v) for by_scn in readouts.values()
+          for c, _ in by_scn.values() for v in c.snr_db]
     x_min, x_max = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_max == x_min:
         x_max = x_min + 1.0
@@ -215,9 +215,9 @@ def _svg_chart(all_curves: dict[float, dict[Scenario, SerCurve]]) -> str:
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
                  f'stroke="#333333" stroke-width="1"/>')
     legend_y = mt + 10
-    for density in sorted(all_curves):
+    for density, by_scn in readouts.items():
         dash = ' stroke-dasharray="7 4"' if density == 0 else ""
-        for scn, curve in all_curves[density].items():
+        for scn, (curve, _) in by_scn.items():
             pts = " ".join(f"{x_px(float(s)):.1f},{y_px(float(e)):.1f}"
                            for s, e in zip(curve.snr_db, curve.ser))
             color = _COLORS.get(scn, "#555555")
@@ -241,17 +241,17 @@ def _write_text(path: str, text: str) -> None:
 
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
-    all_curves, stages = _experiment_curves(cfg, threads)
+    readouts, stages = _experiment_curves(cfg, threads)
     # no more workers than trials can be busy, and a single trial runs in-process
-    summary = _summary(cfg, all_curves, time.perf_counter() - t0, stages,
+    summary = _summary(cfg, readouts, time.perf_counter() - t0, stages,
                        min(threads, cfg.trials))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_text(os.path.join(cfg.out_dir, "curves.csv"),
-                "\n".join(_csv_lines(all_curves)) + "\n")
+                "\n".join(_csv_lines(readouts)) + "\n")
     _write_text(os.path.join(cfg.out_dir, "summary.json"),
                 json.dumps(summary, indent=2) + "\n")
     if svg:
-        _write_text(os.path.join(cfg.out_dir, "curves.svg"), _svg_chart(all_curves))
+        _write_text(os.path.join(cfg.out_dir, "curves.svg"), _svg_chart(readouts))
     return summary
 
 
@@ -260,52 +260,44 @@ def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
 
 def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict:
     try:
-        if vary == "n_per_side":
-            values = [int(v) for v in raw_values.split(",") if v.strip() != ""]
-        else:
-            values = [float(v) + 0.0 for v in raw_values.split(",") if v.strip() != ""]
+        values = ([int(v) for v in raw_values.split(",") if v.strip() != ""]
+                  if vary == "n_per_side" else _parse_value(raw_values, _FLOATS))
     except ValueError as exc:
         raise ConfigError([f"--values: {exc}"]) from exc
     if not values:
         raise ConfigError(["--values: needs at least one value"])
 
     if vary == "density":
-        sub = replace(cfg, densities=tuple(values))
+        sub = replace(cfg, densities=values)
         validate(sub)
-        by_density, _ = _experiment_curves(sub, threads)
-        runs = [(value, {value: by_density[value]}) for value in values]
+        readouts = _experiment_curves(sub, threads)[0]
+        runs = [(value, {value: readouts[value]}) for value in values]
     else:
-        runs = []
-        for value in values:
-            sub = replace(cfg, n_per_side=int(value))
+        subs = [replace(cfg, n_per_side=value) for value in values]
+        for sub in subs:  # every value is checked before the first one runs
             validate(sub)
-            runs.append((value, _experiment_curves(sub, threads)[0]))
+        runs = [(sub.n_per_side, _experiment_curves(sub, threads)[0]) for sub in subs]
 
     rows = []
-    per_key: dict[tuple[float, str], list[float]] = {}
-    for value, all_curves in runs:
-        for density, curves in all_curves.items():
-            for scn, curve in curves.items():
-                r = required_snr(curve)
-                rows.append({
-                    "value": value,
-                    "blocker_density": density,
-                    "scenario": scn.value,
-                    "required_snr_db": r.snr_db if r.reachable else "unreachable",
-                    "censored": r.censored,
-                })
-                key = (density if vary == "n_per_side" else -1.0, scn.value)
-                per_key.setdefault(key, []).append(
+    # one series per scenario, across the swept densities or at each blocker density
+    by_series: dict[tuple, list[float]] = {}
+    for value, readouts in runs:
+        for density, by_scn in readouts.items():
+            for scn, (_, r) in by_scn.items():
+                rows.append({"value": value, **_readout_row(density, scn, r),
+                             "censored": r.censored})
+                key = (scn.value,) if vary == "density" else (scn.value, density)
+                by_series.setdefault(key, []).append(
                     math.inf if r.snr_db is None else r.snr_db)
     monotonicity = []
-    for (density, scn_name), series in per_key.items():
+    for (scn_name, *density), series in by_series.items():
         entry = {
             "scenario": scn_name,
             "non_increasing": all(b <= a + 1e-12 for a, b in zip(series, series[1:])),
             "non_decreasing": all(b >= a - 1e-12 for a, b in zip(series, series[1:])),
         }
-        if density >= 0:
-            entry["blocker_density"] = density
+        if density:
+            entry["blocker_density"] = density[0]
         monotonicity.append(entry)
     summary = {
         "vary": vary,

@@ -13,7 +13,8 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY
+from .channel import (DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY,
+                      wall_patch_grid)
 from .geometry import vec3
 from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
@@ -173,6 +174,12 @@ def validate(cfg: RunConfig) -> None:
         if not ok:
             errors.append(f"{where}: {msg}")
 
+    def check_call(where: str, fn, *args) -> None:  # fn's ValueError is the message
+        try:
+            fn(*args)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+
     for (section, key), (attr, kind) in _SCHEMA.items():
         if kind in (_FLOAT, _FLOATS):
             value = getattr(cfg, attr)
@@ -199,10 +206,7 @@ def validate(cfg: RunConfig) -> None:
           "must be non-negative")
     if room_ok:
         for d in [d for d in cfg.densities if 0 <= d < math.inf]:
-            try:
-                blocker_means(Room(*room), (d,))
-            except ValueError as exc:
-                errors.append(f"[blockers] densities: {exc}")
+            check_call("[blockers] densities", blocker_means, Room(*room), (d,))
     check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,
           "[blockers]", "dimensions must be positive")
     check(cfg.irs_type in ("mirror", "metasurface", "none"), "[irs] type",
@@ -214,6 +218,8 @@ def validate(cfg: RunConfig) -> None:
           "must lie in [0, 1]")
     check(0 <= cfg.wall_reflectivity <= 1, "[walls] reflectivity", "must lie in [0, 1]")
     check(cfg.patch_size > 0, "[walls] patch_size", "must be positive")
+    if room_ok and cfg.patch_size > 0:
+        check_call("[walls] patch_size", wall_patch_grid, Room(*room), cfg.patch_size)
     check(cfg.nlos_order in (1, 2), "[walls] reflection_order", "must be 1 or 2")
     check(cfg.trials >= 1, "[sim] trials", "must be >= 1")
     check(cfg.seed >= 0, "[sim] seed", "must be non-negative")
@@ -227,10 +233,7 @@ def validate(cfg: RunConfig) -> None:
     check(cfg.normalization in ("per_scenario", "baseline"), "[sim] normalization",
           f"unknown normalization {cfg.normalization!r}")
     if cfg.irs_type != "none" and cfg.n_per_side >= 1 and room_ok:
-        try:
-            _check_array_fit(Room(*room), cfg.n_per_side)
-        except ValueError as exc:
-            errors.append(f"[irs] n_per_side: {exc}")
+        check_call("[irs] n_per_side", _check_array_fit, Room(*room), cfg.n_per_side)
     if errors:
         raise ConfigError(errors)
 

@@ -9,7 +9,8 @@ import pytest
 from irsvlc import (Luminaire, PatchSet, PhotoDetector,
                     diffuse_capture, los_gain, nlos_gain, patch_incident_power,
                     shadowed, shadowed_mask, vec3, wall_patches)
-from irsvlc.channel import DEFAULT_PATCH_SIZE, _first_bounce_power, _second_bounce_power
+from irsvlc.channel import (DEFAULT_PATCH_SIZE, MAX_PATCHES, _first_bounce_power,
+                            _second_bounce_power, wall_patch_grid)
 from irsvlc.scene import Room
 
 from conftest import box_set, one_box, rng
@@ -122,6 +123,23 @@ def test_wall_patches_validation():
         wall_patches(ROOM, 0.0)
     with pytest.raises(ValueError):
         wall_patches(ROOM, 0.25, reflectivity=1.2)
+
+
+def test_wall_patch_count_is_bounded():
+    # 200 x 125 patches on each of four walls is the bound; one more row is over it
+    side, edge = 1 / 128, 200 / 128
+    grid = wall_patch_grid(Room(edge, edge, 125 / 128), side)
+    assert [counts for _, *counts in grid] == [[200, 125]] * 4
+    assert 4 * 200 * 125 == MAX_PATCHES
+    with pytest.raises(ValueError, match="more than the 100000 patches"):
+        wall_patch_grid(Room(edge, edge, 126 / 128), side)
+    # the stock tiling and criterion 9f's finer one stay as they were
+    assert len(wall_patches(ROOM)) == 960 and len(wall_patches(ROOM, 0.125)) == 3840
+    # refused before any array is sized: 6e7 patches, a side count that overflows
+    # np.arange, and one that overflows a float
+    for size in (1e-3, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=f"patch size {size:g} tiles the walls"):
+            wall_patches(ROOM, size)
 
 
 # -- diffuse gain vs scalar references ----------------------------------------

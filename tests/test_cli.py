@@ -134,7 +134,11 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
     ("[blockers]\ndensities = 1e5\n", ("[blockers] densities: blocker density 100000",)),
     ("[blockers]\ndensities = 1e18\n", ("[blockers] densities: blocker density 1e+18",)),
     ("[blockers]\ndensities = 1e308\n", ("[blockers] densities: blocker density 1e+308",)),
-], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows"])
+    ("[walls]\npatch_size = 0.001\n", ("[walls] patch_size: patch size 0.001 tiles the walls "
+                                        "with more than the 100000 patches",)),
+    ("[walls]\npatch_size = 1e-9\n", ("[walls] patch_size: patch size 1e-09 tiles",)),
+], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows",
+        "patch_bound", "patch_side_overflows"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
@@ -299,6 +303,37 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, pin, threads, args):
     assert run([*args, "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
     name = "curves.csv" if args[0] == "simulate" else "sweep.csv"
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED[pin]
+
+
+# sha256 of the SMALL config's summary (echoed out dir as OUT, timing keys
+# removed, re-serialised with indent=2) and of its stdout (out dir as OUT)
+PINNED_SUMMARIES = {
+    "simulate": ("4ac2dc1bbca269d2f0aff7c33fbb62f1c8b525862d203a730a5d21e2d7bcd033",
+                 "04def35de80761617e497959d31ea3c118283068ee2921334e3929ff7c66d4d3"),
+    "density": ("335be91fd7f172d03c3705c894348e0488f2ed57bb19235cacf1a8504c422a22",
+                "b28f18c6c8e203fc7d854f1fc92bb12c76bd3d48c600b1425118331f39c27c1b"),
+    "n_per_side": ("bc45c8f17caf4e11b953468b71e0be8b2624fe19ef5165063d5cb03b01f515fa",
+                   "9f5e6d1fc8ee4378b6abb98a1275a8b80eed2ac37879988a51a110595ba10af6"),
+}
+
+
+@pytest.mark.parametrize("pin, args", [
+    ("simulate", ["simulate"]),
+    ("density", ["sweep", "--vary", "density", "--values", "0,0.4,1"]),
+    ("n_per_side", ["sweep", "--vary", "n_per_side", "--values", "2,4"]),
+], ids=["simulate", "sweep-density", "sweep-n_per_side"])
+def test_summaries_and_stdout_keep_their_pinned_bytes(small_config, tmp_path, capsys, pin,
+                                                      args):
+    out = tmp_path / "o"
+    assert run([*args, "--config", small_config, "--out", str(out), "--threads", "1"]) == 0
+    name = "summary.json" if args[0] == "simulate" else "sweep_summary.json"
+    summary = json.loads((out / name).read_text())
+    summary["config"]["output"]["dir"] = "OUT"
+    for key in ("wallclock_seconds", "stage_seconds", "trials_per_second"):
+        summary.pop(key, None)
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (json.dumps(summary, indent=2), stdout)) == PINNED_SUMMARIES[pin]
 
 
 def test_sweep_rejects_unparseable_values(small_config, tmp_path):
