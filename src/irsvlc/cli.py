@@ -82,28 +82,31 @@ def _parse_args(argv) -> argparse.Namespace:
 # -- simulate ----------------------------------------------------------------
 
 
-def _experiment_curves(cfg: RunConfig, threads: int) -> tuple[Readouts, dict[str, float]]:
-    """All requested SER curves and their readouts for each distinct density of cfg, from
-    one ensemble, and the wall-clock seconds of each stage that produced them. This is the
-    one place a readout is made; every output only formats what it returns."""
+def _experiment_curves(cfgs: list[RunConfig],
+                       threads: int) -> tuple[list[Readouts], dict[str, float]]:
+    """All requested SER curves and their readouts for each config and each distinct
+    density of the first one, from one ensemble, and the wall-clock seconds of each stage
+    that produced them. The configs may differ only in their arrays, so one pass over the
+    poses serves them all. This is the one place a readout is made; every output only
+    formats what it returns."""
     t0 = time.perf_counter()
-    densities = sorted(set(cfg.densities))
-    # the scene's own density is replaced by each of `densities` in turn
-    scene = build_scene(cfg, densities[0])
+    densities = sorted(set(cfgs[0].densities))
+    # the scenes' own density is replaced by each of `densities` in turn
+    scenes = [build_scene(cfg, densities[0]) for cfg in cfgs]
     t1 = time.perf_counter()
-    by_density = run_trials(scene, cfg.trials, cfg.seed, threads=threads,
-                            densities=densities)
+    runs = run_trials(scenes, cfgs[0].trials, cfgs[0].seed, threads=threads, densities=densities)
     t2 = time.perf_counter()
-    out: Readouts = {}
-    for density, gains in by_density.items():
-        norm = None
-        if cfg.normalization == "baseline":
-            h = Scenario.LOS_NLOS.effective_gain(gains)
-            norm = float(np.mean(h * h))
-        out[density] = by_scn = {}
-        for scn in cfg.scenario_list():
-            curve = ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
-            by_scn[scn] = curve, required_snr(curve)
+    out: list[Readouts] = [{} for _ in cfgs]
+    for cfg, by_density, readouts in zip(cfgs, runs, out):
+        for density, gains in by_density.items():
+            norm = None
+            if cfg.normalization == "baseline":
+                h = Scenario.LOS_NLOS.effective_gain(gains)
+                norm = float(np.mean(h * h))
+            readouts[density] = by_scn = {}
+            for scn in cfg.scenario_list():
+                curve = ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
+                by_scn[scn] = curve, required_snr(curve)
     stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
               "ser_curves": time.perf_counter() - t2}
     return out, stages
@@ -241,7 +244,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
-    readouts, stages = _experiment_curves(cfg, threads)
+    (readouts,), stages = _experiment_curves([cfg], threads)
     # no more workers than trials can be busy, and a single trial runs in-process
     summary = _summary(cfg, readouts, time.perf_counter() - t0, stages,
                        min(threads, cfg.trials))
@@ -267,16 +270,13 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
     if not values:
         raise ConfigError(["--values: needs at least one value"])
 
-    if vary == "density":
-        sub = replace(cfg, densities=values)
+    subs = ([replace(cfg, densities=values)] if vary == "density"
+            else [replace(cfg, n_per_side=value) for value in values])
+    for sub in subs:
         validate(sub)
-        readouts = _experiment_curves(sub, threads)[0]
-        runs = [(value, {value: readouts[value]}) for value in values]
-    else:
-        subs = [replace(cfg, n_per_side=value) for value in values]
-        for sub in subs:  # every value is checked before the first one runs
-            validate(sub)
-        runs = [(sub.n_per_side, _experiment_curves(sub, threads)[0]) for sub in subs]
+    by_cfg = _experiment_curves(subs, threads)[0]
+    runs = ([(value, {value: by_cfg[0][value]}) for value in values] if vary == "density"
+            else list(zip(values, by_cfg)))
 
     rows = []
     # one series per scenario, across the swept densities or at each blocker density

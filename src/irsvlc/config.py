@@ -226,6 +226,8 @@ def validate(cfg: RunConfig) -> None:
     check(cfg.snr_step_db > 0, "[sim] snr_step_db", "must be positive")
     check(cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
           "must not lie below snr_start_db")
+    if cfg.snr_step_db > 0 and -math.inf < cfg.snr_start_db <= cfg.snr_stop_db < math.inf:
+        check_call("[sim] snr_step_db", cfg.grid)
     check(len(cfg.scenarios) > 0, "[sim] scenarios", "needs at least one entry")
     for name in cfg.scenarios:
         check(name in [s.value for s in Scenario], "[sim] scenarios",

@@ -6,8 +6,9 @@ count or execution order. Blockers occlude the direct source-detector link;
 the diffuse wall field and the steered mirror cascade are treated as
 blockage-insensitive at trial level (per-path occlusion stays available in
 the channel and irs APIs). So one pass over the trials serves every blocker
-density: a trial's pose-only gains are computed once, and its blocker draws
-are replayed for each density. On-off keying over the sampled gain ensemble gives
+density and every array layout: a trial's pose-only gains are computed once,
+its blocker draws are replayed for each density, and each layout's reflector
+bank reads the same pose. On-off keying over the sampled gain ensemble gives
 SER(snr) = mean_t Q(sqrt(snr * h_t^2 / mean(h^2))), where the mean-square
 gain normalization makes `snr` the average received electrical SNR.
 """
@@ -15,6 +16,7 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
+import pickle
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from .scene import Scene, blocker_means, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
+MAX_SNR_POINTS = 1000  # ser_curve's (points, trials) Q block is 80 MB at 10^4 trials
 
 
 class Scenario(Enum):
@@ -51,11 +54,12 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class TrialGains:
-    """Channel gain components of every trial of a run at one blocker density.
+    """Channel gain components of every trial of a run at one blocker density and
+    array layout.
 
-    Each field is a read-only float64 (trials,) array in trial order. h_nlos
-    and h_irs do not depend on the density, so every density of a run shares
-    the same two arrays.
+    Each field is a read-only float64 (trials,) array in trial order. Every
+    density and layout of a run shares the same h_nlos, every layout the same
+    h_los row of a density, and every density the same h_irs row of a layout.
     """
 
     h_los: np.ndarray
@@ -76,6 +80,9 @@ class SnrGrid:
             raise ValueError(f"grid step must be positive, got {self.step_db}")
         if self.stop_db < self.start_db:
             raise ValueError("grid stop lies below its start")
+        if not (self.stop_db - self.start_db) / self.step_db + 1e-9 < MAX_SNR_POINTS:
+            raise ValueError(f"grid step {self.step_db:g} dB gives more than the "
+                             f"{MAX_SNR_POINTS} points one curve may hold")
 
     def values(self) -> np.ndarray:
         n = int(math.floor((self.stop_db - self.start_db) / self.step_db + 1e-9)) + 1
@@ -115,33 +122,43 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
                                                         spawn_key=(trial_index,)))
 
 
+# one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trial returns it
+TrialRow = tuple[tuple[float, ...], float, tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Exactly what a trial reads besides its own substream; built once per run."""
 
-    scene: Scene
+    scene: Scene  # the run's first scene, read for the fields every scene shares
     seed: int
-    powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
-    bank: ReflectorBank
+    powered: PoweredPatches  # the scenes' diffuse wall field, blockage-free by design
+    banks: tuple[ReflectorBank, ...]  # one per scene, in the order given
     means: tuple[float, ...]  # expected blocker counts, in output order; one size for all
 
     @classmethod
-    def build(cls, scene: Scene, seed: int, densities: Sequence[float]) -> "Ensemble":
-        """Check the densities and turn them into mean blocker counts (blocker_means),
-        then precompute the diffuse field and the reflector bank."""
+    def build(cls, scenes: Sequence[Scene], seed: int, densities: Sequence[float]) -> "Ensemble":
+        """Check that the scenes differ only in their arrays, check the densities and turn
+        them into mean blocker counts (blocker_means), then precompute the one diffuse
+        field and each scene's reflector bank."""
+        # pickled, so that fields holding arrays compare by value
+        if len({pickle.dumps({**vars(s), "mirror_arrays": (), "metasurface_arrays": ()})
+                for s in scenes}) != 1:
+            raise ValueError("a run needs one or more scenes that differ only in their arrays")
+        scene = scenes[0]
         means = blocker_means(scene.room, densities)
         patches = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
         # every source's incident power, summed from zero in source order
         power = sum((patch_incident_power(ap, patches, (), order=scene.nlos_order)
                      for ap in scene.aps), np.zeros(len(patches)))
         return cls(scene, seed, PoweredPatches(patches, power),
-                   ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays),
-                   means)
+                   tuple(ReflectorBank(scene.aps, s.mirror_arrays, s.metasurface_arrays)
+                         for s in scenes), means)
 
 
-def compute_trial(ens: Ensemble, trial_index: int) -> tuple[tuple[float, ...], float, float]:
+def compute_trial(ens: Ensemble, trial_index: int) -> TrialRow:
     """One receiver pose's gains: (h_los at every blocker density of the ensemble,
-    h_nlos, h_irs).
+    h_nlos, h_irs of every bank of the ensemble).
 
     The pose comes first in the trial's substream and the blockers follow;
     nothing else reads it. Replaying the stream from the state after the pose
@@ -159,7 +176,7 @@ def compute_trial(ens: Ensemble, trial_index: int) -> tuple[tuple[float, ...], f
     # blockers model pedestrians crossing the direct link; the diffuse wall
     # field and the steered cascade are treated as blockage-insensitive at
     # trial level (per-path occlusion stays available in channel/irs)
-    h_irs = ens.bank.gain(ue)
+    h_irs = tuple(bank.gain(ue) for bank in ens.banks)
     lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
     if not lit:
         return (0.0,) * len(ens.means), h_nlos, h_irs
@@ -207,23 +224,27 @@ def _init_worker(ens: Ensemble) -> None:
     _WORKER_STATE["ensemble"] = ens
 
 
-def _run_chunk(bounds: tuple[int, int]) -> list[tuple[tuple[float, ...], float, float]]:
+def _run_chunk(bounds: tuple[int, int]) -> list[TrialRow]:
     ens = _WORKER_STATE["ensemble"]
     return [compute_trial(ens, t) for t in range(*bounds)]
 
 
-def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               densities: Sequence[float] | None = None) -> dict[float, TrialGains]:
+def run_trials(scenes: Sequence[Scene], trials: int, seed: int, *, threads: int = 1,
+               densities: Sequence[float] | None = None) -> list[dict[float, TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
-    Maps each of `densities` (default: the scene's own blocker density) to the
-    TrialGains a scene of that density would give. One pass over the trials
-    serves every density; h_nlos and h_irs are one array each, shared by all
-    of them, which is why every array is read-only.
+    The scenes are the run's array layouts: equal in every field but
+    mirror_arrays and metasurface_arrays (ValueError before any work
+    otherwise). Per scene, in the order given, maps each of `densities`
+    (default: the scenes' own blocker density) to the TrialGains a run of that
+    scene at that density alone would give. One pass over the trials serves
+    every scene and density: every TrialGains shares one h_nlos array, each
+    density one h_los row and each scene one h_irs row, which is why every
+    array is read-only.
 
     Trials are keyed by index, computed in contiguous chunks and reassembled
     in index order, so parallel scheduling cannot change the result. The
-    diffuse wall field and the reflector bank are precomputed once and
+    diffuse wall field and the reflector banks are precomputed once and
     shipped to workers, which both removes per-trial cost and keeps them
     bit-identical everywhere.
     """
@@ -231,11 +252,11 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    wanted = (scene.blocker_model.density,) if densities is None else densities
+    wanted = (scenes[0].blocker_model.density,) if densities is None else densities
     unique = tuple(dict.fromkeys(wanted))
     if not unique:
         raise ValueError("densities needs at least one value")
-    ens = Ensemble.build(scene, seed, unique)
+    ens = Ensemble.build(scenes, seed, unique)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
     else:
@@ -245,10 +266,11 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
                                  initargs=(ens,)) as pool:
             rows = [row for part in pool.map(_run_chunk, bounds) for row in part]
     h_los, h_nlos, h_irs = (np.array(column) for column in zip(*rows))
-    los = np.ascontiguousarray(h_los.T)  # one contiguous (trials,) row per density
-    for a in (los, h_nlos, h_irs):
+    # one contiguous (trials,) row per density and per bank, each row one shared object
+    los, irs = (list(np.ascontiguousarray(a.T)) for a in (h_los, h_irs))
+    for a in (*los, h_nlos, *irs):
         a.setflags(write=False)
-    return {d: TrialGains(los[k], h_nlos, h_irs) for k, d in enumerate(unique)}
+    return [{d: TrialGains(h, h_nlos, g) for d, h in zip(unique, los)} for g in irs]
 
 
 # -- SER estimation ----------------------------------------------------------

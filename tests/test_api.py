@@ -54,7 +54,7 @@ def test_run_path_signatures():
 
 def test_run_records_hold_only_what_is_read():
     from dataclasses import fields
-    shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "bank", "means"],
+    shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "banks", "means"],
               irsvlc.TrialGains: ["h_los", "h_nlos", "h_irs"],
               irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr"],
               irsvlc.ReflectorArray: ["wall", "normal", "centers", "scale"]}

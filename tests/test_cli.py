@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
-from irsvlc import cli
+from irsvlc import RunConfig, cli, simulator
 from irsvlc.cli import main
 
 SMALL = """
@@ -137,8 +138,11 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
     ("[walls]\npatch_size = 0.001\n", ("[walls] patch_size: patch size 0.001 tiles the walls "
                                         "with more than the 100000 patches",)),
     ("[walls]\npatch_size = 1e-9\n", ("[walls] patch_size: patch size 1e-09 tiles",)),
+    ("[sim]\nsnr_step_db = 1e-12\ntrials = 3\n",
+     ("[sim] snr_step_db: grid step 1e-12 dB gives more than the 1000 points",)),
+    ("[sim]\nsnr_step_db = 0.001\ntrials = 3\n", ("[sim] snr_step_db: grid step 0.001 dB",)),
 ], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows",
-        "patch_bound", "patch_side_overflows"])
+        "patch_bound", "patch_side_overflows", "snr_grid_bound", "snr_grid_fine"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
@@ -223,7 +227,10 @@ def test_negative_zero_density_reads_as_zero(tmp_path, capsys):
 
 
 def test_experiment_takes_its_densities_from_the_config():
-    assert list(inspect.signature(cli._experiment_curves).parameters) == ["cfg", "threads"]
+    assert list(inspect.signature(cli._experiment_curves).parameters) == ["cfgs", "threads"]
+    cfg = RunConfig(irs_type="none", trials=2, densities=(0.4, 0.0, 0.4))
+    (readouts,), _ = cli._experiment_curves([cfg], 1)
+    assert list(readouts) == [0.0, 0.4]
 
 
 def test_sweep_density_matches_simulate(small_config, tmp_path):
@@ -267,13 +274,43 @@ def test_sweep_n_per_side_matches_simulate(small_config, tmp_path):
 
 
 def test_sweep_csv_independent_of_threads(small_config, tmp_path):
-    outs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert run(["sweep", "--config", small_config, "--out", str(out), "--threads",
-                    threads, "--vary", "density", "--values", "0,0.5,2"]) == 0
-        outs[threads] = (out / "sweep.csv").read_bytes()
-    assert outs["1"] == outs["2"]
+    # the n_per_side sweep runs several reflector banks through the worker pool
+    for vary, values in (("density", "0,0.5,2"), ("n_per_side", "2,4,4,3")):
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{vary}{threads}"
+            assert run(["sweep", "--config", small_config, "--out", str(out), "--threads",
+                        threads, "--vary", vary, "--values", values]) == 0
+            outs[threads] = (out / "sweep.csv").read_bytes()
+        assert outs["1"] == outs["2"]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"],
+    ["sweep", "--vary", "density", "--values", "0,0.4,1"],
+    ["sweep", "--vary", "n_per_side", "--values", "2,3,4"],
+], ids=["simulate", "sweep-density", "sweep-n_per_side"])
+def test_one_pose_pass_per_invocation(small_config, tmp_path, monkeypatch, args):
+    # one run_trials call, one diffuse field (one wall_patches call and one
+    # patch_incident_power call for the one source) and one pose per trial,
+    # however many densities or array sizes the invocation reads out
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "run_trials")
+    for name in ("wall_patches", "patch_incident_power", "sample_ue"):
+        count(simulator, name)
+    assert run([*args, "--config", small_config, "--out", str(tmp_path / "o"),
+                "--threads", "1"]) == 0
+    assert calls == {"run_trials": 1, "wall_patches": 1, "patch_incident_power": 1,
+                     "sample_ue": 60}
 
 
 # sha256 of the bytes the SMALL config writes. The floats come from numpy and

@@ -16,7 +16,7 @@ from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
 from irsvlc.irs import _ANTIPODAL_TOL, _dot
 from irsvlc.scene import BLOCKER_DIMS, sample_blocker_field, sample_ue
-from irsvlc.simulator import SER_TARGET, Ensemble, compute_trial
+from irsvlc.simulator import MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial
 
 from conftest import make_scene
 
@@ -33,7 +33,7 @@ def flat_gains(n, h):
 
 def own_density(scene, trials, seed, **kwargs):
     """The TrialGains of a run at the scene's own blocker density."""
-    (gains,) = run_trials(scene, trials, seed, **kwargs).values()
+    (gains,) = run_trials([scene], trials, seed, **kwargs)[0].values()
     return gains
 
 
@@ -61,9 +61,9 @@ def test_run_trials_deterministic():
 def test_run_trials_validation():
     scene = make_scene(n_per_side=4)
     with pytest.raises(ValueError):
-        run_trials(scene, 0, seed=1)
+        run_trials([scene], 0, seed=1)
     with pytest.raises(ValueError):
-        run_trials(scene, 10, seed=-1)
+        run_trials([scene], 10, seed=-1)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -83,44 +83,73 @@ def test_run_trials_threads_match_serial():
 @pytest.mark.parametrize("irs", ["mirror", "metasurface", "none"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_shared_ensemble_matches_per_density_runs(irs, threads):
-    # one pass over the poses must give every density exactly the gains of a
-    # run on that density's own scene
+    # one pass over the poses must give every array size, at every density,
+    # exactly the gains of a run on that size's scene at that density alone
     densities = (0.0, 0.5, 2.0)
-    scene = make_scene(0.5, n_per_side=4, irs_type=irs)
-    shared = run_trials(scene, 24, seed=17, threads=threads, densities=densities)
-    assert list(shared) == list(densities)
-    for d in densities:
-        own = own_density(make_scene(d, n_per_side=4, irs_type=irs), 24, seed=17)
-        assert _bits(shared[d]) == _bits(own)
+    sizes = (4, 2, 2, 3)
+    scenes = [make_scene(0.5, n_per_side=n, irs_type=irs) for n in sizes]
+    runs = run_trials(scenes, 24, seed=17, threads=threads, densities=densities)
+    assert len(runs) == len(sizes)
+    for n, shared in zip(sizes, runs):
+        assert list(shared) == list(densities)
+        for d in densities:
+            own = own_density(make_scene(d, n_per_side=n, irs_type=irs), 24, seed=17)
+            assert _bits(shared[d]) == _bits(own)
+    assert (runs[0][2.0].h_irs != runs[1][2.0].h_irs).any() == (irs != "none")
 
 
 def test_run_trials_returns_read_only_arrays_shared_across_densities():
-    scene = make_scene(0.5, n_per_side=4)
-    out = run_trials(scene, 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0))
-    assert list(out) == [0.0, 1.0, 4.0]
-    for gains in out.values():
-        for a in (gains.h_los, gains.h_nlos, gains.h_irs):
-            assert a.dtype == np.float64 and a.shape == (12,)
-            assert a.flags.c_contiguous and not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-        assert gains.h_nlos is out[0.0].h_nlos and gains.h_irs is out[0.0].h_irs
-    assert list(run_trials(scene, 2, seed=3)) == [0.5]
+    # and across scenes: every scene gets the same h_los rows and h_nlos, and
+    # its own h_irs row, which all of its densities share
+    scenes = [make_scene(0.5, n_per_side=n) for n in (4, 2)]
+    runs = run_trials(scenes, 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0))
+    for out in runs:
+        assert list(out) == [0.0, 1.0, 4.0]
+        for d, gains in out.items():
+            for a in (gains.h_los, gains.h_nlos, gains.h_irs):
+                assert a.dtype == np.float64 and a.shape == (12,)
+                assert a.flags.c_contiguous and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+            assert gains.h_los is runs[0][d].h_los and gains.h_nlos is runs[0][0.0].h_nlos
+            assert gains.h_irs is out[0.0].h_irs
+    assert runs[0][0.0].h_irs is not runs[1][0.0].h_irs
+    assert list(run_trials(scenes[:1], 2, seed=3)[0]) == [0.5]
 
 
 def test_shared_ensemble_sees_blockage():
     scene = make_scene(n_per_side=4, irs_type="none")
-    out = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
+    (out,) = run_trials([scene], 60, seed=5, densities=(0.0, 4.0))
     assert out[0.0].h_nlos is out[4.0].h_nlos
     assert (out[4.0].h_los == 0.0).sum() > (out[0.0].h_los == 0.0).sum()
     with pytest.raises(ValueError):
-        run_trials(scene, 10, seed=5, densities=())
+        run_trials([scene], 10, seed=5, densities=())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ue_height", 1.2),
+    ("aps", (Luminaire(vec3(2.0, 2.5, 3.0), vec3(0.0, 0.0, -1.0)),)),
+    ("patch_size", 0.5),
+])
+def test_scenes_that_differ_beyond_their_arrays_fail_before_any_work(monkeypatch, field, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("compute_trial", "wall_patches", "patch_incident_power", "blocker_means"):
+        monkeypatch.setattr(simulator, name, no_work)
+    base = make_scene(n_per_side=2)
+    other = replace(make_scene(n_per_side=3), **{field: value})
+    for scenes in ([base, other], [other, base], [base, base, other]):
+        with pytest.raises(ValueError, match="differ only in their arrays"):
+            run_trials(scenes, 5, seed=1, densities=(0.0,))
+    with pytest.raises(ValueError, match="differ only in their arrays"):
+        Ensemble.build([], 1, (0.0,))
 
 
 def test_compute_trial_one_row_per_density():
     scene = make_scene(n_per_side=4)
-    ens = Ensemble.build(scene, 3, (0.0, 1.0))
-    h_los, h_nlos, h_irs = compute_trial(ens, trial_index=2)
+    ens = Ensemble.build([scene], 3, (0.0, 1.0))
+    h_los, h_nlos, (h_irs,) = compute_trial(ens, trial_index=2)
     assert len(h_los) == 2
     assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
     gains = own_density(scene, 3, seed=3)
@@ -135,9 +164,9 @@ def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
 
     monkeypatch.setattr(simulator, "compute_trial", no_trials)
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
+        run_trials([make_scene(n_per_side=4)], 5, seed=1, densities=(0.0, density))
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials(make_scene(density, n_per_side=4), 5, seed=1)
+        run_trials([make_scene(density, n_per_side=4)], 5, seed=1)
 
 
 def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
@@ -156,9 +185,9 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
     for module in (scene_module, simulator):
         monkeypatch.setattr(module, "blocker_means", counting_means)
     monkeypatch.setattr(scene_module.BlockerModel, "__post_init__", counting_init)
-    run_trials(scene, 20, seed=4, densities=(0, 0.5, 4))
+    run_trials([scene], 20, seed=4, densities=(0, 0.5, 4))
     assert calls == {"blocker_means": 1}
-    ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
+    ens = Ensemble.build([scene], 4, (0.0, 0.5, 4.0))
     calls.clear()
     rows = [compute_trial(ens, t) for t in range(50)]
     assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
@@ -169,7 +198,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
     path.write_text("[irs]\ntype = none\n[walls]\nreflectivity = 0.5\npatch_size = 0.5\n"
                     "reflection_order = 1\n", encoding="utf-8")
     scene = config.build_scene(config.load_config(str(path)), 0.0)
-    ens = Ensemble.build(scene, 6, (0.0,))
+    ens = Ensemble.build([scene], 6, (0.0,))
     patches = wall_patches(scene.room, 0.5, 0.5)
     for t in range(50):
         ue = sample_ue(trial_rng(6, t), scene)
@@ -179,15 +208,15 @@ def test_wall_settings_reach_the_trial(tmp_path):
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
     scene = make_scene(0.5, irs_type="none")
-    ens = Ensemble.build(scene, 3, (0.0, 0.5))
-    assert len(ens.bank) == 0
+    ens = Ensemble.build([scene], 3, (0.0, 0.5))
+    assert len(ens.banks) == 1 and len(ens.banks[0]) == 0
 
     def no_cells(*args, **kwargs):
         raise AssertionError("an empty bank evaluated its cells")
 
     monkeypatch.setattr(ReflectorBank, "cascade", no_cells)
     for t in range(20):
-        h_irs = compute_trial(ens, t)[2]
+        (h_irs,) = compute_trial(ens, t)[2]
         assert h_irs == 0.0 and math.copysign(1.0, h_irs) == 1.0
 
 
@@ -218,7 +247,7 @@ def test_fused_occlusion_matches_per_density_replay():
     # for three sources and for the stock one-source scene
     for scene, densities in ((_three_source_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
                              (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
-        ens = Ensemble.build(scene, 21, densities)
+        ens = Ensemble.build([scene], 21, densities)
         enclosed = blocked = 0
         for t in range(150):
             h_los = compute_trial(ens, t)[0]
@@ -347,7 +376,7 @@ def _built_field(scene, seed):
     """A one-source scene's ensemble, with the patches and incident power it should hold."""
     ps = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
     power = patch_incident_power(scene.aps[0], ps, (), order=scene.nlos_order)
-    return Ensemble.build(scene, seed, (0.0,)), ps, power
+    return Ensemble.build([scene], seed, (0.0,)), ps, power
 
 
 def _tilted_source_field(seed):
@@ -364,7 +393,7 @@ def _dark_wall_field(seed):
     dark = PatchSet(ps.centers, ps.normals, ps.areas,
                     np.where(ps.centers[:, 1] == 0.0, 0.0, ps.reflectivity))
     power = patch_incident_power(scene.aps[0], dark, (), order=2)
-    ens = Ensemble(scene, seed, PoweredPatches(dark, power), ReflectorBank(scene.aps), (0.0,))
+    ens = Ensemble(scene, seed, PoweredPatches(dark, power), (ReflectorBank(scene.aps),), (0.0,))
     return ens, dark, power
 
 
@@ -372,13 +401,13 @@ def _dark_wall_field(seed):
 @pytest.mark.parametrize("fov_deg", [30.0, 85.0, 90.0])
 def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
     scene = make_scene(irs_type=irs_type, fov_deg=fov_deg)
-    ens = Ensemble.build(scene, 5, (0.0,))
+    ens = Ensemble.build([scene], 5, (0.0,))
     lit = 0
     for t in range(300):
         ue = sample_ue(trial_rng(5, t), scene)
-        want = _cascade_sum(scene, ens.bank, ue)
-        assert compute_trial(ens, t)[2].hex() == want.hex(), t
-        assert ens.bank.gain(ue).hex() == want.hex()
+        want = _cascade_sum(scene, ens.banks[0], ue)
+        assert compute_trial(ens, t)[2][0].hex() == want.hex(), t
+        assert ens.banks[0].gain(ue).hex() == want.hex()
         lit += want > 0.0
     assert lit > 0
 
@@ -403,7 +432,7 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
     per_run = []
     for trials in (5, 50):
         counts.clear()
-        run_trials(scene, trials, seed=3)
+        run_trials([scene], trials, seed=3)
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert "detector" not in per_run[1] and per_run[1].get("vec3", 0) <= 4
@@ -425,7 +454,7 @@ def test_one_slab_test_per_lit_source(monkeypatch, densities):
     real = simulator.segments_intersect_box
     monkeypatch.setattr(simulator, "segments_intersect_box", counting)
     scene = _three_source_scene(fov_deg=40.0)
-    ens = Ensemble.build(scene, 4, densities)
+    ens = Ensemble.build([scene], 4, densities)
     unlit = tested = 0
     for t in range(80):
         ue = sample_ue(trial_rng(4, t), scene)
@@ -463,7 +492,7 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
     real = simulator.trial_rng
     monkeypatch.setattr(simulator, "trial_rng", lambda seed, t: Counting(real(seed, t)))
     scene = _three_source_scene(fov_deg=40.0)
-    ens = Ensemble.build(scene, 4, densities)
+    ens = Ensemble.build([scene], 4, densities)
     drawing = sum(d > 0.0 for d in densities)
     unlit = 0
     for t in range(80):
@@ -482,9 +511,9 @@ def test_trial_components_nonnegative_and_indexed():
     # entry t of each array is trial t's gain
     scene = make_scene(1.0, n_per_side=4)
     out = own_density(scene, 30, seed=11)
-    ens = Ensemble.build(scene, 11, (1.0,))
+    ens = Ensemble.build([scene], 11, (1.0,))
     for t in range(30):
-        assert compute_trial(ens, t) == ((out.h_los[t],), out.h_nlos[t], out.h_irs[t])
+        assert compute_trial(ens, t) == ((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
     for a in (out.h_los, out.h_nlos, out.h_irs):
         assert (a >= 0.0).all()
 
@@ -582,6 +611,11 @@ def test_snr_grid_validation():
     with pytest.raises(ValueError):
         SnrGrid(10.0, 0.0, 1.0)
     assert len(SnrGrid(5.0, 5.0, 1.0).values()) == 1
+    # the point count is bounded before any grid is sized
+    assert len(SnrGrid(0.0, 999.0, 1.0).values()) == MAX_SNR_POINTS == 1000
+    for step in (0.999, 1e-12, 5e-324, math.nan):
+        with pytest.raises(ValueError, match="points one curve may hold"):
+            SnrGrid(0.0, 999.0, step)
 
 
 # -- SER curves ----------------------------------------------------------------
