@@ -29,7 +29,6 @@ from .scene import sample_ue
 from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, required_snr,
                         run_trials, ser_curve)
 
-_SCENARIO_ORDER = {s: i for i, s in enumerate(Scenario)}
 # each SER curve with its required-SNR readout, by density (ascending), then scenario
 Readouts = dict[float, dict[Scenario, tuple[SerCurve, RequiredSnr]]]
 
@@ -113,16 +112,13 @@ def _experiment_curves(cfgs: list[RunConfig],
 
 
 def _csv_lines(readouts: Readouts) -> list[str]:
-    rows = []
-    for density, by_scn in readouts.items():
-        for scn, (curve, _) in by_scn.items():
-            for snr, ser in zip(curve.snr_db, curve.ser):
-                rows.append((density, _SCENARIO_ORDER[scn], float(snr), scn.value,
-                             float(ser)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    """By density, then scenario in Scenario order, then ascending SNR."""
     lines = ["snr_db,scenario,blocker_density,ser"]
-    lines += [f"{snr:g},{name},{density:g},{ser!r}"
-              for density, _, snr, name, ser in rows]
+    for density, by_scn in readouts.items():
+        for scn in [s for s in Scenario if s in by_scn]:
+            curve = by_scn[scn][0]
+            lines += [f"{float(snr):g},{scn.value},{density:g},{float(ser)!r}"
+                      for snr, ser in zip(curve.snr_db, curve.ser)]
     return lines
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .channel import (DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY,
                       wall_patch_grid)
@@ -22,7 +22,7 @@ from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
                     OrientationModel, Room, Scene, _check_array_fit, blocker_means,
                     build_arrays)
-from .simulator import DEFAULT_SNR_GRID_DB, Scenario, SnrGrid
+from .simulator import DEFAULT_SNR_GRID_DB, MAX_SNR_DB, Scenario, SnrGrid
 
 
 class ConfigError(Exception):
@@ -200,7 +200,9 @@ def validate(cfg: RunConfig) -> None:
     check(0 < cfg.fov_deg <= 90, "[ue] fov_deg", "must lie in (0, 90]")
     check(0 <= cfg.theta_mean_deg <= 90, "[orientation] theta_mean_deg",
           "must lie in [0, 90]")
-    check(cfg.theta_std_deg > 0, "[orientation] theta_std_deg", "must be positive")
+    # the model's spread bound holds for every mean in [0, 90], which is checked above
+    check_call("[orientation] theta_std_deg", OrientationModel, DEFAULT_THETA_MEAN_DEG,
+               cfg.theta_std_deg)
     check(len(cfg.densities) > 0, "[blockers] densities", "needs at least one value")
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
@@ -226,7 +228,9 @@ def validate(cfg: RunConfig) -> None:
     check(cfg.snr_step_db > 0, "[sim] snr_step_db", "must be positive")
     check(cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
           "must not lie below snr_start_db")
-    if cfg.snr_step_db > 0 and -math.inf < cfg.snr_start_db <= cfg.snr_stop_db < math.inf:
+    check(not cfg.snr_stop_db > MAX_SNR_DB, "[sim] snr_stop_db",
+          f"must not lie above {MAX_SNR_DB:g} dB")
+    if cfg.snr_step_db > 0 and -math.inf < cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
         check_call("[sim] snr_step_db", cfg.grid)
     check(len(cfg.scenarios) > 0, "[sim] scenarios", "needs at least one entry")
     for name in cfg.scenarios:
@@ -254,16 +258,10 @@ def effective_sections(cfg: RunConfig) -> dict[str, dict[str, str]]:
     Computed defaults (the source position) are materialized so the echo is
     self-contained: writing it back to an INI file reproduces this run.
     """
-    by_attr = {attr: (section, key) for (section, key), (attr, _) in _SCHEMA.items()}
-    resolved = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    ax, ay, az = cfg.ap_position()
-    resolved["ap_x"], resolved["ap_y"], resolved["ap_z"] = ax, ay, az
+    ap = dict(zip(("ap_x", "ap_y", "ap_z"), cfg.ap_position()))
     out: dict[str, dict[str, str]] = {}
-    for attr, value in resolved.items():
-        if attr not in by_attr:
-            continue
-        section, key = by_attr[attr]
-        out.setdefault(section, {})[key] = _fmt(value)
+    for (section, key), (attr, _) in _SCHEMA.items():
+        out.setdefault(section, {})[key] = _fmt(ap.get(attr, getattr(cfg, attr)))
     return out
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
 
-_UNIT_TOL = 1e-9
 # widens the floor-plan cull (OrientedBoxes.may_cut), per unit of coordinate scale;
 # far above the rounding error of the slab test and of the cull itself
 _CULL_MARGIN = 1e-9
@@ -46,10 +45,6 @@ def normalize(v: Vec3) -> Vec3:
     if n < 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
     return v / n
-
-
-def is_unit(v: Vec3, tol: float = _UNIT_TOL) -> bool:
-    return abs(norm(v) - 1.0) <= tol
 
 
 def unit_normal_from_polar(theta: float, omega: float) -> Vec3:

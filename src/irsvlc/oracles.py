@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scene import Scene
 
 Q_NUMERIC_MAX_ARG = 40.0
+COARSE_STEP_DEG = 2.0  # grid_search_mirror_normal's first sweep; refined to 1/10 and 1/100
+OCCLUSION_SAMPLES = 2000  # evenly spaced points per segment in point_sample_occlusion
 
 
 def _orthobasis(axis: Vec3) -> tuple[Vec3, Vec3]:
@@ -36,8 +38,7 @@ def _orthobasis(axis: Vec3) -> tuple[Vec3, Vec3]:
     return b1, np.cross(axis, b1)
 
 
-def grid_search_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3,
-                              coarse_step_deg: float = 2.0) -> Vec3:
+def grid_search_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3) -> Vec3:
     """Best mirror orientation by exhaustive sweep plus two local refinements.
 
     Candidates are parametrized by polar/azimuth angles around the source
@@ -46,8 +47,6 @@ def grid_search_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3,
     ray and the direction to the destination. The element aperture plays no
     role in the angular search.
     """
-    if not 0.0 < coarse_step_deg <= 5.0:
-        raise ValueError(f"coarse step {coarse_step_deg} outside (0, 5] degrees")
     c = np.asarray(elem_center, dtype=float)
     u_hat = normalize(np.asarray(src, dtype=float) - c)
     v_hat = normalize(np.asarray(dst, dtype=float) - c)
@@ -72,7 +71,7 @@ def grid_search_mirror_normal(src: Vec3, elem_center: Vec3, dst: Vec3,
         k = int(np.argmax(align))
         return float(align[k]), float(np.degrees(tt[k])), float(np.degrees(oo[k]))
 
-    step = coarse_step_deg
+    step = COARSE_STEP_DEG
     thetas = np.arange(0.0, 90.0, step)
     omegas = np.arange(0.0, 360.0, step)
     _, best_t, best_o = best_of(thetas, omegas)
@@ -109,19 +108,16 @@ def q_numeric(x: float) -> float:
     return value
 
 
-def point_sample_occlusion(p: Vec3, q: Vec3, box: OrientedBoxes,
-                           samples: int = 2000) -> bool:
+def point_sample_occlusion(p: Vec3, q: Vec3, box: OrientedBoxes) -> bool:
     """Occlusion verdict by testing evenly spaced interior points of the segment.
 
     box is a one-row set. Points sit strictly between the endpoints, and only
     strict box-interior membership counts, mirroring the open-segment/open-box
     convention.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    ts = np.arange(1, samples + 1) / (samples + 1.0)
+    ts = np.arange(1, OCCLUSION_SAMPLES + 1) / (OCCLUSION_SAMPLES + 1.0)
     lx, ly, lz = _to_local(box, p + ts[:, None] * (q - p))
     hx, hy, hz = box.half_extents
     inside = (np.abs(lx) < hx) & (np.abs(ly) < hy) & (np.abs(lz) < hz)
@@ -157,8 +153,8 @@ def _interior_interval(p: Vec3, q: Vec3, box: OrientedBoxes) -> float:
     return hi - lo
 
 
-def occlusion_corpus(rng: np.random.Generator, cases: int,
-                     samples: int = 2000) -> list[tuple[Vec3, Vec3, OrientedBoxes]]:
+def occlusion_corpus(rng: np.random.Generator,
+                     cases: int) -> list[tuple[Vec3, Vec3, OrientedBoxes]]:
     """Random segment/box pairs safe for the sampling oracle, each box a one-row set.
 
     Near-tangent geometry is rejected: the slab verdict must be stable under
@@ -179,7 +175,7 @@ def occlusion_corpus(rng: np.random.Generator, cases: int,
                          for d in (1e-6, -1e-6))
         if shadowed(p, q, grown) != shadowed(p, q, shrunk):
             continue
-        if shadowed(p, q, box) and _interior_interval(p, q, box) * (samples + 1) < 6.0:
+        if shadowed(p, q, box) and _interior_interval(p, q, box) * (OCCLUSION_SAMPLES + 1) < 6.0:
             continue
         out.append((p, q, box))
     return out

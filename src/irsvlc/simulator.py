@@ -34,6 +34,7 @@ from .scene import Scene, blocker_means, sample_blocker_fields, sample_ue
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
 MAX_SNR_POINTS = 1000  # ser_curve's (points, trials) Q block is 80 MB at 10^4 trials
+MAX_SNR_DB = 1000.0  # ser_curve's 10^(dB/10) is 1e100 here; it overflows above about 3082 dB
 
 
 class Scenario(Enum):
@@ -80,6 +81,8 @@ class SnrGrid:
             raise ValueError(f"grid step must be positive, got {self.step_db}")
         if self.stop_db < self.start_db:
             raise ValueError("grid stop lies below its start")
+        if not self.stop_db <= MAX_SNR_DB:
+            raise ValueError(f"grid stop {self.stop_db:g} dB lies above {MAX_SNR_DB:g} dB")
         if not (self.stop_db - self.start_db) / self.step_db + 1e-9 < MAX_SNR_POINTS:
             raise ValueError(f"grid step {self.step_db:g} dB gives more than the "
                              f"{MAX_SNR_POINTS} points one curve may hold")
@@ -311,18 +314,16 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
     return SerCurve(scenario, snr_db, ser, stderr)
 
 
-def required_snr(curve: SerCurve, target: float = SER_TARGET) -> RequiredSnr:
-    """Lowest SNR on (or interpolated between) grid points with SER <= target.
+def required_snr(curve: SerCurve) -> RequiredSnr:
+    """Lowest SNR on (or interpolated between) grid points with SER <= SER_TARGET.
 
     Log-linear interpolation refines the crossing between the bracketing grid
     points. If the curve wiggles around the crossing the first crossing wins
     and the result is flagged; a curve already at or below target at the
     first grid point is flagged as censored.
     """
-    if target <= 0:
-        raise ValueError(f"target SER must be positive, got {target}")
     ser = curve.ser
-    below = np.flatnonzero(ser <= target)
+    below = np.flatnonzero(ser <= SER_TARGET)
     if below.size == 0:
         return RequiredSnr(None, False)
     i = int(below[0])
@@ -332,5 +333,5 @@ def required_snr(curve: SerCurve, target: float = SER_TARGET) -> RequiredSnr:
     y0, y1 = float(ser[i - 1]), float(ser[i])
     s0, s1 = float(curve.snr_db[i - 1]), float(curve.snr_db[i])
     y1 = max(y1, 1e-15)  # SER can underflow to exactly zero at high SNR
-    frac = (math.log(y0) - math.log(target)) / (math.log(y0) - math.log(y1))
+    frac = (math.log(y0) - math.log(SER_TARGET)) / (math.log(y0) - math.log(y1))
     return RequiredSnr(s0 + frac * (s1 - s0), wiggle)

@@ -61,6 +61,22 @@ def test_simulate_writes_curves_and_summary(small_config, tmp_path, capsys):
     assert "required SNR" in printed and "outputs written" in printed
 
 
+def test_curves_rows_ignore_the_configured_order(tmp_path):
+    # densities and scenarios listed out of order still write ascending densities,
+    # then Scenario order, then the grid
+    cfg = tmp_path / "odd.ini"
+    cfg.write_text(SMALL.replace("densities = 0, 0.4", "densities = 1, 0, 0.4")
+                   + "scenarios = los_nlos_irs, los_only, los_nlos\nnormalization = baseline\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    rows = [line.split(",")[:3] for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    assert rows == [[f"{snr:g}", scn.value, density] for density in ("0", "0.4", "1")
+                    for scn in simulator.Scenario for snr in range(0, 41, 5)]
+    assert hashlib.sha256((out / "curves.csv").read_bytes()).hexdigest() == \
+        "2578751d458cf61938729759f8b3cee2d7c688fcbed56e38bb7e9ab980c2ce79"
+
+
 def test_summary_reports_stage_timings(small_config, tmp_path):
     out = tmp_path / "out"
     assert run(["simulate", "--config", small_config, "--out", str(out),
@@ -132,17 +148,26 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
 @pytest.mark.parametrize("body, needles", [
     ("[sim]\ntrials = 0\nsnr_step_db = -1\n", ("trials", "snr_step_db")),
     ("[ap]\nx = nan\n", ("[ap] x: must be finite",)),
-    ("[blockers]\ndensities = 1e5\n", ("[blockers] densities: blocker density 100000",)),
-    ("[blockers]\ndensities = 1e18\n", ("[blockers] densities: blocker density 1e+18",)),
-    ("[blockers]\ndensities = 1e308\n", ("[blockers] densities: blocker density 1e+308",)),
-    ("[walls]\npatch_size = 0.001\n", ("[walls] patch_size: patch size 0.001 tiles the walls "
-                                        "with more than the 100000 patches",)),
+    ("[blockers]\ndensities = 1e5\n[sim]\ntrials = 3\n",
+     ("[blockers] densities: blocker density 100000",)),
+    ("[blockers]\ndensities = 1e18\n[sim]\ntrials = 3\n",
+     ("[blockers] densities: blocker density 1e+18",)),
+    ("[blockers]\ndensities = 1e308\n[sim]\ntrials = 3\n",
+     ("[blockers] densities: blocker density 1e+308",)),
+    # 150 000 patches at one bounce: a regressed bound costs seconds, not the host's memory
+    ("[walls]\npatch_size = 0.02\nreflection_order = 1\n[sim]\ntrials = 3\n",
+     ("[walls] patch_size: patch size 0.02 tiles the walls with more than the 100000 patches",)),
     ("[walls]\npatch_size = 1e-9\n", ("[walls] patch_size: patch size 1e-09 tiles",)),
     ("[sim]\nsnr_step_db = 1e-12\ntrials = 3\n",
      ("[sim] snr_step_db: grid step 1e-12 dB gives more than the 1000 points",)),
     ("[sim]\nsnr_step_db = 0.001\ntrials = 3\n", ("[sim] snr_step_db: grid step 0.001 dB",)),
+    ("[sim]\nsnr_start_db = 3000\nsnr_stop_db = 3200\nsnr_step_db = 100\ntrials = 3\n",
+     ("[sim] snr_stop_db: must not lie above 1000 dB",)),
+    ("[orientation]\ntheta_std_deg = 1e9\n[sim]\ntrials = 3\n",
+     ("[orientation] theta_std_deg: tilt spread 1e+09 degrees outside (0, 1000]",)),
 ], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows",
-        "patch_bound", "patch_side_overflows", "snr_grid_bound", "snr_grid_fine"])
+        "patch_bound", "patch_side_overflows", "snr_grid_bound", "snr_grid_fine",
+        "snr_top_bound", "tilt_spread_bound"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
@@ -215,7 +240,9 @@ def test_negative_zero_density_reads_as_zero(tmp_path, capsys):
         curves.append((out / "curves.csv").read_bytes())
         summary = json.loads((out / "summary.json").read_text())
         assert [r["blocker_density"] for r in summary["results"]][:3] == [0.0] * 3
-        assert "-0" not in json.dumps(summary)
+        # the summary also echoes the out dir, whose temp path may hold "-0"
+        assert "-0" not in json.dumps(summary["results"])
+        assert summary["config"]["blockers"]["densities"] == "0.0,0.4"
     assert curves[0] == curves[1]
     assert "density 0 los_only" in capsys.readouterr().out
     out = tmp_path / "sweep"

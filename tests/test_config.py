@@ -2,9 +2,9 @@
 
 import pytest
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from irsvlc.config import (ConfigError, RunConfig, build_scene,
+from irsvlc.config import (_SCHEMA, ConfigError, RunConfig, build_scene,
                            effective_sections, load_config, validate)
 from irsvlc.scene import Scene
 from irsvlc.simulator import Scenario, SnrGrid
@@ -108,6 +108,12 @@ def test_effective_sections_materialize_ap_position():
     assert echo["ap"]["z"] == "3.0"
     assert echo["walls"]["reflection_order"] == "2"
     assert echo["blockers"]["densities"] == "0.0,1.0"
+
+
+def test_schema_keys_every_run_config_field_once():
+    # the echo walks _SCHEMA, so a field it lacks would drop out of summary.json
+    attrs = [attr for attr, _ in _SCHEMA.values()]
+    assert sorted(attrs) == sorted(f.name for f in fields(RunConfig))
 
 
 def test_effective_sections_round_trip(tmp_path):

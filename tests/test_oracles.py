@@ -40,12 +40,6 @@ def test_grid_search_retroreflection():
 
 def test_grid_search_validation():
     with pytest.raises(ValueError):
-        grid_search_mirror_normal(vec3(1, 0, 0), vec3(0, 0, 0), vec3(2, 0, 0),
-                                  coarse_step_deg=6.0)
-    with pytest.raises(ValueError):
-        grid_search_mirror_normal(vec3(1, 0, 0), vec3(0, 0, 0), vec3(2, 0, 0),
-                                  coarse_step_deg=0.0)
-    with pytest.raises(ValueError):
         grid_search_mirror_normal(vec3(1, 0, 0), vec3(0, 0, 0), vec3(-4, 0, 0))
 
 
@@ -76,8 +70,6 @@ def test_point_sampling_clear_cases():
     box = one_box(vec3(2.0, 2.0, 1.0), (0.5, 0.5, 0.5), 0.0)
     assert point_sample_occlusion(vec3(0, 2, 1), vec3(4, 2, 1), box) is True
     assert point_sample_occlusion(vec3(0, 0, 0), vec3(0, 4, 0), box) is False
-    with pytest.raises(ValueError):
-        point_sample_occlusion(vec3(0, 2, 1), vec3(4, 2, 1), box, samples=999)
 
 
 def test_corpus_verdicts_match_slab_test():

@@ -9,10 +9,10 @@ import pytest
 from irsvlc.config import ConfigError, RunConfig, validate
 from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
-from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, BlockerModel, OrientationModel,
-                          Room, Scene, _grid_centers, blocker_means, build_arrays,
-                          sample_blocker_field, sample_blocker_fields, sample_tilt_deg,
-                          sample_ue)
+from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, MAX_THETA_STD_DEG, BlockerModel,
+                          OrientationModel, Room, Scene, _grid_centers, blocker_means,
+                          build_arrays, sample_blocker_field, sample_blocker_fields,
+                          sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
 from conftest import make_scene, rng
@@ -170,6 +170,18 @@ def test_orientation_model_validation():
         OrientationModel(95.0, 9.0)
     with pytest.raises(ValueError):
         OrientationModel(41.0, 0.0)
+    for spread in (MAX_THETA_STD_DEG * (1 + 1e-12), 1e9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tilt spread"):
+            OrientationModel(41.0, spread)
+
+
+def test_widest_tilt_spread_still_samples():
+    # at the bound, the truncation keeps >= 3.6 % of draws for any mean in [0, 90]
+    r = rng(5)
+    for mean in (0.0, 45.0, 90.0):
+        model = OrientationModel(mean, MAX_THETA_STD_DEG)
+        draws = [sample_tilt_deg(r, model) for _ in range(200)]
+        assert all(0.0 <= d <= 90.0 for d in draws)
 
 
 def test_sample_ue_support():

@@ -16,7 +16,7 @@ from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
 from irsvlc.irs import _ANTIPODAL_TOL, _dot
 from irsvlc.scene import BLOCKER_DIMS, sample_blocker_field, sample_ue
-from irsvlc.simulator import MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial
+from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial
 
 from conftest import make_scene
 
@@ -616,6 +616,15 @@ def test_snr_grid_validation():
     for step in (0.999, 1e-12, 5e-324, math.nan):
         with pytest.raises(ValueError, match="points one curve may hold"):
             SnrGrid(0.0, 999.0, step)
+    # and so is its top, far below where 10^(dB/10) overflows
+    for stop in (MAX_SNR_DB * (1 + 1e-12), 3200.0, math.nan):
+        with pytest.raises(ValueError, match="lies above"):
+            SnrGrid(900.0, stop, 100.0)
+
+
+def test_ser_curve_at_the_top_of_the_grid_is_finite():
+    curve = ser_curve(flat_gains(4, 1.0), Scenario.LOS_ONLY, SnrGrid(0.0, MAX_SNR_DB, 100.0))
+    assert np.all(np.isfinite(curve.ser)) and curve.ser[-1] == 0.0
 
 
 # -- SER curves ----------------------------------------------------------------
@@ -694,9 +703,6 @@ def test_required_snr_flags_wiggles():
 
 
 def test_required_snr_target_validation():
-    curve = ser_curve(flat_gains(4, 1.0), Scenario.LOS_ONLY)
-    with pytest.raises(ValueError):
-        required_snr(curve, target=0.0)
     assert SER_TARGET == 3.8e-3
 
 
