@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .channel import (DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY,
                       wall_patch_grid)
@@ -19,8 +19,8 @@ from .geometry import vec3
 from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
-                    DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, BlockerModel, Luminaire,
-                    OrientationModel, Room, Scene, _check_array_fit, blocker_means,
+                    DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, MAX_PD_AREA, BlockerModel,
+                    Luminaire, OrientationModel, Room, Scene, _check_array_fit, blocker_means,
                     build_arrays)
 from .simulator import DEFAULT_SNR_GRID_DB, MAX_SNR_DB, Scenario, SnrGrid
 
@@ -33,41 +33,46 @@ class ConfigError(Exception):
         self.errors = errors
 
 
+def _key(section: str, key: str, default):
+    """A RunConfig field that the INI file sets as `key` in `[section]`."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings for a simulation run."""
 
-    room_length: float = DEFAULT_ROOM_DIMS[0]
-    room_width: float = DEFAULT_ROOM_DIMS[1]
-    room_height: float = DEFAULT_ROOM_DIMS[2]
-    ap_x: float | None = None  # None: centered on the ceiling
-    ap_y: float | None = None
-    ap_z: float | None = None  # None: at ceiling height
-    lambertian_order: float = DEFAULT_LAMBERTIAN_ORDER
-    ue_height: float = DEFAULT_UE_HEIGHT
-    pd_area: float = DEFAULT_PD_AREA
-    fov_deg: float = DEFAULT_FOV_DEG
-    theta_mean_deg: float = DEFAULT_THETA_MEAN_DEG
-    theta_std_deg: float = DEFAULT_THETA_STD_DEG
-    densities: tuple[float, ...] = (0.0, 1.0)
-    blocker_length: float = BLOCKER_DIMS[0]
-    blocker_width: float = BLOCKER_DIMS[1]
-    blocker_height: float = BLOCKER_DIMS[2]
-    irs_type: str = "mirror"
-    n_per_side: int = 50
-    mirror_reflectivity: float = DEFAULT_MIRROR_REFLECTIVITY
-    msa_efficiency: float = DEFAULT_MSA_EFFICIENCY
-    wall_reflectivity: float = DEFAULT_WALL_REFLECTIVITY
-    patch_size: float = DEFAULT_PATCH_SIZE
-    nlos_order: int = DEFAULT_NLOS_ORDER
-    trials: int = 10_000
-    seed: int = 1
-    snr_start_db: float = DEFAULT_SNR_GRID_DB[0]
-    snr_stop_db: float = DEFAULT_SNR_GRID_DB[1]
-    snr_step_db: float = DEFAULT_SNR_GRID_DB[2]
-    scenarios: tuple[str, ...] = tuple(s.value for s in Scenario)
-    normalization: str = "per_scenario"
-    out_dir: str = "out"
+    room_length: float = _key("room", "length", DEFAULT_ROOM_DIMS[0])
+    room_width: float = _key("room", "width", DEFAULT_ROOM_DIMS[1])
+    room_height: float = _key("room", "height", DEFAULT_ROOM_DIMS[2])
+    ap_x: float | None = _key("ap", "x", None)  # None: centered on the ceiling
+    ap_y: float | None = _key("ap", "y", None)
+    ap_z: float | None = _key("ap", "z", None)  # None: at ceiling height
+    lambertian_order: float = _key("ap", "lambertian_order", DEFAULT_LAMBERTIAN_ORDER)
+    ue_height: float = _key("ue", "height", DEFAULT_UE_HEIGHT)
+    pd_area: float = _key("ue", "area", DEFAULT_PD_AREA)
+    fov_deg: float = _key("ue", "fov_deg", DEFAULT_FOV_DEG)
+    theta_mean_deg: float = _key("orientation", "theta_mean_deg", DEFAULT_THETA_MEAN_DEG)
+    theta_std_deg: float = _key("orientation", "theta_std_deg", DEFAULT_THETA_STD_DEG)
+    densities: tuple[float, ...] = _key("blockers", "densities", (0.0, 1.0))
+    blocker_length: float = _key("blockers", "length", BLOCKER_DIMS[0])
+    blocker_width: float = _key("blockers", "width", BLOCKER_DIMS[1])
+    blocker_height: float = _key("blockers", "height", BLOCKER_DIMS[2])
+    irs_type: str = _key("irs", "type", "mirror")
+    n_per_side: int = _key("irs", "n_per_side", 50)
+    mirror_reflectivity: float = _key("irs", "mirror_reflectivity", DEFAULT_MIRROR_REFLECTIVITY)
+    msa_efficiency: float = _key("irs", "metasurface_efficiency", DEFAULT_MSA_EFFICIENCY)
+    wall_reflectivity: float = _key("walls", "reflectivity", DEFAULT_WALL_REFLECTIVITY)
+    patch_size: float = _key("walls", "patch_size", DEFAULT_PATCH_SIZE)
+    nlos_order: int = _key("walls", "reflection_order", DEFAULT_NLOS_ORDER)
+    trials: int = _key("sim", "trials", 10_000)
+    seed: int = _key("sim", "seed", 1)
+    snr_start_db: float = _key("sim", "snr_start_db", DEFAULT_SNR_GRID_DB[0])
+    snr_stop_db: float = _key("sim", "snr_stop_db", DEFAULT_SNR_GRID_DB[1])
+    snr_step_db: float = _key("sim", "snr_step_db", DEFAULT_SNR_GRID_DB[2])
+    scenarios: tuple[str, ...] = _key("sim", "scenarios", tuple(s.value for s in Scenario))
+    normalization: str = _key("sim", "normalization", "per_scenario")
+    out_dir: str = _key("output", "dir", "out")
 
     def ap_position(self):
         x = self.room_length / 2.0 if self.ap_x is None else self.ap_x
@@ -82,42 +87,12 @@ class RunConfig:
         return [Scenario(s) for s in self.scenarios]
 
 
-# (section, key) -> (attribute, parser); parser tags determine validation
+# (section, key) -> (attribute, parser) in field order; each field's annotation picks its
+# parser tag, and the tags determine validation
 _FLOAT, _INT, _STR, _FLOATS, _STRS = "float", "int", "str", "float_list", "str_list"
-
-_SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
-    ("room", "length"): ("room_length", _FLOAT),
-    ("room", "width"): ("room_width", _FLOAT),
-    ("room", "height"): ("room_height", _FLOAT),
-    ("ap", "x"): ("ap_x", _FLOAT),
-    ("ap", "y"): ("ap_y", _FLOAT),
-    ("ap", "z"): ("ap_z", _FLOAT),
-    ("ap", "lambertian_order"): ("lambertian_order", _FLOAT),
-    ("ue", "height"): ("ue_height", _FLOAT),
-    ("ue", "area"): ("pd_area", _FLOAT),
-    ("ue", "fov_deg"): ("fov_deg", _FLOAT),
-    ("orientation", "theta_mean_deg"): ("theta_mean_deg", _FLOAT),
-    ("orientation", "theta_std_deg"): ("theta_std_deg", _FLOAT),
-    ("blockers", "densities"): ("densities", _FLOATS),
-    ("blockers", "length"): ("blocker_length", _FLOAT),
-    ("blockers", "width"): ("blocker_width", _FLOAT),
-    ("blockers", "height"): ("blocker_height", _FLOAT),
-    ("irs", "type"): ("irs_type", _STR),
-    ("irs", "n_per_side"): ("n_per_side", _INT),
-    ("irs", "mirror_reflectivity"): ("mirror_reflectivity", _FLOAT),
-    ("irs", "metasurface_efficiency"): ("msa_efficiency", _FLOAT),
-    ("walls", "reflectivity"): ("wall_reflectivity", _FLOAT),
-    ("walls", "patch_size"): ("patch_size", _FLOAT),
-    ("walls", "reflection_order"): ("nlos_order", _INT),
-    ("sim", "trials"): ("trials", _INT),
-    ("sim", "seed"): ("seed", _INT),
-    ("sim", "snr_start_db"): ("snr_start_db", _FLOAT),
-    ("sim", "snr_stop_db"): ("snr_stop_db", _FLOAT),
-    ("sim", "snr_step_db"): ("snr_step_db", _FLOAT),
-    ("sim", "scenarios"): ("scenarios", _STRS),
-    ("sim", "normalization"): ("normalization", _STR),
-    ("output", "dir"): ("out_dir", _STR),
-}
+_TAGS = {"float": _FLOAT, "float | None": _FLOAT, "int": _INT, "str": _STR,
+         "tuple[float, ...]": _FLOATS, "tuple[str, ...]": _STRS}
+_SCHEMA = {f.metadata["ini"]: (f.name, _TAGS[f.type]) for f in fields(RunConfig)}
 
 
 def _parse_value(raw: str, kind: str):
@@ -180,14 +155,18 @@ def validate(cfg: RunConfig) -> None:
         except ValueError as exc:
             errors.append(f"{where}: {exc}")
 
+    defaults = {}  # a non-finite value is reported once; the range checks see its default
     for (section, key), (attr, kind) in _SCHEMA.items():
         if kind in (_FLOAT, _FLOATS):
             value = getattr(cfg, attr)
             values = value if kind == _FLOATS else () if value is None else (value,)
-            check(all(map(math.isfinite, values)), f"[{section}] {key}", "must be finite")
+            if not all(map(math.isfinite, values)):
+                errors.append(f"[{section}] {key}: must be finite")
+                defaults[attr] = getattr(RunConfig, attr)
+    cfg = replace(cfg, **defaults)
     room = (cfg.room_length, cfg.room_width, cfg.room_height)
-    room_ok = all(0 < d < math.inf for d in room)
-    check(all(d > 0 for d in room), "[room]", "dimensions must be positive")
+    room_ok = all(d > 0 for d in room)
+    check(room_ok, "[room]", "dimensions must be positive")
     if room_ok:
         x, y, z = cfg.ap_position()
         check(all(0 <= p <= d for p, d in zip((x, y, z), room)), "[ap]",
@@ -197,6 +176,7 @@ def validate(cfg: RunConfig) -> None:
         check(0 < cfg.ue_height < cfg.room_height, "[ue] height",
               f"must lie strictly between 0 and the room height {cfg.room_height}")
     check(cfg.pd_area > 0, "[ue] area", "must be positive")
+    check(cfg.pd_area <= MAX_PD_AREA, "[ue] area", f"must not exceed {MAX_PD_AREA:g} m^2")
     check(0 < cfg.fov_deg <= 90, "[ue] fov_deg", "must lie in (0, 90]")
     check(0 <= cfg.theta_mean_deg <= 90, "[orientation] theta_mean_deg",
           "must lie in [0, 90]")
@@ -207,7 +187,7 @@ def validate(cfg: RunConfig) -> None:
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
     if room_ok:
-        for d in [d for d in cfg.densities if 0 <= d < math.inf]:
+        for d in [d for d in cfg.densities if d >= 0]:
             check_call("[blockers] densities", blocker_means, Room(*room), (d,))
     check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,
           "[blockers]", "dimensions must be positive")
@@ -228,9 +208,9 @@ def validate(cfg: RunConfig) -> None:
     check(cfg.snr_step_db > 0, "[sim] snr_step_db", "must be positive")
     check(cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
           "must not lie below snr_start_db")
-    check(not cfg.snr_stop_db > MAX_SNR_DB, "[sim] snr_stop_db",
+    check(cfg.snr_stop_db <= MAX_SNR_DB, "[sim] snr_stop_db",
           f"must not lie above {MAX_SNR_DB:g} dB")
-    if cfg.snr_step_db > 0 and -math.inf < cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
+    if cfg.snr_step_db > 0 and cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
         check_call("[sim] snr_step_db", cfg.grid)
     check(len(cfg.scenarios) > 0, "[sim] scenarios", "needs at least one entry")
     for name in cfg.scenarios:

@@ -24,6 +24,7 @@ from .irs import MIRROR_HEIGHT, MIRROR_WIDTH, ReflectorArray
 DEFAULT_ROOM_DIMS = (5.0, 5.0, 3.0)
 DEFAULT_LAMBERTIAN_ORDER = 1.0  # 60 degree semi-angle source
 DEFAULT_PD_AREA = 1e-4  # m^2
+MAX_PD_AREA = 1.0  # m^2; areas near 1e155 m^2 overflow the squared gains of the SER sums
 DEFAULT_FOV_DEG = 85.0
 DEFAULT_UE_HEIGHT = 1.0  # m above the floor
 DEFAULT_THETA_MEAN_DEG = 41.0
@@ -82,6 +83,8 @@ def _check_detector(area: float, fov: float) -> None:
     """The detector area and field-of-view checks of PhotoDetector and Scene."""
     if area <= 0:
         raise ValueError(f"detector area must be positive, got {area}")
+    if area > MAX_PD_AREA:
+        raise ValueError(f"detector area must not exceed {MAX_PD_AREA:g} m^2, got {area}")
     if not 0.0 < fov <= math.pi / 2:
         raise ValueError(f"field of view {fov} outside (0, pi/2]")
 

@@ -165,9 +165,12 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
      ("[sim] snr_stop_db: must not lie above 1000 dB",)),
     ("[orientation]\ntheta_std_deg = 1e9\n[sim]\ntrials = 3\n",
      ("[orientation] theta_std_deg: tilt spread 1e+09 degrees outside (0, 1000]",)),
+    # an area near 1e155 m^2 overflowed the squared gains and wrote nan SER rows
+    ("[ue]\narea = 1e155\n[irs]\nn_per_side = 10\n[sim]\ntrials = 3\n",
+     ("[ue] area: must not exceed 1 m^2",)),
 ], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows",
         "patch_bound", "patch_side_overflows", "snr_grid_bound", "snr_grid_fine",
-        "snr_top_bound", "tilt_spread_bound"])
+        "snr_top_bound", "tilt_spread_bound", "area_bound"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")

@@ -1,5 +1,8 @@
 """INI configuration loading, validation and the effective-config echo."""
 
+import os
+import re
+
 import pytest
 
 from dataclasses import fields, replace
@@ -111,9 +114,33 @@ def test_effective_sections_materialize_ap_position():
 
 
 def test_schema_keys_every_run_config_field_once():
-    # the echo walks _SCHEMA, so a field it lacks would drop out of summary.json
-    attrs = [attr for attr, _ in _SCHEMA.values()]
-    assert sorted(attrs) == sorted(f.name for f in fields(RunConfig))
+    # _SCHEMA is built from the fields, so two fields given one INI key would leave
+    # one of them out of it, and out of the file and summary.json's config echo
+    assert all("ini" in f.metadata for f in fields(RunConfig))
+    assert len(_SCHEMA) == len(fields(RunConfig))
+
+
+def test_readme_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [line for line in fh if line.startswith("| `[")]
+    keys = set()
+    for row in rows:
+        section, names = row.split("|")[1:3]
+        keys |= {(section.strip().strip("`[]"), k)
+                 for k in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", names))}
+    assert keys == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", [
+    sk for sk, (_, kind) in _SCHEMA.items() if kind in ("float", "float_list")])
+def test_each_non_finite_value_is_reported_once(tmp_path, section, key, value):
+    # the range checks see the default in its place, so they add no second message
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+    assert exc.value.errors == [f"[{section}] {key}: must be finite"]
 
 
 def test_effective_sections_round_trip(tmp_path):

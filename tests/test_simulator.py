@@ -67,7 +67,8 @@ def test_run_trials_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("pd_area", 0.0, "detector area"), ("pd_fov", 0.0, "field of view")])
+    ("pd_area", 0.0, "detector area"), ("pd_area", 2.0, "must not exceed 1 m"),
+    ("pd_fov", 0.0, "field of view")])
 def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
     with pytest.raises(ValueError, match=message):
         replace(make_scene(irs_type="none"), **{field: value})
