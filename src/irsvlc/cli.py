@@ -98,13 +98,9 @@ def _experiment_curves(cfgs: list[RunConfig],
     out: list[Readouts] = [{} for _ in cfgs]
     for cfg, by_density, readouts in zip(cfgs, runs, out):
         for density, gains in by_density.items():
-            norm = None
-            if cfg.normalization == "baseline":
-                h = Scenario.LOS_NLOS.effective_gain(gains)
-                norm = float(np.mean(h * h))
             readouts[density] = by_scn = {}
             for scn in cfg.scenario_list():
-                curve = ser_curve(gains, scn, cfg.grid(), mean_square_gain=norm)
+                curve = ser_curve(gains, scn, cfg.grid())
                 by_scn[scn] = curve, required_snr(curve)
     stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
               "ser_curves": time.perf_counter() - t2}
@@ -122,17 +118,19 @@ def _csv_lines(readouts: Readouts) -> list[str]:
     return lines
 
 
-def _readout_row(density: float, scn: Scenario, r: RequiredSnr) -> dict:
+def _readout_row(density: float, scn: Scenario, curve: SerCurve, r: RequiredSnr) -> dict:
     """The keys that every row of summary.json and sweep_summary.json starts with."""
+    m = curve.mean_square_gain
     return {"blocker_density": density, "scenario": scn.value,
-            "required_snr_db": r.snr_db if r.reachable else "unreachable"}
+            "required_snr_db": r.snr_db if r.reachable else "unreachable",
+            "mean_square_gain_db": 10.0 * math.log10(m) if m > 0.0 else None}
 
 
 def _summary(cfg: RunConfig, readouts: Readouts, wallclock: float,
              stages: dict[str, float], workers: int) -> dict:
-    results = [{**_readout_row(density, scn, r), "non_monotone": r.non_monotone,
+    results = [{**_readout_row(density, scn, curve, r), "non_monotone": r.non_monotone,
                 "censored": r.censored}
-               for density, by_scn in readouts.items() for scn, (_, r) in by_scn.items()]
+               for density, by_scn in readouts.items() for scn, (curve, r) in by_scn.items()]
     gaps = []
     for density, by_scn in readouts.items():
         scns = [s for s in Scenario if s in by_scn]
@@ -279,8 +277,8 @@ def _run_sweep(cfg: RunConfig, vary: str, raw_values: str, threads: int) -> dict
     by_series: dict[tuple, list[float]] = {}
     for value, readouts in runs:
         for density, by_scn in readouts.items():
-            for scn, (_, r) in by_scn.items():
-                rows.append({"value": value, **_readout_row(density, scn, r),
+            for scn, (curve, r) in by_scn.items():
+                rows.append({"value": value, **_readout_row(density, scn, curve, r),
                              "censored": r.censored})
                 key = (scn.value,) if vary == "density" else (scn.value, density)
                 by_series.setdefault(key, []).append(

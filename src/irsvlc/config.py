@@ -71,7 +71,6 @@ class RunConfig:
     snr_stop_db: float = _key("sim", "snr_stop_db", DEFAULT_SNR_GRID_DB[1])
     snr_step_db: float = _key("sim", "snr_step_db", DEFAULT_SNR_GRID_DB[2])
     scenarios: tuple[str, ...] = _key("sim", "scenarios", tuple(s.value for s in Scenario))
-    normalization: str = _key("sim", "normalization", "per_scenario")
     out_dir: str = _key("output", "dir", "out")
 
     def ap_position(self):
@@ -155,7 +154,9 @@ def validate(cfg: RunConfig) -> None:
         except ValueError as exc:
             errors.append(f"{where}: {exc}")
 
-    defaults = {}  # a non-finite value is reported once; the range checks see its default
+    # a non-finite value is reported once: the range checks see its default, and a check
+    # that compares keys skips any key whose default stands in
+    defaults = {}
     for (section, key), (attr, kind) in _SCHEMA.items():
         if kind in (_FLOAT, _FLOATS):
             value = getattr(cfg, attr)
@@ -167,12 +168,13 @@ def validate(cfg: RunConfig) -> None:
     room = (cfg.room_length, cfg.room_width, cfg.room_height)
     room_ok = all(d > 0 for d in room)
     check(room_ok, "[room]", "dimensions must be positive")
+    room_ok = room_ok and not {"room_length", "room_width", "room_height"} & defaults.keys()
     if room_ok:
         x, y, z = cfg.ap_position()
         check(all(0 <= p <= d for p, d in zip((x, y, z), room)), "[ap]",
               f"source position ({x:g}, {y:g}, {z:g}) must lie inside the room")
     check(cfg.lambertian_order > 0, "[ap] lambertian_order", "must be positive")
-    if cfg.room_height > 0:
+    if cfg.room_height > 0 and not {"room_height", "ue_height"} & defaults.keys():
         check(0 < cfg.ue_height < cfg.room_height, "[ue] height",
               f"must lie strictly between 0 and the room height {cfg.room_height}")
     check(cfg.pd_area > 0, "[ue] area", "must be positive")
@@ -186,7 +188,7 @@ def validate(cfg: RunConfig) -> None:
     check(len(cfg.densities) > 0, "[blockers] densities", "needs at least one value")
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
-    if room_ok:
+    if room_ok and "densities" not in defaults:
         for d in [d for d in cfg.densities if d >= 0]:
             check_call("[blockers] densities", blocker_means, Room(*room), (d,))
     check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,
@@ -200,24 +202,24 @@ def validate(cfg: RunConfig) -> None:
           "must lie in [0, 1]")
     check(0 <= cfg.wall_reflectivity <= 1, "[walls] reflectivity", "must lie in [0, 1]")
     check(cfg.patch_size > 0, "[walls] patch_size", "must be positive")
-    if room_ok and cfg.patch_size > 0:
+    if room_ok and cfg.patch_size > 0 and "patch_size" not in defaults:
         check_call("[walls] patch_size", wall_patch_grid, Room(*room), cfg.patch_size)
     check(cfg.nlos_order in (1, 2), "[walls] reflection_order", "must be 1 or 2")
     check(cfg.trials >= 1, "[sim] trials", "must be >= 1")
     check(cfg.seed >= 0, "[sim] seed", "must be non-negative")
     check(cfg.snr_step_db > 0, "[sim] snr_step_db", "must be positive")
-    check(cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
+    grid_ok = not {"snr_start_db", "snr_stop_db"} & defaults.keys()
+    check(not grid_ok or cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
           "must not lie below snr_start_db")
     check(cfg.snr_stop_db <= MAX_SNR_DB, "[sim] snr_stop_db",
           f"must not lie above {MAX_SNR_DB:g} dB")
-    if cfg.snr_step_db > 0 and cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
+    grid_ok = grid_ok and "snr_step_db" not in defaults
+    if grid_ok and cfg.snr_step_db > 0 and cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
         check_call("[sim] snr_step_db", cfg.grid)
     check(len(cfg.scenarios) > 0, "[sim] scenarios", "needs at least one entry")
     for name in cfg.scenarios:
         check(name in [s.value for s in Scenario], "[sim] scenarios",
               f"unknown scenario {name!r}")
-    check(cfg.normalization in ("per_scenario", "baseline"), "[sim] normalization",
-          f"unknown normalization {cfg.normalization!r}")
     if cfg.irs_type != "none" and cfg.n_per_side >= 1 and room_ok:
         check_call("[irs] n_per_side", _check_array_fit, Room(*room), cfg.n_per_side)
     if errors:

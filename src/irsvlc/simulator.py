@@ -94,12 +94,16 @@ class SnrGrid:
 
 @dataclass(frozen=True)
 class SerCurve:
-    """SER over an SNR grid for one scenario, with per-point standard errors."""
+    """SER over an SNR grid for one scenario, with per-point standard errors.
+
+    mean_square_gain: the mean of h^2 that the SNR axis is normalized by.
+    """
 
     scenario: Scenario
     snr_db: np.ndarray
     ser: np.ndarray
     stderr: np.ndarray
+    mean_square_gain: float
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
     """OOK symbol error rate across the SNR grid for one scenario.
 
     Per-trial received SNR is the grid SNR scaled by h^2 / mean(h^2);
-    mean_square_gain overrides the normalizer (for cross-scenario baselines).
+    mean_square_gain overrides the normalizer, which the curve records.
     Trials with zero gain contribute Q(0) = 1/2, so blockage and orientation
     outage produce an error floor.
     """
@@ -303,7 +307,7 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
     snr_db = grid.values()
     if norm == 0.0:
         ser = np.full(len(snr_db), 0.5)
-        return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)))
+        return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)), norm)
     snr_lin = 10.0 ** (snr_db / 10.0)
     q = q_function(np.sqrt(np.outer(snr_lin, h_sq / norm)))
     ser = q.mean(axis=1)
@@ -311,7 +315,7 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
         stderr = q.std(axis=1, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros(len(snr_db))
-    return SerCurve(scenario, snr_db, ser, stderr)
+    return SerCurve(scenario, snr_db, ser, stderr, norm)
 
 
 def required_snr(curve: SerCurve) -> RequiredSnr:

@@ -56,7 +56,7 @@ def test_run_records_hold_only_what_is_read():
     from dataclasses import fields
     shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "banks", "means"],
               irsvlc.TrialGains: ["h_los", "h_nlos", "h_irs"],
-              irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr"],
+              irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr", "mean_square_gain"],
               irsvlc.ReflectorArray: ["wall", "normal", "centers", "scale"]}
     for cls, names in shapes.items():
         assert [f.name for f in fields(cls)] == names, cls.__name__

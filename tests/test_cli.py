@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from irsvlc import RunConfig, cli, simulator
+from irsvlc import RunConfig, cli, load_config, simulator
 from irsvlc.cli import main
 
 SMALL = """
@@ -37,6 +38,16 @@ def run(args):
     return main(list(args))
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def load_summary(path):
+    """A summary.json or sweep_summary.json, refusing the NaN and Infinity constants
+    that strict JSON does not have."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def test_simulate_writes_curves_and_summary(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["simulate", "--config", small_config, "--out", str(out),
@@ -51,7 +62,7 @@ def test_simulate_writes_curves_and_summary(small_config, tmp_path, capsys):
     order = {"los_only": 0, "los_nlos": 1, "los_nlos_irs": 2}
     assert keys == sorted(keys, key=lambda k: (k[0], order[k[1]], k[2]))
 
-    summary = json.loads((out / "summary.json").read_text())
+    summary = load_summary(out / "summary.json")
     assert summary["trials"] == 60 and summary["seed"] == 2
     assert len(summary["results"]) == 6
     assert summary["config"]["sim"]["snr_step_db"] == "5.0"
@@ -66,22 +77,21 @@ def test_curves_rows_ignore_the_configured_order(tmp_path):
     # then Scenario order, then the grid
     cfg = tmp_path / "odd.ini"
     cfg.write_text(SMALL.replace("densities = 0, 0.4", "densities = 1, 0, 0.4")
-                   + "scenarios = los_nlos_irs, los_only, los_nlos\nnormalization = baseline\n",
-                   encoding="utf-8")
+                   + "scenarios = los_nlos_irs, los_only, los_nlos\n", encoding="utf-8")
     out = tmp_path / "o"
     assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
     rows = [line.split(",")[:3] for line in (out / "curves.csv").read_text().splitlines()[1:]]
     assert rows == [[f"{snr:g}", scn.value, density] for density in ("0", "0.4", "1")
                     for scn in simulator.Scenario for snr in range(0, 41, 5)]
     assert hashlib.sha256((out / "curves.csv").read_bytes()).hexdigest() == \
-        "2578751d458cf61938729759f8b3cee2d7c688fcbed56e38bb7e9ab980c2ce79"
+        "a015dd0ff4f61a88c16fcd685d7cda99a072b3ab00551c095a7d6aa9c072d712"
 
 
 def test_summary_reports_stage_timings(small_config, tmp_path):
     out = tmp_path / "out"
     assert run(["simulate", "--config", small_config, "--out", str(out),
                 "--threads", "1"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = load_summary(out / "summary.json")
     assert set(summary["stage_seconds"]) == {"build_scene", "run_trials", "ser_curves"}
     assert all(v >= 0.0 for v in summary["stage_seconds"].values())
     assert summary["trials_per_second"] > 0.0
@@ -89,24 +99,62 @@ def test_summary_reports_stage_timings(small_config, tmp_path):
 
 
 def test_censored_readout_is_flagged(tmp_path, capsys):
-    # baseline normalization puts the array curve under target at the first
-    # grid point on the stock scene: the readout is the grid start, flagged
-    cfg = tmp_path / "baseline.ini"
-    cfg.write_text("[blockers]\ndensities = 0\n[sim]\ntrials = 200\n"
-                   "normalization = baseline\n", encoding="utf-8")
+    # a grid that starts at 15 dB finds the array curve already under target:
+    # the readout is the grid start, flagged, while los_nlos crosses above it
+    cfg = tmp_path / "censored.ini"
+    cfg.write_text("[blockers]\ndensities = 0\n[sim]\ntrials = 200\nsnr_start_db = 15\n",
+                   encoding="utf-8")
     out = tmp_path / "out"
     assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
-    rows = {r["scenario"]: r for r in json.loads((out / "summary.json").read_text())["results"]}
+    rows = {r["scenario"]: r for r in load_summary(out / "summary.json")["results"]}
     assert rows["los_nlos_irs"]["censored"] is True
-    assert rows["los_nlos_irs"]["required_snr_db"] == 0.0
+    assert rows["los_nlos_irs"]["required_snr_db"] == 15.0
     assert rows["los_nlos"]["censored"] is False
-    assert "los_nlos_irs: required SNR 0.0" in capsys.readouterr().out
+    assert rows["los_nlos"]["required_snr_db"] > 15.0
+    assert "los_nlos_irs: required SNR 15.0" in capsys.readouterr().out
     sweep = tmp_path / "sweep"
     assert run(["sweep", "--config", str(cfg), "--out", str(sweep), "--threads", "1",
                 "--vary", "density", "--values", "0"]) == 0
-    rows = json.loads((sweep / "sweep_summary.json").read_text())["rows"]
+    rows = load_summary(sweep / "sweep_summary.json")["rows"]
     assert [r["censored"] for r in rows if r["scenario"] == "los_nlos_irs"] == [True]
-    assert "0,0,los_nlos_irs,0.0" in (sweep / "sweep.csv").read_text().splitlines()
+    assert "0,0,los_nlos_irs,15.0" in (sweep / "sweep.csv").read_text().splitlines()
+
+
+def test_rows_report_the_mean_square_gain_they_are_normalized_by(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out), "--threads", "1"]) == 0
+    (readouts,), _ = cli._experiment_curves([load_config(small_config)], 1)
+    results = load_summary(out / "summary.json")["results"]
+    assert len(results) == 6
+    for row in results:
+        curve = readouts[row["blocker_density"]][simulator.Scenario(row["scenario"])][0]
+        assert list(row)[2:4] == ["required_snr_db", "mean_square_gain_db"]
+        assert row["mean_square_gain_db"] == 10.0 * math.log10(curve.mean_square_gain)
+    sweep = tmp_path / "sweep"
+    assert run(["sweep", "--config", small_config, "--out", str(sweep), "--threads", "1",
+                "--vary", "density", "--values", "0,0.4"]) == 0
+    rows = load_summary(sweep / "sweep_summary.json")["rows"]
+    assert [r["mean_square_gain_db"] for r in rows] == \
+        [r["mean_square_gain_db"] for r in results]
+
+
+def test_a_zero_mean_square_is_reported_as_null(tmp_path, capsys):
+    # a 1 degree field of view misses the source at every sampled tilt, and black walls
+    # and no arrays leave no other light: each readout is unreachable, and says why
+    cfg = tmp_path / "dark.ini"
+    cfg.write_text("[ue]\nfov_deg = 1\n[walls]\nreflectivity = 0\n[irs]\ntype = none\n"
+                   "[sim]\ntrials = 20\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    results = load_summary(out / "summary.json")["results"]
+    assert len(results) == 6
+    assert all(r["mean_square_gain_db"] is None and r["required_snr_db"] == "unreachable"
+               for r in results)
+    sweep = tmp_path / "sweep"
+    assert run(["sweep", "--config", str(cfg), "--out", str(sweep), "--threads", "1",
+                "--vary", "density", "--values", "0,1"]) == 0
+    rows = load_summary(sweep / "sweep_summary.json")["rows"]
+    assert len(rows) == 6 and all(r["mean_square_gain_db"] is None for r in rows)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -123,7 +171,7 @@ def test_config_echo_reproduces_byte_identical_outputs(small_config, tmp_path):
     first = tmp_path / "a"
     assert run(["simulate", "--config", small_config, "--out", str(first),
                 "--threads", "1"]) == 0
-    echo = json.loads((first / "summary.json").read_text())["config"]
+    echo = load_summary(first / "summary.json")["config"]
     echo_path = tmp_path / "echo.ini"
     echo_path.write_text(
         "\n".join(f"[{sec}]\n" + "\n".join(f"{k} = {v}" for k, v in keys.items())
@@ -180,6 +228,40 @@ def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("[room]\nheight = nan\n[ue]\nheight = 4\n", "[room] height: must be finite"),
+    ("[room]\nlength = nan\n[ap]\nx = 7\n", "[room] length: must be finite"),
+    ("[sim]\nsnr_start_db = nan\nsnr_stop_db = -5\n", "[sim] snr_start_db: must be finite"),
+    ("[sim]\nsnr_stop_db = nan\nsnr_start_db = 50\n", "[sim] snr_stop_db: must be finite"),
+    ("[room]\nwidth = inf\n[irs]\nn_per_side = 60\n", "[room] width: must be finite"),
+    ("[room]\nlength = nan\n[blockers]\ndensities = 0, 1e5\n", "[room] length: must be finite"),
+    ("[room]\nheight = inf\n[walls]\npatch_size = 0.002\n", "[room] height: must be finite"),
+    ("[sim]\nsnr_start_db = -inf\nsnr_step_db = 0.01\nsnr_stop_db = 20\n",
+     "[sim] snr_start_db: must be finite"),
+    # the substituted key is the second one a cross-key check reads
+    ("[room]\nheight = 0.5\n[ue]\nheight = nan\n[irs]\ntype = none\n",
+     "[ue] height: must be finite"),
+    ("[sim]\nsnr_start_db = -5000\nsnr_step_db = nan\n", "[sim] snr_step_db: must be finite"),
+    ("[room]\nlength = 1000\nwidth = 1000\n[walls]\npatch_size = nan\n[blockers]\n"
+     "densities = 0\n", "[walls] patch_size: must be finite"),
+    ("[room]\nlength = 1000\nwidth = 1000\n[walls]\npatch_size = 5\n[blockers]\n"
+     "densities = nan\n", "[blockers] densities: must be finite"),
+    # with no substitution the cross-key check still reports
+    ("[sim]\nsnr_start_db = 50\n", "[sim] snr_stop_db: must not lie below snr_start_db"),
+], ids=["room_height-ue", "room_length-ap", "snr_start-stop", "snr_stop-start",
+        "room_width-arrays", "room_length-densities", "room_height-patches",
+        "snr_start-points", "ue_height-room", "snr_step-points", "patch_size-room",
+        "densities-room", "stop_below_start"])
+def test_a_cross_key_check_skips_a_substituted_default(tmp_path, capsys, body, message):
+    # a non-finite value is replaced by its default for the range checks; a check that
+    # compares it with another key would read that default, so it is skipped
+    bad = tmp_path / "bad.ini"
+    bad.write_text(body, encoding="utf-8")
+    assert run(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_wall_settings_change_the_curves(small_config, tmp_path):
     # each [walls] key reaches the run: the patch size and reflection order
     # change the curves beyond what the reflectivity alone does
@@ -225,7 +307,7 @@ def test_sweep_density(small_config, tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "density,blocker_density,scenario,required_snr_db"
     assert len(lines) == 1 + 2 * 3  # two density values, three scenarios
-    summary = json.loads((out / "sweep_summary.json").read_text())
+    summary = load_summary(out / "sweep_summary.json")
     assert summary["vary"] == "density" and summary["values"] == [0.0, 0.8]
     assert len(summary["monotonicity"]) == 3
 
@@ -241,7 +323,7 @@ def test_negative_zero_density_reads_as_zero(tmp_path, capsys):
         assert run(["simulate", "--config", str(cfg), "--out", str(out),
                     "--threads", "1"]) == 0
         curves.append((out / "curves.csv").read_bytes())
-        summary = json.loads((out / "summary.json").read_text())
+        summary = load_summary(out / "summary.json")
         assert [r["blocker_density"] for r in summary["results"]][:3] == [0.0] * 3
         # the summary also echoes the out dir, whose temp path may hold "-0"
         assert "-0" not in json.dumps(summary["results"])
@@ -253,7 +335,7 @@ def test_negative_zero_density_reads_as_zero(tmp_path, capsys):
                 "--vary", "density", "--values=-0,0,1"]) == 0
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [r[:2] for r in rows] == [["0", "0"]] * 6 + [["1", "1"]] * 3
-    assert json.loads((out / "sweep_summary.json").read_text())["values"] == [0.0, 0.0, 1.0]
+    assert load_summary(out / "sweep_summary.json")["values"] == [0.0, 0.0, 1.0]
 
 
 def test_experiment_takes_its_densities_from_the_config():
@@ -267,7 +349,7 @@ def test_sweep_density_matches_simulate(small_config, tmp_path):
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", small_config, "--out", str(out),
                 "--threads", "1", "--vary", "density", "--values", "0,0.8"]) == 0
-    rows = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    rows = load_summary(out / "sweep_summary.json")["rows"]
     swept = {(r["blocker_density"], r["scenario"]): r["required_snr_db"] for r in rows}
     simulated = {}
     for density in ("0", "0.8"):
@@ -277,7 +359,7 @@ def test_sweep_density_matches_simulate(small_config, tmp_path):
         sim = tmp_path / f"sim{density}"
         assert run(["simulate", "--config", str(cfg), "--out", str(sim),
                     "--threads", "1"]) == 0
-        results = json.loads((sim / "summary.json").read_text())["results"]
+        results = load_summary(sim / "summary.json")["results"]
         simulated.update({(r["blocker_density"], r["scenario"]): r["required_snr_db"]
                           for r in results})
     assert swept == simulated
@@ -287,7 +369,7 @@ def test_sweep_n_per_side_matches_simulate(small_config, tmp_path):
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", small_config, "--out", str(out),
                 "--threads", "1", "--vary", "n_per_side", "--values", "2,4"]) == 0
-    rows = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    rows = load_summary(out / "sweep_summary.json")["rows"]
     swept = {(r["value"], r["blocker_density"], r["scenario"]):
              (r["required_snr_db"], r["censored"]) for r in rows}
     simulated = {}
@@ -297,7 +379,7 @@ def test_sweep_n_per_side_matches_simulate(small_config, tmp_path):
         sim = tmp_path / f"sim{n}"
         assert run(["simulate", "--config", str(cfg), "--out", str(sim),
                     "--threads", "1"]) == 0
-        results = json.loads((sim / "summary.json").read_text())["results"]
+        results = load_summary(sim / "summary.json")["results"]
         simulated.update({(n, r["blocker_density"], r["scenario"]):
                           (r["required_snr_db"], r["censored"]) for r in results})
     assert swept == simulated
@@ -348,7 +430,6 @@ def test_one_pose_pass_per_invocation(small_config, tmp_path, monkeypatch, args)
 # scipy 1.17.1); a change that means to move a bit re-pins them and says why
 PINNED = {
     "curves": "b3ba6166142bf59915d3fa126ad8381bd0f19cf86b5597b85f8df08be5d27222",
-    "baseline": "4aff38c4ceda2a550e7db337e91f5d67eb8af27f7f87e8ec1835b362c25b1e59",
     "density": "3f4b9c0b26b023b276dc42946e4237e070ea4d6bf579d5ac289dc51c08a96404",
     "n_per_side": "859fa9de3382a9bd571de08b1290de6bf76ae3df4dd1d5fd1955d676763ba4e0",
 }
@@ -357,17 +438,12 @@ PINNED = {
 @pytest.mark.parametrize("pin, threads, args", [
     ("curves", "1", ["simulate"]),
     ("curves", "2", ["simulate"]),
-    ("baseline", "1", ["simulate"]),
     ("density", "1", ["sweep", "--vary", "density", "--values", "0,0.4,1"]),
     ("n_per_side", "1", ["sweep", "--vary", "n_per_side", "--values", "2,4"]),
-], ids=["simulate-t1", "simulate-t2", "simulate-baseline", "sweep-density",
-        "sweep-n_per_side"])
-def test_outputs_keep_their_pinned_bytes(tmp_path, pin, threads, args):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL + ("normalization = baseline\n" if pin == "baseline" else ""),
-                   encoding="utf-8")
+], ids=["simulate-t1", "simulate-t2", "sweep-density", "sweep-n_per_side"])
+def test_outputs_keep_their_pinned_bytes(small_config, tmp_path, pin, threads, args):
     out = tmp_path / "o"
-    assert run([*args, "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    assert run([*args, "--config", small_config, "--out", str(out), "--threads", threads]) == 0
     name = "curves.csv" if args[0] == "simulate" else "sweep.csv"
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED[pin]
 
@@ -375,11 +451,11 @@ def test_outputs_keep_their_pinned_bytes(tmp_path, pin, threads, args):
 # sha256 of the SMALL config's summary (echoed out dir as OUT, timing keys
 # removed, re-serialised with indent=2) and of its stdout (out dir as OUT)
 PINNED_SUMMARIES = {
-    "simulate": ("4ac2dc1bbca269d2f0aff7c33fbb62f1c8b525862d203a730a5d21e2d7bcd033",
+    "simulate": ("6d4db895997bf445ab8ba18c73ebafe6fe811729df93d3171382c194f2876f27",
                  "04def35de80761617e497959d31ea3c118283068ee2921334e3929ff7c66d4d3"),
-    "density": ("335be91fd7f172d03c3705c894348e0488f2ed57bb19235cacf1a8504c422a22",
+    "density": ("87fd1bccadc1281b1aa41128b5fa6798c24f5ab492ed0608fad543cedc67577e",
                 "b28f18c6c8e203fc7d854f1fc92bb12c76bd3d48c600b1425118331f39c27c1b"),
-    "n_per_side": ("bc45c8f17caf4e11b953468b71e0be8b2624fe19ef5165063d5cb03b01f515fa",
+    "n_per_side": ("8f2edbcecf88ca4da6356839c7fc607317b703d78f366eed14d126fcc7932b00",
                    "9f5e6d1fc8ee4378b6abb98a1275a8b80eed2ac37879988a51a110595ba10af6"),
 }
 
@@ -394,7 +470,7 @@ def test_summaries_and_stdout_keep_their_pinned_bytes(small_config, tmp_path, ca
     out = tmp_path / "o"
     assert run([*args, "--config", small_config, "--out", str(out), "--threads", "1"]) == 0
     name = "summary.json" if args[0] == "simulate" else "sweep_summary.json"
-    summary = json.loads((out / name).read_text())
+    summary = load_summary(out / name)
     summary["config"]["output"]["dir"] = "OUT"
     for key in ("wallclock_seconds", "stage_seconds", "trials_per_second"):
         summary.pop(key, None)

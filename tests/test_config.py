@@ -25,7 +25,6 @@ def test_defaults_without_a_file():
     assert cfg.trials == 10_000 and cfg.seed == 1
     assert cfg.nlos_order == 2 and cfg.patch_size == 0.25
     assert cfg.densities == (0.0, 1.0)
-    assert cfg.normalization == "per_scenario"
 
 
 def test_file_values_and_lists(tmp_path):
@@ -69,7 +68,7 @@ def test_unknown_and_malformed_keys_reported_together(tmp_path):
     ("[ue]\narea = 0\n", "[ue] area"),
     ("[ue]\nfov_deg = 100\n", "fov_deg"),
     ("[walls]\nreflection_order = 3\n", "reflection_order"),
-    ("[sim]\nnormalization = fancy\n", "normalization"),
+    ("[sim]\nnormalization = fancy\n", "normalization: unknown setting"),  # not a key
     ("[sim]\nscenarios = los_everything\n", "scenarios"),
     ("[irs]\nn_per_side = 60\n", "n_per_side"),  # 60 * 0.06 m exceeds the wall height
     ("[blockers]\ndensities =\n", "densities"),

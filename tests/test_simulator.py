@@ -669,6 +669,38 @@ def test_ser_mean_square_override_shifts_curve():
     assert np.all(boosted.ser[live] < plain.ser[live])
 
 
+def test_ser_curve_records_its_normalizer():
+    gains = gains_of([1.0, 3.0])
+    assert ser_curve(gains, Scenario.LOS_ONLY).mean_square_gain == 5.0
+    assert ser_curve(gains, Scenario.LOS_ONLY, mean_square_gain=0.25).mean_square_gain == 0.25
+    assert ser_curve(flat_gains(3, 0.0), Scenario.LOS_ONLY).mean_square_gain == 0.0
+
+
+def test_a_common_normalizer_is_a_shift_along_the_own_curve():
+    # SER against the los_nlos mean square m_b at grid point x equals the scenario's own
+    # curve at x + 10 log10(m_s / m_b): the two mean squares a summary row reports carry
+    # everything a common normalizer shows
+    scenes = [make_scene(irs_type=t, n_per_side=6) for t in ("mirror", "metasurface", "none")]
+    grid = SnrGrid(0.0, 40.0, 1.0)
+    checked = 0
+    for by_density in run_trials(scenes, 300, 4, densities=(0.0, 0.4, 2.0)):
+        for gains in by_density.values():
+            m_b = ser_curve(gains, Scenario.LOS_NLOS).mean_square_gain
+            for scn in Scenario:
+                m_s = ser_curve(gains, scn).mean_square_gain
+                shift = 10.0 * math.log10(m_s) - 10.0 * math.log10(m_b)
+                common = ser_curve(gains, scn, grid, mean_square_gain=m_b)
+                own = ser_curve(gains, scn, SnrGrid(grid.start_db + shift,
+                                                    grid.stop_db + shift, grid.step_db))
+                n = min(len(common.ser), len(own.ser))  # the shifted grid may lose its end
+                assert n >= len(common.ser) - 1
+                live = common.ser[:n] > 1e-200
+                np.testing.assert_allclose(own.ser[:n][live], common.ser[:n][live],
+                                           rtol=1e-9, atol=0.0)
+                checked += int(live.sum())
+    assert checked > 3 * 3 * 3 * 10
+
+
 def test_ser_curve_empty_raises():
     with pytest.raises(ValueError):
         ser_curve(flat_gains(0, 1.0), Scenario.LOS_ONLY)
@@ -699,7 +731,7 @@ def test_required_snr_flags_wiggles():
     base = ser_curve(flat_gains(4, 1.0), Scenario.LOS_ONLY)
     bumpy = np.array(base.ser)
     bumpy[3] = bumpy[2] * 1.5  # non-monotone blip before the crossing
-    curve = type(base)(base.scenario, base.snr_db, bumpy, base.stderr)
+    curve = replace(base, ser=bumpy)
     assert required_snr(curve).non_monotone
 
 
