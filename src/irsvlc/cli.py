@@ -85,15 +85,17 @@ def _experiment_curves(cfgs: list[RunConfig],
                        threads: int) -> tuple[list[Readouts], dict[str, float]]:
     """All requested SER curves and their readouts for each config and each distinct
     density of the first one, from one ensemble, and the wall-clock seconds of each stage
-    that produced them. The configs may differ only in their arrays, so one pass over the
-    poses serves them all. This is the one place a readout is made; every output only
-    formats what it returns."""
+    that produced them. The configs differ only in their arrays: the first one's scene
+    with every config's array layout is the run, so one pass over the poses serves them
+    all. This is the one place a readout is made; every output only formats what it
+    returns."""
     t0 = time.perf_counter()
     densities = sorted(set(cfgs[0].densities))
-    # the scenes' own density is replaced by each of `densities` in turn
+    # the scene's own density is replaced by each of `densities` in turn
     scenes = [build_scene(cfg, densities[0]) for cfg in cfgs]
     t1 = time.perf_counter()
-    runs = run_trials(scenes, cfgs[0].trials, cfgs[0].seed, threads=threads, densities=densities)
+    runs = run_trials(scenes[0], cfgs[0].trials, cfgs[0].seed, threads=threads, densities=densities,
+                      layouts=[(s.mirror_arrays, s.metasurface_arrays) for s in scenes])
     t2 = time.perf_counter()
     out: list[Readouts] = [{} for _ in cfgs]
     for cfg, by_density, readouts in zip(cfgs, runs, out):

@@ -64,7 +64,7 @@ class Room:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Luminaire:
     """Ceiling light source with a generalized-Lambertian beam."""
 
@@ -89,7 +89,7 @@ def _check_detector(area: float, fov: float) -> None:
         raise ValueError(f"field of view {fov} outside (0, pi/2]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotoDetector:
     """Receiver aperture: position, facing direction, active area and FOV (radians)."""
 
@@ -148,11 +148,13 @@ class BlockerModel:
             raise ValueError(f"blocker dimensions must be positive and finite, got {self.dims}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Immutable experiment geometry and wall model; safe to share across worker processes.
 
-    With a run's blocker densities, it is the whole input of a run.
+    With a run's blocker densities and array layouts, it is the whole input of a run.
+    Scenes, luminaires and detectors compare by identity: their ndarray fields give
+    no single truth value for a field-wise ==.
     """
 
     room: Room

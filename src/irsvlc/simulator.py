@@ -16,7 +16,6 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
-import pickle
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from scipy.special import erfc
 
 from .channel import PoweredPatches, los_gain, patch_incident_power, wall_patches
 from .geometry import OrientedBoxes, segments_intersect_box
-from .irs import ReflectorBank
+from .irs import ReflectorArray, ReflectorBank
 from .scene import Scene, blocker_means, sample_blocker_fields, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
@@ -131,36 +130,37 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 # one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trial returns it
 TrialRow = tuple[tuple[float, ...], float, tuple[float, ...]]
+# the two Scene fields that vary between a run's array layouts: (mirror_arrays, metasurface_arrays)
+Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """Exactly what a trial reads besides its own substream; built once per run."""
 
-    scene: Scene  # the run's first scene, read for the fields every scene shares
+    scene: Scene  # read for every field but its arrays, which the layouts replace
     seed: int
-    powered: PoweredPatches  # the scenes' diffuse wall field, blockage-free by design
-    banks: tuple[ReflectorBank, ...]  # one per scene, in the order given
+    powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
+    banks: tuple[ReflectorBank, ...]  # one per layout, in the order given
     means: tuple[float, ...]  # expected blocker counts, in output order; one size for all
 
     @classmethod
-    def build(cls, scenes: Sequence[Scene], seed: int, densities: Sequence[float]) -> "Ensemble":
-        """Check that the scenes differ only in their arrays, check the densities and turn
-        them into mean blocker counts (blocker_means), then precompute the one diffuse
-        field and each scene's reflector bank."""
-        # pickled, so that fields holding arrays compare by value
-        if len({pickle.dumps({**vars(s), "mirror_arrays": (), "metasurface_arrays": ()})
-                for s in scenes}) != 1:
-            raise ValueError("a run needs one or more scenes that differ only in their arrays")
-        scene = scenes[0]
+    def build(cls, scene: Scene, seed: int, densities: Sequence[float],
+              layouts: Sequence[Layout] | None = None) -> "Ensemble":
+        """Check that there is at least one density and one layout (default: the scene's
+        own arrays), turn the densities into mean blocker counts (blocker_means), then
+        precompute the one diffuse field and each layout's reflector bank."""
+        if layouts is None:
+            layouts = ((scene.mirror_arrays, scene.metasurface_arrays),)
+        if not (len(densities) and len(layouts)):
+            raise ValueError("a run needs at least one blocker density and one array layout")
         means = blocker_means(scene.room, densities)
         patches = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
         # every source's incident power, summed from zero in source order
         power = sum((patch_incident_power(ap, patches, (), order=scene.nlos_order)
                      for ap in scene.aps), np.zeros(len(patches)))
         return cls(scene, seed, PoweredPatches(patches, power),
-                   tuple(ReflectorBank(scene.aps, s.mirror_arrays, s.metasurface_arrays)
-                         for s in scenes), means)
+                   tuple(ReflectorBank(scene.aps, *layout) for layout in layouts), means)
 
 
 def compute_trial(ens: Ensemble, trial_index: int) -> TrialRow:
@@ -236,18 +236,18 @@ def _run_chunk(bounds: tuple[int, int]) -> list[TrialRow]:
     return [compute_trial(ens, t) for t in range(*bounds)]
 
 
-def run_trials(scenes: Sequence[Scene], trials: int, seed: int, *, threads: int = 1,
-               densities: Sequence[float] | None = None) -> list[dict[float, TrialGains]]:
+def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
+               densities: Sequence[float] | None = None,
+               layouts: Sequence[Layout] | None = None) -> list[dict[float, TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
-    The scenes are the run's array layouts: equal in every field but
-    mirror_arrays and metasurface_arrays (ValueError before any work
-    otherwise). Per scene, in the order given, maps each of `densities`
-    (default: the scenes' own blocker density) to the TrialGains a run of that
-    scene at that density alone would give. One pass over the trials serves
-    every scene and density: every TrialGains shares one h_nlos array, each
-    density one h_los row and each scene one h_irs row, which is why every
-    array is read-only.
+    Per layout of `layouts` (default: the scene's own arrays), in the order
+    given, maps each of `densities` (default: the scene's own blocker density)
+    to the TrialGains a run of the scene with that layout's arrays at that
+    density alone would give; ValueError before any work if either is empty.
+    One pass over the trials serves every layout and density: every
+    TrialGains shares one h_nlos array, each density one h_los row and each
+    layout one h_irs row, which is why every array is read-only.
 
     Trials are keyed by index, computed in contiguous chunks and reassembled
     in index order, so parallel scheduling cannot change the result. The
@@ -259,11 +259,9 @@ def run_trials(scenes: Sequence[Scene], trials: int, seed: int, *, threads: int 
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    wanted = (scenes[0].blocker_model.density,) if densities is None else densities
+    wanted = (scene.blocker_model.density,) if densities is None else densities
     unique = tuple(dict.fromkeys(wanted))
-    if not unique:
-        raise ValueError("densities needs at least one value")
-    ens = Ensemble.build(scenes, seed, unique)
+    ens = Ensemble.build(scene, seed, unique, layouts)
     if threads <= 1 or trials == 1:
         rows = [compute_trial(ens, t) for t in range(trials)]
     else:

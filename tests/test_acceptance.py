@@ -48,7 +48,7 @@ def stock():
     """The reference experiment at both blocker densities, full size, from the one
     pass over the trials that `simulate` makes; each run's wallclock is that pass's."""
     t0 = time.perf_counter()
-    (by_density,) = run_trials([make_scene()], STOCK_TRIALS, STOCK_SEED, densities=(0.0, 1.0))
+    (by_density,) = run_trials(make_scene(), STOCK_TRIALS, STOCK_SEED, densities=(0.0, 1.0))
     curves = {d: {s: ser_curve(gains, s) for s in Scenario} for d, gains in by_density.items()}
     wall = time.perf_counter() - t0
     return {d: StockRun(c, {s: required_snr(c[s]) for s in Scenario}, wall)

@@ -44,12 +44,18 @@ def test_run_path_signatures():
     from irsvlc import channel, config, simulator
     for fn in (simulator.compute_trial, simulator.trial_rng):
         assert "trial_index" in inspect.signature(fn).parameters, fn.__name__
-    # the call shapes a benchmark's set-up uses
+    # the call shapes perfbench's set-up uses (worker.timed_setup)
     inspect.signature(config.build_scene).bind(object(), 0.0)
     inspect.signature(channel.wall_patches).bind(object(), 0.25, 0.7)
     inspect.signature(channel.patch_incident_power).bind(object(), object(), (), order=2)
+    # a run's input is one scene plus its array layouts; perfbench wraps cli.run_trials
+    # and reads only its threads keyword
+    for fn in (simulator.run_trials, simulator.Ensemble.build):
+        assert next(iter(inspect.signature(fn).parameters)) == "scene", fn.__name__
     inspect.signature(simulator.run_trials).bind(object(), 10, 1)
-    inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,))
+    inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,),
+                                                 layouts=[((), ())])
+    inspect.signature(simulator.Ensemble.build).bind(object(), 1, (0.0,), layouts=[((), ())])
 
 
 def test_run_records_hold_only_what_is_read():

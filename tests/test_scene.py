@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsvlc.config import ConfigError, RunConfig, validate
+from irsvlc.config import ConfigError, RunConfig, build_scene, validate
 from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
 from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, MAX_THETA_STD_DEG, BlockerModel,
@@ -402,3 +402,13 @@ def test_scene_is_immutable():
     with pytest.raises(AttributeError):
         scene.ue_height = 2.0
     assert isinstance(scene, Scene)
+
+
+def test_scenes_compare_by_identity():
+    # the ndarray fields of a scene, its luminaires and a detector give no single truth
+    # value, so == is identity and never raises
+    a, b = build_scene(RunConfig(), 0.0), build_scene(RunConfig(), 0.0)
+    assert a == a and a.aps[0] == a.aps[0]
+    assert a != b and a.aps[0] != b.aps[0]
+    ue = sample_ue(rng(0), a)
+    assert ue == ue and ue != sample_ue(rng(0), a)

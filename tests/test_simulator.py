@@ -31,9 +31,14 @@ def flat_gains(n, h):
     return gains_of(np.full(n, h))
 
 
+def layouts_of(scenes):
+    """Each scene's array layout, as run_trials takes it."""
+    return [(s.mirror_arrays, s.metasurface_arrays) for s in scenes]
+
+
 def own_density(scene, trials, seed, **kwargs):
     """The TrialGains of a run at the scene's own blocker density."""
-    (gains,) = run_trials([scene], trials, seed, **kwargs)[0].values()
+    (gains,) = run_trials(scene, trials, seed, **kwargs)[0].values()
     return gains
 
 
@@ -61,9 +66,9 @@ def test_run_trials_deterministic():
 def test_run_trials_validation():
     scene = make_scene(n_per_side=4)
     with pytest.raises(ValueError):
-        run_trials([scene], 0, seed=1)
+        run_trials(scene, 0, seed=1)
     with pytest.raises(ValueError):
-        run_trials([scene], 10, seed=-1)
+        run_trials(scene, 10, seed=-1)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -89,7 +94,8 @@ def test_shared_ensemble_matches_per_density_runs(irs, threads):
     densities = (0.0, 0.5, 2.0)
     sizes = (4, 2, 2, 3)
     scenes = [make_scene(0.5, n_per_side=n, irs_type=irs) for n in sizes]
-    runs = run_trials(scenes, 24, seed=17, threads=threads, densities=densities)
+    runs = run_trials(scenes[0], 24, seed=17, threads=threads, densities=densities,
+                      layouts=layouts_of(scenes))
     assert len(runs) == len(sizes)
     for n, shared in zip(sizes, runs):
         assert list(shared) == list(densities)
@@ -100,10 +106,11 @@ def test_shared_ensemble_matches_per_density_runs(irs, threads):
 
 
 def test_run_trials_returns_read_only_arrays_shared_across_densities():
-    # and across scenes: every scene gets the same h_los rows and h_nlos, and
+    # and across layouts: every layout gets the same h_los rows and h_nlos, and
     # its own h_irs row, which all of its densities share
     scenes = [make_scene(0.5, n_per_side=n) for n in (4, 2)]
-    runs = run_trials(scenes, 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0))
+    runs = run_trials(scenes[0], 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0),
+                      layouts=layouts_of(scenes))
     for out in runs:
         assert list(out) == [0.0, 1.0, 4.0]
         for d, gains in out.items():
@@ -115,41 +122,31 @@ def test_run_trials_returns_read_only_arrays_shared_across_densities():
             assert gains.h_los is runs[0][d].h_los and gains.h_nlos is runs[0][0.0].h_nlos
             assert gains.h_irs is out[0.0].h_irs
     assert runs[0][0.0].h_irs is not runs[1][0.0].h_irs
-    assert list(run_trials(scenes[:1], 2, seed=3)[0]) == [0.5]
+    assert list(run_trials(scenes[0], 2, seed=3)[0]) == [0.5]
 
 
-def test_shared_ensemble_sees_blockage():
+def test_shared_ensemble_sees_blockage(monkeypatch):
     scene = make_scene(n_per_side=4, irs_type="none")
-    (out,) = run_trials([scene], 60, seed=5, densities=(0.0, 4.0))
+    (out,) = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
     assert out[0.0].h_nlos is out[4.0].h_nlos
     assert (out[4.0].h_los == 0.0).sum() > (out[0.0].h_los == 0.0).sum()
-    with pytest.raises(ValueError):
-        run_trials([scene], 10, seed=5, densities=())
 
-
-@pytest.mark.parametrize("field, value", [
-    ("ue_height", 1.2),
-    ("aps", (Luminaire(vec3(2.0, 2.5, 3.0), vec3(0.0, 0.0, -1.0)),)),
-    ("patch_size", 0.5),
-])
-def test_scenes_that_differ_beyond_their_arrays_fail_before_any_work(monkeypatch, field, value):
     def no_work(*args, **kwargs):
         raise AssertionError("the run started")
 
+    # no densities or no layouts fail before the diffuse precompute
     for name in ("compute_trial", "wall_patches", "patch_incident_power", "blocker_means"):
         monkeypatch.setattr(simulator, name, no_work)
-    base = make_scene(n_per_side=2)
-    other = replace(make_scene(n_per_side=3), **{field: value})
-    for scenes in ([base, other], [other, base], [base, base, other]):
-        with pytest.raises(ValueError, match="differ only in their arrays"):
-            run_trials(scenes, 5, seed=1, densities=(0.0,))
-    with pytest.raises(ValueError, match="differ only in their arrays"):
-        Ensemble.build([], 1, (0.0,))
+    for kwargs in ({"densities": ()}, {"layouts": ()}):
+        with pytest.raises(ValueError, match="at least one"):
+            run_trials(scene, 10, seed=5, **kwargs)
+    with pytest.raises(ValueError, match="at least one"):
+        Ensemble.build(scene, 1, (0.0,), layouts=())
 
 
 def test_compute_trial_one_row_per_density():
     scene = make_scene(n_per_side=4)
-    ens = Ensemble.build([scene], 3, (0.0, 1.0))
+    ens = Ensemble.build(scene, 3, (0.0, 1.0))
     h_los, h_nlos, (h_irs,) = compute_trial(ens, trial_index=2)
     assert len(h_los) == 2
     assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
@@ -165,9 +162,9 @@ def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
 
     monkeypatch.setattr(simulator, "compute_trial", no_trials)
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials([make_scene(n_per_side=4)], 5, seed=1, densities=(0.0, density))
+        run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials([make_scene(density, n_per_side=4)], 5, seed=1)
+        run_trials(make_scene(density, n_per_side=4), 5, seed=1)
 
 
 def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
@@ -186,9 +183,9 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
     for module in (scene_module, simulator):
         monkeypatch.setattr(module, "blocker_means", counting_means)
     monkeypatch.setattr(scene_module.BlockerModel, "__post_init__", counting_init)
-    run_trials([scene], 20, seed=4, densities=(0, 0.5, 4))
+    run_trials(scene, 20, seed=4, densities=(0, 0.5, 4))
     assert calls == {"blocker_means": 1}
-    ens = Ensemble.build([scene], 4, (0.0, 0.5, 4.0))
+    ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
     calls.clear()
     rows = [compute_trial(ens, t) for t in range(50)]
     assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
@@ -199,7 +196,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
     path.write_text("[irs]\ntype = none\n[walls]\nreflectivity = 0.5\npatch_size = 0.5\n"
                     "reflection_order = 1\n", encoding="utf-8")
     scene = config.build_scene(config.load_config(str(path)), 0.0)
-    ens = Ensemble.build([scene], 6, (0.0,))
+    ens = Ensemble.build(scene, 6, (0.0,))
     patches = wall_patches(scene.room, 0.5, 0.5)
     for t in range(50):
         ue = sample_ue(trial_rng(6, t), scene)
@@ -209,7 +206,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
     scene = make_scene(0.5, irs_type="none")
-    ens = Ensemble.build([scene], 3, (0.0, 0.5))
+    ens = Ensemble.build(scene, 3, (0.0, 0.5))
     assert len(ens.banks) == 1 and len(ens.banks[0]) == 0
 
     def no_cells(*args, **kwargs):
@@ -248,7 +245,7 @@ def test_fused_occlusion_matches_per_density_replay():
     # for three sources and for the stock one-source scene
     for scene, densities in ((_three_source_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
                              (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
-        ens = Ensemble.build([scene], 21, densities)
+        ens = Ensemble.build(scene, 21, densities)
         enclosed = blocked = 0
         for t in range(150):
             h_los = compute_trial(ens, t)[0]
@@ -377,7 +374,7 @@ def _built_field(scene, seed):
     """A one-source scene's ensemble, with the patches and incident power it should hold."""
     ps = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
     power = patch_incident_power(scene.aps[0], ps, (), order=scene.nlos_order)
-    return Ensemble.build([scene], seed, (0.0,)), ps, power
+    return Ensemble.build(scene, seed, (0.0,)), ps, power
 
 
 def _tilted_source_field(seed):
@@ -402,7 +399,7 @@ def _dark_wall_field(seed):
 @pytest.mark.parametrize("fov_deg", [30.0, 85.0, 90.0])
 def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
     scene = make_scene(irs_type=irs_type, fov_deg=fov_deg)
-    ens = Ensemble.build([scene], 5, (0.0,))
+    ens = Ensemble.build(scene, 5, (0.0,))
     lit = 0
     for t in range(300):
         ue = sample_ue(trial_rng(5, t), scene)
@@ -433,7 +430,7 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
     per_run = []
     for trials in (5, 50):
         counts.clear()
-        run_trials([scene], trials, seed=3)
+        run_trials(scene, trials, seed=3)
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert "detector" not in per_run[1] and per_run[1].get("vec3", 0) <= 4
@@ -455,7 +452,7 @@ def test_one_slab_test_per_lit_source(monkeypatch, densities):
     real = simulator.segments_intersect_box
     monkeypatch.setattr(simulator, "segments_intersect_box", counting)
     scene = _three_source_scene(fov_deg=40.0)
-    ens = Ensemble.build([scene], 4, densities)
+    ens = Ensemble.build(scene, 4, densities)
     unlit = tested = 0
     for t in range(80):
         ue = sample_ue(trial_rng(4, t), scene)
@@ -493,7 +490,7 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
     real = simulator.trial_rng
     monkeypatch.setattr(simulator, "trial_rng", lambda seed, t: Counting(real(seed, t)))
     scene = _three_source_scene(fov_deg=40.0)
-    ens = Ensemble.build([scene], 4, densities)
+    ens = Ensemble.build(scene, 4, densities)
     drawing = sum(d > 0.0 for d in densities)
     unlit = 0
     for t in range(80):
@@ -512,7 +509,7 @@ def test_trial_components_nonnegative_and_indexed():
     # entry t of each array is trial t's gain
     scene = make_scene(1.0, n_per_side=4)
     out = own_density(scene, 30, seed=11)
-    ens = Ensemble.build([scene], 11, (1.0,))
+    ens = Ensemble.build(scene, 11, (1.0,))
     for t in range(30):
         assert compute_trial(ens, t) == ((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
     for a in (out.h_los, out.h_nlos, out.h_irs):
@@ -683,7 +680,8 @@ def test_a_common_normalizer_is_a_shift_along_the_own_curve():
     scenes = [make_scene(irs_type=t, n_per_side=6) for t in ("mirror", "metasurface", "none")]
     grid = SnrGrid(0.0, 40.0, 1.0)
     checked = 0
-    for by_density in run_trials(scenes, 300, 4, densities=(0.0, 0.4, 2.0)):
+    for by_density in run_trials(scenes[0], 300, 4, densities=(0.0, 0.4, 2.0),
+                                 layouts=layouts_of(scenes)):
         for gains in by_density.values():
             m_b = ser_curve(gains, Scenario.LOS_NLOS).mean_square_gain
             for scn in Scenario:
