@@ -388,8 +388,10 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             summary = _run_simulate(cfg, threads, args.svg)
             for row in summary["results"]:
+                note = (" (censored: at or below target at the grid start)"
+                        if row["censored"] else "")
                 print(f"density {row['blocker_density']:g} {row['scenario']}: "
-                      f"required SNR {row['required_snr_db']}")
+                      f"required SNR {row['required_snr_db']}{note}")
         else:
             summary = _run_sweep(cfg, args.vary, args.values, threads)
             print(f"sweep over {args.vary}: {len(summary['rows'])} rows")

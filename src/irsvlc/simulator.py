@@ -23,7 +23,9 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
+# imported with the package: numpy loads numpy.random lazily, which would move its
+# import cost from a run's set-up into its first trial
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .channel import PoweredPatches, los_gain, patch_incident_power, wall_patches
 from .geometry import OrientedBoxes, segments_intersect_box
@@ -122,10 +124,9 @@ class RequiredSnr:
         return self.snr_db is not None
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+def trial_rng(seed: int, trial_index: int) -> Generator:
     """Independent, reproducible substream for one trial."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial_index,)))
+    return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
 # one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trial returns it
@@ -281,9 +282,81 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
 # -- SER estimation ----------------------------------------------------------
 
 
+# Cephes' erfc (ndtr.c, S. L. Moshier), the one scipy.special runs: highest power first
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)  # after a leading 1
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)  # after a leading 1
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # ln(DBL_MAX)
+# |x| <= this exactly when x*x <= _MAXLOG; beyond it cephes gives 0 (2 for x < 0)
+_ERFC_ZERO_ABOVE = math.sqrt(_MAXLOG)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """coef[0]*x^n + ... + coef[n] by Horner's rule, in cephes polevl's order."""
+    y = x * coef[0]
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """x^(n+1) + coef[0]*x^n + ... + coef[n], in cephes p1evl's order."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes' erfc, elementwise: 1 - x*T(x^2)/U(x^2) for |x| < 1, else
+    exp(-x^2)*P(|x|)/Q(|x|) below |x| = 8 and exp(-x^2)*R(|x|)/S(|x|) above it,
+    subtracted from 2 for x < 0. Each range is evaluated on its own elements only.
+    numpy's exp may differ from libm's by one ulp, and so may the result from
+    scipy.special.erfc."""
+    flat = x.ravel()
+    a = np.abs(flat)
+    # 1 - sign(x) is erfc at x = 0 and nan, and where exp(-x^2) underflows (inf included)
+    y = np.sign(flat)
+    np.subtract(1.0, y, out=y)
+    i = np.flatnonzero((a > 0.0) & (a < 1.0))
+    if i.size:
+        s = flat[i]
+        z = s * s
+        t = s * _polevl(z, _ERF_T)
+        t /= _p1evl(z, _ERF_U)
+        y[i] = np.subtract(1.0, t, out=t)
+    for i, num, den in ((np.flatnonzero((a >= 1.0) & (a < 8.0)), _ERFC_P, _ERFC_Q),
+                        (np.flatnonzero((a >= 8.0) & (a <= _ERFC_ZERO_ABOVE)),
+                         _ERFC_R, _ERFC_S)):
+        if not i.size:
+            continue
+        s = a[i]
+        e = s * s
+        np.exp(np.negative(e, out=e), out=e)
+        p = _polevl(s, num)
+        p *= e
+        p /= _p1evl(s, den)
+        y[i] = np.subtract(2.0, p, out=p, where=flat[i] < 0.0)
+    return y.reshape(x.shape)
+
+
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x); scalar in, scalar out."""
-    q = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    q = 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(q) if np.ndim(x) == 0 else q
 
 

@@ -581,8 +581,16 @@ def test_scenario_from_name_round_trip():
 
 
 def test_q_function_values():
-    assert q_function(0.0) == 0.5
+    assert q_function(0.0) == 0.5 and q_function(-0.0) == 0.5
     assert q_function(1.0) == pytest.approx(0.15865525393145707, rel=1e-12)
+    assert q_function(math.inf) == 0.0 and q_function(-math.inf) == 1.0
+    assert math.isnan(q_function(math.nan))
+    # x*x overflows here, and a RuntimeWarning would be an error
+    assert q_function(1e300) == 0.0 and q_function(-1e300) == 1.0
+    assert type(q_function(1.0)) is float and type(q_function(np.float64(1.0))) is float
+    q = q_function(np.array([[math.nan, 0.0], [-math.inf, 40.0]]))
+    assert q.shape == (2, 2) and np.isnan(q[0, 0]) and q[0, 1] == 0.5 and q[1, 0] == 1.0
+    assert q[1, 1] == 0.0
 
 
 def test_q_function_reflection_and_monotonicity():
@@ -591,6 +599,27 @@ def test_q_function_reflection_and_monotonicity():
     assert isinstance(q, np.ndarray)
     assert np.all(np.diff(q) < 0.0)
     assert np.allclose(q + q_function(-xs), 1.0, atol=1e-12)
+
+
+def test_q_function_matches_scipy_erfc_on_a_dense_grid():
+    # the port runs cephes' erfc operation for operation, as scipy.special does; only
+    # numpy's exp may round one ulp away from libm's, and the product and quotient
+    # after it carry that through: a few ulps, within 1e-15 relative
+    from scipy.special import erfc
+    xs = np.linspace(-27.0, 27.0, 540_001)
+    want = 0.5 * erfc(xs / math.sqrt(2.0))
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(q_function(xs) / want - 1.0)) <= 1e-15
+
+
+def test_erfc_underflow_threshold_is_exact():
+    # |x| <= _ERFC_ZERO_ABOVE is exactly cephes' x*x <= MAXLOG, so no square is taken
+    # beyond it, where it could overflow
+    top, maxlog = simulator._ERFC_ZERO_ABOVE, simulator._MAXLOG
+    past = np.nextafter(top, math.inf)
+    assert top * top <= maxlog < past * past
+    y = simulator._erfc(np.array([top, past, -top, -past]))
+    assert y[0] > 0.0 == y[1] and y[2] == y[3] == 2.0
 
 
 # -- SNR grid ------------------------------------------------------------------
