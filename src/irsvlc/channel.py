@@ -9,7 +9,7 @@ OrientedBoxes set or (); a sight line crossing a box interior contributes zero.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -267,76 +267,93 @@ def patch_incident_power(ap: "Luminaire", ps: PatchSet,
     return power
 
 
-class PoweredPatches:
-    """The patches that carry power, ready for one diffuse capture per receiver pose.
+_POSE_BLOCK = 8  # poses per capture block: six (8, P') float64 work arrays, 0.37 MB at P' = 960
 
-    Holds the centers as (P', 3) rows and as axis vectors, the normals as
-    axis vectors and reflectivity * power per patch, for the patches with
-    power > 0 only, plus the work arrays of `capture`. One instance serves one
-    caller at a time.
+
+class PoweredPatches:
+    """The patches that carry power, ready for the diffuse capture of a block of receiver poses.
+
+    Holds the centers as axis vectors, the normals as axis vectors and
+    reflectivity * power per patch, for the patches with power > 0 only. The
+    work arrays of `capture` are made on first use and reused. One instance
+    serves one caller at a time.
     """
 
     def __init__(self, ps: PatchSet, power: np.ndarray):
         rows = np.flatnonzero(power > 0.0)
-        self.centers = ps.centers[rows]
-        self._axes = np.ascontiguousarray(self.centers.T)
+        self._axes = np.ascontiguousarray(ps.centers[rows].T)
         self._normals = np.ascontiguousarray(ps.normals[rows].T)
         self.scale = ps.reflectivity[rows] * power[rows]
-        self._u = np.empty_like(self.centers)
-        self._work = np.empty((4, rows.size))
-        self._mask = np.empty((2, rows.size), dtype=bool)
+        self._u = self._work = self._mask = None
 
     def __len__(self) -> int:
         return len(self.scale)
 
-    def capture(self, ue: "PhotoDetector", blockers: OrientedBoxes | tuple[()] = ()) -> float:
-        """Detector power from the diffusely re-emitted patch powers; compensated sum.
+    def capture(self, ues: Sequence["PhotoDetector"],
+                blockers: OrientedBoxes | tuple[()] = ()) -> list[float]:
+        """Detector power per pose from the diffusely re-emitted patch powers; compensated sums.
 
-        Only the patches that face the detector and lie in its field of view
-        enter the exact sum, so the zero terms of the other patches cannot
+        Only the patches that face a detector and lie in its field of view
+        enter its exact sum, so the zero terms of the other patches cannot
         change it. Each term is the arithmetic of the per-patch formula,
-        evaluated in place over all rows before the live ones are kept.
-        d2^2 and cos_out are summed per axis in einsum's order (_dot3); cos_psi
-        stays the `u @ normal` matmul, whose rounding a per-axis sum does not
+        evaluated in place over (poses, P') work arrays, _POSE_BLOCK poses at
+        a time, before the live ones are kept; a pose's terms get the same
+        elementwise operations in any block. d2^2 and cos_out are summed per
+        axis in einsum's order (_dot3); cos_psi stays the `u @ normal` matmul,
+        stacked over the poses, whose rounding a per-axis sum does not
         reproduce (README, Determinism).
         """
         if not len(self):
-            return 0.0
-        u = self._u
-        for axis, (p, c) in enumerate(zip(ue.position.tolist(), self._axes)):
-            np.subtract(p, c, out=u[:, axis])
-        ux, uy, uz = u.T
-        d2_sq, d2, frac, cos_psi = self._work
-        live, in_fov = self._mask
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _dot3(ux, uy, uz, ux, uy, uz, d2_sq, d2)
-            np.sqrt(d2_sq, out=d2)
-            cos_out = _dot3(ux, uy, uz, *self._normals, frac, cos_psi)
-            cos_out /= d2
-            np.matmul(u, ue.normal, out=cos_psi)
-            np.negative(cos_psi, out=cos_psi)
-            cos_psi /= d2
-            # the FOV is at most 90 degrees, so this also requires cos_psi > 0
-            np.greater(cos_out, 0.0, out=live)
-            live &= np.greater_equal(cos_psi, math.cos(ue.fov), out=in_fov)
-            # capture fraction of the re-emitted power; capped at 1 so a detector
-            # almost touching a patch cannot receive more than the patch reflected
-            frac *= ue.area
-            frac *= cos_psi
-            frac /= np.multiply(d2_sq, math.pi, out=d2)
-            np.minimum(frac, 1.0, out=frac)
-            frac *= self.scale
-        contrib = frac[live]
-        if blockers and contrib.size:
-            ends = np.broadcast_to(ue.position, (contrib.size, 3))
-            contrib[shadowed_mask(self.centers[live], ends, blockers)] = 0.0
-        return math.fsum(memoryview(contrib))  # iterates the floats without a list
+            return [0.0] * len(ues)
+        sums: list[float] = []
+        for a in range(0, len(ues), _POSE_BLOCK):
+            block = ues[a:a + _POSE_BLOCK]
+            if self._u is None or len(self._u) < len(block):
+                self._u = np.empty((len(block), len(self), 3))
+                self._work = np.empty((3, len(block), len(self)))
+                self._mask = np.empty((2, len(block), len(self)), dtype=bool)
+            u = self._u[:len(block)]
+            position = np.array([ue.position for ue in block])
+            for axis, c in enumerate(self._axes):
+                np.subtract(position[:, axis, None], c, out=u[:, :, axis])
+            ux, uy, uz = u.transpose(2, 0, 1)
+            d2_sq, frac, cos_psi = self._work[:, :len(block)]
+            live, in_fov = self._mask[:, :len(block)]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                _dot3(ux, uy, uz, ux, uy, uz, d2_sq, cos_psi)
+                cos_out = _dot3(ux, uy, uz, *self._normals, frac, cos_psi)
+                np.matmul(u, np.array([ue.normal for ue in block])[:, :, None],
+                          out=cos_psi[:, :, None])
+                # u is spent: its first (poses, P') elements hold d2, contiguous
+                d2 = np.sqrt(d2_sq, out=u.reshape(-1)[:d2_sq.size].reshape(d2_sq.shape))
+                cos_out /= d2
+                np.negative(cos_psi, out=cos_psi)
+                cos_psi /= d2
+                # the FOV is at most 90 degrees, so this also requires cos_psi > 0
+                np.greater(cos_out, 0.0, out=live)
+                live &= np.greater_equal(cos_psi, [[math.cos(ue.fov)] for ue in block], out=in_fov)
+                # capture fraction of the re-emitted power; capped at 1 so a detector
+                # almost touching a patch cannot receive more than the patch reflected
+                frac *= [[ue.area] for ue in block]
+                frac *= cos_psi
+                frac /= np.multiply(d2_sq, math.pi, out=d2)
+                np.minimum(frac, 1.0, out=frac)
+                frac *= self.scale
+            contrib = frac[live]  # every pose's live terms, pose by pose
+            counts = live.sum(axis=1)
+            if blockers and contrib.size:
+                starts = np.broadcast_to(self._axes.T, u.shape)[live]
+                contrib[shadowed_mask(starts, np.repeat(position, counts, axis=0), blockers)] = 0.0
+            terms = memoryview(contrib)  # fsum iterates the floats without a list
+            stops = np.cumsum(counts).tolist()
+            sums += [math.fsum(terms[i:j]) for i, j in zip([0, *stops], stops)]
+        return sums
 
 
 def diffuse_capture(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
                     blockers: OrientedBoxes | tuple[()] = ()) -> float:
     """Detector gain from per-patch incident powers after one re-emission."""
-    return PoweredPatches(ps, power).capture(ue, blockers)
+    return PoweredPatches(ps, power).capture([ue], blockers)[0]
 
 
 def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,

@@ -161,9 +161,11 @@ class ReflectorBank:
 
     Cells run source by source over the mirror arrays (the first `n_mirror`
     cells), then over the metasurface arrays, each array in grid order. Per
-    cell the bank holds its source, the center and the source leg u = source -
-    center as axis vectors, d1 = |u|, and a weight folding the reflectivity or
-    efficiency, (m + 1) and cos^m(phi): zero where the source does not light it.
+    cell the bank holds the center as axis vectors, d1 = |u| for the source leg
+    u = source - center, and a weight folding the reflectivity or efficiency,
+    (m + 1) and cos^m(phi): zero where the source does not light it. The
+    per-cell sources and legs, which the per-pose gain does not read, are
+    built on demand (`sources`, `legs`).
 
     Every mirror cell is steered to the half-vector orientation for the
     detector. The image, cell center and detector are then collinear, so the
@@ -182,13 +184,13 @@ class ReflectorBank:
         self.n_mirror = sum(sizes[:k])
         normals = np.array([arr.normal for _, arr in pairs]).reshape(-1, 3)
         self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
-        # the kernel reads centers and legs as contiguous axis vectors
-        self.sources = np.repeat(np.array([ap.position for ap, _ in pairs]).reshape(-1, 3),
-                                 sizes, axis=0)
+        self._pair_sources = np.array([ap.position for ap, _ in pairs]).reshape(-1, 3)
+        self._sizes = sizes
+        # the kernel reads centers as contiguous axis vectors
         centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for _, arr in pairs])
         self.cx, self.cy, self.cz = self._c = np.ascontiguousarray(centers.T)
-        self.ux, self.uy, self.uz = u = np.ascontiguousarray((self.sources - centers).T)
-        self.d1 = np.sqrt(self.ux * self.ux + self.uy * self.uy + self.uz * self.uz)
+        ux, uy, uz = u = self.legs
+        self.d1 = np.sqrt(ux * ux + uy * uy + uz * uz)
         self.weight, cn, fronts, start = np.zeros(len(centers)), np.zeros(len(centers)), [], 0
         slices = []
         for i, (ap, arr) in enumerate(pairs):
@@ -215,9 +217,20 @@ class ReflectorBank:
         return len(self.d1)
 
     @property
+    def sources(self) -> np.ndarray:
+        """(N, 3) source position of every cell, a new array: only `cascade` reads it."""
+        return np.repeat(self._pair_sources, self._sizes, axis=0)
+
+    @property
     def centers(self) -> np.ndarray:
         """(N, 3) cell centers, a view of the axis vectors."""
         return self._c.T
+
+    @property
+    def legs(self) -> np.ndarray:
+        """(3, N) source legs u = source - center as axis vectors, a new array: only
+        the rare full antipodal test reads them after the bank is built."""
+        return np.ascontiguousarray((self.sources - self.centers).T)
 
     def _antipodes_impossible(self, ue_position: np.ndarray, d2_max: float) -> bool:
         """True when no mirror cell's two legs can come within _ANTIPODAL_TOL of antipodal.
@@ -254,7 +267,8 @@ class ReflectorBank:
         k = self.n_mirror
         antipodal_ok = None
         if k and not self._antipodes_impossible(ue.position, float(d2.max())):
-            dot = self.ux[:k] * vx[:k] + self.uy[:k] * vy[:k] + self.uz[:k] * vz[:k]
+            ux, uy, uz = self.legs[:, :k]
+            dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
             antipodal_ok = dot / (self.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
         cos_psi = np.multiply(vx, nx, out=g)
         cos_psi += np.multiply(vy, ny, out=vy)

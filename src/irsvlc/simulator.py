@@ -2,13 +2,14 @@
 
 Each trial draws an independent receiver pose and blocker population from a
 substream keyed by (seed, trial index), so results do not depend on worker
-count or execution order. Blockers occlude the direct source-detector link;
-the diffuse wall field and the steered mirror cascade are treated as
-blockage-insensitive at trial level (per-path occlusion stays available in
-the channel and irs APIs). So one pass over the trials serves every blocker
-density and every array layout: a trial's pose-only gains are computed once,
-its blocker draws are replayed for each density, and each layout's reflector
-bank reads the same pose. On-off keying over the sampled gain ensemble gives
+count, block size or execution order. Blockers occlude the direct
+source-detector link; the diffuse wall field and the steered mirror cascade
+are treated as blockage-insensitive at trial level (per-path occlusion stays
+available in the channel and irs APIs). So one pass over the trials serves
+every blocker density and every array layout: a trial's pose-only gains are
+computed once, its blocker draws are replayed for each density, and each
+layout's reflector bank reads the same pose. On-off keying over the sampled
+gain ensemble gives
 SER(snr) = mean_t Q(sqrt(snr * h_t^2 / mean(h^2))), where the mean-square
 gain normalization makes `snr` the average received electrical SNR.
 """
@@ -16,7 +17,6 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -129,7 +129,7 @@ def trial_rng(seed: int, trial_index: int) -> Generator:
     return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
-# one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trial returns it
+# one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trials returns it per trial
 TrialRow = tuple[tuple[float, ...], float, tuple[float, ...]]
 # the two Scene fields that vary between a run's array layouts: (mirror_arrays, metasurface_arrays)
 Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
@@ -164,63 +164,117 @@ class Ensemble:
                    tuple(ReflectorBank(scene.aps, *layout) for layout in layouts), means)
 
 
+_TRIAL_BLOCK = 16  # poses per compute_trials call of run_trials; see README, "Fixed cost of a run"
+_HELD_BOXES = 1024  # kept boxes a block holds before it slab-tests them; see README, [blockers]
+
+
+def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
+    """The gains of trials start..stop-1, one TrialRow each: (h_los at every
+    blocker density of the ensemble, h_nlos, h_irs of every bank of the ensemble).
+
+    Each trial draws its pose, then each bank reads it, then its direct gains
+    are computed; if some source reaches the detector, its blockers follow in
+    the same substream. Nothing else reads that stream, so replaying it from
+    the state after the pose gives each density exactly the blockers a run at
+    that density alone would draw. When no source is lit, no blocker can
+    change the direct gain and the draws are skipped. Every density's boxes
+    get one floor-plan cull right after the draws, and only the kept boxes
+    stay (_kept_boxes). The block then takes one diffuse capture over its
+    poses and one slab test over its kept boxes (_mark_cuts), or one per
+    _HELD_BOXES boxes, so a trial gets the same bits in any block.
+    """
+    scene, n = ens.scene, len(ens.means)
+    sources = np.array([ap.position for ap in scene.aps])
+    poses, h_irs, lit, kept, held = [], [], [], [], 0
+    # blocked[s, j, k]: a box of density k cuts trial s's sight line from source j
+    blocked = np.zeros((stop - start, len(sources), n), dtype=bool)
+    for slot, t in enumerate(range(start, stop)):
+        ue = sample_ue(rng := trial_rng(ens.seed, t), scene)
+        poses.append(ue)
+        # blockers model pedestrians crossing the direct link; the diffuse wall
+        # field and the steered cascade are treated as blockage-insensitive at
+        # trial level (per-path occlusion stays available in channel/irs)
+        h_irs.append(tuple(bank.gain(ue) for bank in ens.banks))
+        lit.append([(j, g) for j, ap in enumerate(scene.aps) if (g := los_gain(ap, ue)) != 0.0])
+        if lit[-1]:
+            kept.append((slot, *_kept_boxes(rng, ens, ue.position,
+                                            sources[[j for j, _ in lit[-1]]])))
+            held += len(kept[-1][2])
+        if held >= _HELD_BOXES:
+            _mark_cuts(blocked, kept, poses, sources, scene.blocker_model.dims)
+            held = 0
+    if held:
+        _mark_cuts(blocked, kept, poses, sources, scene.blocker_model.dims)
+    out = []
+    for ls, b, cut, h_nlos, irs in zip(lit, blocked.tolist(), blocked.any(axis=(1, 2)),
+                                       ens.powered.capture(poses), h_irs):
+        if cut:
+            h_los = tuple(math.fsum(g for j, g in ls if not b[j][k]) for k in range(n))
+        else:  # no box cuts a sight line, so one sum serves every density
+            h_los = (math.fsum(g for _, g in ls),) * n
+        out.append((h_los, h_nlos, irs))
+    return out
+
+
 def compute_trial(ens: Ensemble, trial_index: int) -> TrialRow:
-    """One receiver pose's gains: (h_los at every blocker density of the ensemble,
-    h_nlos, h_irs of every bank of the ensemble).
-
-    The pose comes first in the trial's substream and the blockers follow;
-    nothing else reads it. Replaying the stream from the state after the pose
-    therefore gives each density exactly the blockers a run at that density
-    alone would draw. Every density's boxes go into one box set, so one
-    floor-plan cull and one slab call, for every lit source's sight line and
-    the containment test at once, serve all densities. When no source
-    reaches the detector unblocked, no blocker can change the direct gain and
-    the draws are skipped.
-    """
-    scene = ens.scene
-    rng = trial_rng(ens.seed, trial_index)
-    ue = sample_ue(rng, scene)
-    h_nlos = ens.powered.capture(ue)
-    # blockers model pedestrians crossing the direct link; the diffuse wall
-    # field and the steered cascade are treated as blockage-insensitive at
-    # trial level (per-path occlusion stays available in channel/irs)
-    h_irs = tuple(bank.gain(ue) for bank in ens.banks)
-    lit = [(ap, g) for ap in scene.aps if (g := los_gain(ap, ue)) != 0.0]
-    if not lit:
-        return (0.0,) * len(ens.means), h_nlos, h_irs
-    boxes, offsets = sample_blocker_fields(rng, scene.room, scene.blocker_model.dims, ens.means)
-    cut_rows = [] if boxes is None else _cut_sight_lines(boxes, ue.position,
-                                                          [ap.position for ap, _ in lit])
-    if not cut_rows:  # no box cuts a sight line, so one sum serves every density
-        return (math.fsum(g for _, g in lit),) * len(ens.means), h_nlos, h_irs
-    # blocked[j]: the densities whose boxes cut lit source j's sight line
-    blocked = [{bisect_right(offsets, i) - 1 for i in rows.tolist()} for rows in cut_rows]
-    return tuple(math.fsum(g for (_, g), b in zip(lit, blocked) if k not in b)
-                 for k in range(len(ens.means))), h_nlos, h_irs
+    """One trial's gains: compute_trials over a block of one."""
+    return compute_trials(ens, trial_index, trial_index + 1)[0]
 
 
-def _cut_sight_lines(boxes: OrientedBoxes, end: np.ndarray,
-                     starts: list[np.ndarray]) -> list[np.ndarray]:
-    """Per start point, the rows of the boxes that cut its open sight line to end.
+def _kept_boxes(rng: Generator, ens: Ensemble, end: np.ndarray, starts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw every density's blockers (sample_blocker_fields) and keep only the boxes the
+    floor-plan cull keeps for some start's sight line to end: their (k, 3) centers,
+    yaws and density indices. The drawn set is freed on return."""
+    room, dims = ens.scene.room, ens.scene.blocker_model.dims
+    boxes, offsets = sample_blocker_fields(rng, room, dims, ens.means)
+    if boxes is None:
+        return np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
+    rows = _kept_rows(boxes, end, starts)
+    return boxes.center[rows], boxes.yaw[rows], np.searchsorted(offsets, rows, side="right") - 1
 
-    Boxes whose interior holds end are left out: hard-core thinning, as an
-    object cannot occupy the receiver's location, and a box enclosing the
-    receiver would zero every path regardless of steering. Only the boxes
-    that OrientedBoxes.may_cut keeps for some start get the slab test: one
-    call for every sight line plus the zero-length segment at end, which
-    gives the containment test from the same box-local frame of end. The
-    list is empty when no box cuts any sight line.
-    """
+
+def _kept_rows(boxes: OrientedBoxes, end: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rows of the boxes that OrientedBoxes.may_cut keeps for some start's sight line to end."""
     near = boxes.may_cut(starts[0], end)
     for p in starts[1:]:
         near |= boxes.may_cut(p, end)
-    near = near.nonzero()[0]
-    if not near.size:
-        return []
-    ends = np.array([end] * (len(starts) + 1))[:, None, :]
-    cuts = segments_intersect_box(np.array(starts + [end])[:, None, :], ends, boxes[near])
-    hits = cuts[:-1] & ~cuts[-1]
-    return [near[h] for h in hits] if hits.any() else []
+    return near.nonzero()[0]
+
+
+def _mark_cuts(blocked: np.ndarray, kept: list, poses: list, sources: np.ndarray,
+               dims: tuple[float, float, float]) -> None:
+    """Set blocked[s, j, k] where a kept box of density k cuts trial s's sight line
+    from source j, for the boxes held in kept as (trial slot, centers, yaws,
+    densities) entries, and empty kept."""
+    slot, centers, yaws, density = zip(*kept)
+    kept.clear()
+    slots = np.repeat(slot, [len(y) for y in yaws])
+    centers, yaws, density = (np.concatenate(a) for a in (centers, yaws, density))
+    half = tuple(d / 2.0 for d in dims)  # the half extents sample_blocker_fields gives
+    j, i = _cut_rows(OrientedBoxes._unchecked(centers, half, yaws), slots,
+                     np.array([ue.position for ue in poses]), sources).nonzero()
+    blocked[slots[i], j, density[i]] = True
+
+
+def _cut_rows(boxes: OrientedBoxes, slots: np.ndarray, ends: np.ndarray,
+              starts: np.ndarray) -> np.ndarray:
+    """(sources, boxes) mask: box i cuts the open sight line from starts[j] to its
+    own trial's receiver ends[slots[i]], and does not hold that receiver.
+
+    Boxes whose interior holds their receiver are left out: hard-core
+    thinning, as an object cannot occupy the receiver's location, and a box
+    enclosing the receiver would zero every path regardless of steering. One
+    slab call tests every box against every source's sight line plus the
+    zero-length segment at its receiver, which gives the containment test
+    from the same box-local frame. Each box meets the elementwise operations
+    of a per-trial call, so its verdicts do not depend on the block.
+    """
+    end = ends[slots]
+    starts = np.concatenate((np.broadcast_to(starts[:, None, :], (len(starts), *end.shape)),
+                             end[None]))
+    cuts = segments_intersect_box(starts, np.broadcast_to(end, starts.shape), boxes)
+    return cuts[:-1] & ~cuts[-1]
 
 
 # -- worker-pool plumbing ----------------------------------------------------
@@ -232,9 +286,14 @@ def _init_worker(ens: Ensemble) -> None:
     _WORKER_STATE["ensemble"] = ens
 
 
+def _blocks(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
+    """Trials start..stop-1, computed _TRIAL_BLOCK at a time (compute_trials)."""
+    return [row for a in range(start, stop, _TRIAL_BLOCK)
+            for row in compute_trials(ens, a, min(a + _TRIAL_BLOCK, stop))]
+
+
 def _run_chunk(bounds: tuple[int, int]) -> list[TrialRow]:
-    ens = _WORKER_STATE["ensemble"]
-    return [compute_trial(ens, t) for t in range(*bounds)]
+    return _blocks(_WORKER_STATE["ensemble"], *bounds)
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
@@ -250,8 +309,9 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     TrialGains shares one h_nlos array, each density one h_los row and each
     layout one h_irs row, which is why every array is read-only.
 
-    Trials are keyed by index, computed in contiguous chunks and reassembled
-    in index order, so parallel scheduling cannot change the result. The
+    Trials are keyed by index, computed in contiguous chunks of blocks
+    (compute_trials) and reassembled in index order, so neither the blocks
+    nor parallel scheduling can change the result. The
     diffuse wall field and the reflector banks are precomputed once and
     shipped to workers, which both removes per-trial cost and keeps them
     bit-identical everywhere.
@@ -264,7 +324,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     unique = tuple(dict.fromkeys(wanted))
     ens = Ensemble.build(scene, seed, unique, layouts)
     if threads <= 1 or trials == 1:
-        rows = [compute_trial(ens, t) for t in range(trials)]
+        rows = _blocks(ens, 0, trials)
     else:
         chunk = max(1, math.ceil(trials / (threads * 8)))
         bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]

@@ -14,7 +14,7 @@ from irsvlc.cli import main
 # wraps one of these attributes sees every call the run makes
 LOOKED_UP = [
     ("irsvlc.cli", ("build_scene", "run_trials", "ser_curve", "required_snr", "load_config")),
-    ("irsvlc.simulator", ("wall_patches", "patch_incident_power", "compute_trial", "trial_rng",
+    ("irsvlc.simulator", ("wall_patches", "patch_incident_power", "compute_trials", "trial_rng",
                           "sample_ue", "los_gain")),
 ]
 

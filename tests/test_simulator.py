@@ -1,6 +1,7 @@
 """Trial ensemble, SER estimation and required-SNR readout."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -15,8 +16,9 @@ from irsvlc import channel, config, geometry, irs, oracles, scene as scene_modul
 from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
 from irsvlc.irs import _ANTIPODAL_TOL, _dot
-from irsvlc.scene import BLOCKER_DIMS, sample_blocker_field, sample_ue
-from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial
+from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_blocker_field, sample_ue
+from irsvlc.simulator import (MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial,
+                              compute_trials)
 
 from conftest import make_scene
 
@@ -135,7 +137,7 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
         raise AssertionError("the run started")
 
     # no densities or no layouts fail before the diffuse precompute
-    for name in ("compute_trial", "wall_patches", "patch_incident_power", "blocker_means"):
+    for name in ("compute_trials", "wall_patches", "patch_incident_power", "blocker_means"):
         monkeypatch.setattr(simulator, name, no_work)
     for kwargs in ({"densities": ()}, {"layouts": ()}):
         with pytest.raises(ValueError, match="at least one"):
@@ -160,7 +162,7 @@ def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(simulator, "compute_trial", no_trials)
+    monkeypatch.setattr(simulator, "compute_trials", no_trials)
     with pytest.raises(ValueError, match="one field may hold"):
         run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
     with pytest.raises(ValueError, match="one field may hold"):
@@ -306,22 +308,99 @@ def _grazing_corpus(r, cases=300):
         yield p, q, boxes
 
 
+def _two_source_scene():
+    down = vec3(0.0, 0.0, -1.0)
+    return replace(make_scene(irs_type="none"),
+                   aps=tuple(Luminaire(vec3(x, 2.5, 3.0), down) for x in (1.25, 3.75)))
+
+
+def _hex_gains(runs):
+    """Every gain of a run_trials result as float.hex strings, layout by layout."""
+    return [[x.hex() for g in out.values() for a in (g.h_los, g.h_nlos, g.h_irs)
+             for x in a.tolist()] for out in runs]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_blocks_leave_every_bit(monkeypatch, threads):
+    # ragged blocks of 1, 3 and the default size, with the held boxes tested at
+    # once or every few boxes, give every gain of trial-at-a-time blocks, bit for
+    # bit: two sources, both lit in some trials, a sparse and a crowded density
+    # with receivers inside boxes, two layouts; serially and in the pool
+    scene, trials, seed, densities = _two_source_scene(), 37, 8, (0.5, 4.0)
+    layouts = layouts_of([make_scene(irs_type="mirror", n_per_side=3),
+                          make_scene(irs_type="metasurface", n_per_side=2)])
+    poses = [sample_ue(trial_rng(seed, t), scene) for t in range(trials)]
+    lit = [sum(los_gain(ap, ue) > 0.0 for ap in scene.aps) for ue in poses]
+    assert 2 in lit
+    assert any(n and _replayed_direct_gain(scene, seed, t, 4.0)[1] for t, n in enumerate(lit))
+
+    def run(block, held, threads):
+        monkeypatch.setattr(simulator, "_TRIAL_BLOCK", block)
+        monkeypatch.setattr(simulator, "_HELD_BOXES", held)
+        return _hex_gains(run_trials(scene, trials, seed, threads=threads, densities=densities,
+                                     layouts=layouts))
+
+    default, held = simulator._TRIAL_BLOCK, simulator._HELD_BOXES
+    want = run(1, held, 1)
+    assert len(want) == 2 and want[0] != want[1]
+    for block, bound in ((1, held), (3, 5), (default, held), (default, 1)):
+        assert run(block, bound, threads) == want, (block, bound)
+
+
+def test_a_block_at_the_blocker_bound_holds_only_kept_boxes():
+    # a block of lit trials at MAX_MEAN_BLOCKERS peaks like one trial, at most 100
+    # bytes per blocker of the mean (README, [blockers]): it keeps each trial's
+    # culled boxes only, and slab-tests them once _HELD_BOXES are held
+    scene = make_scene(irs_type="none")
+    ens = Ensemble.build(scene, 2, (MAX_MEAN_BLOCKERS / (scene.room.length * scene.room.width),))
+    block = simulator._TRIAL_BLOCK
+    lit = sum(los_gain(scene.aps[0], sample_ue(trial_rng(2, t), scene)) > 0.0
+              for t in range(block))
+    assert lit >= block // 2
+    compute_trials(ens, 0, block)  # the capture's work arrays are made on first use
+    tracemalloc.start()
+    try:
+        rows = compute_trials(ens, 0, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == block
+    assert peak <= 100 * MAX_MEAN_BLOCKERS
+
+
 def test_cull_keeps_every_verdict_of_the_slab_test():
-    # on the grazing corpus the culled pass gives, box for box, the verdicts
-    # of the slab test and the containment test over every drawn box
+    # on the grazing corpus, eight sight lines to a block, the culled block pass
+    # gives, box for box, the verdicts of its own line's slab test and
+    # containment test over every drawn box
     r = np.random.default_rng(1_111)
+    cases = list(_grazing_corpus(r))
     hits = culled = enclosed = 0
-    for p, q, boxes in _grazing_corpus(r):
-        slab = segments_intersect_box(p[None, :], q[None, :], boxes)
-        inside = boxes.contains_interior(q)
-        near = boxes.may_cut(p, q)
-        assert not ((slab | inside) & ~near).any()
-        want = np.flatnonzero(slab & ~inside)
-        got = simulator._cut_sight_lines(boxes, q, [p])
-        assert [g.tolist() for g in got] == ([want.tolist()] if want.size else [])
-        hits += want.size
-        culled += int((~near).sum())
-        enclosed += int(inside.sum())
+    for b0 in range(0, len(cases), 8):
+        block = cases[b0:b0 + 8]
+        starts = np.array([p for p, _, _ in block])
+        ends = np.array([q for _, q, _ in block])
+        wants, kept, slots = [], [], []
+        for s, (p, q, boxes) in enumerate(block):
+            slab = segments_intersect_box(p[None, :], q[None, :], boxes)
+            inside = boxes.contains_interior(q)
+            rows = simulator._kept_rows(boxes, q, [p])
+            near = np.zeros(len(boxes), dtype=bool)
+            near[rows] = True
+            assert not ((slab | inside) & ~near).any()
+            wants.append((slab & ~inside)[rows])
+            kept.append(boxes[rows])
+            slots += [s] * rows.size
+            hits += int((slab & ~inside).sum())
+            culled += len(boxes) - rows.size
+            enclosed += int(inside.sum())
+        slots = np.array(slots)
+        boxes = OrientedBoxes(np.concatenate([k.center for k in kept]), kept[0].half_extents,
+                              np.concatenate([k.yaw for k in kept]))
+        cuts = simulator._cut_rows(boxes, slots, ends, starts)
+        # each box's verdict on its own line's source; the other sources' lines
+        # end at the same receiver but are not that trial's
+        got = cuts[slots, np.arange(len(slots))]
+        assert got.tolist() == np.concatenate(wants).tolist()
     assert hits > 0 and culled > 0 and enclosed > 0
 
 
@@ -355,7 +434,8 @@ def _cascade_sum(scene, bank, ue):
     ok = cos_psi >= math.cos(ue.fov)
     k = bank.n_mirror
     if k and not bank._antipodes_impossible(ue.position, float(d2.max())):
-        dot = bank.ux[:k] * vx[:k] + bank.uy[:k] * vy[:k] + bank.uz[:k] * vz[:k]
+        ux, uy, uz = bank.legs[:, :k]
+        dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
         ok[:k] &= dot / (bank.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
     pairs = [(ap, arr) for ap in scene.aps for arr in scene.metasurface_arrays]
     if pairs:
