@@ -10,6 +10,7 @@ normalize               -- unit vector, rejects near-zero input
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
 OrientedBoxes           -- the one box type: n equal upright boxes stored as
                            arrays, row slices, a conservative floor-plan cull
+cull_disk               -- that cull's floor-plan disk for one segment
 segments_intersect_box  -- open-segment vs. oriented-box interior test, over
                            many segments or many boxes
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
 
-# widens the floor-plan cull (OrientedBoxes.may_cut), per unit of coordinate scale;
+# widens the floor-plan cull (cull_disk), per unit of coordinate scale;
 # far above the rounding error of the slab test and of the cull itself
 _CULL_MARGIN = 1e-9
 
@@ -117,30 +118,44 @@ class OrientedBoxes:
         return (np.abs(_box_frame(self, p)) < np.reshape(self.half_extents, (3, 1))).all(axis=0)
 
     def may_cut(self, p: Vec3, q: Vec3) -> np.ndarray:
-        """(n,) mask, False only for boxes that cannot cut the open segment p->q.
-
-        A box's interior lies below its top and, seen from above, within its
-        half-diagonal of its center. So a box can cut the segment only if its
-        center lies within that radius of the floor trace of the part of the
-        segment below the box top; the highest top of the set serves every
-        box. The test keeps every center within half the trace length plus
-        the radius of the trace midpoint, a superset of that capsule, with the
-        top and the radius widened by _CULL_MARGIN per unit of coordinate scale.
-        """
-        (px, py, pz), (qx, qy, qz) = p.tolist(), q.tolist()
-        hx, hy, hz = self.half_extents
-        margin = _CULL_MARGIN * max(1.0, *map(abs, (px, py, pz, qx, qy, qz)))
-        top = float(self.center[:, 2].max()) + hz + margin
-        if pz >= top and qz >= top:
+        """(n,) mask, False only for boxes that cannot cut the open segment p->q:
+        those whose center lies outside the segment's cull_disk, for the
+        highest center of the set."""
+        disk = cull_disk(p, q, self.half_extents, float(self.center[:, 2].max()))
+        if disk is None:
             return np.zeros(len(self), dtype=bool)
-        # the part below the top runs over t in [t0, t1] of p + t (q - p)
-        t0 = (top - pz) / (qz - pz) if pz > top else 0.0
-        t1 = (top - pz) / (qz - pz) if qz > top else 1.0
-        ax, ay = px + t0 * (qx - px), py + t0 * (qy - py)
-        bx, by = px + t1 * (qx - px), py + t1 * (qy - py)
-        reach = math.hypot(bx - ax, by - ay) / 2.0 + math.hypot(hx, hy) + margin
-        return np.hypot(self.center[:, 0] - (ax + bx) / 2.0,
-                        self.center[:, 1] - (ay + by) / 2.0) <= reach
+        x, y, reach = disk
+        return np.hypot(self.center[:, 0] - x, self.center[:, 1] - y) <= reach
+
+
+def cull_disk(p: Vec3, q: Vec3, half_extents: tuple[float, float, float],
+              center_z: float) -> tuple[float, float, float] | None:
+    """(x, y, reach): an upright box of these half extents whose center lies at
+    most center_z high can cut the open segment p->q only if, seen from above,
+    its center lies within reach of (x, y); None when no such box can, as both
+    ends lie above the box top.
+
+    A box's interior lies below its top and, seen from above, within its
+    half-diagonal of its center. So a box can cut the segment only if its
+    center lies within that radius of the floor trace of the part of the
+    segment below the box top. The disk holds every point within half the
+    trace length plus the radius of the trace midpoint, a superset of that
+    capsule, with the top and the radius widened by _CULL_MARGIN per unit of
+    coordinate scale.
+    """
+    (px, py, pz), (qx, qy, qz) = p.tolist(), q.tolist()
+    hx, hy, hz = half_extents
+    margin = _CULL_MARGIN * max(1.0, *map(abs, (px, py, pz, qx, qy, qz)))
+    top = center_z + hz + margin
+    if pz >= top and qz >= top:
+        return None
+    # the part below the top runs over t in [t0, t1] of p + t (q - p)
+    t0 = (top - pz) / (qz - pz) if pz > top else 0.0
+    t1 = (top - pz) / (qz - pz) if qz > top else 1.0
+    ax, ay = px + t0 * (qx - px), py + t0 * (qy - py)
+    bx, by = px + t1 * (qx - px), py + t1 * (qy - py)
+    reach = math.hypot(bx - ax, by - ay) / 2.0 + math.hypot(hx, hy) + margin
+    return (ax + bx) / 2.0, (ay + by) / 2.0, reach
 
 
 def _box_frame(box: OrientedBoxes, points: np.ndarray) -> np.ndarray:

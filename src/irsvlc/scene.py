@@ -282,31 +282,53 @@ def sample_blocker_fields(rng: np.random.Generator, room: Room,
     """Fields of several blocker_means, each drawn from the stream's current state, as one box set.
 
     Each field gets exactly the boxes sample_blocker_field would draw from
-    that state: the stream is reset to it before every field that draws
-    after the first one that does (a mean-0 field reads nothing from it).
-    A field's draw order is fixed (count, x, y, yaw): one random(3 * count)
-    call reads, in order, the doubles that uniform(0, L, count) for x, y and
-    yaw would. Field k's boxes are rows offsets[k]:offsets[k + 1]; the box
-    set is None when no field draws a blocker. One multiply by (L, W, pi)
-    scales all draws. The boxes skip OrientedBoxes' checks: yaws pi * r < pi,
-    dims a checked BlockerModel's, centers built here.
+    that state (blocker_draws). Field k's boxes are rows offsets[k]:offsets[k + 1];
+    the box set is None when no field draws a blocker.
     """
-    start = rng.bit_generator.state if sum(m != 0.0 for m in means) > 1 else None
-    draws: list[np.ndarray] = []
-    offsets = [0]
-    for mean in means:
-        count = 0
-        if mean != 0.0:
-            if draws:
-                rng.bit_generator.state = start
-            count = int(rng.poisson(mean))
-            draws.append(rng.random(3 * count).reshape(3, count))
-        offsets.append(offsets[-1] + count)
+    draws = blocker_draws(rng, means)
+    offsets = np.cumsum([0] + [unit.shape[1] for unit in draws]).tolist()
     if offsets[-1] == 0:
         return None, offsets
+    return blocker_boxes(*floor_draws(draws, room), dims), offsets
+
+
+def blocker_draws(rng: np.random.Generator, means: Sequence[float]) -> list[np.ndarray]:
+    """The unit draws of one blocker field per mean, from the stream's current state:
+    a (3, count) array of doubles in [0, 1) per field, for its boxes' x, y and yaw.
+
+    The stream is reset to that state before every field that draws after
+    the first one that does (a mean-0 field reads nothing from it and gets no
+    boxes). A field's draw order is fixed (count, x, y, yaw): one
+    random(3 * count) call reads, in order, the doubles that uniform(0, L,
+    count) for x, y and yaw would.
+    """
+    drawing = [k for k, mean in enumerate(means) if mean != 0.0]
+    start = rng.bit_generator.state if len(drawing) > 1 else None
+    draws = [np.zeros((3, 0))] * len(means)
+    for k in drawing:
+        if k != drawing[0]:
+            rng.bit_generator.state = start
+        draws[k] = rng.random(3 * int(rng.poisson(means[k]))).reshape(3, -1)
+    return draws
+
+
+def floor_draws(draws: Sequence[np.ndarray], room: Room) -> np.ndarray:
+    """The (3, n) x, y and yaw of the boxes of blocker_draws' arrays, in order: one
+    multiply by (L, W, pi), in place on their concatenation (on the array itself
+    when there is one)."""
     unit = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
-    xs, ys, yaws = unit * ((room.length,), (room.width,), (math.pi,))
+    unit *= ((room.length,), (room.width,), (math.pi,))
+    return unit
+
+
+def blocker_boxes(xs: np.ndarray, ys: np.ndarray, yaws: np.ndarray,
+                  dims: tuple[float, float, float]) -> OrientedBoxes:
+    """Boxes of a blocker size standing on the floor at (xs, ys) with yaws.
+
+    They skip OrientedBoxes' checks: yaws pi * r < pi for a double r < 1,
+    dims a checked BlockerModel's, centers built here.
+    """
     dx, dy, dz = dims
-    centers = np.empty((offsets[-1], 3))
+    centers = np.empty((len(xs), 3))
     centers[:, 0], centers[:, 1], centers[:, 2] = xs, ys, dz / 2.0
-    return OrientedBoxes._unchecked(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws), offsets
+    return OrientedBoxes._unchecked(centers, (dx / 2.0, dy / 2.0, dz / 2.0), yaws)

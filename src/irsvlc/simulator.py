@@ -28,14 +28,17 @@ import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .channel import PoweredPatches, los_gain, patch_incident_power, wall_patches
-from .geometry import OrientedBoxes, segments_intersect_box
+from .geometry import OrientedBoxes, cull_disk, segments_intersect_box
 from .irs import ReflectorArray, ReflectorBank
-from .scene import Scene, blocker_means, sample_blocker_fields, sample_ue
+from .scene import Scene, blocker_boxes, blocker_draws, blocker_means, floor_draws, sample_ue
 
 SER_TARGET = 3.8e-3  # pre-FEC threshold used for required-SNR readouts
 DEFAULT_SNR_GRID_DB = (0.0, 40.0, 1.0)
 MAX_SNR_POINTS = 1000  # ser_curve's (points, trials) Q block is 80 MB at 10^4 trials
 MAX_SNR_DB = 1000.0  # ser_curve's 10^(dB/10) is 1e100 here; it overflows above about 3082 dB
+# ser_curve evaluates Q over blocks of grid rows of at most this many elements (one row
+# at least), so _erfc's temporaries stay small and their memory is reused
+_Q_BLOCK = 1 << 15
 
 
 class Scenario(Enum):
@@ -165,7 +168,7 @@ class Ensemble:
 
 
 _TRIAL_BLOCK = 16  # poses per compute_trials call of run_trials; see README, "Fixed cost of a run"
-_HELD_BOXES = 1024  # kept boxes a block holds before it slab-tests them; see README, [blockers]
+_HELD_BOXES = 4096  # drawn boxes a block holds before it culls them; see README, [blockers]
 
 
 def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
@@ -174,18 +177,18 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
 
     Each trial draws its pose, then each bank reads it, then its direct gains
     are computed; if some source reaches the detector, its blockers follow in
-    the same substream. Nothing else reads that stream, so replaying it from
-    the state after the pose gives each density exactly the blockers a run at
-    that density alone would draw. When no source is lit, no blocker can
-    change the direct gain and the draws are skipped. Every density's boxes
-    get one floor-plan cull right after the draws, and only the kept boxes
-    stay (_kept_boxes). The block then takes one diffuse capture over its
-    poses and one slab test over its kept boxes (_mark_cuts), or one per
-    _HELD_BOXES boxes, so a trial gets the same bits in any block.
+    the same substream (blocker_draws). Nothing else reads that stream, so
+    replaying it from the state after the pose gives each density exactly the
+    blockers a run at that density alone would draw. When no source is lit,
+    no blocker can change the direct gain and the draws are skipped. A trial
+    only draws; the block holds the unit draws and culls and slab-tests them
+    together (_mark_cuts) at its end, or as soon as _HELD_BOXES are held. It
+    also takes one diffuse capture over its poses, so a trial gets the same
+    bits in any block.
     """
     scene, n = ens.scene, len(ens.means)
     sources = np.array([ap.position for ap in scene.aps])
-    poses, h_irs, lit, kept, held = [], [], [], [], 0
+    poses, h_irs, lit, held, count = [], [], [], [], 0
     # blocked[s, j, k]: a box of density k cuts trial s's sight line from source j
     blocked = np.zeros((stop - start, len(sources), n), dtype=bool)
     for slot, t in enumerate(range(start, stop)):
@@ -197,14 +200,15 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
         h_irs.append(tuple(bank.gain(ue) for bank in ens.banks))
         lit.append([(j, g) for j, ap in enumerate(scene.aps) if (g := los_gain(ap, ue)) != 0.0])
         if lit[-1]:
-            kept.append((slot, *_kept_boxes(rng, ens, ue.position,
-                                            sources[[j for j, _ in lit[-1]]])))
-            held += len(kept[-1][2])
-        if held >= _HELD_BOXES:
-            _mark_cuts(blocked, kept, poses, sources, scene.blocker_model.dims)
-            held = 0
+            for k, unit in enumerate(blocker_draws(rng, ens.means)):
+                if unit.size:
+                    held.append((slot, k, unit))
+                    count += unit.shape[1]
+        if count >= _HELD_BOXES:
+            _mark_cuts(blocked, held, poses, lit, sources, scene)
+            count = 0
     if held:
-        _mark_cuts(blocked, kept, poses, sources, scene.blocker_model.dims)
+        _mark_cuts(blocked, held, poses, lit, sources, scene)
     out = []
     for ls, b, cut, h_nlos, irs in zip(lit, blocked.tolist(), blocked.any(axis=(1, 2)),
                                        ens.powered.capture(poses), h_irs):
@@ -221,40 +225,61 @@ def compute_trial(ens: Ensemble, trial_index: int) -> TrialRow:
     return compute_trials(ens, trial_index, trial_index + 1)[0]
 
 
-def _kept_boxes(rng: Generator, ens: Ensemble, end: np.ndarray, starts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw every density's blockers (sample_blocker_fields) and keep only the boxes the
-    floor-plan cull keeps for some start's sight line to end: their (k, 3) centers,
-    yaws and density indices. The drawn set is freed on return."""
-    room, dims = ens.scene.room, ens.scene.blocker_model.dims
-    boxes, offsets = sample_blocker_fields(rng, room, dims, ens.means)
-    if boxes is None:
-        return np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
-    rows = _kept_rows(boxes, end, starts)
-    return boxes.center[rows], boxes.yaw[rows], np.searchsorted(offsets, rows, side="right") - 1
+def _mark_cuts(blocked: np.ndarray, held: list, poses: list, lit: list, sources: np.ndarray,
+               scene: Scene) -> None:
+    """Set blocked[s, j, k] where a box of density k cuts trial s's sight line
+    from source j, for the unit draws held as (trial slot, density, draws)
+    entries, and empty held.
+
+    One multiply scales every draw (floor_draws); the floor-plan cull
+    (_near_rows) keeps the boxes that may cut a lit sight line of their own
+    trial, and only those become boxes and get the slab test (_cut_rows).
+    """
+    slot, density, draws = zip(*held)
+    held.clear()
+    counts = [unit.shape[1] for unit in draws]
+    xs, ys, yaws = floor_draws(draws, scene.room)
+    del draws  # frees the trials' arrays once joined, so a flush holds each draw once
+    slots = np.repeat(slot, counts)
+    dims = scene.blocker_model.dims
+    ends = np.array([ue.position for ue in poses])
+    rows = _near_rows(xs, ys, slots, ends, {s: lit[s] for s in slot}, sources,
+                      tuple(d / 2.0 for d in dims))
+    if rows.size:
+        slots = slots[rows]
+        j, i = _cut_rows(blocker_boxes(xs[rows], ys[rows], yaws[rows], dims), slots, ends,
+                         sources).nonzero()
+        blocked[slots[i], j, np.repeat(density, counts)[rows[i]]] = True
 
 
-def _kept_rows(boxes: OrientedBoxes, end: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Rows of the boxes that OrientedBoxes.may_cut keeps for some start's sight line to end."""
-    near = boxes.may_cut(starts[0], end)
-    for p in starts[1:]:
-        near |= boxes.may_cut(p, end)
-    return near.nonzero()[0]
+def _near_rows(xs: np.ndarray, ys: np.ndarray, slots: np.ndarray, ends: np.ndarray,
+               lit: dict, sources: np.ndarray, half: tuple[float, float, float]) -> np.ndarray:
+    """Rows i of the boxes standing at (xs[i], ys[i]) with these half extents that
+    OrientedBoxes.may_cut keeps for some lit source's sight line to their own
+    trial's receiver ends[slots[i]]; lit maps each trial slot to its lit
+    sources as (index, gain) pairs.
 
-
-def _mark_cuts(blocked: np.ndarray, kept: list, poses: list, sources: np.ndarray,
-               dims: tuple[float, float, float]) -> None:
-    """Set blocked[s, j, k] where a kept box of density k cuts trial s's sight line
-    from source j, for the boxes held in kept as (trial slot, centers, yaws,
-    densities) entries, and empty kept."""
-    slot, centers, yaws, density = zip(*kept)
-    kept.clear()
-    slots = np.repeat(slot, [len(y) for y in yaws])
-    centers, yaws, density = (np.concatenate(a) for a in (centers, yaws, density))
-    half = tuple(d / 2.0 for d in dims)  # the half extents sample_blocker_fields gives
-    j, i = _cut_rows(OrientedBoxes._unchecked(centers, half, yaws), slots,
-                     np.array([ue.position for ue in poses]), sources).nonzero()
-    blocked[slots[i], j, density[i]] = True
+    One cull_disk per trial and lit source, then one distance test per
+    source over at most _HELD_BOXES boxes at a time, so the work arrays do
+    not grow with the boxes; each box meets the elementwise operations of
+    may_cut, against its own trial's disks.
+    """
+    # disks[:, j, s]: x, y and reach of the disk of source j's sight line in trial s;
+    # a reach of -inf keeps nothing (an unlit source, or a line above every box)
+    disks = np.zeros((3, len(sources), len(ends)))
+    disks[2] = -math.inf
+    for s, ls in lit.items():
+        for j, _ in ls:
+            if (disk := cull_disk(sources[j], ends[s], half, half[2])) is not None:
+                disks[:, j, s] = disk
+    rows = []
+    for a in range(0, len(xs), _HELD_BOXES):
+        x, y, s = (v[a:a + _HELD_BOXES] for v in (xs, ys, slots))
+        near = np.zeros(len(s), dtype=bool)
+        for mx, my, reach in np.take(disks, s, axis=2).transpose(1, 0, 2):
+            near |= np.hypot(x - mx, y - my) <= reach
+        rows.append(near.nonzero()[0] + a)
+    return np.concatenate(rows)
 
 
 def _cut_rows(boxes: OrientedBoxes, slots: np.ndarray, ends: np.ndarray,
@@ -440,7 +465,11 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
         ser = np.full(len(snr_db), 0.5)
         return SerCurve(scenario, snr_db, ser, np.zeros(len(snr_db)), norm)
     snr_lin = 10.0 ** (snr_db / 10.0)
-    q = q_function(np.sqrt(np.outer(snr_lin, h_sq / norm)))
+    x = h_sq / norm
+    q = np.empty((len(snr_db), n))
+    rows = max(1, _Q_BLOCK // n)
+    for a in range(0, len(snr_db), rows):  # Q is elementwise, so the blocks keep its bits
+        q[a:a + rows] = q_function(np.sqrt(np.outer(snr_lin[a:a + rows], x)))
     ser = q.mean(axis=1)
     if n > 1:
         stderr = q.std(axis=1, ddof=1) / math.sqrt(n)

@@ -322,9 +322,9 @@ def _hex_gains(runs):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_blocks_leave_every_bit(monkeypatch, threads):
-    # ragged blocks of 1, 3 and the default size, with the held boxes tested at
-    # once or every few boxes, give every gain of trial-at-a-time blocks, bit for
-    # bit: two sources, both lit in some trials, a sparse and a crowded density
+    # ragged blocks of 1, 3 and the default size, with the drawn boxes culled at
+    # once, every few boxes or at the default bound, give every gain of
+    # trial-at-a-time blocks, bit for bit: two sources, both lit in some trials, a sparse and a crowded density
     # with receivers inside boxes, two layouts; serially and in the pool
     scene, trials, seed, densities = _two_source_scene(), 37, 8, (0.5, 4.0)
     layouts = layouts_of([make_scene(irs_type="mirror", n_per_side=3),
@@ -347,10 +347,11 @@ def test_trial_blocks_leave_every_bit(monkeypatch, threads):
         assert run(block, bound, threads) == want, (block, bound)
 
 
-def test_a_block_at_the_blocker_bound_holds_only_kept_boxes():
+def test_a_block_at_the_blocker_bound_peaks_like_one_trial():
     # a block of lit trials at MAX_MEAN_BLOCKERS peaks like one trial, at most 100
-    # bytes per blocker of the mean (README, [blockers]): it keeps each trial's
-    # culled boxes only, and slab-tests them once _HELD_BOXES are held
+    # bytes per blocker of the mean (README, [blockers]): it culls and slab-tests
+    # its drawn boxes once _HELD_BOXES are held, so it never holds more than one
+    # trial's draws and fewer than _HELD_BOXES others
     scene = make_scene(irs_type="none")
     ens = Ensemble.build(scene, 2, (MAX_MEAN_BLOCKERS / (scene.room.length * scene.room.width),))
     block = simulator._TRIAL_BLOCK
@@ -368,40 +369,81 @@ def test_a_block_at_the_blocker_bound_holds_only_kept_boxes():
     assert peak <= 100 * MAX_MEAN_BLOCKERS
 
 
+def _cull_cases(r):
+    """(sources, lit source indices, receiver, boxes) trials for the block cull.
+
+    The grazing corpus, one lit source per line; two-source trials whose unlit
+    source's floor trace is lined with boxes; and lines whose ends both lie
+    above the box top, over boxes right under them.
+    """
+    hx, hy, hz = (d / 2.0 for d in BLOCKER_DIMS)
+    for k, (p, q, boxes) in enumerate(_grazing_corpus(r)):
+        yield [p], [0], q, boxes
+        if k % 10:
+            continue
+        # a second source below the box top, unlit: the boxes on its floor trace
+        # may be kept only for p's line
+        off = r.uniform(0.0, 5.0, 3) * (1.0, 1.0, 2.0 * hz / 5.0)
+        trace = [q[:2] + t * (off - q)[:2] for t in np.linspace(0.0, 1.0, 10)]
+        xy = np.concatenate((boxes.center[:, :2], trace))
+        yaws = np.concatenate((boxes.yaw, r.uniform(0.0, math.pi, len(trace))))
+        both = OrientedBoxes(np.column_stack((xy, np.full(len(xy), hz))), (hx, hy, hz), yaws)
+        yield [off, p], [1], q, both
+        # both ends above the top: the same boxes, one of them right under the
+        # raised receiver
+        high = np.array([*q[:2], 2.0 * hz + 1e-6])
+        yield [np.array([*p[:2], 3.0])], [0], high, both
+
+
 def test_cull_keeps_every_verdict_of_the_slab_test():
-    # on the grazing corpus, eight sight lines to a block, the culled block pass
-    # gives, box for box, the verdicts of its own line's slab test and
-    # containment test over every drawn box
-    r = np.random.default_rng(1_111)
-    cases = list(_grazing_corpus(r))
-    hits = culled = enclosed = 0
+    # the block cull, eight trials to a block, keeps in each trial exactly the
+    # boxes OrientedBoxes.may_cut keeps for the trial's lit sight lines; no slab
+    # hit and no receiver-holding box falls outside them, and the block's slab
+    # test gives each kept box its own lines' verdicts
+    cases = list(_cull_cases(np.random.default_rng(1_111)))
+    half = tuple(d / 2.0 for d in BLOCKER_DIMS)
+    hits = culled = enclosed = unlit = above = 0
     for b0 in range(0, len(cases), 8):
         block = cases[b0:b0 + 8]
-        starts = np.array([p for p, _, _ in block])
-        ends = np.array([q for _, q, _ in block])
-        wants, kept, slots = [], [], []
-        for s, (p, q, boxes) in enumerate(block):
-            slab = segments_intersect_box(p[None, :], q[None, :], boxes)
-            inside = boxes.contains_interior(q)
-            rows = simulator._kept_rows(boxes, q, [p])
-            near = np.zeros(len(boxes), dtype=bool)
-            near[rows] = True
-            assert not ((slab | inside) & ~near).any()
-            wants.append((slab & ~inside)[rows])
-            kept.append(boxes[rows])
-            slots += [s] * rows.size
-            hits += int((slab & ~inside).sum())
-            culled += len(boxes) - rows.size
+        sources, lit, ends, boxes, slots = [], {}, [], [], []
+        for s, (ps, on, q, field) in enumerate(block):
+            lit[s] = [(len(sources) + j, None) for j in on]
+            sources += ps
+            ends.append(q)
+            boxes.append(field)
+            slots += [s] * len(field)
+        sources, ends, slots = np.array(sources), np.array(ends), np.array(slots)
+        xy = np.concatenate([field.center[:, :2] for field in boxes])
+        rows = simulator._near_rows(xy[:, 0].copy(), xy[:, 1].copy(), slots, ends, lit,
+                                    sources, half)
+        kept = np.zeros(len(slots), dtype=bool)
+        kept[rows] = True
+        yaws = np.concatenate([field.yaw for field in boxes])
+        centers = np.column_stack((xy, np.full(len(xy), half[2])))
+        cuts = simulator._cut_rows(OrientedBoxes(centers[rows], half, yaws[rows]),
+                                   slots[rows], ends, sources)
+        for s, (ps, on, q, field) in enumerate(block):
+            mine = kept[slots == s]
+            near = np.zeros(len(field), dtype=bool)
+            inside = field.contains_interior(q)
+            verdicts = []
+            for j in on:
+                near |= field.may_cut(ps[j], q)
+                slab = segments_intersect_box(ps[j][None, :], q[None, :], field)
+                assert not ((slab | inside) & ~mine).any()
+                verdicts.append((slab & ~inside)[mine])
+                hits += int((slab & ~inside).sum())
+            assert mine.tolist() == near.tolist(), s
+            # each kept box's verdict on its own lit lines; the block's other
+            # sources' lines end at the same receiver but are not that trial's
+            got = cuts[:, (slots[rows] == s).nonzero()[0]]
+            for (j, _), want in zip(lit[s], verdicts):
+                assert got[j].tolist() == want.tolist(), s
+            culled += len(field) - int(mine.sum())
             enclosed += int(inside.sum())
-        slots = np.array(slots)
-        boxes = OrientedBoxes(np.concatenate([k.center for k in kept]), kept[0].half_extents,
-                              np.concatenate([k.yaw for k in kept]))
-        cuts = simulator._cut_rows(boxes, slots, ends, starts)
-        # each box's verdict on its own line's source; the other sources' lines
-        # end at the same receiver but are not that trial's
-        got = cuts[slots, np.arange(len(slots))]
-        assert got.tolist() == np.concatenate(wants).tolist()
-    assert hits > 0 and culled > 0 and enclosed > 0
+            unlit += len(ps) > len(on) and (field.may_cut(ps[0], q) & ~mine).any()
+            above += q[2] > 2.0 * half[2] and not mine.any()
+    assert hits > 0 and culled > 0 and enclosed > 0 and unlit > 0 and above > 0
 
 
 def _patch_to_ue(ps, ue, power):
