@@ -324,8 +324,9 @@ def _hex_gains(runs):
 def test_trial_blocks_leave_every_bit(monkeypatch, threads):
     # ragged blocks of 1, 3 and the default size, with the drawn boxes culled at
     # once, every few boxes or at the default bound, give every gain of
-    # trial-at-a-time blocks, bit for bit: two sources, both lit in some trials, a sparse and a crowded density
-    # with receivers inside boxes, two layouts; serially and in the pool
+    # trial-at-a-time blocks, bit for bit: two sources, both lit in some trials,
+    # a sparse and a crowded density with receivers inside boxes, two layouts;
+    # serially and in the pool
     scene, trials, seed, densities = _two_source_scene(), 37, 8, (0.5, 4.0)
     layouts = layouts_of([make_scene(irs_type="mirror", n_per_side=3),
                           make_scene(irs_type="metasurface", n_per_side=2)])
