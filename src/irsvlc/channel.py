@@ -350,12 +350,6 @@ class PoweredPatches:
         return sums
 
 
-def diffuse_capture(ps: PatchSet, ue: "PhotoDetector", power: np.ndarray,
-                    blockers: OrientedBoxes | tuple[()] = ()) -> float:
-    """Detector gain from per-patch incident powers after one re-emission."""
-    return PoweredPatches(ps, power).capture([ue], blockers)[0]
-
-
 def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
               blockers: OrientedBoxes | tuple[()] = (), order: int = 1) -> float:
     """Diffuse wall-bounce DC gain summed over all patches.
@@ -364,4 +358,4 @@ def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
     transfer before the detector leg and takes no blockers.
     """
     power = patch_incident_power(ap, ps, blockers, order=order)
-    return diffuse_capture(ps, ue, power, blockers)
+    return PoweredPatches(ps, power).capture([ue], blockers)[0]

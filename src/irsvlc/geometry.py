@@ -9,8 +9,8 @@ vec3                    -- checked constructor for a 3-vector
 normalize               -- unit vector, rejects near-zero input
 unit_normal_from_polar  -- unit vector from polar/azimuth angles
 OrientedBoxes           -- the one box type: n equal upright boxes stored as
-                           arrays, row slices, a conservative floor-plan cull
-cull_disk               -- that cull's floor-plan disk for one segment
+                           arrays, row slices, an interior test
+cull_disk               -- a conservative floor-plan cull's disk for one segment
 segments_intersect_box  -- open-segment vs. oriented-box interior test, over
                            many segments or many boxes
 """
@@ -69,8 +69,8 @@ class OrientedBoxes:
     axis through its center; half_extents are the half side lengths along the
     box-local x/y/z axes. The yaw cosines and sines come from `math`, element
     by element, so a box tests the same in every set that holds it, a
-    one-row slice included. They are computed on first use, so boxes that
-    `may_cut` rules out never pay for them.
+    one-row slice included. They are computed on first use, so a set that is
+    never tested never pays for them.
     """
 
     center: np.ndarray
@@ -116,16 +116,6 @@ class OrientedBoxes:
     def contains_interior(self, p: Vec3) -> np.ndarray:
         """(n,) mask of the boxes whose interior holds the point p."""
         return (np.abs(_box_frame(self, p)) < np.reshape(self.half_extents, (3, 1))).all(axis=0)
-
-    def may_cut(self, p: Vec3, q: Vec3) -> np.ndarray:
-        """(n,) mask, False only for boxes that cannot cut the open segment p->q:
-        those whose center lies outside the segment's cull_disk, for the
-        highest center of the set."""
-        disk = cull_disk(p, q, self.half_extents, float(self.center[:, 2].max()))
-        if disk is None:
-            return np.zeros(len(self), dtype=bool)
-        x, y, reach = disk
-        return np.hypot(self.center[:, 0] - x, self.center[:, 1] - y) <= reach
 
 
 def cull_disk(p: Vec3, q: Vec3, half_extents: tuple[float, float, float],

@@ -266,32 +266,6 @@ def blocker_means(room: Room, densities: Sequence[float]) -> tuple[float, ...]:
     return tuple(means)
 
 
-def sample_blocker_field(rng: np.random.Generator, room: Room,
-                         model: BlockerModel) -> OrientedBoxes | None:
-    """Poisson-count upright blockers, centers uniform on the floor, yaw in [0, pi).
-
-    Draw order is fixed (count, x, y, yaw); None when no blocker is drawn.
-    """
-    means = blocker_means(room, (model.density,))
-    return sample_blocker_fields(rng, room, model.dims, means)[0]
-
-
-def sample_blocker_fields(rng: np.random.Generator, room: Room,
-                          dims: tuple[float, float, float], means: Sequence[float]
-                          ) -> tuple[OrientedBoxes | None, list[int]]:
-    """Fields of several blocker_means, each drawn from the stream's current state, as one box set.
-
-    Each field gets exactly the boxes sample_blocker_field would draw from
-    that state (blocker_draws). Field k's boxes are rows offsets[k]:offsets[k + 1];
-    the box set is None when no field draws a blocker.
-    """
-    draws = blocker_draws(rng, means)
-    offsets = np.cumsum([0] + [unit.shape[1] for unit in draws]).tolist()
-    if offsets[-1] == 0:
-        return None, offsets
-    return blocker_boxes(*floor_draws(draws, room), dims), offsets
-
-
 def blocker_draws(rng: np.random.Generator, means: Sequence[float]) -> list[np.ndarray]:
     """The unit draws of one blocker field per mean, from the stream's current state:
     a (3, count) array of doubles in [0, 1) per field, for its boxes' x, y and yaw.

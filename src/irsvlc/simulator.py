@@ -220,11 +220,6 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
     return out
 
 
-def compute_trial(ens: Ensemble, trial_index: int) -> TrialRow:
-    """One trial's gains: compute_trials over a block of one."""
-    return compute_trials(ens, trial_index, trial_index + 1)[0]
-
-
 def _mark_cuts(blocked: np.ndarray, held: list, poses: list, lit: list, sources: np.ndarray,
                scene: Scene) -> None:
     """Set blocked[s, j, k] where a box of density k cuts trial s's sight line
@@ -254,15 +249,16 @@ def _mark_cuts(blocked: np.ndarray, held: list, poses: list, lit: list, sources:
 
 def _near_rows(xs: np.ndarray, ys: np.ndarray, slots: np.ndarray, ends: np.ndarray,
                lit: dict, sources: np.ndarray, half: tuple[float, float, float]) -> np.ndarray:
-    """Rows i of the boxes standing at (xs[i], ys[i]) with these half extents that
-    OrientedBoxes.may_cut keeps for some lit source's sight line to their own
+    """Rows i of the boxes standing at (xs[i], ys[i]) with these half extents whose
+    center lies in the cull_disk of some lit source's sight line to their own
     trial's receiver ends[slots[i]]; lit maps each trial slot to its lit
     sources as (index, gain) pairs.
 
     One cull_disk per trial and lit source, then one distance test per
     source over at most _HELD_BOXES boxes at a time, so the work arrays do
-    not grow with the boxes; each box meets the elementwise operations of
-    may_cut, against its own trial's disks.
+    not grow with the boxes; each box meets the same elementwise operations
+    against its own trial's disks in any block, so it is kept exactly when a
+    block of its trial alone keeps it.
     """
     # disks[:, j, s]: x, y and reach of the disk of source j's sight line in trial s;
     # a reach of -inf keeps nothing (an unlit source, or a line above every box)

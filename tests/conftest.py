@@ -5,6 +5,7 @@ import pytest
 
 from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, build_scene,
                     vec3)
+from irsvlc.scene import blocker_boxes, blocker_draws, blocker_means, floor_draws
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -36,6 +37,13 @@ def rng(seed: int) -> np.random.Generator:
 def make_scene(density: float = 0.0, **fields) -> Scene:
     """The stock experiment's scene at one blocker density, with RunConfig fields overridden."""
     return build_scene(RunConfig(**fields), density)
+
+
+def blocker_field(r, room, model):
+    """One field of a blocker model drawn from r's current state as a run draws it
+    (blocker_draws, floor_draws, blocker_boxes); None when it holds no box."""
+    (unit,) = blocker_draws(r, blocker_means(room, (model.density,)))
+    return blocker_boxes(*floor_draws([unit], room), model.dims) if unit.size else None
 
 
 def box_set(half, rows) -> OrientedBoxes:

@@ -12,19 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, MirrorElement, PhotoDetector,
-                    ReflectorArray, ReflectorBank, Scenario, TrialGains, diffuse_capture,
-                    los_gain, mirror_element_gain, nlos_gain, optimal_mirror_normal,
-                    patch_incident_power, q_function, required_snr, run_trials,
-                    ser_curve, vec3, wall_patches)
+from irsvlc import (Luminaire, MirrorElement, PhotoDetector, ReflectorArray, ReflectorBank,
+                    Scenario, TrialGains, los_gain, mirror_element_gain, nlos_gain,
+                    optimal_mirror_normal, patch_incident_power, q_function, required_snr,
+                    run_trials, ser_curve, vec3, wall_patches)
+from irsvlc.channel import PoweredPatches
 from irsvlc.cli import main
 from irsvlc.geometry import normalize, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MSA_EFFICIENCY
 from irsvlc.oracles import mirror_normal_deviation, occlusion_disagreements, q_function_error
-from irsvlc.scene import OrientationModel, Room, sample_blocker_field, sample_tilt_deg
+from irsvlc.scene import OrientationModel, Room, sample_tilt_deg
 from irsvlc.simulator import SER_TARGET
 
-from conftest import ACCEPTANCE_LINES, box_set, make_scene, rng
+from conftest import ACCEPTANCE_LINES, blocker_field, box_set, make_scene, rng
 
 STOCK_TRIALS = 10_000
 STOCK_SEED = 1
@@ -161,7 +161,7 @@ def test_criterion_8_sampler_statistics():
     scene = make_scene(1.0, n_per_side=1)
     lam = scene.blocker_model.density * scene.room.length * scene.room.width
     r = rng(8_080)
-    fields = [sample_blocker_field(r, scene.room, scene.blocker_model) for _ in range(10_000)]
+    fields = [blocker_field(r, scene.room, scene.blocker_model) for _ in range(10_000)]
     counts = np.array([0 if f is None else len(f) for f in fields])
     count_band = 3.0 * math.sqrt(lam / len(counts))
     count_err = abs(float(counts.mean()) - lam)
@@ -310,21 +310,20 @@ def test_criterion_9e_cascade_energy_bound():
 
 def test_criterion_9f_nlos_grid_convergence():
     ap = Luminaire(vec3(2.5, 2.5, 3.0), vec3(0, 0, -1), 1.0)
-    coarse, fine = wall_patches(ROOM, 0.25), wall_patches(ROOM, 0.125)
-    power_c = patch_incident_power(ap, coarse, order=1)
-    power_f = patch_incident_power(ap, fine, order=1)
+    coarse, fine = (PoweredPatches(ps, patch_incident_power(ap, ps, order=1))
+                    for ps in (wall_patches(ROOM, 0.25), wall_patches(ROOM, 0.125)))
     model = OrientationModel()
     r = rng(20_260_814)
-    worst = 0.0
+    ues = []
     for _ in range(10_000):
         # receiver-plane poses at least 1 m from the walls: nearer poses need
         # finer grids, since midpoint-rule error grows as (patch / distance)^2
         pos = vec3(r.uniform(1.0, 4.0), r.uniform(1.0, 4.0), 1.0)
         normal = unit_normal_from_polar(math.radians(sample_tilt_deg(r, model)),
                                         r.uniform(0.0, 2.0 * math.pi))
-        ue = PhotoDetector(pos, normal)
-        gc = diffuse_capture(coarse, ue, power_c)
-        gf = diffuse_capture(fine, ue, power_f)
+        ues.append(PhotoDetector(pos, normal))
+    worst = 0.0
+    for gc, gf in zip(coarse.capture(ues), fine.capture(ues)):
         if gc == 0.0 and gf == 0.0:
             continue
         worst = max(worst, abs(gc - gf) / max(gc, gf))

@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, PatchSet, PhotoDetector,
-                    diffuse_capture, los_gain, nlos_gain, patch_incident_power,
-                    shadowed, shadowed_mask, vec3, wall_patches)
-from irsvlc.channel import (DEFAULT_PATCH_SIZE, MAX_PATCHES, _first_bounce_power,
+from irsvlc import (Luminaire, PatchSet, PhotoDetector, los_gain, nlos_gain,
+                    patch_incident_power, shadowed, shadowed_mask, vec3, wall_patches)
+from irsvlc.channel import (DEFAULT_PATCH_SIZE, MAX_PATCHES, PoweredPatches, _first_bounce_power,
                             _second_bounce_power, wall_patch_grid)
 from irsvlc.scene import Room
 
@@ -409,7 +408,7 @@ def test_diffuse_capture_equals_nlos_gain(ceiling_ap):
     ue = detector((0.8, 4.1, 1.6), (0.7, -0.6, 0.4))
     ps = wall_patches(ROOM, 0.25)
     power = patch_incident_power(ceiling_ap, ps, order=2)
-    assert diffuse_capture(ps, ue, power) == nlos_gain(ceiling_ap, ue, ps, order=2)
+    assert PoweredPatches(ps, power).capture([ue]) == [nlos_gain(ceiling_ap, ue, ps, order=2)]
 
 
 def test_capture_fraction_is_capped(ceiling_ap):
@@ -419,7 +418,7 @@ def test_capture_fraction_is_capped(ceiling_ap):
     # area/(pi d^2) fraction exceeds 1 there, so the capped sum must come in
     # strictly below the uncapped reference and below total re-emitted power
     ue = detector((0.001, 2.375, 1.375), (-1, 0, 0), fov_deg=90.0)
-    g = diffuse_capture(ps, ue, power)
+    (g,) = PoweredPatches(ps, power).capture([ue])
 
     u = ue.position - ps.centers
     d_sq = np.einsum("ij,ij->i", u, u)

@@ -9,9 +9,10 @@ from irsvlc.channel import shadowed, shadowed_mask
 from irsvlc.geometry import (OrientedBoxes, normalize, segments_intersect_box,
                              unit_normal_from_polar, vec3)
 from irsvlc.oracles import _interior_interval
-from irsvlc.scene import BlockerModel, Room, sample_blocker_field
+from irsvlc.scene import BlockerModel, Room
+from irsvlc.simulator import _near_rows
 
-from conftest import one_box, rng
+from conftest import blocker_field, one_box, rng
 
 
 def hits(p, q, box):
@@ -189,7 +190,7 @@ def _grazing_segments(box, r, n=200):
 
 def _floor_fields(r):
     """A sampled blocker field and the same boxes turned to yaw 0."""
-    field = sample_blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(1.0))
+    field = blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(1.0))
     return field, OrientedBoxes(field.center, field.half_extents, np.zeros(len(field)))
 
 
@@ -244,7 +245,7 @@ def test_segments_intersect_box_broadcasts_over_boxes():
     # blocked segments, on sampled fields and segments level with the box tops
     hit = 0
     for _ in range(20):
-        field = sample_blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(2.0))
+        field = blocker_field(r, Room(5.0, 5.0, 3.0), BlockerModel(2.0))
         starts, ends = r.uniform((0, 0, 0), (5, 5, 3), (2, 100, 3))
         starts[:25, 2] = ends[:25, 2] = field.center[0, 2] + field.half_extents[2]
         want = segments_intersect_box(starts[:, None, :], ends[:, None, :], field).any(axis=1)
@@ -276,15 +277,23 @@ def test_stacked_segments_give_the_per_segment_verdicts():
         assert row.tolist() == segments_intersect_box(p[None, :], q[None, :], field).tolist()
 
 
-def test_may_cut_keeps_every_box_the_slab_test_hits():
+def test_cull_keeps_every_box_the_slab_test_hits():
+    # the floor-plan cull of one trial with one lit source (cull_disk through
+    # simulator._near_rows) keeps every box that cuts the sight line or holds
+    # the receiver
     r = rng(47)
     for field in _floor_fields(r) + _floor_fields(r):
+        xs, ys = field.center[:, 0], field.center[:, 1]
+        trial = np.zeros(len(field), dtype=int)
         for _ in range(200):
             p = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
             q = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
+            near = np.zeros(len(field), dtype=bool)
+            near[_near_rows(xs, ys, trial, q[None], {0: [(0, 1.0)]}, p[None],
+                            field.half_extents)] = True
             hit = segments_intersect_box(p[None, :], q[None, :], field)
-            assert not (hit & ~field.may_cut(p, q)).any()
-            assert not (field.contains_interior(q) & ~field.may_cut(p, q)).any()
+            assert not (hit & ~near).any()
+            assert not (field.contains_interior(q) & ~near).any()
 
 
 def test_boxes_compute_their_yaw_cosines_on_first_use():

@@ -10,12 +10,12 @@ from irsvlc.config import ConfigError, RunConfig, build_scene, validate
 from irsvlc.geometry import OrientedBoxes, unit_normal_from_polar
 from irsvlc.irs import DEFAULT_MIRROR_REFLECTIVITY, MIRROR_HEIGHT, MIRROR_WIDTH
 from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, MAX_THETA_STD_DEG, BlockerModel,
-                          OrientationModel, Room, Scene, _grid_centers, blocker_means,
-                          build_arrays, sample_blocker_field, sample_blocker_fields,
+                          OrientationModel, Room, Scene, _grid_centers, blocker_boxes,
+                          blocker_draws, blocker_means, build_arrays, floor_draws,
                           sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
-from conftest import make_scene, rng
+from conftest import blocker_field, make_scene, rng
 
 
 def test_room_validation():
@@ -227,13 +227,13 @@ def test_tilt_degenerate_distribution_faces_up():
 
 
 def _blocker_count(r, scene):
-    field = sample_blocker_field(r, scene.room, scene.blocker_model)
+    field = blocker_field(r, scene.room, scene.blocker_model)
     return 0 if field is None else len(field)
 
 
 def test_sample_blockers_empty_at_zero_density():
     scene = make_scene(0.0, n_per_side=1)
-    assert sample_blocker_field(rng(2), scene.room, scene.blocker_model) is None
+    assert blocker_field(rng(2), scene.room, scene.blocker_model) is None
 
 
 def test_sample_blockers_shape_and_support():
@@ -241,7 +241,7 @@ def test_sample_blockers_shape_and_support():
     r = rng(5)
     seen = 0
     while seen < 200:
-        field = sample_blocker_field(r, scene.room, scene.blocker_model)
+        field = blocker_field(r, scene.room, scene.blocker_model)
         if field is None:
             continue
         assert field.half_extents == (BLOCKER_DIMS[0] / 2, BLOCKER_DIMS[1] / 2,
@@ -262,7 +262,7 @@ def test_sample_blockers_count_mean():
 def test_sample_blockers_match_the_field_draws():
     # the one-row slices of a field hold exactly the field's draws
     scene = make_scene(1.0, n_per_side=1)
-    field = sample_blocker_field(rng(6), scene.room, scene.blocker_model)
+    field = blocker_field(rng(6), scene.room, scene.blocker_model)
     assert len(field) > 0
     for k in range(len(field)):
         box = field[k:k + 1]
@@ -275,7 +275,7 @@ def test_sample_blockers_match_the_field_draws():
     with pytest.raises(TypeError, match="1-D index array"):
         list(field)
     empty = make_scene(0.0, n_per_side=1)
-    assert sample_blocker_field(rng(6), empty.room, empty.blocker_model) is None
+    assert blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
 def test_blocker_means_stop_at_the_memory_bound():
@@ -343,7 +343,7 @@ def test_pose_and_blocker_draws_match_the_uniform_reference(density):
         x, y, theta, omega = _uniform_pose(want, scene)
         assert ue.position.tobytes() == np.array((x, y, scene.ue_height)).tobytes()
         assert ue.normal.tobytes() == unit_normal_from_polar(theta, omega).tobytes()
-        field = sample_blocker_field(got, room, model)
+        field = blocker_field(got, room, model)
         centers, yaws = _uniform_field(want, room, model)
         assert got.bit_generator.state == want.bit_generator.state
         if field is None:
@@ -363,8 +363,9 @@ def test_multi_density_rows_match_the_per_model_reference():
     for t in range(300):
         r = trial_rng(8, t)
         r.random(4)  # stands in for the pose
-        boxes, offsets = sample_blocker_fields(r, room, BLOCKER_DIMS,
-                                               blocker_means(room, [m.density for m in models]))
+        draws = blocker_draws(r, blocker_means(room, [m.density for m in models]))
+        offsets = np.cumsum([0] + [unit.shape[1] for unit in draws]).tolist()
+        boxes = blocker_boxes(*floor_draws(draws, room), BLOCKER_DIMS)
         for k, model in enumerate(models):
             want = trial_rng(8, t)
             want.random(4)
@@ -374,7 +375,7 @@ def test_multi_density_rows_match_the_per_model_reference():
                 rows = slice(offsets[k], offsets[k + 1])
                 assert boxes.center[rows].tobytes() == centers.tobytes()
                 assert boxes.yaw[rows].tobytes() == yaws.tobytes()
-        assert (boxes is None) == (offsets[-1] == 0)
+        assert len(boxes) == offsets[-1]
 
 
 def test_sampled_boxes_pass_the_checks_they_skip():
@@ -385,10 +386,10 @@ def test_sampled_boxes_pass_the_checks_they_skip():
     room = Room(6.0, 4.5, 3.0)
     sets = 0
     for t in range(300):
-        boxes, _ = sample_blocker_fields(trial_rng(9, t), room, (0.3, 1.1, 2.0),
-                                         blocker_means(room, (0.0, 0.1, 1.0, 4.0)))
-        if boxes is None:
+        draws = blocker_draws(trial_rng(9, t), blocker_means(room, (0.0, 0.1, 1.0, 4.0)))
+        if not any(unit.size for unit in draws):
             continue
+        boxes = blocker_boxes(*floor_draws(draws, room), (0.3, 1.1, 2.0))
         # the checked constructor keeps float64 arrays as they are
         checked = OrientedBoxes(boxes.center, boxes.half_extents, boxes.yaw)
         assert checked.center is boxes.center and checked.yaw is boxes.yaw

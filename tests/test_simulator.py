@@ -16,11 +16,10 @@ from irsvlc import channel, config, geometry, irs, oracles, scene as scene_modul
 from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
 from irsvlc.irs import _ANTIPODAL_TOL, _dot
-from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_blocker_field, sample_ue
-from irsvlc.simulator import (MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trial,
-                              compute_trials)
+from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_ue
+from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trials
 
-from conftest import make_scene
+from conftest import blocker_field, make_scene
 
 
 def gains_of(h_los):
@@ -149,7 +148,7 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
 def test_compute_trial_one_row_per_density():
     scene = make_scene(n_per_side=4)
     ens = Ensemble.build(scene, 3, (0.0, 1.0))
-    h_los, h_nlos, (h_irs,) = compute_trial(ens, trial_index=2)
+    ((h_los, h_nlos, (h_irs,)),) = compute_trials(ens, 2, 3)
     assert len(h_los) == 2
     assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
     gains = own_density(scene, 3, seed=3)
@@ -189,7 +188,7 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
     assert calls == {"blocker_means": 1}
     ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
     calls.clear()
-    rows = [compute_trial(ens, t) for t in range(50)]
+    rows = compute_trials(ens, 0, 50)
     assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
 
 
@@ -200,10 +199,10 @@ def test_wall_settings_reach_the_trial(tmp_path):
     scene = config.build_scene(config.load_config(str(path)), 0.0)
     ens = Ensemble.build(scene, 6, (0.0,))
     patches = wall_patches(scene.room, 0.5, 0.5)
-    for t in range(50):
+    for t, (_, h_nlos, _) in enumerate(compute_trials(ens, 0, 50)):
         ue = sample_ue(trial_rng(6, t), scene)
         want = nlos_gain(scene.aps[0], ue, patches, (), order=1)
-        assert compute_trial(ens, t)[1].hex() == want.hex(), t
+        assert h_nlos.hex() == want.hex(), t
 
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
@@ -215,8 +214,7 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
         raise AssertionError("an empty bank evaluated its cells")
 
     monkeypatch.setattr(ReflectorBank, "cascade", no_cells)
-    for t in range(20):
-        (h_irs,) = compute_trial(ens, t)[2]
+    for _, _, (h_irs,) in compute_trials(ens, 0, 20):
         assert h_irs == 0.0 and math.copysign(1.0, h_irs) == 1.0
 
 
@@ -234,7 +232,7 @@ def _replayed_direct_gain(scene, seed, trial_index, density):
     """
     rng = trial_rng(seed, trial_index)
     ue = sample_ue(rng, scene)
-    drawn = sample_blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
+    drawn = blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
     if drawn is None:
         return math.fsum(los_gain(ap, ue) for ap in scene.aps), False
     boxes = drawn[~drawn.contains_interior(ue.position)]
@@ -249,8 +247,7 @@ def test_fused_occlusion_matches_per_density_replay():
                              (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
         ens = Ensemble.build(scene, 21, densities)
         enclosed = blocked = 0
-        for t in range(150):
-            h_los = compute_trial(ens, t)[0]
+        for t, (h_los, _, _) in enumerate(compute_trials(ens, 0, 150)):
             assert len(h_los) == len(densities)
             unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
             for d, got in zip(densities, h_los):
@@ -396,9 +393,19 @@ def _cull_cases(r):
         yield [np.array([*p[:2], 3.0])], [0], high, both
 
 
+def _kept_alone(sources, on, q, field, half):
+    """Mask of the boxes of field that the cull of a block holding this trial
+    alone keeps, with sources[j] lit for each j in on."""
+    kept = np.zeros(len(field), dtype=bool)
+    kept[simulator._near_rows(field.center[:, 0], field.center[:, 1],
+                              np.zeros(len(field), dtype=int), q[None],
+                              {0: [(j, None) for j in on]}, np.array(sources), half)] = True
+    return kept
+
+
 def test_cull_keeps_every_verdict_of_the_slab_test():
     # the block cull, eight trials to a block, keeps in each trial exactly the
-    # boxes OrientedBoxes.may_cut keeps for the trial's lit sight lines; no slab
+    # boxes a block of that trial alone keeps for its lit sight lines; no slab
     # hit and no receiver-holding box falls outside them, and the block's slab
     # test gives each kept box its own lines' verdicts
     cases = list(_cull_cases(np.random.default_rng(1_111)))
@@ -425,16 +432,14 @@ def test_cull_keeps_every_verdict_of_the_slab_test():
                                    slots[rows], ends, sources)
         for s, (ps, on, q, field) in enumerate(block):
             mine = kept[slots == s]
-            near = np.zeros(len(field), dtype=bool)
             inside = field.contains_interior(q)
             verdicts = []
             for j in on:
-                near |= field.may_cut(ps[j], q)
                 slab = segments_intersect_box(ps[j][None, :], q[None, :], field)
                 assert not ((slab | inside) & ~mine).any()
                 verdicts.append((slab & ~inside)[mine])
                 hits += int((slab & ~inside).sum())
-            assert mine.tolist() == near.tolist(), s
+            assert mine.tolist() == _kept_alone(ps, on, q, field, half).tolist(), s
             # each kept box's verdict on its own lit lines; the block's other
             # sources' lines end at the same receiver but are not that trial's
             got = cuts[:, (slots[rows] == s).nonzero()[0]]
@@ -442,7 +447,7 @@ def test_cull_keeps_every_verdict_of_the_slab_test():
                 assert got[j].tolist() == want.tolist(), s
             culled += len(field) - int(mine.sum())
             enclosed += int(inside.sum())
-            unlit += len(ps) > len(on) and (field.may_cut(ps[0], q) & ~mine).any()
+            unlit += len(ps) > len(on) and (_kept_alone(ps, [0], q, field, half) & ~mine).any()
             above += q[2] > 2.0 * half[2] and not mine.any()
     assert hits > 0 and culled > 0 and enclosed > 0 and unlit > 0 and above > 0
 
@@ -524,10 +529,10 @@ def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
     scene = make_scene(irs_type=irs_type, fov_deg=fov_deg)
     ens = Ensemble.build(scene, 5, (0.0,))
     lit = 0
-    for t in range(300):
+    for t, (_, _, (h_irs,)) in enumerate(compute_trials(ens, 0, 300)):
         ue = sample_ue(trial_rng(5, t), scene)
         want = _cascade_sum(scene, ens.banks[0], ue)
-        assert compute_trial(ens, t)[2][0].hex() == want.hex(), t
+        assert h_irs.hex() == want.hex(), t
         assert ens.banks[0].gain(ue).hex() == want.hex()
         lit += want > 0.0
     assert lit > 0
@@ -581,7 +586,7 @@ def test_one_slab_test_per_lit_source(monkeypatch, densities):
         ue = sample_ue(trial_rng(4, t), scene)
         lit = sum(los_gain(ap, ue) > 0.0 for ap in scene.aps)
         calls.clear()
-        compute_trial(ens, t)
+        compute_trials(ens, t, t + 1)
         assert len(calls) <= lit
         unlit += lit == 0
         tested += len(calls)
@@ -620,7 +625,7 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
         ue = sample_ue(real(4, t), scene)
         lit = any(los_gain(ap, ue) > 0.0 for ap in scene.aps)
         calls.clear()
-        compute_trial(ens, t)
+        compute_trials(ens, t, t + 1)
         assert set(calls) <= {"random", "normal", "poisson"}
         assert calls["poisson"] == (drawing if lit else 0)
         assert calls["random"] == 3 + calls["poisson"] and calls["normal"] >= 1
@@ -633,8 +638,8 @@ def test_trial_components_nonnegative_and_indexed():
     scene = make_scene(1.0, n_per_side=4)
     out = own_density(scene, 30, seed=11)
     ens = Ensemble.build(scene, 11, (1.0,))
-    for t in range(30):
-        assert compute_trial(ens, t) == ((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
+    assert compute_trials(ens, 0, 30) == [((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
+                                          for t in range(30)]
     for a in (out.h_los, out.h_nlos, out.h_irs):
         assert (a >= 0.0).all()
 
@@ -667,10 +672,10 @@ def test_trial_nlos_matches_direct_evaluation():
     assert 0 < len(tilted.powered) < len(tilted_patches)
     for ens, patches, power in fields:
         live = 0
-        for t in range(300):
+        for t, (_, h_nlos, _) in enumerate(compute_trials(ens, 0, 300)):
             ue = sample_ue(trial_rng(9, t), ens.scene)
             want = _patch_to_ue(patches, ue, power)
-            assert compute_trial(ens, t)[1].hex() == want.hex(), t
+            assert h_nlos.hex() == want.hex(), t
             live += want > 0.0
         assert live > 0
 
