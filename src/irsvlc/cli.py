@@ -338,7 +338,7 @@ def _verify_reflector_bank(poses: int) -> tuple[bool, str]:
     worst, mismatched, cells, edge = 0.0, 0, 0, []
     for irs_type in ("mirror", "metasurface"):
         scene = build_scene(RunConfig(irs_type=irs_type), 0.0)
-        bank = ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays)
+        bank = ReflectorBank(scene.aps[0], scene.mirror_arrays, scene.metasurface_arrays)
         for k in range(poses):
             ue = sample_ue(rng, scene)
             got, want = bank.cascade(ue), oracles.reflector_cell_gains(scene, ue)

@@ -59,7 +59,6 @@ class ReflectorArray:
     holding the array says which kind it is.
     """
 
-    wall: str
     normal: Vec3
     centers: np.ndarray
     scale: float
@@ -157,15 +156,15 @@ _GAP_MARGIN = 1e-5  # see ReflectorBank._antipodes_impossible
 
 
 class ReflectorBank:
-    """Every cell of every (source, array) pair, stacked for one pass per pose.
+    """Every cell of every array lit by the scene's one source, stacked for one pass
+    per pose.
 
-    Cells run source by source over the mirror arrays (the first `n_mirror`
-    cells), then over the metasurface arrays, each array in grid order. Per
-    cell the bank holds the center as axis vectors, d1 = |u| for the source leg
-    u = source - center, and a weight folding the reflectivity or efficiency,
-    (m + 1) and cos^m(phi): zero where the source does not light it. The
-    per-cell sources and legs, which the per-pose gain does not read, are
-    built on demand (`sources`, `legs`).
+    Cells run over the mirror arrays (the first `n_mirror` cells), then over
+    the metasurface arrays, each array in grid order. Per cell the bank holds
+    the center as axis vectors, d1 = |u| for the source leg u = source -
+    center, and a weight folding the reflectivity or efficiency, (m + 1) and
+    cos^m(phi): zero where the source does not light it. The legs, which the
+    per-pose gain does not read, are built on demand (`legs`).
 
     Every mirror cell is steered to the half-vector orientation for the
     detector. The image, cell center and detector are then collinear, so the
@@ -175,25 +174,23 @@ class ReflectorBank:
     source and the detector in front of it.
     """
 
-    def __init__(self, aps: Sequence["Luminaire"], mirror_arrays: Sequence[ReflectorArray] = (),
+    def __init__(self, ap: "Luminaire", mirror_arrays: Sequence[ReflectorArray] = (),
                  metasurface_arrays: Sequence[ReflectorArray] = ()):
-        pairs = [(ap, arr) for arrays in (mirror_arrays, metasurface_arrays)
-                 for ap in aps for arr in arrays]
-        k = len(aps) * len(mirror_arrays)  # the pairs holding mirrors come first
-        sizes = [len(arr) for _, arr in pairs]
-        self.n_mirror = sum(sizes[:k])
-        normals = np.array([arr.normal for _, arr in pairs]).reshape(-1, 3)
+        arrays = (*mirror_arrays, *metasurface_arrays)
+        k = len(mirror_arrays)  # the mirror arrays come first
+        self.n_mirror = sum(len(arr) for arr in mirror_arrays)
+        normals = np.array([arr.normal for arr in arrays]).reshape(-1, 3)
         self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
-        self._pair_sources = np.array([ap.position for ap, _ in pairs]).reshape(-1, 3)
-        self._sizes = sizes
+        self._source = ap.position
         # the kernel reads centers as contiguous axis vectors
-        centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for _, arr in pairs])
+        centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for arr in arrays])
         self.cx, self.cy, self.cz = self._c = np.ascontiguousarray(centers.T)
         ux, uy, uz = u = self.legs
         self.d1 = np.sqrt(ux * ux + uy * uy + uz * uz)
         self.weight, cn, fronts, start = np.zeros(len(centers)), np.zeros(len(centers)), [], 0
         slices = []
-        for i, (ap, arr) in enumerate(pairs):
+        m = ap.lambertian_order
+        for i, arr in enumerate(arrays):
             cells = slice(start, start + len(arr))
             start = cells.stop
             slices.append(cells)
@@ -201,25 +198,19 @@ class ReflectorBank:
             lit = cos_phi > 0.0
             if i >= k:  # a metasurface also needs the source in front
                 lit &= _dot(*u[:, cells], arr.normal) > 0.0
-            m = ap.lambertian_order
             self.weight[cells] = np.where(
                 lit, arr.scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m, 0.0)
             cn[cells] = _dot(*self._c[:, cells], arr.normal)
             fronts.append(cn[cells].max())
-        self._mirror_front = np.array(fronts[:k])  # per mirror pair: max over cells of c.n
-        self._sources_in_front = all(float(ap.position @ arr.normal) >= front
-                                     for (ap, arr), front in zip(pairs, fronts[:k]))
-        # per metasurface pair: its cells and the largest c.n among them
+        self._mirror_front = np.array(fronts[:k])  # per mirror array: max over cells of c.n
+        self._source_in_front = all(float(ap.position @ arr.normal) >= front
+                                    for arr, front in zip(mirror_arrays, fronts[:k]))
+        # per metasurface array: its cells and the largest c.n among them
         self._cn, self._msa_cells, self._msa_front = cn, slices[k:], np.array(fronts[k:])
         self._work = None  # the kernel's work arrays, made on first use
 
     def __len__(self) -> int:
         return len(self.d1)
-
-    @property
-    def sources(self) -> np.ndarray:
-        """(N, 3) source position of every cell, a new array: only `cascade` reads it."""
-        return np.repeat(self._pair_sources, self._sizes, axis=0)
 
     @property
     def centers(self) -> np.ndarray:
@@ -230,18 +221,18 @@ class ReflectorBank:
     def legs(self) -> np.ndarray:
         """(3, N) source legs u = source - center as axis vectors, a new array: only
         the rare full antipodal test reads them after the bank is built."""
-        return np.ascontiguousarray((self.sources - self.centers).T)
+        return np.ascontiguousarray((self._source - self.centers).T)
 
     def _antipodes_impossible(self, ue_position: np.ndarray, d2_max: float) -> bool:
         """True when no mirror cell's two legs can come within _ANTIPODAL_TOL of antipodal.
 
-        Holds when every mirror array has its source in front (source . n >=
+        Holds when every mirror array has the source in front (source . n >=
         front = max c . n) and detector . n - front > _GAP_MARGIN * d2_max, where
         d2_max bounds every detector distance: then each cell has 1 + cos >
         5e-11 (README, "Fixed cost of a run", derives it).
         """
         ue_gap = self._mirror_normals @ ue_position - self._mirror_front
-        return self._sources_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
+        return self._source_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
 
     def _kernel(self, ue: "PhotoDetector") -> np.ndarray:
         """Unblocked per-cell gains, in a work array that the next call overwrites.
@@ -282,7 +273,7 @@ class ReflectorBank:
         if k < len(ok):  # detector in front: ue . n > c . n, cell by cell
             ue_n = (self._msa_normals @ ue.position).tolist()
             for cells, s, front in zip(self._msa_cells, ue_n, self._msa_front.tolist()):
-                if s <= front:  # else every cell of the pair passes
+                if s <= front:  # else every cell of the array passes
                     ok[cells] &= s > self._cn[cells]
         total_d = np.add(self.d1, d2, out=d2)
         total_d *= total_d
@@ -303,7 +294,8 @@ class ReflectorBank:
             idx = np.flatnonzero(gains > 0.0)
             if idx.size:
                 pts = self.centers[idx]
-                blocked = shadowed_mask(self.sources[idx], pts, blockers)
+                blocked = shadowed_mask(np.broadcast_to(self._source, pts.shape), pts,
+                                        blockers)
                 blocked |= shadowed_mask(pts, np.broadcast_to(ue.position, (idx.size, 3)),
                                          blockers)
                 gains[idx[blocked]] = 0.0

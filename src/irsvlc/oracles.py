@@ -258,8 +258,9 @@ def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
     Mirrors are steered to optimal_mirror_normal and evaluated by
     mirror_element_gain; metasurface patches use their closed form.
     """
+    (ap,) = scene.aps
     gains = [_steered_mirror_gain(ap, c, arr.scale, ue)
-             for ap in scene.aps for arr in scene.mirror_arrays for c in arr.centers]
+             for arr in scene.mirror_arrays for c in arr.centers]
     gains += [_patch_gain(ap, c, arr.normal, arr.scale, ue)
-              for ap in scene.aps for arr in scene.metasurface_arrays for c in arr.centers]
+              for arr in scene.metasurface_arrays for c in arr.centers]
     return np.array(gains, dtype=float)

@@ -158,7 +158,7 @@ class Scene:
     """
 
     room: Room
-    aps: tuple[Luminaire, ...]
+    aps: tuple[Luminaire]  # the one source, as a one-tuple
     mirror_arrays: tuple[ReflectorArray, ...]
     metasurface_arrays: tuple[ReflectorArray, ...]
     blocker_model: BlockerModel
@@ -171,11 +171,10 @@ class Scene:
     pd_fov: float = math.radians(DEFAULT_FOV_DEG)
 
     def __post_init__(self) -> None:
-        if not self.aps:
-            raise ValueError("scene needs at least one luminaire")
-        for ap in self.aps:
-            if not self.room.contains(ap.position):
-                raise ValueError(f"luminaire at {tuple(ap.position.tolist())} outside the room")
+        if len(self.aps) != 1:
+            raise ValueError(f"scene needs exactly one luminaire, got {len(self.aps)}")
+        if not self.room.contains(p := self.aps[0].position):
+            raise ValueError(f"luminaire at {tuple(p.tolist())} outside the room")
         if not 0.0 < self.ue_height < self.room.height:
             raise ValueError(f"receiver height {self.ue_height} outside the room")
         if not 0.0 <= self.wall_reflectivity <= 1.0:
@@ -215,10 +214,9 @@ def build_arrays(room: Room, n_per_side: int, scale: float) -> tuple[ReflectorAr
     """One n x n array centered on each of the four walls; scale as in ReflectorArray."""
     _check_array_fit(room, n_per_side)
     return tuple(
-        ReflectorArray(label, normal,
-                       _grid_centers(origin, u_dir, v_dir, u_len, v_len,
-                                     n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT), scale)
-        for label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
+        ReflectorArray(normal, _grid_centers(origin, u_dir, v_dir, u_len, v_len,
+                                             n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT), scale)
+        for _, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
 
 
 _MAX_REJECTION_DRAWS = 10_000

@@ -20,7 +20,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 # imported with the package: numpy loads numpy.random lazily, which would move its
@@ -159,12 +159,11 @@ class Ensemble:
         if not (len(densities) and len(layouts)):
             raise ValueError("a run needs at least one blocker density and one array layout")
         means = blocker_means(scene.room, densities)
+        (ap,) = scene.aps
         patches = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
-        # every source's incident power, summed from zero in source order
-        power = sum((patch_incident_power(ap, patches, (), order=scene.nlos_order)
-                     for ap in scene.aps), np.zeros(len(patches)))
+        power = patch_incident_power(ap, patches, (), order=scene.nlos_order)
         return cls(scene, seed, PoweredPatches(patches, power),
-                   tuple(ReflectorBank(scene.aps, *layout) for layout in layouts), means)
+                   tuple(ReflectorBank(ap, *layout) for layout in layouts), means)
 
 
 _TRIAL_BLOCK = 16  # poses per compute_trials call of run_trials; see README, "Fixed cost of a run"
@@ -175,22 +174,22 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
     """The gains of trials start..stop-1, one TrialRow each: (h_los at every
     blocker density of the ensemble, h_nlos, h_irs of every bank of the ensemble).
 
-    Each trial draws its pose, then each bank reads it, then its direct gains
-    are computed; if some source reaches the detector, its blockers follow in
+    Each trial draws its pose, then each bank reads it, then its direct gain
+    is computed; if the source reaches the detector, its blockers follow in
     the same substream (blocker_draws). Nothing else reads that stream, so
     replaying it from the state after the pose gives each density exactly the
-    blockers a run at that density alone would draw. When no source is lit,
-    no blocker can change the direct gain and the draws are skipped. A trial
-    only draws; the block holds the unit draws and culls and slab-tests them
-    together (_mark_cuts) at its end, or as soon as _HELD_BOXES are held. It
-    also takes one diffuse capture over its poses, so a trial gets the same
-    bits in any block.
+    blockers a run at that density alone would draw. When the source is not
+    lit, no blocker can change the direct gain and the draws are skipped. A
+    trial only draws; the block holds the unit draws and culls and
+    slab-tests them together (_mark_cuts) at its end, or as soon as
+    _HELD_BOXES are held. It also takes one diffuse capture over its poses,
+    so a trial gets the same bits in any block.
     """
-    scene, n = ens.scene, len(ens.means)
-    sources = np.array([ap.position for ap in scene.aps])
-    poses, h_irs, lit, held, count = [], [], [], [], 0
-    # blocked[s, j, k]: a box of density k cuts trial s's sight line from source j
-    blocked = np.zeros((stop - start, len(sources), n), dtype=bool)
+    scene = ens.scene
+    (ap,) = scene.aps
+    poses, h_irs, gains, held, count = [], [], [], [], 0
+    # blocked[s, k]: a box of density k cuts trial s's sight line
+    blocked = np.zeros((stop - start, len(ens.means)), dtype=bool)
     for slot, t in enumerate(range(start, stop)):
         ue = sample_ue(rng := trial_rng(ens.seed, t), scene)
         poses.append(ue)
@@ -198,36 +197,29 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
         # field and the steered cascade are treated as blockage-insensitive at
         # trial level (per-path occlusion stays available in channel/irs)
         h_irs.append(tuple(bank.gain(ue) for bank in ens.banks))
-        lit.append([(j, g) for j, ap in enumerate(scene.aps) if (g := los_gain(ap, ue)) != 0.0])
-        if lit[-1]:
+        gains.append(g := los_gain(ap, ue))
+        if g != 0.0:
             for k, unit in enumerate(blocker_draws(rng, ens.means)):
                 if unit.size:
                     held.append((slot, k, unit))
                     count += unit.shape[1]
         if count >= _HELD_BOXES:
-            _mark_cuts(blocked, held, poses, lit, sources, scene)
+            _mark_cuts(blocked, held, poses, scene)
             count = 0
     if held:
-        _mark_cuts(blocked, held, poses, lit, sources, scene)
-    out = []
-    for ls, b, cut, h_nlos, irs in zip(lit, blocked.tolist(), blocked.any(axis=(1, 2)),
-                                       ens.powered.capture(poses), h_irs):
-        if cut:
-            h_los = tuple(math.fsum(g for j, g in ls if not b[j][k]) for k in range(n))
-        else:  # no box cuts a sight line, so one sum serves every density
-            h_los = (math.fsum(g for _, g in ls),) * n
-        out.append((h_los, h_nlos, irs))
-    return out
+        _mark_cuts(blocked, held, poses, scene)
+    return [(tuple(0.0 if cut else g for cut in b), h_nlos, irs)
+            for g, b, h_nlos, irs in zip(gains, blocked.tolist(), ens.powered.capture(poses),
+                                         h_irs)]
 
 
-def _mark_cuts(blocked: np.ndarray, held: list, poses: list, lit: list, sources: np.ndarray,
-               scene: Scene) -> None:
-    """Set blocked[s, j, k] where a box of density k cuts trial s's sight line
-    from source j, for the unit draws held as (trial slot, density, draws)
-    entries, and empty held.
+def _mark_cuts(blocked: np.ndarray, held: list, poses: list, scene: Scene) -> None:
+    """Set blocked[s, k] where a box of density k cuts trial s's sight line, for
+    the unit draws held as (trial slot, density, draws) entries, and empty held.
+    Only lit trials draw, so every trial held is lit.
 
     One multiply scales every draw (floor_draws); the floor-plan cull
-    (_near_rows) keeps the boxes that may cut a lit sight line of their own
+    (_near_rows) keeps the boxes that may cut the sight line of their own
     trial, and only those become boxes and get the slab test (_cut_rows).
     """
     slot, density, draws = zip(*held)
@@ -238,64 +230,61 @@ def _mark_cuts(blocked: np.ndarray, held: list, poses: list, lit: list, sources:
     slots = np.repeat(slot, counts)
     dims = scene.blocker_model.dims
     ends = np.array([ue.position for ue in poses])
-    rows = _near_rows(xs, ys, slots, ends, {s: lit[s] for s in slot}, sources,
-                      tuple(d / 2.0 for d in dims))
+    source = scene.aps[0].position
+    rows = _near_rows(xs, ys, slots, ends, set(slot), source, tuple(d / 2.0 for d in dims))
     if rows.size:
         slots = slots[rows]
-        j, i = _cut_rows(blocker_boxes(xs[rows], ys[rows], yaws[rows], dims), slots, ends,
-                         sources).nonzero()
-        blocked[slots[i], j, np.repeat(density, counts)[rows[i]]] = True
+        i = _cut_rows(blocker_boxes(xs[rows], ys[rows], yaws[rows], dims), slots, ends,
+                      source).nonzero()[0]
+        blocked[slots[i], np.repeat(density, counts)[rows[i]]] = True
 
 
 def _near_rows(xs: np.ndarray, ys: np.ndarray, slots: np.ndarray, ends: np.ndarray,
-               lit: dict, sources: np.ndarray, half: tuple[float, float, float]) -> np.ndarray:
+               lit: Iterable[int], source: np.ndarray,
+               half: tuple[float, float, float]) -> np.ndarray:
     """Rows i of the boxes standing at (xs[i], ys[i]) with these half extents whose
-    center lies in the cull_disk of some lit source's sight line to their own
-    trial's receiver ends[slots[i]]; lit maps each trial slot to its lit
-    sources as (index, gain) pairs.
+    center lies in the cull_disk of the sight line from source to their own
+    trial's receiver ends[slots[i]]; lit holds the slots of the trials whose
+    source is lit, and a box of any other trial is never kept.
 
-    One cull_disk per trial and lit source, then one distance test per
-    source over at most _HELD_BOXES boxes at a time, so the work arrays do
-    not grow with the boxes; each box meets the same elementwise operations
-    against its own trial's disks in any block, so it is kept exactly when a
-    block of its trial alone keeps it.
+    One cull_disk per lit trial, then one distance test over at most
+    _HELD_BOXES boxes at a time, so the work arrays do not grow with the
+    boxes; each box meets the same elementwise operations against its own
+    trial's disk in any block, so it is kept exactly when a block of its
+    trial alone keeps it.
     """
-    # disks[:, j, s]: x, y and reach of the disk of source j's sight line in trial s;
-    # a reach of -inf keeps nothing (an unlit source, or a line above every box)
-    disks = np.zeros((3, len(sources), len(ends)))
+    # disks[:, s]: x, y and reach of the disk of trial s's sight line; a reach of
+    # -inf keeps nothing (an unlit trial, or a line above every box)
+    disks = np.zeros((3, len(ends)))
     disks[2] = -math.inf
-    for s, ls in lit.items():
-        for j, _ in ls:
-            if (disk := cull_disk(sources[j], ends[s], half, half[2])) is not None:
-                disks[:, j, s] = disk
+    for s in lit:
+        if (disk := cull_disk(source, ends[s], half, half[2])) is not None:
+            disks[:, s] = disk
     rows = []
     for a in range(0, len(xs), _HELD_BOXES):
         x, y, s = (v[a:a + _HELD_BOXES] for v in (xs, ys, slots))
-        near = np.zeros(len(s), dtype=bool)
-        for mx, my, reach in np.take(disks, s, axis=2).transpose(1, 0, 2):
-            near |= np.hypot(x - mx, y - my) <= reach
-        rows.append(near.nonzero()[0] + a)
+        mx, my, reach = disks[:, s]
+        rows.append((np.hypot(x - mx, y - my) <= reach).nonzero()[0] + a)
     return np.concatenate(rows)
 
 
 def _cut_rows(boxes: OrientedBoxes, slots: np.ndarray, ends: np.ndarray,
-              starts: np.ndarray) -> np.ndarray:
-    """(sources, boxes) mask: box i cuts the open sight line from starts[j] to its
-    own trial's receiver ends[slots[i]], and does not hold that receiver.
+              source: np.ndarray) -> np.ndarray:
+    """Mask of the boxes that cut the open sight line from source to their own
+    trial's receiver ends[slots[i]], and do not hold that receiver.
 
     Boxes whose interior holds their receiver are left out: hard-core
     thinning, as an object cannot occupy the receiver's location, and a box
     enclosing the receiver would zero every path regardless of steering. One
-    slab call tests every box against every source's sight line plus the
-    zero-length segment at its receiver, which gives the containment test
-    from the same box-local frame. Each box meets the elementwise operations
-    of a per-trial call, so its verdicts do not depend on the block.
+    slab call tests every box against the sight line plus the zero-length
+    segment at its receiver, which gives the containment test from the same
+    box-local frame. Each box meets the elementwise operations of a per-trial
+    call, so its verdict does not depend on the block.
     """
     end = ends[slots]
-    starts = np.concatenate((np.broadcast_to(starts[:, None, :], (len(starts), *end.shape)),
-                             end[None]))
-    cuts = segments_intersect_box(starts, np.broadcast_to(end, starts.shape), boxes)
-    return cuts[:-1] & ~cuts[-1]
+    starts = np.stack((np.broadcast_to(source, end.shape), end))
+    line, inside = segments_intersect_box(starts, np.broadcast_to(end, starts.shape), boxes)
+    return line & ~inside
 
 
 # -- worker-pool plumbing ----------------------------------------------------

@@ -298,9 +298,8 @@ def test_criterion_9e_cascade_energy_bound():
         g_mirror = mirror_element_gain(ap, elem, ue)
         bound = elem.reflectivity * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_mirror / bound)
-        arr = ReflectorArray("x0", normalize(r.normal(size=3)), c[None, :],
-                             DEFAULT_MSA_EFFICIENCY)
-        g_msa = ReflectorBank((ap,), (), (arr,)).gain(ue)
+        arr = ReflectorArray(normalize(r.normal(size=3)), c[None, :], DEFAULT_MSA_EFFICIENCY)
+        g_msa = ReflectorBank(ap, (), (arr,)).gain(ue)
         bound = arr.scale * (m + 1.0) * ue.area / (2.0 * math.pi * d1_sq)
         worst = max(worst, g_msa / bound)
     record("9e", worst <= 1.0 + 1e-12,

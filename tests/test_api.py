@@ -59,6 +59,13 @@ def test_run_path_signatures():
     inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,),
                                                  layouts=[((), ())])
     inspect.signature(simulator.Ensemble.build).bind(object(), 1, (0.0,), layouts=[((), ())])
+    # the scene attributes it reads: the one source in scene.aps, the room and the
+    # wall reflectivity
+    scene = config.build_scene(config.RunConfig(), 0.0)
+    assert type(scene.aps) is tuple and len(scene.aps) == 1
+    assert isinstance(scene.aps[0], irsvlc.Luminaire)
+    assert isinstance(scene.room, irsvlc.Room) and isinstance(scene.wall_reflectivity, float)
+    assert next(iter(inspect.signature(irsvlc.ReflectorBank).parameters)) == "ap"
 
 
 def test_run_records_hold_only_what_is_read():
@@ -66,7 +73,7 @@ def test_run_records_hold_only_what_is_read():
     shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "banks", "means"],
               irsvlc.TrialGains: ["h_los", "h_nlos", "h_irs"],
               irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr", "mean_square_gain"],
-              irsvlc.ReflectorArray: ["wall", "normal", "centers", "scale"]}
+              irsvlc.ReflectorArray: ["normal", "centers", "scale"]}
     for cls, names in shapes.items():
         assert [f.name for f in fields(cls)] == names, cls.__name__
     assert "seed" not in inspect.signature(irsvlc.ser_curve).parameters

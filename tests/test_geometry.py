@@ -278,7 +278,7 @@ def test_stacked_segments_give_the_per_segment_verdicts():
 
 
 def test_cull_keeps_every_box_the_slab_test_hits():
-    # the floor-plan cull of one trial with one lit source (cull_disk through
+    # the floor-plan cull of one lit trial (cull_disk through
     # simulator._near_rows) keeps every box that cuts the sight line or holds
     # the receiver
     r = rng(47)
@@ -289,8 +289,7 @@ def test_cull_keeps_every_box_the_slab_test_hits():
             p = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
             q = np.array([*r.uniform(0.0, 5.0, 2), r.uniform(0.0, 3.0)])
             near = np.zeros(len(field), dtype=bool)
-            near[_near_rows(xs, ys, trial, q[None], {0: [(0, 1.0)]}, p[None],
-                            field.half_extents)] = True
+            near[_near_rows(xs, ys, trial, q[None], [0], p, field.half_extents)] = True
             hit = segments_intersect_box(p[None, :], q[None, :], field)
             assert not (hit & ~near).any()
             assert not (field.contains_interior(q) & ~near).any()

@@ -25,11 +25,11 @@ def _symmetric_cascade(scale):
 
 
 def _mirror_bank(ap, arr):
-    return ReflectorBank((ap,), (arr,))
+    return ReflectorBank(ap, (arr,))
 
 
 def _msa_bank(ap, arr):
-    return ReflectorBank((ap,), (), (arr,))
+    return ReflectorBank(ap, (), (arr,))
 
 
 # -- optimal element orientation -----------------------------------------------
@@ -138,7 +138,7 @@ def test_ma_singleton_matches_steered_element():
     ap, ue, want = _symmetric_cascade(0.95)
     c = vec3(0, 0, 0)
     elem = MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
-    arr = ReflectorArray("x0", vec3(1, 0, 0), c[None, :], elem.reflectivity)
+    arr = ReflectorArray(vec3(1, 0, 0), c[None, :], elem.reflectivity)
     got = _mirror_bank(ap, arr).gain(ue)
     assert got == pytest.approx(mirror_element_gain(ap, elem, ue), rel=1e-12)
     assert got == pytest.approx(want, rel=1e-12)
@@ -151,7 +151,7 @@ def test_ma_matches_per_element_hand_sum():
                vec3(0, 2.45, 1.53), vec3(0, 2.55, 1.53)]
     elems = [MirrorElement(c, optimal_mirror_normal(ap.position, c, ue.position))
              for c in centers]
-    arr = ReflectorArray("x0", vec3(1, 0, 0), np.array(centers), elems[0].reflectivity)
+    arr = ReflectorArray(vec3(1, 0, 0), np.array(centers), elems[0].reflectivity)
     want = math.fsum(mirror_element_gain(ap, e, ue) for e in elems)
     assert want > 0.0
     assert _mirror_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
@@ -159,7 +159,7 @@ def test_ma_matches_per_element_hand_sum():
 
 def test_ma_channel_vector_reports_leg_lengths():
     ap, ue, _ = _symmetric_cascade(0.95)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.95)
+    arr = ReflectorArray(vec3(1, 0, 0), np.zeros((1, 3)), 0.95)
     assert _mirror_bank(ap, arr).d1[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -203,7 +203,7 @@ def _random_poses(r, count, max_wall_gap=None):
 
 def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
     scene = make_scene(n_per_side=50)
-    bank = ReflectorBank(scene.aps, scene.mirror_arrays)
+    bank = ReflectorBank(scene.aps[0], scene.mirror_arrays)
     # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
     r = rng(2_026)
     poses = _random_poses(r, 60) + _random_poses(r, 60, 1e-6) + _random_poses(r, 60, 1e-3)
@@ -229,7 +229,7 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
     ue = PhotoDetector(vec3(1.0, 2.5, 0.5), vec3(0, 0, 1))
     # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
-    arr = ReflectorArray("x0", vec3(1, 0, 0), centers, 0.95)
+    arr = ReflectorArray(vec3(1, 0, 0), centers, 0.95)
     bank = _mirror_bank(ap, arr)
     gains = bank.cascade(ue)
     d2_max = float(np.linalg.norm(ue.position - bank.centers, axis=1).max())
@@ -241,24 +241,23 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
 
 
 def _mixed_scene(n_per_side):
-    """Mirrors and metasurfaces on every wall, lit by two different sources."""
+    """Mirrors and metasurfaces on every wall, lit by a tilted, off-center source."""
     room = Room(5.0, 5.0, 3.0)
-    aps = (Luminaire(vec3(2.5, 2.5, 3.0), vec3(0, 0, -1), 1.0),
-           Luminaire(vec3(1.2, 3.6, 2.9), vec3(0.2, -0.1, -1.0), 2.0))
-    return Scene(room, aps, build_arrays(room, n_per_side, 0.9),
+    ap = Luminaire(vec3(1.2, 3.6, 2.9), vec3(0.2, -0.1, -1.0), 2.0)
+    return Scene(room, (ap,), build_arrays(room, n_per_side, 0.9),
                  build_arrays(room, n_per_side, 0.7),
                  BlockerModel(0.0), OrientationModel())
 
 
 def _bank(scene):
-    return ReflectorBank(scene.aps, scene.mirror_arrays, scene.metasurface_arrays)
+    return ReflectorBank(scene.aps[0], scene.mirror_arrays, scene.metasurface_arrays)
 
 
 @pytest.mark.parametrize("n_per_side", [1, 2, 3, 4, 5])
 def test_bank_cells_match_the_single_cell_reference(n_per_side):
     scene = _mixed_scene(n_per_side)
     bank = _bank(scene)
-    assert len(bank) == 2 * 8 * n_per_side ** 2
+    assert len(bank) == 8 * n_per_side ** 2
     r = rng(600 + n_per_side)
     # detectors beyond the walls see the backs of the cells there
     outside = [PhotoDetector(r.uniform((-1.0, -1.0, 0.1), (6.0, 6.0, 2.9)),
@@ -278,6 +277,7 @@ def test_bank_cells_match_the_single_cell_reference(n_per_side):
 def test_bank_blockers_drop_exactly_the_shadowed_cells():
     scene = _mixed_scene(4)
     bank = _bank(scene)
+    source = scene.aps[0].position
     r = rng(77)
     dropped = kept = 0
     for ue in _random_poses(r, 10):
@@ -288,7 +288,7 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
         clear = bank.cascade(ue)
         got = bank.cascade(ue, boxes)
         for i, c in enumerate(bank.centers):
-            blocked = shadowed(bank.sources[i], c, boxes) or shadowed(c, ue.position, boxes)
+            blocked = shadowed(source, c, boxes) or shadowed(c, ue.position, boxes)
             assert got[i] == (0.0 if blocked else clear[i])
             dropped += bool(blocked and clear[i] > 0.0)
             kept += bool(got[i] > 0.0)
@@ -309,18 +309,22 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
     scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
-    by_wall = {arr.wall: _mirror_bank(ap, arr).gain(ue) for arr in scene.mirror_arrays}
-    assert by_wall["x0"] > 0.0
-    assert by_wall["x0"] == pytest.approx(by_wall["xmax"], rel=1e-9)
-    assert by_wall["y0"] == pytest.approx(by_wall["ymax"], rel=1e-9)
-    assert by_wall["x0"] == pytest.approx(by_wall["y0"], rel=1e-9)
+    # each wall's array, by its inward normal
+    by_normal = {tuple(arr.normal.tolist()): _mirror_bank(ap, arr).gain(ue)
+                 for arr in scene.mirror_arrays}
+    x0, xmax, y0, ymax = (by_normal[n] for n in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
+                                                 (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)))
+    assert x0 > 0.0
+    assert x0 == pytest.approx(xmax, rel=1e-9)
+    assert y0 == pytest.approx(ymax, rel=1e-9)
+    assert x0 == pytest.approx(y0, rel=1e-9)
 
 
 def test_ma_blockage_monotone():
     scene = make_scene(n_per_side=6)
     ap = scene.aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
-    arr = next(a for a in scene.mirror_arrays if a.wall == "x0")
+    arr = next(a for a in scene.mirror_arrays if a.normal.tolist() == [1.0, 0.0, 0.0])
     clear = _mirror_bank(ap, arr).gain(ue)
     # pedestrian standing between the detector and the array wall
     box = one_box(vec3(0.7, 2.5, 0.875), (0.375, 0.1, 0.875), 0.0)
@@ -333,19 +337,19 @@ def test_ma_blockage_monotone():
 
 def test_msa_singleton_value():
     ap, ue, want = _symmetric_cascade(0.8)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
+    arr = ReflectorArray(vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
     assert _msa_bank(ap, arr).gain(ue) == pytest.approx(want, rel=1e-12)
 
 
 def test_msa_zero_efficiency_kills_gain():
     ap, ue, _ = _symmetric_cascade(0.0)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.0)
+    arr = ReflectorArray(vec3(1, 0, 0), np.zeros((1, 3)), 0.0)
     assert _msa_bank(ap, arr).gain(ue) == 0.0
 
 
 def test_msa_back_side_detector_sees_nothing():
     ap, _, _ = _symmetric_cascade(0.8)
-    arr = ReflectorArray("x0", vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
+    arr = ReflectorArray(vec3(1, 0, 0), np.zeros((1, 3)), 0.8)
     behind = PhotoDetector(vec3(-1.0, 0.5, 0.0), vec3(1, 0, 0))
     assert _msa_bank(ap, arr).gain(behind) == 0.0
 

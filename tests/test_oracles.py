@@ -177,8 +177,8 @@ def test_block_cull_verdicts_are_invariant_under_the_floor_symmetries():
     scene = make_scene(1.0, irs_type="none")
     side = _checked_scene(scene)
     poses, draws = _stock_trials(scene, 1)
-    source = scene.aps[0].position[None]
-    lit = {s: [(0, g)] for s, ue in enumerate(poses) if (g := los_gain(scene.aps[0], ue))}
+    source = scene.aps[0].position
+    lit = [s for s, ue in enumerate(poses) if los_gain(scene.aps[0], ue)]
     slots = np.repeat(np.arange(len(poses)), [unit.shape[1] for unit in draws])
     xs, ys, yaws = floor_draws(draws, scene.room)
     dims = scene.blocker_model.dims
@@ -188,7 +188,7 @@ def test_block_cull_verdicts_are_invariant_under_the_floor_symmetries():
         rows = _near_rows(xs, ys, slots, ends, lit, source, half)
         cut = np.zeros(len(xs), dtype=bool)
         cut[rows] = _cut_rows(blocker_boxes(xs[rows], ys[rows], yaws[rows], dims), slots[rows],
-                              ends, source)[0]
+                              ends, source)
         return cut
 
     ends = np.array([ue.position for ue in poses])

@@ -46,6 +46,13 @@ def test_scene_accepts_a_luminaire_on_the_room_boundary():
             [overrides.get("ap_x", 2.5), overrides.get("ap_y", 2.5), overrides["ap_z"]]
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_scene_needs_exactly_one_luminaire(count):
+    ap = make_scene().aps[0]
+    with pytest.raises(ValueError, match=f"exactly one luminaire, got {count}"):
+        replace(make_scene(), aps=(ap,) * count)
+
+
 def test_validate_still_reports_every_bad_key_with_its_wording():
     # the constructors' checks do not replace the config file's report
     cfg = RunConfig(room_length=math.nan, ap_x=9.0, pd_area=0.0)

@@ -218,15 +218,13 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
         assert h_irs == 0.0 and math.copysign(1.0, h_irs) == 1.0
 
 
-def _three_source_scene(**fields):
-    down = vec3(0.0, 0.0, -1.0)
-    scene = make_scene(irs_type="none", **fields)
-    return replace(scene, aps=tuple(Luminaire(vec3(x, y, 3.0), down)
-                                    for x, y in ((1.25, 1.25), (3.75, 1.25), (2.5, 3.75))))
+def _narrow_scene():
+    """The stock array-free scene with a 40 degree FOV, so that some trials are unlit."""
+    return make_scene(irs_type="none", fov_deg=40.0)
 
 
 def _replayed_direct_gain(scene, seed, trial_index, density):
-    """h_los at one density from the trial's own draws, one source at a time.
+    """h_los at one density from the trial's own draws, by los_gain over the boxes.
 
     Also reports whether a drawn box enclosed the receiver and was dropped.
     """
@@ -234,31 +232,32 @@ def _replayed_direct_gain(scene, seed, trial_index, density):
     ue = sample_ue(rng, scene)
     drawn = blocker_field(rng, scene.room, replace(scene.blocker_model, density=density))
     if drawn is None:
-        return math.fsum(los_gain(ap, ue) for ap in scene.aps), False
+        return los_gain(scene.aps[0], ue), False
     boxes = drawn[~drawn.contains_interior(ue.position)]
-    return math.fsum(los_gain(ap, ue, boxes) for ap in scene.aps), len(boxes) < len(drawn)
+    return los_gain(scene.aps[0], ue, boxes), len(boxes) < len(drawn)
 
 
 def test_fused_occlusion_matches_per_density_replay():
     # every row of the one-pass trial equals an independent replay of its
-    # density: own draws, receiver-enclosing boxes dropped, per-source los_gain;
-    # for three sources and for the stock one-source scene
-    for scene, densities in ((_three_source_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
+    # density: own draws, receiver-enclosing boxes dropped, los_gain over the
+    # rest; for a narrow FOV with unlit trials and for the stock scene
+    for scene, densities in ((_narrow_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
                              (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
         ens = Ensemble.build(scene, 21, densities)
-        enclosed = blocked = 0
+        enclosed = blocked = unlit = 0
         for t, (h_los, _, _) in enumerate(compute_trials(ens, 0, 150)):
             assert len(h_los) == len(densities)
             unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
             for d, got in zip(densities, h_los):
                 want, dropped = _replayed_direct_gain(scene, 21, t, d)
-                assert got == want, (t, d)
+                assert got.hex() == want.hex(), (t, d)
                 enclosed += dropped
                 blocked += want < unblocked
-        assert enclosed > 0 and blocked > 0
+            unlit += unblocked == 0.0
+        assert enclosed > 0 and blocked > 0 and unlit > 0
 
 
-def _grazing_corpus(r, cases=300):
+def _grazing_corpus(r, cases=320, per_source=8):
     """(source, receiver, boxes) sight lines whose boxes sit on the cull's edges.
 
     Per line: boxes at the half-diagonal from the floor trace of the part
@@ -266,13 +265,15 @@ def _grazing_corpus(r, cases=300):
     corner), or turned a hair off; boxes on the cull disk's rim and one ulp
     either side of it, beyond each end of the trace and elsewhere; boxes of
     yaw 0 and of yaw just below pi; a box around the receiver. Sources stand
-    on the ceiling, at the box top or below it.
+    on the ceiling, at the box top or below it, each for per_source lines in a
+    row.
     """
     hx, hy, hz = (d / 2.0 for d in BLOCKER_DIMS)
     top, diag, corner = 2.0 * hz, math.hypot(hx, hy), math.atan2(hy, hx)
     below_pi = math.nextafter(math.pi, 0.0)
-    for _ in range(cases):
-        p = np.array([*r.uniform(0.0, 5.0, 2), r.choice([3.0, top, r.uniform(0.2, top)])])
+    for k in range(cases):
+        if k % per_source == 0:
+            p = np.array([*r.uniform(0.0, 5.0, 2), r.choice([3.0, top, r.uniform(0.2, top)])])
         q = np.array([*r.uniform(0.0, 5.0, 2), r.choice([1.0, r.uniform(0.1, top), top])])
         pz, qz = float(p[2]), float(q[2])
         # the part of p->q below the top, or all of it when none is (then no box can cut)
@@ -305,12 +306,6 @@ def _grazing_corpus(r, cases=300):
         yield p, q, boxes
 
 
-def _two_source_scene():
-    down = vec3(0.0, 0.0, -1.0)
-    return replace(make_scene(irs_type="none"),
-                   aps=tuple(Luminaire(vec3(x, 2.5, 3.0), down) for x in (1.25, 3.75)))
-
-
 def _hex_gains(runs):
     """Every gain of a run_trials result as float.hex strings, layout by layout."""
     return [[x.hex() for g in out.values() for a in (g.h_los, g.h_nlos, g.h_irs)
@@ -321,16 +316,16 @@ def _hex_gains(runs):
 def test_trial_blocks_leave_every_bit(monkeypatch, threads):
     # ragged blocks of 1, 3 and the default size, with the drawn boxes culled at
     # once, every few boxes or at the default bound, give every gain of
-    # trial-at-a-time blocks, bit for bit: two sources, both lit in some trials,
-    # a sparse and a crowded density with receivers inside boxes, two layouts;
-    # serially and in the pool
-    scene, trials, seed, densities = _two_source_scene(), 37, 8, (0.5, 4.0)
+    # trial-at-a-time blocks, bit for bit: lit and unlit trials, a sparse and a
+    # crowded density with receivers inside boxes, two layouts; serially and in
+    # the pool
+    scene, trials, seed, densities = _narrow_scene(), 37, 8, (0.5, 4.0)
     layouts = layouts_of([make_scene(irs_type="mirror", n_per_side=3),
                           make_scene(irs_type="metasurface", n_per_side=2)])
-    poses = [sample_ue(trial_rng(seed, t), scene) for t in range(trials)]
-    lit = [sum(los_gain(ap, ue) > 0.0 for ap in scene.aps) for ue in poses]
-    assert 2 in lit
-    assert any(n and _replayed_direct_gain(scene, seed, t, 4.0)[1] for t, n in enumerate(lit))
+    lit = [los_gain(scene.aps[0], sample_ue(trial_rng(seed, t), scene)) > 0.0
+           for t in range(trials)]
+    assert True in lit and False in lit
+    assert any(on and _replayed_direct_gain(scene, seed, t, 4.0)[1] for t, on in enumerate(lit))
 
     def run(block, held, threads):
         monkeypatch.setattr(simulator, "_TRIAL_BLOCK", block)
@@ -367,87 +362,72 @@ def test_a_block_at_the_blocker_bound_peaks_like_one_trial():
     assert peak <= 100 * MAX_MEAN_BLOCKERS
 
 
-def _cull_cases(r):
-    """(sources, lit source indices, receiver, boxes) trials for the block cull.
+def _cull_blocks(r):
+    """(source, [(lit, receiver, boxes), ...]) blocks of trials for the block cull.
 
-    The grazing corpus, one lit source per line; two-source trials whose unlit
-    source's floor trace is lined with boxes; and lines whose ends both lie
-    above the box top, over boxes right under them.
+    Each source's eight lines of the grazing corpus, lit, and the first of
+    them again, unlit; and for every fourth source, its lines with both ends
+    raised above the box top, over the same boxes, one of them right under
+    each receiver.
     """
-    hx, hy, hz = (d / 2.0 for d in BLOCKER_DIMS)
-    for k, (p, q, boxes) in enumerate(_grazing_corpus(r)):
-        yield [p], [0], q, boxes
-        if k % 10:
-            continue
-        # a second source below the box top, unlit: the boxes on its floor trace
-        # may be kept only for p's line
-        off = r.uniform(0.0, 5.0, 3) * (1.0, 1.0, 2.0 * hz / 5.0)
-        trace = [q[:2] + t * (off - q)[:2] for t in np.linspace(0.0, 1.0, 10)]
-        xy = np.concatenate((boxes.center[:, :2], trace))
-        yaws = np.concatenate((boxes.yaw, r.uniform(0.0, math.pi, len(trace))))
-        both = OrientedBoxes(np.column_stack((xy, np.full(len(xy), hz))), (hx, hy, hz), yaws)
-        yield [off, p], [1], q, both
-        # both ends above the top: the same boxes, one of them right under the
-        # raised receiver
-        high = np.array([*q[:2], 2.0 * hz + 1e-6])
-        yield [np.array([*p[:2], 3.0])], [0], high, both
+    top = BLOCKER_DIMS[2]
+    lines = list(_grazing_corpus(r))
+    for k in range(0, len(lines), 8):
+        p, block = lines[k][0], [(True, q, boxes) for _, q, boxes in lines[k:k + 8]]
+        yield p, block + [(False, *block[0][1:])]
+        if k % 32 == 0:
+            yield np.array([*p[:2], 3.0]), [(True, np.array([*q[:2], top + 1e-6]), boxes)
+                                            for _, q, boxes in block]
 
 
-def _kept_alone(sources, on, q, field, half):
+def _kept_alone(p, lit, q, field, half):
     """Mask of the boxes of field that the cull of a block holding this trial
-    alone keeps, with sources[j] lit for each j in on."""
+    alone keeps, lit or not."""
     kept = np.zeros(len(field), dtype=bool)
     kept[simulator._near_rows(field.center[:, 0], field.center[:, 1],
-                              np.zeros(len(field), dtype=int), q[None],
-                              {0: [(j, None) for j in on]}, np.array(sources), half)] = True
+                              np.zeros(len(field), dtype=int), q[None], [0] if lit else [],
+                              p, half)] = True
     return kept
 
 
 def test_cull_keeps_every_verdict_of_the_slab_test():
-    # the block cull, eight trials to a block, keeps in each trial exactly the
-    # boxes a block of that trial alone keeps for its lit sight lines; no slab
-    # hit and no receiver-holding box falls outside them, and the block's slab
-    # test gives each kept box its own lines' verdicts
-    cases = list(_cull_cases(np.random.default_rng(1_111)))
+    # the block cull, nine trials of one source to a block, keeps in each trial
+    # exactly the boxes a block of that trial alone keeps, and none of an unlit
+    # trial's; no slab hit and no receiver-holding box of a lit trial falls
+    # outside them, and the block's slab test gives each kept box its own
+    # line's verdict
     half = tuple(d / 2.0 for d in BLOCKER_DIMS)
     hits = culled = enclosed = unlit = above = 0
-    for b0 in range(0, len(cases), 8):
-        block = cases[b0:b0 + 8]
-        sources, lit, ends, boxes, slots = [], {}, [], [], []
-        for s, (ps, on, q, field) in enumerate(block):
-            lit[s] = [(len(sources) + j, None) for j in on]
-            sources += ps
-            ends.append(q)
-            boxes.append(field)
-            slots += [s] * len(field)
-        sources, ends, slots = np.array(sources), np.array(ends), np.array(slots)
-        xy = np.concatenate([field.center[:, :2] for field in boxes])
-        rows = simulator._near_rows(xy[:, 0].copy(), xy[:, 1].copy(), slots, ends, lit,
-                                    sources, half)
+    for p, block in _cull_blocks(np.random.default_rng(1_111)):
+        lit = [s for s, (on, _, _) in enumerate(block) if on]
+        ends = np.array([q for _, q, _ in block])
+        slots = np.repeat(np.arange(len(block)), [len(field) for _, _, field in block])
+        xy = np.concatenate([field.center[:, :2] for _, _, field in block])
+        rows = simulator._near_rows(xy[:, 0].copy(), xy[:, 1].copy(), slots, ends, lit, p,
+                                    half)
         kept = np.zeros(len(slots), dtype=bool)
         kept[rows] = True
-        yaws = np.concatenate([field.yaw for field in boxes])
+        yaws = np.concatenate([field.yaw for _, _, field in block])
         centers = np.column_stack((xy, np.full(len(xy), half[2])))
         cuts = simulator._cut_rows(OrientedBoxes(centers[rows], half, yaws[rows]),
-                                   slots[rows], ends, sources)
-        for s, (ps, on, q, field) in enumerate(block):
+                                   slots[rows], ends, p)
+        for s, (on, q, field) in enumerate(block):
             mine = kept[slots == s]
+            assert mine.tolist() == _kept_alone(p, on, q, field, half).tolist(), s
+            if not on:
+                assert not mine.any()
+                unlit += _kept_alone(p, True, q, field, half).any()
+                continue
             inside = field.contains_interior(q)
-            verdicts = []
-            for j in on:
-                slab = segments_intersect_box(ps[j][None, :], q[None, :], field)
-                assert not ((slab | inside) & ~mine).any()
-                verdicts.append((slab & ~inside)[mine])
-                hits += int((slab & ~inside).sum())
-            assert mine.tolist() == _kept_alone(ps, on, q, field, half).tolist(), s
-            # each kept box's verdict on its own lit lines; the block's other
-            # sources' lines end at the same receiver but are not that trial's
-            got = cuts[:, (slots[rows] == s).nonzero()[0]]
-            for (j, _), want in zip(lit[s], verdicts):
-                assert got[j].tolist() == want.tolist(), s
+            slab = segments_intersect_box(p[None, :], q[None, :], field)
+            assert not ((slab | inside) & ~mine).any()
+            # each kept box's verdict on its own line; the block's other lines
+            # start at the same source but are not that trial's
+            got = cuts[(slots[rows] == s).nonzero()[0]]
+            assert got.tolist() == (slab & ~inside)[mine].tolist(), s
+            hits += int((slab & ~inside).sum())
             culled += len(field) - int(mine.sum())
             enclosed += int(inside.sum())
-            unlit += len(ps) > len(on) and (_kept_alone(ps, [0], q, field, half) & ~mine).any()
             above += q[2] > 2.0 * half[2] and not mine.any()
     assert hits > 0 and culled > 0 and enclosed > 0 and unlit > 0 and above > 0
 
@@ -485,11 +465,10 @@ def _cascade_sum(scene, bank, ue):
         ux, uy, uz = bank.legs[:, :k]
         dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
         ok[:k] &= dot / (bank.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
-    pairs = [(ap, arr) for ap in scene.aps for arr in scene.metasurface_arrays]
-    if pairs:
-        cn = np.concatenate([_dot(*arr.centers.T, arr.normal) for _, arr in pairs])
-        ue_n = np.array([arr.normal for _, arr in pairs]) @ ue.position
-        ok[k:] &= np.repeat(ue_n, [len(arr) for _, arr in pairs]) > cn
+    if arrays := scene.metasurface_arrays:
+        cn = np.concatenate([_dot(*arr.centers.T, arr.normal) for arr in arrays])
+        ue_n = np.array([arr.normal for arr in arrays]) @ ue.position
+        ok[k:] &= np.repeat(ue_n, [len(arr) for arr in arrays]) > cn
     total_d = bank.d1 + d2
     total_d *= total_d
     gains = bank.weight * cos_psi
@@ -519,7 +498,7 @@ def _dark_wall_field(seed):
     dark = PatchSet(ps.centers, ps.normals, ps.areas,
                     np.where(ps.centers[:, 1] == 0.0, 0.0, ps.reflectivity))
     power = patch_incident_power(scene.aps[0], dark, (), order=2)
-    ens = Ensemble(scene, seed, PoweredPatches(dark, power), (ReflectorBank(scene.aps),), (0.0,))
+    ens = Ensemble(scene, seed, PoweredPatches(dark, power), (ReflectorBank(scene.aps[0]),), (0.0,))
     return ens, dark, power
 
 
@@ -568,9 +547,9 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("densities", [(1.0,), (0.0, 0.5, 1.0, 2.0, 4.0)])
-def test_one_slab_test_per_lit_source(monkeypatch, densities):
+def test_one_slab_test_per_lit_trial(monkeypatch, densities):
     # one occlusion pass serves every density: at most one slab test per lit
-    # source and trial, and none when no source reaches the receiver
+    # trial, and none when the source does not reach the receiver
     calls = []
 
     def counting(*args):
@@ -579,12 +558,11 @@ def test_one_slab_test_per_lit_source(monkeypatch, densities):
 
     real = simulator.segments_intersect_box
     monkeypatch.setattr(simulator, "segments_intersect_box", counting)
-    scene = _three_source_scene(fov_deg=40.0)
+    scene = _narrow_scene()
     ens = Ensemble.build(scene, 4, densities)
     unlit = tested = 0
     for t in range(80):
-        ue = sample_ue(trial_rng(4, t), scene)
-        lit = sum(los_gain(ap, ue) > 0.0 for ap in scene.aps)
+        lit = los_gain(scene.aps[0], sample_ue(trial_rng(4, t), scene)) > 0.0
         calls.clear()
         compute_trials(ens, t, t + 1)
         assert len(calls) <= lit
@@ -617,13 +595,12 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
 
     real = simulator.trial_rng
     monkeypatch.setattr(simulator, "trial_rng", lambda seed, t: Counting(real(seed, t)))
-    scene = _three_source_scene(fov_deg=40.0)
+    scene = _narrow_scene()
     ens = Ensemble.build(scene, 4, densities)
     drawing = sum(d > 0.0 for d in densities)
     unlit = 0
     for t in range(80):
-        ue = sample_ue(real(4, t), scene)
-        lit = any(los_gain(ap, ue) > 0.0 for ap in scene.aps)
+        lit = los_gain(scene.aps[0], sample_ue(real(4, t), scene)) > 0.0
         calls.clear()
         compute_trials(ens, t, t + 1)
         assert set(calls) <= {"random", "normal", "poisson"}
