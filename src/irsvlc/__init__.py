@@ -8,7 +8,8 @@ mirrors or metasurface patches.
 
 from .channel import (PatchSet, los_gain, nlos_gain, patch_incident_power, shadowed,
                       shadowed_mask, wall_patches)
-from .config import ConfigError, RunConfig, build_scene, effective_sections, load_config
+from .config import (ConfigError, RunConfig, build_layout, build_scene, effective_sections,
+                     load_config)
 from .geometry import (OrientedBoxes, normalize, segments_intersect_box, unit_normal_from_polar,
                        vec3)
 from .irs import (MirrorElement, ReflectorArray, ReflectorBank, mirror_element_gain,
@@ -24,7 +25,7 @@ __all__ = [
     "BlockerModel", "ConfigError", "Ensemble", "Luminaire", "MirrorElement",
     "OrientationModel", "OrientedBoxes", "PatchSet", "PhotoDetector", "ReflectorArray",
     "ReflectorBank", "RequiredSnr", "Room", "RunConfig", "SER_TARGET", "Scenario",
-    "Scene", "SerCurve", "SnrGrid", "TrialGains", "build_arrays", "build_scene",
+    "Scene", "SerCurve", "SnrGrid", "TrialGains", "build_arrays", "build_layout", "build_scene",
     "effective_sections", "load_config", "los_gain", "mirror_element_gain", "nlos_gain",
     "normalize", "optimal_mirror_normal", "patch_incident_power", "q_function",
     "required_snr", "run_trials", "sample_tilt_deg", "sample_ue", "segments_intersect_box",

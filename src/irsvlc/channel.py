@@ -93,7 +93,7 @@ def wall_patch_grid(room: "Room", patch_target_size: float) -> list[tuple[tuple,
     # a side clamped to MAX_PATCHES is already over the bound, and the clamp keeps
     # a tiny size from overflowing the ceil
     grid = [(wall, *(max(1, math.ceil(min(side / patch_target_size, MAX_PATCHES)))
-                     for side in wall[4:6]))  # u_len, v_len
+                     for side in wall[3:5]))  # u_len, v_len
             for wall in room.walls()]
     if sum(nu * nv for _, nu, nv in grid) > MAX_PATCHES:
         raise ValueError(f"patch size {patch_target_size:g} tiles the walls with more than "
@@ -112,7 +112,7 @@ def wall_patches(room: "Room", patch_target_size: float = DEFAULT_PATCH_SIZE,
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"wall reflectivity {reflectivity} outside [0, 1]")
     centers, normals, areas = [], [], []
-    for (_label, origin, u_dir, v_dir, u_len, v_len, normal), nu, nv in grid:
+    for (origin, u_dir, v_dir, u_len, v_len, normal), nu, nv in grid:
         du, dv = u_len / nu, v_len / nv
         i, j = np.divmod(np.arange(nu * nv), nu)  # row-major: v index, then u index
         centers.append(origin + ((j + 0.5) * du)[:, None] * u_dir
@@ -164,34 +164,27 @@ def _dot3(x: np.ndarray, y: np.ndarray, z: np.ndarray, a, b, c,
     return out
 
 
-def _plane_runs(ps: PatchSet, sources: np.ndarray):
-    """Cut the sources into runs of consecutive sources with one normal on one plane.
+def _normal_runs(ps: PatchSet, sources: np.ndarray):
+    """Cut the sources into runs of consecutive sources with one normal.
 
-    Yields (run, columns, normal). A source whose normal is axis-aligned
-    lies on the plane of its own wall coordinate; every patch whose center
-    shares that coordinate bit for bit gives v . n_j == 0, hence
-    cos_out == 0 and a +0.0 term, so columns leaves those patches out. Runs
-    of sources with any other normal keep every column.
+    Yields (run, columns, normal). Columns are the patches whose normal
+    differs from the run's: a patch with the source's normal n gets cos_in
+    = -(v . n) and cos_out = v . n from the same _dot3, which are never both
+    positive, so its term is +0.0 and leaving it out keeps every bit.
     """
     normals = ps.normals[sources]
-    nonzero = normals != 0.0
-    axis = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
-    coord = np.where(axis >= 0, ps.centers[sources, axis.clip(0)], 0.0)
-    cuts = np.flatnonzero((normals[1:] != normals[:-1]).any(axis=1)
-                          | (coord[1:] != coord[:-1])) + 1
+    cuts = np.flatnonzero((normals[1:] != normals[:-1]).any(axis=1)) + 1
     bounds = [0, *cuts.tolist(), sources.size]
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        a = axis[start]
-        cols = (np.arange(len(ps)) if a < 0
-                else np.flatnonzero(ps.centers[:, a] != coord[start]))
+        cols = np.flatnonzero((ps.normals != normals[start]).any(axis=1))
         yield sources[start:stop], cols, normals[start]
 
 
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
     """Patch powers after one unblocked diffuse patch-to-patch transfer.
 
-    O(P^2) pairs, evaluated per plane run of sources (see _plane_runs) and
-    _SOURCE_BLOCK sources at a time within a run.
+    O(P^2) pairs, evaluated per run of sources with one normal (see
+    _normal_runs) and _SOURCE_BLOCK sources at a time within a run.
 
     The result is bit-identical to adding one source row at a time, in
     source order, each row computed with einsum dot products: the per-axis
@@ -205,7 +198,7 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
         return out
     centers, normals = ps.centers.T, ps.normals.T  # (3, P) axis vectors
     scale = ps.reflectivity * power1
-    runs = list(_plane_runs(ps, sources))
+    runs = list(_normal_runs(ps, sources))
     rows = min(_SOURCE_BLOCK, sources.size)
     buf = np.empty(6 * rows * max(cols.size for _, cols, _ in runs))  # shared by every run
     for run, cols, normal in runs:

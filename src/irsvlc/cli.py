@@ -22,8 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracles
-from .config import (_FLOATS, ConfigError, RunConfig, _parse_value, build_scene,
-                     effective_sections, load_config, validate)
+from .config import (_FLOATS, ConfigError, RunConfig, _parse_value, build_layout,
+                     build_scene, effective_sections, load_config, validate)
 from .irs import ReflectorBank
 from .scene import sample_ue
 from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, required_snr,
@@ -86,16 +86,17 @@ def _experiment_curves(cfgs: list[RunConfig],
     """All requested SER curves and their readouts for each config and each distinct
     density of the first one, from one ensemble, and the wall-clock seconds of each stage
     that produced them. The configs differ only in their arrays: the first one's scene
-    with every config's array layout is the run, so one pass over the poses serves them
-    all. This is the one place a readout is made; every output only formats what it
-    returns."""
+    with every config's array layout (build_layout) is the run, so one pass over the
+    poses serves them all. This is the one place a readout is made; every output only
+    formats what it returns."""
     t0 = time.perf_counter()
     densities = sorted(set(cfgs[0].densities))
     # the scene's own density is replaced by each of `densities` in turn
-    scenes = [build_scene(cfg, densities[0]) for cfg in cfgs]
+    scene = build_scene(cfgs[0], densities[0])
+    layouts = [build_layout(cfg) for cfg in cfgs]
     t1 = time.perf_counter()
-    runs = run_trials(scenes[0], cfgs[0].trials, cfgs[0].seed, threads=threads, densities=densities,
-                      layouts=[(s.mirror_arrays, s.metasurface_arrays) for s in scenes])
+    runs = run_trials(scene, cfgs[0].trials, cfgs[0].seed, threads=threads, densities=densities,
+                      layouts=layouts)
     t2 = time.perf_counter()
     out: list[Readouts] = [{} for _ in cfgs]
     for cfg, by_density, readouts in zip(cfgs, runs, out):
@@ -336,12 +337,14 @@ def _verify_occlusion(cases: int) -> tuple[bool, str]:
 def _verify_reflector_bank(poses: int) -> tuple[bool, str]:
     rng = np.random.default_rng(52_014)
     worst, mismatched, cells, edge = 0.0, 0, 0, []
+    scene = build_scene(RunConfig(), 0.0)
+    (ap,) = scene.aps
     for irs_type in ("mirror", "metasurface"):
-        scene = build_scene(RunConfig(irs_type=irs_type), 0.0)
-        bank = ReflectorBank(scene.aps[0], scene.mirror_arrays, scene.metasurface_arrays)
+        layout = build_layout(RunConfig(irs_type=irs_type))
+        bank = ReflectorBank(ap, *layout)
         for k in range(poses):
             ue = sample_ue(rng, scene)
-            got, want = bank.cascade(ue), oracles.reflector_cell_gains(scene, ue)
+            got, want = bank.cascade(ue), oracles.reflector_cell_gains(ap, layout, ue)
             mismatched += int(np.sum((got == 0.0) != (want == 0.0)))
             lit = want != 0.0
             worst = max(worst, float(np.max(np.abs(got - want)[lit] / want[lit], initial=0.0)))

@@ -22,7 +22,7 @@ from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, MAX_PD_AREA, BlockerModel,
                     Luminaire, OrientationModel, Room, Scene, _check_array_fit, blocker_means,
                     build_arrays)
-from .simulator import DEFAULT_SNR_GRID_DB, MAX_SNR_DB, Scenario, SnrGrid
+from .simulator import DEFAULT_SNR_GRID_DB, MAX_SNR_DB, Layout, Scenario, SnrGrid
 
 
 class ConfigError(Exception):
@@ -249,18 +249,9 @@ def effective_sections(cfg: RunConfig) -> dict[str, dict[str, str]]:
 
 def build_scene(cfg: RunConfig, blocker_density: float) -> Scene:
     """Construct the immutable scene for one blocker density."""
-    room = Room(cfg.room_length, cfg.room_width, cfg.room_height)
-    ap = Luminaire(vec3(*cfg.ap_position()), vec3(0, 0, -1), cfg.lambertian_order)
-    mirror_arrays = msa_arrays = ()
-    if cfg.irs_type == "mirror":
-        mirror_arrays = build_arrays(room, cfg.n_per_side, cfg.mirror_reflectivity)
-    elif cfg.irs_type == "metasurface":
-        msa_arrays = build_arrays(room, cfg.n_per_side, cfg.msa_efficiency)
     return Scene(
-        room=room,
-        aps=(ap,),
-        mirror_arrays=mirror_arrays,
-        metasurface_arrays=msa_arrays,
+        room=Room(cfg.room_length, cfg.room_width, cfg.room_height),
+        aps=(Luminaire(vec3(*cfg.ap_position()), vec3(0, 0, -1), cfg.lambertian_order),),
         blocker_model=BlockerModel(blocker_density,
                                    (cfg.blocker_length, cfg.blocker_width,
                                     cfg.blocker_height)),
@@ -272,3 +263,13 @@ def build_scene(cfg: RunConfig, blocker_density: float) -> Scene:
         pd_area=cfg.pd_area,
         pd_fov=math.radians(cfg.fov_deg),
     )
+
+
+def build_layout(cfg: RunConfig) -> Layout:
+    """The configured array layout: one n x n array on each wall, of the [irs] type."""
+    room = Room(cfg.room_length, cfg.room_width, cfg.room_height)
+    if cfg.irs_type == "mirror":
+        return build_arrays(room, cfg.n_per_side, cfg.mirror_reflectivity), ()
+    if cfg.irs_type == "metasurface":
+        return (), build_arrays(room, cfg.n_per_side, cfg.msa_efficiency)
+    return (), ()

@@ -11,7 +11,6 @@ mirror_normal_deviation, q_function_error and occlusion_disagreements.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,10 +18,7 @@ from .channel import shadowed
 from .geometry import OrientedBoxes, Vec3, normalize
 from .irs import MirrorElement, mirror_element_gain, optimal_mirror_normal
 from .scene import Luminaire, PhotoDetector
-from .simulator import q_function
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scene import Scene
+from .simulator import Layout, q_function
 
 Q_NUMERIC_MAX_ARG = 40.0
 COARSE_STEP_DEG = 2.0  # grid_search_mirror_normal's first sweep; refined to 1/10 and 1/100
@@ -252,15 +248,16 @@ def _steered_mirror_gain(ap: "Luminaire", center: Vec3, reflectivity: float,
     return mirror_element_gain(ap, MirrorElement(center, normal, reflectivity=reflectivity), ue)
 
 
-def reflector_cell_gains(scene: "Scene", ue: "PhotoDetector") -> np.ndarray:
-    """Every array cell's gain from its single-cell model, in ReflectorBank order.
+def reflector_cell_gains(ap: "Luminaire", layout: Layout, ue: "PhotoDetector") -> np.ndarray:
+    """Every cell's gain of the layout's arrays lit by ap, from its single-cell model,
+    in the order of ReflectorBank(ap, *layout).
 
     Mirrors are steered to optimal_mirror_normal and evaluated by
     mirror_element_gain; metasurface patches use their closed form.
     """
-    (ap,) = scene.aps
+    mirror_arrays, metasurface_arrays = layout
     gains = [_steered_mirror_gain(ap, c, arr.scale, ue)
-             for arr in scene.mirror_arrays for c in arr.centers]
+             for arr in mirror_arrays for c in arr.centers]
     gains += [_patch_gain(ap, c, arr.normal, arr.scale, ue)
-              for arr in scene.metasurface_arrays for c in arr.centers]
+              for arr in metasurface_arrays for c in arr.centers]
     return np.array(gains, dtype=float)

@@ -54,13 +54,14 @@ class Room:
         return 0.0 <= x <= self.length and 0.0 <= y <= self.width and 0.0 <= z <= self.height
 
     def walls(self):
-        """The four vertical walls as (label, origin, u_dir, v_dir, u_len, v_len, inward_normal)."""
+        """The four vertical walls, x = 0, x = length, y = 0 and y = width, as
+        (origin, u_dir, v_dir, u_len, v_len, inward_normal)."""
         ex, ey, ez = np.eye(3)
         return (
-            ("x0", vec3(0, 0, 0), ey, ez, self.width, self.height, ex),
-            ("xmax", vec3(self.length, 0, 0), ey, ez, self.width, self.height, -ex),
-            ("y0", vec3(0, 0, 0), ex, ez, self.length, self.height, ey),
-            ("ymax", vec3(0, self.width, 0), ex, ez, self.length, self.height, -ey),
+            (vec3(0, 0, 0), ey, ez, self.width, self.height, ex),
+            (vec3(self.length, 0, 0), ey, ez, self.width, self.height, -ex),
+            (vec3(0, 0, 0), ex, ez, self.length, self.height, ey),
+            (vec3(0, self.width, 0), ex, ez, self.length, self.height, -ey),
         )
 
 
@@ -152,15 +153,14 @@ class BlockerModel:
 class Scene:
     """Immutable experiment geometry and wall model; safe to share across worker processes.
 
-    With a run's blocker densities and array layouts, it is the whole input of a run.
+    With a run's blocker densities and array layouts, it is the whole input of a run;
+    the layouts are the only way a run gets arrays.
     Scenes, luminaires and detectors compare by identity: their ndarray fields give
     no single truth value for a field-wise ==.
     """
 
     room: Room
     aps: tuple[Luminaire]  # the one source, as a one-tuple
-    mirror_arrays: tuple[ReflectorArray, ...]
-    metasurface_arrays: tuple[ReflectorArray, ...]
     blocker_model: BlockerModel
     orientation_model: OrientationModel
     ue_height: float = DEFAULT_UE_HEIGHT
@@ -216,7 +216,7 @@ def build_arrays(room: Room, n_per_side: int, scale: float) -> tuple[ReflectorAr
     return tuple(
         ReflectorArray(normal, _grid_centers(origin, u_dir, v_dir, u_len, v_len,
                                              n_per_side, MIRROR_WIDTH, MIRROR_HEIGHT), scale)
-        for _, origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
+        for origin, u_dir, v_dir, u_len, v_len, normal in room.walls())
 
 
 _MAX_REJECTION_DRAWS = 10_000

@@ -134,7 +134,7 @@ def trial_rng(seed: int, trial_index: int) -> Generator:
 
 # one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trials returns it per trial
 TrialRow = tuple[tuple[float, ...], float, tuple[float, ...]]
-# the two Scene fields that vary between a run's array layouts: (mirror_arrays, metasurface_arrays)
+# one array layout of a run, as ReflectorBank takes it: (mirror arrays, metasurface arrays)
 Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
 
 
@@ -142,7 +142,7 @@ Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
 class Ensemble:
     """Exactly what a trial reads besides its own substream; built once per run."""
 
-    scene: Scene  # read for every field but its arrays, which the layouts replace
+    scene: Scene  # read for every field but its blocker density, which means replaces
     seed: int
     powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
     banks: tuple[ReflectorBank, ...]  # one per layout, in the order given
@@ -150,12 +150,10 @@ class Ensemble:
 
     @classmethod
     def build(cls, scene: Scene, seed: int, densities: Sequence[float],
-              layouts: Sequence[Layout] | None = None) -> "Ensemble":
-        """Check that there is at least one density and one layout (default: the scene's
-        own arrays), turn the densities into mean blocker counts (blocker_means), then
-        precompute the one diffuse field and each layout's reflector bank."""
-        if layouts is None:
-            layouts = ((scene.mirror_arrays, scene.metasurface_arrays),)
+              layouts: Sequence[Layout]) -> "Ensemble":
+        """Check that there is at least one density and one layout, turn the densities
+        into mean blocker counts (blocker_means), then precompute the one diffuse
+        field and each layout's reflector bank."""
         if not (len(densities) and len(layouts)):
             raise ValueError("a run needs at least one blocker density and one array layout")
         means = blocker_means(scene.room, densities)
@@ -308,16 +306,16 @@ def _run_chunk(bounds: tuple[int, int]) -> list[TrialRow]:
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
                densities: Sequence[float] | None = None,
-               layouts: Sequence[Layout] | None = None) -> list[dict[float, TrialGains]]:
+               layouts: Sequence[Layout]) -> list[dict[float, TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
-    Per layout of `layouts` (default: the scene's own arrays), in the order
-    given, maps each of `densities` (default: the scene's own blocker density)
-    to the TrialGains a run of the scene with that layout's arrays at that
-    density alone would give; ValueError before any work if either is empty.
-    One pass over the trials serves every layout and density: every
-    TrialGains shares one h_nlos array, each density one h_los row and each
-    layout one h_irs row, which is why every array is read-only.
+    Per layout of `layouts`, in the order given, maps each of `densities`
+    (default: the scene's own blocker density) to the TrialGains a run of the
+    scene with that layout's arrays at that density alone would give;
+    ValueError before any work if either is empty. One pass over the trials
+    serves every layout and density: every TrialGains shares one h_nlos
+    array, each density one h_los row and each layout one h_irs row, which is
+    why every array is read-only.
 
     Trials are keyed by index, computed in contiguous chunks of blocks
     (compute_trials) and reassembled in index order, so neither the blocks

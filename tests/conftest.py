@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, build_scene,
-                    vec3)
+from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, build_layout,
+                    build_scene, vec3)
 from irsvlc.scene import blocker_boxes, blocker_draws, blocker_means, floor_draws
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
@@ -37,6 +37,11 @@ def rng(seed: int) -> np.random.Generator:
 def make_scene(density: float = 0.0, **fields) -> Scene:
     """The stock experiment's scene at one blocker density, with RunConfig fields overridden."""
     return build_scene(RunConfig(**fields), density)
+
+
+def make_layout(**fields):
+    """The stock experiment's array layout, with RunConfig fields overridden."""
+    return build_layout(RunConfig(**fields))
 
 
 def blocker_field(r, room, model):

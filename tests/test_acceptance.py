@@ -24,7 +24,7 @@ from irsvlc.oracles import mirror_normal_deviation, occlusion_disagreements, q_f
 from irsvlc.scene import OrientationModel, Room, sample_tilt_deg
 from irsvlc.simulator import SER_TARGET
 
-from conftest import ACCEPTANCE_LINES, blocker_field, box_set, make_scene, rng
+from conftest import ACCEPTANCE_LINES, blocker_field, box_set, make_layout, make_scene, rng
 
 STOCK_TRIALS = 10_000
 STOCK_SEED = 1
@@ -48,7 +48,8 @@ def stock():
     """The reference experiment at both blocker densities, full size, from the one
     pass over the trials that `simulate` makes; each run's wallclock is that pass's."""
     t0 = time.perf_counter()
-    (by_density,) = run_trials(make_scene(), STOCK_TRIALS, STOCK_SEED, densities=(0.0, 1.0))
+    (by_density,) = run_trials(make_scene(), STOCK_TRIALS, STOCK_SEED, densities=(0.0, 1.0),
+                               layouts=[make_layout()])
     curves = {d: {s: ser_curve(gains, s) for s in Scenario} for d, gains in by_density.items()}
     wall = time.perf_counter() - t0
     return {d: StockRun(c, {s: required_snr(c[s]) for s in Scenario}, wall)
@@ -158,7 +159,7 @@ def test_criterion_7_thread_count_invariance(tmp_path):
 
 
 def test_criterion_8_sampler_statistics():
-    scene = make_scene(1.0, n_per_side=1)
+    scene = make_scene(1.0)
     lam = scene.blocker_model.density * scene.room.length * scene.room.width
     r = rng(8_080)
     fields = [blocker_field(r, scene.room, scene.blocker_model) for _ in range(10_000)]

@@ -51,14 +51,20 @@ def test_run_path_signatures():
     inspect.signature(config.build_scene).bind(object(), 0.0)
     inspect.signature(channel.wall_patches).bind(object(), 0.25, 0.7)
     inspect.signature(channel.patch_incident_power).bind(object(), object(), (), order=2)
-    # a run's input is one scene plus its array layouts; perfbench wraps cli.run_trials
-    # and reads only its threads keyword
+    # a run's input is one scene plus its array layouts, which it must be given: they
+    # are the one way it gets arrays; perfbench wraps cli.run_trials and reads only its
+    # threads keyword
     for fn in (simulator.run_trials, simulator.Ensemble.build):
-        assert next(iter(inspect.signature(fn).parameters)) == "scene", fn.__name__
-    inspect.signature(simulator.run_trials).bind(object(), 10, 1)
+        params = inspect.signature(fn).parameters
+        assert next(iter(params)) == "scene", fn.__name__
+        assert params["layouts"].default is inspect.Parameter.empty, fn.__name__
+    with pytest.raises(TypeError, match="layouts"):
+        inspect.signature(simulator.run_trials).bind(object(), 10, 1)
+    inspect.signature(simulator.run_trials).bind(object(), 10, 1, layouts=[((), ())])
     inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,),
                                                  layouts=[((), ())])
-    inspect.signature(simulator.Ensemble.build).bind(object(), 1, (0.0,), layouts=[((), ())])
+    inspect.signature(simulator.Ensemble.build).bind(object(), 1, (0.0,), [((), ())])
+    inspect.signature(config.build_layout).bind(object())
     # the scene attributes it reads: the one source in scene.aps, the room and the
     # wall reflectivity
     scene = config.build_scene(config.RunConfig(), 0.0)
@@ -73,7 +79,11 @@ def test_run_records_hold_only_what_is_read():
     shapes = {irsvlc.Ensemble: ["scene", "seed", "powered", "banks", "means"],
               irsvlc.TrialGains: ["h_los", "h_nlos", "h_irs"],
               irsvlc.SerCurve: ["scenario", "snr_db", "ser", "stderr", "mean_square_gain"],
-              irsvlc.ReflectorArray: ["normal", "centers", "scale"]}
+              irsvlc.ReflectorArray: ["normal", "centers", "scale"],
+              # no arrays: a run's layouts are the one way it gets them
+              irsvlc.Scene: ["room", "aps", "blocker_model", "orientation_model", "ue_height",
+                             "wall_reflectivity", "patch_size", "nlos_order", "pd_area",
+                             "pd_fov"]}
     for cls, names in shapes.items():
         assert [f.name for f in fields(cls)] == names, cls.__name__
     assert "seed" not in inspect.signature(irsvlc.ser_curve).parameters
@@ -101,26 +111,35 @@ UNREFERENCED = {
 
 
 def test_every_definition_is_referenced_or_exported():
-    # a function or class that no module of the package names and __all__ does not
-    # export is dead code: the tests are its only callers
+    # a function, class or module-level name that no module of the package reads
+    # and __all__ does not export is dead code: the tests are its only readers
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(irsvlc.__file__).parent.glob("*.py"))}
     named = {node.id if isinstance(node, ast.Name) else node.attr
              for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and not isinstance(node.ctx, ast.Store)}
     unreferenced = []
 
-    def visit(node, prefix):
+    def check(name, where):
+        dunder = name.startswith("__") and name.endswith("__")
+        if not (dunder or name in named or name in irsvlc.__all__):
+            unreferenced.append(where + name)
+
+    def visit(node, prefix, top):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = child.name
-                dunder = name.startswith("__") and name.endswith("__")
-                if not (dunder or name in named or name in irsvlc.__all__):
-                    unreferenced.append(prefix + name)
-                visit(child, f"{prefix}{name}.")
+                check(child.name, prefix)
+                visit(child, f"{prefix}{child.name}.", False)
             else:
-                visit(child, prefix)
+                if top and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    for target in targets:
+                        for leaf in ast.walk(target):
+                            if isinstance(leaf, ast.Name):
+                                check(leaf.id, prefix)
+                visit(child, prefix, top)
 
     for module, tree in trees.items():
-        visit(tree, module + ".")
+        visit(tree, module + ".", True)
     assert sorted(unreferenced) == sorted(UNREFERENCED)

@@ -93,7 +93,7 @@ def test_wall_patches_oversized_target_clamps():
 def _per_patch_wall_patches(room, patch_target_size, reflectivity):
     """Reference: wall_patches as a plain loop, one patch at a time."""
     centers, normals, areas = [], [], []
-    for _label, origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
+    for origin, u_dir, v_dir, u_len, v_len, normal in room.walls():
         nu = max(1, math.ceil(u_len / patch_target_size))
         nv = max(1, math.ceil(v_len / patch_target_size))
         du, dv = u_len / nu, v_len / nv
@@ -281,21 +281,47 @@ def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
             patch_incident_power(ceiling_ap, ps, boxes, order=2)
 
 
-@pytest.mark.parametrize("dims, size, dark, blocked", [
+def _turned(ps, ap):
+    """The patches and the source turned about a skew axis: no normal stays axis-aligned."""
+    k = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    skew = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    rot = np.eye(3) + math.sin(0.4) * skew + (1.0 - math.cos(0.4)) * skew @ skew
+    return (PatchSet(ps.centers @ rot.T, ps.normals @ rot.T, ps.areas, ps.reflectivity),
+            Luminaire(rot @ ap.position, rot @ ap.normal, ap.lambertian_order))
+
+
+def _with_panel(ps):
+    """The patches with a copy of the x0 wall 1 m into the room right after it: one
+    normal on two planes, whose sources follow each other."""
+    k = int(np.sum(ps.normals[:, 0] == 1.0))  # the x0 wall's patches come first
+    centers = np.concatenate((ps.centers[:k], ps.centers[:k] + (1.0, 0.0, 0.0), ps.centers[k:]))
+    return PatchSet(centers, *(np.concatenate((a[:k], a)) for a in
+                               (ps.normals, ps.areas, ps.reflectivity)))
+
+
+@pytest.mark.parametrize("dims, size, dark, blocked, patches", [
     # non-square rooms, where a wrong per-axis summation order changes bits;
     # their 126- and 189-patch walls span several source blocks each, and
     # each wall's last block is cut short by the change to the next wall
-    ((6.3, 4.1, 2.7), 0.3, None, False),
-    ((3.0, 7.0, 3.3), 0.2, None, False),
-    ((5.0, 5.0, 3.0), 6.0, None, False),  # one patch per wall
-    ((6.3, 4.1, 2.7), 0.3, "wall", False),  # no source on the x0 wall
-    ((6.3, 4.1, 2.7), 0.3, "all", False),  # no source at all
-    ((6.3, 4.1, 2.7), 0.5, None, True),  # shadowed first bounce
-], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked"])
-def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
+    ((6.3, 4.1, 2.7), 0.3, None, False, None),
+    ((3.0, 7.0, 3.3), 0.2, None, False, None),
+    ((5.0, 5.0, 3.0), 6.0, None, False, None),  # one patch per wall
+    ((6.3, 4.1, 2.7), 0.3, "wall", False, None),  # no source on the x0 wall
+    ((6.3, 4.1, 2.7), 0.3, "all", False, None),  # no source at all
+    ((6.3, 4.1, 2.7), 0.5, None, True, None),  # shadowed first bounce
+    ((6.3, 4.1, 2.7), 0.3, None, False, "turned"),  # tilted normals
+    ((6.3, 4.1, 2.7), 0.3, None, False, "panel"),  # one normal on two planes
+], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked",
+        "tilted", "same_normal_two_planes"])
+def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, patches):
     length, width, height = dims
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
     ps = wall_patches(Room(*dims), size)
+    if patches == "turned":
+        ps, ap = _turned(ps, ap)
+        assert np.all(np.count_nonzero(ps.normals, axis=1) == 3)
+    elif patches == "panel":
+        ps = _with_panel(ps)
     boxes = ()
     if blocked:
         boxes = box_set(vec3(0.375, 0.1, 0.875),

@@ -431,9 +431,9 @@ def test_sweep_csv_independent_of_threads(small_config, tmp_path):
     ["sweep", "--vary", "n_per_side", "--values", "2,3,4"],
 ], ids=["simulate", "sweep-density", "sweep-n_per_side"])
 def test_one_pose_pass_per_invocation(small_config, tmp_path, monkeypatch, args):
-    # one run_trials call, one diffuse field (one wall_patches call and one
-    # patch_incident_power call for the one source) and one pose per trial,
-    # however many densities or array sizes the invocation reads out
+    # one scene, one run_trials call, one diffuse field (one wall_patches call
+    # and one patch_incident_power call for the one source) and one pose per
+    # trial, however many densities or array sizes the invocation reads out
     calls = Counter()
 
     def count(module, name):
@@ -444,13 +444,14 @@ def test_one_pose_pass_per_invocation(small_config, tmp_path, monkeypatch, args)
             return real(*a, **kw)
         monkeypatch.setattr(module, name, counted)
 
-    count(cli, "run_trials")
+    for name in ("build_scene", "run_trials"):
+        count(cli, name)
     for name in ("wall_patches", "patch_incident_power", "sample_ue"):
         count(simulator, name)
     assert run([*args, "--config", small_config, "--out", str(tmp_path / "o"),
                 "--threads", "1"]) == 0
-    assert calls == {"run_trials": 1, "wall_patches": 1, "patch_incident_power": 1,
-                     "sample_ue": 60}
+    assert calls == {"build_scene": 1, "run_trials": 1, "wall_patches": 1,
+                     "patch_incident_power": 1, "sample_ue": 60}
 
 
 # sha256 of the bytes the SMALL config writes. The floats come from numpy, so the

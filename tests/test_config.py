@@ -7,7 +7,7 @@ import pytest
 
 from dataclasses import fields, replace
 
-from irsvlc.config import (_SCHEMA, ConfigError, RunConfig, build_scene,
+from irsvlc.config import (_SCHEMA, ConfigError, RunConfig, build_layout, build_scene,
                            effective_sections, load_config, validate)
 from irsvlc.scene import Scene
 from irsvlc.simulator import Scenario, SnrGrid
@@ -171,13 +171,11 @@ def test_run_config_defaults_are_the_library_defaults():
                              "reflection_order": "2"}
 
 
-def test_build_scene_respects_irs_type():
+def test_build_layout_respects_irs_type():
     cfg = load_config(None, trials=1)
-    mirror = build_scene(cfg, 0.0)
-    assert len(mirror.mirror_arrays) == 4 and not mirror.metasurface_arrays
-    import dataclasses
-    msa = build_scene(dataclasses.replace(cfg, irs_type="metasurface"), 0.0)
-    assert len(msa.metasurface_arrays) == 4 and not msa.mirror_arrays
-    bare = build_scene(dataclasses.replace(cfg, irs_type="none"), 0.5)
-    assert not bare.mirror_arrays and not bare.metasurface_arrays
-    assert bare.blocker_model.density == 0.5
+    mirrors, metasurfaces = build_layout(cfg)
+    assert len(mirrors) == 4 and not metasurfaces
+    mirrors, metasurfaces = build_layout(replace(cfg, irs_type="metasurface"))
+    assert len(metasurfaces) == 4 and not mirrors
+    assert build_layout(replace(cfg, irs_type="none")) == ((), ())
+    assert build_scene(cfg, 0.5).blocker_model.density == 0.5

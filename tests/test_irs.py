@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from irsvlc import (BlockerModel, Luminaire, MirrorElement, OrientationModel, PhotoDetector,
-                    ReflectorArray, ReflectorBank, Room, Scene, build_arrays,
-                    mirror_element_gain, optimal_mirror_normal, shadowed, vec3)
+from irsvlc import (Luminaire, MirrorElement, PhotoDetector, ReflectorArray, ReflectorBank,
+                    Room, build_arrays, mirror_element_gain, optimal_mirror_normal, shadowed,
+                    vec3)
 from irsvlc.geometry import unit_normal_from_polar
 from irsvlc.oracles import reflector_cell_gains
 
-from conftest import box_set, make_scene, one_box, rng
+from conftest import box_set, make_layout, make_scene, one_box, rng
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -164,21 +164,20 @@ def test_ma_channel_vector_reports_leg_lengths():
 
 
 def test_precomputed_source_leg_gives_identical_vectors():
-    # a scene's bank holds every array's source legs; each array's slice of it
+    # a layout's bank holds every array's source legs; each array's slice of it
     # has the bytes of that array's own one-array bank
-    scene = make_scene(n_per_side=8, irs_type="mirror")
-    msa = make_scene(n_per_side=8, irs_type="metasurface")
-    ap = scene.aps[0]
+    ap = make_scene().aps[0]
     ue = PhotoDetector(vec3(1.2, 3.1, 1.0), unit_normal_from_polar(0.6, 2.0))
     lit = 0
-    for sc in (scene, msa):
-        bank = _bank(sc)
+    for mirrors, metasurfaces in (make_layout(n_per_side=8, irs_type="mirror"),
+                                  make_layout(n_per_side=8, irs_type="metasurface")):
+        bank = ReflectorBank(ap, mirrors, metasurfaces)
         cached = bank.cascade(ue)
         start = 0
-        for arr in sc.mirror_arrays + sc.metasurface_arrays:
+        for arr in mirrors + metasurfaces:
             cells = slice(start, start + len(arr))
             start = cells.stop
-            own = _mirror_bank(ap, arr) if sc is scene else _msa_bank(ap, arr)
+            own = _mirror_bank(ap, arr) if mirrors else _msa_bank(ap, arr)
             fresh = own.cascade(ue)
             assert fresh.tobytes() == cached[cells].tobytes()
             assert own.d1.tolist() == bank.d1[cells].tolist()
@@ -202,8 +201,7 @@ def _random_poses(r, count, max_wall_gap=None):
 
 
 def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
-    scene = make_scene(n_per_side=50)
-    bank = ReflectorBank(scene.aps[0], scene.mirror_arrays)
+    bank = ReflectorBank(make_scene().aps[0], make_layout(n_per_side=50)[0])
     # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
     r = rng(2_026)
     poses = _random_poses(r, 60) + _random_poses(r, 60, 1e-6) + _random_poses(r, 60, 1e-3)
@@ -240,23 +238,17 @@ def test_exactly_antipodal_mirror_cell_is_dropped():
 # -- reflector bank ---------------------------------------------------------------
 
 
-def _mixed_scene(n_per_side):
-    """Mirrors and metasurfaces on every wall, lit by a tilted, off-center source."""
+def _mixed(n_per_side):
+    """A tilted, off-center source and a layout of mirrors and metasurfaces on every wall."""
     room = Room(5.0, 5.0, 3.0)
     ap = Luminaire(vec3(1.2, 3.6, 2.9), vec3(0.2, -0.1, -1.0), 2.0)
-    return Scene(room, (ap,), build_arrays(room, n_per_side, 0.9),
-                 build_arrays(room, n_per_side, 0.7),
-                 BlockerModel(0.0), OrientationModel())
-
-
-def _bank(scene):
-    return ReflectorBank(scene.aps[0], scene.mirror_arrays, scene.metasurface_arrays)
+    return ap, (build_arrays(room, n_per_side, 0.9), build_arrays(room, n_per_side, 0.7))
 
 
 @pytest.mark.parametrize("n_per_side", [1, 2, 3, 4, 5])
 def test_bank_cells_match_the_single_cell_reference(n_per_side):
-    scene = _mixed_scene(n_per_side)
-    bank = _bank(scene)
+    ap, layout = _mixed(n_per_side)
+    bank = ReflectorBank(ap, *layout)
     assert len(bank) == 8 * n_per_side ** 2
     r = rng(600 + n_per_side)
     # detectors beyond the walls see the backs of the cells there
@@ -265,7 +257,7 @@ def test_bank_cells_match_the_single_cell_reference(n_per_side):
     lit = 0
     for ue in _random_poses(r, 25) + _random_poses(r, 25, 1e-6) + outside:
         got = bank.cascade(ue)
-        want = reflector_cell_gains(scene, ue)
+        want = reflector_cell_gains(ap, layout, ue)
         assert ((got == 0.0) == (want == 0.0)).all()
         nonzero = want != 0.0
         if nonzero.any():
@@ -275,9 +267,9 @@ def test_bank_cells_match_the_single_cell_reference(n_per_side):
 
 
 def test_bank_blockers_drop_exactly_the_shadowed_cells():
-    scene = _mixed_scene(4)
-    bank = _bank(scene)
-    source = scene.aps[0].position
+    ap, layout = _mixed(4)
+    bank = ReflectorBank(ap, *layout)
+    source = ap.position
     r = rng(77)
     dropped = kept = 0
     for ue in _random_poses(r, 10):
@@ -295,23 +287,22 @@ def test_bank_blockers_drop_exactly_the_shadowed_cells():
     assert dropped > 0 and kept > 0
 
 
-@pytest.mark.parametrize("scene", [make_scene(n_per_side=50), _mixed_scene(5)],
-                         ids=["stock", "mixed"])
-def test_bank_total_within_the_summation_bound(scene):
+@pytest.mark.parametrize("ap, layout", [(make_scene().aps[0], make_layout(n_per_side=50)),
+                                        _mixed(5)], ids=["stock", "mixed"])
+def test_bank_total_within_the_summation_bound(ap, layout):
     # all terms are >= 0, so a sum in any order is within (N-1) 2^-53 of exact
-    bank = _bank(scene)
+    bank = ReflectorBank(ap, *layout)
     for ue in _random_poses(rng(31), 30):
         exact = math.fsum(bank.cascade(ue).tolist())
         assert abs(bank.gain(ue) - exact) <= (len(bank) - 1) * 2.0 ** -53 * exact
 
 
 def test_ma_opposite_walls_symmetric_for_centered_detector():
-    scene = make_scene(n_per_side=6)
-    ap = scene.aps[0]
+    ap = make_scene().aps[0]
     ue = PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0, 0, 1))
     # each wall's array, by its inward normal
     by_normal = {tuple(arr.normal.tolist()): _mirror_bank(ap, arr).gain(ue)
-                 for arr in scene.mirror_arrays}
+                 for arr in make_layout(n_per_side=6)[0]}
     x0, xmax, y0, ymax = (by_normal[n] for n in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
                                                  (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)))
     assert x0 > 0.0
@@ -321,10 +312,9 @@ def test_ma_opposite_walls_symmetric_for_centered_detector():
 
 
 def test_ma_blockage_monotone():
-    scene = make_scene(n_per_side=6)
-    ap = scene.aps[0]
+    ap = make_scene().aps[0]
     ue = PhotoDetector(vec3(1.4, 2.5, 1.0), vec3(0, 0, 1))
-    arr = next(a for a in scene.mirror_arrays if a.normal.tolist() == [1.0, 0.0, 0.0])
+    arr = next(a for a in make_layout(n_per_side=6)[0] if a.normal.tolist() == [1.0, 0.0, 0.0])
     clear = _mirror_bank(ap, arr).gain(ue)
     # pedestrian standing between the detector and the array wall
     box = one_box(vec3(0.7, 2.5, 0.875), (0.375, 0.1, 0.875), 0.0)
@@ -356,11 +346,11 @@ def test_msa_back_side_detector_sees_nothing():
 
 def test_msa_scales_like_ma_with_efficiency_ratio():
     # same cell layout and distances, so totals differ only by the per-cell factor
-    mirror = make_scene(n_per_side=6, irs_type="mirror")
-    msa = make_scene(n_per_side=6, irs_type="metasurface")
-    ap = mirror.aps[0]
+    mirrors, _ = make_layout(n_per_side=6, irs_type="mirror")
+    _, metasurfaces = make_layout(n_per_side=6, irs_type="metasurface")
+    ap = make_scene().aps[0]
     ue = PhotoDetector(vec3(3.1, 1.7, 1.0), vec3(0.2, -0.1, 0.95))
-    g_ma = math.fsum(_mirror_bank(ap, a).gain(ue) for a in mirror.mirror_arrays)
-    g_msa = math.fsum(_msa_bank(ap, a).gain(ue) for a in msa.metasurface_arrays)
+    g_ma = math.fsum(_mirror_bank(ap, a).gain(ue) for a in mirrors)
+    g_msa = math.fsum(_msa_bank(ap, a).gain(ue) for a in metasurfaces)
     assert 0.0 < g_msa < g_ma
     assert g_msa == pytest.approx(g_ma * 0.8 / 0.95, rel=1e-12)

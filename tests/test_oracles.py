@@ -13,7 +13,7 @@ from irsvlc.oracles import (grid_search_mirror_normal, mirror_normal_deviation, 
 from irsvlc.scene import blocker_boxes, blocker_draws, blocker_means, floor_draws
 from irsvlc.simulator import _cut_rows, _near_rows
 
-from conftest import make_scene, one_box, rng
+from conftest import make_layout, make_scene, one_box, rng
 
 
 def test_grid_search_recovers_closed_form_normal():
@@ -152,14 +152,14 @@ def test_gains_are_invariant_under_the_floor_symmetries(order):
     # map onto themselves, so every pose's direct gain, diffuse capture and
     # array gain, for mirror and metasurface arrays, equals its image's; a
     # transposed grid axis or a misplaced array breaks this
-    mirror = make_scene(nlos_order=order)
-    meta = make_scene(irs_type="metasurface").metasurface_arrays
-    ens = Ensemble.build(mirror, 1, (0.0,), layouts=[(mirror.mirror_arrays, ()), ((), meta)])
-    side = _checked_scene(mirror)
-    poses, _ = _stock_trials(mirror, 1)
+    scene = make_scene(nlos_order=order)
+    ens = Ensemble.build(scene, 1, (0.0,),
+                         layouts=[make_layout(), make_layout(irs_type="metasurface")])
+    side = _checked_scene(scene)
+    poses, _ = _stock_trials(scene, 1)
 
     def gains(ues):
-        return np.array([[los_gain(mirror.aps[0], ue) for ue in ues], ens.powered.capture(ues),
+        return np.array([[los_gain(scene.aps[0], ue) for ue in ues], ens.powered.capture(ues),
                          *([bank.gain(ue) for ue in ues] for bank in ens.banks)])
 
     want = gains(poses)
@@ -174,7 +174,7 @@ def test_block_cull_verdicts_are_invariant_under_the_floor_symmetries():
     # the block cull and slab test give every drawn box of the stock poses'
     # trials and its image, with its center mapped and its yaw mapped into
     # [0, pi), the same verdict on its own trial's sight line and its image
-    scene = make_scene(1.0, irs_type="none")
+    scene = make_scene(1.0)
     side = _checked_scene(scene)
     poses, draws = _stock_trials(scene, 1)
     source = scene.aps[0].position

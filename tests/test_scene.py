@@ -15,7 +15,7 @@ from irsvlc.scene import (BLOCKER_DIMS, MAX_MEAN_BLOCKERS, MAX_THETA_STD_DEG, Bl
                           sample_tilt_deg, sample_ue)
 from irsvlc.simulator import trial_rng
 
-from conftest import blocker_field, make_scene, rng
+from conftest import blocker_field, make_layout, make_scene, rng
 
 
 def test_room_validation():
@@ -66,7 +66,7 @@ def test_room_walls_are_four_inward_frames():
     room = Room(5.0, 4.0, 3.0)
     walls = room.walls()
     assert len(walls) == 4
-    for _label, origin, u_dir, v_dir, u_len, v_len, normal in walls:
+    for origin, u_dir, v_dir, u_len, v_len, normal in walls:
         # inward normal points from the wall midpoint toward the room center
         mid = origin + (u_len / 2) * u_dir + (v_len / 2) * v_dir
         to_center = np.array([2.5, 2.0, 1.5]) - mid
@@ -76,16 +76,17 @@ def test_room_walls_are_four_inward_frames():
 
 
 def test_default_scene_structure():
-    scene = make_scene(n_per_side=50)
-    assert len(scene.mirror_arrays) == 4
-    for arr in scene.mirror_arrays:
+    scene = make_scene()
+    mirrors, metasurfaces = make_layout(n_per_side=50)
+    assert len(mirrors) == 4 and metasurfaces == ()
+    for arr in mirrors:
         assert len(arr) == 2500
     assert scene.aps[0].position.tolist() == [2.5, 2.5, 3.0]
     assert scene.aps[0].normal.tolist() == [0.0, 0.0, -1.0]
 
 
 def test_default_scene_n50_spans_full_wall():
-    arr = make_scene(n_per_side=50).mirror_arrays[0]
+    arr = make_layout(n_per_side=50)[0][0]
     centers = arr.centers
     # horizontal span: 50 cells of 0.1 m on a 5 m wall, flush at both ends
     horiz = centers[:, 1]
@@ -98,16 +99,16 @@ def test_default_scene_n50_spans_full_wall():
 
 
 def test_default_scene_n1_single_mirrors_at_wall_centers():
-    scene = make_scene(n_per_side=1)
-    assert [len(a) for a in scene.mirror_arrays] == [1, 1, 1, 1]
-    centers = sorted(tuple(np.round(a.centers[0], 9)) for a in scene.mirror_arrays)
+    mirrors, _ = make_layout(n_per_side=1)
+    assert [len(a) for a in mirrors] == [1, 1, 1, 1]
+    centers = sorted(tuple(np.round(a.centers[0], 9)) for a in mirrors)
     assert centers == [(0.0, 2.5, 1.5), (2.5, 0.0, 1.5), (2.5, 5.0, 1.5),
                        (5.0, 2.5, 1.5)]
 
 
 def test_default_scene_n51_does_not_fit():
     with pytest.raises(ValueError):
-        make_scene(n_per_side=51)
+        make_layout(n_per_side=51)
 
 
 def test_default_scene_unknown_irs_type():
@@ -140,7 +141,7 @@ def _loop_grid_centers(origin, u_dir, v_dir, u_len, v_len, n, cell_w, cell_h):
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_grid_centers_match_per_cell_loop(dims, n):
     room = Room(*dims)
-    for _label, origin, u_dir, v_dir, u_len, v_len, _normal in room.walls():
+    for origin, u_dir, v_dir, u_len, v_len, _normal in room.walls():
         args = (origin, u_dir, v_dir, u_len, v_len, n, MIRROR_WIDTH, MIRROR_HEIGHT)
         got = _grid_centers(*args)
         assert got.shape == (n * n, 3)
@@ -156,9 +157,9 @@ def test_array_parameters_are_validated_without_cells():
 
 def test_metasurface_scene_patch_area():
     # metasurface cells tile the wall at the mirror pitch: 0.1 m x 0.06 m
-    scene = make_scene(n_per_side=3, irs_type="metasurface")
-    assert len(scene.metasurface_arrays) == 4
-    for arr in scene.metasurface_arrays:
+    mirrors, metasurfaces = make_layout(n_per_side=3, irs_type="metasurface")
+    assert mirrors == () and len(metasurfaces) == 4
+    for arr in metasurfaces:
         c = arr.centers.reshape(3, 3, 3)
         width = float(np.linalg.norm(c[0, 1] - c[0, 0]))
         height = float(np.linalg.norm(c[1, 0] - c[0, 0]))
@@ -167,9 +168,9 @@ def test_metasurface_scene_patch_area():
 
 def test_scene_validation():
     with pytest.raises(ValueError):
-        make_scene(n_per_side=1, ue_height=3.5)
+        make_scene(ue_height=3.5)
     with pytest.raises(ValueError):
-        make_scene(n_per_side=1, wall_reflectivity=1.2)
+        make_scene(wall_reflectivity=1.2)
 
 
 def test_orientation_model_validation():
@@ -192,7 +193,7 @@ def test_widest_tilt_spread_still_samples():
 
 
 def test_sample_ue_support():
-    scene = make_scene(n_per_side=1)
+    scene = make_scene()
     r = rng(3)
     for _ in range(500):
         ue = sample_ue(r, scene)
@@ -204,7 +205,7 @@ def test_sample_ue_support():
 
 
 def test_sample_ue_deterministic_per_stream():
-    scene = make_scene(n_per_side=1)
+    scene = make_scene()
     a = sample_ue(trial_rng(99, 5), scene)
     b = sample_ue(trial_rng(99, 5), scene)
     assert a.position.tolist() == b.position.tolist()
@@ -216,7 +217,7 @@ def test_sample_ue_deterministic_per_stream():
 def test_sample_ue_never_gets_a_bad_detector(field, value, message):
     # the scene checks its detector settings, so no pose can carry bad ones
     with pytest.raises(ValueError, match=message):
-        sample_ue(trial_rng(1, 0), replace(make_scene(irs_type="none"), **{field: value}))
+        sample_ue(trial_rng(1, 0), replace(make_scene(), **{field: value}))
 
 
 def test_tilt_mean_matches_configuration():
@@ -228,7 +229,7 @@ def test_tilt_mean_matches_configuration():
 
 
 def test_tilt_degenerate_distribution_faces_up():
-    scene = make_scene(n_per_side=1, theta_mean_deg=0.0, theta_std_deg=1e-9)
+    scene = make_scene(theta_mean_deg=0.0, theta_std_deg=1e-9)
     ue = sample_ue(rng(1), scene)
     np.testing.assert_allclose(ue.normal, [0.0, 0.0, 1.0], atol=1e-6)
 
@@ -239,12 +240,12 @@ def _blocker_count(r, scene):
 
 
 def test_sample_blockers_empty_at_zero_density():
-    scene = make_scene(0.0, n_per_side=1)
+    scene = make_scene(0.0)
     assert blocker_field(rng(2), scene.room, scene.blocker_model) is None
 
 
 def test_sample_blockers_shape_and_support():
-    scene = make_scene(1.0, n_per_side=1)
+    scene = make_scene(1.0)
     r = rng(5)
     seen = 0
     while seen < 200:
@@ -259,7 +260,7 @@ def test_sample_blockers_shape_and_support():
 
 
 def test_sample_blockers_count_mean():
-    scene = make_scene(1.0, n_per_side=1)
+    scene = make_scene(1.0)
     r = rng(29)
     counts = [_blocker_count(r, scene) for _ in range(2000)]
     # Poisson(25): 3 sigma over 2000 draws
@@ -268,7 +269,7 @@ def test_sample_blockers_count_mean():
 
 def test_sample_blockers_match_the_field_draws():
     # the one-row slices of a field hold exactly the field's draws
-    scene = make_scene(1.0, n_per_side=1)
+    scene = make_scene(1.0)
     field = blocker_field(rng(6), scene.room, scene.blocker_model)
     assert len(field) > 0
     for k in range(len(field)):
@@ -281,7 +282,7 @@ def test_sample_blockers_match_the_field_draws():
         field[0]
     with pytest.raises(TypeError, match="1-D index array"):
         list(field)
-    empty = make_scene(0.0, n_per_side=1)
+    empty = make_scene(0.0)
     assert blocker_field(rng(6), empty.room, empty.blocker_model) is None
 
 
@@ -341,7 +342,7 @@ def _uniform_field(r, room, model):
 # mean counts 2.5, 25 and 100: numpy's multiplication Poisson sampler, then PTRS
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0, 4.0])
 def test_pose_and_blocker_draws_match_the_uniform_reference(density):
-    scene = make_scene(density, irs_type="none")
+    scene = make_scene(density)
     room, model = scene.room, scene.blocker_model
     drawn = 0
     for t in range(300):
@@ -406,7 +407,7 @@ def test_sampled_boxes_pass_the_checks_they_skip():
 
 
 def test_scene_is_immutable():
-    scene = make_scene(n_per_side=1)
+    scene = make_scene()
     with pytest.raises(AttributeError):
         scene.ue_height = 2.0
     assert isinstance(scene, Scene)

@@ -19,7 +19,7 @@ from irsvlc.irs import _ANTIPODAL_TOL, _dot
 from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_ue
 from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trials
 
-from conftest import blocker_field, make_scene
+from conftest import blocker_field, make_layout, make_scene
 
 
 def gains_of(h_los):
@@ -32,14 +32,12 @@ def flat_gains(n, h):
     return gains_of(np.full(n, h))
 
 
-def layouts_of(scenes):
-    """Each scene's array layout, as run_trials takes it."""
-    return [(s.mirror_arrays, s.metasurface_arrays) for s in scenes]
+NO_ARRAYS = ((), ())  # the layout of a run without arrays
 
 
-def own_density(scene, trials, seed, **kwargs):
-    """The TrialGains of a run at the scene's own blocker density."""
-    (gains,) = run_trials(scene, trials, seed, **kwargs)[0].values()
+def own_density(scene, layout, trials, seed, **kwargs):
+    """The TrialGains of a run of one layout at the scene's own blocker density."""
+    (gains,) = run_trials(scene, trials, seed, layouts=[layout], **kwargs)[0].values()
     return gains
 
 
@@ -57,19 +55,19 @@ def test_trial_rng_reproducible_and_decorrelated():
 
 
 def test_run_trials_deterministic():
-    scene = make_scene(0.5, n_per_side=4)
-    a = own_density(scene, 20, seed=3)
-    assert _bits(a) == _bits(own_density(scene, 20, seed=3))
-    c = own_density(scene, 20, seed=4)
+    scene, layout = make_scene(0.5), make_layout(n_per_side=4)
+    a = own_density(scene, layout, 20, seed=3)
+    assert _bits(a) == _bits(own_density(scene, layout, 20, seed=3))
+    c = own_density(scene, layout, 20, seed=4)
     assert (a.h_los != c.h_los).any()
 
 
 def test_run_trials_validation():
-    scene = make_scene(n_per_side=4)
+    scene, layouts = make_scene(), [make_layout(n_per_side=4)]
     with pytest.raises(ValueError):
-        run_trials(scene, 0, seed=1)
+        run_trials(scene, 0, seed=1, layouts=layouts)
     with pytest.raises(ValueError):
-        run_trials(scene, 10, seed=-1)
+        run_trials(scene, 10, seed=-1, layouts=layouts)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -77,13 +75,13 @@ def test_run_trials_validation():
     ("pd_fov", 0.0, "field of view")])
 def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
     with pytest.raises(ValueError, match=message):
-        replace(make_scene(irs_type="none"), **{field: value})
+        replace(make_scene(), **{field: value})
 
 
 def test_run_trials_threads_match_serial():
-    scene = make_scene(1.0, n_per_side=4)
-    serial = own_density(scene, 24, seed=7)
-    parallel = own_density(scene, 24, seed=7, threads=2)
+    scene, layout = make_scene(1.0), make_layout(n_per_side=4)
+    serial = own_density(scene, layout, 24, seed=7)
+    parallel = own_density(scene, layout, 24, seed=7, threads=2)
     assert _bits(serial) == _bits(parallel)
 
 
@@ -91,17 +89,16 @@ def test_run_trials_threads_match_serial():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_shared_ensemble_matches_per_density_runs(irs, threads):
     # one pass over the poses must give every array size, at every density,
-    # exactly the gains of a run on that size's scene at that density alone
+    # exactly the gains of a run of that size's layout at that density alone
     densities = (0.0, 0.5, 2.0)
-    sizes = (4, 2, 2, 3)
-    scenes = [make_scene(0.5, n_per_side=n, irs_type=irs) for n in sizes]
-    runs = run_trials(scenes[0], 24, seed=17, threads=threads, densities=densities,
-                      layouts=layouts_of(scenes))
-    assert len(runs) == len(sizes)
-    for n, shared in zip(sizes, runs):
+    layouts = [make_layout(n_per_side=n, irs_type=irs) for n in (4, 2, 2, 3)]
+    runs = run_trials(make_scene(0.5), 24, seed=17, threads=threads, densities=densities,
+                      layouts=layouts)
+    assert len(runs) == len(layouts)
+    for layout, shared in zip(layouts, runs):
         assert list(shared) == list(densities)
         for d in densities:
-            own = own_density(make_scene(d, n_per_side=n, irs_type=irs), 24, seed=17)
+            own = own_density(make_scene(d), layout, 24, seed=17)
             assert _bits(shared[d]) == _bits(own)
     assert (runs[0][2.0].h_irs != runs[1][2.0].h_irs).any() == (irs != "none")
 
@@ -109,9 +106,8 @@ def test_shared_ensemble_matches_per_density_runs(irs, threads):
 def test_run_trials_returns_read_only_arrays_shared_across_densities():
     # and across layouts: every layout gets the same h_los rows and h_nlos, and
     # its own h_irs row, which all of its densities share
-    scenes = [make_scene(0.5, n_per_side=n) for n in (4, 2)]
-    runs = run_trials(scenes[0], 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0),
-                      layouts=layouts_of(scenes))
+    scene, layouts = make_scene(0.5), [make_layout(n_per_side=n) for n in (4, 2)]
+    runs = run_trials(scene, 12, seed=3, densities=(0.0, 1.0, 4.0, 1.0), layouts=layouts)
     for out in runs:
         assert list(out) == [0.0, 1.0, 4.0]
         for d, gains in out.items():
@@ -123,12 +119,12 @@ def test_run_trials_returns_read_only_arrays_shared_across_densities():
             assert gains.h_los is runs[0][d].h_los and gains.h_nlos is runs[0][0.0].h_nlos
             assert gains.h_irs is out[0.0].h_irs
     assert runs[0][0.0].h_irs is not runs[1][0.0].h_irs
-    assert list(run_trials(scenes[0], 2, seed=3)[0]) == [0.5]
+    assert list(run_trials(scene, 2, seed=3, layouts=layouts)[0]) == [0.5]
 
 
 def test_shared_ensemble_sees_blockage(monkeypatch):
-    scene = make_scene(n_per_side=4, irs_type="none")
-    (out,) = run_trials(scene, 60, seed=5, densities=(0.0, 4.0))
+    scene = make_scene()
+    (out,) = run_trials(scene, 60, seed=5, densities=(0.0, 4.0), layouts=[NO_ARRAYS])
     assert out[0.0].h_nlos is out[4.0].h_nlos
     assert (out[4.0].h_los == 0.0).sum() > (out[0.0].h_los == 0.0).sum()
 
@@ -138,7 +134,7 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
     # no densities or no layouts fail before the diffuse precompute
     for name in ("compute_trials", "wall_patches", "patch_incident_power", "blocker_means"):
         monkeypatch.setattr(simulator, name, no_work)
-    for kwargs in ({"densities": ()}, {"layouts": ()}):
+    for kwargs in ({"densities": (), "layouts": [NO_ARRAYS]}, {"layouts": ()}):
         with pytest.raises(ValueError, match="at least one"):
             run_trials(scene, 10, seed=5, **kwargs)
     with pytest.raises(ValueError, match="at least one"):
@@ -146,12 +142,12 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
 
 
 def test_compute_trial_one_row_per_density():
-    scene = make_scene(n_per_side=4)
-    ens = Ensemble.build(scene, 3, (0.0, 1.0))
+    scene, layout = make_scene(), make_layout(n_per_side=4)
+    ens = Ensemble.build(scene, 3, (0.0, 1.0), [layout])
     ((h_los, h_nlos, (h_irs,)),) = compute_trials(ens, 2, 3)
     assert len(h_los) == 2
     assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
-    gains = own_density(scene, 3, seed=3)
+    gains = own_density(scene, layout, 3, seed=3)
     assert (h_los[0], h_nlos, h_irs) == (gains.h_los[2], gains.h_nlos[2], gains.h_irs[2])
 
 
@@ -162,10 +158,11 @@ def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(simulator, "compute_trials", no_trials)
+    layouts = [make_layout(n_per_side=4)]
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials(make_scene(n_per_side=4), 5, seed=1, densities=(0.0, density))
+        run_trials(make_scene(), 5, seed=1, densities=(0.0, density), layouts=layouts)
     with pytest.raises(ValueError, match="one field may hold"):
-        run_trials(make_scene(density, n_per_side=4), 5, seed=1)
+        run_trials(make_scene(density), 5, seed=1, layouts=layouts)
 
 
 def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
@@ -180,13 +177,13 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
         calls["BlockerModel"] += 1
         real_init(self)
 
-    scene = make_scene(irs_type="none")
+    scene = make_scene()
     for module in (scene_module, simulator):
         monkeypatch.setattr(module, "blocker_means", counting_means)
     monkeypatch.setattr(scene_module.BlockerModel, "__post_init__", counting_init)
-    run_trials(scene, 20, seed=4, densities=(0, 0.5, 4))
+    run_trials(scene, 20, seed=4, densities=(0, 0.5, 4), layouts=[NO_ARRAYS])
     assert calls == {"blocker_means": 1}
-    ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0))
+    ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0), [NO_ARRAYS])
     calls.clear()
     rows = compute_trials(ens, 0, 50)
     assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
@@ -196,8 +193,9 @@ def test_wall_settings_reach_the_trial(tmp_path):
     path = tmp_path / "walls.ini"
     path.write_text("[irs]\ntype = none\n[walls]\nreflectivity = 0.5\npatch_size = 0.5\n"
                     "reflection_order = 1\n", encoding="utf-8")
-    scene = config.build_scene(config.load_config(str(path)), 0.0)
-    ens = Ensemble.build(scene, 6, (0.0,))
+    cfg = config.load_config(str(path))
+    scene = config.build_scene(cfg, 0.0)
+    ens = Ensemble.build(scene, 6, (0.0,), [config.build_layout(cfg)])
     patches = wall_patches(scene.room, 0.5, 0.5)
     for t, (_, h_nlos, _) in enumerate(compute_trials(ens, 0, 50)):
         ue = sample_ue(trial_rng(6, t), scene)
@@ -206,8 +204,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
 
 
 def test_scene_without_arrays_does_no_cell_work(monkeypatch):
-    scene = make_scene(0.5, irs_type="none")
-    ens = Ensemble.build(scene, 3, (0.0, 0.5))
+    ens = Ensemble.build(make_scene(0.5), 3, (0.0, 0.5), [NO_ARRAYS])
     assert len(ens.banks) == 1 and len(ens.banks[0]) == 0
 
     def no_cells(*args, **kwargs):
@@ -220,7 +217,7 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
 
 def _narrow_scene():
     """The stock array-free scene with a 40 degree FOV, so that some trials are unlit."""
-    return make_scene(irs_type="none", fov_deg=40.0)
+    return make_scene(fov_deg=40.0)
 
 
 def _replayed_direct_gain(scene, seed, trial_index, density):
@@ -242,8 +239,8 @@ def test_fused_occlusion_matches_per_density_replay():
     # density: own draws, receiver-enclosing boxes dropped, los_gain over the
     # rest; for a narrow FOV with unlit trials and for the stock scene
     for scene, densities in ((_narrow_scene(), (0.0, 0.01, 0.5, 4.0, 0.5)),
-                             (make_scene(irs_type="none"), (0.0, 0.5, 1.0, 2.0, 4.0))):
-        ens = Ensemble.build(scene, 21, densities)
+                             (make_scene(), (0.0, 0.5, 1.0, 2.0, 4.0))):
+        ens = Ensemble.build(scene, 21, densities, [NO_ARRAYS])
         enclosed = blocked = unlit = 0
         for t, (h_los, _, _) in enumerate(compute_trials(ens, 0, 150)):
             assert len(h_los) == len(densities)
@@ -320,8 +317,8 @@ def test_trial_blocks_leave_every_bit(monkeypatch, threads):
     # crowded density with receivers inside boxes, two layouts; serially and in
     # the pool
     scene, trials, seed, densities = _narrow_scene(), 37, 8, (0.5, 4.0)
-    layouts = layouts_of([make_scene(irs_type="mirror", n_per_side=3),
-                          make_scene(irs_type="metasurface", n_per_side=2)])
+    layouts = [make_layout(irs_type="mirror", n_per_side=3),
+               make_layout(irs_type="metasurface", n_per_side=2)]
     lit = [los_gain(scene.aps[0], sample_ue(trial_rng(seed, t), scene)) > 0.0
            for t in range(trials)]
     assert True in lit and False in lit
@@ -345,8 +342,9 @@ def test_a_block_at_the_blocker_bound_peaks_like_one_trial():
     # bytes per blocker of the mean (README, [blockers]): it culls and slab-tests
     # its drawn boxes once _HELD_BOXES are held, so it never holds more than one
     # trial's draws and fewer than _HELD_BOXES others
-    scene = make_scene(irs_type="none")
-    ens = Ensemble.build(scene, 2, (MAX_MEAN_BLOCKERS / (scene.room.length * scene.room.width),))
+    scene = make_scene()
+    ens = Ensemble.build(scene, 2, (MAX_MEAN_BLOCKERS / (scene.room.length * scene.room.width),),
+                         [NO_ARRAYS])
     block = simulator._TRIAL_BLOCK
     lit = sum(los_gain(scene.aps[0], sample_ue(trial_rng(2, t), scene)) > 0.0
               for t in range(block))
@@ -446,7 +444,7 @@ def _patch_to_ue(ps, ue, power):
     return math.fsum(contrib.tolist())
 
 
-def _cascade_sum(scene, bank, ue):
+def _cascade_sum(layout, bank, ue):
     """h_irs as the bank computed it before its in-place kernel: a fresh array per step."""
     x, y, z = ue.position.tolist()
     nx, ny, nz = (-ue.normal).tolist()
@@ -465,7 +463,7 @@ def _cascade_sum(scene, bank, ue):
         ux, uy, uz = bank.legs[:, :k]
         dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
         ok[:k] &= dot / (bank.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
-    if arrays := scene.metasurface_arrays:
+    if arrays := layout[1]:
         cn = np.concatenate([_dot(*arr.centers.T, arr.normal) for arr in arrays])
         ue_n = np.array([arr.normal for arr in arrays]) @ ue.position
         ok[k:] &= np.repeat(ue_n, [len(arr) for arr in arrays]) > cn
@@ -481,19 +479,19 @@ def _built_field(scene, seed):
     """A one-source scene's ensemble, with the patches and incident power it should hold."""
     ps = wall_patches(scene.room, scene.patch_size, scene.wall_reflectivity)
     power = patch_incident_power(scene.aps[0], ps, (), order=scene.nlos_order)
-    return Ensemble.build(scene, seed, (0.0,)), ps, power
+    return Ensemble.build(scene, seed, (0.0,), [NO_ARRAYS]), ps, power
 
 
 def _tilted_source_field(seed):
     """An order-1 field from a source tilted toward +x: the upper x0 wall stays dark."""
-    scene = replace(make_scene(irs_type="none", nlos_order=1),
+    scene = replace(make_scene(nlos_order=1),
                     aps=(Luminaire(vec3(2.5, 2.5, 3.0), vec3(0.6, 0.0, -0.8)),))
     return _built_field(scene, seed)
 
 
 def _dark_wall_field(seed):
     """The stock order-2 field with the y0 wall at reflectivity 0."""
-    scene = make_scene(irs_type="none")
+    scene = make_scene()
     ps = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
     dark = PatchSet(ps.centers, ps.normals, ps.areas,
                     np.where(ps.centers[:, 1] == 0.0, 0.0, ps.reflectivity))
@@ -505,12 +503,12 @@ def _dark_wall_field(seed):
 @pytest.mark.parametrize("irs_type", ["mirror", "metasurface"])
 @pytest.mark.parametrize("fov_deg", [30.0, 85.0, 90.0])
 def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
-    scene = make_scene(irs_type=irs_type, fov_deg=fov_deg)
-    ens = Ensemble.build(scene, 5, (0.0,))
+    scene, layout = make_scene(fov_deg=fov_deg), make_layout(irs_type=irs_type)
+    ens = Ensemble.build(scene, 5, (0.0,), [layout])
     lit = 0
     for t, (_, _, (h_irs,)) in enumerate(compute_trials(ens, 0, 300)):
         ue = sample_ue(trial_rng(5, t), scene)
-        want = _cascade_sum(scene, ens.banks[0], ue)
+        want = _cascade_sum(layout, ens.banks[0], ue)
         assert h_irs.hex() == want.hex(), t
         assert ens.banks[0].gain(ue).hex() == want.hex()
         lit += want > 0.0
@@ -521,7 +519,7 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
     # vec3's finiteness check runs a fixed number of times per run and the
     # detector checks none: the poses skip them, and the scene ran the
     # detector checks once when it was built
-    scene = make_scene(1.0, n_per_side=4)
+    scene, layouts = make_scene(1.0), [make_layout(n_per_side=4)]
     counts = Counter()
 
     def counting(name, fn):
@@ -537,7 +535,7 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
     per_run = []
     for trials in (5, 50):
         counts.clear()
-        run_trials(scene, trials, seed=3)
+        run_trials(scene, trials, seed=3, layouts=layouts)
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert "detector" not in per_run[1] and per_run[1].get("vec3", 0) <= 4
@@ -559,7 +557,7 @@ def test_one_slab_test_per_lit_trial(monkeypatch, densities):
     real = simulator.segments_intersect_box
     monkeypatch.setattr(simulator, "segments_intersect_box", counting)
     scene = _narrow_scene()
-    ens = Ensemble.build(scene, 4, densities)
+    ens = Ensemble.build(scene, 4, densities, [NO_ARRAYS])
     unlit = tested = 0
     for t in range(80):
         lit = los_gain(scene.aps[0], sample_ue(trial_rng(4, t), scene)) > 0.0
@@ -596,7 +594,7 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
     real = simulator.trial_rng
     monkeypatch.setattr(simulator, "trial_rng", lambda seed, t: Counting(real(seed, t)))
     scene = _narrow_scene()
-    ens = Ensemble.build(scene, 4, densities)
+    ens = Ensemble.build(scene, 4, densities, [NO_ARRAYS])
     drawing = sum(d > 0.0 for d in densities)
     unlit = 0
     for t in range(80):
@@ -612,9 +610,9 @@ def test_one_poisson_and_one_random_call_per_drawing_density(monkeypatch, densit
 
 def test_trial_components_nonnegative_and_indexed():
     # entry t of each array is trial t's gain
-    scene = make_scene(1.0, n_per_side=4)
-    out = own_density(scene, 30, seed=11)
-    ens = Ensemble.build(scene, 11, (1.0,))
+    scene, layout = make_scene(1.0), make_layout(n_per_side=4)
+    out = own_density(scene, layout, 30, seed=11)
+    ens = Ensemble.build(scene, 11, (1.0,), [layout])
     assert compute_trials(ens, 0, 30) == [((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
                                           for t in range(30)]
     for a in (out.h_los, out.h_nlos, out.h_irs):
@@ -624,25 +622,24 @@ def test_trial_components_nonnegative_and_indexed():
 def test_upright_receiver_with_wide_fov_always_sees_the_source():
     # tilt pinned near zero and a 90 degree FOV: the ceiling source is visible
     # from every floor position, so no trial loses the direct path
-    scene = make_scene(n_per_side=4, irs_type="none", fov_deg=90.0,
-                       theta_mean_deg=0.0, theta_std_deg=0.01)
-    out = own_density(scene, 50, seed=2)
+    scene = make_scene(fov_deg=90.0, theta_mean_deg=0.0, theta_std_deg=0.01)
+    out = own_density(scene, NO_ARRAYS, 50, seed=2)
     assert (out.h_los > 0.0).all()
     assert (out.h_irs == 0.0).all()
 
 
 def test_trial_nlos_matches_direct_evaluation():
     # the precomputed diffuse field must reproduce the reference gain exactly
-    scene = make_scene(n_per_side=4)
+    scene = make_scene()
     patches = wall_patches(scene.room, 0.25, scene.wall_reflectivity)
-    out = own_density(scene, 5, seed=9)
+    out = own_density(scene, make_layout(n_per_side=4), 5, seed=9)
     for t, h_nlos in enumerate(out.h_nlos):
         ue = sample_ue(trial_rng(9, t), scene)
         assert h_nlos == nlos_gain(scene.aps[0], ue, patches, (), order=2)
     # and the powered-patch kernel gives every pose the bits of the einsum
     # capture over all patches: at narrow, stock and full fields of view, and
     # where unpowered patches are dropped or a wall reflects nothing
-    fields = [_built_field(make_scene(irs_type="none", fov_deg=fov), 9)
+    fields = [_built_field(make_scene(fov_deg=fov), 9)
               for fov in (30.0, 85.0, 90.0)]
     fields += [_tilted_source_field(9), _dark_wall_field(9)]
     tilted, tilted_patches, _ = fields[3]
@@ -811,11 +808,11 @@ def test_a_common_normalizer_is_a_shift_along_the_own_curve():
     # SER against the los_nlos mean square m_b at grid point x equals the scenario's own
     # curve at x + 10 log10(m_s / m_b): the two mean squares a summary row reports carry
     # everything a common normalizer shows
-    scenes = [make_scene(irs_type=t, n_per_side=6) for t in ("mirror", "metasurface", "none")]
+    layouts = [make_layout(irs_type=t, n_per_side=6) for t in ("mirror", "metasurface", "none")]
     grid = SnrGrid(0.0, 40.0, 1.0)
     checked = 0
-    for by_density in run_trials(scenes[0], 300, 4, densities=(0.0, 0.4, 2.0),
-                                 layouts=layouts_of(scenes)):
+    for by_density in run_trials(make_scene(), 300, 4, densities=(0.0, 0.4, 2.0),
+                                 layouts=layouts):
         for gains in by_density.values():
             m_b = ser_curve(gains, Scenario.LOS_NLOS).mean_square_gain
             for scn in Scenario:
@@ -872,8 +869,7 @@ def test_required_snr_target_validation():
 
 
 def test_per_trial_scenario_ordering_transfers_to_ser():
-    scene = make_scene(1.0, n_per_side=4)
-    out = own_density(scene, 40, seed=13)
+    out = own_density(make_scene(1.0), make_layout(n_per_side=4), 40, seed=13)
     ms = float(np.mean(Scenario.LOS_NLOS_IRS.effective_gain(out) ** 2))
     curves = {s: ser_curve(out, s, mean_square_gain=ms) for s in Scenario}
     # against a common normalizer, adding propagation paths cannot hurt
