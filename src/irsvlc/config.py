@@ -179,7 +179,8 @@ def validate(cfg: RunConfig) -> None:
               f"must lie strictly between 0 and the room height {cfg.room_height}")
     check(cfg.pd_area > 0, "[ue] area", "must be positive")
     check(cfg.pd_area <= MAX_PD_AREA, "[ue] area", f"must not exceed {MAX_PD_AREA:g} m^2")
-    check(0 < cfg.fov_deg <= 90, "[ue] fov_deg", "must lie in (0, 90]")
+    # in the radians build_scene passes: 5e-324 degrees is 0 radians
+    check(0 < math.radians(cfg.fov_deg) <= math.pi / 2, "[ue] fov_deg", "must lie in (0, 90]")
     check(0 <= cfg.theta_mean_deg <= 90, "[orientation] theta_mean_deg",
           "must lie in [0, 90]")
     # the model's spread bound holds for every mean in [0, 90], which is checked above
@@ -191,8 +192,8 @@ def validate(cfg: RunConfig) -> None:
     if room_ok and "densities" not in defaults:
         for d in [d for d in cfg.densities if d >= 0]:
             check_call("[blockers] densities", blocker_means, Room(*room), (d,))
-    check(cfg.blocker_length > 0 and cfg.blocker_width > 0 and cfg.blocker_height > 0,
-          "[blockers]", "dimensions must be positive")
+    check_call("[blockers]", BlockerModel, 0.0,
+               (cfg.blocker_length, cfg.blocker_width, cfg.blocker_height))
     check(cfg.irs_type in ("mirror", "metasurface", "none"), "[irs] type",
           f"unknown type {cfg.irs_type!r}")
     check(cfg.n_per_side >= 1, "[irs] n_per_side", "must be >= 1")

@@ -55,8 +55,9 @@ class ReflectorArray:
     """Cells mounted flat on one wall, as their (cells, 3) centers.
 
     build_arrays lays out n x n cells in row-major grid order. scale is the mirror
-    reflectivity or the metasurface steering efficiency: the Scene tuple
-    holding the array says which kind it is.
+    reflectivity or the metasurface steering efficiency: the tuple of the
+    layout (mirror arrays, metasurface arrays) holding the array says which
+    kind it is.
     """
 
     normal: Vec3

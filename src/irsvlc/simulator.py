@@ -2,7 +2,7 @@
 
 Each trial draws an independent receiver pose and blocker population from a
 substream keyed by (seed, trial index), so results do not depend on worker
-count, block size or execution order. Blockers occlude the direct
+count, chunk size or execution order. Blockers occlude the direct
 source-detector link; the diffuse wall field and the steered mirror cascade
 are treated as blockage-insensitive at trial level (per-path occlusion stays
 available in the channel and irs APIs). So one pass over the trials serves
@@ -132,8 +132,6 @@ def trial_rng(seed: int, trial_index: int) -> Generator:
     return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
-# one trial's (h_los per density, h_nlos, h_irs per bank), as compute_trials returns it per trial
-TrialRow = tuple[tuple[float, ...], float, tuple[float, ...]]
 # one array layout of a run, as ReflectorBank takes it: (mirror arrays, metasurface arrays)
 Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
 
@@ -164,13 +162,14 @@ class Ensemble:
                    tuple(ReflectorBank(ap, *layout) for layout in layouts), means)
 
 
-_TRIAL_BLOCK = 16  # poses per compute_trials call of run_trials; see README, "Fixed cost of a run"
-_HELD_BOXES = 4096  # drawn boxes a block holds before it culls them; see README, [blockers]
+_HELD_BOXES = 4096  # drawn boxes a chunk holds before it culls them; see README, [blockers]
 
 
-def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
-    """The gains of trials start..stop-1, one TrialRow each: (h_los at every
-    blocker density of the ensemble, h_nlos, h_irs of every bank of the ensemble).
+def compute_trials(ens: Ensemble, start: int, stop: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gains of trials start..stop-1 as float64 arrays in trial order: h_los
+    (densities, n) at every blocker density of the ensemble, h_nlos (n,) and
+    h_irs (banks, n) of every bank of the ensemble.
 
     Each trial draws its pose, then each bank reads it, then its direct gain
     is computed; if the source reaches the detector, its blockers follow in
@@ -178,43 +177,45 @@ def compute_trials(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
     replaying it from the state after the pose gives each density exactly the
     blockers a run at that density alone would draw. When the source is not
     lit, no blocker can change the direct gain and the draws are skipped. A
-    trial only draws; the block holds the unit draws and culls and
+    trial only draws; the chunk holds the unit draws and culls and
     slab-tests them together (_mark_cuts) at its end, or as soon as
     _HELD_BOXES are held. It also takes one diffuse capture over its poses,
-    so a trial gets the same bits in any block.
+    so a trial gets the same bits in any chunk.
     """
     scene = ens.scene
     (ap,) = scene.aps
-    poses, h_irs, gains, held, count = [], [], [], [], 0
-    # blocked[s, k]: a box of density k cuts trial s's sight line
-    blocked = np.zeros((stop - start, len(ens.means)), dtype=bool)
+    n = stop - start
+    poses, held, count = [], [], 0
+    ends, gains, h_irs = np.empty((n, 3)), np.empty(n), np.empty((len(ens.banks), n))
+    # blocked[k, s]: a box of density k cuts trial s's sight line
+    blocked = np.zeros((len(ens.means), n), dtype=bool)
     for slot, t in enumerate(range(start, stop)):
         ue = sample_ue(rng := trial_rng(ens.seed, t), scene)
         poses.append(ue)
+        ends[slot] = ue.position
         # blockers model pedestrians crossing the direct link; the diffuse wall
         # field and the steered cascade are treated as blockage-insensitive at
         # trial level (per-path occlusion stays available in channel/irs)
-        h_irs.append(tuple(bank.gain(ue) for bank in ens.banks))
-        gains.append(g := los_gain(ap, ue))
+        h_irs[:, slot] = [bank.gain(ue) for bank in ens.banks]
+        gains[slot] = g = los_gain(ap, ue)
         if g != 0.0:
             for k, unit in enumerate(blocker_draws(rng, ens.means)):
                 if unit.size:
                     held.append((slot, k, unit))
                     count += unit.shape[1]
         if count >= _HELD_BOXES:
-            _mark_cuts(blocked, held, poses, scene)
+            _mark_cuts(blocked, held, ends, scene)
             count = 0
     if held:
-        _mark_cuts(blocked, held, poses, scene)
-    return [(tuple(0.0 if cut else g for cut in b), h_nlos, irs)
-            for g, b, h_nlos, irs in zip(gains, blocked.tolist(), ens.powered.capture(poses),
-                                         h_irs)]
+        _mark_cuts(blocked, held, ends, scene)
+    return np.where(blocked, 0.0, gains), np.array(ens.powered.capture(poses)), h_irs
 
 
-def _mark_cuts(blocked: np.ndarray, held: list, poses: list, scene: Scene) -> None:
-    """Set blocked[s, k] where a box of density k cuts trial s's sight line, for
-    the unit draws held as (trial slot, density, draws) entries, and empty held.
-    Only lit trials draw, so every trial held is lit.
+def _mark_cuts(blocked: np.ndarray, held: list, ends: np.ndarray, scene: Scene) -> None:
+    """Set blocked[k, s] where a box of density k cuts the sight line from the
+    source to trial s's receiver ends[s], for the unit draws held as (trial
+    slot, density, draws) entries, and empty held. Only lit trials draw, so
+    every trial held is lit.
 
     One multiply scales every draw (floor_draws); the floor-plan cull
     (_near_rows) keeps the boxes that may cut the sight line of their own
@@ -227,14 +228,13 @@ def _mark_cuts(blocked: np.ndarray, held: list, poses: list, scene: Scene) -> No
     del draws  # frees the trials' arrays once joined, so a flush holds each draw once
     slots = np.repeat(slot, counts)
     dims = scene.blocker_model.dims
-    ends = np.array([ue.position for ue in poses])
     source = scene.aps[0].position
     rows = _near_rows(xs, ys, slots, ends, set(slot), source, tuple(d / 2.0 for d in dims))
     if rows.size:
         slots = slots[rows]
         i = _cut_rows(blocker_boxes(xs[rows], ys[rows], yaws[rows], dims), slots, ends,
                       source).nonzero()[0]
-        blocked[slots[i], np.repeat(density, counts)[rows[i]]] = True
+        blocked[np.repeat(density, counts)[rows[i]], slots[i]] = True
 
 
 def _near_rows(xs: np.ndarray, ys: np.ndarray, slots: np.ndarray, ends: np.ndarray,
@@ -294,14 +294,8 @@ def _init_worker(ens: Ensemble) -> None:
     _WORKER_STATE["ensemble"] = ens
 
 
-def _blocks(ens: Ensemble, start: int, stop: int) -> list[TrialRow]:
-    """Trials start..stop-1, computed _TRIAL_BLOCK at a time (compute_trials)."""
-    return [row for a in range(start, stop, _TRIAL_BLOCK)
-            for row in compute_trials(ens, a, min(a + _TRIAL_BLOCK, stop))]
-
-
-def _run_chunk(bounds: tuple[int, int]) -> list[TrialRow]:
-    return _blocks(_WORKER_STATE["ensemble"], *bounds)
+def _run_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return compute_trials(_WORKER_STATE["ensemble"], *bounds)
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
@@ -317,12 +311,12 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     array, each density one h_los row and each layout one h_irs row, which is
     why every array is read-only.
 
-    Trials are keyed by index, computed in contiguous chunks of blocks
-    (compute_trials) and reassembled in index order, so neither the blocks
-    nor parallel scheduling can change the result. The
-    diffuse wall field and the reflector banks are precomputed once and
-    shipped to workers, which both removes per-trial cost and keeps them
-    bit-identical everywhere.
+    Trials are keyed by index, computed in contiguous chunks (compute_trials),
+    max(threads, 1) * 8 of them, and joined in index order, so neither the
+    chunks nor parallel scheduling can change the result; a run with threads
+    below 2 evaluates the same chunks serially. The diffuse wall field and the
+    reflector banks are precomputed once and shipped to workers, which both
+    removes per-trial cost and keeps them bit-identical everywhere.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -331,20 +325,20 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     wanted = (scene.blocker_model.density,) if densities is None else densities
     unique = tuple(dict.fromkeys(wanted))
     ens = Ensemble.build(scene, seed, unique, layouts)
+    chunk = max(1, math.ceil(trials / (max(threads, 1) * 8)))
+    bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
     if threads <= 1 or trials == 1:
-        rows = _blocks(ens, 0, trials)
+        parts = [compute_trials(ens, *b) for b in bounds]
     else:
-        chunk = max(1, math.ceil(trials / (threads * 8)))
-        bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
                                  initargs=(ens,)) as pool:
-            rows = [row for part in pool.map(_run_chunk, bounds) for row in part]
-    h_los, h_nlos, h_irs = (np.array(column) for column in zip(*rows))
+            parts = list(pool.map(_run_chunk, bounds))
+    h_los, h_nlos, h_irs = (np.concatenate(field, axis=-1) for field in zip(*parts))
+    for a in (h_los, h_nlos, h_irs):
+        a.setflags(write=False)  # before the rows are taken: a view taken earlier stays writeable
     # one contiguous (trials,) row per density and per bank, each row one shared object
-    los, irs = (list(np.ascontiguousarray(a.T)) for a in (h_los, h_irs))
-    for a in (*los, h_nlos, *irs):
-        a.setflags(write=False)
-    return [{d: TrialGains(h, h_nlos, g) for d, h in zip(unique, los)} for g in irs]
+    los = list(h_los)
+    return [{d: TrialGains(h, h_nlos, g) for d, h in zip(unique, los)} for g in h_irs]
 
 
 # -- SER estimation ----------------------------------------------------------

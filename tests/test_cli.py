@@ -244,9 +244,20 @@ def test_thread_count_does_not_change_outputs(small_config, tmp_path):
     # an area near 1e155 m^2 overflowed the squared gains and wrote nan SER rows
     ("[ue]\narea = 1e155\n[irs]\nn_per_side = 10\n[sim]\ntrials = 3\n",
      ("[ue] area: must not exceed 1 m^2",)),
+    # positive values that the model rounds to 0: the field of view in radians,
+    # a blocker dimension when halved to a box half extent
+    ("[ue]\nfov_deg = 5e-324\n[sim]\ntrials = 3\n", ("[ue] fov_deg: must lie in (0, 90]",)),
+    ("[blockers]\nlength = 5e-324\n[sim]\ntrials = 3\n",
+     ("[blockers]: blocker dimensions must be positive",)),
+    ("[blockers]\nwidth = 5e-324\n[sim]\ntrials = 3\n",
+     ("[blockers]: blocker dimensions must be positive",)),
+    ("[blockers]\nheight = 5e-324\n[sim]\ntrials = 3\n",
+     ("[blockers]: blocker dimensions must be positive",)),
 ], ids=["out_of_range", "nan", "memory_bound", "poisson_bound", "mean_overflows",
         "patch_bound", "patch_side_overflows", "snr_grid_bound", "snr_grid_fine",
-        "snr_top_bound", "tilt_spread_bound", "area_bound"])
+        "snr_top_bound", "tilt_spread_bound", "area_bound", "fov_rounds_to_0",
+        "blocker_length_halves_to_0", "blocker_width_halves_to_0",
+        "blocker_height_halves_to_0"])
 def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")

@@ -179,3 +179,26 @@ def test_build_layout_respects_irs_type():
     assert len(metasurfaces) == 4 and not mirrors
     assert build_layout(replace(cfg, irs_type="none")) == ((), ())
     assert build_scene(cfg, 0.5).blocker_model.density == 0.5
+
+
+_EDGE_VALUES = {"float": ("5e-324", "1e-300", "1e300", "1.7e308", "-0.0", "0"),
+                "float_list": ("5e-324", "1e-300", "1e300", "1.7e308", "-0.0", "0"),
+                "int": ("0", "1", "3", "100000")}
+
+
+@pytest.mark.parametrize("section, key", [
+    sk for sk, (_, kind) in _SCHEMA.items() if kind in _EDGE_VALUES])
+def test_every_accepted_edge_value_builds_the_run(tmp_path, section, key):
+    # a numeric key at a denormal, tiny, huge or zero value is either a config
+    # error or a config whose scene, layout and SNR grid all build: a value that
+    # validate accepts and a model rejects would end the run in a traceback
+    kind = _SCHEMA[(section, key)][1]
+    for value in _EDGE_VALUES[kind]:
+        try:
+            cfg = load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        except ConfigError:
+            continue
+        for density in cfg.densities:
+            build_scene(cfg, density)
+        build_layout(cfg)
+        cfg.grid()

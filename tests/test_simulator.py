@@ -81,8 +81,8 @@ def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
 def test_run_trials_threads_match_serial():
     scene, layout = make_scene(1.0), make_layout(n_per_side=4)
     serial = own_density(scene, layout, 24, seed=7)
-    parallel = own_density(scene, layout, 24, seed=7, threads=2)
-    assert _bits(serial) == _bits(parallel)
+    for threads in (0, 2):  # below 1 runs serially
+        assert _bits(own_density(scene, layout, 24, seed=7, threads=threads)) == _bits(serial)
 
 
 @pytest.mark.parametrize("irs", ["mirror", "metasurface", "none"])
@@ -144,11 +144,12 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
 def test_compute_trial_one_row_per_density():
     scene, layout = make_scene(), make_layout(n_per_side=4)
     ens = Ensemble.build(scene, 3, (0.0, 1.0), [layout])
-    ((h_los, h_nlos, (h_irs,)),) = compute_trials(ens, 2, 3)
-    assert len(h_los) == 2
-    assert all(type(h) is float for h in (*h_los, h_nlos, h_irs))
+    h_los, h_nlos, h_irs = compute_trials(ens, 2, 3)
+    assert (h_los.shape, h_nlos.shape, h_irs.shape) == ((2, 1), (1,), (1, 1))
+    assert all(a.dtype == np.float64 for a in (h_los, h_nlos, h_irs))
     gains = own_density(scene, layout, 3, seed=3)
-    assert (h_los[0], h_nlos, h_irs) == (gains.h_los[2], gains.h_nlos[2], gains.h_irs[2])
+    assert (h_los[0, 0], h_nlos[0], h_irs[0, 0]) == \
+        (gains.h_los[2], gains.h_nlos[2], gains.h_irs[2])
 
 
 # mean counts 2.5e6, 2.5e19 and inf, each above the per-field bound
@@ -185,8 +186,8 @@ def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
     assert calls == {"blocker_means": 1}
     ens = Ensemble.build(scene, 4, (0.0, 0.5, 4.0), [NO_ARRAYS])
     calls.clear()
-    rows = compute_trials(ens, 0, 50)
-    assert calls == {} and any(h_los[2] != h_los[0] for h_los, _, _ in rows)
+    h_los, _, _ = compute_trials(ens, 0, 50)
+    assert calls == {} and (h_los[2] != h_los[0]).any()
 
 
 def test_wall_settings_reach_the_trial(tmp_path):
@@ -197,7 +198,7 @@ def test_wall_settings_reach_the_trial(tmp_path):
     scene = config.build_scene(cfg, 0.0)
     ens = Ensemble.build(scene, 6, (0.0,), [config.build_layout(cfg)])
     patches = wall_patches(scene.room, 0.5, 0.5)
-    for t, (_, h_nlos, _) in enumerate(compute_trials(ens, 0, 50)):
+    for t, h_nlos in enumerate(compute_trials(ens, 0, 50)[1].tolist()):
         ue = sample_ue(trial_rng(6, t), scene)
         want = nlos_gain(scene.aps[0], ue, patches, (), order=1)
         assert h_nlos.hex() == want.hex(), t
@@ -211,7 +212,7 @@ def test_scene_without_arrays_does_no_cell_work(monkeypatch):
         raise AssertionError("an empty bank evaluated its cells")
 
     monkeypatch.setattr(ReflectorBank, "cascade", no_cells)
-    for _, _, (h_irs,) in compute_trials(ens, 0, 20):
+    for h_irs in compute_trials(ens, 0, 20)[2][0].tolist():
         assert h_irs == 0.0 and math.copysign(1.0, h_irs) == 1.0
 
 
@@ -242,7 +243,7 @@ def test_fused_occlusion_matches_per_density_replay():
                              (make_scene(), (0.0, 0.5, 1.0, 2.0, 4.0))):
         ens = Ensemble.build(scene, 21, densities, [NO_ARRAYS])
         enclosed = blocked = unlit = 0
-        for t, (h_los, _, _) in enumerate(compute_trials(ens, 0, 150)):
+        for t, h_los in enumerate(compute_trials(ens, 0, 150)[0].T.tolist()):
             assert len(h_los) == len(densities)
             unblocked = _replayed_direct_gain(scene, 21, t, 0.0)[0]
             for d, got in zip(densities, h_los):
@@ -309,13 +310,22 @@ def _hex_gains(runs):
              for x in a.tolist()] for out in runs]
 
 
+def _hex_ranges(ens, trials, size):
+    """Every gain of trials 0..trials-1 from compute_trials ranges of `size` trials,
+    joined in trial order, as _hex_gains lists them."""
+    parts = [compute_trials(ens, a, min(a + size, trials)) for a in range(0, trials, size)]
+    h_los, h_nlos, h_irs = (np.concatenate(field, axis=-1) for field in zip(*parts))
+    return [[x.hex() for los in h_los for a in (los, h_nlos, irs) for x in a.tolist()]
+            for irs in h_irs]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_blocks_leave_every_bit(monkeypatch, threads):
-    # ragged blocks of 1, 3 and the default size, with the drawn boxes culled at
-    # once, every few boxes or at the default bound, give every gain of
-    # trial-at-a-time blocks, bit for bit: lit and unlit trials, a sparse and a
-    # crowded density with receivers inside boxes, two layouts; serially and in
-    # the pool
+    # ragged compute_trials ranges of 1, 3 and 16 trials, with the drawn boxes
+    # culled at once, every few boxes or at the default bound, give every gain of
+    # one range over all trials, bit for bit, and so does run_trials: lit and
+    # unlit trials, a sparse and a crowded density with receivers inside boxes,
+    # two layouts; serially and in the pool
     scene, trials, seed, densities = _narrow_scene(), 37, 8, (0.5, 4.0)
     layouts = [make_layout(irs_type="mirror", n_per_side=3),
                make_layout(irs_type="metasurface", n_per_side=2)]
@@ -323,40 +333,38 @@ def test_trial_blocks_leave_every_bit(monkeypatch, threads):
            for t in range(trials)]
     assert True in lit and False in lit
     assert any(on and _replayed_direct_gain(scene, seed, t, 4.0)[1] for t, on in enumerate(lit))
-
-    def run(block, held, threads):
-        monkeypatch.setattr(simulator, "_TRIAL_BLOCK", block)
-        monkeypatch.setattr(simulator, "_HELD_BOXES", held)
-        return _hex_gains(run_trials(scene, trials, seed, threads=threads, densities=densities,
-                                     layouts=layouts))
-
-    default, held = simulator._TRIAL_BLOCK, simulator._HELD_BOXES
-    want = run(1, held, 1)
+    ens = Ensemble.build(scene, seed, densities, layouts)
+    want = _hex_ranges(ens, trials, trials)
     assert len(want) == 2 and want[0] != want[1]
-    for block, bound in ((1, held), (3, 5), (default, held), (default, 1)):
-        assert run(block, bound, threads) == want, (block, bound)
+    held = simulator._HELD_BOXES
+    for size, bound in ((1, held), (3, 5), (16, held), (trials, 1)):
+        monkeypatch.setattr(simulator, "_HELD_BOXES", bound)
+        assert _hex_ranges(ens, trials, size) == want, (size, bound)
+        got = run_trials(scene, trials, seed, threads=threads, densities=densities,
+                         layouts=layouts)
+        assert _hex_gains(got) == want, bound
 
 
 def test_a_block_at_the_blocker_bound_peaks_like_one_trial():
-    # a block of lit trials at MAX_MEAN_BLOCKERS peaks like one trial, at most 100
+    # a chunk of lit trials at MAX_MEAN_BLOCKERS peaks like one trial, at most 100
     # bytes per blocker of the mean (README, [blockers]): it culls and slab-tests
     # its drawn boxes once _HELD_BOXES are held, so it never holds more than one
     # trial's draws and fewer than _HELD_BOXES others
     scene = make_scene()
     ens = Ensemble.build(scene, 2, (MAX_MEAN_BLOCKERS / (scene.room.length * scene.room.width),),
                          [NO_ARRAYS])
-    block = simulator._TRIAL_BLOCK
+    chunk = 16
     lit = sum(los_gain(scene.aps[0], sample_ue(trial_rng(2, t), scene)) > 0.0
-              for t in range(block))
-    assert lit >= block // 2
-    compute_trials(ens, 0, block)  # the capture's work arrays are made on first use
+              for t in range(chunk))
+    assert lit >= chunk // 2
+    compute_trials(ens, 0, chunk)  # the capture's work arrays are made on first use
     tracemalloc.start()
     try:
-        rows = compute_trials(ens, 0, block)
+        h_los, _, _ = compute_trials(ens, 0, chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == block
+    assert h_los.shape == (1, chunk)
     assert peak <= 100 * MAX_MEAN_BLOCKERS
 
 
@@ -506,7 +514,7 @@ def test_trial_irs_bits_match_the_fresh_array_cascade(irs_type, fov_deg):
     scene, layout = make_scene(fov_deg=fov_deg), make_layout(irs_type=irs_type)
     ens = Ensemble.build(scene, 5, (0.0,), [layout])
     lit = 0
-    for t, (_, _, (h_irs,)) in enumerate(compute_trials(ens, 0, 300)):
+    for t, h_irs in enumerate(compute_trials(ens, 0, 300)[2][0].tolist()):
         ue = sample_ue(trial_rng(5, t), scene)
         want = _cascade_sum(layout, ens.banks[0], ue)
         assert h_irs.hex() == want.hex(), t
@@ -613,8 +621,8 @@ def test_trial_components_nonnegative_and_indexed():
     scene, layout = make_scene(1.0), make_layout(n_per_side=4)
     out = own_density(scene, layout, 30, seed=11)
     ens = Ensemble.build(scene, 11, (1.0,), [layout])
-    assert compute_trials(ens, 0, 30) == [((out.h_los[t],), out.h_nlos[t], (out.h_irs[t],))
-                                          for t in range(30)]
+    (h_los,), h_nlos, (h_irs,) = compute_trials(ens, 0, 30)
+    assert _bits(TrialGains(h_los, h_nlos, h_irs)) == _bits(out)
     for a in (out.h_los, out.h_nlos, out.h_irs):
         assert (a >= 0.0).all()
 
@@ -646,7 +654,7 @@ def test_trial_nlos_matches_direct_evaluation():
     assert 0 < len(tilted.powered) < len(tilted_patches)
     for ens, patches, power in fields:
         live = 0
-        for t, (_, h_nlos, _) in enumerate(compute_trials(ens, 0, 300)):
+        for t, h_nlos in enumerate(compute_trials(ens, 0, 300)[1].tolist()):
             ue = sample_ue(trial_rng(9, t), ens.scene)
             want = _patch_to_ue(patches, ue, power)
             assert h_nlos.hex() == want.hex(), t
