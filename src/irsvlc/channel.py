@@ -202,8 +202,10 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
     rows = min(_SOURCE_BLOCK, sources.size)
     buf = np.empty(6 * rows * max(cols.size for _, cols, _ in runs))  # shared by every run
     for run, cols, normal in runs:
-        cx, cy, cz = centers[:, cols]
-        nx, ny, nz = normals[:, cols]
+        # the gathers of the (P, 3) arrays' transposes are F-ordered; the kernel reads
+        # contiguous rows
+        cx, cy, cz = np.ascontiguousarray(centers[:, cols])
+        nx, ny, nz = np.ascontiguousarray(normals[:, cols])
         areas = ps.areas[cols]
         total = out[cols]
         work = buf[:6 * rows * cols.size].reshape(6, rows, cols.size)
@@ -267,9 +269,8 @@ class PoweredPatches:
     """The patches that carry power, ready for the diffuse capture of a block of receiver poses.
 
     Holds the centers as axis vectors, the normals as axis vectors and
-    reflectivity * power per patch, for the patches with power > 0 only. The
-    work arrays of `capture` are made on first use and reused. One instance
-    serves one caller at a time.
+    reflectivity * power per patch, for the patches with power > 0 only. It is
+    read-only once built: each `capture` call makes its own work arrays.
     """
 
     def __init__(self, ps: PatchSet, power: np.ndarray):
@@ -277,7 +278,6 @@ class PoweredPatches:
         self._axes = np.ascontiguousarray(ps.centers[rows].T)
         self._normals = np.ascontiguousarray(ps.normals[rows].T)
         self.scale = ps.reflectivity[rows] * power[rows]
-        self._u = self._work = self._mask = None
 
     def __len__(self) -> int:
         return len(self.scale)
@@ -299,19 +299,16 @@ class PoweredPatches:
         if not len(self):
             return [0.0] * len(ues)
         sums: list[float] = []
+        buf = np.empty(6 * min(len(ues), _POSE_BLOCK) * len(self))  # shared by every block
         for a in range(0, len(ues), _POSE_BLOCK):
             block = ues[a:a + _POSE_BLOCK]
-            if self._u is None or len(self._u) < len(block):
-                self._u = np.empty((len(block), len(self), 3))
-                self._work = np.empty((3, len(block), len(self)))
-                self._mask = np.empty((2, len(block), len(self)), dtype=bool)
-            u = self._u[:len(block)]
+            n = len(block) * len(self)
+            u = buf[:3 * n].reshape(len(block), len(self), 3)
             position = np.array([ue.position for ue in block])
             for axis, c in enumerate(self._axes):
                 np.subtract(position[:, axis, None], c, out=u[:, :, axis])
             ux, uy, uz = u.transpose(2, 0, 1)
-            d2_sq, frac, cos_psi = self._work[:, :len(block)]
-            live, in_fov = self._mask[:, :len(block)]
+            d2_sq, frac, cos_psi = buf[3 * n:6 * n].reshape(3, len(block), len(self))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 _dot3(ux, uy, uz, ux, uy, uz, d2_sq, cos_psi)
                 cos_out = _dot3(ux, uy, uz, *self._normals, frac, cos_psi)
@@ -323,8 +320,8 @@ class PoweredPatches:
                 np.negative(cos_psi, out=cos_psi)
                 cos_psi /= d2
                 # the FOV is at most 90 degrees, so this also requires cos_psi > 0
-                np.greater(cos_out, 0.0, out=live)
-                live &= np.greater_equal(cos_psi, [[math.cos(ue.fov)] for ue in block], out=in_fov)
+                live = cos_out > 0.0
+                live &= cos_psi >= [[math.cos(ue.fov)] for ue in block]
                 # capture fraction of the re-emitted power; capped at 1 so a detector
                 # almost touching a patch cannot receive more than the patch reflected
                 frac *= [[ue.area] for ue in block]

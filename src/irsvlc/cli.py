@@ -242,7 +242,7 @@ def _write_text(path: str, text: str) -> None:
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
     (readouts,), stages = _experiment_curves([cfg], threads)
-    # no more workers than trials can be busy, and a single trial runs in-process
+    # run_trials' pool size: no more workers than trials, and one runs in-process
     summary = _summary(cfg, readouts, time.perf_counter() - t0, stages,
                        min(threads, cfg.trials))
     os.makedirs(cfg.out_dir, exist_ok=True)

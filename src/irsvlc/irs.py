@@ -173,6 +173,8 @@ class ReflectorBank:
     the cell center; the front-side condition reduces to the legs not being
     exactly antipodal. A metasurface cell keeps its wall normal and needs the
     source and the detector in front of it.
+
+    A bank is read-only once built, so any number of callers may share one.
     """
 
     def __init__(self, ap: "Luminaire", mirror_arrays: Sequence[ReflectorArray] = (),
@@ -208,7 +210,6 @@ class ReflectorBank:
                                     for arr, front in zip(mirror_arrays, fronts[:k]))
         # per metasurface array: its cells and the largest c.n among them
         self._cn, self._msa_cells, self._msa_front = cn, slices[k:], np.array(fronts[k:])
-        self._work = None  # the kernel's work arrays, made on first use
 
     def __len__(self) -> int:
         return len(self.d1)
@@ -236,24 +237,20 @@ class ReflectorBank:
         return self._source_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
 
     def _kernel(self, ue: "PhotoDetector") -> np.ndarray:
-        """Unblocked per-cell gains, in a work array that the next call overwrites.
+        """Unblocked per-cell gains, a new array.
 
         The gains are weight * A cos(psi) / (2 pi (d1 + d2)^2), zero outside the
         detector's field of view, for a mirror cell whose legs are exactly
         antipodal and for a metasurface cell with the detector behind it.
-        Every step writes into the bank's work arrays (about 0.4 MB for 10^4
-        cells), with the arithmetic of one fresh array per step.
+        Each call makes its own five (N,) work arrays and one mask (about 0.4 MB
+        for 10^4 cells) and writes every later step into them, with the
+        arithmetic of one fresh array per step.
         """
-        if self._work is None:
-            self._work = np.empty((5, len(self))), np.empty(len(self), dtype=bool)
-        (vx, vy, vz, d2, g), ok = self._work
         x, y, z = ue.position.tolist()
         nx, ny, nz = (-ue.normal).tolist()
-        np.subtract(x, self.cx, out=vx)
-        np.subtract(y, self.cy, out=vy)
-        np.subtract(z, self.cz, out=vz)
-        np.multiply(vx, vx, out=d2)
-        d2 += np.multiply(vy, vy, out=g)
+        vx, vy, vz = x - self.cx, y - self.cy, z - self.cz
+        d2, g = vx * vx, vy * vy
+        d2 += g
         d2 += np.multiply(vz, vz, out=g)
         np.sqrt(d2, out=d2)
         k = self.n_mirror
@@ -268,7 +265,7 @@ class ReflectorBank:
         cos_psi /= d2
         # a detector's fov is at most pi/2, so its cosine is > 0 and this test
         # also drops the cells behind the detector (cos_psi <= 0)
-        np.greater_equal(cos_psi, math.cos(ue.fov), out=ok)
+        ok = cos_psi >= math.cos(ue.fov)
         if antipodal_ok is not None:
             ok[:k] &= antipodal_ok
         if k < len(ok):  # detector in front: ue . n > c . n, cell by cell
@@ -290,7 +287,7 @@ class ReflectorBank:
 
         A cell whose source or detector leg crosses a blocker gets zero.
         """
-        gains = self._kernel(ue).copy() if len(self) else np.zeros(0)
+        gains = self._kernel(ue) if len(self) else np.zeros(0)
         if blockers:
             idx = np.flatnonzero(gains > 0.0)
             if idx.size:

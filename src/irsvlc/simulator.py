@@ -313,10 +313,12 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
 
     Trials are keyed by index, computed in contiguous chunks (compute_trials),
     max(threads, 1) * 8 of them, and joined in index order, so neither the
-    chunks nor parallel scheduling can change the result; a run with threads
-    below 2 evaluates the same chunks serially. The diffuse wall field and the
-    reflector banks are precomputed once and shipped to workers, which both
-    removes per-trial cost and keeps them bit-identical everywhere.
+    chunks nor parallel scheduling can change the result. The pool starts
+    min(threads, trials) workers, never more than the chunks (a worker beyond
+    them would sit idle); with one, the same chunks run serially in-process.
+    The diffuse wall field and the reflector banks are precomputed once and
+    shipped to workers, which both removes per-trial cost and keeps them
+    bit-identical everywhere.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -327,10 +329,11 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     ens = Ensemble.build(scene, seed, unique, layouts)
     chunk = max(1, math.ceil(trials / (max(threads, 1) * 8)))
     bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
-    if threads <= 1 or trials == 1:
+    workers = min(threads, trials)  # the count summary.json reports
+    if workers <= 1:
         parts = [compute_trials(ens, *b) for b in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ens,)) as pool:
             parts = list(pool.map(_run_chunk, bounds))
     h_los, h_nlos, h_irs = (np.concatenate(field, axis=-1) for field in zip(*parts))
@@ -427,7 +430,8 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
     """OOK symbol error rate across the SNR grid for one scenario.
 
     Per-trial received SNR is the grid SNR scaled by h^2 / mean(h^2);
-    mean_square_gain overrides the normalizer, which the curve records.
+    mean_square_gain overrides the normalizer, which the curve records; it must
+    be finite and non-negative (ValueError), and 0 gives an SER of 1/2 throughout.
     Trials with zero gain contribute Q(0) = 1/2, so blockage and orientation
     outage produce an error floor.
     """
@@ -437,6 +441,8 @@ def ser_curve(gains: TrialGains, scenario: Scenario, grid: SnrGrid = SnrGrid(), 
         raise ValueError("cannot estimate an SER curve from zero trials")
     h_sq = h * h
     norm = float(np.mean(h_sq)) if mean_square_gain is None else float(mean_square_gain)
+    if not 0.0 <= norm < math.inf:
+        raise ValueError(f"mean-square gain must be finite and non-negative, got {norm!r}")
     snr_db = grid.values()
     if norm == 0.0:
         ser = np.full(len(snr_db), 0.5)

@@ -1,6 +1,8 @@
 """Trial ensemble, SER estimation and required-SNR readout."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -76,6 +78,34 @@ def test_run_trials_validation():
 def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
     with pytest.raises(ValueError, match=message):
         replace(make_scene(), **{field: value})
+
+
+@pytest.mark.parametrize("threads, trials, workers", [(64, 3, [3]), (2, 1000, [2]), (4, 1, [])])
+def test_the_pool_starts_no_more_workers_than_chunks(monkeypatch, threads, trials, workers):
+    # a pool starts all of its max_workers at the first submit, so a worker beyond
+    # the chunk count would only sit idle; one chunk runs in-process
+    started = []
+
+    class InlinePool:  # records its size, then runs the chunks in this process
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulator, "_WORKER_STATE", {})
+    scene = make_scene(1.0)
+    got = own_density(scene, NO_ARRAYS, trials, seed=7, threads=threads)
+    assert started == workers
+    assert _bits(got) == _bits(own_density(scene, NO_ARRAYS, trials, seed=7))
 
 
 def test_run_trials_threads_match_serial():
@@ -357,7 +387,6 @@ def test_a_block_at_the_blocker_bound_peaks_like_one_trial():
     lit = sum(los_gain(scene.aps[0], sample_ue(trial_rng(2, t), scene)) > 0.0
               for t in range(chunk))
     assert lit >= chunk // 2
-    compute_trials(ens, 0, chunk)  # the capture's work arrays are made on first use
     tracemalloc.start()
     try:
         h_los, _, _ = compute_trials(ens, 0, chunk)
@@ -662,6 +691,50 @@ def test_trial_nlos_matches_direct_evaluation():
         assert live > 0
 
 
+def _state(obj):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(obj).items()}
+
+
+def test_a_built_field_and_bank_serve_two_threads_at_once():
+    # both are read-only once built: no call writes an attribute, so two threads on
+    # one object get the bits of one thread alone
+    scene = make_scene()
+    layouts = [make_layout(irs_type="mirror"), make_layout(irs_type="metasurface")]
+    ens = Ensemble.build(scene, 3, (0.0,), layouts)
+    objects = (ens.powered, *ens.banks)
+    before = [_state(obj) for obj in objects]
+    poses = [[sample_ue(trial_rng(seed, t), scene) for t in range(24)] for seed in (1, 2)]
+
+    def evaluate(ues):
+        out = [h.hex() for h in ens.powered.capture(ues)]
+        for bank in ens.banks:
+            out += [bank.gain(ue).hex() for ue in ues]
+            out += [bank.cascade(ue).tobytes() for ue in ues]
+        return out
+
+    want = [evaluate(ues) for ues in poses]
+    got = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        start.wait()
+        got[i] = [evaluate(poses[i]) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[w] * 3 for w in want]
+    assert [_state(obj) for obj in objects] == before
+
+
 # -- scenarios -----------------------------------------------------------------
 
 
@@ -836,6 +909,16 @@ def test_a_common_normalizer_is_a_shift_along_the_own_curve():
                                            rtol=1e-9, atol=0.0)
                 checked += int(live.sum())
     assert checked > 3 * 3 * 3 * 10
+
+
+@pytest.mark.parametrize("m", [-1.0, -1e-300, math.inf, -math.inf, math.nan, 0.0])
+def test_ser_curve_rejects_a_negative_or_non_finite_normalizer(m):
+    gains = flat_gains(4, 1.0)
+    if m == 0.0:  # a zero mean square keeps its curve of 1/2 throughout
+        assert np.all(ser_curve(gains, Scenario.LOS_ONLY, mean_square_gain=m).ser == 0.5)
+    else:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ser_curve(gains, Scenario.LOS_ONLY, mean_square_gain=m)
 
 
 def test_ser_curve_empty_raises():
