@@ -26,8 +26,8 @@ from .config import (_FLOATS, ConfigError, RunConfig, _parse_value, build_layout
                      build_scene, effective_sections, load_config, validate)
 from .irs import ReflectorBank
 from .scene import sample_ue
-from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, required_snr,
-                        run_trials, ser_curve)
+from .simulator import (SER_TARGET, RequiredSnr, Scenario, SerCurve, pool_size,
+                        required_snr, run_trials, ser_curve)
 
 # each SER curve with its required-SNR readout, by density (ascending), then scenario
 Readouts = dict[float, dict[Scenario, tuple[SerCurve, RequiredSnr]]]
@@ -35,7 +35,9 @@ Readouts = dict[float, dict[Scenario, tuple[SerCurve, RequiredSnr]]]
 
 def _threads_default() -> int:
     env = os.environ.get("IRSVLC_THREADS")
-    if env is None:
+    if env is None:  # the CPUs this process may run on, where the OS reports them
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)
@@ -58,7 +60,8 @@ def _parse_args(argv) -> argparse.Namespace:
         p.add_argument("--seed", type=int, help="override [sim] seed")
         p.add_argument("--trials", type=int, help="override [sim] trials")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: IRSVLC_THREADS or all cores)")
+                       help="worker processes (default: IRSVLC_THREADS or the CPUs this "
+                            "process may use)")
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--svg", action="store_true", help="also write curves.svg")
 
@@ -242,9 +245,8 @@ def _write_text(path: str, text: str) -> None:
 def _run_simulate(cfg: RunConfig, threads: int, svg: bool) -> dict:
     t0 = time.perf_counter()
     (readouts,), stages = _experiment_curves([cfg], threads)
-    # run_trials' pool size: no more workers than trials, and one runs in-process
     summary = _summary(cfg, readouts, time.perf_counter() - t0, stages,
-                       min(threads, cfg.trials))
+                       pool_size(threads, cfg.trials))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_text(os.path.join(cfg.out_dir, "curves.csv"),
                 "\n".join(_csv_lines(readouts)) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from .channel import (DEFAULT_NLOS_ORDER, DEFAULT_PATCH_SIZE, DEFAULT_WALL_REFLECTIVITY,
                       wall_patch_grid)
 from .geometry import vec3
-from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY
+from .irs import DEFAULT_MIRROR_REFLECTIVITY, DEFAULT_MSA_EFFICIENCY, ReflectorBank
 from .scene import (BLOCKER_DIMS, DEFAULT_FOV_DEG, DEFAULT_LAMBERTIAN_ORDER,
                     DEFAULT_PD_AREA, DEFAULT_ROOM_DIMS, DEFAULT_THETA_MEAN_DEG,
                     DEFAULT_THETA_STD_DEG, DEFAULT_UE_HEIGHT, MAX_PD_AREA, BlockerModel,
@@ -223,6 +223,10 @@ def validate(cfg: RunConfig) -> None:
               f"unknown scenario {name!r}")
     if cfg.irs_type != "none" and cfg.n_per_side >= 1 and room_ok:
         check_call("[irs] n_per_side", _check_array_fit, Room(*room), cfg.n_per_side)
+    # the source must clear every mirror array: a check on the built layout, so only
+    # for a config that is otherwise valid
+    if cfg.irs_type == "mirror" and not errors:
+        check_call("[ap]", ReflectorBank, build_scene(cfg, 0.0).aps[0], build_layout(cfg)[0])
     if errors:
         raise ConfigError(errors)
 

@@ -152,8 +152,7 @@ def mirror_element_gain(ap: "Luminaire", elem: MirrorElement, ue: "PhotoDetector
             * cos_phi ** m * cos_psi)
 
 
-_ANTIPODAL_TOL = 1e-12  # a mirror cell is dropped when 1 + cos(leg angle) <= this
-_GAP_MARGIN = 1e-5  # see ReflectorBank._antipodes_impossible
+_GAP_MARGIN = 1e-5  # a source must clear each mirror array by this times the largest d1
 
 
 class ReflectorBank:
@@ -164,15 +163,20 @@ class ReflectorBank:
     the metasurface arrays, each array in grid order. Per cell the bank holds
     the center as axis vectors, d1 = |u| for the source leg u = source -
     center, and a weight folding the reflectivity or efficiency, (m + 1) and
-    cos^m(phi): zero where the source does not light it. The legs, which the
-    per-pose gain does not read, are built on demand (`legs`).
+    cos^m(phi): zero where the source does not light it.
 
     Every mirror cell is steered to the half-vector orientation for the
     detector. The image, cell center and detector are then collinear, so the
     image-detector distance is exactly d1 + d2 and the footprint is met at
     the cell center; the front-side condition reduces to the legs not being
-    exactly antipodal. A metasurface cell keeps its wall normal and needs the
-    source and the detector in front of it.
+    exactly antipodal. The bank raises ValueError unless the source clears
+    every mirror array: source . n - max over the array's cells of c . n >
+    _GAP_MARGIN * the largest d1. For a detector on or in front of that plane
+    (every pose sample_ue draws, for wall-mounted arrays) no cell's legs can
+    then be antipodal (README, "Fixed cost of a run"), so the kernel does not
+    test for them. A detector behind a mirror array's plane is outside the
+    model: its near-antipodal cells are kept. A metasurface cell keeps its
+    wall normal and needs the source and the detector in front of it.
 
     A bank is read-only once built, so any number of callers may share one.
     """
@@ -182,34 +186,34 @@ class ReflectorBank:
         arrays = (*mirror_arrays, *metasurface_arrays)
         k = len(mirror_arrays)  # the mirror arrays come first
         self.n_mirror = sum(len(arr) for arr in mirror_arrays)
-        normals = np.array([arr.normal for arr in arrays]).reshape(-1, 3)
-        self._mirror_normals, self._msa_normals = normals[:k], normals[k:]
+        self._msa_normals = np.array([arr.normal for arr in metasurface_arrays]).reshape(-1, 3)
         self._source = ap.position
         # the kernel reads centers as contiguous axis vectors
         centers = np.concatenate([np.zeros((0, 3))] + [arr.centers for arr in arrays])
         self.cx, self.cy, self.cz = self._c = np.ascontiguousarray(centers.T)
-        ux, uy, uz = u = self.legs
+        ux, uy, uz = u = (ap.position - centers).T
         self.d1 = np.sqrt(ux * ux + uy * uy + uz * uz)
-        self.weight, cn, fronts, start = np.zeros(len(centers)), np.zeros(len(centers)), [], 0
-        slices = []
+        margin = _GAP_MARGIN * float(self.d1.max(initial=0.0))
+        self.weight, self._cn = np.zeros(len(centers)), np.zeros(len(centers))
+        # per metasurface array: its cells and the largest c.n among them
+        self._msa_cells, fronts, start = [], [], 0
         m = ap.lambertian_order
         for i, arr in enumerate(arrays):
             cells = slice(start, start + len(arr))
             start = cells.stop
-            slices.append(cells)
             cos_phi = -_dot(*u[:, cells], ap.normal) / self.d1[cells]
             lit = cos_phi > 0.0
+            cn = self._cn[cells] = _dot(*self._c[:, cells], arr.normal)
+            if i < k and (gap := float(ap.position @ arr.normal - cn.max())) <= margin:
+                raise ValueError(f"source must lie more than {margin:.3g} m in front of "
+                                 f"every mirror array; it lies {gap:.3g} m in front of one")
             if i >= k:  # a metasurface also needs the source in front
                 lit &= _dot(*u[:, cells], arr.normal) > 0.0
+                self._msa_cells.append(cells)
+                fronts.append(cn.max())
             self.weight[cells] = np.where(
                 lit, arr.scale * (m + 1.0) * np.maximum(cos_phi, 0.0) ** m, 0.0)
-            cn[cells] = _dot(*self._c[:, cells], arr.normal)
-            fronts.append(cn[cells].max())
-        self._mirror_front = np.array(fronts[:k])  # per mirror array: max over cells of c.n
-        self._source_in_front = all(float(ap.position @ arr.normal) >= front
-                                    for arr, front in zip(mirror_arrays, fronts[:k]))
-        # per metasurface array: its cells and the largest c.n among them
-        self._cn, self._msa_cells, self._msa_front = cn, slices[k:], np.array(fronts[k:])
+        self._msa_front = np.array(fronts)
 
     def __len__(self) -> int:
         return len(self.d1)
@@ -219,32 +223,14 @@ class ReflectorBank:
         """(N, 3) cell centers, a view of the axis vectors."""
         return self._c.T
 
-    @property
-    def legs(self) -> np.ndarray:
-        """(3, N) source legs u = source - center as axis vectors, a new array: only
-        the rare full antipodal test reads them after the bank is built."""
-        return np.ascontiguousarray((self._source - self.centers).T)
-
-    def _antipodes_impossible(self, ue_position: np.ndarray, d2_max: float) -> bool:
-        """True when no mirror cell's two legs can come within _ANTIPODAL_TOL of antipodal.
-
-        Holds when every mirror array has the source in front (source . n >=
-        front = max c . n) and detector . n - front > _GAP_MARGIN * d2_max, where
-        d2_max bounds every detector distance: then each cell has 1 + cos >
-        5e-11 (README, "Fixed cost of a run", derives it).
-        """
-        ue_gap = self._mirror_normals @ ue_position - self._mirror_front
-        return self._source_in_front and bool((ue_gap > _GAP_MARGIN * d2_max).all())
-
     def _kernel(self, ue: "PhotoDetector") -> np.ndarray:
         """Unblocked per-cell gains, a new array.
 
         The gains are weight * A cos(psi) / (2 pi (d1 + d2)^2), zero outside the
-        detector's field of view, for a mirror cell whose legs are exactly
-        antipodal and for a metasurface cell with the detector behind it.
-        Each call makes its own five (N,) work arrays and one mask (about 0.4 MB
-        for 10^4 cells) and writes every later step into them, with the
-        arithmetic of one fresh array per step.
+        detector's field of view and for a metasurface cell with the detector
+        behind it. Each call makes its own five (N,) work arrays and one mask
+        (about 0.4 MB for 10^4 cells) and writes every later step into them,
+        with the arithmetic of one fresh array per step.
         """
         x, y, z = ue.position.tolist()
         nx, ny, nz = (-ue.normal).tolist()
@@ -253,12 +239,6 @@ class ReflectorBank:
         d2 += g
         d2 += np.multiply(vz, vz, out=g)
         np.sqrt(d2, out=d2)
-        k = self.n_mirror
-        antipodal_ok = None
-        if k and not self._antipodes_impossible(ue.position, float(d2.max())):
-            ux, uy, uz = self.legs[:, :k]
-            dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
-            antipodal_ok = dot / (self.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
         cos_psi = np.multiply(vx, nx, out=g)
         cos_psi += np.multiply(vy, ny, out=vy)
         cos_psi += np.multiply(vz, nz, out=vz)
@@ -266,9 +246,7 @@ class ReflectorBank:
         # a detector's fov is at most pi/2, so its cosine is > 0 and this test
         # also drops the cells behind the detector (cos_psi <= 0)
         ok = cos_psi >= math.cos(ue.fov)
-        if antipodal_ok is not None:
-            ok[:k] &= antipodal_ok
-        if k < len(ok):  # detector in front: ue . n > c . n, cell by cell
+        if self.n_mirror < len(ok):  # detector in front: ue . n > c . n, cell by cell
             ue_n = (self._msa_normals @ ue.position).tolist()
             for cells, s, front in zip(self._msa_cells, ue_n, self._msa_front.tolist()):
                 if s <= front:  # else every cell of the array passes

@@ -298,6 +298,13 @@ def _run_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return compute_trials(_WORKER_STATE["ensemble"], *bounds)
 
 
+def pool_size(threads: int, trials: int) -> int:
+    """Workers of a run: run_trials starts a pool of this size when it is above 1 and
+    runs in-process otherwise. No more than the trials, since a worker beyond the
+    chunks would sit idle."""
+    return min(threads, trials)
+
+
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
                densities: Sequence[float] | None = None,
                layouts: Sequence[Layout]) -> list[dict[float, TrialGains]]:
@@ -314,8 +321,8 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     Trials are keyed by index, computed in contiguous chunks (compute_trials),
     max(threads, 1) * 8 of them, and joined in index order, so neither the
     chunks nor parallel scheduling can change the result. The pool starts
-    min(threads, trials) workers, never more than the chunks (a worker beyond
-    them would sit idle); with one, the same chunks run serially in-process.
+    pool_size(threads, trials) workers, never more than the chunks; with one,
+    the same chunks run serially in-process.
     The diffuse wall field and the reflector banks are precomputed once and
     shipped to workers, which both removes per-trial cost and keeps them
     bit-identical everywhere.
@@ -329,7 +336,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     ens = Ensemble.build(scene, seed, unique, layouts)
     chunk = max(1, math.ceil(trials / (max(threads, 1) * 8)))
     bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
-    workers = min(threads, trials)  # the count summary.json reports
+    workers = pool_size(threads, trials)
     if workers <= 1:
         parts = [compute_trials(ens, *b) for b in bounds]
     else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, build_layout,
-                    build_scene, vec3)
+                    build_scene, simulator, vec3)
 from irsvlc.scene import blocker_boxes, blocker_draws, blocker_means, floor_draws
 
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
@@ -28,6 +28,32 @@ def ceiling_ap():
 def upward_ue():
     """Detector on the receiver plane, facing straight up."""
     return PhotoDetector(vec3(2.5, 2.5, 1.0), vec3(0.0, 0.0, 1.0))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """run_trials' process pool replaced by one that runs the chunks in this process;
+    the list of the sizes of the pools a run starts."""
+    # a pool starts all of its max_workers at the first submit
+    started = []
+
+    class InlinePool:  # records its size, then runs the chunks in this process
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulator, "_WORKER_STATE", {})
+    return started
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -301,6 +301,39 @@ def test_a_cross_key_check_skips_a_substituted_default(tmp_path, capsys, body, m
     assert not (tmp_path / "o").exists()
 
 
+def _source_on_a_wall(tmp_path, irs_type, ap):
+    config = tmp_path / "wall.ini"
+    config.write_text(f"[ap]\n{ap}\n[irs]\ntype = {irs_type}\nn_per_side = 6\n"
+                      "[blockers]\ndensities = 0, 0.4\n[sim]\ntrials = 60\nseed = 2\n"
+                      "snr_step_db = 5\n", encoding="utf-8")
+    return run(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                "--threads", "1"])
+
+
+@pytest.mark.parametrize("ap", ["x = 0", "x = 1e-9", "y = 5"])
+def test_a_source_that_does_not_clear_a_mirror_array_exits_2(tmp_path, capsys, ap):
+    # on the x = 0 wall, 1e-9 m in front of it, and on the far y wall of the stock room
+    assert _source_on_a_wall(tmp_path, "mirror", ap) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: [ap]: source must lie more than ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("irs_type, ap, sha", [
+    ("metasurface", "x = 0", "5f140baf5b5038bd3e7decbed00118c8b0ba4048820e27a890d58313c1d4fc93"),
+    ("metasurface", "x = 1e-9",
+     "cb192e462c30e6559d85906ef9566f5d1b4fe5754abb81a2f4457c8d73a9e848"),
+    ("metasurface", "y = 5", "80af36283cf5e46ba660d64a09ee99e76727fb5324c2c5dd359f23ce6ec266d7"),
+    ("none", "x = 0", "6ebee65a427b05a28e82559d6bc8d2fe61f3695c38e2fa696c6f22a400f69e3d"),
+    ("none", "x = 1e-9", "a8a69b94bb31ebb706c83e72182ade8b83aa21ad700fc995c0e20ef0f98607c0"),
+    ("none", "y = 5", "0997f5bfb0fa61a7242eb3d66811627d3bd1a63a28e8149af2b3ad93e452106b"),
+])
+def test_a_source_on_a_wall_runs_without_mirror_arrays(tmp_path, irs_type, ap, sha):
+    # the clearance rule is the mirror bank's: the other layouts keep their curves
+    assert _source_on_a_wall(tmp_path, irs_type, ap) == 0
+    assert hashlib.sha256((tmp_path / "o" / "curves.csv").read_bytes()).hexdigest() == sha
+
+
 def test_wall_settings_change_the_curves(small_config, tmp_path):
     # each [walls] key reaches the run: the patch size and reflection order
     # change the curves beyond what the reflectivity alone does
@@ -328,6 +361,30 @@ def test_invalid_threads_env_exits_2(small_config, tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "IRSVLC_THREADS" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads, trials, workers", [(2, 1000, 2), (64, 3, 3), (4, 1, 1)])
+def test_summary_reports_the_pool_size(small_config, tmp_path, inline_pool, threads, trials,
+                                       workers):
+    # the workers the run started, or 1 when its chunks ran in-process
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out),
+                "--threads", str(threads), "--trials", str(trials)]) == 0
+    assert load_summary(out / "summary.json")["workers"] == workers
+    assert inline_pool == ([workers] if workers > 1 else [])
+
+
+def test_default_threads_count_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("IRSVLC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert cli._threads_default() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # where the OS has no affinity mask
+    assert cli._threads_default() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._threads_default() == 1
+    monkeypatch.setenv("IRSVLC_THREADS", "3")
+    assert cli._threads_default() == 3
 
 
 def test_unwritable_output_exits_3(small_config, tmp_path, capsys):

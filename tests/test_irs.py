@@ -200,39 +200,73 @@ def _random_poses(r, count, max_wall_gap=None):
     return poses
 
 
-def test_antipodal_skip_matches_the_per_cell_test(monkeypatch):
-    bank = ReflectorBank(make_scene().aps[0], make_layout(n_per_side=50)[0])
-    # within 1e-6 m of a wall the full test must run; within 1e-3 m it may or may not
+def _full_antipodal_cascade(bank, source, ue, tol=1e-12):
+    """A mirror bank's unblocked gains as its kernel computed them when it tested every
+    cell's legs for antipodes (1 + cos <= tol) on every pose."""
+    x, y, z = ue.position.tolist()
+    nx, ny, nz = (-ue.normal).tolist()
+    vx, vy, vz = x - bank.cx, y - bank.cy, z - bank.cz
+    d2, g = vx * vx, vy * vy
+    d2 += g
+    d2 += np.multiply(vz, vz, out=g)
+    np.sqrt(d2, out=d2)
+    ux, uy, uz = np.ascontiguousarray((source - bank.centers).T)
+    antipodal_ok = (ux * vx + uy * vy + uz * vz) / (bank.d1 * d2) > -1.0 + tol
+    cos_psi = np.multiply(vx, nx, out=g)
+    cos_psi += np.multiply(vy, ny, out=vy)
+    cos_psi += np.multiply(vz, nz, out=vz)
+    cos_psi /= d2
+    ok = (cos_psi >= math.cos(ue.fov)) & antipodal_ok
+    total_d = np.add(bank.d1, d2, out=d2)
+    total_d *= total_d
+    gains = np.multiply(bank.weight, cos_psi, out=g)
+    gains /= total_d
+    gains *= ue.area / (2.0 * math.pi)
+    np.copyto(gains, 0.0, where=~ok)
+    return gains
+
+
+def test_cascade_matches_the_full_antipodal_test():
+    # a source that clears every mirror array leaves no antipodal cell for a detector
+    # on or in front of the walls, even within 1e-6 m of one or on its plane
+    ap = make_scene().aps[0]
+    bank = ReflectorBank(ap, make_layout(n_per_side=50)[0])
     r = rng(2_026)
     poses = _random_poses(r, 60) + _random_poses(r, 60, 1e-6) + _random_poses(r, 60, 1e-3)
-    verdicts = []
-    real = ReflectorBank._antipodes_impossible
-
-    def spy(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", spy)
-    skipped = [bank.cascade(ue) for ue in poses]
-    monkeypatch.setattr(ReflectorBank, "_antipodes_impossible", lambda *args: False)
-    forced = [bank.cascade(ue) for ue in poses]
-    assert True in verdicts and False in verdicts
-    assert any((g > 0.0).any() for g in forced)
-    for got, want in zip(skipped, forced, strict=True):
-        assert got.tobytes() == want.tobytes()
+    # sample_ue reaches the x = 0 and y = 0 planes when its draw is 0.0
+    poses += [PhotoDetector(vec3(x, y, 1.0), unit_normal_from_polar(theta, omega))
+              for x, y in ((0.0, 1.3), (2.2, 0.0), (0.0, 0.0))
+              for theta, omega in ((0.0, 0.0), (1.0, 0.5), (1.5, 3.0), (0.7, 4.5))]
+    lit = 0
+    for ue in poses:
+        got = bank.cascade(ue)
+        assert got.tobytes() == _full_antipodal_cascade(bank, ap.position, ue).tobytes()
+        lit += int((got > 0.0).sum())
+    assert lit > 0
 
 
-def test_exactly_antipodal_mirror_cell_is_dropped():
+def test_a_source_on_a_mirror_plane_is_refused():
+    # the source stands on the first cell's plane, so that cell's legs are antipodal
+    # for the detector below it; the bank refuses the source instead of dropping the cell
     ap = Luminaire(vec3(1.0, 2.5, 3.0), vec3(0, 0, -1), 1.0)
-    ue = PhotoDetector(vec3(1.0, 2.5, 0.5), vec3(0, 0, 1))
-    # the first cell sits on the source-detector line, so its legs are antipodal
     centers = np.array([[1.0, 2.5, 1.5], [0.0, 2.5, 1.5]])
     arr = ReflectorArray(vec3(1, 0, 0), centers, 0.95)
-    bank = _mirror_bank(ap, arr)
-    gains = bank.cascade(ue)
-    d2_max = float(np.linalg.norm(ue.position - bank.centers, axis=1).max())
-    assert not bank._antipodes_impossible(ue.position, d2_max)
-    assert gains[0] == 0.0 and gains[1] > 0.0
+    with pytest.raises(ValueError, match="in front of every mirror array"):
+        _mirror_bank(ap, arr)
+    # a metasurface array there is fine: its source test is per cell
+    assert _msa_bank(ap, arr).weight[1] > 0.0
+
+
+def test_the_source_must_clear_a_mirror_array_by_the_margin():
+    # the margin is 1e-5 times the largest d1, here 1 m to rounding
+    arr = ReflectorArray(vec3(1, 0, 0), np.array([[0.0, 2.5, 1.5]]), 0.95)
+    for x, ok in ((0.99e-5, False), (1.01e-5, True), (-0.5, False)):
+        ap = Luminaire(vec3(x, 2.5, 2.5), vec3(0, 0, -1), 1.0)
+        if ok:
+            assert _mirror_bank(ap, arr).weight[0] > 0.0
+        else:
+            with pytest.raises(ValueError, match="in front of every mirror array"):
+                _mirror_bank(ap, arr)
 
 
 # -- reflector bank ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from irsvlc import (Luminaire, PatchSet, ReflectorBank, RequiredSnr, Scenario, S
 from irsvlc import channel, config, geometry, irs, oracles, scene as scene_module, simulator
 from irsvlc.channel import PoweredPatches
 from irsvlc.geometry import OrientedBoxes
-from irsvlc.irs import _ANTIPODAL_TOL, _dot
+from irsvlc.irs import _dot
 from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_ue
 from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trials
 
@@ -81,30 +81,11 @@ def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
 
 
 @pytest.mark.parametrize("threads, trials, workers", [(64, 3, [3]), (2, 1000, [2]), (4, 1, [])])
-def test_the_pool_starts_no_more_workers_than_chunks(monkeypatch, threads, trials, workers):
-    # a pool starts all of its max_workers at the first submit, so a worker beyond
-    # the chunk count would only sit idle; one chunk runs in-process
-    started = []
-
-    class InlinePool:  # records its size, then runs the chunks in this process
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(simulator, "_WORKER_STATE", {})
+def test_the_pool_starts_no_more_workers_than_chunks(inline_pool, threads, trials, workers):
+    # a worker beyond the chunk count would only sit idle; one chunk runs in-process
     scene = make_scene(1.0)
     got = own_density(scene, NO_ARRAYS, trials, seed=7, threads=threads)
-    assert started == workers
+    assert inline_pool == workers
     assert _bits(got) == _bits(own_density(scene, NO_ARRAYS, trials, seed=7))
 
 
@@ -496,10 +477,6 @@ def _cascade_sum(layout, bank, ue):
     cos_psi /= d2
     ok = cos_psi >= math.cos(ue.fov)
     k = bank.n_mirror
-    if k and not bank._antipodes_impossible(ue.position, float(d2.max())):
-        ux, uy, uz = bank.legs[:, :k]
-        dot = ux * vx[:k] + uy * vy[:k] + uz * vz[:k]
-        ok[:k] &= dot / (bank.d1[:k] * d2[:k]) > -1.0 + _ANTIPODAL_TOL
     if arrays := layout[1]:
         cn = np.concatenate([_dot(*arr.centers.T, arr.normal) for arr in arrays])
         ue_n = np.array([arr.normal for arr in arrays]) @ ue.position
