@@ -1,10 +1,13 @@
 """Run configuration: an INI file of sections with key=value pairs.
 
 Every key has a default matching the reference experiment, so an empty (or
-absent) file runs the full stock setup. Unknown sections or keys, malformed
-values and out-of-range settings are reported together with their location.
-The effective, fully merged configuration can be echoed back out; feeding
-the echo into a new run reproduces the original outputs.
+absent) file runs the full stock setup. Bad settings are reported with their
+location in four stages, each of which reports everything it finds and runs
+only when the stages before it found nothing: unknown sections or keys and
+unparseable values; non-finite numbers; range and cross-key checks; the mirror
+clearance on the built layout. The effective, fully merged configuration can
+be echoed back out; feeding the echo into a new run reproduces the original
+outputs.
 """
 
 from __future__ import annotations
@@ -141,8 +144,21 @@ def load_config(path: str | None = None, **overrides) -> RunConfig:
 
 
 def validate(cfg: RunConfig) -> None:
-    """Raise ConfigError listing every out-of-range setting of cfg."""
+    """Raise ConfigError listing every bad setting found by the first stage that finds one.
+
+    Three stages follow load_config's parse: the non-finite numbers; the range and
+    cross-key checks, which thus see finite values only; the mirror clearance, which
+    needs the built layout.
+    """
     errors: list[str] = []
+    for (section, key), (attr, kind) in _SCHEMA.items():
+        if kind in (_FLOAT, _FLOATS):
+            value = getattr(cfg, attr)
+            values = value if kind == _FLOATS else () if value is None else (value,)
+            if not all(map(math.isfinite, values)):
+                errors.append(f"[{section}] {key}: must be finite")
+    if errors:
+        raise ConfigError(errors)
 
     def check(ok: bool, where: str, msg: str) -> None:
         if not ok:
@@ -154,27 +170,15 @@ def validate(cfg: RunConfig) -> None:
         except ValueError as exc:
             errors.append(f"{where}: {exc}")
 
-    # a non-finite value is reported once: the range checks see its default, and a check
-    # that compares keys skips any key whose default stands in
-    defaults = {}
-    for (section, key), (attr, kind) in _SCHEMA.items():
-        if kind in (_FLOAT, _FLOATS):
-            value = getattr(cfg, attr)
-            values = value if kind == _FLOATS else () if value is None else (value,)
-            if not all(map(math.isfinite, values)):
-                errors.append(f"[{section}] {key}: must be finite")
-                defaults[attr] = getattr(RunConfig, attr)
-    cfg = replace(cfg, **defaults)
     room = (cfg.room_length, cfg.room_width, cfg.room_height)
     room_ok = all(d > 0 for d in room)
     check(room_ok, "[room]", "dimensions must be positive")
-    room_ok = room_ok and not {"room_length", "room_width", "room_height"} & defaults.keys()
     if room_ok:
         x, y, z = cfg.ap_position()
         check(all(0 <= p <= d for p, d in zip((x, y, z), room)), "[ap]",
               f"source position ({x:g}, {y:g}, {z:g}) must lie inside the room")
     check(cfg.lambertian_order > 0, "[ap] lambertian_order", "must be positive")
-    if cfg.room_height > 0 and not {"room_height", "ue_height"} & defaults.keys():
+    if cfg.room_height > 0:
         check(0 < cfg.ue_height < cfg.room_height, "[ue] height",
               f"must lie strictly between 0 and the room height {cfg.room_height}")
     check(cfg.pd_area > 0, "[ue] area", "must be positive")
@@ -189,7 +193,7 @@ def validate(cfg: RunConfig) -> None:
     check(len(cfg.densities) > 0, "[blockers] densities", "needs at least one value")
     check(all(d >= 0 for d in cfg.densities), "[blockers] densities",
           "must be non-negative")
-    if room_ok and "densities" not in defaults:
+    if room_ok:
         for d in [d for d in cfg.densities if d >= 0]:
             check_call("[blockers] densities", blocker_means, Room(*room), (d,))
     check_call("[blockers]", BlockerModel, 0.0,
@@ -203,19 +207,17 @@ def validate(cfg: RunConfig) -> None:
           "must lie in [0, 1]")
     check(0 <= cfg.wall_reflectivity <= 1, "[walls] reflectivity", "must lie in [0, 1]")
     check(cfg.patch_size > 0, "[walls] patch_size", "must be positive")
-    if room_ok and cfg.patch_size > 0 and "patch_size" not in defaults:
+    if room_ok and cfg.patch_size > 0:
         check_call("[walls] patch_size", wall_patch_grid, Room(*room), cfg.patch_size)
     check(cfg.nlos_order in (1, 2), "[walls] reflection_order", "must be 1 or 2")
     check(cfg.trials >= 1, "[sim] trials", "must be >= 1")
     check(cfg.seed >= 0, "[sim] seed", "must be non-negative")
     check(cfg.snr_step_db > 0, "[sim] snr_step_db", "must be positive")
-    grid_ok = not {"snr_start_db", "snr_stop_db"} & defaults.keys()
-    check(not grid_ok or cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
+    check(cfg.snr_stop_db >= cfg.snr_start_db, "[sim] snr_stop_db",
           "must not lie below snr_start_db")
     check(cfg.snr_stop_db <= MAX_SNR_DB, "[sim] snr_stop_db",
           f"must not lie above {MAX_SNR_DB:g} dB")
-    grid_ok = grid_ok and "snr_step_db" not in defaults
-    if grid_ok and cfg.snr_step_db > 0 and cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
+    if cfg.snr_step_db > 0 and cfg.snr_start_db <= cfg.snr_stop_db <= MAX_SNR_DB:
         check_call("[sim] snr_step_db", cfg.grid)
     check(len(cfg.scenarios) > 0, "[sim] scenarios", "needs at least one entry")
     for name in cfg.scenarios:

@@ -277,7 +277,7 @@ def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
     ("[room]\nheight = inf\n[walls]\npatch_size = 0.002\n", "[room] height: must be finite"),
     ("[sim]\nsnr_start_db = -inf\nsnr_step_db = 0.01\nsnr_stop_db = 20\n",
      "[sim] snr_start_db: must be finite"),
-    # the substituted key is the second one a cross-key check reads
+    # the non-finite key is the second one a cross-key check reads
     ("[room]\nheight = 0.5\n[ue]\nheight = nan\n[irs]\ntype = none\n",
      "[ue] height: must be finite"),
     ("[sim]\nsnr_start_db = -5000\nsnr_step_db = nan\n", "[sim] snr_step_db: must be finite"),
@@ -285,19 +285,35 @@ def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
      "densities = 0\n", "[walls] patch_size: must be finite"),
     ("[room]\nlength = 1000\nwidth = 1000\n[walls]\npatch_size = 5\n[blockers]\n"
      "densities = nan\n", "[blockers] densities: must be finite"),
-    # with no substitution the cross-key check still reports
+    # with every value finite the cross-key check reports
     ("[sim]\nsnr_start_db = 50\n", "[sim] snr_stop_db: must not lie below snr_start_db"),
+    ("[ap]\nx = nan\n[sim]\ntrials = 0\n", "[ap] x: must be finite"),
 ], ids=["room_height-ue", "room_length-ap", "snr_start-stop", "snr_stop-start",
         "room_width-arrays", "room_length-densities", "room_height-patches",
         "snr_start-points", "ue_height-room", "snr_step-points", "patch_size-room",
-        "densities-room", "stop_below_start"])
+        "densities-room", "stop_below_start", "ap_x-trials"])
 def test_a_cross_key_check_skips_a_substituted_default(tmp_path, capsys, body, message):
-    # a non-finite value is replaced by its default for the range checks; a check that
-    # compares it with another key would read that default, so it is skipped
+    # a non-finite value is reported alone: the range and cross-key checks run only
+    # once every number is finite, whether or not they would read that value
     bad = tmp_path / "bad.ini"
     bad.write_text(body, encoding="utf-8")
     assert run(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("body, messages", [
+    ("[room]\ndepth = 3\n[sim]\ntrials = 0\n", ["[room] depth: unknown setting"]),
+    ("[room]\ndepth = 3\nlength = tall\n[sim]\ntrials = 0\n",
+     ["[room] depth: unknown setting", "[room] length: cannot parse 'tall' as float"]),
+], ids=["unknown_key", "unknown_key-unparseable"])
+def test_unknown_keys_and_unparseable_values_are_reported_alone(tmp_path, capsys, body,
+                                                                messages):
+    # the parse stage reports together, and its errors hide the range checks
+    bad = tmp_path / "bad.ini"
+    bad.write_text(body, encoding="utf-8")
+    assert run(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {m}" for m in messages]
     assert not (tmp_path / "o").exists()
 
 

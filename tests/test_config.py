@@ -136,7 +136,7 @@ def test_readme_table_lists_every_key():
 @pytest.mark.parametrize("section, key", [
     sk for sk, (_, kind) in _SCHEMA.items() if kind in ("float", "float_list")])
 def test_each_non_finite_value_is_reported_once(tmp_path, section, key, value):
-    # the range checks see the default in its place, so they add no second message
+    # the range checks do not run on a non-finite value, so they add no second message
     with pytest.raises(ConfigError) as exc:
         load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
     assert exc.value.errors == [f"[{section}] {key}: must be finite"]

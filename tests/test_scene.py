@@ -55,10 +55,15 @@ def test_scene_needs_exactly_one_luminaire(count):
 
 def test_validate_still_reports_every_bad_key_with_its_wording():
     # the constructors' checks do not replace the config file's report
-    cfg = RunConfig(room_length=math.nan, ap_x=9.0, pd_area=0.0)
     with pytest.raises(ConfigError) as err:
-        validate(cfg)
+        validate(RunConfig(room_length=math.nan, ap_x=9.0))
     assert "[room] length: must be finite" in err.value.errors
+
+
+def test_validate_still_reports_a_range_error_with_its_wording():
+    # the range checks run once every number is finite
+    with pytest.raises(ConfigError) as err:
+        validate(RunConfig(ap_x=9.0, pd_area=0.0))
     assert "[ue] area: must be positive" in err.value.errors
 
 
