@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
 DEFAULT_NLOS_ORDER = 2  # wall bounces: direct illumination plus one patch-to-patch transfer
-MAX_PATCHES = 1e5  # per room; the second bounce's work buffer is about 115 MB at the bound
+MAX_PATCHES = 1e5  # per room; the per-pair second bounce's work buffer is about 115 MB at the bound
 
 
 class PatchSet:
@@ -148,7 +148,13 @@ def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
     return power
 
 
-_SOURCE_BLOCK = 32  # source rows per block: six (32, P') float64 work arrays, 1.1 MB at P' = 720
+# sources per block of the per-pair transfer: six (32, P') float64 work arrays, 1.5 kB per
+# column, P' the largest run's columns
+_SOURCE_BLOCK = 32
+# float64 elements (0.26 MB) in a block of the grid transfer: the terms in one of its six
+# work arrays, unless one receiver column needs more; the terms a block of sources
+# gathers; and a wall pair's (rows, rows) row offsets
+_GRID_BLOCK = 2**15
 
 
 def _dot3(x: np.ndarray, y: np.ndarray, z: np.ndarray, a, b, c,
@@ -162,6 +168,44 @@ def _dot3(x: np.ndarray, y: np.ndarray, z: np.ndarray, a, b, c,
     out += np.multiply(z, c, out=tmp)
     out += np.multiply(y, b, out=tmp)
     return out
+
+
+def _pair_fractions(v, normal, normals, areas, work: np.ndarray) -> np.ndarray:
+    """Fraction of a source patch's re-emitted power that lands on a receiver patch.
+
+    v = (vx, vy, vz) is the receiver center minus the source center per axis,
+    normal the source normal, normals = (nx, ny, nz) and areas the receivers';
+    all broadcast to the shape of work's six arrays, and v may be work[:3].
+    The result, in work[2], is capped at 1 and +0.0 where either cosine is not
+    positive or the fraction is not finite.
+    """
+    vx, vy, vz = v
+    cos_in, d, frac, d_sq, cos_out, tmp = work
+    _dot3(vx, vy, vz, vx, vy, vz, d_sq, tmp)
+    _dot3(vx, vy, vz, *normal, cos_out, tmp)
+    _dot3(vx, vy, vz, *normals, cos_in, tmp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(d_sq, out=d)
+        cos_out /= d
+        np.negative(cos_in, out=cos_in)
+        cos_in /= d
+        np.multiply(areas, cos_in, out=frac)
+        frac *= cos_out
+        frac /= np.multiply(d_sq, math.pi, out=tmp)
+    keep = np.isfinite(frac)
+    keep &= cos_out > 0.0
+    keep &= cos_in > 0.0
+    np.minimum(frac, 1.0, out=frac)
+    frac[~keep] = 0.0
+    return frac
+
+
+def _add_rows(frac: np.ndarray) -> np.ndarray:
+    """frac's rows added in order. numpy's reduce along axis 0 does that, except
+    where a row holds one element: it then sums the column pairwise."""
+    if frac.size == len(frac):
+        return np.add.accumulate(frac, axis=0)[-1]
+    return np.add.reduce(frac, axis=0)
 
 
 def _normal_runs(ps: PatchSet, sources: np.ndarray):
@@ -180,24 +224,40 @@ def _normal_runs(ps: PatchSet, sources: np.ndarray):
         yield sources[start:stop], cols, normals[start]
 
 
-def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
-    """Patch powers after one unblocked diffuse patch-to-patch transfer.
+def _grid_walls(ps: PatchSet) -> list[tuple] | None:
+    """The patch set as grid walls, as wall_patches lays out every Room, or None.
 
-    O(P^2) pairs, evaluated per run of sources with one normal (see
-    _normal_runs) and _SOURCE_BLOCK sources at a time within a run.
-
-    The result is bit-identical to adding one source row at a time, in
-    source order, each row computed with einsum dot products: the per-axis
-    sums follow einsum's order (_dot3), skipped columns would only add
-    +0.0, and each block's rows join the running total in one reduce along
-    axis 0, which adds rows in order.
+    A grid wall is a run of consecutive patches with one normal, which no
+    other run has (in a shuffled set every patch would be a wall), and one
+    area, laid out row-major with z varying by row only and x and y by
+    column only, exactly. Each is (start, x, y, z, normal, area): its patch
+    (r, c) is start + r * x.size + c, at (x[c], y[c], z[r]). A wall pair's
+    row offsets are a (rows, rows) array, so a wall may have at most
+    sqrt(_GRID_BLOCK) rows.
     """
-    out = np.zeros(len(ps))
-    sources = np.flatnonzero(power1 > 0.0)
-    if not sources.size:
-        return out
+    cuts = np.flatnonzero((ps.normals[1:] != ps.normals[:-1]).any(axis=1)) + 1
+    starts = [0, *cuts.tolist()]
+    if len({tuple(n) for n in ps.normals[starts].tolist()}) < len(starts):
+        return None
+    walls = []
+    for start, stop in zip(starts, [*starts[1:], len(ps)]):
+        c = ps.centers[start:stop]
+        cols = int(np.argmin(c[:, 2] == c[0, 2])) or len(c)  # the first row's length
+        if len(c) % cols or (len(c) // cols) ** 2 > _GRID_BLOCK:
+            return None
+        g = c.reshape(-1, cols, 3)
+        if not ((g[:, :, :2] == g[0, :, :2]).all() and (g[:, :, 2] == g[:, :1, 2]).all()
+                and (ps.areas[start:stop] == ps.areas[start]).all()):
+            return None
+        walls.append((start, g[0, :, 0], g[0, :, 1], g[:, 0, 2], ps.normals[start],
+                      ps.areas[start]))
+    return walls
+
+
+def _pair_transfer(ps: PatchSet, scale: np.ndarray, sources: np.ndarray, out: np.ndarray):
+    """Add the transfer into out one pair at a time: per run of sources with one
+    normal (see _normal_runs), _SOURCE_BLOCK sources at a time within a run."""
     centers, normals = ps.centers.T, ps.normals.T  # (3, P) axis vectors
-    scale = ps.reflectivity * power1
     runs = list(_normal_runs(ps, sources))
     rows = min(_SOURCE_BLOCK, sources.size)
     buf = np.empty(6 * rows * max(cols.size for _, cols, _ in runs))  # shared by every run
@@ -211,31 +271,81 @@ def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
         work = buf[:6 * rows * cols.size].reshape(6, rows, cols.size)
         for b0 in range(0, run.size, _SOURCE_BLOCK):
             js = run[b0:b0 + _SOURCE_BLOCK]
-            vx, vy, vz, d_sq, cos_out, tmp = work[:, :js.size]
+            w = work[:, :js.size]
+            vx, vy, vz = w[:3]
             sx, sy, sz = centers[:, js, None]
             np.subtract(cx, sx, out=vx)  # v[k, i] = centers[i] - centers[js[k]]
             np.subtract(cy, sy, out=vy)
             np.subtract(cz, sz, out=vz)
-            _dot3(vx, vy, vz, vx, vy, vz, d_sq, tmp)
-            _dot3(vx, vy, vz, *normal, cos_out, tmp)
-            cos_in = _dot3(vx, vy, vz, nx, ny, nz, vx, tmp)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.sqrt(d_sq, out=vy)
-                cos_out /= d
-                np.negative(cos_in, out=cos_in)
-                cos_in /= d
-                frac = np.multiply(areas, cos_in, out=vz)
-                frac *= cos_out
-                frac /= np.multiply(d_sq, math.pi, out=tmp)
-            keep = np.isfinite(frac)
-            keep &= cos_out > 0.0
-            keep &= cos_in > 0.0
-            np.minimum(frac, 1.0, out=frac)
-            frac[~keep] = 0.0
+            frac = _pair_fractions((vx, vy, vz), normal, (nx, ny, nz), areas, w)
             frac *= scale[js, None]
             frac[0] += total
-            total = np.add.reduce(frac, axis=0)
+            total = _add_rows(frac)
         out[cols] = total
+
+
+def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], out: np.ndarray):
+    """Add the transfer into out wall pair by wall pair (see _grid_walls).
+
+    For a source wall a and a receiver wall b, a pair's fraction depends only on
+    the row offset z_b[rb] - z_a[ra], the source column and the receiver
+    column. So _pair_fractions runs once per distinct offset and column pair,
+    over a block of receiver columns at a time, and each block of sources
+    gathers its rows, (sources, rows of b, columns), from those terms.
+    """
+    for start_a, xa, ya, za, normal, _ in walls:
+        lit = sources[slice(*np.searchsorted(sources, (start_a, start_a + za.size * xa.size)))]
+        if not lit.size:
+            continue
+        ra, ca = np.divmod(lit - start_a, xa.size)
+        for start_b, xb, yb, zb, normal_b, area in walls:
+            if start_b == start_a:
+                continue  # one normal: every term is +0.0 (see _normal_runs)
+            # np.unique merges -0.0 and +0.0, whose terms agree: a zero offset's sign
+            # reaches a cosine only where that cosine is zero, and then the term is +0.0
+            dz, inv = np.unique(zb - za[:, None], return_inverse=True)
+            # source (ra, ca) and receiver row rb read terms row first[ra, rb] + ca
+            first = inv.reshape(za.size, zb.size) * xa.size
+            width = min(xb.size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
+            rows = max(1, _GRID_BLOCK // (zb.size * width))
+            received = out[start_b:start_b + zb.size * xb.size].reshape(zb.size, xb.size)
+            for c0 in range(0, xb.size, width):
+                cb = slice(c0, c0 + width)
+                xs, ys = xb[cb], yb[cb]
+                v = (xs - xa[:, None], ys - ya[:, None], dz[:, None, None])
+                work = np.empty((6, dz.size, xa.size, xs.size))
+                terms = _pair_fractions(v, normal, normal_b, area, work)
+                terms = terms.reshape(dz.size * xa.size, -1)
+                total = received[:, cb]
+                for k in (slice(k0, k0 + rows) for k0 in range(0, lit.size, rows)):
+                    frac = np.take(terms, first[ra[k]] + ca[k, None], axis=0)
+                    frac *= scale[lit[k], None, None]
+                    frac[0] += total
+                    total = _add_rows(frac)
+                received[:, cb] = total
+                del work, terms, frac  # before the next block makes its own
+
+
+def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
+    """Patch powers after one unblocked diffuse patch-to-patch transfer.
+
+    O(P^2) pairs: on grid walls (_grid_walls) each distinct pair geometry is
+    evaluated once (_grid_transfer), on any other patch set each pair is
+    (_pair_transfer). Both give the bits of adding one source row at a time,
+    in source order, each row computed with einsum dot products: the per-axis
+    sums follow einsum's order (_dot3), skipped pairs would only add +0.0,
+    and the rows join the running total in order (_add_rows).
+    """
+    out = np.zeros(len(ps))
+    sources = np.flatnonzero(power1 > 0.0)
+    if not sources.size:
+        return out
+    scale = ps.reflectivity * power1
+    walls = _grid_walls(ps)
+    if walls is None:
+        _pair_transfer(ps, scale, sources, out)
+    else:
+        _grid_transfer(scale, sources, walls, out)
     return out
 
 

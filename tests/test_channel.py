@@ -9,7 +9,7 @@ import pytest
 from irsvlc import (Luminaire, PatchSet, PhotoDetector, los_gain, nlos_gain,
                     patch_incident_power, shadowed, shadowed_mask, vec3, wall_patches)
 from irsvlc.channel import (DEFAULT_PATCH_SIZE, MAX_PATCHES, PoweredPatches, _first_bounce_power,
-                            _second_bounce_power, wall_patch_grid)
+                            _grid_walls, _second_bounce_power, wall_patch_grid)
 from irsvlc.scene import Room
 
 from conftest import box_set, one_box, rng
@@ -311,8 +311,15 @@ def _with_panel(ps):
     ((6.3, 4.1, 2.7), 0.5, None, True, None),  # shadowed first bounce
     ((6.3, 4.1, 2.7), 0.3, None, False, "turned"),  # tilted normals
     ((6.3, 4.1, 2.7), 0.3, None, False, "panel"),  # one normal on two planes
+    # grid walls: lit sources that skip across a wall, 24 rows per wall, a
+    # one-patch wall, and a grid broken by one ulp
+    ((5.0, 5.0, 3.0), 0.25, "third", False, None),
+    ((5.0, 5.0, 3.0), 0.125, None, False, None),
+    ((5.0, 0.2, 0.2), 0.25, None, False, None),
+    ((5.0, 5.0, 3.0), 0.25, None, False, "nudged"),
 ], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked",
-        "tilted", "same_normal_two_planes"])
+        "tilted", "same_normal_two_planes", "partly_dark", "fine_stock", "one_patch_walls",
+        "near_grid"])
 def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, patches):
     length, width, height = dims
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
@@ -322,6 +329,8 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, pat
         assert np.all(np.count_nonzero(ps.normals, axis=1) == 3)
     elif patches == "panel":
         ps = _with_panel(ps)
+    elif patches == "nudged":
+        ps.centers[107, 1] = np.nextafter(ps.centers[107, 1], math.inf)  # x0 wall, row 5
     boxes = ()
     if blocked:
         boxes = box_set(vec3(0.375, 0.1, 0.875),
@@ -333,6 +342,8 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, pat
         power1[ps.normals[:, 0] == 1.0] = 0.0
     elif dark == "all":
         power1[:] = 0.0
+    elif dark == "third":
+        power1[rng(13).permutation(len(ps))[:len(ps) // 3]] = 0.0
     want = _per_source_second_bounce(ps, power1)
     got = _second_bounce_power(ps, power1)
     assert got.tobytes() == want.tobytes()
@@ -342,10 +353,46 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, pat
         assert (want > 0.0).any()
 
 
-def test_order2_field_peak_memory(ceiling_ap):
-    # the stock order-2 field once warm; the (64, P, 3) einsum temporaries of
-    # the earlier kernel peaked at 5.2 MiB here, the plane-run kernel at 1.3
+def test_grid_walls_only_for_exact_grids(ceiling_ap):
+    ps = wall_patches(Room(6.3, 4.1, 2.7), 0.3)
+    walls = _grid_walls(ps)
+    assert [(start, x.size, z.size) for start, x, _, z, _, _ in walls] == \
+        [(0, 14, 10), (140, 14, 10), (280, 21, 10), (490, 21, 10)]
+    nudged = PatchSet(ps.centers.copy(), ps.normals, ps.areas, ps.reflectivity)
+    nudged.centers[20, 1] = np.nextafter(nudged.centers[20, 1], math.inf)  # x0 wall, row 1
+    perm = rng(14).permutation(len(ps))
+    shuffled = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm], ps.reflectivity)
+    uneven = PatchSet(ps.centers, ps.normals, np.r_[ps.areas[:-1], 0.5], ps.reflectivity)
+    tall = wall_patches(Room(0.5, 0.5, 46.0), 0.25)  # 184 rows: 184^2 offsets > 2^15
+    for other in (nudged, shuffled, uneven, tall, _turned(ps, ceiling_ap)[0], _with_panel(ps)):
+        assert _grid_walls(other) is None
+    assert len(_grid_walls(wall_patches(Room(0.5, 0.5, 45.25), 0.25))) == 4  # 181 rows
+
+
+@pytest.mark.parametrize("patches", [None, "turned"])
+def test_second_bounce_adds_a_lone_receiver_in_source_order(ceiling_ap, patches):
+    # the x0 wall's 240 sources and one xmax patch: each source block has one
+    # receiver column, which numpy's reduce would sum pairwise
     ps = wall_patches(ROOM, DEFAULT_PATCH_SIZE)
+    keep = np.r_[0:240, 300]
+    ps = PatchSet(*(a[keep] for a in (ps.centers, ps.normals, ps.areas, ps.reflectivity)))
+    ap = ceiling_ap
+    if patches == "turned":
+        ps, ap = _turned(ps, ap)
+    power1 = _first_bounce_power(ap, ps, ())
+    assert np.count_nonzero(power1) == len(ps)
+    got = _second_bounce_power(ps, power1)
+    assert got.tobytes() == _per_source_second_bounce(ps, power1).tobytes()
+    assert got[-1] > 0.0
+
+
+@pytest.mark.parametrize("size, bound", [(DEFAULT_PATCH_SIZE, 4 * 2**20), (0.125, 5.4 * 2**20)],
+                         ids=["0.25m", "0.125m"])
+def test_order2_field_peak_memory(ceiling_ap, size, bound):
+    # the order-2 field once warm. The per-pair kernel peaked at 1.32 and 4.91 MiB
+    # here, the grid kernel at 0.92 and 2.14 MiB; one wall x wall array of gathered
+    # terms (7.4 MB at 0.125 m) fails
+    ps = wall_patches(ROOM, size)
     patch_incident_power(ceiling_ap, ps, order=2)
     tracemalloc.start()
     try:
@@ -353,7 +400,7 @@ def test_order2_field_peak_memory(ceiling_ap):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= bound
 
 
 def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):
