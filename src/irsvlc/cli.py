@@ -102,12 +102,20 @@ def _experiment_curves(cfgs: list[RunConfig],
                       layouts=layouts)
     t2 = time.perf_counter()
     out: list[Readouts] = [{} for _ in cfgs]
+    # a curve depends only on its gain vector and grid: an array-free layout's
+    # los_nlos_irs vector is its los_nlos vector, bit for bit, and shares its curve
+    made: dict[tuple, tuple[SerCurve, RequiredSnr]] = {}
     for cfg, by_density, readouts in zip(cfgs, runs, out):
+        grid = cfg.grid()
         for density, gains in by_density.items():
             readouts[density] = by_scn = {}
             for scn in cfg.scenario_list():
-                curve = ser_curve(gains, scn, cfg.grid())
-                by_scn[scn] = curve, required_snr(curve)
+                key = (scn.effective_gain(gains).tobytes(), grid)
+                if key not in made:
+                    curve = ser_curve(gains, scn, grid)
+                    made[key] = curve, required_snr(curve)
+                curve, r = made[key]
+                by_scn[scn] = replace(curve, scenario=scn), r
     stages = {"build_scene": t1 - t0, "run_trials": t2 - t1,
               "ser_curves": time.perf_counter() - t2}
     return out, stages

@@ -1,5 +1,9 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,13 @@ def box_set(half, rows) -> OrientedBoxes:
 def one_box(center, half, yaw) -> OrientedBoxes:
     """A one-row box set."""
     return box_set(half, [(center, yaw)])
+
+
+def python_lines(code: str, *args: str) -> list[str]:
+    """Stdout lines of a fresh interpreter that runs code with src on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.splitlines()

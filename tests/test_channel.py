@@ -1,6 +1,7 @@
 """LOS and diffuse wall-bounce gains against scalar reference implementations."""
 
 import math
+import platform
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 from irsvlc import (Luminaire, PatchSet, PhotoDetector, los_gain, nlos_gain,
                     patch_incident_power, shadowed, shadowed_mask, vec3, wall_patches)
 from irsvlc.channel import (DEFAULT_PATCH_SIZE, MAX_PATCHES, PoweredPatches, _first_bounce_power,
-                            _grid_walls, _second_bounce_power, wall_patch_grid)
+                            _grid_pairs, _grid_walls, _second_bounce_power, wall_patch_grid)
 from irsvlc.scene import Room
 
-from conftest import box_set, one_box, rng
+from conftest import box_set, one_box, python_lines, rng
 
 ROOM = Room(5.0, 5.0, 3.0)
 
@@ -369,6 +370,27 @@ def test_grid_walls_only_for_exact_grids(ceiling_ap):
     assert len(_grid_walls(wall_patches(Room(0.5, 0.5, 45.25), 0.25))) == 4  # 181 rows
 
 
+@pytest.mark.parametrize("dims, size", [((6.3, 4.1, 2.7), 0.3), ((5.0, 5.0, 3.0), 0.125)],
+                         ids=["later_pairs_larger", "column_blocks"])
+def test_grid_blocks_of_every_size_share_one_buffer(dims, size):
+    # the grid transfer sizes one buffer per call for its largest blocks: a block
+    # larger than the first pair's, or narrower than the one before it, must still
+    # read and write its own view of it
+    length, width, height = dims
+    ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
+    ps = wall_patches(Room(*dims), size)
+    power1 = _first_bounce_power(ap, ps, ())
+    pairs = _grid_pairs(np.flatnonzero(power1 > 0.0), _grid_walls(ps))
+    if size == 0.3:
+        work = [dz.size * a[1].size * cols for a, _, _, dz, _, cols, _ in pairs]
+        gather = [rows * b[3].size * cols for _, _, b, _, _, cols, rows in pairs]
+        assert max(work) > work[0] and max(gather) > gather[0]
+    else:  # every pair's last block of receiver columns is narrower
+        assert all(b[1].size % cols for _, _, b, _, _, cols, _ in pairs)
+    got = _second_bounce_power(ps, power1)
+    assert got.tobytes() == _per_source_second_bounce(ps, power1).tobytes()
+
+
 @pytest.mark.parametrize("patches", [None, "turned"])
 def test_second_bounce_adds_a_lone_receiver_in_source_order(ceiling_ap, patches):
     # the x0 wall's 240 sources and one xmax patch: each source block has one
@@ -401,6 +423,26 @@ def test_order2_field_peak_memory(ceiling_ap, size, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the minor page faults of glibc's allocator on Linux")
+def test_order2_field_reuses_its_pages():
+    # the third stock call of a fresh process. Work blocks made afresh per wall pair
+    # were handed back to the OS and faulted in again, about 2,300 faults per call;
+    # the bound is a tenth of that
+    (faults,) = python_lines(
+        "import resource\n"
+        "from irsvlc import Luminaire, patch_incident_power, vec3, wall_patches\n"
+        "from irsvlc.scene import Room\n"
+        "ap = Luminaire(vec3(2.5, 2.5, 3.0), vec3(0.0, 0.0, -1.0), 1.0)\n"
+        "ps = wall_patches(Room(5.0, 5.0, 3.0))\n"
+        "for _ in range(2):\n"
+        "    patch_incident_power(ap, ps, order=2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "patch_incident_power(ap, ps, order=2)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    assert int(faults) <= 230
 
 
 def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):

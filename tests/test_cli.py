@@ -5,8 +5,6 @@ import inspect
 import json
 import math
 import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -14,6 +12,8 @@ import pytest
 
 from irsvlc import RunConfig, cli, load_config, simulator
 from irsvlc.cli import main
+
+from conftest import python_lines
 
 SMALL = """
 [irs]
@@ -161,21 +161,11 @@ def test_a_zero_mean_square_is_reported_as_null(tmp_path, capsys):
     assert len(rows) == 6 and all(r["mean_square_gain_db"] is None for r in rows)
 
 
-def _python(code: str, *args: str) -> list[str]:
-    """Stdout lines of a fresh interpreter that runs code with src on its path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return done.stdout.splitlines()
-
-
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # no scipy module at all: the run path's Q function is numpy's own
     code = ("import sys, irsvlc.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _python(code) == ["[]"]
+    assert python_lines(code) == ["[]"]
 
 
 @pytest.mark.parametrize("threads, allowed", [("1", ()), ("2", ("multiprocessing.",))],
@@ -190,8 +180,8 @@ def test_a_run_imports_nothing_after_the_cli(small_config, tmp_path, args, threa
     code = ("import json, sys, irsvlc.cli; before = set(sys.modules)\n"
             "assert irsvlc.cli.main(sys.argv[1:]) == 0\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    printed = _python(code, *args, "--config", small_config, "--out", str(tmp_path / "o"),
-                      "--threads", threads, "--trials", "6")
+    printed = python_lines(code, *args, "--config", small_config, "--out", str(tmp_path / "o"),
+                           "--threads", threads, "--trials", "6")
     assert [m for m in json.loads(printed[-1]) if not m.startswith(allowed)] == []
 
 
@@ -536,6 +526,30 @@ def test_one_pose_pass_per_invocation(small_config, tmp_path, monkeypatch, args)
                 "--threads", "1"]) == 0
     assert calls == {"build_scene": 1, "run_trials": 1, "wall_patches": 1,
                      "patch_incident_power": 1, "sample_ue": 60}
+
+
+@pytest.mark.parametrize("irs_type, args, per_density, densities", [
+    ("none", ["sweep", "--vary", "density", "--values", "0,0.4,1"], 2, 3),
+    ("mirror", ["simulate"], 3, 2),
+], ids=["array-free-sweep", "mirror-simulate"])
+def test_identical_gain_vectors_share_one_curve(tmp_path, monkeypatch, irs_type, args,
+                                                per_density, densities):
+    # without arrays h_irs is 0.0 in every trial, so los_nlos_irs reads the los_nlos
+    # gains bit for bit and takes that curve; with arrays all three curves differ
+    config = tmp_path / "run.ini"
+    config.write_text(SMALL.replace("[irs]\n", f"[irs]\ntype = {irs_type}\n"), encoding="utf-8")
+    calls = []
+    real = cli.ser_curve
+    monkeypatch.setattr(cli, "ser_curve", lambda gains, scn, *a: calls.append(scn) or
+                        real(gains, scn, *a))
+    out = tmp_path / "o"
+    assert run([*args, "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
+    assert len(calls) == per_density * densities
+    if irs_type == "none":
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        got = {(row[0], row[2]): row[3] for row in rows}  # density, scenario: required SNR
+        assert {scn for _, scn in got} == {"los_only", "los_nlos", "los_nlos_irs"}
+        assert all(got[d, "los_nlos_irs"] == got[d, "los_nlos"] for d, _ in got)
 
 
 # sha256 of the bytes the SMALL config writes. The floats come from numpy, so the
