@@ -9,7 +9,7 @@ OrientedBoxes set or (); a sight line crossing a box interior contributes zero.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_WALL_REFLECTIVITY = 0.7
 DEFAULT_PATCH_SIZE = 0.25  # meters; target side length of wall patches
 DEFAULT_NLOS_ORDER = 2  # wall bounces: direct illumination plus one patch-to-patch transfer
-MAX_PATCHES = 1e5  # per room; the per-pair second bounce's work buffer is about 115 MB at the bound
+MAX_PATCHES = 1e5  # per room; the second bounce's one buffer is 8.4 MB at the bound in the stock room
 
 
 class PatchSet:
@@ -148,12 +148,10 @@ def _first_bounce_power(ap: "Luminaire", ps: PatchSet,
     return power
 
 
-# sources per block of the per-pair transfer: six (32, P') float64 work arrays, 1.5 kB per
-# column, P' the largest run's columns
-_SOURCE_BLOCK = 32
 # float64 elements (0.26 MB) in a block of the grid transfer: the terms in one of its six
 # work arrays, unless one receiver column needs more; the terms a block of sources
-# gathers; and a wall pair's (rows, rows) row offsets
+# gathers; and a band pair's (rows, rows) row offsets, so a band has at most
+# isqrt(_GRID_BLOCK) = 181 rows
 _GRID_BLOCK = 2**15
 
 
@@ -208,135 +206,102 @@ def _add_rows(frac: np.ndarray) -> np.ndarray:
     return np.add.reduce(frac, axis=0)
 
 
-def _normal_runs(ps: PatchSet, sources: np.ndarray):
-    """Cut the sources into runs of consecutive sources with one normal.
-
-    Yields (run, columns, normal). Columns are the patches whose normal
-    differs from the run's: a patch with the source's normal n gets cos_in
-    = -(v . n) and cos_out = v . n from the same _dot3, which are never both
-    positive, so its term is +0.0 and leaving it out keeps every bit.
-    """
-    normals = ps.normals[sources]
-    cuts = np.flatnonzero((normals[1:] != normals[:-1]).any(axis=1)) + 1
-    bounds = [0, *cuts.tolist(), sources.size]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        cols = np.flatnonzero((ps.normals != normals[start]).any(axis=1))
-        yield sources[start:stop], cols, normals[start]
-
-
 def _grid_walls(ps: PatchSet) -> list[tuple] | None:
-    """The patch set as grid walls, as wall_patches lays out every Room, or None.
+    """The patch set as grid walls cut into row bands, as wall_patches lays out
+    every Room, or None.
 
     A grid wall is a run of consecutive patches with one normal, which no
     other run has (in a shuffled set every patch would be a wall), and one
     area, laid out row-major with z varying by row only and x and y by
-    column only, exactly. Each is (start, x, y, z, normal, area): its patch
-    (r, c) is start + r * x.size + c, at (x[c], y[c], z[r]). A wall pair's
-    row offsets are a (rows, rows) array, so a wall may have at most
-    sqrt(_GRID_BLOCK) rows.
+    column only, exactly. A band pair's row offsets are a (rows, rows)
+    array, so each wall is cut into bands of at most isqrt(_GRID_BLOCK) = 181
+    consecutive rows, in order, each a grid wall in its own right. Each band
+    is (start, x, y, z, normal, area), the normal a tuple: its patch (r, c) is
+    start + r * x.size + c, at (x[c], y[c], z[r]). Bands share a normal only
+    within one wall.
     """
     cuts = np.flatnonzero((ps.normals[1:] != ps.normals[:-1]).any(axis=1)) + 1
     starts = [0, *cuts.tolist()]
     if len({tuple(n) for n in ps.normals[starts].tolist()}) < len(starts):
         return None
+    band = math.isqrt(_GRID_BLOCK)
     walls = []
     for start, stop in zip(starts, [*starts[1:], len(ps)]):
         c = ps.centers[start:stop]
         cols = int(np.argmin(c[:, 2] == c[0, 2])) or len(c)  # the first row's length
-        if len(c) % cols or (len(c) // cols) ** 2 > _GRID_BLOCK:
+        if len(c) % cols:
             return None
         g = c.reshape(-1, cols, 3)
         if not ((g[:, :, :2] == g[0, :, :2]).all() and (g[:, :, 2] == g[:, :1, 2]).all()
                 and (ps.areas[start:stop] == ps.areas[start]).all()):
             return None
-        walls.append((start, g[0, :, 0], g[0, :, 1], g[:, 0, 2], ps.normals[start],
-                      ps.areas[start]))
+        normal = tuple(ps.normals[start].tolist())
+        walls += [(start + r0 * cols, g[0, :, 0], g[0, :, 1], g[r0:r0 + band, 0, 2], normal,
+                   ps.areas[start]) for r0 in range(0, len(g), band)]
     return walls
 
 
-def _pair_transfer(ps: PatchSet, scale: np.ndarray, sources: np.ndarray, out: np.ndarray):
-    """Add the transfer into out one pair at a time: per run of sources with one
-    normal (see _normal_runs), _SOURCE_BLOCK sources at a time within a run."""
-    centers, normals = ps.centers.T, ps.normals.T  # (3, P) axis vectors
-    runs = list(_normal_runs(ps, sources))
-    rows = min(_SOURCE_BLOCK, sources.size)
-    buf = np.empty(6 * rows * max(cols.size for _, cols, _ in runs))  # shared by every run
-    for run, cols, normal in runs:
-        # the gathers of the (P, 3) arrays' transposes are F-ordered; the kernel reads
-        # contiguous rows
-        cx, cy, cz = np.ascontiguousarray(centers[:, cols])
-        nx, ny, nz = np.ascontiguousarray(normals[:, cols])
-        areas = ps.areas[cols]
-        total = out[cols]
-        work = buf[:6 * rows * cols.size].reshape(6, rows, cols.size)
-        for b0 in range(0, run.size, _SOURCE_BLOCK):
-            js = run[b0:b0 + _SOURCE_BLOCK]
-            w = work[:, :js.size]
-            vx, vy, vz = w[:3]
-            sx, sy, sz = centers[:, js, None]
-            np.subtract(cx, sx, out=vx)  # v[k, i] = centers[i] - centers[js[k]]
-            np.subtract(cy, sy, out=vy)
-            np.subtract(cz, sz, out=vz)
-            frac = _pair_fractions((vx, vy, vz), normal, (nx, ny, nz), areas, w)
-            frac *= scale[js, None]
-            frac[0] += total
-            total = _add_rows(frac)
-        out[cols] = total
+def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> Iterator[tuple]:
+    """Yield the (source band, receiver band) pairs of the grid transfer, in source order.
 
-
-def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> list[tuple]:
-    """The (source wall, receiver wall) pairs of the grid transfer, in source order.
-
-    Each is (a, lit, b, dz, first, width, rows): the walls a and b as _grid_walls
-    gives them, a's lit sources, the distinct row offsets z_b[rb] - z_a[ra], the
-    terms row first[ra, rb] that source row ra and receiver row rb read from,
-    and the receiver columns and the sources per block.
+    Each is (a, lit, b, dz, width, rows): the bands a and b as _grid_walls gives
+    them, a's lit sources, the distinct row offsets z_b[rb] - z_a[ra], sorted,
+    and the receiver columns and the sources per block. A pair is made when it
+    is reached and keeps no (rows, rows) array, so the plan's memory does not
+    grow with the number of bands.
     """
-    pairs = []
     for a in walls:
-        start_a, xa, _, za, _, _ = a
+        start_a, xa, _, za, normal, _ = a
         lit = sources[slice(*np.searchsorted(sources, (start_a, start_a + za.size * xa.size)))]
         if not lit.size:
             continue
         for b in walls:
-            if b[0] == start_a:
-                continue  # one normal: every term is +0.0 (see _normal_runs)
+            if b[4] == normal:
+                # a band of a's wall: a receiver with the source's normal n gets
+                # cos_in = -(v . n) and cos_out = v . n from the same _dot3, never
+                # both positive, so every term is +0.0 and leaving it out keeps the bits
+                continue
             xb, zb = b[1], b[3]
-            # np.unique merges -0.0 and +0.0, whose terms agree: a zero offset's sign
-            # reaches a cosine only where that cosine is zero, and then the term is +0.0
-            dz, inv = np.unique(zb - za[:, None], return_inverse=True)
+            # the distinct offsets, sorted. != merges -0.0 and +0.0, whose terms agree: a
+            # zero offset's sign reaches a cosine only where that cosine is zero, and then
+            # the term is +0.0. (np.unique without an inverse loads numpy.ma on first use.)
+            dz = np.sort(zb - za[:, None], axis=None)
+            dz = dz[np.concatenate(([True], dz[1:] != dz[:-1]))]
             width = min(xb.size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
             rows = min(lit.size, max(1, _GRID_BLOCK // (zb.size * width)))
-            pairs.append((a, lit, b, dz, inv.reshape(za.size, zb.size) * xa.size, width, rows))
-    return pairs
+            yield a, lit, b, dz, width, rows
 
 
 def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], out: np.ndarray):
-    """Add the transfer into out wall pair by wall pair (see _grid_walls).
+    """Add the transfer into out band pair by band pair (see _grid_walls).
 
-    For a source wall a and a receiver wall b, a pair's fraction depends only on
+    For a source band a and a receiver band b, a pair's fraction depends only on
     the row offset z_b[rb] - z_a[ra], the source column and the receiver
     column. So _pair_fractions runs once per distinct offset and column pair,
     over a block of receiver columns at a time, and each block of sources
     gathers its rows, (sources, rows of b, columns), from those terms. The
     work arrays and the gathered rows share one buffer made once per call,
-    sized for the call's largest block: blocks made afresh are handed back to
-    the OS and faulted in again on every wall pair (README, "Fixed cost of a run").
+    sized for the call's largest block by a first pass over the pairs; blocks
+    made afresh are handed back to the OS and faulted in again on every band
+    pair (README, "Fixed cost of a run").
     """
-    pairs = _grid_pairs(sources, walls)
-    if not pairs:
-        return
     # a block's six work arrays of n terms, and its gather from 3n on: the terms are
     # in work[2], and work[3:] is spent once they are
-    size = max(3 * dz.size * a[1].size * width
-               + max(3 * dz.size * a[1].size * width, rows * b[3].size * width)
-               for a, _, b, dz, _, width, rows in pairs)
+    size = max((3 * dz.size * a[1].size * width
+                + max(3 * dz.size * a[1].size * width, rows * b[3].size * width)
+                for a, _, b, dz, width, rows in _grid_pairs(sources, walls)), default=0)
+    if not size:
+        return
     # 64-byte aligned: on malloc's 16-byte alignment the AVX-512 loops ran about 7 %
     # slower at 0.125 m
     raw = np.empty(size + 7)
     buf = raw[(-raw.ctypes.data // 8) % 8:][:size]
-    for (start_a, xa, ya, _, normal, _), lit, b, dz, first, width, rows in pairs:
+    for (start_a, xa, ya, za, normal, _), lit, b, dz, width, rows in _grid_pairs(sources, walls):
         start_b, xb, yb, zb, normal_b, area = b
+        # the terms row that source row ra and receiver row rb read from: the index of
+        # the offset's exact equal in dz, as np.unique's inverse gives it, at under
+        # half its cost on a pair of 181-row bands
+        first = np.searchsorted(dz, zb - za[:, None]) * xa.size
         ra, ca = np.divmod(lit - start_a, xa.size)
         received = out[start_b:start_b + zb.size * xb.size].reshape(zb.size, xb.size)
         for c0 in range(0, xb.size, width):
@@ -362,23 +327,21 @@ def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], o
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:
     """Patch powers after one unblocked diffuse patch-to-patch transfer.
 
-    O(P^2) pairs: on grid walls (_grid_walls) each distinct pair geometry is
-    evaluated once (_grid_transfer), on any other patch set each pair is
-    (_pair_transfer). Both give the bits of adding one source row at a time,
-    in source order, each row computed with einsum dot products: the per-axis
-    sums follow einsum's order (_dot3), skipped pairs would only add +0.0,
-    and the rows join the running total in order (_add_rows).
+    O(P^2) pairs over the grid walls' row bands (_grid_walls), each distinct
+    pair geometry evaluated once (_grid_transfer); a patch set that is not
+    laid out as wall_patches lays it out raises ValueError. It gives the bits
+    of adding one source row at a time, in source order, each row computed
+    with einsum dot products: the per-axis sums follow einsum's order (_dot3),
+    skipped pairs would only add +0.0, and the rows join the running total in
+    order (_add_rows).
     """
-    out = np.zeros(len(ps))
-    sources = np.flatnonzero(power1 > 0.0)
-    if not sources.size:
-        return out
-    scale = ps.reflectivity * power1
     walls = _grid_walls(ps)
     if walls is None:
-        _pair_transfer(ps, scale, sources, out)
-    else:
-        _grid_transfer(scale, sources, walls, out)
+        raise ValueError("order 2 needs the patches as wall_patches lays them out")
+    out = np.zeros(len(ps))
+    sources = np.flatnonzero(power1 > 0.0)
+    if sources.size:
+        _grid_transfer(ps.reflectivity * power1, sources, walls, out)
     return out
 
 
@@ -389,9 +352,11 @@ def patch_incident_power(ap: "Luminaire", ps: PatchSet,
 
     order=1 is direct source-to-patch illumination, whose legs the blockers
     shadow; order=2 adds one diffuse patch-to-patch transfer and takes no
-    blockers, as the patch-to-patch legs are never occlusion-tested. The
-    result depends only on the source and the walls, so it can be computed
-    once and reused across receiver poses.
+    blockers, as the patch-to-patch legs are never occlusion-tested. Order 2
+    takes the patches only as wall_patches lays out a room's walls, and
+    raises ValueError for any other patch set (turned, shuffled, a panel on
+    a wall's normal). The result depends only on the source and the walls,
+    so it can be computed once and reused across receiver poses.
     """
     if order not in (1, 2):
         raise ValueError(f"reflection order must be 1 or 2, got {order}")
@@ -488,7 +453,8 @@ def nlos_gain(ap: "Luminaire", ue: "PhotoDetector", ps: PatchSet,
     """Diffuse wall-bounce DC gain summed over all patches.
 
     order=1 models a single wall bounce; order=2 adds one patch-to-patch
-    transfer before the detector leg and takes no blockers.
+    transfer before the detector leg, takes no blockers and needs the patches
+    as wall_patches lays them out (patch_incident_power).
     """
     power = patch_incident_power(ap, ps, blockers, order=order)
     return PoweredPatches(ps, power).capture([ue], blockers)[0]

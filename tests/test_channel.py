@@ -256,21 +256,18 @@ def _per_source_second_bounce(ps, power1):
     return out
 
 
-@pytest.mark.parametrize("case", ["stock", "shuffled", "blocked"])
+@pytest.mark.parametrize("case", ["stock", "random_reflectivity", "blocked"])
 def test_blocked_second_bounce_matches_per_source_rows(ceiling_ap, case):
     ps = wall_patches(ROOM, 1.0 if case == "blocked" else 0.25)
     boxes = ()
-    if case == "shuffled":
-        r = rng(11)
-        perm = r.permutation(len(ps))
-        ps = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm],
-                      r.uniform(0.2, 0.9, len(ps)))
+    if case == "random_reflectivity":
+        ps = PatchSet(ps.centers, ps.normals, ps.areas, rng(11).uniform(0.2, 0.9, len(ps)))
     elif case == "blocked":
         boxes = box_set(vec3(0.375, 0.1, 0.875),
                         [(vec3(1.5, 2.5, 0.875), 0.3), (vec3(3.9, 1.1, 0.875), 1.2)])
     # blockers shadow the first bounce only; the kernel takes its power as is
     power1 = _first_bounce_power(ceiling_ap, ps, boxes)
-    if case == "shuffled":
+    if case == "random_reflectivity":
         power1[rng(12).random(len(ps)) < 0.3] = 0.0  # leave a partial last block
     want = _per_source_second_bounce(ps, power1)
     got = _second_bounce_power(ps, power1)
@@ -300,38 +297,28 @@ def _with_panel(ps):
                                (ps.normals, ps.areas, ps.reflectivity)))
 
 
-@pytest.mark.parametrize("dims, size, dark, blocked, patches", [
-    # non-square rooms, where a wrong per-axis summation order changes bits;
-    # their 126- and 189-patch walls span several source blocks each, and
-    # each wall's last block is cut short by the change to the next wall
-    ((6.3, 4.1, 2.7), 0.3, None, False, None),
-    ((3.0, 7.0, 3.3), 0.2, None, False, None),
-    ((5.0, 5.0, 3.0), 6.0, None, False, None),  # one patch per wall
-    ((6.3, 4.1, 2.7), 0.3, "wall", False, None),  # no source on the x0 wall
-    ((6.3, 4.1, 2.7), 0.3, "all", False, None),  # no source at all
-    ((6.3, 4.1, 2.7), 0.5, None, True, None),  # shadowed first bounce
-    ((6.3, 4.1, 2.7), 0.3, None, False, "turned"),  # tilted normals
-    ((6.3, 4.1, 2.7), 0.3, None, False, "panel"),  # one normal on two planes
-    # grid walls: lit sources that skip across a wall, 24 rows per wall, a
-    # one-patch wall, and a grid broken by one ulp
-    ((5.0, 5.0, 3.0), 0.25, "third", False, None),
-    ((5.0, 5.0, 3.0), 0.125, None, False, None),
-    ((5.0, 0.2, 0.2), 0.25, None, False, None),
-    ((5.0, 5.0, 3.0), 0.25, None, False, "nudged"),
+@pytest.mark.parametrize("dims, size, dark, blocked", [
+    # non-square rooms, where a wrong per-axis summation order changes bits
+    ((6.3, 4.1, 2.7), 0.3, None, False),
+    ((3.0, 7.0, 3.3), 0.2, None, False),
+    ((5.0, 5.0, 3.0), 6.0, None, False),  # one patch per wall
+    ((6.3, 4.1, 2.7), 0.3, "wall", False),  # no source on the x0 wall
+    ((6.3, 4.1, 2.7), 0.3, "all", False),  # no source at all
+    ((6.3, 4.1, 2.7), 0.5, None, True),  # shadowed first bounce
+    # lit sources that skip across a wall, 24 rows per wall, and a one-patch wall
+    ((5.0, 5.0, 3.0), 0.25, "third", False),
+    ((5.0, 5.0, 3.0), 0.125, None, False),
+    ((5.0, 0.2, 0.2), 0.25, None, False),
+    # walls of more than 181 rows, cut into bands: 181 + 3 rows, and 181 + 181 + 38
+    # rows of 3 and 2 columns with lit sources that skip across the bands
+    ((0.5, 0.5, 46.0), 0.25, None, False),
+    ((0.75, 0.5, 100.0), 0.25, "third", False),
 ], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked",
-        "tilted", "same_normal_two_planes", "partly_dark", "fine_stock", "one_patch_walls",
-        "near_grid"])
-def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked, patches):
+        "partly_dark", "fine_stock", "one_patch_walls", "two_bands", "three_bands"])
+def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
     length, width, height = dims
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
     ps = wall_patches(Room(*dims), size)
-    if patches == "turned":
-        ps, ap = _turned(ps, ap)
-        assert np.all(np.count_nonzero(ps.normals, axis=1) == 3)
-    elif patches == "panel":
-        ps = _with_panel(ps)
-    elif patches == "nudged":
-        ps.centers[107, 1] = np.nextafter(ps.centers[107, 1], math.inf)  # x0 wall, row 5
     boxes = ()
     if blocked:
         boxes = box_set(vec3(0.375, 0.1, 0.875),
@@ -364,10 +351,35 @@ def test_grid_walls_only_for_exact_grids(ceiling_ap):
     perm = rng(14).permutation(len(ps))
     shuffled = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm], ps.reflectivity)
     uneven = PatchSet(ps.centers, ps.normals, np.r_[ps.areas[:-1], 0.5], ps.reflectivity)
-    tall = wall_patches(Room(0.5, 0.5, 46.0), 0.25)  # 184 rows: 184^2 offsets > 2^15
-    for other in (nudged, shuffled, uneven, tall, _turned(ps, ceiling_ap)[0], _with_panel(ps)):
+    for other in (nudged, shuffled, uneven, _turned(ps, ceiling_ap)[0], _with_panel(ps)):
         assert _grid_walls(other) is None
     assert len(_grid_walls(wall_patches(Room(0.5, 0.5, 45.25), 0.25))) == 4  # 181 rows
+    # 184 rows: 184^2 offsets > 2^15, so each wall is a band of 181 rows and one of 3
+    tall = wall_patches(Room(0.5, 0.5, 46.0), 0.25)
+    bands = _grid_walls(tall)
+    assert [(start, x.size, z.size) for start, x, _, z, _, _ in bands] == \
+        [(s, 2, rows) for w in range(4) for s, rows in ((368 * w, 181), (368 * w + 362, 3))]
+    for start, x, y, z, normal, area in bands:
+        rows = tall.centers[start:start + z.size * x.size].reshape(z.size, x.size, 3)
+        assert (rows == np.stack(np.broadcast_arrays(x, y, z[:, None]), axis=-1)).all()
+        assert (tall.normals[start] == normal).all() and tall.areas[start] == area
+
+
+def test_order2_refuses_patch_sets_not_laid_out_as_walls(ceiling_ap, upward_ue):
+    # order 2 takes a room's walls only as wall_patches lays them out; order 1 any set
+    ps = wall_patches(ROOM, 0.5)
+    turned, turned_ap = _turned(ps, ceiling_ap)
+    perm = rng(15).permutation(len(ps))
+    shuffled = PatchSet(ps.centers[perm], ps.normals[perm], ps.areas[perm], ps.reflectivity)
+    nudged = PatchSet(ps.centers.copy(), ps.normals, ps.areas, ps.reflectivity)
+    nudged.centers[25, 1] = np.nextafter(nudged.centers[25, 1], math.inf)  # x0 wall, row 2
+    for other, ap in ((turned, turned_ap), (shuffled, ceiling_ap), (_with_panel(ps), ceiling_ap),
+                      (nudged, ceiling_ap)):
+        for call in (lambda: patch_incident_power(ap, other, order=2),
+                     lambda: nlos_gain(ap, upward_ue, other, order=2)):
+            with pytest.raises(ValueError, match="order 2 needs the patches as wall_patches"):
+                call()
+        assert (patch_incident_power(ap, other, order=1) > 0.0).any()
 
 
 @pytest.mark.parametrize("dims, size", [((6.3, 4.1, 2.7), 0.3), ((5.0, 5.0, 3.0), 0.125)],
@@ -380,45 +392,48 @@ def test_grid_blocks_of_every_size_share_one_buffer(dims, size):
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
     ps = wall_patches(Room(*dims), size)
     power1 = _first_bounce_power(ap, ps, ())
-    pairs = _grid_pairs(np.flatnonzero(power1 > 0.0), _grid_walls(ps))
+    pairs = list(_grid_pairs(np.flatnonzero(power1 > 0.0), _grid_walls(ps)))
     if size == 0.3:
-        work = [dz.size * a[1].size * cols for a, _, _, dz, _, cols, _ in pairs]
-        gather = [rows * b[3].size * cols for _, _, b, _, _, cols, rows in pairs]
+        work = [dz.size * a[1].size * cols for a, _, _, dz, cols, _ in pairs]
+        gather = [rows * b[3].size * cols for _, _, b, _, cols, rows in pairs]
         assert max(work) > work[0] and max(gather) > gather[0]
     else:  # every pair's last block of receiver columns is narrower
-        assert all(b[1].size % cols for _, _, b, _, _, cols, _ in pairs)
+        assert all(b[1].size % cols for _, _, b, _, cols, _ in pairs)
     got = _second_bounce_power(ps, power1)
     assert got.tobytes() == _per_source_second_bounce(ps, power1).tobytes()
 
 
-@pytest.mark.parametrize("patches", [None, "turned"])
-def test_second_bounce_adds_a_lone_receiver_in_source_order(ceiling_ap, patches):
+def test_second_bounce_adds_a_lone_receiver_in_source_order(ceiling_ap):
     # the x0 wall's 240 sources and one xmax patch: each source block has one
     # receiver column, which numpy's reduce would sum pairwise
     ps = wall_patches(ROOM, DEFAULT_PATCH_SIZE)
     keep = np.r_[0:240, 300]
     ps = PatchSet(*(a[keep] for a in (ps.centers, ps.normals, ps.areas, ps.reflectivity)))
-    ap = ceiling_ap
-    if patches == "turned":
-        ps, ap = _turned(ps, ap)
-    power1 = _first_bounce_power(ap, ps, ())
+    power1 = _first_bounce_power(ceiling_ap, ps, ())
     assert np.count_nonzero(power1) == len(ps)
     got = _second_bounce_power(ps, power1)
     assert got.tobytes() == _per_source_second_bounce(ps, power1).tobytes()
     assert got[-1] > 0.0
 
 
-@pytest.mark.parametrize("size, bound", [(DEFAULT_PATCH_SIZE, 4 * 2**20), (0.125, 5.4 * 2**20)],
-                         ids=["0.25m", "0.125m"])
-def test_order2_field_peak_memory(ceiling_ap, size, bound):
-    # the order-2 field once warm. The per-pair kernel peaked at 1.32 and 4.91 MiB
-    # here, the grid kernel at 0.92 and 2.14 MiB; one wall x wall array of gathered
-    # terms (7.4 MB at 0.125 m) fails
-    ps = wall_patches(ROOM, size)
-    patch_incident_power(ceiling_ap, ps, order=2)
+@pytest.mark.parametrize("dims, size, bound", [
+    ((5.0, 5.0, 3.0), DEFAULT_PATCH_SIZE, 4 * 2**20),
+    ((5.0, 5.0, 3.0), 0.125, 5.4 * 2**20),
+    ((0.25, 0.25, 300.0), DEFAULT_PATCH_SIZE, 6.7 * 2**20),  # 4 walls of 7 bands
+], ids=["0.25m", "0.125m", "28_bands"])
+def test_order2_field_peak_memory(dims, size, bound):
+    # the order-2 field once warm. The per-pair kernel peaked at 1.32, 4.91 and
+    # 6.09 MiB here, the grid kernel at 0.92 and 2.14 MiB in the stock room and at
+    # 1.49 MiB in 28 bands; one wall x wall array of gathered terms (7.4 MB at
+    # 0.125 m) fails, and so does a plan that keeps a (rows, rows) index for each of
+    # the 28 bands' 588 pairs (134.75 MiB)
+    length, width, height = dims
+    ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
+    ps = wall_patches(Room(*dims), size)
+    patch_incident_power(ap, ps, order=2)
     tracemalloc.start()
     try:
-        patch_incident_power(ceiling_ap, ps, order=2)
+        patch_incident_power(ap, ps, order=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -491,7 +506,11 @@ def test_nlos_patch_order_invariance(ceiling_ap):
                         ps.reflectivity[perm])
     # order 1 sums once through fsum, which is exact under permutation
     assert nlos_gain(ceiling_ap, ue, shuffled) == nlos_gain(ceiling_ap, ue, ps)
-    assert nlos_gain(ceiling_ap, ue, shuffled, order=2) == pytest.approx(
+    # order 2 takes whole walls in any order, each as wall_patches lays it out
+    walls = np.arange(len(ps)).reshape(4, -1)[[2, 0, 3, 1]].ravel()
+    reordered = PatchSet(ps.centers[walls], ps.normals[walls], ps.areas[walls],
+                         ps.reflectivity[walls])
+    assert nlos_gain(ceiling_ap, ue, reordered, order=2) == pytest.approx(
         nlos_gain(ceiling_ap, ue, ps, order=2), abs=1e-12)
 
 

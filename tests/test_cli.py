@@ -282,7 +282,7 @@ def test_invalid_config_exits_2(tmp_path, capsys, body, needles):
         "room_width-arrays", "room_length-densities", "room_height-patches",
         "snr_start-points", "ue_height-room", "snr_step-points", "patch_size-room",
         "densities-room", "stop_below_start", "ap_x-trials"])
-def test_a_cross_key_check_skips_a_substituted_default(tmp_path, capsys, body, message):
+def test_a_non_finite_value_is_reported_alone(tmp_path, capsys, body, message):
     # a non-finite value is reported alone: the range and cross-key checks run only
     # once every number is finite, whether or not they would read that value
     bad = tmp_path / "bad.ini"
