@@ -94,7 +94,7 @@ def _experiment_curves(cfgs: list[RunConfig],
     formats what it returns."""
     t0 = time.perf_counter()
     densities = sorted(set(cfgs[0].densities))
-    # the scene's own density is replaced by each of `densities` in turn
+    # run_trials takes the densities from here and reads none of the scene's
     scene = build_scene(cfgs[0], densities[0])
     layouts = [build_layout(cfg) for cfg in cfgs]
     t1 = time.perf_counter()

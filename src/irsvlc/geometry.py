@@ -118,12 +118,12 @@ class OrientedBoxes:
         return (np.abs(_box_frame(self, p)) < np.reshape(self.half_extents, (3, 1))).all(axis=0)
 
 
-def cull_disk(p: Vec3, q: Vec3, half_extents: tuple[float, float, float],
-              center_z: float) -> tuple[float, float, float] | None:
-    """(x, y, reach): an upright box of these half extents whose center lies at
-    most center_z high can cut the open segment p->q only if, seen from above,
-    its center lies within reach of (x, y); None when no such box can, as both
-    ends lie above the box top.
+def cull_disk(p: Vec3, q: Vec3,
+              half_extents: tuple[float, float, float]) -> tuple[float, float, float] | None:
+    """(x, y, reach): an upright box of these half extents standing on the floor
+    (z = 0) can cut the open segment p->q only if, seen from above, its center
+    lies within reach of (x, y); None when no such box can, as both ends lie
+    above the box top.
 
     A box's interior lies below its top and, seen from above, within its
     half-diagonal of its center. So a box can cut the segment only if its
@@ -136,7 +136,7 @@ def cull_disk(p: Vec3, q: Vec3, half_extents: tuple[float, float, float],
     (px, py, pz), (qx, qy, qz) = p.tolist(), q.tolist()
     hx, hy, hz = half_extents
     margin = _CULL_MARGIN * max(1.0, *map(abs, (px, py, pz, qx, qy, qz)))
-    top = center_z + hz + margin
+    top = hz + hz + margin  # the center stands hz high
     if pz >= top and qz >= top:
         return None
     # the part below the top runs over t in [t0, t1] of p + t (q - p)

@@ -140,7 +140,7 @@ Layout = tuple[tuple[ReflectorArray, ...], tuple[ReflectorArray, ...]]
 class Ensemble:
     """Exactly what a trial reads besides its own substream; built once per run."""
 
-    scene: Scene  # read for every field but its blocker density, which means replaces
+    scene: Scene  # read for every field but its blocker density: means holds the run's
     seed: int
     powered: PoweredPatches  # the scene's diffuse wall field, blockage-free by design
     banks: tuple[ReflectorBank, ...]  # one per layout, in the order given
@@ -256,7 +256,7 @@ def _near_rows(xs: np.ndarray, ys: np.ndarray, slots: np.ndarray, ends: np.ndarr
     disks = np.zeros((3, len(ends)))
     disks[2] = -math.inf
     for s in lit:
-        if (disk := cull_disk(source, ends[s], half, half[2])) is not None:
+        if (disk := cull_disk(source, ends[s], half)) is not None:
             disks[:, s] = disk
     rows = []
     for a in range(0, len(xs), _HELD_BOXES):
@@ -306,13 +306,13 @@ def pool_size(threads: int, trials: int) -> int:
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
-               densities: Sequence[float] | None = None,
+               densities: Sequence[float],
                layouts: Sequence[Layout]) -> list[dict[float, TrialGains]]:
     """Run the Monte Carlo ensemble; identical output for any thread count.
 
-    Per layout of `layouts`, in the order given, maps each of `densities`
-    (default: the scene's own blocker density) to the TrialGains a run of the
-    scene with that layout's arrays at that density alone would give;
+    Per layout of `layouts`, in the order given, maps each of `densities` to
+    the TrialGains a run of the scene with that layout's arrays at that
+    density alone would give (the scene's own blocker density is not read);
     ValueError before any work if either is empty. One pass over the trials
     serves every layout and density: every TrialGains shares one h_nlos
     array, each density one h_los row and each layout one h_irs row, which is
@@ -331,8 +331,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
         raise ValueError(f"trial count must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    wanted = (scene.blocker_model.density,) if densities is None else densities
-    unique = tuple(dict.fromkeys(wanted))
+    unique = tuple(dict.fromkeys(densities))
     ens = Ensemble.build(scene, seed, unique, layouts)
     chunk = max(1, math.ceil(trials / (max(threads, 1) * 8)))
     bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
@@ -354,20 +353,21 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
 # -- SER estimation ----------------------------------------------------------
 
 
-# Cephes' erfc (ndtr.c, S. L. Moshier), the one scipy.special runs: highest power first
+# Cephes' erfc (ndtr.c, S. L. Moshier), the one scipy.special runs: highest power first;
+# U, Q and S spell out the leading 1 that cephes' p1evl leaves implicit
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)  # after a leading 1
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)  # after a leading 1
+           1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAXLOG = 7.09782712893383996843e2  # ln(DBL_MAX)
 # |x| <= this exactly when x*x <= _MAXLOG; beyond it cephes gives 0 (2 for x < 0)
@@ -375,19 +375,11 @@ _ERFC_ZERO_ABOVE = math.sqrt(_MAXLOG)
 
 
 def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """coef[0]*x^n + ... + coef[n] by Horner's rule, in cephes polevl's order."""
+    """coef[0]*x^n + ... + coef[n] by Horner's rule, in cephes polevl's order. With
+    coef[0] = 1 it gives cephes p1evl's bits, as x * 1.0 == x exactly."""
     y = x * coef[0]
     y += coef[1]
     for c in coef[2:]:
-        y *= x
-        y += c
-    return y
-
-
-def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """x^(n+1) + coef[0]*x^n + ... + coef[n], in cephes p1evl's order."""
-    y = x + coef[0]
-    for c in coef[1:]:
         y *= x
         y += c
     return y
@@ -409,7 +401,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
         s = flat[i]
         z = s * s
         t = s * _polevl(z, _ERF_T)
-        t /= _p1evl(z, _ERF_U)
+        t /= _polevl(z, _ERF_U)
         y[i] = np.subtract(1.0, t, out=t)
     for i, num, den in ((np.flatnonzero((a >= 1.0) & (a < 8.0)), _ERFC_P, _ERFC_Q),
                         (np.flatnonzero((a >= 8.0) & (a <= _ERFC_ZERO_ABOVE)),
@@ -421,7 +413,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
         np.exp(np.negative(e, out=e), out=e)
         p = _polevl(s, num)
         p *= e
-        p /= _p1evl(s, den)
+        p /= _polevl(s, den)
         y[i] = np.subtract(2.0, p, out=p, where=flat[i] < 0.0)
     return y.reshape(x.shape)
 

@@ -51,16 +51,19 @@ def test_run_path_signatures():
     inspect.signature(config.build_scene).bind(object(), 0.0)
     inspect.signature(channel.wall_patches).bind(object(), 0.25, 0.7)
     inspect.signature(channel.patch_incident_power).bind(object(), object(), (), order=2)
-    # a run's input is one scene plus its array layouts, which it must be given: they
-    # are the one way it gets arrays; perfbench wraps cli.run_trials and reads only its
-    # threads keyword
+    # a run's input is one scene plus its densities and array layouts, which it must be
+    # given: the layouts are the one way it gets arrays, and the scene's own density is
+    # no default; perfbench wraps cli.run_trials and reads only its threads keyword
     for fn in (simulator.run_trials, simulator.Ensemble.build):
         params = inspect.signature(fn).parameters
         assert next(iter(params)) == "scene", fn.__name__
-        assert params["layouts"].default is inspect.Parameter.empty, fn.__name__
-    with pytest.raises(TypeError, match="layouts"):
-        inspect.signature(simulator.run_trials).bind(object(), 10, 1)
-    inspect.signature(simulator.run_trials).bind(object(), 10, 1, layouts=[((), ())])
+        for name in ("densities", "layouts"):
+            assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
+    for kwargs in ({"densities": (0.0,)}, {"layouts": [((), ())]}):
+        with pytest.raises(TypeError):
+            inspect.signature(simulator.run_trials).bind(object(), 10, 1, **kwargs)
+    inspect.signature(simulator.run_trials).bind(object(), 10, 1, densities=(0.0,),
+                                                 layouts=[((), ())])
     inspect.signature(simulator.run_trials).bind(object(), 10, 1, threads=2, densities=(0.0,),
                                                  layouts=[((), ())])
     inspect.signature(simulator.Ensemble.build).bind(object(), 1, (0.0,), [((), ())])

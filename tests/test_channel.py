@@ -315,7 +315,7 @@ def _with_panel(ps):
     ((0.75, 0.5, 100.0), 0.25, "third", False),
 ], ids=["6.3x4.1x2.7", "3x7x3.3", "one_per_wall", "dark_wall", "all_dark", "blocked",
         "partly_dark", "fine_stock", "one_patch_walls", "two_bands", "three_bands"])
-def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
+def test_grid_transfer_matches_per_source_rows(dims, size, dark, blocked):
     length, width, height = dims
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
     ps = wall_patches(Room(*dims), size)
@@ -339,6 +339,31 @@ def test_plane_run_kernel_matches_per_source_rows(dims, size, dark, blocked):
         assert got.tobytes() == np.zeros(len(ps)).tobytes()  # +0.0 everywhere
     else:
         assert (want > 0.0).any()
+
+
+@pytest.mark.parametrize("dims, size", [((5.0, 5.0, 3.0), DEFAULT_PATCH_SIZE),
+                                         ((6.3, 4.1, 2.7), 0.3)], ids=["stock", "6.3x4.1x2.7"])
+def test_second_bounce_is_reciprocal(dims, size):
+    # the kernel cos_in cos_out / (pi d^2) is symmetric: a unit source at i putting
+    # out_j on j and one at j putting out_i on i give A_i out_j / rho_i = A_j out_i / rho_j
+    # wherever the cap at 1 does not fire, which in these rooms is everywhere. Both
+    # directions get the same d^2 and cosines, bit for bit (v negates exactly); each
+    # side then rounds at most six times (times the area, times the other cosine,
+    # over pi d^2, times the reflectivity, and this test's product and quotient), so
+    # the sides differ by at most 12 units of 2^-53 relative: the bound is 2^-49, 16
+    ps = wall_patches(Room(*dims), size)
+    rho = rng(16).uniform(0.2, 0.9, len(ps))
+    ps = PatchSet(ps.centers, ps.normals, ps.areas, rho)
+    left, right = [], []
+    for i, j in rng(17).integers(len(ps), size=(150, 2)).tolist():
+        from_i, from_j = (_second_bounce_power(ps, np.eye(1, len(ps), k)[0]) for k in (i, j))
+        assert from_i[j] < rho[i] and from_j[i] < rho[j]  # the cap at 1 never fires
+        left.append(ps.areas[i] * from_i[j] / rho[i])
+        right.append(ps.areas[j] * from_j[i] / rho[j])
+    left, right = np.array(left), np.array(right)
+    assert np.count_nonzero(left) > len(left) // 2
+    assert ((left == 0.0) == (right == 0.0)).all()
+    assert (np.abs(left - right) <= 2.0**-49 * np.maximum(left, right)).all()
 
 
 def test_grid_walls_only_for_exact_grids(ceiling_ap):
@@ -443,21 +468,23 @@ def test_order2_field_peak_memory(dims, size, bound):
 @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
                     reason="counts the minor page faults of glibc's allocator on Linux")
 def test_order2_field_reuses_its_pages():
-    # the third stock call of a fresh process. Work blocks made afresh per wall pair
-    # were handed back to the OS and faulted in again, about 2,300 faults per call;
-    # the bound is a tenth of that
-    (faults,) = python_lines(
+    # the third call of a fresh process, in the stock room and in one whose band
+    # pairs' blocks differ in size. Work blocks made afresh per wall pair were handed
+    # back to the OS and faulted in again, about 2,300 faults per stock call; the
+    # bound is a tenth of that
+    faults = python_lines(
         "import resource\n"
         "from irsvlc import Luminaire, patch_incident_power, vec3, wall_patches\n"
         "from irsvlc.scene import Room\n"
-        "ap = Luminaire(vec3(2.5, 2.5, 3.0), vec3(0.0, 0.0, -1.0), 1.0)\n"
-        "ps = wall_patches(Room(5.0, 5.0, 3.0))\n"
-        "for _ in range(2):\n"
+        "for (l, w, h), size in (((5.0, 5.0, 3.0), 0.25), ((6.3, 4.1, 2.7), 0.3)):\n"
+        "    ap = Luminaire(vec3(l / 2, w / 2, h), vec3(0.0, 0.0, -1.0), 1.0)\n"
+        "    ps = wall_patches(Room(l, w, h), size)\n"
+        "    for _ in range(2):\n"
+        "        patch_incident_power(ap, ps, order=2)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    patch_incident_power(ap, ps, order=2)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "patch_incident_power(ap, ps, order=2)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-    assert int(faults) <= 230
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    assert len(faults) == 2 and all(int(f) <= 230 for f in faults)
 
 
 def test_nlos_zero_reflectivity(ceiling_ap, upward_ue):

@@ -39,7 +39,8 @@ NO_ARRAYS = ((), ())  # the layout of a run without arrays
 
 def own_density(scene, layout, trials, seed, **kwargs):
     """The TrialGains of a run of one layout at the scene's own blocker density."""
-    (gains,) = run_trials(scene, trials, seed, layouts=[layout], **kwargs)[0].values()
+    (gains,) = run_trials(scene, trials, seed, densities=(scene.blocker_model.density,),
+                          layouts=[layout], **kwargs)[0].values()
     return gains
 
 
@@ -67,9 +68,12 @@ def test_run_trials_deterministic():
 def test_run_trials_validation():
     scene, layouts = make_scene(), [make_layout(n_per_side=4)]
     with pytest.raises(ValueError):
-        run_trials(scene, 0, seed=1, layouts=layouts)
+        run_trials(scene, 0, seed=1, densities=(0.0,), layouts=layouts)
     with pytest.raises(ValueError):
-        run_trials(scene, 10, seed=-1, layouts=layouts)
+        run_trials(scene, 10, seed=-1, densities=(0.0,), layouts=layouts)
+    # the densities come from the caller only: the scene's own is no default
+    with pytest.raises(TypeError, match="densities"):
+        run_trials(scene, 10, 1, layouts=[NO_ARRAYS])
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -130,7 +134,6 @@ def test_run_trials_returns_read_only_arrays_shared_across_densities():
             assert gains.h_los is runs[0][d].h_los and gains.h_nlos is runs[0][0.0].h_nlos
             assert gains.h_irs is out[0.0].h_irs
     assert runs[0][0.0].h_irs is not runs[1][0.0].h_irs
-    assert list(run_trials(scene, 2, seed=3, layouts=layouts)[0]) == [0.5]
 
 
 def test_shared_ensemble_sees_blockage(monkeypatch):
@@ -145,7 +148,7 @@ def test_shared_ensemble_sees_blockage(monkeypatch):
     # no densities or no layouts fail before the diffuse precompute
     for name in ("compute_trials", "wall_patches", "patch_incident_power", "blocker_means"):
         monkeypatch.setattr(simulator, name, no_work)
-    for kwargs in ({"densities": (), "layouts": [NO_ARRAYS]}, {"layouts": ()}):
+    for kwargs in ({"densities": (), "layouts": [NO_ARRAYS]}, {"densities": (0.0,), "layouts": ()}):
         with pytest.raises(ValueError, match="at least one"):
             run_trials(scene, 10, seed=5, **kwargs)
     with pytest.raises(ValueError, match="at least one"):
@@ -173,8 +176,6 @@ def test_undrawable_density_fails_before_the_first_trial(monkeypatch, density):
     layouts = [make_layout(n_per_side=4)]
     with pytest.raises(ValueError, match="one field may hold"):
         run_trials(make_scene(), 5, seed=1, densities=(0.0, density), layouts=layouts)
-    with pytest.raises(ValueError, match="one field may hold"):
-        run_trials(make_scene(density), 5, seed=1, layouts=layouts)
 
 
 def test_densities_are_checked_once_per_run_and_never_per_trial(monkeypatch):
@@ -549,7 +550,7 @@ def test_pose_checks_run_once_per_run_not_per_trial(monkeypatch):
     per_run = []
     for trials in (5, 50):
         counts.clear()
-        run_trials(scene, trials, seed=3, layouts=layouts)
+        run_trials(scene, trials, seed=3, densities=(1.0,), layouts=layouts)
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert "detector" not in per_run[1] and per_run[1].get("vec3", 0) <= 4
