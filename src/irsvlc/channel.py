@@ -9,7 +9,7 @@ OrientedBoxes set or (); a sight line crossing a box interior contributes zero.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -241,35 +241,46 @@ def _grid_walls(ps: PatchSet) -> list[tuple] | None:
     return walls
 
 
-def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> Iterator[tuple]:
-    """Yield the (source band, receiver band) pairs of the grid transfer, in source order.
+def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> list[tuple]:
+    """The (source band, receiver band) pairs of the grid transfer, in source order.
 
     Each is (a, lit, b, dz, width, rows): the bands a and b as _grid_walls gives
     them, a's lit sources, the distinct row offsets z_b[rb] - z_a[ra], sorted,
-    and the receiver columns and the sources per block. A pair is made when it
-    is reached and keeps no (rows, rows) array, so the plan's memory does not
-    grow with the number of bands.
+    and the receiver columns and the sources per block. The walls of a room share
+    their row heights, so dz is made once per distinct (z_a, z_b) and shared, and
+    a source band's receivers come grouped by their rows, so consecutive pairs
+    share one offset index (_grid_transfer). Each receiver band keeps its own
+    running total, so their order leaves the bits. A pair keeps no (rows, rows)
+    array, so the plan's memory does not grow with the number of bands.
     """
+    offsets: dict[tuple[bytes, bytes], np.ndarray] = {}
+    pairs = []
     for a in walls:
         start_a, xa, _, za, normal, _ = a
         lit = sources[slice(*np.searchsorted(sources, (start_a, start_a + za.size * xa.size)))]
         if not lit.size:
             continue
+        receivers: dict[bytes, list[tuple]] = {}
         for b in walls:
-            if b[4] == normal:
-                # a band of a's wall: a receiver with the source's normal n gets
-                # cos_in = -(v . n) and cos_out = v . n from the same _dot3, never
-                # both positive, so every term is +0.0 and leaving it out keeps the bits
-                continue
-            xb, zb = b[1], b[3]
-            # the distinct offsets, sorted. != merges -0.0 and +0.0, whose terms agree: a
-            # zero offset's sign reaches a cosine only where that cosine is zero, and then
-            # the term is +0.0. (np.unique without an inverse loads numpy.ma on first use.)
-            dz = np.sort(zb - za[:, None], axis=None)
-            dz = dz[np.concatenate(([True], dz[1:] != dz[:-1]))]
-            width = min(xb.size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
-            rows = min(lit.size, max(1, _GRID_BLOCK // (zb.size * width)))
-            yield a, lit, b, dz, width, rows
+            # a band of a's wall is left out: a receiver with the source's normal n gets
+            # cos_in = -(v . n) and cos_out = v . n from the same _dot3, never both
+            # positive, so every term is +0.0 and leaving it out keeps the bits
+            if b[4] != normal:
+                receivers.setdefault(b[3].tobytes(), []).append(b)
+        for zb_bytes, group in receivers.items():
+            if (dz := offsets.get(key := (za.tobytes(), zb_bytes))) is None:
+                # the distinct offsets, sorted. != merges -0.0 and +0.0, whose terms agree:
+                # a zero offset's sign reaches a cosine only where that cosine is zero, and
+                # then the term is +0.0. (np.unique without an inverse loads numpy.ma on
+                # first use.)
+                dz = np.sort(group[0][3] - za[:, None], axis=None)
+                offsets[key] = dz = dz[np.concatenate(([True], dz[1:] != dz[:-1]))]
+            for b in group:
+                xb, zb = b[1], b[3]
+                width = min(xb.size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
+                rows = min(lit.size, max(1, _GRID_BLOCK // (zb.size * width)))
+                pairs.append((a, lit, b, dz, width, rows))
+    return pairs
 
 
 def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], out: np.ndarray):
@@ -281,28 +292,33 @@ def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], o
     over a block of receiver columns at a time, and each block of sources
     gathers its rows, (sources, rows of b, columns), from those terms. The
     work arrays and the gathered rows share one buffer made once per call,
-    sized for the call's largest block by a first pass over the pairs; blocks
+    sized for the call's largest block from the plan (_grid_pairs); blocks
     made afresh are handed back to the OS and faulted in again on every band
     pair (README, "Fixed cost of a run").
     """
+    pairs = _grid_pairs(sources, walls)
     # a block's six work arrays of n terms, and its gather from 3n on: the terms are
     # in work[2], and work[3:] is spent once they are
     size = max((3 * dz.size * a[1].size * width
                 + max(3 * dz.size * a[1].size * width, rows * b[3].size * width)
-                for a, _, b, dz, width, rows in _grid_pairs(sources, walls)), default=0)
+                for a, _, b, dz, width, rows in pairs), default=0)
     if not size:
         return
     # 64-byte aligned: on malloc's 16-byte alignment the AVX-512 loops ran about 7 %
     # slower at 0.125 m
     raw = np.empty(size + 7)
     buf = raw[(-raw.ctypes.data // 8) % 8:][:size]
-    for (start_a, xa, ya, za, normal, _), lit, b, dz, width, rows in _grid_pairs(sources, walls):
+    indexed = None, None  # the source band and offsets that first and ra, ca are for
+    for a, lit, b, dz, width, rows in pairs:
+        start_a, xa, ya, za, normal, _ = a
         start_b, xb, yb, zb, normal_b, area = b
-        # the terms row that source row ra and receiver row rb read from: the index of
-        # the offset's exact equal in dz, as np.unique's inverse gives it, at under
-        # half its cost on a pair of 181-row bands
-        first = np.searchsorted(dz, zb - za[:, None]) * xa.size
-        ra, ca = np.divmod(lit - start_a, xa.size)
+        if indexed[0] is not a or indexed[1] is not dz:
+            # the terms row that source row ra and receiver row rb read from: the index
+            # of the offset's exact equal in dz, as np.unique's inverse gives it, at
+            # under half its cost on a pair of 181-row bands
+            first = np.searchsorted(dz, zb - za[:, None]) * xa.size
+            ra, ca = np.divmod(lit - start_a, xa.size)
+            indexed = a, dz
         received = out[start_b:start_b + zb.size * xb.size].reshape(zb.size, xb.size)
         for c0 in range(0, xb.size, width):
             cb = slice(c0, c0 + width)

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# imported with the package: argparse's gettext loads it on the first parser, which
+# would move its import cost from a run's set-up into the run
+import locale  # noqa: F401
 import math
 import os
 import sys

@@ -17,7 +17,10 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import select
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -285,24 +288,105 @@ def _cut_rows(boxes: OrientedBoxes, slots: np.ndarray, ends: np.ndarray,
     return line & ~inside
 
 
-# -- worker-pool plumbing ----------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(ens: Ensemble) -> None:
-    _WORKER_STATE["ensemble"] = ens
-
-
-def _run_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return compute_trials(_WORKER_STATE["ensemble"], *bounds)
+# -- forked workers ----------------------------------------------------------
 
 
 def pool_size(threads: int, trials: int) -> int:
-    """Workers of a run: run_trials starts a pool of this size when it is above 1 and
-    runs in-process otherwise. No more than the trials, since a worker beyond the
-    chunks would sit idle."""
-    return min(threads, trials)
+    """Workers of a run: run_trials forks this many when it is above 1 and runs
+    in-process otherwise. No more than the trials, since a worker beyond the chunks
+    would sit idle, and 1 off Linux, the one platform run_trials forks on."""
+    return min(threads, trials) if sys.platform == "linux" else 1
+
+
+def _forked_chunks(ens: Ensemble, bounds: list[tuple[int, int]], workers: int) -> list:
+    """compute_trials(ens, *b) for each b of bounds, in order, by `workers` forked
+    children, which inherit ens.
+
+    Each child reads chunk indices from its own task pipe and writes each chunk's
+    gains to its own result pipe as one pickle (_serve); the parent hands a child
+    its next chunk as soon as it returns one. A child that raises (its traceback
+    goes to stderr) or dies makes this raise RuntimeError. Every child is reaped
+    before this returns or raises, so its CPU time counts as the caller's
+    children's.
+    """
+    parts: list = [None] * len(bounds)
+    todo = iter(range(len(bounds)))
+    kids: dict[int, tuple[int, int]] = {}  # result pipe -> (pid, task pipe)
+    busy: dict[int, int] = {}  # result pipe -> the chunk its child computes
+    poller = select.poll()
+
+    def hand_out(results: int) -> None:
+        if (i := next(todo, None)) is None:
+            poller.unregister(results)  # the child idles until its tasks close
+            return
+        busy[results] = i
+        try:
+            os.write(kids[results][1], i.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise lost(results) from None
+
+    def lost(results: int) -> RuntimeError:
+        return RuntimeError(f"a worker process (pid {kids[results][0]}) ended before "
+                            f"returning chunk {busy[results]}")
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            if not (pid := os.fork()):
+                _serve(ens, bounds, task_r, result_w,
+                       [task_w, result_r, *(fd for r, (_, t) in kids.items() for fd in (r, t))])
+            os.close(task_r)
+            os.close(result_w)
+            kids[result_r] = (pid, task_w)
+            poller.register(result_r, select.POLLIN)
+            hand_out(result_r)
+        while busy:
+            for results, _ in poller.poll():
+                with open(results, "rb", closefd=False) as pipe:
+                    try:
+                        parts[busy[results]] = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise lost(results) from None
+                del busy[results]
+                hand_out(results)
+    except BaseException:
+        import signal  # only a failed run needs it; a run's set-up would pay for it
+        for pid, _ in kids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for results, (pid, tasks) in kids.items():
+            os.close(tasks)  # an idle child reads the end of its tasks and exits
+            os.close(results)
+            os.waitpid(pid, 0)
+    return parts
+
+
+def _serve(ens: Ensemble, bounds: list[tuple[int, int]], tasks: int, results: int,
+           inherited: list[int]) -> None:
+    """A forked worker: close the parent's pipe ends that it inherited, so that its
+    siblings see the ends of their own pipes, then compute each chunk whose index
+    arrives on tasks and write its gains to results, until tasks closes. It never
+    returns: it leaves through os._exit, since unwinding would run the parent's code."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        # left open for os._exit to close: the parent kills the workers once it sees the
+        # end of a result pipe, so a traceback must be out before that
+        out = open(results, "wb")
+        while task := os.read(tasks, 4):
+            pickle.dump(compute_trials(ens, *bounds[int.from_bytes(task, "little")]), out,
+                        pickle.HIGHEST_PROTOCOL)
+            out.flush()
+        code = 0
+    except BaseException:  # the worker's boundary: report, then exit below
+        import traceback  # only a failing worker needs it
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
@@ -320,12 +404,13 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
 
     Trials are keyed by index, computed in contiguous chunks (compute_trials),
     max(threads, 1) * 8 of them, and joined in index order, so neither the
-    chunks nor parallel scheduling can change the result. The pool starts
-    pool_size(threads, trials) workers, never more than the chunks; with one,
-    the same chunks run serially in-process.
-    The diffuse wall field and the reflector banks are precomputed once and
-    shipped to workers, which both removes per-trial cost and keeps them
-    bit-identical everywhere.
+    chunks nor parallel scheduling can change the result. The run forks
+    pool_size(threads, trials) workers, never more than the chunks, and hands
+    out the chunks one at a time (_forked_chunks); with one, the same chunks
+    run serially in-process.
+    The diffuse wall field and the reflector banks are precomputed once, before
+    the fork, so every worker inherits them: that both removes per-trial cost
+    and keeps them bit-identical everywhere.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
@@ -339,9 +424,7 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     if workers <= 1:
         parts = [compute_trials(ens, *b) for b in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(ens,)) as pool:
-            parts = list(pool.map(_run_chunk, bounds))
+        parts = _forked_chunks(ens, bounds, workers)
     h_los, h_nlos, h_irs = (np.concatenate(field, axis=-1) for field in zip(*parts))
     for a in (h_los, h_nlos, h_irs):
         a.setflags(write=False)  # before the rows are taken: a view taken earlier stays writeable

@@ -36,27 +36,15 @@ def upward_ue():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """run_trials' process pool replaced by one that runs the chunks in this process;
-    the list of the sizes of the pools a run starts."""
-    # a pool starts all of its max_workers at the first submit
+    """run_trials' forked workers replaced by the chunks run in this process; the list
+    of the worker counts a run forks."""
     started = []
 
-    class InlinePool:  # records its size, then runs the chunks in this process
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+    def inline_chunks(ens, bounds, workers):  # records the count, then runs the chunks here
+        started.append(workers)
+        return [simulator.compute_trials(ens, *b) for b in bounds]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(simulator, "_WORKER_STATE", {})
+    monkeypatch.setattr(simulator, "_forked_chunks", inline_chunks)
     return started
 
 
@@ -93,11 +81,16 @@ def one_box(center, half, yaw) -> OrientedBoxes:
     return box_set(half, [(center, yaw)])
 
 
-def python_lines(code: str, *args: str) -> list[str]:
-    """Stdout lines of a fresh interpreter that runs code with src on its path."""
+def python_run(code: str, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """A fresh interpreter that has run code with src on its path: its stdout and stderr
+    as text. It must exit with 0."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return done.stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True)
+
+
+def python_lines(code: str, *args: str) -> list[str]:
+    """Stdout lines of a fresh interpreter that runs code with src on its path."""
+    return python_run(code, *args).stdout.splitlines()

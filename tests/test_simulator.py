@@ -21,7 +21,7 @@ from irsvlc.irs import _dot
 from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_ue
 from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trials
 
-from conftest import blocker_field, make_layout, make_scene
+from conftest import blocker_field, make_layout, make_scene, python_run
 
 
 def gains_of(h_los):
@@ -91,6 +91,42 @@ def test_the_pool_starts_no_more_workers_than_chunks(inline_pool, threads, trial
     got = own_density(scene, NO_ARRAYS, trials, seed=7, threads=threads)
     assert inline_pool == workers
     assert _bits(got) == _bits(own_density(scene, NO_ARRAYS, trials, seed=7))
+
+
+# a run whose worker fails at trial 9's chunk; it prints what run_trials raised and
+# whether the process has a child left
+FAILING_WORKER = """
+import os, signal
+from irsvlc import RunConfig, build_scene, simulator
+compute = simulator.compute_trials
+def compute_trials(ens, start, stop):
+    if start <= 9 < stop:
+        {fail}
+    return compute(ens, start, stop)
+simulator.compute_trials = compute_trials
+try:
+    simulator.run_trials(build_scene(RunConfig(), 0.0), 40, 1, threads=2, densities=(0.0,),
+                         layouts=[((), ())])
+except RuntimeError:
+    print("RuntimeError")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="run_trials forks its workers on Linux only")
+@pytest.mark.parametrize("fail, stderr", [
+    ("os.kill(os.getpid(), signal.SIGKILL)", ""),
+    ("raise ValueError('chunk 9 fails')", "ValueError: chunk 9 fails"),
+], ids=["killed", "raises"])
+def test_a_failed_worker_fails_the_run_and_leaves_no_child(fail, stderr):
+    # the parent sees the worker's result pipe end, kills and reaps the other worker and
+    # raises, long before the timeout; the worker's own traceback goes to stderr
+    done = python_run(FAILING_WORKER.format(fail=fail), timeout=60)
+    assert done.stdout.splitlines() == ["RuntimeError", "no child left"]
+    assert stderr in done.stderr
 
 
 def test_run_trials_threads_match_serial():
