@@ -242,32 +242,33 @@ def _grid_walls(ps: PatchSet) -> list[tuple] | None:
 
 
 def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> list[tuple]:
-    """The (source band, receiver band) pairs of the grid transfer, in source order.
+    """The plan of the grid transfer: its (source band, receiver band) pairs, in
+    source order, grouped by the receivers' rows.
 
-    Each is (a, lit, b, dz, width, rows): the bands a and b as _grid_walls gives
-    them, a's lit sources, the distinct row offsets z_b[rb] - z_a[ra], sorted,
-    and the receiver columns and the sources per block. The walls of a room share
-    their row heights, so dz is made once per distinct (z_a, z_b) and shared, and
-    a source band's receivers come grouped by their rows, so consecutive pairs
-    share one offset index (_grid_transfer). Each receiver band keeps its own
-    running total, so their order leaves the bits. A pair keeps no (rows, rows)
-    array, so the plan's memory does not grow with the number of bands.
+    Each group is (a, lit, dz, receivers): a source band as _grid_walls gives it,
+    its lit sources, the distinct row offsets z_b[rb] - z_a[ra], sorted, that
+    every receiver band b of the group shares, and receivers, one (b, width,
+    rows) per b: the receiver columns and the sources per block. The walls of a
+    room share their row heights, so dz is made once per distinct (z_a, z_b) and
+    shared. Each receiver band keeps its own running total, so their order
+    leaves the bits. A group keeps no (rows, rows) array, so the plan's memory
+    does not grow with the number of bands.
     """
     offsets: dict[tuple[bytes, bytes], np.ndarray] = {}
-    pairs = []
+    plan = []
     for a in walls:
         start_a, xa, _, za, normal, _ = a
         lit = sources[slice(*np.searchsorted(sources, (start_a, start_a + za.size * xa.size)))]
         if not lit.size:
             continue
-        receivers: dict[bytes, list[tuple]] = {}
+        groups: dict[bytes, list[tuple]] = {}
         for b in walls:
             # a band of a's wall is left out: a receiver with the source's normal n gets
             # cos_in = -(v . n) and cos_out = v . n from the same _dot3, never both
             # positive, so every term is +0.0 and leaving it out keeps the bits
             if b[4] != normal:
-                receivers.setdefault(b[3].tobytes(), []).append(b)
-        for zb_bytes, group in receivers.items():
+                groups.setdefault(b[3].tobytes(), []).append(b)
+        for zb_bytes, group in groups.items():
             if (dz := offsets.get(key := (za.tobytes(), zb_bytes))) is None:
                 # the distinct offsets, sorted. != merges -0.0 and +0.0, whose terms agree:
                 # a zero offset's sign reaches a cosine only where that cosine is zero, and
@@ -275,12 +276,13 @@ def _grid_pairs(sources: np.ndarray, walls: list[tuple]) -> list[tuple]:
                 # first use.)
                 dz = np.sort(group[0][3] - za[:, None], axis=None)
                 offsets[key] = dz = dz[np.concatenate(([True], dz[1:] != dz[:-1]))]
+            receivers = []
             for b in group:
-                xb, zb = b[1], b[3]
-                width = min(xb.size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
-                rows = min(lit.size, max(1, _GRID_BLOCK // (zb.size * width)))
-                pairs.append((a, lit, b, dz, width, rows))
-    return pairs
+                width = min(b[1].size, max(1, _GRID_BLOCK // (dz.size * xa.size)))
+                rows = min(lit.size, max(1, _GRID_BLOCK // (b[3].size * width)))
+                receivers.append((b, width, rows))
+            plan.append((a, lit, dz, receivers))
+    return plan
 
 
 def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], out: np.ndarray):
@@ -296,48 +298,44 @@ def _grid_transfer(scale: np.ndarray, sources: np.ndarray, walls: list[tuple], o
     made afresh are handed back to the OS and faulted in again on every band
     pair (README, "Fixed cost of a run").
     """
-    pairs = _grid_pairs(sources, walls)
+    plan = _grid_pairs(sources, walls)
     # a block's six work arrays of n terms, and its gather from 3n on: the terms are
     # in work[2], and work[3:] is spent once they are
     size = max((3 * dz.size * a[1].size * width
                 + max(3 * dz.size * a[1].size * width, rows * b[3].size * width)
-                for a, _, b, dz, width, rows in pairs), default=0)
+                for a, _, dz, receivers in plan for b, width, rows in receivers), default=0)
     if not size:
         return
     # 64-byte aligned: on malloc's 16-byte alignment the AVX-512 loops ran about 7 %
     # slower at 0.125 m
     raw = np.empty(size + 7)
     buf = raw[(-raw.ctypes.data // 8) % 8:][:size]
-    indexed = None, None  # the source band and offsets that first and ra, ca are for
-    for a, lit, b, dz, width, rows in pairs:
-        start_a, xa, ya, za, normal, _ = a
-        start_b, xb, yb, zb, normal_b, area = b
-        if indexed[0] is not a or indexed[1] is not dz:
-            # the terms row that source row ra and receiver row rb read from: the index
-            # of the offset's exact equal in dz, as np.unique's inverse gives it, at
-            # under half its cost on a pair of 181-row bands
-            first = np.searchsorted(dz, zb - za[:, None]) * xa.size
-            ra, ca = np.divmod(lit - start_a, xa.size)
-            indexed = a, dz
-        received = out[start_b:start_b + zb.size * xb.size].reshape(zb.size, xb.size)
-        for c0 in range(0, xb.size, width):
-            cb = slice(c0, c0 + width)
-            xs, ys = xb[cb], yb[cb]
-            v = (xs - xa[:, None], ys - ya[:, None], dz[:, None, None])
-            n = dz.size * xa.size * xs.size
-            work = buf[:6 * n].reshape(6, dz.size, xa.size, xs.size)
-            terms = _pair_fractions(v, normal, normal_b, area, work)
-            terms = terms.reshape(dz.size * xa.size, -1)
-            total = received[:, cb]
-            for k in (slice(k0, k0 + rows) for k0 in range(0, lit.size, rows)):
-                index = first[ra[k]] + ca[k, None]
-                frac = buf[3 * n:3 * n + index.size * xs.size].reshape(*index.shape, xs.size)
-                # the index is in range; mode="raise" would copy through a temporary
-                np.take(terms, index, axis=0, out=frac, mode="clip")
-                frac *= scale[lit[k], None, None]
-                frac[0] += total
-                total = _add_rows(frac)
-            received[:, cb] = total
+    for (start_a, xa, ya, za, normal, _), lit, dz, receivers in plan:
+        # the terms row that source row ra and receiver row rb read from: the index of
+        # the offset's exact equal in dz, as np.unique's inverse gives it, at under
+        # half its cost on a pair of 181-row bands. The group's receivers share their rows.
+        first = np.searchsorted(dz, receivers[0][0][3] - za[:, None]) * xa.size
+        ra, ca = np.divmod(lit - start_a, xa.size)
+        for (start_b, xb, yb, zb, normal_b, area), width, rows in receivers:
+            received = out[start_b:start_b + zb.size * xb.size].reshape(zb.size, xb.size)
+            for c0 in range(0, xb.size, width):
+                cb = slice(c0, c0 + width)
+                xs, ys = xb[cb], yb[cb]
+                v = (xs - xa[:, None], ys - ya[:, None], dz[:, None, None])
+                n = dz.size * xa.size * xs.size
+                work = buf[:6 * n].reshape(6, dz.size, xa.size, xs.size)
+                terms = _pair_fractions(v, normal, normal_b, area, work)
+                terms = terms.reshape(dz.size * xa.size, -1)
+                total = received[:, cb]
+                for k in (slice(k0, k0 + rows) for k0 in range(0, lit.size, rows)):
+                    index = first[ra[k]] + ca[k, None]
+                    frac = buf[3 * n:3 * n + index.size * xs.size].reshape(*index.shape, -1)
+                    # the index is in range; mode="raise" would copy through a temporary
+                    np.take(terms, index, axis=0, out=frac, mode="clip")
+                    frac *= scale[lit[k], None, None]
+                    frac[0] += total
+                    total = _add_rows(frac)
+                received[:, cb] = total
 
 
 def _second_bounce_power(ps: PatchSet, power1: np.ndarray) -> np.ndarray:

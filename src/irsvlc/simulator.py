@@ -329,16 +329,19 @@ def _forked_chunks(ens: Ensemble, bounds: list[tuple[int, int]], workers: int) -
         return RuntimeError(f"a worker process (pid {kids[results][0]}) ended before "
                             f"returning chunk {busy[results]}")
 
+    spare: list[int] = []  # the pipe ends of a worker not forked yet
     try:
         for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
+            spare += os.pipe()
+            spare += os.pipe()
+            task_r, task_w, result_r, result_w = spare
             if not (pid := os.fork()):
                 _serve(ens, bounds, task_r, result_w,
                        [task_w, result_r, *(fd for r, (_, t) in kids.items() for fd in (r, t))])
+            kids[result_r] = (pid, task_w)
+            spare.clear()
             os.close(task_r)
             os.close(result_w)
-            kids[result_r] = (pid, task_w)
             poller.register(result_r, select.POLLIN)
             hand_out(result_r)
         while busy:
@@ -356,6 +359,8 @@ def _forked_chunks(ens: Ensemble, bounds: list[tuple[int, int]], workers: int) -
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for fd in spare:
+            os.close(fd)
         for results, (pid, tasks) in kids.items():
             os.close(tasks)  # an idle child reads the end of its tasks and exits
             os.close(results)

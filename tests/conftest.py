@@ -11,6 +11,10 @@ from irsvlc import (Luminaire, OrientedBoxes, PhotoDetector, RunConfig, Scene, b
                     build_scene, simulator, vec3)
 from irsvlc.scene import blocker_boxes, blocker_draws, blocker_means, floor_draws
 
+# run_trials forks its workers on Linux only; elsewhere every run is in-process
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="run_trials forks its workers on Linux only")
+
 # per-criterion PASS/FAIL lines from the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
 

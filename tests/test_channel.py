@@ -417,13 +417,15 @@ def test_grid_blocks_of_every_size_share_one_buffer(dims, size):
     ap = Luminaire(vec3(length / 2, width / 2, height), vec3(0.0, 0.0, -1.0), 1.0)
     ps = wall_patches(Room(*dims), size)
     power1 = _first_bounce_power(ap, ps, ())
-    pairs = list(_grid_pairs(np.flatnonzero(power1 > 0.0), _grid_walls(ps)))
+    pairs = [(a, b, dz, cols, rows)
+             for a, _, dz, receivers in _grid_pairs(np.flatnonzero(power1 > 0.0), _grid_walls(ps))
+             for b, cols, rows in receivers]
     if size == 0.3:
-        work = [dz.size * a[1].size * cols for a, _, _, dz, cols, _ in pairs]
-        gather = [rows * b[3].size * cols for _, _, b, _, cols, rows in pairs]
+        work = [dz.size * a[1].size * cols for a, _, dz, cols, _ in pairs]
+        gather = [rows * b[3].size * cols for _, b, _, cols, rows in pairs]
         assert max(work) > work[0] and max(gather) > gather[0]
     else:  # every pair's last block of receiver columns is narrower
-        assert all(b[1].size % cols for _, _, b, _, cols, _ in pairs)
+        assert all(b[1].size % cols for _, b, _, cols, _ in pairs)
     got = _second_bounce_power(ps, power1)
     assert got.tobytes() == _per_source_second_bounce(ps, power1).tobytes()
 

@@ -13,7 +13,7 @@ import pytest
 from irsvlc import RunConfig, cli, load_config, simulator
 from irsvlc.cli import main
 
-from conftest import python_lines
+from conftest import linux_only, python_lines
 
 SMALL = """
 [irs]
@@ -377,6 +377,7 @@ def test_invalid_threads_env_exits_2(small_config, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
+@linux_only
 @pytest.mark.parametrize("threads, trials, workers", [(2, 1000, 2), (64, 3, 3), (4, 1, 1)])
 def test_summary_reports_the_pool_size(small_config, tmp_path, inline_pool, threads, trials,
                                        workers):

@@ -1,6 +1,8 @@
 """Trial ensemble, SER estimation and required-SNR readout."""
 
+import errno
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -21,7 +23,7 @@ from irsvlc.irs import _dot
 from irsvlc.scene import BLOCKER_DIMS, MAX_MEAN_BLOCKERS, sample_ue
 from irsvlc.simulator import MAX_SNR_DB, MAX_SNR_POINTS, SER_TARGET, Ensemble, compute_trials
 
-from conftest import blocker_field, make_layout, make_scene, python_run
+from conftest import blocker_field, linux_only, make_layout, make_scene, python_run
 
 
 def gains_of(h_los):
@@ -84,6 +86,7 @@ def test_bad_detector_fails_when_the_scene_is_built(field, value, message):
         replace(make_scene(), **{field: value})
 
 
+@linux_only
 @pytest.mark.parametrize("threads, trials, workers", [(64, 3, [3]), (2, 1000, [2]), (4, 1, [])])
 def test_the_pool_starts_no_more_workers_than_chunks(inline_pool, threads, trials, workers):
     # a worker beyond the chunk count would only sit idle; one chunk runs in-process
@@ -116,7 +119,16 @@ except ChildProcessError:
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="run_trials forks its workers on Linux only")
+def test_off_linux_the_chunks_run_in_process(inline_pool, monkeypatch):
+    scene = make_scene(1.0)
+    serial = own_density(scene, NO_ARRAYS, 40, seed=7)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert simulator.pool_size(4, 1000) == 1
+    assert _bits(own_density(scene, NO_ARRAYS, 40, seed=7, threads=4)) == _bits(serial)
+    assert inline_pool == []
+
+
+@linux_only
 @pytest.mark.parametrize("fail, stderr", [
     ("os.kill(os.getpid(), signal.SIGKILL)", ""),
     ("raise ValueError('chunk 9 fails')", "ValueError: chunk 9 fails"),
@@ -127,6 +139,41 @@ def test_a_failed_worker_fails_the_run_and_leaves_no_child(fail, stderr):
     done = python_run(FAILING_WORKER.format(fail=fail), timeout=60)
     assert done.stdout.splitlines() == ["RuntimeError", "no child left"]
     assert stderr in done.stderr
+
+
+# a run whose call number {call} to os.{name} fails, before the second worker is
+# forked; it prints what run_trials raised, whether the process has a child left and
+# whether it holds the descriptors it held before the run
+FAILED_FORK = """
+import errno, os
+from irsvlc import RunConfig, build_scene, simulator
+real, calls = os.{name}, []
+def failing():
+    calls.append(None)
+    if len(calls) == {call}:
+        raise OSError(errno.EAGAIN, "no more processes")
+    return real()
+os.{name} = failing
+scene = build_scene(RunConfig(), 0.0)
+held = sorted(os.listdir("/proc/self/fd"))
+try:
+    simulator.run_trials(scene, 40, 1, threads=2, densities=(0.0,), layouts=[((), ())])
+except OSError as e:
+    print(os.strerror(e.errno))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+print(sorted(os.listdir("/proc/self/fd")) == held)
+"""
+
+
+@linux_only
+@pytest.mark.parametrize("name, call", [("fork", 2), ("pipe", 2), ("pipe", 4)],
+                         ids=["second_fork", "first_result_pipe", "second_result_pipe"])
+def test_a_failed_fork_or_pipe_leaves_no_child_and_no_descriptor(name, call):
+    done = python_run(FAILED_FORK.format(name=name, call=call), timeout=60)
+    assert done.stdout.splitlines() == [os.strerror(errno.EAGAIN), "no child left", "True"]
 
 
 def test_run_trials_threads_match_serial():

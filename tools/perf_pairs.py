@@ -1,14 +1,14 @@
 """Compare two checkouts on one perfbench workload in interleaved pairs.
 
 Usage: python tools/perf_pairs.py PARENT CHANGE --workload NAME [--pairs N]
-                                  [--seconds S] [--seed N]
 
 PARENT and CHANGE are checkout directories, each with its own perfbench/run.py
-and src/irsvlc. Pair i runs `perfbench/run.py --workload NAME --seed SEED+i
---seconds S --trace 0` once in each checkout, the parent first in even pairs
-and the change first in odd ones, so a slow spell of the host falls on both
-sides alike. It prints every run's result line, then, per end-to-end metric of
-the change's BENCHMARK.json: each side's median and interquartile range (IQR)
+and src/irsvlc. Pair i runs `perfbench/run.py --workload NAME --seed 2+i
+--seconds S --trace 0` once in each checkout, S being the change's
+BENCHMARK.json `run_seconds`, the parent first in even pairs and the change
+first in odd ones, so a slow spell of the host falls on both sides alike. It
+prints every run's result line, then, per end-to-end metric of the change's
+BENCHMARK.json: each side's median and interquartile range (IQR)
 over the pairs, the change's relative move of the median, the change's wins
 (ties count for neither side), and whether a gain could be claimed: the change
 wins at least nine tenths of the pairs, and the medians differ, in the better
@@ -80,8 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=2, help="seed of the first pair")
     args = p.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
@@ -89,13 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         sides = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            sides[side] = run_once(getattr(args, side), args.workload, args.seed + i,
-                                   args.seconds)
+            sides[side] = run_once(getattr(args, side), args.workload, 2 + i,
+                                   bench["run_seconds"])
             print(f"pair {i} {side}: {json.dumps(sides[side])}", flush=True)
         pairs.append((sides["parent"], sides["change"]))
     bad = [f"pair {i} {side}" for i, pair in enumerate(pairs)
            for side, r in zip(("parent", "change"), pair) if not r["correct"] or r["failed"]]
-    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs; "
+    print(f"workload {args.workload}, {args.pairs} pairs of {bench['run_seconds']:g} s runs; "
           f"runs not correct or with failures: {', '.join(bad) or 'none'}")
     print("\n".join(format_rows(summarize(pairs, metrics))))
     return 1 if bad else 0
