@@ -17,13 +17,12 @@ gain normalization makes `snr` the average received electrical SNR.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import pickle
-import select
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 # imported with the package: numpy loads numpy.random lazily, which would move its
@@ -84,6 +83,9 @@ class SnrGrid:
     step_db: float = DEFAULT_SNR_GRID_DB[2]
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.start_db, self.stop_db, self.step_db))):
+            raise ValueError(f"grid start, stop and step must be finite, got {self.start_db:g}, "
+                             f"{self.stop_db:g} and {self.step_db:g} dB")
         if self.step_db <= 0:
             raise ValueError(f"grid step must be positive, got {self.step_db}")
         if self.stop_db < self.start_db:
@@ -298,98 +300,66 @@ def pool_size(threads: int, trials: int) -> int:
     return min(threads, trials) if sys.platform == "linux" else 1
 
 
-def _forked_chunks(ens: Ensemble, bounds: list[tuple[int, int]], workers: int) -> list:
-    """compute_trials(ens, *b) for each b of bounds, in order, by `workers` forked
-    children, which inherit ens.
+def _forked_chunks(fill: Callable[[int], None], chunks: int, workers: int) -> None:
+    """fill(i) for each i in range(chunks) by `workers` forked children, which inherit
+    fill and must leave its results in memory they share with the parent.
 
-    Each child reads chunk indices from its own task pipe and writes each chunk's
-    gains to its own result pipe as one pickle (_serve); the parent hands a child
-    its next chunk as soon as it returns one. A child that raises (its traceback
-    goes to stderr) or dies makes this raise RuntimeError. Every child is reaped
-    before this returns or raises, so its CPU time counts as the caller's
-    children's.
+    After the fork the parent writes every chunk index to one task pipe, 4 bytes at a
+    time, and closes it. A write of at most PIPE_BUF bytes is atomic, so the pipe
+    holds whole indices only, and a child that reads 4 bytes takes exactly one: it
+    takes its next chunk whenever it is free (_serve). A child exits 0 only once the
+    pipe has ended, so a child that raises (its traceback goes to stderr) or dies
+    makes this raise RuntimeError, once the other children have drained the pipe.
+    Every child is reaped before this returns or raises, so its CPU time counts as
+    the caller's children's.
     """
-    parts: list = [None] * len(bounds)
-    todo = iter(range(len(bounds)))
-    kids: dict[int, tuple[int, int]] = {}  # result pipe -> (pid, task pipe)
-    busy: dict[int, int] = {}  # result pipe -> the chunk its child computes
-    poller = select.poll()
-
-    def hand_out(results: int) -> None:
-        if (i := next(todo, None)) is None:
-            poller.unregister(results)  # the child idles until its tasks close
-            return
-        busy[results] = i
-        try:
-            os.write(kids[results][1], i.to_bytes(4, "little"))
-        except BrokenPipeError:
-            raise lost(results) from None
-
-    def lost(results: int) -> RuntimeError:
-        return RuntimeError(f"a worker process (pid {kids[results][0]}) ended before "
-                            f"returning chunk {busy[results]}")
-
-    spare: list[int] = []  # the pipe ends of a worker not forked yet
+    tasks, hand = os.pipe()
+    pids: list[int] = []
+    done = False
     try:
-        for _ in range(workers):
-            spare += os.pipe()
-            spare += os.pipe()
-            task_r, task_w, result_r, result_w = spare
-            if not (pid := os.fork()):
-                _serve(ens, bounds, task_r, result_w,
-                       [task_w, result_r, *(fd for r, (_, t) in kids.items() for fd in (r, t))])
-            kids[result_r] = (pid, task_w)
-            spare.clear()
-            os.close(task_r)
-            os.close(result_w)
-            poller.register(result_r, select.POLLIN)
-            hand_out(result_r)
-        while busy:
-            for results, _ in poller.poll():
-                with open(results, "rb", closefd=False) as pipe:
-                    try:
-                        parts[busy[results]] = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):
-                        raise lost(results) from None
-                del busy[results]
-                hand_out(results)
-    except BaseException:
-        import signal  # only a failed run needs it; a run's set-up would pay for it
-        for pid, _ in kids.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            for _ in range(workers):
+                if not (pid := os.fork()):
+                    _serve(fill, tasks, hand)
+                pids.append(pid)
+        finally:
+            os.close(tasks)  # with no child left to read, a write raises BrokenPipeError
+        for i in range(chunks):
+            os.write(hand, i.to_bytes(4, "little"))
+        done = True
+    except BrokenPipeError:  # no child is left to read the tasks: the run fails below
+        pass
     finally:
-        for fd in spare:
-            os.close(fd)
-        for results, (pid, tasks) in kids.items():
-            os.close(tasks)  # an idle child reads the end of its tasks and exits
-            os.close(results)
-            os.waitpid(pid, 0)
-    return parts
+        if not done:
+            import signal  # only a failed run needs it; a run's set-up would pay for it
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        os.close(hand)  # an idle child reads the end of the tasks and exits 0
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if not done or any(codes):  # a code of -n: killed by signal n
+        raise RuntimeError(f"a worker process ended before its chunks were done "
+                           f"(exit codes {codes})")
 
 
-def _serve(ens: Ensemble, bounds: list[tuple[int, int]], tasks: int, results: int,
-           inherited: list[int]) -> None:
-    """A forked worker: close the parent's pipe ends that it inherited, so that its
-    siblings see the ends of their own pipes, then compute each chunk whose index
-    arrives on tasks and write its gains to results, until tasks closes. It never
-    returns: it leaves through os._exit, since unwinding would run the parent's code."""
+def _serve(fill: Callable[[int], None], tasks: int, hand: int) -> None:
+    """A forked worker: close the write end of the tasks that it inherited, so that
+    the pipe ends once the parent closes it, then fill(i) for each chunk index i it
+    reads, until the pipe ends. It never returns: it leaves through os._exit, since
+    unwinding would run the parent's code. A worker that raises drains the pipe
+    first, so that its siblings stop at their current chunks and the run fails
+    without computing the rest."""
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
-        # left open for os._exit to close: the parent kills the workers once it sees the
-        # end of a result pipe, so a traceback must be out before that
-        out = open(results, "wb")
+        os.close(hand)
         while task := os.read(tasks, 4):
-            pickle.dump(compute_trials(ens, *bounds[int.from_bytes(task, "little")]), out,
-                        pickle.HIGHEST_PROTOCOL)
-            out.flush()
+            fill(int.from_bytes(task, "little"))
         code = 0
     except BaseException:  # the worker's boundary: report, then exit below
         import traceback  # only a failing worker needs it
         traceback.print_exc()
         sys.stderr.flush()
+        while os.read(tasks, 1 << 16):
+            pass
     finally:
         os._exit(code)
 
@@ -408,11 +378,12 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     why every array is read-only.
 
     Trials are keyed by index, computed in contiguous chunks (compute_trials),
-    max(threads, 1) * 8 of them, and joined in index order, so neither the
-    chunks nor parallel scheduling can change the result. The run forks
-    pool_size(threads, trials) workers, never more than the chunks, and hands
-    out the chunks one at a time (_forked_chunks); with one, the same chunks
-    run serially in-process.
+    max(threads, 1) * 8 of them, each written into its own columns of one
+    block whose rows become the arrays, so neither the chunks nor parallel
+    scheduling can change the result. The run forks pool_size(threads,
+    trials) workers, never more than the chunks, which take the chunks one at
+    a time and write them into a shared block (_forked_chunks); with one, the
+    same chunks run serially in-process.
     The diffuse wall field and the reflector banks are precomputed once, before
     the fork, so every worker inherits them: that both removes per-trial cost
     and keeps them bit-identical everywhere.
@@ -426,16 +397,25 @@ def run_trials(scene: Scene, trials: int, seed: int, *, threads: int = 1,
     chunk = max(1, math.ceil(trials / (max(threads, 1) * 8)))
     bounds = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
     workers = pool_size(threads, trials)
+    # rows: h_los per density, h_nlos, h_irs per bank; a chunk fills its own columns
+    shape = (len(unique) + 1 + len(ens.banks), trials)
+
+    def fill(i: int) -> None:
+        a, b = bounds[i]
+        block[:, a:b] = np.vstack(compute_trials(ens, a, b))
+
     if workers <= 1:
-        parts = [compute_trials(ens, *b) for b in bounds]
-    else:
-        parts = _forked_chunks(ens, bounds, workers)
-    h_los, h_nlos, h_irs = (np.concatenate(field, axis=-1) for field in zip(*parts))
-    for a in (h_los, h_nlos, h_irs):
-        a.setflags(write=False)  # before the rows are taken: a view taken earlier stays writeable
+        block = np.empty(shape)
+        for i in range(len(bounds)):
+            fill(i)
+    else:  # in memory that the forked workers share with this process
+        block = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+        _forked_chunks(fill, len(bounds), workers)
+    block.setflags(write=False)  # before the rows are taken: a view taken earlier stays writeable
     # one contiguous (trials,) row per density and per bank, each row one shared object
-    los = list(h_los)
-    return [{d: TrialGains(h, h_nlos, g) for d, h in zip(unique, los)} for g in h_irs]
+    *los, h_nlos = block[:len(unique) + 1]
+    return [{d: TrialGains(h, h_nlos, g) for d, h in zip(unique, los)}
+            for g in block[len(unique) + 1:]]
 
 
 # -- SER estimation ----------------------------------------------------------

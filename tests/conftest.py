@@ -44,9 +44,10 @@ def inline_pool(monkeypatch):
     of the worker counts a run forks."""
     started = []
 
-    def inline_chunks(ens, bounds, workers):  # records the count, then runs the chunks here
+    def inline_chunks(fill, chunks, workers):  # records the count, then runs the chunks here
         started.append(workers)
-        return [simulator.compute_trials(ens, *b) for b in bounds]
+        for i in range(chunks):
+            fill(i)
 
     monkeypatch.setattr(simulator, "_forked_chunks", inline_chunks)
     return started

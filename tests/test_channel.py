@@ -366,6 +366,72 @@ def test_second_bounce_is_reciprocal(dims, size):
     assert (np.abs(left - right) <= 2.0**-49 * np.maximum(left, right)).all()
 
 
+def parallel_factor(a, b, c):
+    """Exact view factor between two directly opposed a x b rectangles c apart
+    (Howell's catalogue, C-11)."""
+    x, y = a / c, b / c
+    sx, sy = math.sqrt(1 + x * x), math.sqrt(1 + y * y)
+    return 2 / (math.pi * x * y) * (
+        math.log(sx * sy / math.sqrt(1 + x * x + y * y)) + x * sy * math.atan(x / sy)
+        + y * sx * math.atan(y / sx) - x * math.atan(x) - y * math.atan(y))
+
+
+def perpendicular_factor(l, w, h):
+    """Exact view factor from an l x w rectangle to an l x h one at a right angle to it,
+    the two sharing their edge of length l (Howell's catalogue, C-14)."""
+    w2, h2 = (w / l) ** 2, (h / l) ** 2
+    r = math.sqrt(w2 + h2)
+    log = (math.log((1 + w2) * (1 + h2) / (1 + w2 + h2))
+           + w2 * math.log(w2 * (1 + w2 + h2) / ((1 + w2) * (w2 + h2)))
+           + h2 * math.log(h2 * (1 + h2 + w2) / ((1 + h2) * (h2 + w2))))
+    return (w / l * math.atan(l / w) + h / l * math.atan(l / h) - r * math.atan(1 / r)
+            + log / 4) / (math.pi * w / l)
+
+
+def test_catalogue_view_factors():
+    # tabulated values, and reciprocity A_1 F_12 = A_2 F_21 between the two forms' sides
+    assert parallel_factor(1.0, 1.0, 1.0) == pytest.approx(0.19982, abs=1e-5)
+    assert perpendicular_factor(1.0, 1.0, 1.0) == pytest.approx(0.20004, abs=1e-5)
+    assert perpendicular_factor(3.0, 2.0, 5.0) * 2.0 == \
+        pytest.approx(perpendicular_factor(3.0, 5.0, 2.0) * 5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(5.0, 5.0, 3.0), (6.0, 4.0, 2.5)], ids=["stock", "6x4x2.5"])
+def test_wall_transfer_against_exact_view_factors(dims):
+    # a uniform unit power density on wall x = 0 (reflectivity 1) puts A_1 F_1j on wall j
+    # in the limit of small patches; the centroid rule samples cos cos / (pi d^2) at
+    # patch centers. Bounds, fixed from the rule's order and not from its errors:
+    # - opposed walls c apart: the kernel ~ (c^2 + r^2)^-2 is smooth, so the midpoint
+    #   rule's error is second order; each of the four patch coordinates adds at most
+    #   h^2 / 24 * max|K''/K| = h^2 / 24 * 20 / c^2 relative, so |error| <= 10/3 (h/c)^2
+    # - walls with a common edge: the kernel is singular along the edge, the rule is
+    #   first order, and the patch pairs that meet at the edge carry the error. Their
+    #   excess over the exact pair factor, summed over the rows, estimates it: the
+    #   error lies within [1/2, 2] of that estimate, and halving h about halves it
+    length, width, height = dims
+    room, errors = Room(*dims), []
+    for size in (0.25, 0.125):
+        grid = wall_patch_grid(room, size)
+        ends = np.cumsum([nu * nv for _, nu, nv in grid])
+        ps = wall_patches(room, size, 1.0)
+        power = np.where(np.arange(len(ps)) < ends[0], ps.areas, 0.0)
+        out = _second_bounce_power(ps, power)
+        parallel, *perpendicular = (out[a:b].sum() / (width * height)
+                                    for a, b in zip(ends[:-1], ends[1:]))
+        exact = parallel_factor(width, height, length)
+        assert abs(parallel / exact - 1.0) <= 10 / 3 * (size / length) ** 2
+        (_, nu1, rows), (_, nu2, _) = grid[0], grid[2]
+        du1, du2, dv = width / nu1, length / nu2, height / rows
+        centroid = du2 * dv * (du1 * du2 / 4) / (math.pi * ((du1 / 2) ** 2 + (du2 / 2) ** 2) ** 2)
+        excess = rows * du1 * dv * (centroid - perpendicular_factor(dv, du1, du2))
+        exact = perpendicular_factor(height, width, length)
+        estimate = excess / (width * height * exact)
+        for got in perpendicular:
+            assert 0.5 * estimate <= got / exact - 1.0 <= 2.0 * estimate
+        errors.append(got / exact - 1.0)
+    assert 1.8 <= errors[0] / errors[1] <= 2.2
+
+
 def test_grid_walls_only_for_exact_grids(ceiling_ap):
     ps = wall_patches(Room(6.3, 4.1, 2.7), 0.3)
     walls = _grid_walls(ps)

@@ -134,52 +134,127 @@ def test_off_linux_the_chunks_run_in_process(inline_pool, monkeypatch):
     ("raise ValueError('chunk 9 fails')", "ValueError: chunk 9 fails"),
 ], ids=["killed", "raises"])
 def test_a_failed_worker_fails_the_run_and_leaves_no_child(fail, stderr):
-    # the parent sees the worker's result pipe end, kills and reaps the other worker and
-    # raises, long before the timeout; the worker's own traceback goes to stderr
+    # the other worker drains the task pipe (a raising worker drains it too), then the
+    # parent reaps both, sees the failed one's status and raises, long before the
+    # timeout; the worker's own traceback goes to stderr
     done = python_run(FAILING_WORKER.format(fail=fail), timeout=60)
     assert done.stdout.splitlines() == ["RuntimeError", "no child left"]
     assert stderr in done.stderr
 
 
-# a run whose call number {call} to os.{name} fails, before the second worker is
-# forked; it prints what run_trials raised, whether the process has a child left and
-# whether it holds the descriptors it held before the run
-FAILED_FORK = """
+# a 2-worker run over 16 chunks whose chunk 0 raises at once while every other chunk
+# takes 0.5 s and leaves a marker file in the directory argv[1]
+RAISING_CHUNK = """
+import os, sys, time
+from irsvlc import RunConfig, build_scene, simulator
+compute = simulator.compute_trials
+def compute_trials(ens, start, stop):
+    if start == 0:
+        raise ValueError("chunk 0 fails")
+    time.sleep(0.5)
+    open(os.path.join(sys.argv[1], str(start)), "w").close()
+    return compute(ens, start, stop)
+simulator.compute_trials = compute_trials
+try:
+    simulator.run_trials(build_scene(RunConfig(), 0.0), 32, 7, threads=2, densities=(1.0,),
+                         layouts=[((), ())])
+except RuntimeError:
+    print("RuntimeError")
+"""
+
+
+@linux_only
+def test_a_raising_worker_drains_the_tasks(tmp_path):
+    # the raising worker takes every chunk left, so the other one stops after the chunk
+    # it holds, and the run fails without computing the other 14
+    done = python_run(RAISING_CHUNK, str(tmp_path), timeout=60)
+    assert done.stdout.splitlines() == ["RuntimeError"]
+    assert len(os.listdir(tmp_path)) <= 2
+
+
+# a 2-worker run over 16 chunks whose chunk 0 waits, for at most 30 s, until the
+# marker files in the directory argv[1] show chunks 1-15 done; it prints whether the
+# run gave the serial bytes
+WAITING_CHUNK = """
+import os, sys, time
+from irsvlc import RunConfig, build_scene, simulator
+marks = sys.argv[1]
+def gains(threads):
+    (out,) = simulator.run_trials(build_scene(RunConfig(), 0.0), 32, 7, threads=threads,
+                                  densities=(1.0,), layouts=[((), ())])
+    return [a.tobytes() for a in (out[1.0].h_los, out[1.0].h_nlos, out[1.0].h_irs)]
+serial, compute = gains(1), simulator.compute_trials
+def compute_trials(ens, start, stop):
+    deadline = time.monotonic() + 30
+    while start == 0 and len(os.listdir(marks)) < 15:
+        if time.monotonic() > deadline:
+            raise TimeoutError("chunks 1-15 are not done")
+        time.sleep(0.01)
+    gains = compute(ens, start, stop)
+    if start:
+        open(os.path.join(marks, str(start)), "w").close()
+    return gains
+simulator.compute_trials = compute_trials
+print(gains(2) == serial)
+"""
+
+
+@linux_only
+def test_a_free_worker_takes_every_chunk_a_busy_one_leaves(tmp_path):
+    # chunks are handed out on demand: while one worker holds chunk 0, the other computes
+    # chunks 1-15; a static split of the chunks between the two would hit the deadline
+    done = python_run(WAITING_CHUNK, str(tmp_path), timeout=90)
+    assert done.stdout.splitlines() == ["True"]
+    assert sorted(os.listdir(tmp_path), key=int) == [str(2 * i) for i in range(1, 16)]
+
+
+# a run whose call number {call} to os.{name} raises {error}; it prints the strerror of
+# an OSError that run_trials raised or the name of any other exception, whether the
+# process has a child left and whether it holds the descriptors it held before the run
+FAILED_CALL = """
 import errno, os
 from irsvlc import RunConfig, build_scene, simulator
 real, calls = os.{name}, []
-def failing():
+def failing(*args):
     calls.append(None)
     if len(calls) == {call}:
-        raise OSError(errno.EAGAIN, "no more processes")
-    return real()
+        raise {error}
+    return real(*args)
 os.{name} = failing
 scene = build_scene(RunConfig(), 0.0)
 held = sorted(os.listdir("/proc/self/fd"))
 try:
     simulator.run_trials(scene, 40, 1, threads=2, densities=(0.0,), layouts=[((), ())])
-except OSError as e:
-    print(os.strerror(e.errno))
+except Exception as e:
+    print(os.strerror(e.errno) if isinstance(e, OSError) else type(e).__name__)
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
     print("no child left")
 print(sorted(os.listdir("/proc/self/fd")) == held)
 """
+NO_PROCESSES = "OSError(errno.EAGAIN, 'no more processes')"
 
 
 @linux_only
-@pytest.mark.parametrize("name, call", [("fork", 2), ("pipe", 2), ("pipe", 4)],
-                         ids=["second_fork", "first_result_pipe", "second_result_pipe"])
-def test_a_failed_fork_or_pipe_leaves_no_child_and_no_descriptor(name, call):
-    done = python_run(FAILED_FORK.format(name=name, call=call), timeout=60)
-    assert done.stdout.splitlines() == [os.strerror(errno.EAGAIN), "no child left", "True"]
+@pytest.mark.parametrize("name, call, error, printed", [
+    ("pipe", 1, NO_PROCESSES, os.strerror(errno.EAGAIN)),
+    ("fork", 1, NO_PROCESSES, os.strerror(errno.EAGAIN)),
+    ("fork", 2, NO_PROCESSES, os.strerror(errno.EAGAIN)),
+    # the parent's first task write finds no reader: the live workers are killed
+    ("write", 1, "BrokenPipeError(errno.EPIPE, 'broken pipe')", "RuntimeError"),
+], ids=["task_pipe", "first_fork", "second_fork", "broken_task_pipe"])
+def test_a_failed_fork_or_pipe_leaves_no_child_and_no_descriptor(name, call, error, printed):
+    done = python_run(FAILED_CALL.format(name=name, call=call, error=error), timeout=60)
+    assert done.stdout.splitlines() == [printed, "no child left", "True"]
 
 
 def test_run_trials_threads_match_serial():
     scene, layout = make_scene(1.0), make_layout(n_per_side=4)
     serial = own_density(scene, layout, 24, seed=7)
-    for threads in (0, 2):  # below 1 runs serially
+    # below 1 runs serially; 5 forks more workers than a small host has cores, which
+    # all write into one shared block
+    for threads in (0, 2, 5):
         assert _bits(own_density(scene, layout, 24, seed=7, threads=threads)) == _bits(serial)
 
 
@@ -884,13 +959,18 @@ def test_snr_grid_validation():
     assert len(SnrGrid(5.0, 5.0, 1.0).values()) == 1
     # the point count is bounded before any grid is sized
     assert len(SnrGrid(0.0, 999.0, 1.0).values()) == MAX_SNR_POINTS == 1000
-    for step in (0.999, 1e-12, 5e-324, math.nan):
+    for step in (0.999, 1e-12, 5e-324):
         with pytest.raises(ValueError, match="points one curve may hold"):
             SnrGrid(0.0, 999.0, step)
     # and so is its top, far below where 10^(dB/10) overflows
-    for stop in (MAX_SNR_DB * (1 + 1e-12), 3200.0, math.nan):
+    for stop in (MAX_SNR_DB * (1 + 1e-12), 3200.0):
         with pytest.raises(ValueError, match="lies above"):
             SnrGrid(900.0, stop, 100.0)
+    # a bound or step that is not finite is named as such, before any other check
+    for bad in (math.nan, math.inf, -math.inf):
+        for grid in ((bad, 40.0, 1.0), (0.0, bad, 1.0), (0.0, 40.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SnrGrid(*grid)
 
 
 def test_ser_curve_at_the_top_of_the_grid_is_finite():
